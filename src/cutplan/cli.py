@@ -36,45 +36,30 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("expected a JSON object of flag defaults")
+    return config
 
 
-def _merge_config(args: argparse.Namespace, config: dict) -> argparse.Namespace:
-    # config file supplies defaults; explicit flags win
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and args._explicit.get(attr) is not True:
-            setattr(args, attr, value)
-    return args
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return subparsers.choices[command]
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destinations were set on the command line."""
-
-    def parse_args(self, argv=None, namespace=None):  # type: ignore[override]
-        namespace = super().parse_args(argv, namespace)
-        explicit = {}
-        argv = sys.argv[1:] if argv is None else argv
-        for action in self._subparser_actions():
-            for opt in action.option_strings:
-                if any(a == opt or a.startswith(opt + "=") for a in argv):
-                    explicit[action.dest] = True
-        namespace._explicit = explicit
-        return namespace
-
-    def _subparser_actions(self):
-        stack = [self]
-        while stack:
-            parser = stack.pop()
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    stack.extend(action.choices.values())
-                elif action.option_strings:
-                    yield action
+def _config_defaults(subparser: argparse.ArgumentParser, config: dict) -> dict:
+    """Config keys as flag destinations; only the subcommand's options are
+    accepted, ``--config`` itself excluded."""
+    known = {action.dest for action in subparser._actions
+             if action.option_strings and action.dest not in ("help", "config")}
+    defaults = {key.replace("-", "_"): value for key, value in config.items()}
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)}")
+    return defaults
 
 
 def _run_file(path: str, args) -> tuple[PipelineResult, object, object]:
@@ -175,15 +160,17 @@ def cmd_verify(args) -> int:
         reps = reps if args.repetitions is None else args.repetitions
         config = ExperimentConfig(partitions=partitions, eps=eps, repetitions=reps,
                                   seed=args.seed if args.seed is not None else 0)
+        start = time.perf_counter()
         try:
             summary = variance_experiment(config)
         except ValueError as exc:
             return _fail(str(exc), EXIT_ERROR)
+        elapsed = time.perf_counter() - start
         summaries.append((label, summary))
         verdict = "pass" if summary.within_bound else "FAIL"
         print(f"preset ({label}): partitions={partitions} eps={eps} "
-              f"n_total={summary.n_total} std={summary.std:.6f} [{verdict}]",
-              file=sys.stderr)
+              f"n_total={summary.n_total} std={summary.std:.6f} [{verdict}] "
+              f"wall={elapsed:.2f}s", file=sys.stderr)
     payload = {"presets": [dict(label=label, **s.to_json_dict())
                            for label, s in summaries]}
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -213,9 +200,9 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(prog="cutplan",
-                             description="overhead-aware circuit cut planner")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="cutplan",
+                                     description="overhead-aware circuit cut planner")
     parser.add_argument("--version", action="version", version=f"cutplan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -266,10 +253,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
+        # the config file supplies defaults; parsing again lets every
+        # spelling of an explicit flag win over them
+        subparser = _subparser(parser, args.command)
         try:
-            args = _merge_config(args, _load_config(args.config))
-        except (OSError, json.JSONDecodeError) as exc:
+            subparser.set_defaults(**_config_defaults(subparser, _load_config(args.config)))
+        except (OSError, ValueError) as exc:
             return _fail(f"bad config file: {exc}", EXIT_ERROR)
+        args = parser.parse_args(argv)
     return args.func(args)
 
 

@@ -8,7 +8,8 @@ from .decomp import (DecompositionSpec, Term, TermSide, cx_decomposition,
 from .estimator import (EstimatorRun, GateCut, IncompatibleObservableError,
                         NotDisconnectedError, ShotAllocation, WireCut,
                         allocate_shots, combine_means, cut_estimate, cut_specs,
-                        plan_partitions, variant_distribution)
+                        partition_variants, plan_partitions,
+                        variant_distribution)
 from .experiment import (ExperimentConfig, ExperimentSummary, ring_circuit,
                          ring_cuts, variance_experiment)
 from .observable import (ObsFactor, ProductObservable, expectation_value,
@@ -24,8 +25,8 @@ __all__ = [
     "wire_cut_decomposition",
     "EstimatorRun", "GateCut", "IncompatibleObservableError",
     "NotDisconnectedError", "ShotAllocation", "WireCut", "allocate_shots",
-    "combine_means", "cut_estimate", "cut_specs", "plan_partitions",
-    "variant_distribution",
+    "combine_means", "cut_estimate", "cut_specs", "partition_variants",
+    "plan_partitions", "variant_distribution",
     "ExperimentConfig", "ExperimentSummary", "ring_circuit", "ring_cuts",
     "variance_experiment",
     "ObsFactor", "ProductObservable", "expectation_value",

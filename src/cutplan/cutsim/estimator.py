@@ -15,7 +15,8 @@ estimator:
    outcome distribution is enumerated (signed mid-circuit measurements fork
    the statevector into branches) and the requested number of shots is drawn
    from it in one multinomial, so the sample mean has exactly the per-shot
-   sampling law,
+   sampling law. One depth-first walk per partition simulates all its
+   variants, sharing the gates they have in common,
 5. combines the per-variant sample means with the term coefficients, summing
    the coefficient-weighted product of partition means over all term choices.
 
@@ -25,18 +26,19 @@ below eps.
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..qasm import CircuitIR
-from .decomp import (DecompositionSpec, MEAS_SIGNED, gate_cut_decomposition,
-                     wire_cut_decomposition)
+from ..qasm import CircuitIR, GateApp
+from .decomp import (DecompositionSpec, MEAS_SIGNED, TermSide,
+                     gate_cut_decomposition, wire_cut_decomposition)
 from .observable import ObsFactor, ProductObservable, value_table
-from ..qasm import GateApp
-from .statevector import apply_gate, basis_bits, zero_state
+from .statevector import apply_matrix, gate_matrix, project_qubit, zero_state
 
 
 class NotDisconnectedError(Exception):
@@ -260,26 +262,23 @@ def allocate_shots(plans: dict[int, PartitionPlan], specs: list[DecompositionSpe
         raise ValueError("eps must be positive")
     n_c: dict[int, int] = {}
     variant_counts: dict[int, dict[tuple[int, ...], int]] = {}
+    kappas = [spec.kappa for spec in specs]
+    taus = [spec.tau for spec in specs]
+    # |a_j(i)| / kappa_j per cut and term
+    shares = [[abs(t.coeff) / kappa for t in spec.terms] for spec, kappa in zip(specs, kappas)]
     for c, plan in sorted(plans.items()):
         overhead = float(r)
-        for j, spec in enumerate(specs):
+        for j in range(len(specs)):
             if j in plan.attached_cuts:
-                overhead *= spec.kappa ** 2
+                overhead *= kappas[j] ** 2
             else:
-                overhead *= spec.tau
+                overhead *= taus[j]
         budget = math.ceil(overhead / eps ** 2)
 
         attached = plan.attached_cuts
-        shapes = [len(specs[j].terms) for j in attached]
-        weights = []
-        variants = []
-        for combo in _index_product(shapes):
-            weight = 1.0
-            for j, term_idx in zip(attached, combo):
-                spec = specs[j]
-                weight *= abs(spec.terms[term_idx].coeff) / spec.kappa
-            variants.append(combo)
-            weights.append(weight)
+        variants = list(itertools.product(*(range(len(specs[j].terms)) for j in attached)))
+        weights = [math.prod((shares[j][t] for j, t in zip(attached, combo)), start=1.0)
+                   for combo in variants]
         nonzero = sum(1 for w in weights if w > 0.0)
         budget = max(budget, nonzero)
         counts = _largest_remainder(budget, weights)
@@ -294,16 +293,6 @@ def allocate_shots(plans: dict[int, PartitionPlan], specs: list[DecompositionSpe
     return ShotAllocation(n_c=n_c, variants=variant_counts)
 
 
-def _index_product(shapes: list[int]):
-    if not shapes:
-        yield ()
-        return
-    head, *tail = shapes
-    for i in range(head):
-        for rest in _index_product(tail):
-            yield (i,) + rest
-
-
 def _largest_remainder(total: int, weights: list[float]) -> list[int]:
     scale = sum(weights)
     shares = [total * w / scale for w in weights]
@@ -315,65 +304,115 @@ def _largest_remainder(total: int, weights: list[float]) -> list[int]:
     return counts
 
 
-# -- per-variant sampling ------------------------------------------------------
+# -- variant simulation ---------------------------------------------------------
 
-def _variant_ops(plan: PartitionPlan, specs: list[DecompositionSpec],
-                 choice: dict[int, int]) -> list:
-    """Expand cut sites for one variant into concrete gate/measure ops."""
-    ops = []
+# a branch whose squared norm is at most this is dropped as unreachable
+_PRUNE_NORM = 1e-28
+
+
+def _side_ops(side: TermSide, lq: int) -> tuple[list, bool, list]:
+    """One term side at a cut site: gates, whether it forks on a signed
+    measurement, post-measurement gates. An unsigned measurement ends a wire
+    that nothing reads again, so dephasing it cannot change any outcome and
+    it is left out."""
+    def ops(gates):
+        return [((lq,), gate_matrix(GateApp(kind, (lq,), params))) for kind, params in gates]
+    return ops(side.gates), side.measure == MEAS_SIGNED, ops(side.post_gates)
+
+
+_Variant = tuple[tuple[int, ...], np.ndarray, np.ndarray]
+
+
+def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
+          terms: dict[int, Sequence[int]], values: np.ndarray) -> Iterator[_Variant]:
+    """Yield ``(variant, probs, vals)`` for every choice of one term per cut
+    site, ``terms[j]`` listing the terms of cut j.
+
+    The walk is depth first over the cut sites of ``plan.items``. A row is
+    one branch of a variant: an unnormalised state, and the sign its signed
+    measurements collected. At a site every term expands the incoming rows
+    (its gates, a signed fork into keep and flip rows, its post gates), and
+    the rows of all terms form one batch. The gates up to the next site run
+    once on that batch; it is split per term only there. So variants share
+    the simulation of their common prefix, and each level of the walk holds
+    one batch.
+    """
+    n = plan.num_qubits
+    runs: list[list] = [[]]  # gates before the first site, between sites, after the last
+    sites = []               # (local qubit, [(term, gates, signed, post gates)])
+    site_cuts = []
     for item in plan.items:
         if item[0] == "gate":
             _, gate, locals_ = item
-            ops.append(("gate", GateApp(gate.kind, locals_, gate.params)))
+            runs[-1].append((locals_, gate_matrix(gate)))
         else:
             _, j, side, lq = item
-            term = specs[j].terms[choice[j]]
-            ts = term.sides[side]
-            for kind, params in ts.gates:
-                ops.append(("gate", GateApp(kind, (lq,), params)))
-            if ts.measure is not None:
-                ops.append(("measure", lq, ts.measure == MEAS_SIGNED))
-            for kind, params in ts.post_gates:
-                ops.append(("gate", GateApp(kind, (lq,), params)))
-    return ops
+            sites.append((lq, [(t, *_side_ops(specs[j].terms[t].sides[side], lq))
+                               for t in terms[j]]))
+            site_cuts.append(j)
+            runs.append([])
+    # variants are keyed in attached-cut order, the walk goes in site order
+    key_order = [site_cuts.index(j) for j in plan.attached_cuts]
+
+    def run(rows, ops):
+        for qubits, matrix in ops:
+            rows = apply_matrix(rows, n, qubits, matrix)
+        return rows
+
+    def expand(rows, signs, prefix, site):
+        lq, expansions = site
+        parts, groups, start = [], [], 0
+        for t, gates, signed, post_gates in expansions:
+            branch, branch_signs = run(rows, gates), signs
+            if signed:
+                branch = project_qubit(branch, n, lq)
+                branch_signs = np.stack([signs, -signs], axis=1).reshape(-1)
+                flat = branch.view(np.float64)  # each row's squared norm, below
+                alive = np.einsum("ij,ij->i", flat, flat) > _PRUNE_NORM
+                branch, branch_signs = branch[alive], branch_signs[alive]
+            branch = run(branch, post_gates)
+            parts.append(branch)
+            groups.append((prefix + (t,), slice(start, start + len(branch)), branch_signs))
+            start += len(branch)
+        return np.concatenate(parts), groups
+
+    def descend(batch, groups, k):
+        # rebinding ``batch`` frees each gate's input as soon as it is applied
+        for qubits, matrix in runs[k]:
+            batch = apply_matrix(batch, n, qubits, matrix)
+        for prefix, span, signs in groups:
+            if k == len(sites):
+                yield (tuple(prefix[i] for i in key_order),
+                       (np.abs(batch[span]) ** 2).reshape(-1),
+                       (signs[:, None] * values).reshape(-1))
+            else:
+                yield from descend(*expand(batch[span], signs, prefix, sites[k]), k + 1)
+
+    yield from descend(zero_state(n)[None], [((), slice(0, 1), np.ones(1))], 0)
+
+
+def partition_variants(plan: PartitionPlan, specs: list[DecompositionSpec],
+                       values: np.ndarray) -> Iterator[_Variant]:
+    """Exact ``(variant, probabilities, signed postprocessing values)`` of
+    every variant of one partition, streamed one variant at a time.
+
+    Probabilities and values list the outcomes of every branch, branch by
+    branch; a signed measurement forks a branch into its kept and its
+    flipped-sign projection, in that order, and branch norms carry the
+    outcome probabilities.
+    """
+    terms = {j: range(len(specs[j].terms)) for j in plan.attached_cuts}
+    return _walk(plan, specs, terms, values)
 
 
 def variant_distribution(plan: PartitionPlan, specs: list[DecompositionSpec],
                          choice: dict[int, int],
                          values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (probabilities, signed postprocessing values) of one variant.
-
-    Signed measurements fork the state into an unnormalised projected branch
-    per outcome; branch norms carry the outcome probabilities.
-    """
-    n = plan.num_qubits
-    branches: list[tuple[np.ndarray, float]] = [(zero_state(n), 1.0)]
-    for op in _variant_ops(plan, specs, choice):
-        if op[0] == "gate":
-            branches = [(apply_gate(state, n, op[1]), sign) for state, sign in branches]
-        else:
-            _, lq, signed = op
-            if not signed:
-                # unsigned measurement on a wire that just ended: dephasing a
-                # qubit nothing reads again cannot change any outcome
-                continue
-            mask = basis_bits(n, lq).astype(bool)
-            forked = []
-            for state, sign in branches:
-                keep = state.copy()
-                keep[mask] = 0.0
-                flip = state.copy()
-                flip[~mask] = 0.0
-                for branch, branch_sign in ((keep, sign), (flip, -sign)):
-                    if np.vdot(branch, branch).real > 1e-28:
-                        forked.append((branch, branch_sign))
-            branches = forked
-    probs = []
-    vals = []
-    for state, sign in branches:
-        probs.append(np.abs(state) ** 2)
-        vals.append(sign * values)
-    return np.concatenate(probs), np.concatenate(vals)
+    """Exact (probabilities, signed postprocessing values) of one variant,
+    ``choice`` mapping each attached cut to its term."""
+    ((_, probs, vals),) = _walk(plan, specs, {j: (choice[j],) for j in plan.attached_cuts},
+                                values)
+    return probs, vals
 
 
 def _sample_mean(probs: np.ndarray, values: np.ndarray, shots: int,
@@ -396,15 +435,14 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     means: dict[int, dict[tuple[int, ...], float]] = {}
     for c, plan in sorted(plans.items()):
         values = value_table(plan.factors, plan.num_qubits)
-        means[c] = {}
-        for ordinal, (variant, shots) in enumerate(sorted(allocation.variants[c].items())):
-            if shots == 0:
-                means[c][variant] = 0.0
-                continue
-            choice = dict(zip(plan.attached_cuts, variant))
-            probs, vals = variant_distribution(plan, specs, choice, values)
-            rng = np.random.default_rng([seed, c, ordinal])
-            means[c][variant] = _sample_mean(probs, vals, shots, rng)
+        shots = allocation.variants[c]
+        means[c] = dict.fromkeys(sorted(shots), 0.0)
+        ordinal = {variant: k for k, variant in enumerate(means[c])}
+        # each variant is sampled as the walk reaches it, then dropped
+        for variant, probs, vals in partition_variants(plan, specs, values):
+            if shots[variant]:
+                rng = np.random.default_rng([seed, c, ordinal[variant]])
+                means[c][variant] = _sample_mean(probs, vals, shots[variant], rng)
 
     estimate = combine_means(plans, specs, means)
     return EstimatorRun(estimate=estimate, variant_means=means,

@@ -2,7 +2,9 @@
 
 State layout: a complex vector of length 2**n where bit q of a basis index is
 read as ``(index >> (n - 1 - q)) & 1``, i.e. qubit 0 owns the most significant
-bit. ``basis_bits`` is the one place this convention lives.
+bit. This module is the one place that convention lives: ``apply_matrix``,
+``project_qubit`` and ``basis_bits`` read it. A batch of states is a
+``(rows, 2**n)`` array with one state per row.
 """
 
 from __future__ import annotations
@@ -109,20 +111,44 @@ def zero_state(num_qubits: int) -> np.ndarray:
     return state
 
 
+def apply_matrix(states: np.ndarray, num_qubits: int, qubits: tuple[int, ...],
+                 matrix: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 or 4x4 ``matrix`` on ``qubits`` to one state or to every
+    row of a batch; returns a new array of the same shape.
+
+    The first listed qubit is the most significant index of ``matrix``, as
+    in :func:`gate_matrix`.
+    """
+    if len(qubits) == 1:
+        # the qubit's axis splits each row into halves: one broadcast matrix
+        # product mixes them without a transposed copy
+        halves = states.reshape(-1, 2, 2 ** (num_qubits - 1 - qubits[0]))
+        return np.matmul(matrix, halves).reshape(states.shape)
+    # move the gate axes to the front so that one matrix product covers all rows
+    perm = [q + 1 for q in qubits] + [0] + [q + 1 for q in range(num_qubits)
+                                            if q not in qubits]
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    tensor = states.reshape((-1,) + (2,) * num_qubits).transpose(perm)
+    out = (matrix @ tensor.reshape(matrix.shape[1], -1)).reshape(tensor.shape)
+    return out.transpose(inverse).reshape(states.shape)
+
+
 def apply_gate(state: np.ndarray, num_qubits: int, gate: GateApp) -> np.ndarray:
-    """Apply one gate in place-ish (returns the new array)."""
-    u = gate_matrix(gate)
-    tensor = state.reshape([2] * num_qubits)
-    if len(gate.qubits) == 1:
-        q = gate.qubits[0]
-        tensor = np.tensordot(u, tensor, axes=([1], [q]))
-        tensor = np.moveaxis(tensor, 0, q)
-    else:
-        q0, q1 = gate.qubits
-        u4 = u.reshape(2, 2, 2, 2)
-        tensor = np.tensordot(u4, tensor, axes=([2, 3], [q0, q1]))
-        tensor = np.moveaxis(tensor, [0, 1], [q0, q1])
-    return tensor.reshape(-1)
+    """Apply one gate to one state (returns the new array)."""
+    return apply_matrix(state, num_qubits, gate.qubits, gate_matrix(gate))
+
+
+def project_qubit(states: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
+    """Split every row into its ``qubit`` = 0 and ``qubit`` = 1 projections.
+
+    Returns ``(2 * rows, 2**n)``: row k's 0-projection at 2k, its
+    1-projection at 2k + 1. The projections are unnormalised.
+    """
+    rows = states.reshape(-1, 2 ** qubit, 2, 2 ** (num_qubits - 1 - qubit))
+    out = np.zeros((rows.shape[0], 2) + rows.shape[1:], dtype=states.dtype)
+    out[:, 0, :, 0] = rows[:, :, 0]
+    out[:, 1, :, 1] = rows[:, :, 1]
+    return out.reshape(-1, 2 ** num_qubits)
 
 
 def simulate_statevector(circuit: CircuitIR, initial: int = 0) -> np.ndarray:

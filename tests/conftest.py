@@ -1,5 +1,6 @@
 """Shared test oracles, all deliberately independent of the library's own
-cached-sum code paths: everything here classifies raw edge lists directly."""
+fast paths: the graph oracles classify raw edge lists directly, and the
+variant oracle simulates one cut variant at a time, state by state."""
 
 from __future__ import annotations
 
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 
 from cutplan.clustering import Clustering
+from cutplan.cutsim import apply_gate, basis_bits, zero_state
+from cutplan.cutsim.decomp import MEAS_SIGNED
 from cutplan.graph import CutGraph, CutKind, Edge, Node
+from cutplan.qasm import GateApp
 
 
 def make_edge(u, v, kappa, tau, kind=CutKind.TIME):
@@ -132,6 +136,58 @@ def best_feasible_log_overhead(graph: CutGraph, max_qubits: int) -> float:
                 assignment[i] = c
         best = min(best, max_log_overhead_oracle(graph, assignment))
     return best
+
+
+# -- one cut variant at a time ---------------------------------------------------
+
+def _variant_ops(plan, specs, choice: dict[int, int]) -> list:
+    """Expand cut sites for one variant into concrete gate/measure ops."""
+    ops = []
+    for item in plan.items:
+        if item[0] == "gate":
+            _, gate, locals_ = item
+            ops.append(("gate", GateApp(gate.kind, locals_, gate.params)))
+        else:
+            _, j, side, lq = item
+            ts = specs[j].terms[choice[j]].sides[side]
+            for kind, params in ts.gates:
+                ops.append(("gate", GateApp(kind, (lq,), params)))
+            if ts.measure is not None:
+                ops.append(("measure", lq, ts.measure == MEAS_SIGNED))
+            for kind, params in ts.post_gates:
+                ops.append(("gate", GateApp(kind, (lq,), params)))
+    return ops
+
+
+def variant_distribution_oracle(plan, specs, choice: dict[int, int],
+                                values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (probabilities, signed values) of one variant, simulated from
+    |0...0> gate by gate; each signed measurement forks every branch into
+    its kept and its sign-flipped projection, dropping branches of squared
+    norm at most 1e-28."""
+    n = plan.num_qubits
+    branches = [(zero_state(n), 1.0)]
+    for op in _variant_ops(plan, specs, choice):
+        if op[0] == "gate":
+            branches = [(apply_gate(state, n, op[1]), sign) for state, sign in branches]
+        else:
+            _, lq, signed = op
+            if not signed:
+                continue  # nothing reads the wire again: dephasing changes no outcome
+            mask = basis_bits(n, lq).astype(bool)
+            forked = []
+            for state, sign in branches:
+                keep = state.copy()
+                keep[mask] = 0.0
+                flip = state.copy()
+                flip[~mask] = 0.0
+                for branch, branch_sign in ((keep, sign), (flip, -sign)):
+                    if np.vdot(branch, branch).real > 1e-28:
+                        forked.append((branch, branch_sign))
+            branches = forked
+    probs = [np.abs(state) ** 2 for state, _ in branches]
+    vals = [sign * values for _, sign in branches]
+    return np.concatenate(probs), np.concatenate(vals)
 
 
 @pytest.fixture

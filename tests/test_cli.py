@@ -140,6 +140,9 @@ def test_verify_ci_scale(capsys):
         assert preset["within_bound"]
         assert preset["std"] <= preset["eps"]
     assert "pass" in err
+    walls = [line.rsplit("wall=", 1)[1] for line in err.splitlines()
+             if line.startswith("preset")]
+    assert len(walls) == 2 and all(w.endswith("s") and float(w[:-1]) >= 0 for w in walls)
 
 
 def test_verify_deterministic(capsys):
@@ -181,6 +184,25 @@ def test_config_file_defaults(capsys, tmp_path, circuits_dir):
     code, out2, _ = run_cli(capsys, "partition", path, "--config", str(config),
                             "--format", "table")
     assert "stage,lq" not in out2
+    # ... in every spelling argparse accepts
+    config.write_text(json.dumps({"max_qubits": 4, "format": "json"}))
+    code, out, _ = run_cli(capsys, "partition", path, "--config", str(config))
+    assert code == 0 and json.loads(out)["max_qubits"] == 4
+    for flag in (["-D30"], ["-D", "30"], ["--max-qubits=30"], ["--max-qubits", "30"]):
+        code, out, _ = run_cli(capsys, "partition", path, *flag, "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["max_qubits"] == 30, flag
+
+
+@pytest.mark.parametrize("content", ['{"max_qubit": 4}', '{"config": "x.json"}',
+                                     '[4]', '{"max_qubits": 4'])
+def test_bad_config_file_fails_cleanly(capsys, tmp_path, circuits_dir, content):
+    config = tmp_path / "cfg.json"
+    config.write_text(content)
+    code, out, err = run_cli(capsys, "partition", str(circuits_dir / "ising_n8.qasm"),
+                             "--config", str(config))
+    assert code == 1
+    assert out == "" and "bad config file" in err
 
 
 def test_bad_knob_values_fail_cleanly(capsys, tmp_path):

@@ -1,12 +1,17 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import variant_distribution_oracle
 from cutplan.cutsim import (GateCut, IncompatibleObservableError,
                             NotDisconnectedError, WireCut, allocate_shots,
                             cut_estimate, cut_specs, expectation_value,
-                            pauli_z_observable, plan_partitions)
+                            partition_variants, pauli_z_observable,
+                            plan_partitions, ring_circuit, ring_cuts,
+                            value_table, variant_distribution)
 from cutplan.cutsim.observable import ObsFactor, ProductObservable
 from cutplan.qasm import CircuitIR, GateApp
 
@@ -18,6 +23,17 @@ def bell():
 def chain_with_rotations():
     return CircuitIR(3, (GateApp("rx", (0,), (0.7,)), GateApp("ry", (1,), (0.4,)),
                          GateApp("cx", (0, 1)), GateApp("cx", (1, 2))), "chain")
+
+
+def mixed_circuit():
+    return CircuitIR(4, (GateApp("rx", (0,), (0.9,)), GateApp("cx", (0, 1)),
+                         GateApp("ry", (2,), (1.2,)), GateApp("cx", (1, 2)),
+                         GateApp("cz", (2, 3)), GateApp("rx", (3,), (0.3,))),
+                     "mixed")
+
+
+def random_ring(seed):
+    return ring_circuit(np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (2, 8, 2)))
 
 
 def test_bell_gate_cut_close_to_exact():
@@ -104,10 +120,7 @@ def test_wire_cut_unbiased():
 
 
 def test_mixed_cut_kinds_unbiased():
-    circuit = CircuitIR(4, (GateApp("rx", (0,), (0.9,)), GateApp("cx", (0, 1)),
-                            GateApp("ry", (2,), (1.2,)), GateApp("cx", (1, 2)),
-                            GateApp("cz", (2, 3)), GateApp("rx", (3,), (0.3,))),
-                        "mixed")
+    circuit = mixed_circuit()
     obs = pauli_z_observable(range(4))
     exact = expectation_value(circuit, obs)
     assert abs(exact) > 0.05  # a nontrivial target
@@ -151,10 +164,7 @@ def test_combination_matches_explicit_sum():
 
     from cutplan.cutsim import combine_means
 
-    circuit = CircuitIR(4, (GateApp("rx", (0,), (0.9,)), GateApp("cx", (0, 1)),
-                            GateApp("ry", (2,), (1.2,)), GateApp("cx", (1, 2)),
-                            GateApp("cz", (2, 3)), GateApp("rx", (3,), (0.3,))),
-                        "mixed")
+    circuit = mixed_circuit()
     cuts = [WireCut(1, 3), GateCut(4)]
     obs = pauli_z_observable(range(4))
     plans, r = plan_partitions(circuit, cuts, obs)
@@ -178,3 +188,92 @@ def test_combination_matches_explicit_sum():
             coeff *= means[c][tuple(choice[j] for j in plan.attached_cuts)]
         total += coeff
     assert got == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("circuit, cuts, width", [
+    (random_ring(1), ring_cuts(3), 8),
+    (random_ring(2), ring_cuts(4), 8),
+    # cut sites out of cut-index order: variants are keyed by attached cut
+    (random_ring(3), ring_cuts(3)[::-1], 8),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 4),
+    (chain_with_rotations(), [GateCut(2)], 3),
+], ids=["ring3", "ring4", "ring3-reversed", "mixed", "cx"])
+def test_partition_variants_match_oracle(circuit, cuts, width):
+    """Every variant of the streamed walk, and the one-variant walk, against
+    the one-variant-at-a-time oracle: same branch count, same numbers."""
+    obs = pauli_z_observable(range(width))
+    plans, _ = plan_partitions(circuit, cuts, obs)
+    specs = cut_specs(circuit, cuts)
+    for plan in plans.values():
+        values = value_table(plan.factors, plan.num_qubits)
+        seen = []
+        for variant, probs, vals in partition_variants(plan, specs, values):
+            choice = dict(zip(plan.attached_cuts, variant))
+            want_probs, want_vals = variant_distribution_oracle(plan, specs, choice, values)
+            for got_probs, got_vals in ((probs, vals),
+                                        variant_distribution(plan, specs, choice, values)):
+                assert got_probs.shape == want_probs.shape == got_vals.shape
+                assert np.max(np.abs(got_probs - want_probs)) <= 1e-12
+                assert np.max(np.abs(got_vals - want_vals)) <= 1e-12
+            seen.append(variant)
+        terms = [range(len(specs[j].terms)) for j in plan.attached_cuts]
+        assert sorted(seen) == list(itertools.product(*terms))
+
+
+def _cut_block(width=13):
+    """A ``width``-qubit block and a 2-qubit pair joined by three cut cx
+    gates, with gates before, between and after the cut sites."""
+    a, b = width, width + 1
+    gates = [GateApp("cx", (a, b))]
+    gates += [GateApp("ry", (q,), (0.1 * q + 0.3,)) for q in range(width)]
+    gates += [GateApp("cx", (q, q + 1)) for q in range(width - 1)]
+    cuts = [GateCut(len(gates))]
+    gates += [GateApp("cx", (width - 1, a)), GateApp("rz", (0,), (0.4,))]
+    cuts.append(GateCut(len(gates)))
+    gates += [GateApp("cx", (b, width // 2)), GateApp("cx", (0, 1))]
+    cuts.append(GateCut(len(gates)))
+    gates += [GateApp("cx", (0, a)), GateApp("rx", (1,), (0.3,)), GateApp("rx", (a,), (0.3,))]
+    return CircuitIR(width + 2, tuple(gates), "cut_block"), cuts
+
+
+def test_streamed_walk_memory_stays_near_one_variant():
+    """The walk keeps one batch per cut site, never all variants: its peak
+    stays within 4x of simulating the same variants one at a time."""
+    circuit, cuts = _cut_block()
+    obs = pauli_z_observable(range(circuit.num_qubits))
+    plans, _ = plan_partitions(circuit, cuts, obs)
+    specs = cut_specs(circuit, cuts)
+    block = max(plans.values(), key=lambda plan: plan.num_qubits)
+    assert block.num_qubits == 13 and len(block.attached_cuts) == 3
+    values = value_table(block.factors, block.num_qubits)
+    variants = list(itertools.product(*(range(len(specs[j].terms))
+                                        for j in block.attached_cuts)))
+    assert len(variants) == 216
+
+    tracemalloc.start()
+    try:
+        for variant in variants:
+            variant_distribution_oracle(block, specs, dict(zip(block.attached_cuts, variant)),
+                                        values)
+        oracle_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cut_estimate(circuit, cuts, obs, eps=0.5, seed=0)
+        walk_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk_peak <= 4 * oracle_peak, (walk_peak, oracle_peak)
+
+
+@pytest.mark.parametrize("partitions, eps, n_c", [
+    (3, 0.03, 405000), (4, 0.03, 810000), (3, 0.01, 3645000), (4, 0.01, 7290000)])
+def test_ring_preset_allocations(partitions, eps, n_c):
+    """The verify presets' budgets: every partition touches two rzz(pi/2)
+    cuts whose six terms weigh alike, so its 36 variants split N_c evenly."""
+    circuit = random_ring(0)
+    cuts = ring_cuts(partitions)
+    plans, r = plan_partitions(circuit, cuts, pauli_z_observable(range(8)))
+    alloc = allocate_shots(plans, cut_specs(circuit, cuts), r, eps)
+    assert alloc.n_c == {c: n_c for c in range(partitions)}
+    for counts in alloc.variants.values():
+        assert list(counts) == list(itertools.product(range(6), repeat=2))
+        assert set(counts.values()) == {n_c // 36}

@@ -6,6 +6,7 @@ import pytest
 from cutplan.cutsim import (TooManyQubitsError, basis_bits, expectation_value,
                             gate_matrix, pauli_z_observable,
                             simulate_statevector)
+from cutplan.cutsim.statevector import apply_matrix, project_qubit
 from cutplan.cutsim.observable import ObsFactor, value_table
 from cutplan.qasm import CircuitIR, GateApp
 
@@ -96,6 +97,21 @@ def test_eight_qubit_fixture_against_matrix_oracle(rng):
         full = _gate_full_matrix(gate, 8) @ full
     assert state == pytest.approx(full[:, 0], abs=1e-10)
     assert np.abs(state) ** 2 == pytest.approx(np.abs(full[:, 0]) ** 2, abs=1e-10)
+
+
+def test_batched_kernels_against_full_matrices(rng):
+    """Every row of a batch gets the gate's full matrix; a projection keeps
+    exactly the amplitudes whose ``basis_bits`` match."""
+    n = 4
+    rows = rng.normal(size=(5, 2 ** n)) + 1j * rng.normal(size=(5, 2 ** n))
+    for gate in _random_circuit(rng, n, 24).gates:
+        got = apply_matrix(rows, n, gate.qubits, gate_matrix(gate))
+        assert got == pytest.approx(rows @ _gate_full_matrix(gate, n).T, abs=1e-12)
+    for q in range(n):
+        bits = basis_bits(n, q)
+        forked = project_qubit(rows, n, q)
+        assert np.array_equal(forked[0::2], rows * (bits == 0))
+        assert np.array_equal(forked[1::2], rows * (bits == 1))
 
 
 def test_basis_bits_convention():

@@ -6,7 +6,7 @@ per-partition sampling overhead, and a Monte-Carlo harness verifies the shot
 budget that overhead implies.
 """
 
-from .clustering import (Cluster, Clustering, InfeasibleCapError,
+from .clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
                          ModularityState, PipelineResult, StageMetrics,
                          modularity, modularity_gain, qubit_feasible,
                          run_pipeline, step1_modularity, step2_lq_min)
@@ -23,7 +23,7 @@ from .qasm import (CircuitIR, DuplicateOperandError, GateApp, QasmError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cluster", "Clustering", "InfeasibleCapError", "ModularityState",
+    "AuditError", "Cluster", "Clustering", "InfeasibleCapError", "ModularityState",
     "PipelineResult", "StageMetrics", "modularity", "modularity_gain",
     "qubit_feasible", "run_pipeline", "step1_modularity", "step2_lq_min",
     "CutGraph", "CutKind", "CutWeights", "Edge", "Node",

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -111,6 +113,19 @@ def _print_table(name: str, result: PipelineResult) -> None:
         print(f"{s.stage:<8}{s.lq:>10.2f}{s.ld:>10.2f}{s.r:>6}{s.wall_time_s:>10.4f}")
 
 
+def _bench_row(path: str, args) -> str:
+    """One CSV row of ``cutplan bench``; a failing file gives an error row."""
+    name = os.path.splitext(os.path.basename(path))[0]
+    start = time.perf_counter()
+    try:
+        _, report, _ = _run_file(path, args)
+    except Exception as exc:  # isolate per-file failures
+        reason = str(exc).replace(",", ";").replace("\n", " ")
+        return f"{name},,,,,,,{reason}"
+    elapsed = time.perf_counter() - start
+    return report.csv_row(name, wall_time_s=elapsed)
+
+
 def cmd_bench(args) -> int:
     if args.max_qubits < 1:
         return _fail(f"infeasible qubit cap {args.max_qubits}", EXIT_INFEASIBLE)
@@ -124,20 +139,11 @@ def cmd_bench(args) -> int:
     if not files:
         return _fail("no circuits found", EXIT_ERROR)
 
-    def one(path: str) -> str:
-        name = os.path.splitext(os.path.basename(path))[0]
-        start = time.perf_counter()
-        try:
-            _, report, _ = _run_file(path, args)
-        except Exception as exc:  # isolate per-file failures
-            reason = str(exc).replace(",", ";").replace("\n", " ")
-            return f"{name},,,,,,,{reason}"
-        elapsed = time.perf_counter() - start
-        return report.csv_row(name, wall_time_s=elapsed)
-
     workers = min(len(files), args.jobs or os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, files))
+    # planning is pure Python, so only processes run files in parallel
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        rows = list(pool.map(_bench_row, files, itertools.repeat(args)))
     print(BENCH_CSV_HEADER)
     for row in rows:
         print(row)
@@ -226,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="partition every .qasm in a directory")
     p.add_argument("dir")
     common(p)
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=None, help="worker processes")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run the variance-bound experiment")

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .graph import CutGraph, contract
+from .graph import CutGraph, contract, merge_parallel_edges
 
 EPS = 1e-9
 
@@ -77,16 +77,25 @@ class Clustering:
         return len(self.clusters)
 
     def validate(self, graph: CutGraph) -> None:
-        assert set(self.assignment) == {n.id for n in graph.nodes}, "not a cover"
+        """Raise ``ValueError`` unless the clusters partition the graph's
+        nodes, each cluster's qubits are its members' union and no cluster
+        holds more qubits than the cap."""
+        if set(self.assignment) != {n.id for n in graph.nodes}:
+            raise ValueError("assignment does not cover the graph's nodes")
         for c, cluster in self.clusters.items():
-            assert cluster.nodes, f"empty cluster {c}"
+            if not cluster.nodes:
+                raise ValueError(f"empty cluster {c}")
             union: set[int] = set()
             for n in cluster.nodes:
-                assert self.assignment[n] == c
+                if self.assignment.get(n) != c:
+                    raise ValueError(f"node {n} of cluster {c} is assigned to "
+                                     f"{self.assignment.get(n)}")
                 union |= graph.nodes[n].qubits
-            assert union == set(cluster.qubits)
-            assert len(cluster.qubits) <= self.max_qubits, (
-                f"cluster {c} holds {len(cluster.qubits)} qubits, cap {self.max_qubits}")
+            if union != set(cluster.qubits):
+                raise ValueError(f"cluster {c} lists qubits other than its members'")
+            if len(cluster.qubits) > self.max_qubits:
+                raise ValueError(f"cluster {c} holds {len(cluster.qubits)} qubits, "
+                                 f"cap {self.max_qubits}")
 
     def compacted(self) -> "Clustering":
         """Renumber clusters densely, ordered by smallest member node id."""
@@ -220,82 +229,130 @@ def modularity(graph: CutGraph, clustering: Clustering) -> float:
 # move engine internals
 # ---------------------------------------------------------------------------
 
+class AuditError(RuntimeError):
+    """An audit-mode check found the move engine's bookkeeping inconsistent."""
+
+
+@dataclass
+class _Level:
+    """One graph level of the multi-level loop, as flat lists: the edges in
+    the level's edge order (``u == v`` marks a self-loop) and one qubit
+    bitmask per node."""
+
+    u: list[int]
+    v: list[int]
+    w: list[float]
+    w_hat: list[float]
+    mask: list[int]
+
+    @classmethod
+    def from_graph(cls, graph: CutGraph) -> "_Level":
+        edges = graph.edges
+        return cls([e.u for e in edges], [e.v for e in edges], [e.w for e in edges],
+                   [e.w_hat for e in edges],
+                   [sum(1 << q for q in node.qubits) for node in graph.nodes])
+
+    def contracted(self, cluster_of: list[int],
+                   cmask: list[int]) -> tuple["_Level", np.ndarray]:
+        """Collapse each cluster into one node, numbered densely in ascending
+        cluster id, with the same edge order and sums as ``graph.contract``.
+        Returns the new level and the new node id of every node of this one."""
+        live = sorted(set(cluster_of))
+        new_id = np.zeros(len(cluster_of), dtype=np.int64)
+        new_id[live] = np.arange(len(live))
+        label = new_id[cluster_of]
+        u, v, w, w_hat, _ = merge_parallel_edges(label[self.u], label[self.v],
+                                                 self.w, self.w_hat)
+        return _Level(u, v, w, w_hat, [cmask[c] for c in live]), label
+
+
 class _LevelState:
-    """Mutable clustering bookkeeping for one graph level."""
+    """Mutable clustering bookkeeping for one graph level.
 
-    def __init__(self, graph: CutGraph, max_qubits: int,
-                 assignment: dict[int, int] | None = None):
-        self.graph = graph
+    Cluster ids are below the level's node count, so per-cluster state lives
+    in lists indexed by cluster id; entries of emptied clusters go stale and
+    are never read again, since candidates come from neighbours' clusters.
+    """
+
+    def __init__(self, level: _Level, max_qubits: int,
+                 cluster_of: list[int] | None = None):
+        self.level = level
         self.max_qubits = max_qubits
-        n = graph.num_nodes
+        n = len(level.mask)
         self.adj: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
-        self.self_w = [0.0] * n
-        self.self_w_hat = [0.0] * n
-        for e in graph.edges:
-            if e.is_self_loop():
-                self.self_w[e.u] += e.w
-                self.self_w_hat[e.u] += e.w_hat
+        self_w = [0.0] * n
+        attached = [0.0] * n
+        for a, b, w, w_hat in zip(level.u, level.v, level.w, level.w_hat):
+            if a == b:
+                self_w[a] += w
             else:
-                self.adj[e.u].append((e.v, e.w, e.w_hat))
-                self.adj[e.v].append((e.u, e.w, e.w_hat))
-        self.k = [2.0 * self.self_w[i] + sum(w for _, w, _ in self.adj[i])
-                  for i in range(n)]
-        self.node_qubits = [set(node.qubits) for node in graph.nodes]
-        for node in graph.nodes:
-            if len(node.qubits) > max_qubits:
-                raise InfeasibleCapError(
-                    f"node {node.id} spans {len(node.qubits)} qubits; cap is {max_qubits}")
+                self.adj[a].append((b, w, w_hat))
+                self.adj[b].append((a, w, w_hat))
+                attached[a] += w
+                attached[b] += w
+        self.k = [2.0 * s + x for s, x in zip(self_w, attached)]
+        if cluster_of is None:
+            self.cluster_of = list(range(n))
+            self.members: list[set[int]] = [{i} for i in range(n)]
+            self.cmask = list(level.mask)
+            self.r = n
+        else:
+            self.cluster_of = cluster_of
+            self.members = [set() for _ in range(n)]
+            self.cmask = [0] * n
+            for i, c in enumerate(cluster_of):
+                self.members[c].add(i)
+                self.cmask[c] |= level.mask[i]
+            self.r = len(self.live())
 
-        if assignment is None:
-            assignment = {i: i for i in range(n)}
-        self.cluster_of = [assignment[i] for i in range(n)]
-        self.members: dict[int, set[int]] = {}
-        self.qubit_count: dict[int, Counter] = {}
-        for i in range(n):
-            c = self.cluster_of[i]
-            self.members.setdefault(c, set()).add(i)
-            self.qubit_count.setdefault(c, Counter()).update(self.node_qubits[i])
+    def live(self) -> list[int]:
+        return [c for c, nodes in enumerate(self.members) if nodes]
 
-    # -- shared helpers ------------------------------------------------------
-
-    def neighbor_weights(self, i: int) -> tuple[dict[int, float], dict[int, float]]:
-        nb_w: dict[int, float] = {}
-        nb_hat: dict[int, float] = {}
-        for j, w, w_hat in self.adj[i]:
-            c = self.cluster_of[j]
-            nb_w[c] = nb_w.get(c, 0.0) + w
-            nb_hat[c] = nb_hat.get(c, 0.0) + w_hat
-        return nb_w, nb_hat
-
-    def feasible(self, i: int, c_to: int) -> bool:
-        target = self.qubit_count[c_to]
-        extra = sum(1 for q in self.node_qubits[i] if q not in target)
-        return len(target) + extra <= self.max_qubits
-
-    def relocate(self, i: int, c_from: int, c_to: int) -> bool:
-        """Move i between clusters; returns True if the source emptied."""
-        self.members[c_from].discard(i)
-        self.qubit_count[c_from].subtract(self.node_qubits[i])
-        self.qubit_count[c_from] += Counter()  # drop zero counts
+    def relocate(self, i: int, c_from: int, c_to: int) -> None:
+        mask = self.level.mask
+        source = self.members[c_from]
+        source.discard(i)
         self.members[c_to].add(i)
-        self.qubit_count[c_to].update(self.node_qubits[i])
+        self.cmask[c_to] |= mask[i]
         self.cluster_of[i] = c_to
-        if not self.members[c_from]:
-            del self.members[c_from]
-            del self.qubit_count[c_from]
-            return True
-        return False
+        union = 0
+        for j in source:
+            union |= mask[j]
+        self.cmask[c_from] = union
+        if not source:
+            self.r -= 1
 
-    def assignment(self) -> dict[int, int]:
-        return {i: c for i, c in enumerate(self.cluster_of)}
+    @cached_property
+    def _weighted_order(self) -> list[int]:
+        # descending k; the stable sort keeps equal k in ascending node id
+        return sorted(range(len(self.k)), key=self.k.__getitem__, reverse=True)
 
     def visit_order(self, order: str, rng: np.random.Generator | None) -> list[int]:
-        n = self.graph.num_nodes
         if order == "random":
             if rng is None:
                 rng = np.random.default_rng(0)
-            return [int(i) for i in rng.permutation(n)]
-        return sorted(range(n), key=lambda i: (-self.k[i], i))
+            return [int(i) for i in rng.permutation(len(self.k))]
+        return self._weighted_order
+
+    def _check_clusters(self) -> None:
+        """Membership, qubit masks and the cap, recomputed from the nodes."""
+        mask = self.level.mask
+        seen = 0
+        for c in self.live():
+            union = 0
+            for i in self.members[c]:
+                if self.cluster_of[i] != c:
+                    raise AuditError(f"node {i} listed in cluster {c}, assigned "
+                                     f"to {self.cluster_of[i]}")
+                union |= mask[i]
+            seen += len(self.members[c])
+            if union != self.cmask[c]:
+                raise AuditError(f"qubit mask of cluster {c} differs from its members'")
+            if union.bit_count() > self.max_qubits:
+                raise AuditError(f"cluster {c} holds {union.bit_count()} qubits, "
+                                 f"cap {self.max_qubits}")
+        if seen != len(self.cluster_of) or self.r != len(self.live()):
+            raise AuditError("clusters do not partition the level's nodes")
 
 
 @dataclass
@@ -315,200 +372,244 @@ class StageStats:
 class _ModularityEngine(_LevelState):
     """Stage-1 local move rule: accept the best strictly positive gain."""
 
-    def __init__(self, graph, max_qubits, audit=False):
-        super().__init__(graph, max_qubits)
+    def __init__(self, level, max_qubits, audit=False):
+        super().__init__(level, max_qubits)
         self.audit = audit
-        self.m = graph.total_w()
-        self.sigma = {c: sum(self.k[i] for i in nodes) for c, nodes in self.members.items()}
+        self.m = sum(level.w)
+        self.sigma = list(self.k)
         self.stats = StageStats()
         self._audit_q = None
 
     def sweep(self, visit: list[int]) -> int:
         moves = 0
+        m = self.m
+        two_m2 = 2.0 * m * m
+        cap = self.max_qubits
+        mask = self.level.mask
+        cmask = self.cmask
+        sigma = self.sigma
+        cluster_of = self.cluster_of
+        adj, k = self.adj, self.k
+        evals = 0
         for i in visit:
-            nb_w, _ = self.neighbor_weights(i)
-            c_from = self.cluster_of[i]
-            k_i = self.k[i]
-            k_i_cfrom = nb_w.get(c_from, 0.0)
-            remove = -k_i_cfrom / self.m + k_i * (self.sigma[c_from] - k_i) / (2.0 * self.m * self.m)
+            nb_w: dict[int, float] = {}
+            for j, w, _ in adj[i]:
+                c = cluster_of[j]
+                nb_w[c] = nb_w.get(c, 0.0) + w
+            c_from = cluster_of[i]
+            k_i_cfrom = nb_w.pop(c_from, 0.0)
+            if not nb_w:
+                continue  # no neighbour in another cluster: no candidate
+            k_i = k[i]
+            mask_i = mask[i]
+            remove = -k_i_cfrom / m + k_i * (sigma[c_from] - k_i) / two_m2
             best_gain = 0.0
             best = c_from
             for c_to in sorted(nb_w):
-                if c_to == c_from:
+                if (cmask[c_to] | mask_i).bit_count() > cap:
                     continue
-                if not self.feasible(i, c_to):
-                    continue
-                self.stats.gain_evals += 1
-                gain = remove + nb_w[c_to] / self.m - k_i * self.sigma[c_to] / (2.0 * self.m * self.m)
+                evals += 1
+                gain = remove + nb_w[c_to] / m - k_i * sigma[c_to] / two_m2
                 if gain > best_gain + EPS:
                     best_gain = gain
                     best = c_to
             if best != c_from:
-                self.sigma[c_from] -= k_i
-                self.sigma[best] += k_i
-                if self.relocate(i, c_from, best):
-                    del self.sigma[c_from]
+                sigma[c_from] -= k_i
+                sigma[best] += k_i
+                self.relocate(i, c_from, best)
                 moves += 1
                 if self.audit:
                     self._check_state()
         self.stats.moves += moves
+        self.stats.gain_evals += evals
         return moves
 
     def _check_state(self) -> None:
-        clustering = Clustering.from_assignment(self.graph, self.assignment(),
-                                                self.max_qubits)
-        clustering.validate(self.graph)
-        fresh = ModularityState.from_clustering(self.graph, clustering)
-        for c, sig in self.sigma.items():
-            assert abs(sig - fresh.sigma[c]) < 1e-6, f"sigma drift on cluster {c}"
+        """Sigma, boundary weight and modularity recomputed from the edges;
+        accepted gains exceed EPS, so modularity must rise with every move."""
+        self._check_clusters()
+        level, cluster_of = self.level, self.cluster_of
+        k = [0.0] * len(cluster_of)
+        intra = [0.0] * len(cluster_of)
+        boundary = [0.0] * len(cluster_of)
+        for a, b, w in zip(level.u, level.v, level.w):
+            if a == b:
+                k[a] += 2.0 * w
+            else:
+                k[a] += w
+                k[b] += w
+            ca, cb = cluster_of[a], cluster_of[b]
+            if ca == cb:
+                intra[ca] += w
+            else:
+                boundary[ca] += w
+                boundary[cb] += w
+        m = sum(level.w)
+        q = 0.0
+        for c in self.live():
+            sig = sum(k[i] for i in self.members[c])
+            if not abs(self.sigma[c] - sig) < 1e-6:
+                raise AuditError(f"sigma drift on cluster {c}")
             # attached weight decomposes into twice-intra plus boundary
-            boundary = sig - 2.0 * fresh.intra[c]
-            direct = sum(
-                e.w for e in self.graph.edges
-                if not e.is_self_loop()
-                and (clustering.assignment[e.u] == c) != (clustering.assignment[e.v] == c)
-            )
-            assert abs(boundary - direct) < 1e-6, f"boundary drift on cluster {c}"
-        q = modularity(self.graph, clustering)
-        if self._audit_q is not None:
-            # accepted gains exceed EPS, so the recomputed Q must move up
-            assert q > self._audit_q + 1e-10, "accepted move failed to raise Q"
+            if not abs(self.sigma[c] - 2.0 * intra[c] - boundary[c]) < 1e-6:
+                raise AuditError(f"boundary drift on cluster {c}")
+            q += intra[c] / m - (sig / (2.0 * m)) ** 2
+        if self._audit_q is not None and not q > self._audit_q + 1e-10:
+            raise AuditError("accepted move failed to raise Q")
         self._audit_q = q
+
+
+def _cut_sums(level: _Level, cluster_of: list[int]):
+    """Per-cluster attached ``w`` and ``w_hat`` of cut edges, and the total
+    cut ``w`` and ``w_hat``, summed in edge order."""
+    n = len(cluster_of)
+    s_w = [0.0] * n
+    s_hat = [0.0] * n
+    w_cut = hat_cut = 0.0
+    for a, b, w, w_hat in zip(level.u, level.v, level.w, level.w_hat):
+        ca, cb = cluster_of[a], cluster_of[b]
+        if ca != cb:
+            s_w[ca] += w
+            s_w[cb] += w
+            s_hat[ca] += w_hat
+            s_hat[cb] += w_hat
+            w_cut += w
+            hat_cut += w_hat
+    return s_w, s_hat, w_cut, hat_cut
 
 
 class _LogOverheadEngine(_LevelState):
     """Stage-2 move rule: accept moves that lower (or tie with less cut
     weight) the running worst-cluster log overhead."""
 
-    def __init__(self, graph, max_qubits, assignment=None, audit=False):
-        super().__init__(graph, max_qubits, assignment)
+    def __init__(self, level, max_qubits, cluster_of=None, audit=False):
+        super().__init__(level, max_qubits, cluster_of)
         self.audit = audit
-        self.s_w: dict[int, float] = {c: 0.0 for c in self.members}
-        self.s_hat: dict[int, float] = {c: 0.0 for c in self.members}
-        self.w_cut = 0.0
-        self.hat_cut = 0.0
-        for e in graph.edges:
-            if e.is_self_loop():
-                continue
-            cu, cv = self.cluster_of[e.u], self.cluster_of[e.v]
-            if cu != cv:
-                self.s_w[cu] += e.w
-                self.s_w[cv] += e.w
-                self.s_hat[cu] += e.w_hat
-                self.s_hat[cv] += e.w_hat
-                self.w_cut += e.w
-                self.hat_cut += e.w_hat
+        self.s_w, self.s_hat, self.w_cut, self.hat_cut = _cut_sums(level, self.cluster_of)
         self.stats = StageStats()
 
-    @property
-    def r(self) -> int:
-        return len(self.members)
-
-    def log_overhead(self, c: int) -> float:
-        return math.log(self.r) + self.s_w[c] + (self.hat_cut - self.s_hat[c])
-
     def worst(self) -> float:
-        if not self.members:
+        if not self.r:
             return 0.0
-        return max(self.log_overhead(c) for c in self.members)
+        ln_r = math.log(self.r)
+        return max(ln_r + self.s_w[c] + (self.hat_cut - self.s_hat[c])
+                   for c in self.live())
 
     def sweep(self, visit: list[int], lq: float) -> tuple[int, float]:
         moves = 0
+        cap = self.max_qubits
+        mask = self.level.mask
+        cmask = self.cmask
+        cluster_of = self.cluster_of
+        s_w, s_hat = self.s_w, self.s_hat
+        adj = self.adj
+        evals = 0
         for i in visit:
-            c_from = self.cluster_of[i]
-            nb_w, nb_hat = self.neighbor_weights(i)
-            kout_w = sum(w for c, w in nb_w.items() if c != c_from)
-            kout_hat = sum(w for c, w in nb_hat.items() if c != c_from)
-            in_w = nb_w.get(c_from, 0.0)
-            in_hat = nb_hat.get(c_from, 0.0)
+            c_from = cluster_of[i]
+            nb_w: dict[int, float] = {}
+            nb_hat: dict[int, float] = {}
+            for j, w, w_hat in adj[i]:
+                c = cluster_of[j]
+                nb_w[c] = nb_w.get(c, 0.0) + w
+                nb_hat[c] = nb_hat.get(c, 0.0) + w_hat
+            in_w = nb_w.pop(c_from, 0.0)
+            in_hat = nb_hat.pop(c_from, 0.0)
+            if not nb_w:
+                continue  # no neighbour in another cluster: no candidate
+            kout_w = sum(nb_w.values())
+            kout_hat = sum(nb_hat.values())
+            mask_i = mask[i]
             singleton = len(self.members[c_from]) == 1
             best = c_from
-            r = self.r
+            # a neighbour elsewhere means at least two clusters, so r - 1 >= 1
+            ln_r = math.log(self.r)
+            ln_r_after = math.log(self.r - 1) if singleton else ln_r
+            hat_cut = self.hat_cut
             for c_to in sorted(nb_w):
-                if c_to == c_from:
+                if (cmask[c_to] | mask_i).bit_count() > cap:
                     continue
-                if not self.feasible(i, c_to):
-                    continue
-                self.stats.gain_evals += 1
-                hat_cut_after = self.hat_cut + in_hat - nb_hat.get(c_to, 0.0)
+                evals += 1
+                to_w, to_hat = nb_w[c_to], nb_hat[c_to]
+                hat_cut_after = hat_cut + in_hat - to_hat
                 if not singleton:
                     # source cluster must not become the new bottleneck
-                    sw_src = self.s_w[c_from] - kout_w + in_w
-                    shat_src = self.s_hat[c_from] - kout_hat + in_hat
-                    src = math.log(r) + sw_src + (hat_cut_after - shat_src)
+                    sw_src = s_w[c_from] - kout_w + in_w
+                    shat_src = s_hat[c_from] - kout_hat + in_hat
+                    src = ln_r + sw_src + (hat_cut_after - shat_src)
                     if src > lq + EPS:
                         continue
-                r_after = r - 1 if singleton else r
-                sw_dst = self.s_w[c_to] - 2.0 * nb_w.get(c_to, 0.0) + kout_w + in_w
-                shat_dst = self.s_hat[c_to] - 2.0 * nb_hat.get(c_to, 0.0) + kout_hat + in_hat
-                dst = math.log(r_after) + sw_dst + (hat_cut_after - shat_dst)
-                dw = in_w - nb_w.get(c_to, 0.0)
+                sw_dst = s_w[c_to] - 2.0 * to_w + kout_w + in_w
+                shat_dst = s_hat[c_to] - 2.0 * to_hat + kout_hat + in_hat
+                dst = ln_r_after + sw_dst + (hat_cut_after - shat_dst)
+                dw = in_w - to_w
                 if dst < lq - EPS:
                     lq = dst
                     best = c_to
                 elif abs(dst - lq) <= EPS and dw < -EPS:
                     best = c_to
             if best != c_from:
-                self._apply_move(i, c_from, best, nb_w, nb_hat)
+                to_w, to_hat = nb_w[best], nb_hat[best]
+                s_w[c_from] += in_w - kout_w
+                s_hat[c_from] += in_hat - kout_hat
+                s_w[best] += kout_w + in_w - 2.0 * to_w
+                s_hat[best] += kout_hat + in_hat - 2.0 * to_hat
+                self.w_cut += in_w - to_w
+                self.hat_cut += in_hat - to_hat
+                self.relocate(i, c_from, best)
                 moves += 1
                 if self.audit:
                     self._check_state()
         self.stats.moves += moves
+        self.stats.gain_evals += evals
         return moves, lq
 
-    def _apply_move(self, i, c_from, c_to, nb_w, nb_hat) -> None:
-        kout_w = sum(w for c, w in nb_w.items() if c != c_from)
-        kout_hat = sum(w for c, w in nb_hat.items() if c != c_from)
-        in_w = nb_w.get(c_from, 0.0)
-        in_hat = nb_hat.get(c_from, 0.0)
-        to_w = nb_w.get(c_to, 0.0)
-        to_hat = nb_hat.get(c_to, 0.0)
-        self.s_w[c_from] += in_w - kout_w
-        self.s_hat[c_from] += in_hat - kout_hat
-        self.s_w[c_to] += kout_w + in_w - 2.0 * to_w
-        self.s_hat[c_to] += kout_hat + in_hat - 2.0 * to_hat
-        self.w_cut += in_w - to_w
-        self.hat_cut += in_hat - to_hat
-        if self.relocate(i, c_from, c_to):
-            del self.s_w[c_from]
-            del self.s_hat[c_from]
-
     def _check_state(self) -> None:
-        clustering = Clustering.from_assignment(self.graph, self.assignment(),
-                                                self.max_qubits)
-        clustering.validate(self.graph)
-        fresh = _LogOverheadEngine(self.graph, self.max_qubits, self.assignment())
-        assert abs(self.w_cut - fresh.w_cut) < 1e-6
-        assert abs(self.hat_cut - fresh.hat_cut) < 1e-6
-        for c in self.members:
-            assert abs(self.s_w[c] - fresh.s_w[c]) < 1e-6, f"cut sum drift on {c}"
-            assert abs(self.s_hat[c] - fresh.s_hat[c]) < 1e-6
+        self._check_clusters()
+        s_w, s_hat, w_cut, hat_cut = _cut_sums(self.level, self.cluster_of)
+        if not abs(self.w_cut - w_cut) < 1e-6:
+            raise AuditError("cut weight drift")
+        if not abs(self.hat_cut - hat_cut) < 1e-6:
+            raise AuditError("residual cut weight drift")
+        for c in self.live():
+            if not (abs(self.s_w[c] - s_w[c]) < 1e-6 and abs(self.s_hat[c] - s_hat[c]) < 1e-6):
+                raise AuditError(f"cut sum drift on cluster {c}")
 
 
 # ---------------------------------------------------------------------------
 # multi-level drivers
 # ---------------------------------------------------------------------------
 
-def _compose(node_map: list[int], cluster_of: list[int]) -> dict[int, int]:
-    return {orig: cluster_of[current] for orig, current in enumerate(node_map)}
-
-
 def _run_levels(graph: CutGraph, max_qubits: int, engine_cls, order: str,
                 rng: np.random.Generator | None, audit: bool,
                 initial: Clustering | None = None):
-    """Repeat (local moves until stable, then contract) until a level is quiet."""
-    node_map = list(range(graph.num_nodes))
-    level_graph = graph
-    init_assignment = None if initial is None else dict(initial.assignment)
+    """Repeat (local moves until stable, then contract) until a level is quiet.
+
+    Levels are flat ``_Level`` lists; the one ``Clustering`` is built from the
+    quiet level's clusters, mapped back to the nodes of ``graph``.
+    """
+    for node in graph.nodes:
+        if len(node.qubits) > max_qubits:
+            raise InfeasibleCapError(
+                f"node {node.id} spans {len(node.qubits)} qubits; cap is {max_qubits}")
+    level = _Level.from_graph(graph)
+    n = len(level.mask)
+    node_map = np.arange(n)  # level node of every node of graph
+    names = range(n)
+    cluster_of = None  # singletons
+    if initial is not None:
+        # dense relabelling keeps the order of cluster ids, so candidate order
+        # and tie-breaks are those of the given labels
+        names = sorted(set(initial.assignment.values()))
+        dense = {c: i for i, c in enumerate(names)}
+        cluster_of = [dense[initial.assignment[i]] for i in range(n)]
     stats = StageStats()
     is_lq = engine_cls is _LogOverheadEngine
 
     while True:
         if is_lq:
-            engine = engine_cls(level_graph, max_qubits, init_assignment, audit=audit)
+            engine = engine_cls(level, max_qubits, cluster_of, audit=audit)
         else:
-            engine = engine_cls(level_graph, max_qubits, audit=audit)
-        init_assignment = None
+            engine = engine_cls(level, max_qubits, audit=audit)
         stats.passes += 1
         level_moves = 0
         if is_lq:
@@ -526,18 +627,16 @@ def _run_levels(graph: CutGraph, max_qubits: int, engine_cls, order: str,
                 if moved == 0:
                     break
         stats.merge(engine.stats)
-        assignment = _compose(node_map, engine.cluster_of)
-        clustering = Clustering.from_assignment(graph, assignment, max_qubits)
         if level_moves == 0:
-            return clustering, stats
-        level = Clustering.from_assignment(level_graph, engine.assignment(), max_qubits)
-        contracted = contract(level_graph, level)
-        remap = {}
-        for node in contracted.nodes:
-            for member in node.members:
-                remap[member] = node.id
-        node_map = [remap[cur] for cur in node_map]
-        level_graph = contracted
+            break
+        level, label = level.contracted(engine.cluster_of, engine.cmask)
+        node_map = label[node_map]
+        names = range(len(level.mask))
+        cluster_of = None
+
+    assignment = {orig: names[engine.cluster_of[cur]]
+                  for orig, cur in enumerate(node_map.tolist())}
+    return Clustering.from_assignment(graph, assignment, max_qubits), stats
 
 
 def step1_modularity(graph: CutGraph, max_qubits: int, order: str = "weighted",
@@ -612,6 +711,8 @@ class StageMetrics:
             "moves": self.moves,
             "passes": self.passes,
             "wall_time_s": round(self.wall_time_s, 4),
+            "gain_evals": self.gain_evals,
+            "lq_trace": list(self.lq_trace),
         }
 
 

@@ -23,6 +23,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .qasm import CircuitIR
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -158,20 +160,6 @@ class CutGraph:
     def total_w(self) -> float:
         return sum(e.w for e in self.edges)
 
-    def total_w_hat(self) -> float:
-        return sum(e.w_hat for e in self.edges)
-
-    def adjacency(self) -> list[list[tuple[int, Edge]]]:
-        """Per node: (neighbour id, edge) pairs; self-loops listed once."""
-        adj: list[list[tuple[int, Edge]]] = [[] for _ in self.nodes]
-        for e in self.edges:
-            if e.is_self_loop():
-                adj[e.u].append((e.u, e))
-            else:
-                adj[e.u].append((e.v, e))
-                adj[e.v].append((e.u, e))
-        return adj
-
 
 def _make_edge(u: int, v: int, kind: CutKind, weights: CutWeights) -> Edge:
     a, b = (u, v) if u <= v else (v, u)
@@ -205,6 +193,28 @@ def build_cut_graph(circuit: CircuitIR, weights: WeightTable = DEFAULT_WEIGHTS) 
     return CutGraph(tuple(nodes), tuple(edges))
 
 
+def merge_parallel_edges(u, v, w, w_hat):
+    """Merge edges that join the same unordered pair of nodes.
+
+    Takes the endpoint and weight sequences of the input edges. Returns the
+    merged edges as lists ``u``, ``v``, ``w``, ``w_hat`` in ascending
+    ``(u, v)`` order with ``u <= v``, and per input edge the index of the
+    merged edge it went into. ``np.bincount`` adds the weights of each pair
+    one at a time in input edge order, so every sum equals a running sum in
+    edge order.
+    """
+    if not len(u):
+        return [], [], [], [], []
+    a = np.asarray(u, dtype=np.int64)
+    b = np.asarray(v, dtype=np.int64)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    n = int(hi.max()) + 1
+    keys, slot = np.unique(lo * n + hi, return_inverse=True)
+    w_sum, hat_sum = (np.bincount(slot, weights=x, minlength=len(keys)).tolist()
+                      for x in (w, w_hat))
+    return (keys // n).tolist(), (keys % n).tolist(), w_sum, hat_sum, slot.tolist()
+
+
 def contract(graph: CutGraph, clustering: "Clustering") -> CutGraph:
     """Collapse each cluster into a supernode, summing both edge weights.
 
@@ -222,22 +232,23 @@ def contract(graph: CutGraph, clustering: "Clustering") -> CutGraph:
         qubits = clustering.clusters[c].qubits
         nodes.append(Node(id=new_id[c], qubits=qubits, gate_id=None, members=members))
 
-    agg: dict[tuple[int, int], list] = {}
-    for e in graph.edges:
-        cu = new_id[clustering.assignment[e.u]]
-        cv = new_id[clustering.assignment[e.v]]
-        key = (cu, cv) if cu <= cv else (cv, cu)
-        entry = agg.setdefault(key, [0.0, 0.0, 1.0, 1.0, set()])
-        entry[0] += e.w
-        entry[1] += e.w_hat
-        entry[2] *= e.kappa
-        entry[3] *= e.tau
-        entry[4].add(e.kind)
-    edges = []
-    for (u, v), (w, w_hat, kappa, tau, kinds) in sorted(agg.items()):
-        kind = kinds.pop() if len(kinds) == 1 else CutKind.MERGED
-        edges.append(Edge(u, v, kind, w=w, w_hat=w_hat, kappa=kappa, tau=tau))
-    return CutGraph(tuple(nodes), tuple(edges))
+    assignment = clustering.assignment
+    u, v, w, w_hat, slot = merge_parallel_edges(
+        [new_id[assignment[e.u]] for e in graph.edges],
+        [new_id[assignment[e.v]] for e in graph.edges],
+        [e.w for e in graph.edges], [e.w_hat for e in graph.edges])
+    kappa = [1.0] * len(u)
+    tau = [1.0] * len(u)
+    kinds: list[set[CutKind]] = [set() for _ in u]
+    for e, j in zip(graph.edges, slot):
+        kappa[j] *= e.kappa
+        tau[j] *= e.tau
+        kinds[j].add(e.kind)
+    edges = tuple(
+        Edge(u[j], v[j], kinds[j].pop() if len(kinds[j]) == 1 else CutKind.MERGED,
+             w=w[j], w_hat=w_hat[j], kappa=kappa[j], tau=tau[j])
+        for j in range(len(u)))
+    return CutGraph(tuple(nodes), edges)
 
 
 def to_dot(graph: CutGraph, clustering: "Clustering | None" = None) -> str:

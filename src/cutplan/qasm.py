@@ -82,10 +82,6 @@ class CircuitIR:
         """(gate index, gate) pairs for all 2-qubit applications, in order."""
         return [(i, g) for i, g in enumerate(self.gates) if len(g.qubits) == 2]
 
-    def wire_gates(self, qubit: int) -> list[int]:
-        """Indices of gates touching ``qubit``, in source order."""
-        return [i for i, g in enumerate(self.gates) if qubit in g.qubits]
-
 
 # name -> (number of qubits, number of parameters) for the qelib1-style set
 STANDARD_GATES: dict[str, tuple[int, int]] = {

@@ -8,6 +8,7 @@ from cutplan.fixtures import chain3, ising_chain
 from cutplan.qasm import to_qasm
 
 from conftest import best_feasible_log_overhead
+from cutplan.clustering import run_pipeline
 from cutplan.graph import build_cut_graph
 
 
@@ -64,6 +65,13 @@ def test_partition_json_optimal_on_chain3(capsys, tmp_path):
     assert payload["report"]["lq"] == pytest.approx(optimum)
     assert payload["report"]["r"] == 2
     assert {s["stage"] for s in payload["stages"]} == {"step1", "step2"}
+    expected = run_pipeline(build_cut_graph(chain3()), 2).stages
+    for stage, metrics in zip(payload["stages"], expected):
+        assert stage["gain_evals"] == metrics.gain_evals > 0
+        assert stage["lq_trace"] == list(metrics.lq_trace)
+    step1, step2 = payload["stages"]
+    assert step1["lq_trace"] == []  # stage 1 tracks modularity, not overhead
+    assert step2["lq_trace"][-1] == pytest.approx(step2["lq"])
 
 
 def test_partition_json_stable_except_timing(capsys, tmp_path):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cutplan.clustering import (Clustering, InfeasibleCapError, modularity,
+import cutplan
+from cutplan.clustering import (AuditError, Clustering, InfeasibleCapError,
+                                _Level, _LogOverheadEngine, _ModularityEngine, modularity,
                                 qubit_feasible, run_pipeline, step1_modularity,
                                 step2_lq_min)
 from cutplan.fixtures import chain3, ising_chain
@@ -193,8 +198,13 @@ def test_random_order_restarts_reproducible():
 def test_stage_metrics_json_keys():
     g = build_cut_graph(ising_chain(10, seed=8))
     result = run_pipeline(g, 5)
-    payload = result.stages[0].to_json_dict()
-    assert set(payload) == {"stage", "lq", "ld", "r", "moves", "passes", "wall_time_s"}
+    for stage in result.stages:
+        payload = stage.to_json_dict()
+        assert set(payload) == {"stage", "lq", "ld", "r", "moves", "passes", "wall_time_s",
+                                "gain_evals", "lq_trace"}
+        assert payload["gain_evals"] == stage.gain_evals
+        assert payload["lq_trace"] == list(stage.lq_trace)
+    assert json.loads(json.dumps(result.stages[1].to_json_dict()))["lq_trace"]
 
 
 def test_empty_graph_pipeline():
@@ -234,3 +244,76 @@ def test_chain34_regression_values():
     assert s2.lq == pytest.approx(3.47, abs=0.01)
     assert s2.ld == pytest.approx(2.77, abs=0.01)
     assert s2.r == 2
+
+
+def test_validate_raises_value_error_under_optimize():
+    """The cap check must survive ``python -O``, which strips ``assert``."""
+    script = (
+        "from cutplan.clustering import Clustering\n"
+        "from cutplan.graph import CutGraph, Node\n"
+        "g = CutGraph((Node(0, frozenset({0, 1})), Node(1, frozenset({2}))), ())\n"
+        "cl = Clustering.from_assignment(g, {0: 0, 1: 0}, 2)\n"
+        "try:\n"
+        "    cl.validate(g)\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cutplan.__file__)))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "ValueError: cluster 0 holds 3 qubits, cap 2"
+
+
+def _two_blobs():
+    nodes = tuple(Node(i, frozenset({i})) for i in range(6))
+    pairs = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
+    return CutGraph(nodes, tuple(make_edge(a, b, 3.0, 2.0) for a, b in pairs))
+
+
+def _corrupt_mask(engine):
+    engine.cmask[engine.cluster_of[0]] |= 1 << 40
+
+
+def _corrupt_membership(engine):
+    engine.cluster_of[0] = engine.cluster_of[5]
+
+
+def _corrupt_cap(engine):
+    engine.max_qubits = 1
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_mask, _corrupt_membership, _corrupt_cap,
+    lambda e: e.sigma.__setitem__(e.cluster_of[0], e.sigma[e.cluster_of[0]] + 1.0),
+])
+def test_step1_audit_catches_corrupted_bookkeeping(corrupt):
+    engine = _ModularityEngine(_Level.from_graph(_two_blobs()), 3)
+    engine.sweep(engine.visit_order("weighted", None))
+    engine._check_state()
+    corrupt(engine)
+    engine._audit_q = None
+    with pytest.raises(AuditError):
+        engine._check_state()
+
+
+def test_step1_audit_requires_rising_modularity():
+    engine = _ModularityEngine(_Level.from_graph(_two_blobs()), 3)
+    engine.sweep(engine.visit_order("weighted", None))
+    engine._check_state()
+    with pytest.raises(AuditError, match="raise Q"):
+        engine._check_state()
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_mask, _corrupt_membership, _corrupt_cap,
+    lambda e: setattr(e, "w_cut", e.w_cut + 1.0),
+    lambda e: setattr(e, "hat_cut", e.hat_cut + 1.0),
+    lambda e: e.s_w.__setitem__(e.cluster_of[0], e.s_w[e.cluster_of[0]] + 1.0),
+    lambda e: e.s_hat.__setitem__(e.cluster_of[5], e.s_hat[e.cluster_of[5]] + 1.0),
+])
+def test_step2_audit_catches_corrupted_bookkeeping(corrupt):
+    engine = _LogOverheadEngine(_Level.from_graph(_two_blobs()), 3, [0, 0, 0, 1, 1, 1])
+    engine._check_state()
+    corrupt(engine)
+    with pytest.raises(AuditError):
+        engine._check_state()

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from cutplan.clustering import Clustering
-from cutplan.fixtures import chain3
+from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import (CutKind, UnknownGateWeightError, WeightTable,
-                           build_cut_graph, contract, to_dot)
+                           build_cut_graph, contract, merge_parallel_edges, to_dot)
 from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import random_clustering, random_graph
@@ -130,8 +130,47 @@ def test_weight_conservation_random(rng):
         cl = random_clustering(rng, g)
         h = contract(g, cl)
         assert h.total_w() == pytest.approx(g.total_w())
-        assert h.total_w_hat() == pytest.approx(g.total_w_hat())
+        assert (sum(e.w_hat for e in h.edges)
+                == pytest.approx(sum(e.w_hat for e in g.edges)))
         assert h.qubits() == g.qubits()
+
+
+def _contracted_edges_oracle(graph, clustering):
+    """Edge-at-a-time aggregation: running sums and products per
+    (min, max) supernode pair, in edge order, emitted in sorted pair order."""
+    new_id = {c: i for i, c in enumerate(sorted(clustering.clusters))}
+    agg = {}
+    for e in graph.edges:
+        cu = new_id[clustering.assignment[e.u]]
+        cv = new_id[clustering.assignment[e.v]]
+        entry = agg.setdefault((min(cu, cv), max(cu, cv)), [0.0, 0.0, 1.0, 1.0, set()])
+        entry[0] += e.w
+        entry[1] += e.w_hat
+        entry[2] *= e.kappa
+        entry[3] *= e.tau
+        entry[4].add(e.kind)
+    return [(u, v, kinds.pop() if len(kinds) == 1 else CutKind.MERGED, w, w_hat, kappa, tau)
+            for (u, v), (w, w_hat, kappa, tau, kinds) in sorted(agg.items())]
+
+
+def test_contract_matches_edge_at_a_time_aggregation_exactly(rng):
+    graphs = [random_graph(rng, max_nodes=30) for _ in range(40)]
+    graphs.append(build_cut_graph(ising_chain(60, depth=3, seed=1)))
+    for g in graphs:
+        cl = random_clustering(rng, g)
+        h = contract(g, cl)
+        got = [(e.u, e.v, e.kind, e.w, e.w_hat, e.kappa, e.tau) for e in h.edges]
+        assert got == _contracted_edges_oracle(g, cl)
+
+
+def test_merge_parallel_edges_slots():
+    u, v, w, w_hat, slot = merge_parallel_edges([3, 1, 0, 1, 2], [1, 3, 0, 2, 1],
+                                                [1.0, 2.0, 3.0, 4.0, 5.0],
+                                                [0.5, 0.25, 0.0, 1.0, 2.0])
+    assert (u, v) == ([0, 1, 1], [0, 2, 3])
+    assert (w, w_hat) == ([3.0, 9.0, 3.0], [0.0, 3.0, 0.75])
+    assert slot == [2, 2, 0, 1, 1]
+    assert merge_parallel_edges([], [], [], []) == ([], [], [], [], [])
 
 
 def test_merged_kind_tagging():
@@ -160,7 +199,10 @@ def test_dot_export_deterministic_names():
 def test_connectivity_mirrors_gate_interaction():
     def components(graph):
         seen, count = set(), 0
-        adj = graph.adjacency()
+        adj = [[] for _ in graph.nodes]
+        for e in graph.edges:
+            adj[e.u].append(e.v)
+            adj[e.v].append(e.u)
         for start in range(graph.num_nodes):
             if start in seen:
                 continue
@@ -171,7 +213,7 @@ def test_connectivity_mirrors_gate_interaction():
                 if node in seen:
                     continue
                 seen.add(node)
-                stack.extend(n for n, _ in adj[node] if n not in seen)
+                stack.extend(n for n in adj[node] if n not in seen)
         return count
 
     connected = build_cut_graph(chain3())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cutplan.fixtures import ising_chain
+from cutplan.graph import CutKind, build_cut_graph
 from cutplan.qasm import (CircuitIR, DuplicateOperandError, GateApp,
                           QasmSyntaxError, UndeclaredRegisterError,
                           UnsupportedGateError, parse_qasm, to_qasm)
@@ -158,11 +159,20 @@ def test_round_trip_stability():
 
 
 def test_wire_projection_preserves_source_order():
+    """Per wire, parsing keeps the gates in source order, and the cut graph's
+    time-like edges join the wire's consecutive 2-qubit gates in that order."""
     ir = ising_chain(8, depth=2, seed=3)
+    parsed = parse_qasm(to_qasm(ir))
+    graph = build_cut_graph(parsed)
     for q in range(8):
         on_wire = [i for i, g in enumerate(ir.gates) if q in g.qubits]
         assert on_wire == sorted(on_wire)
-        assert on_wire == ir.wire_gates(q)
+        assert on_wire == [i for i, g in enumerate(parsed.gates) if q in g.qubits]
+        two_qubit = [i for i in on_wire if len(parsed.gates[i].qubits) == 2]
+        chained = [(graph.nodes[e.u].gate_id, graph.nodes[e.v].gate_id)
+                   for e in graph.edges
+                   if e.kind is CutKind.TIME and q in graph.nodes[e.u].qubits]
+        assert chained == list(zip(two_qubit, two_qubit[1:]))
 
 
 def test_fixture_parses_back():

@@ -7,15 +7,13 @@ budget that overhead implies.
 """
 
 from .clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
-                         ModularityState, PipelineResult, StageMetrics,
-                         modularity, modularity_gain, qubit_feasible,
-                         run_pipeline, step1_modularity, step2_lq_min)
+                         PipelineResult, StageMetrics, run_pipeline,
+                         step1_modularity, step2_lq_min)
 from .graph import (CutGraph, CutKind, CutWeights, Edge, Node,
                     UnknownGateWeightError, WeightTable, build_cut_graph,
                     contract, to_dot, DEFAULT_WEIGHTS)
-from .overhead import (OverheadReport, build_report, cluster_log_overhead,
-                       cut_summary, max_log_overhead, cubic_bound, prior_bound,
-                       shot_budget)
+from .overhead import (OverheadReport, build_report, cut_summary, cubic_bound,
+                       partition_shots, prior_bound, shot_budget)
 from .qasm import (CircuitIR, DuplicateOperandError, GateApp, QasmError,
                    QasmSyntaxError, UndeclaredRegisterError,
                    UnsupportedGateError, parse_qasm, parse_qasm_file, to_qasm)
@@ -23,14 +21,14 @@ from .qasm import (CircuitIR, DuplicateOperandError, GateApp, QasmError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditError", "Cluster", "Clustering", "InfeasibleCapError", "ModularityState",
-    "PipelineResult", "StageMetrics", "modularity", "modularity_gain",
-    "qubit_feasible", "run_pipeline", "step1_modularity", "step2_lq_min",
+    "AuditError", "Cluster", "Clustering", "InfeasibleCapError",
+    "PipelineResult", "StageMetrics", "run_pipeline", "step1_modularity",
+    "step2_lq_min",
     "CutGraph", "CutKind", "CutWeights", "Edge", "Node",
     "UnknownGateWeightError", "WeightTable", "build_cut_graph", "contract",
     "to_dot", "DEFAULT_WEIGHTS",
-    "OverheadReport", "build_report", "cluster_log_overhead", "cut_summary",
-    "max_log_overhead", "cubic_bound", "prior_bound", "shot_budget",
+    "OverheadReport", "build_report", "cut_summary", "cubic_bound",
+    "partition_shots", "prior_bound", "shot_budget",
     "CircuitIR", "DuplicateOperandError", "GateApp", "QasmError",
     "QasmSyntaxError", "UndeclaredRegisterError", "UnsupportedGateError",
     "parse_qasm", "parse_qasm_file", "to_qasm",

@@ -80,7 +80,8 @@ def cmd_partition(args) -> int:
         result, report, graph = _run_file(args.file, args)
     except InfeasibleCapError as exc:
         return _fail(f"infeasible qubit cap: {exc}", EXIT_INFEASIBLE)
-    except (QasmError, UnknownGateWeightError, OSError, ValueError) as exc:
+    except (QasmError, UnknownGateWeightError, OSError, ValueError,
+            OverflowError) as exc:
         return _fail(str(exc), EXIT_ERROR)
 
     name = os.path.splitext(os.path.basename(args.file))[0]

@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import CutGraph, contract, merge_parallel_edges
+from .overhead import cut_summary
 
 EPS = 1e-9
 
@@ -116,113 +117,6 @@ class Clustering:
             },
             "max_qubits": self.max_qubits,
         }
-
-
-def qubit_feasible(graph: CutGraph, clustering: Clustering, i: int, c_to: int,
-                   max_qubits: int) -> bool:
-    """True iff moving node ``i`` into ``c_to`` keeps its qubit union within cap."""
-    target = clustering.clusters[c_to].qubits
-    return len(target | graph.nodes[i].qubits) <= max_qubits
-
-
-# ---------------------------------------------------------------------------
-# modularity
-# ---------------------------------------------------------------------------
-
-def _gain(m: float, k_i: float, k_i_cfrom: float, k_i_cto: float,
-          sigma_from: float, sigma_to: float) -> float:
-    """Modularity gain of moving i between clusters.
-
-    ``sigma_from`` is the attached-weight sum of the source cluster with i
-    still inside; ``sigma_to`` excludes i. k terms exclude self-loops; k_i
-    counts self-loops twice.
-    """
-    remove = -k_i_cfrom / m + k_i * (sigma_from - k_i) / (2.0 * m * m)
-    add = k_i_cto / m - k_i * sigma_to / (2.0 * m * m)
-    return remove + add
-
-
-class ModularityState:
-    """Cached quantities for incremental modularity arithmetic.
-
-    m: total edge weight (self-loops once). k[i]: weight attached to node i
-    (self-loops twice). sigma[c]: weight attached to cluster c's members
-    (intra-cluster edges twice). intra[c]: intra-cluster weight, each edge
-    once. k_to_cluster(i, c): weight between i and other members of c.
-    """
-
-    def __init__(self, m: float, k: dict[int, float], sigma: dict[int, float],
-                 intra: dict[int, float] | None = None,
-                 k_to: dict[tuple[int, int], float] | None = None,
-                 graph: CutGraph | None = None,
-                 assignment: dict[int, int] | None = None):
-        self.m = m
-        self.k = k
-        self.sigma = sigma
-        self.intra = intra or {}
-        self._k_to = k_to
-        self._graph = graph
-        self._assignment = assignment
-
-    @classmethod
-    def from_clustering(cls, graph: CutGraph, clustering: Clustering) -> "ModularityState":
-        m = graph.total_w()
-        k: dict[int, float] = {n.id: 0.0 for n in graph.nodes}
-        sigma: dict[int, float] = {c: 0.0 for c in clustering.clusters}
-        intra: dict[int, float] = {c: 0.0 for c in clustering.clusters}
-        for e in graph.edges:
-            if e.is_self_loop():
-                k[e.u] += 2.0 * e.w
-            else:
-                k[e.u] += e.w
-                k[e.v] += e.w
-            cu, cv = clustering.assignment[e.u], clustering.assignment[e.v]
-            if cu == cv:
-                intra[cu] += e.w
-        for n, c in clustering.assignment.items():
-            sigma[c] += k[n]
-        return cls(m, k, sigma, intra, graph=graph, assignment=clustering.assignment)
-
-    @classmethod
-    def from_values(cls, m: float, k: dict[int, float], sigma: dict[int, float],
-                    k_to: dict[tuple[int, int], float]) -> "ModularityState":
-        return cls(m, k, sigma, k_to=k_to)
-
-    def k_to_cluster(self, i: int, c: int) -> float:
-        if self._k_to is not None:
-            return self._k_to.get((i, c), 0.0)
-        total = 0.0
-        for e in self._graph.edges:
-            if e.is_self_loop():
-                continue
-            if e.u == i and self._assignment[e.v] == c:
-                total += e.w
-            elif e.v == i and self._assignment[e.u] == c:
-                total += e.w
-        return total
-
-
-def modularity_gain(state: ModularityState, i: int, c_from: int, c_to: int) -> float:
-    """Gain in modularity from moving node ``i`` from ``c_from`` to ``c_to``."""
-    return _gain(
-        state.m,
-        state.k[i],
-        state.k_to_cluster(i, c_from),
-        state.k_to_cluster(i, c_to),
-        state.sigma[c_from],
-        state.sigma[c_to],
-    )
-
-
-def modularity(graph: CutGraph, clustering: Clustering) -> float:
-    """Modularity of a clustering, evaluated from scratch."""
-    state = ModularityState.from_clustering(graph, clustering)
-    if state.m <= 0:
-        return 0.0
-    q = 0.0
-    for c in clustering.clusters:
-        q += state.intra[c] / state.m - (state.sigma[c] / (2.0 * state.m)) ** 2
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +264,28 @@ class StageStats:
 
 
 class _ModularityEngine(_LevelState):
-    """Stage-1 local move rule: accept the best strictly positive gain."""
+    """Stage-1 local move rule: accept the best strictly positive gain in
+    modularity.
 
-    def __init__(self, level, max_qubits, audit=False):
-        super().__init__(level, max_qubits)
+    ``m`` is the level's total edge weight (self-loops once), ``k[i]`` the
+    weight attached to node i (self-loops twice) and ``sigma[c]`` the weight
+    attached to cluster c's members. Moving i from cluster f to cluster t,
+    with ``k_i_f`` and ``k_i_t`` its weight to the other members of each,
+    changes modularity by
+
+        -k_i_f / m + k_i (sigma[f] - k_i) / 2m^2 + k_i_t / m - k_i sigma[t] / 2m^2
+    """
+
+    def __init__(self, level, max_qubits, cluster_of=None, audit=False):
+        super().__init__(level, max_qubits, cluster_of)
         self.audit = audit
         self.m = sum(level.w)
-        self.sigma = list(self.k)
+        self.sigma = [0.0] * len(self.k)
+        for i, c in enumerate(self.cluster_of):
+            self.sigma[c] += self.k[i]
         self.stats = StageStats()
-        self._audit_q = None
+        if audit:
+            self._audit_q = self._checked_modularity()
 
     def sweep(self, visit: list[int]) -> int:
         moves = 0
@@ -419,14 +326,23 @@ class _ModularityEngine(_LevelState):
                 self.relocate(i, c_from, best)
                 moves += 1
                 if self.audit:
-                    self._check_state()
+                    self._check_state(best_gain)
         self.stats.moves += moves
         self.stats.gain_evals += evals
         return moves
 
-    def _check_state(self) -> None:
-        """Sigma, boundary weight and modularity recomputed from the edges;
-        accepted gains exceed EPS, so modularity must rise with every move."""
+    def _check_state(self, gain: float) -> None:
+        """The gain of the move just accepted must equal the change of
+        modularity recomputed from the edges."""
+        q = self._checked_modularity()
+        if not abs(q - self._audit_q - gain) < 1e-9:
+            raise AuditError(f"accepted gain {gain!r}, but Q changed by "
+                             f"{q - self._audit_q!r}")
+        self._audit_q = q
+
+    def _checked_modularity(self) -> float:
+        """Modularity recomputed from the edges, after checking the clusters,
+        sigma and the boundary weight against the same recount."""
         self._check_clusters()
         level, cluster_of = self.level, self.cluster_of
         k = [0.0] * len(cluster_of)
@@ -454,9 +370,7 @@ class _ModularityEngine(_LevelState):
             if not abs(self.sigma[c] - 2.0 * intra[c] - boundary[c]) < 1e-6:
                 raise AuditError(f"boundary drift on cluster {c}")
             q += intra[c] / m - (sig / (2.0 * m)) ** 2
-        if self._audit_q is not None and not q > self._audit_q + 1e-10:
-            raise AuditError("accepted move failed to raise Q")
-        self._audit_q = q
+        return q
 
 
 def _cut_sums(level: _Level, cluster_of: list[int]):
@@ -486,17 +400,15 @@ class _LogOverheadEngine(_LevelState):
         super().__init__(level, max_qubits, cluster_of)
         self.audit = audit
         self.s_w, self.s_hat, self.w_cut, self.hat_cut = _cut_sums(level, self.cluster_of)
-        self.stats = StageStats()
-
-    def worst(self) -> float:
-        if not self.r:
-            return 0.0
         ln_r = math.log(self.r)
-        return max(ln_r + self.s_w[c] + (self.hat_cut - self.s_hat[c])
-                   for c in self.live())
+        #: the running worst log overhead; its start value opens the level's trace
+        self.lq = max(ln_r + self.s_w[c] + (self.hat_cut - self.s_hat[c])
+                      for c in self.live())
+        self.stats = StageStats(lq_trace=[self.lq])
 
-    def sweep(self, visit: list[int], lq: float) -> tuple[int, float]:
+    def sweep(self, visit: list[int]) -> int:
         moves = 0
+        lq = self.lq
         cap = self.max_qubits
         mask = self.level.mask
         cmask = self.cmask
@@ -559,9 +471,10 @@ class _LogOverheadEngine(_LevelState):
                 moves += 1
                 if self.audit:
                     self._check_state()
+        self.lq = lq
         self.stats.moves += moves
         self.stats.gain_evals += evals
-        return moves, lq
+        return moves
 
     def _check_state(self) -> None:
         self._check_clusters()
@@ -603,29 +516,16 @@ def _run_levels(graph: CutGraph, max_qubits: int, engine_cls, order: str,
         dense = {c: i for i, c in enumerate(names)}
         cluster_of = [dense[initial.assignment[i]] for i in range(n)]
     stats = StageStats()
-    is_lq = engine_cls is _LogOverheadEngine
 
     while True:
-        if is_lq:
-            engine = engine_cls(level, max_qubits, cluster_of, audit=audit)
-        else:
-            engine = engine_cls(level, max_qubits, audit=audit)
+        engine = engine_cls(level, max_qubits, cluster_of, audit=audit)
         stats.passes += 1
         level_moves = 0
-        if is_lq:
-            lq = engine.worst()
-            stats.lq_trace.append(lq)
-            while True:
-                moved, lq = engine.sweep(engine.visit_order(order, rng), lq)
-                level_moves += moved
-                if moved == 0:
-                    break
-        else:
-            while True:
-                moved = engine.sweep(engine.visit_order(order, rng))
-                level_moves += moved
-                if moved == 0:
-                    break
+        while True:
+            moved = engine.sweep(engine.visit_order(order, rng))
+            level_moves += moved
+            if moved == 0:
+                break
         stats.merge(engine.stats)
         if level_moves == 0:
             break
@@ -671,8 +571,6 @@ def step2_lq_min(graph: CutGraph, max_qubits: int, order: str = "weighted",
 
 def _step2_with_stats(graph, max_qubits, order="weighted", rng=None, initial=None,
                       audit=False):
-    from .overhead import max_log_overhead
-
     if graph.num_nodes == 0:
         return Clustering({}, {}, max_qubits), StageStats()
     start = initial if initial is not None else Clustering.singletons(graph, max_qubits)
@@ -680,8 +578,9 @@ def _step2_with_stats(graph, max_qubits, order="weighted", rng=None, initial=Non
                                     audit, initial=start)
     # moves are only accepted against the running bound, yet a move can shift
     # the residual w_hat cost of untouched clusters; keep the start if that
-    # pathological drift ever makes things worse
-    if max_log_overhead(clustering, graph) > max_log_overhead(start, graph) + EPS:
+    # pathological drift ever makes things worse. The trace opens with the
+    # start's worst log overhead.
+    if cut_summary(graph, clustering).max_log_overhead() > stats.lq_trace[0] + EPS:
         return start, stats
     return clustering, stats
 
@@ -785,9 +684,7 @@ def _pipeline_once(graph, max_qubits, order, rng, audit) -> PipelineResult:
 
 
 def _stage_metrics(name, graph, clustering, stats: StageStats, elapsed) -> StageMetrics:
-    from . import overhead
-
-    summary = overhead.cut_summary(graph, clustering)
+    summary = cut_summary(graph, clustering)
     return StageMetrics(
         stage=name,
         lq=summary.max_log_overhead(),

@@ -6,9 +6,9 @@ term per cut selects a *variant* of every subcircuit it touches. The
 estimator:
 
 1. partitions the circuit and rejects cut sets that fail to disconnect it,
-2. budgets shots per partition as N_c = ceil(R * (prod_{E_c} kappa)^2 *
-   prod_{D_c} tau / eps^2), where E_c are the cuts touching partition c and
-   D_c the rest,
+2. budgets shots per partition with the planner's ``partition_shots``:
+   N_c = ceil(R * (prod_{E_c} kappa)^2 * prod_{D_c} tau / eps^2), where E_c
+   are the cuts touching partition c and D_c the rest,
 3. splits N_c across partition variants proportionally to the product of
    |coefficient| / kappa of the selected terms,
 4. samples every (partition, variant) independently: the variant's exact
@@ -34,6 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..overhead import partition_shots
 from ..qasm import CircuitIR, GateApp
 from .decomp import (DecompositionSpec, MEAS_SIGNED, TermSide,
                      gate_cut_decomposition, wire_cut_decomposition)
@@ -258,24 +259,15 @@ def allocate_shots(plans: dict[int, PartitionPlan], specs: list[DecompositionSpe
     nonzero weight are guaranteed at least one shot (N_c is raised when
     needed).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     n_c: dict[int, int] = {}
     variant_counts: dict[int, dict[tuple[int, ...], int]] = {}
-    kappas = [spec.kappa for spec in specs]
-    taus = [spec.tau for spec in specs]
+    tau_cut = math.prod(spec.tau for spec in specs)
     # |a_j(i)| / kappa_j per cut and term
-    shares = [[abs(t.coeff) / kappa for t in spec.terms] for spec, kappa in zip(specs, kappas)]
+    shares = [[abs(t.coeff) / spec.kappa for t in spec.terms] for spec in specs]
     for c, plan in sorted(plans.items()):
-        overhead = float(r)
-        for j in range(len(specs)):
-            if j in plan.attached_cuts:
-                overhead *= kappas[j] ** 2
-            else:
-                overhead *= taus[j]
-        budget = math.ceil(overhead / eps ** 2)
-
         attached = plan.attached_cuts
+        budget = partition_shots(r, math.prod(specs[j].kappa ** 2 for j in attached),
+                                 math.prod(specs[j].tau for j in attached), tau_cut, eps, c)
         variants = list(itertools.product(*(range(len(specs[j].terms)) for j in attached)))
         weights = [math.prod((shares[j][t] for j, t in zip(attached, combo)), start=1.0)
                    for combo in variants]

@@ -61,20 +61,15 @@ def pauli_z_observable(qubits: Iterable[int]) -> ProductObservable:
     return ProductObservable(tuple(ObsFactor((q,), (1.0, -1.0)) for q in qubits))
 
 
-def value_table(obs_factors: Iterable[ObsFactor], num_qubits: int,
-                qubit_map: dict[int, int] | None = None) -> np.ndarray:
-    """Factor product over every basis state of a ``num_qubits`` register.
-
-    ``qubit_map`` translates factor qubit labels to register positions; the
-    identity map is used when omitted.
-    """
+def value_table(obs_factors: Iterable[ObsFactor], num_qubits: int) -> np.ndarray:
+    """Factor product over every basis state of a ``num_qubits`` register,
+    each factor qubit label being a register position."""
     values = np.ones(2 ** num_qubits)
     for factor in obs_factors:
         idx = np.zeros(2 ** num_qubits, dtype=np.int64)
         width = len(factor.qubits)
         for k, q in enumerate(factor.qubits):
-            pos = q if qubit_map is None else qubit_map[q]
-            idx |= basis_bits(num_qubits, pos).astype(np.int64) << (width - 1 - k)
+            idx |= basis_bits(num_qubits, q).astype(np.int64) << (width - 1 - k)
         values = values * np.asarray(factor.table)[idx]
     return values
 

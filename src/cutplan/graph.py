@@ -138,9 +138,6 @@ class Edge:
     def is_self_loop(self) -> bool:
         return self.u == self.v
 
-    def other(self, node: int) -> int:
-        return self.v if node == self.u else self.u
-
 
 @dataclass(frozen=True)
 class CutGraph:
@@ -150,12 +147,6 @@ class CutGraph:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def qubits(self) -> frozenset[int]:
-        out: set[int] = set()
-        for n in self.nodes:
-            out |= n.qubits
-        return frozenset(out)
 
     def total_w(self) -> float:
         return sum(e.w for e in self.edges)

@@ -49,10 +49,6 @@ class CutSummary:
     def log_overhead(self, c: int) -> float:
         return math.log(self.r) + self.s_w[c] + (self.hat_cut - self.s_hat[c])
 
-    def overhead(self, c: int) -> float:
-        """Linear-space overhead factor of cluster c (exact for integer factors)."""
-        return self.r * self.attached_kappa_sq[c] * (self.tau_cut / self.attached_tau[c])
-
     def max_log_overhead(self) -> float:
         if self.r == 0:
             return 0.0
@@ -107,29 +103,44 @@ def cut_summary(graph: CutGraph, clustering: "Clustering") -> CutSummary:
     )
 
 
-def cluster_log_overhead(clustering: "Clustering", graph: CutGraph, c: int) -> float:
-    """ln of cluster c's overhead factor: ln R + S_w(c) + (hat_cut - S_hat(c))."""
-    return cut_summary(graph, clustering).log_overhead(c)
+def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
+                    tau_cut: float, eps: float, partition: int) -> int:
+    """Shots that partition ``partition`` needs for a standard deviation
+    ``eps``, the one implementation of
+
+        N_c = ceil(r * attached_kappa_sq * (tau_cut / attached_tau) / eps^2)
+
+    with ``attached_kappa_sq`` the product of kappa^2 over the partition's
+    cuts and ``attached_tau``, ``tau_cut`` the products of tau over its cuts
+    and over all cuts. The arithmetic is in linear space, so integer-valued
+    budgets come out exact. Raises ``ValueError`` unless eps is finite and
+    positive, and ``OverflowError`` when the budget does not fit a float.
+    """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    eps_sq = eps ** 2
+    overhead = r * attached_kappa_sq * (tau_cut / attached_tau)
+    shots = overhead / eps_sq if eps_sq else math.inf
+    if not math.isfinite(shots):
+        raise OverflowError(f"the shot budget of partition {partition} at eps={eps} "
+                            f"does not fit a float")
+    return math.ceil(shots)
 
 
-def max_log_overhead(clustering: "Clustering", graph: CutGraph) -> float:
-    """The partitioning objective: the worst cluster's log overhead."""
-    return cut_summary(graph, clustering).max_log_overhead()
+def _budget(summary: CutSummary, eps: float) -> dict:
+    if summary.r:
+        n_c = {c: partition_shots(summary.r, summary.attached_kappa_sq[c],
+                                  summary.attached_tau[c], summary.tau_cut, eps, c)
+               for c in sorted(summary.s_w)}
+    else:  # nothing to cut: the circuit runs whole, as one partition
+        n_c = {0: partition_shots(1, 1.0, 1.0, 1.0, eps, 0)}
+    return {"n_c": n_c, "n_total": sum(n_c.values())}
 
 
 def shot_budget(clustering: "Clustering", graph: CutGraph, eps: float) -> dict:
-    """Per-cluster shot counts for a target standard deviation ``eps``.
-
-    Shots are computed in linear space from the exact kappa/tau factors and
-    rounded up, so integer-valued budgets come out exact.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    summary = cut_summary(graph, clustering)
-    n_c = {}
-    for c in sorted(clustering.clusters):
-        n_c[c] = math.ceil(summary.overhead(c) / eps ** 2)
-    return {"n_c": n_c, "n_total": sum(n_c.values())}
+    """Per-cluster shot counts for a target standard deviation ``eps``
+    (see ``partition_shots``)."""
+    return _budget(cut_summary(graph, clustering), eps)
 
 
 def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
@@ -251,10 +262,8 @@ def build_report(clustering: "Clustering", graph: CutGraph,
     ln_i = {c: summary.log_overhead(c) for c in clustering.clusters}
     heavy = summary.heavy_cluster()
     n_space = n_time = n_tot_space = n_tot_time = 0
-    l_tot = 0.0
     for idx in summary.cut_edges:
         e = graph.edges[idx]
-        l_tot += e.w
         attached_to_heavy = heavy is not None and heavy in (
             clustering.assignment[e.u], clustering.assignment[e.v])
         if e.kind is CutKind.SPACE:
@@ -263,7 +272,7 @@ def build_report(clustering: "Clustering", graph: CutGraph,
         elif e.kind is CutKind.TIME:
             n_tot_time += 1
             n_time += attached_to_heavy
-    budget = shot_budget(clustering, graph, eps) if eps is not None else None
+    budget = _budget(summary, eps) if eps is not None else None
     return OverheadReport(
         ln_i_c=ln_i,
         lq=summary.max_log_overhead(),
@@ -273,7 +282,7 @@ def build_report(clustering: "Clustering", graph: CutGraph,
         n_time=n_time,
         n_tot_space=n_tot_space,
         n_tot_time=n_tot_time,
-        l_tot=l_tot,
+        l_tot=summary.w_cut,
         r=max(summary.r, 1),
         eps=eps,
         n_c=None if budget is None else budget["n_c"],

@@ -1,6 +1,8 @@
 """Shared test oracles, all deliberately independent of the library's own
 fast paths: the graph oracles classify raw edge lists directly, and the
-variant oracle simulates one cut variant at a time, state by state."""
+variant oracle simulates one cut variant at a time, state by state.
+``OracleCheckedEngine`` runs the stage-1 move engine against the modularity
+oracle."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cutplan.clustering import Clustering
+from cutplan.clustering import Clustering, _Level, _ModularityEngine
 from cutplan.cutsim import apply_gate, basis_bits, zero_state
 from cutplan.cutsim.decomp import MEAS_SIGNED
 from cutplan.graph import CutGraph, CutKind, Edge, Node
@@ -74,6 +76,65 @@ def modularity_oracle(graph: CutGraph, assignment: dict[int, int]) -> float:
                 attached += e.w
         q += intra / m - (attached / (2.0 * m)) ** 2
     return q
+
+
+def worked_gain_graph() -> tuple[CutGraph, list[int]]:
+    """A graph and a clustering that realise the worked modularity-gain
+    instance: node 0 sits in cluster 0 and has one w = ln 16 edge into each
+    of clusters 0 and 1 and one w = ln 9 edge into cluster 2, so
+
+        m = 20 ln16 + 10 ln9 + ln49,  k_0 = 2 ln16 + ln9,
+        sigma_0 = 10 ln16 + 6 ln9,    sigma_1 = 4 ln16 + 2 ln9 + ln49.
+
+    Moving node 0 to cluster 1 gains k_0 (4 ln16 + 3 ln9 - ln49) / 2m^2.
+    Returns the graph and the cluster of every node."""
+    edges = [(0, 1, 4), (0, 2, 4), (0, 3, 3),
+             (1, 1, 4), (1, 1, 4), (1, 1, 4), (1, 3, 4),
+             (1, 1, 3), (1, 1, 3), (1, 3, 3),
+             (2, 2, 3), (2, 3, 7), (2, 3, 4), (2, 3, 4), (2, 3, 4)]
+    edges += [(3, 3, 4)] * 11 + [(3, 3, 3)] * 5
+    nodes = tuple(Node(i, frozenset((i,))) for i in range(4))
+    graph = CutGraph(nodes, tuple(make_edge(u, v, kappa, 1.0) for u, v, kappa in edges))
+    return graph, [0, 0, 1, 2]
+
+
+def random_start(rng: np.random.Generator, graph: CutGraph) -> list[int]:
+    """A random clustering (often not singletons) as a move engine's list of
+    cluster ids; the ids are below the node count."""
+    assignment = random_clustering(rng, graph).assignment
+    return [assignment[i] for i in range(graph.num_nodes)]
+
+
+class OracleCheckedEngine(_ModularityEngine):
+    """The stage-1 engine under audit, on a level built from ``graph``. It
+    also records every accepted move and checks its gain against the
+    change of ``modularity_oracle`` within 1e-9."""
+
+    def __init__(self, graph: CutGraph, cluster_of: list[int], max_qubits: int = 99):
+        self.graph = graph
+        self.moved: list[int] = []
+        self.gains: list[float] = []
+        self.errors: list[float] = []
+        super().__init__(_Level.from_graph(graph), max_qubits, list(cluster_of), audit=True)
+        self.q = modularity_oracle(graph, dict(enumerate(self.cluster_of)))
+
+    def relocate(self, i, c_from, c_to):
+        self.moved.append(i)
+        super().relocate(i, c_from, c_to)
+
+    def _check_state(self, gain):
+        super()._check_state(gain)
+        q = modularity_oracle(self.graph, dict(enumerate(self.cluster_of)))
+        self.errors.append(abs(q - self.q - gain))
+        if not self.errors[-1] <= 1e-9:
+            raise AssertionError(f"gain {gain!r}, oracle delta {q - self.q!r}")
+        self.q = q
+        self.gains.append(gain)
+
+    def settle(self, order: str = "weighted", rng: np.random.Generator | None = None):
+        """Sweep until a sweep moves nothing."""
+        while self.sweep(self.visit_order(order, rng)):
+            pass
 
 
 # -- log overhead from first principles ----------------------------------------

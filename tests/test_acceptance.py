@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from cutplan.clustering import Clustering, ModularityState, modularity_gain, run_pipeline
+from cutplan.clustering import Clustering, run_pipeline
 from cutplan.cutsim import (ExperimentConfig, cx_decomposition, cz_decomposition,
                             reconstruction_error, rzz_decomposition,
                             variance_experiment, wire_cut_decomposition)
@@ -21,8 +21,8 @@ from cutplan.graph import CutGraph, Node, build_cut_graph
 from cutplan.overhead import build_report, cubic_bound, prior_bound, shot_budget
 from cutplan.qasm import CircuitIR, GateApp
 
-from conftest import (best_feasible_log_overhead, make_edge, modularity_oracle,
-                      random_clustering, random_graph)
+from conftest import (OracleCheckedEngine, best_feasible_log_overhead, make_edge,
+                      modularity_oracle, random_graph, random_start, worked_gain_graph)
 
 LN9 = math.log(9)
 LN16 = math.log(16)
@@ -60,38 +60,31 @@ def test_criterion_1_worked_bounds():
 # -- 2 -------------------------------------------------------------------------
 
 def test_criterion_2_modularity_gain():
+    # the worked instance: the closed form against the from-scratch change in
+    # modularity on a graph that realises it
+    graph, cluster_of = worked_gain_graph()
     m = 20 * LN16 + 10 * LN9 + LN49
     k_i = 2 * LN16 + LN9
-    state = ModularityState.from_values(
-        m=m, k={5: k_i},
-        sigma={0: 10 * LN16 + 6 * LN9, 1: 4 * LN16 + 2 * LN9 + LN49},
-        k_to={(5, 0): LN16, (5, 1): LN16})
-    gain = modularity_gain(state, 5, 0, 1)
     expected = k_i * (4 * LN16 + 3 * LN9 - LN49) / (2 * m * m)
-    assert abs(gain - expected) <= 1e-12 * abs(expected)
+    before = dict(enumerate(cluster_of))
+    moved = {**before, 0: 1}
+    scratch = modularity_oracle(graph, moved) - modularity_oracle(graph, before)
+    assert abs(scratch - expected) <= 1e-12 * abs(expected)
 
+    # the engine, audited, from random non-singleton starts (self-loops
+    # included): every accepted gain must match the oracle's change in Q
     rng = np.random.default_rng(2)
-    checked = 0
+    moves = 0
     worst = 0.0
-    while checked < 100:
+    for _ in range(100):
         graph = random_graph(rng, max_nodes=10)
-        clustering = random_clustering(rng, graph)
-        state = ModularityState.from_clustering(graph, clustering)
-        i = int(rng.integers(0, graph.num_nodes))
-        c_from = clustering.assignment[i]
-        targets = [c for c in clustering.clusters if c != c_from]
-        if not targets:
-            continue
-        c_to = targets[int(rng.integers(0, len(targets)))]
-        inc = modularity_gain(state, i, c_from, c_to)
-        moved = dict(clustering.assignment)
-        moved[i] = c_to
-        scratch = (modularity_oracle(graph, moved)
-                   - modularity_oracle(graph, clustering.assignment))
-        worst = max(worst, abs(inc - scratch))
-        assert abs(inc - scratch) <= 1e-9
-        checked += 1
-    _ok(2, f"worked instance exact; 100 random graphs, max |delta| {worst:.2e}")
+        engine = OracleCheckedEngine(graph, random_start(rng, graph))
+        engine.settle()
+        moves += len(engine.gains)
+        worst = max([worst, *engine.errors])
+    assert moves >= 50
+    _ok(2, f"worked instance exact; {moves} audited moves on 100 random graphs, "
+           f"max |delta| {worst:.2e}")
 
 
 # -- 3 -------------------------------------------------------------------------

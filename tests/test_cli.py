@@ -74,6 +74,33 @@ def test_partition_json_optimal_on_chain3(capsys, tmp_path):
     assert step2["lq_trace"][-1] == pytest.approx(step2["lq"])
 
 
+@pytest.mark.parametrize("eps, message", [
+    ("1e-160", "shot budget of partition 0"),   # the budget exceeds the largest float
+    ("1e-200", "shot budget of partition 0"),   # eps ** 2 underflows to zero
+    ("inf", "eps must be finite and positive"),
+    ("nan", "eps must be finite and positive"),
+])
+def test_partition_extreme_eps_fails_cleanly(capsys, tmp_path, eps, message):
+    path = tmp_path / "chain3.qasm"
+    path.write_text(to_qasm(chain3()))
+    code, out, err = run_cli(capsys, "partition", str(path), "-D", "2",
+                             "--format", "json", "--eps", eps)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_partition_overflowing_budget_fails_cleanly(capsys, tmp_path):
+    """About 600 partitions: the overhead factor alone overflows a float."""
+    path = tmp_path / "wide.qasm"
+    path.write_text(to_qasm(ising_chain(40, depth=16, seed=1)))
+    code, out, err = run_cli(capsys, "partition", str(path), "-D", "2",
+                             "--format", "json", "--eps", "0.03")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the shot budget of partition ")
+
+
 def test_partition_json_stable_except_timing(capsys, tmp_path):
     path = tmp_path / "c.qasm"
     path.write_text(to_qasm(ising_chain(14, seed=3)))

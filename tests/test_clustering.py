@@ -8,15 +8,16 @@ import pytest
 
 import cutplan
 from cutplan.clustering import (AuditError, Clustering, InfeasibleCapError,
-                                _Level, _LogOverheadEngine, _ModularityEngine, modularity,
-                                qubit_feasible, run_pipeline, step1_modularity,
-                                step2_lq_min)
+                                _Level, _LevelState, _LogOverheadEngine, _ModularityEngine,
+                                _step1_with_stats, _step2_with_stats, run_pipeline,
+                                step1_modularity, step2_lq_min)
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, Node, build_cut_graph, contract
-from cutplan.overhead import max_log_overhead
+from cutplan.overhead import cut_summary
 from cutplan.qasm import CircuitIR, GateApp
 
-from conftest import best_feasible_log_overhead, make_edge, random_graph
+from conftest import (best_feasible_log_overhead, make_edge, modularity_oracle,
+                      random_graph, random_start)
 
 LN2 = math.log(2)
 LN9 = math.log(9)
@@ -24,25 +25,28 @@ LN16 = math.log(16)
 
 
 def test_qubit_feasible_basic():
+    """Node 2 may join cluster {0, 1} only when the cap admits three qubits."""
     g = CutGraph(
         (Node(0, frozenset({0, 1})), Node(1, frozenset({1})), Node(2, frozenset({2}))),
         (make_edge(0, 1, 4, 2), make_edge(1, 2, 4, 2)),
     )
-    cl = Clustering.from_assignment(g, {0: 0, 1: 1, 2: 2}, 2)
-    assert qubit_feasible(g, cl, 1, 0, 2)       # {0,1} | {1} -> union 2
-    assert not qubit_feasible(g, cl, 2, 0, 2)   # {0,1} | {2} -> union 3
+    for cap, feasible in ((2, False), (3, True)):
+        engine = _ModularityEngine(_Level.from_graph(g), cap, [0, 0, 2], audit=True)
+        engine.sweep([2])
+        assert engine.stats.gain_evals == int(feasible)
+        assert (engine.cluster_of[2] == 0) is feasible
 
 
 def test_qubit_feasible_matches_set_union(rng):
+    """The cap test's bitmasks count exactly the union of qubit sets."""
     for _ in range(50):
         g = random_graph(rng)
-        cap = int(rng.integers(1, 5))
-        assignment = {i: int(rng.integers(0, 3)) for i in range(g.num_nodes)}
-        cl = Clustering.from_assignment(g, assignment, 99)
-        i = int(rng.integers(0, g.num_nodes))
-        for c in cl.clusters:
-            expected = len(cl.clusters[c].qubits | g.nodes[i].qubits) <= cap
-            assert qubit_feasible(g, cl, i, c, cap) == expected
+        state = _LevelState(_Level.from_graph(g), 99, random_start(rng, g))
+        for c in state.live():
+            qubits = set().union(*(g.nodes[i].qubits for i in state.members[c]))
+            for node in g.nodes:
+                assert ((state.cmask[c] | state.level.mask[node.id]).bit_count()
+                        == len(qubits | node.qubits))
 
 
 def test_step1_separates_weak_components():
@@ -65,8 +69,8 @@ def test_step1_respects_cap_and_improves(rng):
         cap = int(rng.integers(1, 4))
         cl = step1_modularity(g, cap, audit=True)
         cl.validate(g)
-        singles = Clustering.singletons(g, cap)
-        assert modularity(g, cl) >= modularity(g, singles) - 1e-12
+        singles = {n.id: n.id for n in g.nodes}
+        assert modularity_oracle(g, cl.assignment) >= modularity_oracle(g, singles) - 1e-12
 
 
 def test_step1_infeasible_cap():
@@ -81,18 +85,15 @@ def test_step1_no_local_improvement_at_top_level():
     g = build_cut_graph(ising_chain(16, seed=2))
     cl = step1_modularity(g, max_qubits=6)
     top = contract(g, cl)
-    singles = Clustering.singletons(top, 6)
-    base = modularity(top, singles)
+    singles = {n.id: n.id for n in top.nodes}
+    base = modularity_oracle(top, singles)
     for node in top.nodes:
-        for target in singles.clusters:
-            if target == node.id:
+        for target in top.nodes:
+            if target.id == node.id or len(target.qubits | node.qubits) > 6:
                 continue
-            if not qubit_feasible(top, singles, node.id, target, 6):
-                continue
-            moved = {n.id: n.id for n in top.nodes}
-            moved[node.id] = target
-            trial = Clustering.from_assignment(top, moved, 99)
-            assert modularity(top, trial) <= base + 1e-9
+            moved = dict(singles)
+            moved[node.id] = target.id
+            assert modularity_oracle(top, moved) <= base + 1e-9
 
 
 def test_step2_single_cluster_unchanged():
@@ -109,8 +110,9 @@ def test_step2_path_merges_to_bipartition():
     g = CutGraph(nodes, edges)
     cl = step2_lq_min(g, max_qubits=4, audit=True)
     assert cl.num_clusters == 2
-    assert max_log_overhead(cl, g) == pytest.approx(LN2 + LN16)
-    assert max_log_overhead(cl, g) == pytest.approx(best_feasible_log_overhead(g, 4))
+    lq = cut_summary(g, cl).max_log_overhead()
+    assert lq == pytest.approx(LN2 + LN16)
+    assert lq == pytest.approx(best_feasible_log_overhead(g, 4))
 
 
 def test_step2_never_worse_than_start(rng):
@@ -120,7 +122,28 @@ def test_step2_never_worse_than_start(rng):
         start = Clustering.singletons(g, cap)
         cl = step2_lq_min(g, cap, audit=True)
         cl.validate(g)
-        assert max_log_overhead(cl, g) <= max_log_overhead(start, g) + 1e-9
+        assert (cut_summary(g, cl).max_log_overhead()
+                <= cut_summary(g, start).max_log_overhead() + 1e-9)
+
+
+def test_lq_trace_opens_with_the_start_objective(rng):
+    """Stage 2's keep-the-start fallback reads the start's worst log
+    overhead from the trace, so the trace must open with exactly it."""
+    cases = []
+    for _ in range(40):
+        g = random_graph(rng, max_nodes=9)
+        start = Clustering.from_assignment(g, dict(enumerate(random_start(rng, g))), 99)
+        cases.append((g, max(len(c.qubits) for c in start.clusters.values()), start))
+    for width, depth, cap in ((12, 1, 4), (30, 2, 8), (60, 2, 12), (100, 1, 30)):
+        g = build_cut_graph(ising_chain(width, depth, seed=width))
+        step1, _ = _step1_with_stats(g, cap)
+        cases.append((g, cap, step1))
+        cases.append((contract(g, step1), cap, None))
+    for g, cap, start in cases:
+        _, stats = _step2_with_stats(g, cap, initial=start, audit=True)
+        if start is None:
+            start = Clustering.singletons(g, cap)
+        assert stats.lq_trace[0] == cut_summary(g, start).max_log_overhead()
 
 
 def test_pipeline_chain3_exact_optimum():
@@ -219,8 +242,9 @@ def test_modularity_preserved_under_contraction(rng):
         g = random_graph(rng, max_nodes=8)
         cl = step1_modularity(g, max_qubits=4)
         contracted = contract(g, cl)
-        singles = Clustering.singletons(contracted, 99)
-        assert modularity(contracted, singles) == pytest.approx(modularity(g, cl))
+        singles = {n.id: n.id for n in contracted.nodes}
+        assert (modularity_oracle(contracted, singles)
+                == pytest.approx(modularity_oracle(g, cl.assignment)))
 
 
 def test_wide_chain_soft_regression():
@@ -287,21 +311,20 @@ def _corrupt_cap(engine):
     lambda e: e.sigma.__setitem__(e.cluster_of[0], e.sigma[e.cluster_of[0]] + 1.0),
 ])
 def test_step1_audit_catches_corrupted_bookkeeping(corrupt):
-    engine = _ModularityEngine(_Level.from_graph(_two_blobs()), 3)
+    engine = _ModularityEngine(_Level.from_graph(_two_blobs()), 3, audit=True)
     engine.sweep(engine.visit_order("weighted", None))
-    engine._check_state()
+    engine._check_state(0.0)  # no move since the sweep's last check
     corrupt(engine)
-    engine._audit_q = None
     with pytest.raises(AuditError):
-        engine._check_state()
+        engine._check_state(0.0)
 
 
 def test_step1_audit_requires_rising_modularity():
-    engine = _ModularityEngine(_Level.from_graph(_two_blobs()), 3)
+    """A claimed gain must show up as the same rise in from-scratch Q."""
+    engine = _ModularityEngine(_Level.from_graph(_two_blobs()), 3, audit=True)
     engine.sweep(engine.visit_order("weighted", None))
-    engine._check_state()
-    with pytest.raises(AuditError, match="raise Q"):
-        engine._check_state()
+    with pytest.raises(AuditError, match="Q changed by"):
+        engine._check_state(1e-3)
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -1,0 +1,97 @@
+"""Export hygiene: what the packages export resolves, deleted API stays gone,
+and the benchmark's view of the API keeps its names and signatures."""
+
+import ast
+import importlib
+import inspect
+import os
+
+import pytest
+
+import cutplan
+import cutplan.cutsim
+
+PERFBENCH_RUN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "run.py")
+
+# (module, name) of API that had one caller or none outside the tests
+DELETED = [
+    ("cutplan.clustering", "ModularityState"),
+    ("cutplan.clustering", "modularity_gain"),
+    ("cutplan.clustering", "modularity"),
+    ("cutplan.clustering", "qubit_feasible"),
+    ("cutplan.clustering", "_gain"),
+    ("cutplan.overhead", "cluster_log_overhead"),
+    ("cutplan.overhead", "max_log_overhead"),
+]
+
+# every name perfbench/run.py's import_cutplan binds, with its parameters
+# (None: not a callable)
+BENCHMARK_API = {
+    "parse_qasm": ["text", "name"],
+    "build_cut_graph": ["circuit", "weights"],
+    "run_pipeline": ["graph", "max_qubits", "order", "restarts", "seed", "audit"],
+    "build_report": ["clustering", "graph", "eps"],
+    "step1_modularity": ["graph", "max_qubits", "order", "rng", "audit"],
+    "contract": ["graph", "clustering"],
+    "segment_flags": ["graph", "clustering"],
+    "DEFAULT_WEIGHTS": None,
+    "pauli_z_observable": ["qubits"],
+    "ring_cuts": ["partitions"],
+    "expectation_value": ["circuit", "obs"],
+    "cut_estimate": ["circuit", "cuts", "obs", "eps", "seed"],
+    "plan_partitions": ["circuit", "cuts", "obs"],
+    "cut_specs": ["circuit", "cuts"],
+    "allocate_shots": ["plans", "specs", "r", "eps"],
+    "value_table": ["obs_factors", "num_qubits"],
+    "variant_distribution": ["plan", "specs", "choice", "values"],
+    "combine_means": ["plans", "specs", "means"],
+}
+
+
+@pytest.mark.parametrize("package", [cutplan, cutplan.cutsim])
+def test_all_names_resolve(package):
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert missing == []
+    assert len(set(package.__all__)) == len(package.__all__)
+
+
+@pytest.mark.parametrize("module, name", DELETED)
+def test_deleted_names_are_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+    assert name not in cutplan.__all__
+    assert not hasattr(cutplan, name)
+
+
+def test_dead_helpers_are_gone():
+    assert not hasattr(cutplan.Edge, "other")
+    assert not hasattr(cutplan.CutGraph, "qubits")
+    assert not hasattr(cutplan.overhead.CutSummary, "overhead")
+    assert "qubit_map" not in inspect.signature(cutplan.cutsim.value_table).parameters
+
+
+def _benchmark_bindings():
+    """(bound name, module, attribute) of the ``SimpleNamespace`` that
+    ``import_cutplan`` returns, read from the source so that nothing is
+    imported a second time."""
+    modules = {"cutplan": "cutplan", "cutsim": "cutplan.cutsim",
+               "overhead": "cutplan.overhead"}
+    with open(PERFBENCH_RUN, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "import_cutplan")
+    call = next(node for node in ast.walk(func)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "SimpleNamespace")
+    return [(kw.arg, modules[kw.value.value.id], kw.value.attr) for kw in call.keywords]
+
+
+def test_benchmark_api_resolves_with_its_signatures():
+    bindings = _benchmark_bindings()
+    assert {name for name, _, _ in bindings} == set(BENCHMARK_API)
+    for name, module, attr in bindings:
+        obj = getattr(importlib.import_module(module), attr)
+        params = BENCHMARK_API[name]
+        if params is None:
+            assert not callable(obj), name
+        else:
+            assert list(inspect.signature(obj).parameters) == params, name

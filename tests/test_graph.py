@@ -132,7 +132,8 @@ def test_weight_conservation_random(rng):
         assert h.total_w() == pytest.approx(g.total_w())
         assert (sum(e.w_hat for e in h.edges)
                 == pytest.approx(sum(e.w_hat for e in g.edges)))
-        assert h.qubits() == g.qubits()
+        assert (set().union(*(n.qubits for n in h.nodes))
+                == set().union(*(n.qubits for n in g.nodes)))
 
 
 def _contracted_edges_oracle(graph, clustering):

@@ -1,12 +1,19 @@
-"""Modularity arithmetic against from-scratch evaluation."""
+"""The stage-1 engine's modularity arithmetic against from-scratch evaluation.
+
+Every engine here runs under audit, which checks each accepted gain against
+modularity recomputed from the level's edges; ``OracleCheckedEngine`` also
+checks it against ``conftest.modularity_oracle``, which classifies the raw
+edges of the ``CutGraph`` itself.
+"""
 
 import math
 
 import pytest
 
-from cutplan.clustering import ModularityState, modularity, modularity_gain
+from cutplan.graph import CutGraph, Node
 
-from conftest import modularity_oracle, random_clustering, random_graph
+from conftest import (OracleCheckedEngine, make_edge, random_graph, random_start,
+                      worked_gain_graph)
 
 LN9 = math.log(9)
 LN16 = math.log(16)
@@ -14,96 +21,80 @@ LN49 = math.log(49)
 
 
 def test_worked_gain_instance():
-    """Move between two specific clusters with the known local quantities."""
+    """The engine's bookkeeping realises the worked instance, and the gain
+    it accepts for moving node 0 is the closed form."""
+    graph, cluster_of = worked_gain_graph()
+    engine = OracleCheckedEngine(graph, cluster_of)
     m = 20 * LN16 + 10 * LN9 + LN49
     k_i = 2 * LN16 + LN9
-    sigma_c = 10 * LN16 + 6 * LN9
-    sigma_cp = 4 * LN16 + 2 * LN9 + LN49
-    state = ModularityState.from_values(
-        m=m,
-        k={7: k_i},
-        sigma={0: sigma_c, 1: sigma_cp},
-        k_to={(7, 0): LN16, (7, 1): LN16},
-    )
-    gain = modularity_gain(state, 7, 0, 1)
+    assert engine.m == pytest.approx(m, rel=1e-12)
+    assert engine.k[0] == pytest.approx(k_i, rel=1e-12)
+    assert engine.sigma[0] == pytest.approx(10 * LN16 + 6 * LN9, rel=1e-12)
+    assert engine.sigma[1] == pytest.approx(4 * LN16 + 2 * LN9 + LN49, rel=1e-12)
+    assert engine.sweep([0]) == 1
+    assert engine.cluster_of[0] == 1
     expected = k_i * (4 * LN16 + 3 * LN9 - LN49) / (2 * m * m)
-    assert gain == pytest.approx(expected, rel=1e-12)
+    assert engine.gains == [pytest.approx(expected, rel=1e-12)]
 
 
 def test_isolated_node_gain():
-    # node alone in its cluster, no edges into the destination: the removal
-    # half vanishes (sigma of a singleton equals k_i) and only the addition
-    # penalty remains; confirmed by the from-scratch delta below
-    m, k_i, sigma_to = 10.0, 3.0, 4.0
-    state = ModularityState.from_values(
-        m=m, k={0: k_i}, sigma={0: k_i, 1: sigma_to}, k_to={})
-    gain = modularity_gain(state, 0, 0, 1)
-    assert gain == pytest.approx(-k_i * sigma_to / (2 * m * m))
+    # node 0 alone in its cluster: sigma of a singleton is exactly k_0, so the
+    # removal half of the gain vanishes and only the addition half remains
+    graph = CutGraph(tuple(Node(i, frozenset((i,))) for i in range(3)),
+                     (make_edge(0, 1, 4, 2), make_edge(1, 2, 3, 1.5)))
+    engine = OracleCheckedEngine(graph, [0, 1, 1])
+    assert engine.sigma[0] == engine.k[0]
+    m, k_0, sigma_to = LN16 + LN9, LN16, LN16 + 2 * LN9
+    assert engine.sweep([0]) == 1
+    expected = LN16 / m - k_0 * sigma_to / (2 * m * m)
+    assert engine.gains == [pytest.approx(expected, rel=1e-12)]
 
 
 def test_gain_matches_from_scratch_delta(rng):
-    """Incremental gain == Q(after) - Q(before), on random weighted graphs."""
-    checked = 0
-    while checked < 100:
+    """Every accepted gain == Q(after) - Q(before), from random starts."""
+    moves = 0
+    for trial in range(100):
         graph = random_graph(rng, max_nodes=10)
-        clustering = random_clustering(rng, graph)
-        state = ModularityState.from_clustering(graph, clustering)
-        i = int(rng.integers(0, graph.num_nodes))
-        c_from = clustering.assignment[i]
-        targets = [c for c in clustering.clusters if c != c_from]
-        if not targets:
-            continue
-        c_to = targets[int(rng.integers(0, len(targets)))]
-        gain = modularity_gain(state, i, c_from, c_to)
-
-        before = modularity_oracle(graph, clustering.assignment)
-        moved = dict(clustering.assignment)
-        moved[i] = c_to
-        after = modularity_oracle(graph, moved)
-        assert gain == pytest.approx(after - before, abs=1e-9)
-        checked += 1
+        engine = OracleCheckedEngine(graph, random_start(rng, graph))
+        engine.settle("random" if trial % 2 else "weighted", rng)
+        moves += len(engine.gains)
+    assert moves >= 100
 
 
 def test_gain_with_self_loops(rng):
     """Self-loops stay with the node, so the gain must still match."""
-    for _ in range(30):
+    moved_with_loop = 0
+    for _ in range(200):
         graph = random_graph(rng, max_nodes=6, self_loops=True)
-        if not any(e.is_self_loop() for e in graph.edges):
+        looped = {e.u for e in graph.edges if e.is_self_loop()}
+        if not looped:
             continue
-        clustering = random_clustering(rng, graph)
-        state = ModularityState.from_clustering(graph, clustering)
-        for i in range(graph.num_nodes):
-            c_from = clustering.assignment[i]
-            for c_to in clustering.clusters:
-                if c_to == c_from:
-                    continue
-                gain = modularity_gain(state, i, c_from, c_to)
-                moved = dict(clustering.assignment)
-                moved[i] = c_to
-                delta = (modularity_oracle(graph, moved)
-                         - modularity_oracle(graph, clustering.assignment))
-                assert gain == pytest.approx(delta, abs=1e-9)
+        engine = OracleCheckedEngine(graph, random_start(rng, graph))
+        engine.settle()
+        moved_with_loop += sum(1 for i in engine.moved if i in looped)
+    assert moved_with_loop >= 10
 
 
 def test_modularity_matches_oracle(rng):
+    """The audit's own from-scratch modularity is the oracle's."""
     for _ in range(30):
         graph = random_graph(rng)
-        clustering = random_clustering(rng, graph)
-        assert modularity(graph, clustering) == pytest.approx(
-            modularity_oracle(graph, clustering.assignment), abs=1e-12)
+        engine = OracleCheckedEngine(graph, random_start(rng, graph))
+        assert engine._checked_modularity() == pytest.approx(engine.q, abs=1e-12)
 
 
 def test_attached_weight_identity(rng):
-    """Sigma_c = 2*M_c + boundary weight, for every cluster."""
+    """Sigma_c = 2*M_c + boundary weight, for every cluster of a random start."""
     for _ in range(20):
         graph = random_graph(rng)
-        clustering = random_clustering(rng, graph)
-        state = ModularityState.from_clustering(graph, clustering)
+        engine = OracleCheckedEngine(graph, random_start(rng, graph))
+        cluster_of = engine.cluster_of
         total_sigma = 0.0
-        for c in clustering.clusters:
-            boundary = sum(
-                e.w for e in graph.edges
-                if (clustering.assignment[e.u] == c) != (clustering.assignment[e.v] == c))
-            assert state.sigma[c] == pytest.approx(2 * state.intra[c] + boundary)
-            total_sigma += state.sigma[c]
-        assert total_sigma == pytest.approx(2 * state.m)
+        for c in engine.live():
+            intra = sum(e.w for e in graph.edges
+                        if cluster_of[e.u] == c and cluster_of[e.v] == c)
+            boundary = sum(e.w for e in graph.edges
+                           if (cluster_of[e.u] == c) != (cluster_of[e.v] == c))
+            assert engine.sigma[c] == pytest.approx(2 * intra + boundary)
+            total_sigma += engine.sigma[c]
+        assert total_sigma == pytest.approx(2 * engine.m)

@@ -5,10 +5,11 @@ import pytest
 from cutplan.clustering import Clustering
 from cutplan.fixtures import ising_chain
 from cutplan.graph import CutGraph, CutKind, Node, build_cut_graph
-from cutplan.overhead import (build_report, cluster_log_overhead, cut_summary,
-                              cubic_bound, prior_bound, segment_flags,
+from cutplan.overhead import (build_report, cut_summary, cubic_bound,
+                              partition_shots, prior_bound, segment_flags,
                               shot_budget)
 from cutplan.clustering import run_pipeline
+from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import (log_overhead_oracle, make_edge, random_clustering,
                       random_graph)
@@ -28,7 +29,7 @@ def three_partition_four_cut_graph():
 
 def test_worked_three_partition_overheads():
     g, cl = three_partition_four_cut_graph()
-    ln_i_1 = cluster_log_overhead(cl, g, 0)
+    ln_i_1 = cut_summary(g, cl).log_overhead(0)
     assert ln_i_1 == pytest.approx(LN3 + 3 * LN16 + LN2)
     assert math.exp(ln_i_1) == pytest.approx(24576, rel=1e-12)
 
@@ -37,7 +38,7 @@ def test_no_cuts_single_cluster():
     g = CutGraph((Node(0, frozenset({0})), Node(1, frozenset({1}))),
                  (make_edge(0, 1, 3, 1.5),))
     cl = Clustering.from_assignment(g, {0: 0, 1: 0}, 2)
-    assert cluster_log_overhead(cl, g, 0) == pytest.approx(0.0)
+    assert cut_summary(g, cl).log_overhead(0) == pytest.approx(0.0)
     budget = shot_budget(cl, g, eps=0.1)
     assert budget["n_total"] == 100
 
@@ -47,7 +48,7 @@ def test_log_overhead_matches_bruteforce(rng):
         g = random_graph(rng, max_nodes=6)
         cl = random_clustering(rng, g)
         for c in cl.clusters:
-            got = cluster_log_overhead(cl, g, c)
+            got = cut_summary(g, cl).log_overhead(c)
             want = log_overhead_oracle(g, cl.assignment, c)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -148,8 +149,8 @@ def test_monotonicity_adding_cut(rng):
         for c in coarse_cl.clusters:
             if c == merged_pair[0]:
                 continue
-            assert cluster_log_overhead(cl, g, c) >= \
-                cluster_log_overhead(coarse_cl, g, c) - 1e-9
+            assert cut_summary(g, cl).log_overhead(c) >= \
+                cut_summary(g, coarse_cl).log_overhead(c) - 1e-9
 
 
 def test_partition_count_term():
@@ -161,26 +162,62 @@ def test_partition_count_term():
     )
     r3 = Clustering.from_assignment(g, {0: 0, 1: 1, 2: 2, 3: 2}, 4)
     r4 = Clustering.from_assignment(g, {0: 0, 1: 1, 2: 2, 3: 3}, 4)
-    a = cluster_log_overhead(r3, g, 1)
-    b = cluster_log_overhead(r4, g, 1)
+    a = cut_summary(g, r3).log_overhead(1)
+    b = cut_summary(g, r4).log_overhead(1)
     assert a == pytest.approx(math.log(3) + LN16)
     assert b - a == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
 
 
 def test_exp_consistency(rng):
+    """The log-space overhead and the linear-space shot budget agree: at
+    eps = 1e-4 rounding up adds less than 1e-8 of the budget."""
     for _ in range(20):
         g = random_graph(rng, max_nodes=6, self_loops=False)
         cl = random_clustering(rng, g)
         summary = cut_summary(g, cl)
+        budget = shot_budget(cl, g, eps=1e-4)
         for c in cl.clusters:
-            assert math.exp(summary.log_overhead(c)) == pytest.approx(
-                summary.overhead(c), rel=1e-12)
+            assert budget["n_c"][c] * 1e-8 == pytest.approx(
+                math.exp(summary.log_overhead(c)), rel=1e-8)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_partition_shots_rejects_eps(eps):
+    with pytest.raises(ValueError, match="finite and positive"):
+        partition_shots(2, 9.0, 1.5, 1.5, eps, 0)
+
+
+@pytest.mark.parametrize("args", [
+    (2, 9.0, 1.5, 1.5, 1e-160),    # the budget exceeds the largest float
+    (2, 9.0, 1.5, 1.5, 1e-200),    # eps ** 2 underflows to zero
+    (2, math.inf, 1.0, 1.0, 0.03),  # the overhead factor itself overflowed
+    (2, math.inf, math.inf, math.inf, 0.03),
+])
+def test_partition_shots_overflow_names_the_partition(args):
+    with pytest.raises(OverflowError, match="partition 7 "):
+        partition_shots(*args, 7)
+
+
+def test_budget_of_a_circuit_with_nothing_to_cut():
+    """No 2-qubit gate: one partition, no cut, so ceil(1/eps^2) shots, and
+    eps is checked as for any other plan."""
+    g = build_cut_graph(CircuitIR(2, (GateApp("h", (0,)),)))
+    cl = run_pipeline(g, 2).clustering
+    report = build_report(cl, g, eps=0.1)
+    assert (report.r, report.n_c, report.n_total) == (1, {0: 100}, 100)
+    assert shot_budget(cl, g, eps=0.1) == {"n_c": {0: 100}, "n_total": 100}
+    with pytest.raises(ValueError):
+        build_report(cl, g, eps=-1.0)
+
+
+def test_partition_shots_closed_form():
+    # R = 3, attached kappa^2 = 16 * 16 * 16, the one other cut's tau = 2
+    assert partition_shots(3, 4096.0, 8.0, 16.0, 1.0, 0) == 24576
+    assert partition_shots(2, 9.0, 1.5, 1.5, 0.1, 0) == 1800
 
 
 def test_segment_flags():
     # wire 1 revisits cluster 0 after an excursion: two segments, one qubit
-    from cutplan.qasm import CircuitIR, GateApp
-
     circuit = CircuitIR(3, (GateApp("cx", (0, 1)), GateApp("cx", (1, 2)),
                             GateApp("cx", (0, 1))))
     g = build_cut_graph(circuit)

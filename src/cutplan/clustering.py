@@ -310,15 +310,15 @@ class _ModularityEngine(_LevelState):
             k_i = k[i]
             mask_i = mask[i]
             remove = -k_i_cfrom / m + k_i * (sigma[c_from] - k_i) / two_m2
-            best_gain = 0.0
+            best_dq = 0.0
             best = c_from
             for c_to in sorted(nb_w):
                 if (cmask[c_to] | mask_i).bit_count() > cap:
                     continue
                 evals += 1
                 gain = remove + nb_w[c_to] / m - k_i * sigma[c_to] / two_m2
-                if gain > best_gain + EPS:
-                    best_gain = gain
+                if gain > best_dq + EPS:
+                    best_dq = gain
                     best = c_to
             if best != c_from:
                 sigma[c_from] -= k_i
@@ -326,7 +326,7 @@ class _ModularityEngine(_LevelState):
                 self.relocate(i, c_from, best)
                 moves += 1
                 if self.audit:
-                    self._check_state(best_gain)
+                    self._check_state(best_dq)
         self.stats.moves += moves
         self.stats.gain_evals += evals
         return moves

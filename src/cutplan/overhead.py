@@ -103,6 +103,11 @@ def cut_summary(graph: CutGraph, clustering: "Clustering") -> CutSummary:
     )
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+
+
 def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
                     tau_cut: float, eps: float, partition: int) -> int:
     """Shots that partition ``partition`` needs for a standard deviation
@@ -116,8 +121,7 @@ def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
     budgets come out exact. Raises ``ValueError`` unless eps is finite and
     positive, and ``OverflowError`` when the budget does not fit a float.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+    _check_eps(eps)
     eps_sq = eps ** 2
     overhead = r * attached_kappa_sq * (tau_cut / attached_tau)
     shots = overhead / eps_sq if eps_sq else math.inf
@@ -128,12 +132,10 @@ def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
 
 
 def _budget(summary: CutSummary, eps: float) -> dict:
-    if summary.r:
-        n_c = {c: partition_shots(summary.r, summary.attached_kappa_sq[c],
-                                  summary.attached_tau[c], summary.tau_cut, eps, c)
-               for c in sorted(summary.s_w)}
-    else:  # nothing to cut: the circuit runs whole, as one partition
-        n_c = {0: partition_shots(1, 1.0, 1.0, 1.0, eps, 0)}
+    _check_eps(eps)  # also when there is no partition to budget
+    n_c = {c: partition_shots(summary.r, summary.attached_kappa_sq[c],
+                              summary.attached_tau[c], summary.tau_cut, eps, c)
+           for c in sorted(summary.s_w)}
     return {"n_c": n_c, "n_total": sum(n_c.values())}
 
 

@@ -169,16 +169,18 @@ def test_partition_count_term():
 
 
 def test_exp_consistency(rng):
-    """The log-space overhead and the linear-space shot budget agree: at
-    eps = 1e-4 rounding up adds less than 1e-8 of the budget."""
+    """The log-space overhead and the linear-space shot budget agree. At
+    eps = 2^-40, eps^2 = 2^-80 divides exactly, and since every overhead is
+    at least 1, rounding up adds less than 2^-80 of the budget."""
+    eps_sq = 2.0 ** -80
     for _ in range(20):
         g = random_graph(rng, max_nodes=6, self_loops=False)
         cl = random_clustering(rng, g)
         summary = cut_summary(g, cl)
-        budget = shot_budget(cl, g, eps=1e-4)
+        budget = shot_budget(cl, g, eps=2.0 ** -40)
         for c in cl.clusters:
-            assert budget["n_c"][c] * 1e-8 == pytest.approx(
-                math.exp(summary.log_overhead(c)), rel=1e-8)
+            assert budget["n_c"][c] * eps_sq == pytest.approx(
+                math.exp(summary.log_overhead(c)), rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, -math.inf, math.nan])
@@ -199,15 +201,18 @@ def test_partition_shots_overflow_names_the_partition(args):
 
 
 def test_budget_of_a_circuit_with_nothing_to_cut():
-    """No 2-qubit gate: one partition, no cut, so ceil(1/eps^2) shots, and
-    eps is checked as for any other plan."""
+    """No 2-qubit gate: no cluster, so an empty budget, but eps is checked
+    as for any other plan."""
     g = build_cut_graph(CircuitIR(2, (GateApp("h", (0,)),)))
     cl = run_pipeline(g, 2).clustering
     report = build_report(cl, g, eps=0.1)
-    assert (report.r, report.n_c, report.n_total) == (1, {0: 100}, 100)
-    assert shot_budget(cl, g, eps=0.1) == {"n_c": {0: 100}, "n_total": 100}
-    with pytest.raises(ValueError):
-        build_report(cl, g, eps=-1.0)
+    assert (report.n_c, report.n_total) == ({}, 0)
+    assert shot_budget(cl, g, eps=0.1) == {"n_c": {}, "n_total": 0}
+    for eps in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_report(cl, g, eps=eps)
+        with pytest.raises(ValueError, match="finite and positive"):
+            shot_budget(cl, g, eps=eps)
 
 
 def test_partition_shots_closed_form():

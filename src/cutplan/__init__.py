@@ -8,7 +8,7 @@ budget that overhead implies.
 
 from .clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
                          PipelineResult, StageMetrics, run_pipeline,
-                         step1_modularity, step2_lq_min)
+                         step1_modularity)
 from .graph import (CutGraph, CutKind, CutWeights, Edge, Node,
                     UnknownGateWeightError, WeightTable, build_cut_graph,
                     contract, to_dot, DEFAULT_WEIGHTS)
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditError", "Cluster", "Clustering", "InfeasibleCapError",
     "PipelineResult", "StageMetrics", "run_pipeline", "step1_modularity",
-    "step2_lq_min",
     "CutGraph", "CutKind", "CutWeights", "Edge", "Node",
     "UnknownGateWeightError", "WeightTable", "build_cut_graph", "contract",
     "to_dot", "DEFAULT_WEIGHTS",

@@ -52,16 +52,38 @@ def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.Argume
     return subparsers.choices[command]
 
 
+def _config_value(action: argparse.Action, value):
+    """``value`` as the flag ``action`` takes it: a JSON bool for a
+    ``store_true`` flag, else a string the flag parses or a JSON number of
+    its type, and one of its choices if it has any."""
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    elif isinstance(value, str):
+        try:
+            value = action.type(value) if action.type else value
+            ok = True
+        except ValueError:
+            ok = False
+    else:  # an int also for a float flag, as "--eps 1" is
+        ok = (action.type in (int, float) and not isinstance(value, bool)
+              and isinstance(value, (int, action.type)))
+        value = action.type(value) if ok else value
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise ValueError(f"{action.option_strings[0]} does not take {json.dumps(value)}")
+    return value
+
+
 def _config_defaults(subparser: argparse.ArgumentParser, config: dict) -> dict:
-    """Config keys as flag destinations; only the subcommand's options are
-    accepted, ``--config`` itself excluded."""
-    known = {action.dest for action in subparser._actions
-             if action.option_strings and action.dest not in ("help", "config")}
+    """Config keys as flag destinations, each value checked as its flag would
+    check it; only the subcommand's options are accepted, ``--config``
+    itself excluded."""
+    actions = {action.dest: action for action in subparser._actions
+               if action.option_strings and action.dest not in ("help", "config")}
     defaults = {key.replace("-", "_"): value for key, value in config.items()}
-    unknown = sorted(set(defaults) - known)
+    unknown = sorted(set(defaults) - set(actions))
     if unknown:
         raise ValueError(f"unknown key(s) {', '.join(unknown)}")
-    return defaults
+    return {dest: _config_value(actions[dest], value) for dest, value in defaults.items()}
 
 
 def _run_file(path: str, args) -> tuple[PipelineResult, object, object]:
@@ -130,6 +152,8 @@ def _bench_row(path: str, args) -> str:
 def cmd_bench(args) -> int:
     if args.max_qubits < 1:
         return _fail(f"infeasible qubit cap {args.max_qubits}", EXIT_INFEASIBLE)
+    if args.jobs is not None and args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}", EXIT_ERROR)
     try:
         files = sorted(
             os.path.join(args.dir, f) for f in os.listdir(args.dir)
@@ -233,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="partition every .qasm in a directory")
     p.add_argument("dir")
     common(p)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: one per core)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run the variance-bound experiment")

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import CutGraph, contract, merge_parallel_edges
+from .graph import CutGraph, merge_parallel_edges
 from .overhead import cut_summary
 
 EPS = 1e-9
@@ -68,10 +68,6 @@ class Clustering:
                 qubits |= graph.nodes[n].qubits
             clusters[c] = Cluster(frozenset(nodes), frozenset(qubits))
         return cls(dict(assignment), clusters, max_qubits)
-
-    @classmethod
-    def singletons(cls, graph: CutGraph, max_qubits: int) -> "Clustering":
-        return cls.from_assignment(graph, {n.id: n.id for n in graph.nodes}, max_qubits)
 
     @property
     def num_clusters(self) -> int:
@@ -492,31 +488,19 @@ class _LogOverheadEngine(_LevelState):
 # multi-level drivers
 # ---------------------------------------------------------------------------
 
-def _run_levels(graph: CutGraph, max_qubits: int, engine_cls, order: str,
+def _run_levels(level: _Level, max_qubits: int, engine_cls, order: str,
                 rng: np.random.Generator | None, audit: bool,
-                initial: Clustering | None = None):
+                start: list[int] | None = None):
     """Repeat (local moves until stable, then contract) until a level is quiet.
 
-    Levels are flat ``_Level`` lists; the one ``Clustering`` is built from the
-    quiet level's clusters, mapped back to the nodes of ``graph``.
+    Starts from singletons, or from the dense cluster labels ``start`` (left
+    unchanged). Returns the cluster label of every node of ``level`` and the
+    stage statistics; labels are the quiet level's cluster ids, which are
+    dense.
     """
-    for node in graph.nodes:
-        if len(node.qubits) > max_qubits:
-            raise InfeasibleCapError(
-                f"node {node.id} spans {len(node.qubits)} qubits; cap is {max_qubits}")
-    level = _Level.from_graph(graph)
-    n = len(level.mask)
-    node_map = np.arange(n)  # level node of every node of graph
-    names = range(n)
-    cluster_of = None  # singletons
-    if initial is not None:
-        # dense relabelling keeps the order of cluster ids, so candidate order
-        # and tie-breaks are those of the given labels
-        names = sorted(set(initial.assignment.values()))
-        dense = {c: i for i, c in enumerate(names)}
-        cluster_of = [dense[initial.assignment[i]] for i in range(n)]
+    node_map = np.arange(len(level.mask))  # current-level node of every node
+    cluster_of = None if start is None else list(start)
     stats = StageStats()
-
     while True:
         engine = engine_cls(level, max_qubits, cluster_of, audit=audit)
         stats.passes += 1
@@ -531,58 +515,44 @@ def _run_levels(graph: CutGraph, max_qubits: int, engine_cls, order: str,
             break
         level, label = level.contracted(engine.cluster_of, engine.cmask)
         node_map = label[node_map]
-        names = range(len(level.mask))
         cluster_of = None
+    return [engine.cluster_of[cur] for cur in node_map.tolist()], stats
 
-    assignment = {orig: names[engine.cluster_of[cur]]
-                  for orig, cur in enumerate(node_map.tolist())}
-    return Clustering.from_assignment(graph, assignment, max_qubits), stats
+
+def _step1(graph: CutGraph, max_qubits: int, order, rng, audit):
+    """The cap check, the graph's one ``_Level`` and its stage-1 labels."""
+    for node in graph.nodes:
+        if len(node.qubits) > max_qubits:
+            raise InfeasibleCapError(
+                f"node {node.id} spans {len(node.qubits)} qubits; cap is {max_qubits}")
+    level = _Level.from_graph(graph)
+    if sum(level.w) <= 0:  # no weight to cluster by: singletons
+        return level, list(range(len(level.mask))), StageStats()
+    labels, stats = _run_levels(level, max_qubits, _ModularityEngine, order, rng, audit)
+    return level, labels, stats
 
 
 def step1_modularity(graph: CutGraph, max_qubits: int, order: str = "weighted",
                      rng: np.random.Generator | None = None,
                      audit: bool = False) -> Clustering:
     """Qubit-capped modularity clustering (stage 1)."""
-    clustering, _ = _step1_with_stats(graph, max_qubits, order, rng, audit)
-    return clustering
+    _, labels, _ = _step1(graph, max_qubits, order, rng, audit)
+    return Clustering.from_assignment(graph, dict(enumerate(labels)), max_qubits)
 
 
-def _step1_with_stats(graph, max_qubits, order="weighted", rng=None, audit=False):
-    if graph.num_nodes == 0:
-        return Clustering({}, {}, max_qubits), StageStats()
-    if graph.total_w() <= 0:
-        return Clustering.singletons(graph, max_qubits), StageStats()
-    return _run_levels(graph, max_qubits, _ModularityEngine, order, rng, audit)
-
-
-def step2_lq_min(graph: CutGraph, max_qubits: int, order: str = "weighted",
-                 rng: np.random.Generator | None = None,
-                 initial: Clustering | None = None,
-                 audit: bool = False) -> Clustering:
-    """Worst-overhead minimization clustering (stage 2).
-
-    Starts from singleton clusters of the given (typically contracted) graph,
-    or from ``initial`` when provided. The result never has a higher worst
-    log overhead than its starting point.
-    """
-    clustering, _ = _step2_with_stats(graph, max_qubits, order, rng, initial, audit)
-    return clustering
-
-
-def _step2_with_stats(graph, max_qubits, order="weighted", rng=None, initial=None,
-                      audit=False):
-    if graph.num_nodes == 0:
-        return Clustering({}, {}, max_qubits), StageStats()
-    start = initial if initial is not None else Clustering.singletons(graph, max_qubits)
-    clustering, stats = _run_levels(graph, max_qubits, _LogOverheadEngine, order, rng,
-                                    audit, initial=start)
+def _step2(level: _Level, max_qubits: int, order, rng, audit, start: list[int]):
+    """Stage-2 labels of the nodes of ``level`` from the dense labels
+    ``start``, never with a higher worst log overhead than the start's."""
+    labels, stats = _run_levels(level, max_qubits, _LogOverheadEngine, order, rng,
+                                audit, start)
     # moves are only accepted against the running bound, yet a move can shift
-    # the residual w_hat cost of untouched clusters; keep the start if that
-    # pathological drift ever makes things worse. The trace opens with the
-    # start's worst log overhead.
-    if cut_summary(graph, clustering).max_log_overhead() > stats.lq_trace[0] + EPS:
+    # the residual w_hat cost of untouched clusters; keep the start when that
+    # drift makes things worse. The trace opens with the start's worst log
+    # overhead and closes with the result's: the quiet last level opens on
+    # the final clusters.
+    if stats.lq_trace[-1] > stats.lq_trace[0] + EPS:
         return start, stats
-    return clustering, stats
+    return labels, stats
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +604,9 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
                  audit: bool = False) -> PipelineResult:
     """Full partitioner: stage 1, contraction, stage 2, atomic refinement.
 
-    The supernode merging of stage 2 cannot split stage-1 clusters, so a final
-    stage-2 refinement at single-node granularity polishes the boundary. With
+    Both stages run on the graph's ``_Level``, built once per run. The
+    supernode merging of stage 2 cannot split stage-1 clusters, so a final
+    stage-2 refinement on the atomic level polishes the boundary. With
     ``order="random"`` the best of ``restarts`` runs (by final worst overhead)
     is returned; the weighted order is deterministic and runs once.
     """
@@ -656,26 +627,24 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
 
 def _pipeline_once(graph, max_qubits, order, rng, audit) -> PipelineResult:
     t0 = time.perf_counter()
-    c1, st1 = _step1_with_stats(graph, max_qubits, order, rng, audit)
+    atomic, labels1, st1 = _step1(graph, max_qubits, order, rng, audit)
     t1 = time.perf_counter()
 
-    if graph.num_nodes:
-        contracted = contract(graph, c1)
-        c2_super, st2 = _step2_with_stats(contracted, max_qubits, order, rng, audit=audit)
-        atomic_assignment = {}
-        for node in contracted.nodes:
-            target = c2_super.assignment[node.id]
-            for member in node.members:
-                atomic_assignment[member] = target
-        merged = Clustering.from_assignment(graph, atomic_assignment, max_qubits)
-        c2, st2b = _step2_with_stats(graph, max_qubits, order, rng, initial=merged,
-                                     audit=audit)
+    labels2, st2 = labels1, StageStats()
+    if labels1:
+        cmask = [0] * len(labels1)
+        for i, c in enumerate(labels1):
+            cmask[c] |= atomic.mask[i]
+        supernodes, _ = atomic.contracted(labels1, cmask)
+        super_labels, st2 = _step2(supernodes, max_qubits, order, rng, audit,
+                                   list(range(len(supernodes.mask))))
+        labels2, st2b = _step2(atomic, max_qubits, order, rng, audit,
+                               [super_labels[c] for c in labels1])
         st2.merge(st2b)
-    else:
-        c2, st2 = c1, StageStats()
     t2 = time.perf_counter()
 
-    c2 = c2.compacted()
+    c1 = Clustering.from_assignment(graph, dict(enumerate(labels1)), max_qubits)
+    c2 = Clustering.from_assignment(graph, dict(enumerate(labels2)), max_qubits).compacted()
     stages = (
         _stage_metrics("step1", graph, c1, st1, t1 - t0),
         _stage_metrics("step2", graph, c2, st2, t2 - t1),

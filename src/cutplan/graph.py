@@ -113,8 +113,6 @@ class Node:
     gate_id: int | None = None
     #: operand slot (0 or 1) within the source gate, for atomic nodes
     slot: int | None = None
-    #: for supernodes: ids of the nodes of the graph this one was contracted from
-    members: tuple[int, ...] = ()
 
     def dot_name(self) -> str:
         if self.gate_id is not None:
@@ -213,15 +211,12 @@ def contract(graph: CutGraph, clustering: "Clustering") -> CutGraph:
     intra-cluster weight is kept as a self-loop. An aggregated edge keeps its
     kind when all constituents agree, otherwise it becomes ``MERGED``.
     Supernode ids are dense, in ascending order of the cluster ids they came
-    from; ``members`` records the original node ids.
+    from.
     """
     cluster_ids = sorted(clustering.clusters)
     new_id = {c: i for i, c in enumerate(cluster_ids)}
-    nodes = []
-    for c in cluster_ids:
-        members = tuple(sorted(clustering.clusters[c].nodes))
-        qubits = clustering.clusters[c].qubits
-        nodes.append(Node(id=new_id[c], qubits=qubits, gate_id=None, members=members))
+    nodes = tuple(Node(id=new_id[c], qubits=clustering.clusters[c].qubits)
+                  for c in cluster_ids)
 
     assignment = clustering.assignment
     u, v, w, w_hat, slot = merge_parallel_edges(
@@ -239,7 +234,7 @@ def contract(graph: CutGraph, clustering: "Clustering") -> CutGraph:
         Edge(u[j], v[j], kinds[j].pop() if len(kinds[j]) == 1 else CutKind.MERGED,
              w=w[j], w_hat=w_hat[j], kappa=kappa[j], tau=tau[j])
         for j in range(len(u)))
-    return CutGraph(tuple(nodes), edges)
+    return CutGraph(nodes, edges)
 
 
 def to_dot(graph: CutGraph, clustering: "Clustering | None" = None) -> str:

@@ -229,15 +229,38 @@ def test_config_file_defaults(capsys, tmp_path, circuits_dir):
         assert json.loads(out)["max_qubits"] == 30, flag
 
 
-@pytest.mark.parametrize("content", ['{"max_qubit": 4}', '{"config": "x.json"}',
-                                     '[4]', '{"max_qubits": 4'])
-def test_bad_config_file_fails_cleanly(capsys, tmp_path, circuits_dir, content):
+@pytest.mark.parametrize("content, command", [pytest.param(c, cmd, id=c) for c, cmd in [
+    ('{"max_qubit": 4}', "partition"), ('{"config": "x.json"}', "partition"),
+    ('[4]', "partition"), ('{"max_qubits": 4', "partition"),
+    # a value must be one the flag itself takes
+    ('{"max_qubits": 4.5}', "partition"), ('{"max_qubits": true}', "partition"),
+    ('{"max_qubits": "x"}', "partition"), ('{"max_qubits": null}', "partition"),
+    ('{"restarts": 2.5, "order": "random"}', "partition"), ('{"format": "xml"}', "partition"),
+    ('{"eps": "small"}', "partition"), ('{"full": "no"}', "verify"), ('{"full": 1}', "verify"),
+]])
+def test_bad_config_file_fails_cleanly(capsys, tmp_path, circuits_dir, content, command):
     config = tmp_path / "cfg.json"
     config.write_text(content)
-    code, out, err = run_cli(capsys, "partition", str(circuits_dir / "ising_n8.qasm"),
-                             "--config", str(config))
+    target = [str(circuits_dir / "ising_n8.qasm")] if command == "partition" else []
+    code, out, err = run_cli(capsys, command, *target, "--config", str(config))
     assert code == 1
-    assert out == "" and "bad config file" in err
+    assert out == "" and err.startswith("error: bad config file: ")
+
+
+def test_config_values_in_every_form_the_flag_takes(capsys, tmp_path, circuits_dir):
+    """Strings are parsed as on the command line, and JSON numbers of the
+    flag's type (an int for a float flag too) become that type."""
+    config = tmp_path / "cfg.json"
+    path = str(circuits_dir / "ising_n8.qasm")
+    for content in ('{"max_qubits": "4", "eps": "0.5", "format": "json"}',
+                    '{"max_qubits": 4, "eps": 0.5, "format": "json"}',
+                    '{"max_qubits": 4, "eps": 1, "format": "json", "order": "random"}'):
+        config.write_text(content)
+        code, out, err = run_cli(capsys, "partition", path, "--config", str(config))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["max_qubits"] == 4 and type(payload["max_qubits"]) is int
+        assert type(payload["report"]["eps"]) is float
 
 
 def test_bad_knob_values_fail_cleanly(capsys, tmp_path):
@@ -251,3 +274,7 @@ def test_bad_knob_values_fail_cleanly(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fixtures", "--out", str(tmp_path / "fx"),
                            "--widths", "1")
     assert code == 1
+    for jobs in ("0", "-1"):
+        code, out, err = run_cli(capsys, "bench", str(tmp_path), "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"

@@ -9,11 +9,10 @@ import pytest
 import cutplan
 from cutplan.clustering import (AuditError, Clustering, InfeasibleCapError,
                                 _Level, _LevelState, _LogOverheadEngine, _ModularityEngine,
-                                _step1_with_stats, _step2_with_stats, run_pipeline,
-                                step1_modularity, step2_lq_min)
+                                _run_levels, run_pipeline, step1_modularity)
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, Node, build_cut_graph, contract
-from cutplan.overhead import cut_summary
+from cutplan.overhead import CutSummary, build_report, cut_summary
 from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import (best_feasible_log_overhead, make_edge, modularity_oracle,
@@ -74,10 +73,11 @@ def test_step1_respects_cap_and_improves(rng):
 
 
 def test_step1_infeasible_cap():
-    g = CutGraph((Node(0, frozenset({0, 1, 2})), Node(1, frozenset({3}))),
-                 (make_edge(0, 1, 4, 2),))
-    with pytest.raises(InfeasibleCapError):
-        step1_modularity(g, max_qubits=2)
+    for kappa, tau in ((4, 2), (1, 1)):  # (1, 1): no weight to cluster by
+        g = CutGraph((Node(0, frozenset({0, 1, 2})), Node(1, frozenset({3}))),
+                     (make_edge(0, 1, kappa, tau),))
+        with pytest.raises(InfeasibleCapError, match="node 0 spans 3 qubits"):
+            step1_modularity(g, max_qubits=2)
 
 
 def test_step1_no_local_improvement_at_top_level():
@@ -96,10 +96,21 @@ def test_step1_no_local_improvement_at_top_level():
             assert modularity_oracle(top, moved) <= base + 1e-9
 
 
+def _step2_levels(g, cap, start=None, audit=False):
+    """Stage 2's level driver on the graph's level, from singletons or from
+    the dense labels ``start``; the result as a clustering, and the stats."""
+    labels, stats = _run_levels(_Level.from_graph(g), cap, _LogOverheadEngine, "weighted",
+                                None, audit, start)
+    return Clustering.from_assignment(g, dict(enumerate(labels)), cap), stats
+
+
+def _singletons(g, cap):
+    return Clustering.from_assignment(g, {n.id: n.id for n in g.nodes}, cap)
+
+
 def test_step2_single_cluster_unchanged():
-    g = CutGraph((Node(0, frozenset({0, 1}), members=(0, 1)),),
-                 (make_edge(0, 0, 4, 2),))
-    cl = step2_lq_min(g, max_qubits=4)
+    g = CutGraph((Node(0, frozenset({0, 1})),), (make_edge(0, 0, 4, 2),))
+    cl, _ = _step2_levels(g, 4)
     assert cl.num_clusters == 1
 
 
@@ -108,7 +119,7 @@ def test_step2_path_merges_to_bipartition():
     nodes = tuple(Node(i, frozenset({2 * i, 2 * i + 1})) for i in range(4))
     edges = tuple(make_edge(i, i + 1, 4.0, 2.0) for i in range(3))
     g = CutGraph(nodes, edges)
-    cl = step2_lq_min(g, max_qubits=4, audit=True)
+    cl, _ = _step2_levels(g, 4, audit=True)
     assert cl.num_clusters == 2
     lq = cut_summary(g, cl).max_log_overhead()
     assert lq == pytest.approx(LN2 + LN16)
@@ -119,31 +130,54 @@ def test_step2_never_worse_than_start(rng):
     for _ in range(15):
         g = random_graph(rng, max_nodes=9)
         cap = int(rng.integers(2, 5))
-        start = Clustering.singletons(g, cap)
-        cl = step2_lq_min(g, cap, audit=True)
+        start = _singletons(g, cap)
+        cl, _ = _step2_levels(g, cap, audit=True)
         cl.validate(g)
         assert (cut_summary(g, cl).max_log_overhead()
                 <= cut_summary(g, start).max_log_overhead() + 1e-9)
 
 
 def test_lq_trace_opens_with_the_start_objective(rng):
-    """Stage 2's keep-the-start fallback reads the start's worst log
-    overhead from the trace, so the trace must open with exactly it."""
+    """Stage 2's keep-the-start fallback compares the first and the last
+    value of the trace, so the trace must open with exactly the start's worst
+    log overhead and close with the result's."""
     cases = []
     for _ in range(40):
         g = random_graph(rng, max_nodes=9)
-        start = Clustering.from_assignment(g, dict(enumerate(random_start(rng, g))), 99)
-        cases.append((g, max(len(c.qubits) for c in start.clusters.values()), start))
+        labels = random_start(rng, g)
+        names = sorted(set(labels))
+        start = [names.index(c) for c in labels]  # the driver takes dense labels
+        cl = Clustering.from_assignment(g, dict(enumerate(start)), 99)
+        cases.append((g, max(len(c.qubits) for c in cl.clusters.values()), start))
     for width, depth, cap in ((12, 1, 4), (30, 2, 8), (60, 2, 12), (100, 1, 30)):
         g = build_cut_graph(ising_chain(width, depth, seed=width))
-        step1, _ = _step1_with_stats(g, cap)
-        cases.append((g, cap, step1))
+        step1 = step1_modularity(g, cap)
+        cases.append((g, cap, [step1.assignment[i] for i in range(g.num_nodes)]))
         cases.append((contract(g, step1), cap, None))
     for g, cap, start in cases:
-        _, stats = _step2_with_stats(g, cap, initial=start, audit=True)
+        result, stats = _step2_levels(g, cap, start, audit=True)
         if start is None:
-            start = Clustering.singletons(g, cap)
-        assert stats.lq_trace[0] == cut_summary(g, start).max_log_overhead()
+            opening = _singletons(g, cap)
+        else:
+            opening = Clustering.from_assignment(g, dict(enumerate(start)), cap)
+        assert stats.lq_trace[0] == cut_summary(g, opening).max_log_overhead()
+        assert stats.lq_trace[-1] == pytest.approx(cut_summary(g, result).max_log_overhead(),
+                                                   abs=1e-9)
+
+
+def test_plan_and_report_evaluate_the_cut_set_three_times(monkeypatch):
+    """One cut-set evaluation per stage metric and one for the report."""
+    calls = []
+    init = CutSummary.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CutSummary, "__init__", counted)
+    g = build_cut_graph(ising_chain(40, depth=2, seed=40))
+    build_report(run_pipeline(g, 12).clustering, g, eps=0.03)
+    assert len(calls) == 3
 
 
 def test_pipeline_chain3_exact_optimum():

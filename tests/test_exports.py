@@ -21,6 +21,9 @@ DELETED = [
     ("cutplan.clustering", "modularity"),
     ("cutplan.clustering", "qubit_feasible"),
     ("cutplan.clustering", "_gain"),
+    ("cutplan.clustering", "step2_lq_min"),
+    ("cutplan.clustering", "_step1_with_stats"),
+    ("cutplan.clustering", "_step2_with_stats"),
     ("cutplan.overhead", "cluster_log_overhead"),
     ("cutplan.overhead", "max_log_overhead"),
 ]
@@ -66,6 +69,8 @@ def test_deleted_names_are_gone(module, name):
 def test_dead_helpers_are_gone():
     assert not hasattr(cutplan.Edge, "other")
     assert not hasattr(cutplan.CutGraph, "qubits")
+    assert not hasattr(cutplan.Clustering, "singletons")
+    assert not hasattr(cutplan.Node, "members")
     assert not hasattr(cutplan.overhead.CutSummary, "overhead")
     assert "qubit_map" not in inspect.signature(cutplan.cutsim.value_table).parameters
 

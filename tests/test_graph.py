@@ -89,7 +89,7 @@ def test_unknown_gate_strict():
 
 def test_identity_contraction_is_isomorphic():
     g = chain3_graph()
-    singles = Clustering.singletons(g, 3)
+    singles = Clustering.from_assignment(g, {n.id: n.id for n in g.nodes}, 3)
     h = contract(g, singles)
     assert [n.qubits for n in h.nodes] == [n.qubits for n in g.nodes]
     assert [(e.u, e.v, e.kind) for e in h.edges] == \

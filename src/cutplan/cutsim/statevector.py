@@ -46,6 +46,10 @@ _SQ = {
 }
 
 
+# controlled gates: the name of the target's gate prefixed with 'c'
+_CONTROLLED = {"cx", "cy", "cz", "ch", "crx", "cry", "crz", "cp", "cu1"}
+
+
 def _controlled(u: np.ndarray) -> np.ndarray:
     out = np.eye(4, dtype=complex)
     out[2:, 2:] = u
@@ -69,14 +73,8 @@ def gate_matrix(gate: GateApp) -> np.ndarray:
         return _u3(math.pi / 2, p[0], p[1])
     if kind in ("u3", "u"):
         return _u3(p[0], p[1], p[2])
-    if kind == "cx":
-        return _controlled(_SQ["x"])
-    if kind == "cy":
-        return _controlled(_SQ["y"])
-    if kind == "cz":
-        return _controlled(_SQ["z"])
-    if kind == "ch":
-        return _controlled(_SQ["h"])
+    if kind in _CONTROLLED:
+        return _controlled(gate_matrix(GateApp(kind[1:], (0,), p)))
     if kind == "swap":
         return np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                         dtype=complex)
@@ -91,14 +89,6 @@ def gate_matrix(gate: GateApp) -> np.ndarray:
         corner = -1j * s if kind == "rxx" else 1j * s
         m[0, 3] = m[3, 0] = corner
         return m
-    if kind == "crz":
-        return _controlled(np.diag([cmath.exp(-0.5j * p[0]), cmath.exp(0.5j * p[0])]))
-    if kind == "crx":
-        return _controlled(_u3(p[0], -math.pi / 2, math.pi / 2))
-    if kind == "cry":
-        return _controlled(_u3(p[0], 0.0, 0.0))
-    if kind in ("cp", "cu1"):
-        return _controlled(np.diag([1.0, cmath.exp(1j * p[0])]))
     raise ValueError(f"no matrix for gate '{kind}'")
 
 

@@ -4,29 +4,36 @@ Parses the dialect used by transpiled benchmark circuits (single or multiple
 quantum registers, standard-library 1- and 2-qubit gates, user gate
 definitions, barriers, terminal measurements) into a flat gate-level IR.
 Barriers and terminal measurements are dropped; user gate definitions are
-inlined recursively; classical registers are ignored.
+inlined recursively; classical registers are only checked, never simulated.
 
-Parameter expressions are limited to numeric literals, ``pi`` and arithmetic
-combinations thereof (``pi/2``, ``3*pi/4``, ``-pi``, ...).
+Parameter expressions are limited to numeric literals, ``pi``, gate
+parameters and ``+ - * /`` with parentheses (``pi/2``, ``3*pi/4``, ``-pi``,
+...), evaluated left to right with the usual precedence.
+
+Every error is a :class:`QasmError` whose ``line`` is the line of the first
+token of the statement it concerns; an error inside an inlined gate body
+reports the line of the statement that applied the gate.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class QasmError(Exception):
-    """Base class for all parse-time errors."""
+    """Base class for all parse-time errors; ``line`` is 1-based, or None."""
 
-
-class QasmSyntaxError(QasmError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class QasmSyntaxError(QasmError):
+    """Text outside the grammar, or a declaration it contradicts."""
 
 
 class UnsupportedGateError(QasmError):
@@ -103,107 +110,102 @@ _UNSUPPORTED_STATEMENTS = {"if", "reset", "opaque"}
 # with an inlinable body shadows them
 _WIDE_GATES = {"ccx": 3, "cswap": 3, "c3x": 4, "c4x": 5, "rccx": 3, "rc3x": 4}
 
-_TOKEN_RE = re.compile(
-    r"OPENQASM|->|==|[0-9]*\.[0-9]+(?:[eE][-+]?[0-9]+)?|[0-9]+(?:[eE][-+]?[0-9]+)?"
-    r'|[A-Za-z_][A-Za-z0-9_]*|"[^"]*"|\S'
-)
-
 _MAX_INLINE_DEPTH = 16
 
+_NUMBER = r"[0-9]*\.[0-9]+(?:[eE][-+]?[0-9]+)?|[0-9]+(?:[eE][-+]?[0-9]+)?"
 
-def _tokenize(text: str) -> list[tuple[int, str]]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        code = line.split("//", 1)[0]
-        for tok in _TOKEN_RE.findall(code):
-            tokens.append((lineno, tok))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[tuple[int, str]]):
-        self._tokens = tokens
-        self._pos = 0
-        self.line = 1
-
-    def peek(self) -> str | None:
-        if self._pos >= len(self._tokens):
-            return None
-        return self._tokens[self._pos][1]
-
-    def next(self) -> str:
-        if self._pos >= len(self._tokens):
-            raise QasmSyntaxError("unexpected end of input", self.line)
-        self.line, tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def expect(self, literal: str) -> None:
-        tok = self.next()
-        if tok != literal:
-            raise QasmSyntaxError(f"expected '{literal}', found '{tok}'", self.line)
-
-    def accept(self, literal: str) -> bool:
-        if self.peek() == literal:
-            self.next()
-            return True
-        return False
+# A barrier is skipped up to the next ';' whatever it contains. Any other
+# statement's parameter text runs to its last ')' and its rest to the first
+# terminator; the terminator is empty at the end of the text, so the pattern
+# matches wherever it starts.
+_STATEMENT_RE = re.compile(r"""
+    \s*(?:
+        barrier(?![A-Za-z0-9_])[^;]*;
+      | ([A-Za-z_][A-Za-z0-9_]*)?       # head word
+        \s*(?:\(([^;{}]*)\))?           # parameter text
+        ([^;{}]*)                       # rest
+        ([;{}]|\Z)                      # terminator
+    )""", re.VERBOSE)
+_HEADER_RE = re.compile(rf"\s*OPENQASM\s*(?:{_NUMBER})\s*;")
+_OPERAND_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*([0-9]+)\s*\])?\s*")
+_SIGNATURE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(([^()]*)\))?([^()]*)")
+_STRING_RE = re.compile(r'\s*"[^"\n]*"\s*')
+_PLAIN_NUMBER_RE = re.compile(rf"\s*[-+]?(?:{_NUMBER})\s*")
+_EXPR_TOKEN_RE = re.compile(rf"{_NUMBER}|[A-Za-z_][A-Za-z0-9_]*|\S")
 
 
-_NUMBER_RE = re.compile(r"^(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+def _evaluate(text: str, env: dict[str, float]) -> float:
+    """Value of one parameter expression; ``env`` binds gate parameters."""
+    if _PLAIN_NUMBER_RE.fullmatch(text):
+        return float(text)
+    tokens = _EXPR_TOKEN_RE.findall(text)
+    value, i = _sum(tokens, 0, env)
+    if i < len(tokens):
+        raise QasmSyntaxError(f"unexpected '{tokens[i]}' after parameter expression")
+    return value
 
 
-class _ExprParser:
-    """Tiny arithmetic grammar: literals, pi, identifiers, + - * / and parens."""
+def _sum(tokens: list[str], i: int, env: dict[str, float]) -> tuple[float, int]:
+    value, i = _product(tokens, i, env)
+    while i < len(tokens) and tokens[i] in ("+", "-"):
+        op = tokens[i]
+        rhs, i = _product(tokens, i + 1, env)
+        value = value + rhs if op == "+" else value - rhs
+    return value, i
 
-    def __init__(self, stream: _TokenStream, env: dict[str, float]):
-        self.s = stream
-        self.env = env
 
-    def parse(self) -> float:
-        return self._additive()
+def _product(tokens: list[str], i: int, env: dict[str, float]) -> tuple[float, int]:
+    value, i = _unary(tokens, i, env)
+    while i < len(tokens) and tokens[i] in ("*", "/"):
+        op = tokens[i]
+        rhs, i = _unary(tokens, i + 1, env)
+        if op == "*":
+            value *= rhs
+        elif rhs == 0:
+            raise QasmSyntaxError("division by zero in parameter")
+        else:
+            value /= rhs
+    return value, i
 
-    def _additive(self) -> float:
-        value = self._multiplicative()
-        while self.s.peek() in ("+", "-"):
-            op = self.s.next()
-            rhs = self._multiplicative()
-            value = value + rhs if op == "+" else value - rhs
-        return value
 
-    def _multiplicative(self) -> float:
-        value = self._unary()
-        while self.s.peek() in ("*", "/"):
-            op = self.s.next()
-            rhs = self._unary()
-            if op == "*":
-                value *= rhs
-            else:
-                if rhs == 0:
-                    raise QasmSyntaxError("division by zero in parameter", self.s.line)
-                value /= rhs
-        return value
+def _unary(tokens: list[str], i: int, env: dict[str, float]) -> tuple[float, int]:
+    if i == len(tokens):
+        raise QasmSyntaxError("parameter expression ends early")
+    tok = tokens[i]
+    if tok == "-":
+        value, i = _unary(tokens, i + 1, env)
+        return -value, i
+    if tok == "+":
+        return _unary(tokens, i + 1, env)
+    if tok == "(":
+        value, i = _sum(tokens, i + 1, env)
+        if i == len(tokens) or tokens[i] != ")":
+            raise QasmSyntaxError("expected ')' in parameter expression")
+        return value, i + 1
+    if tok == "pi":
+        return math.pi, i + 1
+    if _PLAIN_NUMBER_RE.fullmatch(tok):
+        return float(tok), i + 1
+    if tok in env:
+        return env[tok], i + 1
+    raise QasmSyntaxError(f"unsupported parameter expression near '{tok}'")
 
-    def _unary(self) -> float:
-        if self.s.accept("-"):
-            return -self._unary()
-        if self.s.accept("+"):
-            return self._unary()
-        return self._atom()
 
-    def _atom(self) -> float:
-        tok = self.s.next()
-        if tok == "(":
-            value = self._additive()
-            self.s.expect(")")
-            return value
-        if tok == "pi":
-            return math.pi
-        if _NUMBER_RE.match(tok):
-            return float(tok)
-        if tok in self.env:
-            return self.env[tok]
-        raise QasmSyntaxError(f"unsupported parameter expression near '{tok}'", self.s.line)
+def _param_texts(text: str | None) -> list[str]:
+    """The comma-separated expressions of a parameter text; none if blank."""
+    return text.split(",") if text and not text.isspace() else []
+
+
+def _names(text: str | None) -> list[str]:
+    """A gate definition's comma-separated parameter or qubit names."""
+    names: list[str] = []
+    for part in _param_texts(text):
+        m = _OPERAND_RE.fullmatch(part)
+        if m is None or m[2] is not None or m[1] in names:
+            raise QasmSyntaxError(f"gate definition names must be distinct "
+                                  f"identifiers separated by ',', found '{text.strip()}'")
+        names.append(m[1])
+    return names
 
 
 @dataclass
@@ -211,255 +213,204 @@ class _GateDef:
     name: str
     params: list[str]
     qargs: list[str]
-    # body statements as (name, param token lists, operand names)
-    body: list[tuple[str, list[list[tuple[int, str]]], list[str]]] = field(default_factory=list)
+    # body statements as (name, parameter texts, operand names)
+    body: list[tuple[str, list[str], list[str]]]
 
 
 class _Parser:
     def __init__(self, text: str, name: str):
-        self.s = _TokenStream(_tokenize(text))
+        self.text = "\n".join(line.split("//", 1)[0] for line in text.splitlines())
         self.name = name
+        self.pos = 0
+        self.statement: re.Match | None = None  # the last statement read
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
-        self.cregs: dict[str, int] = {}
+        self.cregs: dict[str, tuple[int, int]] = {}  # name -> (0, size)
         self.num_qubits = 0
         self.gates: list[GateApp] = []
         self.gate_defs: dict[str, _GateDef] = {}
         self.measured: set[int] = set()
 
     def run(self) -> CircuitIR:
-        if self.s.peek() == "OPENQASM":
-            self.s.next()
-            self.s.next()  # version number
-            self.s.expect(";")
-        while self.s.peek() is not None:
-            self._statement()
+        header = _HEADER_RE.match(self.text)
+        if header:
+            self.pos = header.end()
+        try:
+            while True:
+                head, params, rest, end = self._next()
+                if not end and head is None and params is None and not rest:
+                    break
+                self._statement(head, params, rest, end)
+        except QasmError as exc:
+            m = self.statement
+            start = m.end() - len(m[0].lstrip())  # the statement's first token
+            raise type(exc)(str(exc), self.text.count("\n", 0, start) + 1) from None
         return CircuitIR(self.num_qubits, tuple(self.gates), self.name)
+
+    def _next(self) -> tuple[str | None, str | None, str, str]:
+        """(head, parameter text, rest, terminator) of the next non-barrier."""
+        while True:
+            m = _STATEMENT_RE.match(self.text, self.pos)
+            self.statement, self.pos = m, m.end()
+            if m[4] is not None:
+                return m.groups()
 
     # -- statements ---------------------------------------------------------
 
-    def _statement(self) -> None:
-        tok = self.s.next()
-        if tok == "include":
-            self.s.next()  # filename; qelib1 gates are built in
-            self.s.expect(";")
-        elif tok == "qreg":
-            self._reg_decl(quantum=True)
-        elif tok == "creg":
-            self._reg_decl(quantum=False)
-        elif tok == "gate":
-            self._gate_def()
-        elif tok == "barrier":
-            self._skip_to_semicolon()
-        elif tok == "measure":
-            self._measure()
-        elif tok in _UNSUPPORTED_STATEMENTS:
-            raise UnsupportedGateError(
-                f"line {self.s.line}: '{tok}' statements are not supported"
-            )
-        elif tok == ";":
-            pass
+    def _statement(self, head: str | None, params: str | None, rest: str,
+                   end: str) -> None:
+        if head in _UNSUPPORTED_STATEMENTS:
+            raise UnsupportedGateError(f"'{head}' statements are not supported")
+        if head == "gate" and params is None and end == "{":
+            self._gate_def(rest)
+            return
+        if end != ";":
+            raise QasmSyntaxError(f"unexpected '{end}'" if end else
+                                  "statement without ';' at end of input")
+        if head is None:
+            if params is None and not rest:
+                return  # empty statement
+            raise QasmSyntaxError("statement does not start with a name")
+        if params is not None or head not in ("qreg", "creg", "include", "measure"):
+            # a keyword with parameters is read, and rejected, as a gate name
+            values = tuple(_evaluate(t, {}) for t in _param_texts(params))
+            operand_lists = [self._operand(part, self.qregs, "qreg")
+                             for part in rest.split(",")]
+            for qubits in _broadcast(operand_lists):
+                self._emit(head, values, qubits, depth=0)
+        elif head == "include":
+            # the filename is checked, not read: qelib1 gates are built in
+            if not _STRING_RE.fullmatch(rest):
+                raise QasmSyntaxError(f"include expects a quoted filename, found "
+                                      f"'{rest.strip()}'")
+        elif head == "measure":
+            self._measure(rest)
         else:
-            self._gate_application(tok)
+            self._reg_decl(head, rest)
 
-    def _reg_decl(self, quantum: bool) -> None:
-        name = self.s.next()
-        self.s.expect("[")
-        size_tok = self.s.next()
-        if not size_tok.isdigit():
-            raise QasmSyntaxError(f"register size must be an integer, found '{size_tok}'",
-                                  self.s.line)
-        size = int(size_tok)
-        self.s.expect("]")
-        self.s.expect(";")
-        if quantum:
-            if name in self.qregs:
-                raise QasmSyntaxError(f"qreg '{name}' redeclared", self.s.line)
+    def _reg_decl(self, kind: str, rest: str) -> None:
+        m = _OPERAND_RE.fullmatch(rest)
+        if m is None or m[2] is None:
+            raise QasmSyntaxError(f"expected '{kind} name[size];', found '{rest.strip()}'")
+        name, size = m[1], int(m[2])
+        if kind == "creg":
+            self.cregs[name] = (0, size)
+        elif name in self.qregs:
+            raise QasmSyntaxError(f"qreg '{name}' redeclared")
+        else:
             self.qregs[name] = (self.num_qubits, size)
             self.num_qubits += size
-        else:
-            self.cregs[name] = size
 
-    def _skip_to_semicolon(self) -> None:
-        while self.s.next() != ";":
-            pass
-
-    def _measure(self) -> None:
-        targets = self._operand()
-        self.s.expect("->")
-        self._creg_operand()
-        self.s.expect(";")
+    def _measure(self, rest: str) -> None:
+        parts = rest.split("->")
+        if len(parts) != 2:
+            raise QasmSyntaxError(f"expected 'measure qubits -> bits', found "
+                                  f"'{rest.strip()}'")
+        targets = self._operand(parts[0], self.qregs, "qreg")
+        bits = self._operand(parts[1], self.cregs, "creg")
+        if len(targets) != len(bits) or ("[" in parts[0]) != ("[" in parts[1]):
+            raise QasmSyntaxError(
+                f"measure maps '{parts[0].strip()}' onto '{parts[1].strip()}': "
+                "a qubit needs a bit and a register a creg of its size")
         self.measured.update(targets)
 
-    def _creg_operand(self) -> None:
-        name = self.s.next()
-        if name not in self.cregs:
-            raise UndeclaredRegisterError(f"line {self.s.line}: unknown creg '{name}'")
-        if self.s.accept("["):
-            self.s.next()
-            self.s.expect("]")
-
-    def _operand(self) -> list[int]:
-        """One quantum operand: either reg[i] (one qubit) or a whole register."""
-        name = self.s.next()
-        if name not in self.qregs:
-            raise UndeclaredRegisterError(f"line {self.s.line}: unknown qreg '{name}'")
-        offset, size = self.qregs[name]
-        if self.s.accept("["):
-            idx_tok = self.s.next()
-            if not idx_tok.isdigit():
-                raise QasmSyntaxError(f"qubit index must be an integer, found '{idx_tok}'",
-                                      self.s.line)
-            idx = int(idx_tok)
-            self.s.expect("]")
-            if idx >= size:
-                raise QasmSyntaxError(f"index {idx} out of range for qreg '{name}[{size}]'",
-                                      self.s.line)
-            return [offset + idx]
-        return list(range(offset, offset + size))
+    def _operand(self, text: str, regs: dict[str, tuple[int, int]],
+                 kind: str) -> list[int]:
+        """One operand: either reg[i] (one index) or a whole register."""
+        m = _OPERAND_RE.fullmatch(text)
+        if m is None:
+            raise QasmSyntaxError(f"expected a {kind} operand, found '{text.strip()}'")
+        name, idx = m.groups()
+        if name not in regs:
+            raise UndeclaredRegisterError(f"unknown {kind} '{name}'")
+        offset, size = regs[name]
+        if idx is None:
+            return list(range(offset, offset + size))
+        if int(idx) >= size:
+            raise QasmSyntaxError(f"index {idx} out of range for {kind} '{name}[{size}]'")
+        return [offset + int(idx)]
 
     # -- gate definitions ---------------------------------------------------
 
-    def _gate_def(self) -> None:
-        name = self.s.next()
-        params: list[str] = []
-        if self.s.accept("("):
-            while not self.s.accept(")"):
-                tok = self.s.next()
-                if tok != ",":
-                    params.append(tok)
-        qargs: list[str] = []
-        while self.s.peek() != "{":
-            tok = self.s.next()
-            if tok != ",":
-                qargs.append(tok)
-        self.s.expect("{")
-        gdef = _GateDef(name, params, qargs)
-        while not self.s.accept("}"):
-            gdef.body.append(self._body_statement(gdef))
-        self.gate_defs[name] = gdef
-
-    def _body_statement(self, gdef: _GateDef) -> tuple[str, list, list[str]]:
-        kind = self.s.next()
-        if kind == "barrier":
-            self._skip_to_semicolon()
-            return ("barrier", [], [])
-        param_tokens: list[list[tuple[int, str]]] = []
-        if self.s.accept("("):
-            depth = 1
-            current: list[tuple[int, str]] = []
-            while True:
-                tok = self.s.next()
-                if tok == "(":
-                    depth += 1
-                elif tok == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                if tok == "," and depth == 1:
-                    param_tokens.append(current)
-                    current = []
-                else:
-                    current.append((self.s.line, tok))
-            if current or param_tokens:
-                param_tokens.append(current)
-        operands: list[str] = []
+    def _gate_def(self, signature: str) -> None:
+        m = _SIGNATURE_RE.fullmatch(signature)
+        if m is None:
+            raise QasmSyntaxError(f"malformed gate signature '{signature.strip()}'")
+        gdef = _GateDef(m[1], _names(m[2]), _names(m[3]), [])
         while True:
-            tok = self.s.next()
-            if tok == ";":
+            kind, params, rest, end = self._next()
+            if end == "}" and kind is None and params is None and not rest:
                 break
-            if tok != ",":
-                if tok not in gdef.qargs:
+            if kind is None or end != ";":
+                raise QasmSyntaxError(f"body of gate '{gdef.name}' needs statements "
+                                      "ending in ';' and a closing '}'")
+            operands = rest.replace(",", " ").split()
+            for name in operands:
+                if name not in gdef.qargs:
                     raise QasmSyntaxError(
-                        f"unknown operand '{tok}' in body of gate '{gdef.name}'",
-                        self.s.line)
-                operands.append(tok)
-        return (kind, param_tokens, operands)
+                        f"unknown operand '{name}' in body of gate '{gdef.name}'")
+            gdef.body.append((kind, _param_texts(params), operands))
+        self.gate_defs[gdef.name] = gdef
 
     # -- applications -------------------------------------------------------
 
-    def _gate_application(self, kind: str) -> None:
-        params: list[float] = []
-        if self.s.accept("("):
-            if not self.s.accept(")"):
-                while True:
-                    params.append(_ExprParser(self.s, {}).parse())
-                    if self.s.accept(")"):
-                        break
-                    self.s.expect(",")
-        operand_lists: list[list[int]] = []
-        while True:
-            operand_lists.append(self._operand())
-            tok = self.s.next()
-            if tok == ";":
-                break
-            if tok != ",":
-                raise QasmSyntaxError(f"expected ',' or ';', found '{tok}'", self.s.line)
-        for qubits in _broadcast(operand_lists, self.s.line):
-            self._emit(kind, tuple(params), qubits, self.s.line, depth=0)
-
     def _emit(self, kind: str, params: tuple[float, ...], qubits: tuple[int, ...],
-              line: int, depth: int) -> None:
+              depth: int) -> None:
         if depth > _MAX_INLINE_DEPTH:
             raise UnsupportedGateError(
-                f"line {line}: gate '{kind}' exceeds inline depth (recursive definition?)")
+                f"gate '{kind}' exceeds inline depth (recursive definition?)")
         if kind in self.gate_defs:
-            self._inline(self.gate_defs[kind], params, qubits, line, depth)
+            self._inline(self.gate_defs[kind], params, qubits, depth)
             return
         if kind in _WIDE_GATES:
             raise UnsupportedGateError(
-                f"line {line}: gate '{kind}' acts on {_WIDE_GATES[kind]} qubits; "
+                f"gate '{kind}' acts on {_WIDE_GATES[kind]} qubits; "
                 "only 1- and 2-qubit gates are supported")
         if kind not in STANDARD_GATES:
-            raise UnsupportedGateError(f"line {line}: unknown gate '{kind}'")
+            raise UnsupportedGateError(f"unknown gate '{kind}'")
         arity, n_params = STANDARD_GATES[kind]
         if arity != len(qubits):
             raise QasmSyntaxError(
-                f"gate '{kind}' expects {arity} operand(s), got {len(qubits)}", line)
+                f"gate '{kind}' expects {arity} operand(s), got {len(qubits)}")
         if n_params != len(params):
             raise QasmSyntaxError(
-                f"gate '{kind}' expects {n_params} parameter(s), got {len(params)}", line)
+                f"gate '{kind}' expects {n_params} parameter(s), got {len(params)}")
         for q in qubits:
             if q in self.measured:
                 raise UnsupportedGateError(
-                    f"line {line}: gate on wire {q} after measurement "
+                    f"gate on wire {q} after measurement "
                     "(mid-circuit measurement is not supported)")
         if kind == "id" or kind == "u0":
             return
-        try:
-            self.gates.append(GateApp(kind, qubits, params))
-        except (UnsupportedGateError, DuplicateOperandError) as exc:
-            raise type(exc)(f"line {line}: {exc}") from None
+        self.gates.append(GateApp(kind, qubits, params))
 
     def _inline(self, gdef: _GateDef, params: tuple[float, ...],
-                qubits: tuple[int, ...], line: int, depth: int) -> None:
+                qubits: tuple[int, ...], depth: int) -> None:
         if len(params) != len(gdef.params):
             raise QasmSyntaxError(
                 f"gate '{gdef.name}' expects {len(gdef.params)} parameter(s), "
-                f"got {len(params)}", line)
+                f"got {len(params)}")
         if len(qubits) != len(gdef.qargs):
             raise QasmSyntaxError(
                 f"gate '{gdef.name}' expects {len(gdef.qargs)} operand(s), "
-                f"got {len(qubits)}", line)
+                f"got {len(qubits)}")
         if len(set(qubits)) != len(qubits):
             raise DuplicateOperandError(
-                f"line {line}: gate '{gdef.name}' applied with repeated wire")
+                f"gate '{gdef.name}' applied with repeated wire")
         env = dict(zip(gdef.params, params))
         binding = dict(zip(gdef.qargs, qubits))
-        for kind, param_tokens, operands in gdef.body:
-            if kind == "barrier":
-                continue
-            values = tuple(
-                _ExprParser(_TokenStream(toks), env).parse() for toks in param_tokens
-            )
+        for kind, texts, operands in gdef.body:
+            values = tuple(_evaluate(t, env) for t in texts)
             mapped = tuple(binding[name] for name in operands)
-            self._emit(kind, values, mapped, line, depth + 1)
+            self._emit(kind, values, mapped, depth + 1)
 
 
-def _broadcast(operand_lists: list[list[int]], line: int) -> list[tuple[int, ...]]:
+def _broadcast(operand_lists: list[list[int]]) -> list[tuple[int, ...]]:
     """OpenQASM register broadcast: scalars repeat, registers run elementwise."""
+    if not all(operand_lists):
+        raise QasmSyntaxError("gate operand is an empty register")
     sizes = {len(ops) for ops in operand_lists if len(ops) > 1}
     if len(sizes) > 1:
-        raise QasmSyntaxError("mismatched register sizes in gate operands", line)
+        raise QasmSyntaxError("mismatched register sizes in gate operands")
     width = sizes.pop() if sizes else 1
     out = []
     for k in range(width):

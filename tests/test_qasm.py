@@ -5,7 +5,7 @@ import pytest
 
 from cutplan.fixtures import ising_chain
 from cutplan.graph import CutKind, build_cut_graph
-from cutplan.qasm import (CircuitIR, DuplicateOperandError, GateApp,
+from cutplan.qasm import (CircuitIR, DuplicateOperandError, GateApp, QasmError,
                           QasmSyntaxError, UndeclaredRegisterError,
                           UnsupportedGateError, parse_qasm, to_qasm)
 
@@ -52,7 +52,7 @@ def test_hand_fixture_field_by_field():
     for got, want in zip(ir.gates, HAND_EXPECTED):
         assert got.kind == want.kind
         assert got.qubits == want.qubits
-        assert got.params == pytest.approx(want.params)
+        assert got.params == want.params
 
 
 def test_barrier_and_measure_dropped():
@@ -78,23 +78,29 @@ def test_two_register_broadcast():
 
 
 def test_parameter_expressions():
-    ir = parse_qasm("qreg q[1]; rz(3*pi/2) q[0]; rz(-pi) q[0]; rz(1.5e-3) q[0];")
-    assert ir.gates[0].params[0] == pytest.approx(3 * math.pi / 2)
-    assert ir.gates[1].params[0] == pytest.approx(-math.pi)
-    assert ir.gates[2].params[0] == pytest.approx(1.5e-3)
+    """Operators apply left to right with Python's precedence, so each value is
+    the bit-exact result of the same Python expression."""
+    ir = parse_qasm("qreg q[1]; rz(3*pi/2) q[0]; rz(-pi) q[0]; rz(1.5e-3) q[0];"
+                    "rz(2 - 3*pi/4 + 1) q[0]; u3(-(0.5 + pi)/2, +.25, 1e2/-3) q[0];")
+    assert [g.params for g in ir.gates] == [
+        (3 * math.pi / 2,), (-math.pi,), (1.5e-3,), (2 - 3 * math.pi / 4 + 1,),
+        (-(0.5 + math.pi) / 2, 0.25, 1e2 / -3),
+    ]
 
 
 def test_user_gate_inlined_recursively():
     src = """
     qreg q[2];
     gate inner(t) a { rz(t) a; }
-    gate outer(t) a, b { inner(2*t) a; cx a,b; inner(t/2) b; }
-    outer(pi) q[0], q[1];
+    gate outer(t, u) a, b { inner(2*t) a; cx a,b; inner(-(t + u)/2) b; }
+    outer(pi, 0.5) q[0], q[1];
     """
     ir = parse_qasm(src)
-    assert [g.kind for g in ir.gates] == ["rz", "cx", "rz"]
-    assert ir.gates[0].params[0] == pytest.approx(2 * math.pi)
-    assert ir.gates[2].params[0] == pytest.approx(math.pi / 2)
+    assert ir.gates == (
+        GateApp("rz", (0,), (2 * math.pi,)),
+        GateApp("cx", (0, 1)),
+        GateApp("rz", (1,), (-(math.pi + 0.5) / 2,)),
+    )
 
 
 def test_wide_builtin_rejected():
@@ -135,6 +141,65 @@ def test_mid_circuit_measurement_rejected():
 def test_classical_control_rejected():
     with pytest.raises(UnsupportedGateError):
         parse_qasm("qreg q[1]; creg c[1]; if (c==1) x q[0];")
+
+
+# One row per raise site: (statements after "qreg q[2];" and "creg c[2];" on
+# lines 1 and 2, error type, line). The line is that of the statement's first
+# token; an error inside an inlined gate body reports the applying statement.
+ERROR_TABLE = [
+    ("rz(2*) q[0];", QasmSyntaxError, 3),
+    ("rz(1/0) q[0];", QasmSyntaxError, 3),
+    ("rz((1) q[0];", QasmSyntaxError, 3),
+    ("rz(1 2) q[0];", QasmSyntaxError, 3),
+    ("rz(theta) q[0];", QasmSyntaxError, 3),
+    ("h q[0];\nif (c==1) x q[0];", UnsupportedGateError, 4),
+    ("h q[0] }", QasmSyntaxError, 3),
+    ("h q[0];\nh q[1]", QasmSyntaxError, 4),
+    ("2 q[0];", QasmSyntaxError, 3),
+    ('include qelib1;', QasmSyntaxError, 3),
+    ("qreg r;", QasmSyntaxError, 3),
+    ("qreg q[3];", QasmSyntaxError, 3),
+    ("measure q[0] c[0];", QasmSyntaxError, 3),
+    ("measure q[0] -> c[7];", QasmSyntaxError, 3),
+    ("measure q[0] -> c[x];", QasmSyntaxError, 3),
+    ("creg d[1];\nmeasure q -> d;", QasmSyntaxError, 4),
+    ("measure q -> c[0];", QasmSyntaxError, 3),
+    ("measure q[0] -> c;", QasmSyntaxError, 3),
+    ("measure q[0] -> e[0];", UndeclaredRegisterError, 3),
+    ("cx q[0] q[1];", QasmSyntaxError, 3),
+    ("h p[0];", UndeclaredRegisterError, 3),
+    ("h q[5];", QasmSyntaxError, 3),
+    ("cx q[0],\n   q[5];", QasmSyntaxError, 3),
+    ("gate g(a b) x { rz(a) x; }", QasmSyntaxError, 3),
+    ("gate g x y { cx x,y; }", QasmSyntaxError, 3),
+    ("gate g x, x { h x; }", QasmSyntaxError, 3),
+    ("gate g(a)(b) x { h x; }", QasmSyntaxError, 3),
+    ("gate g x {\n  h x\n}", QasmSyntaxError, 4),
+    ("gate g x {\n  h x;\n  h y;\n}", QasmSyntaxError, 5),
+    ("gate g x { g x; }\ng q[0];", UnsupportedGateError, 4),
+    ("ccx q[0],q[1],q[0];", UnsupportedGateError, 3),
+    ("foo q[0];", UnsupportedGateError, 3),
+    ("cx q[0];", QasmSyntaxError, 3),
+    ("rz q[0];", QasmSyntaxError, 3),
+    ("measure q[0] -> c[0];\nh q[0];", UnsupportedGateError, 4),
+    ("cx q[0],q[0];", DuplicateOperandError, 3),
+    ("gate g(a) x { rz(a) x; }\ng q[0];", QasmSyntaxError, 4),
+    ("gate g x, y { cx x,y; }\ng q[0];", QasmSyntaxError, 4),
+    ("gate g x, y { cx x,y; }\ng q[0], q[0];", DuplicateOperandError, 4),
+    ("gate g(a) x {\n  rz(a/0) x;\n}\ng(1) q[0];", QasmSyntaxError, 6),
+    ("gate g(a) x { rz(2a) x; }\ng(1) q[0];", QasmSyntaxError, 4),
+    ("qreg e[0];\nh e;", QasmSyntaxError, 4),
+    ("qreg r[3];\ncx q, r;", QasmSyntaxError, 4),
+]
+
+
+@pytest.mark.parametrize("source, error, line", ERROR_TABLE)
+def test_error_type_and_line(source, error, line):
+    with pytest.raises(QasmError) as info:
+        parse_qasm("qreg q[2];\ncreg c[2];\n" + source)
+    assert type(info.value) is error
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: ")
 
 
 def test_round_trip_stability():

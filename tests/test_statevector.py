@@ -8,7 +8,7 @@ from cutplan.cutsim import (TooManyQubitsError, basis_bits, expectation_value,
                             simulate_statevector)
 from cutplan.cutsim.statevector import apply_matrix, project_qubit
 from cutplan.cutsim.observable import ObsFactor, value_table
-from cutplan.qasm import CircuitIR, GateApp
+from cutplan.qasm import STANDARD_GATES, CircuitIR, GateApp
 
 
 def test_hadamard():
@@ -112,6 +112,22 @@ def test_batched_kernels_against_full_matrices(rng):
         forked = project_qubit(rows, n, q)
         assert np.array_equal(forked[0::2], rows * (bits == 0))
         assert np.array_equal(forked[1::2], rows * (bits == 1))
+
+
+@pytest.mark.parametrize("kind, target", [
+    ("cx", "x"), ("cy", "y"), ("cz", "z"), ("ch", "h"), ("crx", "rx"),
+    ("cry", "ry"), ("crz", "rz"), ("cp", "p"), ("cu1", "u1"),
+])
+def test_controlled_gates_are_control_first_blocks(kind, target, rng):
+    """A controlled gate is |0><0| (x) I + |1><1| (x) U, with U its target's
+    matrix and the control on the most significant bit."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    n_params = STANDARD_GATES[kind][1]
+    for theta in rng.uniform(-7, 7, size=(5, n_params)):
+        params = tuple(float(t) for t in theta)
+        u = gate_matrix(GateApp(target, (0,), params))
+        want = np.kron(p0, np.eye(2)) + np.kron(p1, u)
+        assert np.array_equal(gate_matrix(GateApp(kind, (0, 1), params)), want)
 
 
 def test_basis_bits_convention():

@@ -12,8 +12,8 @@ from .clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
 from .graph import (CutGraph, CutKind, CutWeights, Edge, Node,
                     UnknownGateWeightError, WeightTable, build_cut_graph,
                     contract, to_dot, DEFAULT_WEIGHTS)
-from .overhead import (OverheadReport, build_report, cut_summary, cubic_bound,
-                       partition_shots, prior_bound, shot_budget)
+from .overhead import (OverheadReport, build_report, cubic_bound,
+                       partition_shots, prior_bound)
 from .qasm import (CircuitIR, DuplicateOperandError, GateApp, QasmError,
                    QasmSyntaxError, UndeclaredRegisterError,
                    UnsupportedGateError, parse_qasm, parse_qasm_file, to_qasm)
@@ -26,8 +26,8 @@ __all__ = [
     "CutGraph", "CutKind", "CutWeights", "Edge", "Node",
     "UnknownGateWeightError", "WeightTable", "build_cut_graph", "contract",
     "to_dot", "DEFAULT_WEIGHTS",
-    "OverheadReport", "build_report", "cut_summary", "cubic_bound",
-    "partition_shots", "prior_bound", "shot_budget",
+    "OverheadReport", "build_report", "cubic_bound", "partition_shots",
+    "prior_bound",
     "CircuitIR", "DuplicateOperandError", "GateApp", "QasmError",
     "QasmSyntaxError", "UndeclaredRegisterError", "UnsupportedGateError",
     "parse_qasm", "parse_qasm_file", "to_qasm",

@@ -28,7 +28,6 @@ from functools import cached_property
 import numpy as np
 
 from .graph import CutGraph, merge_parallel_edges
-from .overhead import cut_summary
 
 EPS = 1e-9
 
@@ -93,16 +92,6 @@ class Clustering:
             if len(cluster.qubits) > self.max_qubits:
                 raise ValueError(f"cluster {c} holds {len(cluster.qubits)} qubits, "
                                  f"cap {self.max_qubits}")
-
-    def compacted(self) -> "Clustering":
-        """Renumber clusters densely, ordered by smallest member node id."""
-        order = sorted(self.clusters, key=lambda c: min(self.clusters[c].nodes))
-        remap = {c: i for i, c in enumerate(order)}
-        return Clustering(
-            {n: remap[c] for n, c in self.assignment.items()},
-            {remap[c]: cl for c, cl in self.clusters.items()},
-            self.max_qubits,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -388,6 +377,15 @@ def _cut_sums(level: _Level, cluster_of: list[int]):
     return s_w, s_hat, w_cut, hat_cut
 
 
+def _worst_cluster(s_w, s_hat, hat_cut: float, clusters) -> tuple[float, int]:
+    """The worst log overhead ``ln R + s_w[c] + (hat_cut - s_hat[c])`` over
+    the ``R`` live ``clusters`` and the cluster attaining it; ties go to the
+    lowest id."""
+    ln_r = math.log(len(clusters))
+    lq, c = max((ln_r + s_w[c] + (hat_cut - s_hat[c]), -c) for c in clusters)
+    return lq, -c
+
+
 class _LogOverheadEngine(_LevelState):
     """Stage-2 move rule: accept moves that lower (or tie with less cut
     weight) the running worst-cluster log overhead."""
@@ -396,10 +394,8 @@ class _LogOverheadEngine(_LevelState):
         super().__init__(level, max_qubits, cluster_of)
         self.audit = audit
         self.s_w, self.s_hat, self.w_cut, self.hat_cut = _cut_sums(level, self.cluster_of)
-        ln_r = math.log(self.r)
         #: the running worst log overhead; its start value opens the level's trace
-        self.lq = max(ln_r + self.s_w[c] + (self.hat_cut - self.s_hat[c])
-                      for c in self.live())
+        self.lq, _ = _worst_cluster(self.s_w, self.s_hat, self.hat_cut, self.live())
         self.stats = StageStats(lq_trace=[self.lq])
 
     def sweep(self, visit: list[int]) -> int:
@@ -643,22 +639,33 @@ def _pipeline_once(graph, max_qubits, order, rng, audit) -> PipelineResult:
         st2.merge(st2b)
     t2 = time.perf_counter()
 
-    c1 = Clustering.from_assignment(graph, dict(enumerate(labels1)), max_qubits)
-    c2 = Clustering.from_assignment(graph, dict(enumerate(labels2)), max_qubits).compacted()
+    # number the clusters by first appearance, i.e. by smallest member node id
+    first: dict[int, int] = {}
+    labels2 = [first.setdefault(c, len(first)) for c in labels2]
     stages = (
-        _stage_metrics("step1", graph, c1, st1, t1 - t0),
-        _stage_metrics("step2", graph, c2, st2, t2 - t1),
+        _stage_metrics("step1", atomic, labels1, st1, t1 - t0),
+        _stage_metrics("step2", atomic, labels2, st2, t2 - t1),
     )
-    return PipelineResult(clustering=c2, stages=stages)
+    clustering = Clustering.from_assignment(graph, dict(enumerate(labels2)), max_qubits)
+    return PipelineResult(clustering=clustering, stages=stages)
 
 
-def _stage_metrics(name, graph, clustering, stats: StageStats, elapsed) -> StageMetrics:
-    summary = cut_summary(graph, clustering)
+def _stage_metrics(name, level: _Level, labels: list[int], stats: StageStats,
+                   elapsed) -> StageMetrics:
+    """A stage's row: its worst log overhead ``lq``, the attached cut weight
+    ``ld`` of the cluster attaining it and ``R``, from the level's cut sums
+    under the node labels ``labels``."""
+    clusters = set(labels)
+    lq = ld = 0.0
+    if clusters:
+        s_w, s_hat, _, hat_cut = _cut_sums(level, labels)
+        lq, heavy = _worst_cluster(s_w, s_hat, hat_cut, clusters)
+        ld = s_w[heavy]
     return StageMetrics(
         stage=name,
-        lq=summary.max_log_overhead(),
-        ld=summary.heavy_cluster_cut_weight(),
-        r=max(summary.r, 1),  # a circuit with nothing to cut is one partition
+        lq=lq,
+        ld=ld,
+        r=max(len(clusters), 1),  # a circuit with nothing to cut is one partition
         moves=stats.moves,
         passes=stats.passes,
         wall_time_s=elapsed,

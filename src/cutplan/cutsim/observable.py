@@ -49,12 +49,6 @@ class ObsFactor:
 class ProductObservable:
     factors: tuple[ObsFactor, ...]
 
-    def qubits(self) -> frozenset[int]:
-        out: set[int] = set()
-        for f in self.factors:
-            out |= set(f.qubits)
-        return frozenset(out)
-
 
 def pauli_z_observable(qubits: Iterable[int]) -> ProductObservable:
     """Tensor product of Pauli Z on the given qubits: one (+1, -1) factor each."""

@@ -133,9 +133,6 @@ class Edge:
     kappa: float
     tau: float
 
-    def is_self_loop(self) -> bool:
-        return self.u == self.v
-
 
 @dataclass(frozen=True)
 class CutGraph:
@@ -145,9 +142,6 @@ class CutGraph:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def total_w(self) -> float:
-        return sum(e.w for e in self.edges)
 
 
 def _make_edge(u: int, v: int, kind: CutKind, weights: CutWeights) -> Edge:

@@ -28,80 +28,6 @@ from .graph import CutGraph, CutKind
 if TYPE_CHECKING:  # pragma: no cover
     from .clustering import Clustering
 
-LN9 = math.log(9.0)
-LN16 = math.log(16.0)
-
-
-@dataclass(frozen=True)
-class CutSummary:
-    """Cut-set aggregates of one clustering."""
-
-    r: int
-    cut_edges: tuple[int, ...]                 # edge indices, endpoints in two clusters
-    s_w: dict[int, float]                      # per cluster: attached cut w sum
-    s_hat: dict[int, float]                    # per cluster: attached cut w_hat sum
-    attached_kappa_sq: dict[int, float]        # per cluster: (prod kappa)^2 over E_c
-    attached_tau: dict[int, float]             # per cluster: prod tau over E_c
-    w_cut: float
-    hat_cut: float
-    tau_cut: float                             # prod tau over all cut edges
-
-    def log_overhead(self, c: int) -> float:
-        return math.log(self.r) + self.s_w[c] + (self.hat_cut - self.s_hat[c])
-
-    def max_log_overhead(self) -> float:
-        if self.r == 0:
-            return 0.0
-        return max(self.log_overhead(c) for c in self.s_w)
-
-    def heavy_cluster(self) -> int | None:
-        """Cluster attaining the worst log overhead; ties go to the lowest id."""
-        if self.r == 0:
-            return None
-        return min(self.s_w, key=lambda c: (-self.log_overhead(c), c))
-
-    def heavy_cluster_cut_weight(self) -> float:
-        c = self.heavy_cluster()
-        return 0.0 if c is None else self.s_w[c]
-
-
-def cut_summary(graph: CutGraph, clustering: "Clustering") -> CutSummary:
-    s_w = {c: 0.0 for c in clustering.clusters}
-    s_hat = {c: 0.0 for c in clustering.clusters}
-    kappa_sq = {c: 1.0 for c in clustering.clusters}
-    attached_tau = {c: 1.0 for c in clustering.clusters}
-    cut_edges = []
-    w_cut = 0.0
-    hat_cut = 0.0
-    tau_cut = 1.0
-    for idx, e in enumerate(graph.edges):
-        if e.is_self_loop():
-            continue
-        cu = clustering.assignment[e.u]
-        cv = clustering.assignment[e.v]
-        if cu == cv:
-            continue
-        cut_edges.append(idx)
-        w_cut += e.w
-        hat_cut += e.w_hat
-        tau_cut *= e.tau
-        for c in (cu, cv):
-            s_w[c] += e.w
-            s_hat[c] += e.w_hat
-            kappa_sq[c] *= e.kappa ** 2
-            attached_tau[c] *= e.tau
-    return CutSummary(
-        r=len(clustering.clusters),
-        cut_edges=tuple(cut_edges),
-        s_w=s_w,
-        s_hat=s_hat,
-        attached_kappa_sq=kappa_sq,
-        attached_tau=attached_tau,
-        w_cut=w_cut,
-        hat_cut=hat_cut,
-        tau_cut=tau_cut,
-    )
-
 
 def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps > 0):
@@ -131,20 +57,6 @@ def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
     return math.ceil(shots)
 
 
-def _budget(summary: CutSummary, eps: float) -> dict:
-    _check_eps(eps)  # also when there is no partition to budget
-    n_c = {c: partition_shots(summary.r, summary.attached_kappa_sq[c],
-                              summary.attached_tau[c], summary.tau_cut, eps, c)
-           for c in sorted(summary.s_w)}
-    return {"n_c": n_c, "n_total": sum(n_c.values())}
-
-
-def shot_budget(clustering: "Clustering", graph: CutGraph, eps: float) -> dict:
-    """Per-cluster shot counts for a target standard deviation ``eps``
-    (see ``partition_shots``)."""
-    return _budget(cut_summary(graph, clustering), eps)
-
-
 def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
                 r: int = 1) -> int:
     """Hoeffding-style budget: every partition pays for every cut.
@@ -152,8 +64,8 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
     The per-partition bound 2*(prod kappa)^2*ln(2/delta)/eps^2 is charged once
     per partition; the total is rounded up once at the end.
 
-    Against ``shot_budget`` at the same eps, and up to the rounding, the
-    kappa^2 products cancel:
+    Against the report's ``n_total`` at the same eps, and up to the rounding,
+    the kappa^2 products cancel:
 
         n_total / prior = sum_c prod_{k in D_c} (tau_k / kappa_k^2) / (2 ln(2/delta))
 
@@ -162,8 +74,9 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
     the ratio is at least 1/(2 ln(2/delta)), about 0.279 at delta = 1/3,
     however many partitions there are.
     """
-    if eps <= 0 or not 0 < delta < 1:
-        raise ValueError("need eps > 0 and 0 < delta < 1")
+    _check_eps(eps)
+    if not 0 < delta < 1:
+        raise ValueError("need 0 < delta < 1")
     prod = 1.0
     for kappa in cut_kappas:
         prod *= kappa
@@ -174,6 +87,7 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
 def cubic_bound(r: int, d_prime: int, eps: float = 1.0) -> float:
     """Cubic measure-and-prepare bound, with d_prime the largest number of
     wire cuts on any single partition."""
+    _check_eps(eps)
     if d_prime < 0:
         raise ValueError("d_prime must be >= 0")
     m = r * 8 ** d_prime
@@ -260,34 +174,57 @@ def build_report(clustering: "Clustering", graph: CutGraph,
     Space/time edge counts rely on atomic edge kinds; merged edges (from
     contracted graphs) contribute to the weights but to neither count.
     """
-    summary = cut_summary(graph, clustering)
-    ln_i = {c: summary.log_overhead(c) for c in clustering.clusters}
-    heavy = summary.heavy_cluster()
+    if eps is not None:
+        _check_eps(eps)  # also when there is no partition to budget
+    assignment = clustering.assignment
+    s_w = {c: 0.0 for c in clustering.clusters}      # attached cut w
+    s_hat = {c: 0.0 for c in clustering.clusters}    # attached cut w_hat
+    kappa_sq = {c: 1.0 for c in clustering.clusters}  # prod kappa^2 over E_c
+    tau = {c: 1.0 for c in clustering.clusters}      # prod tau over E_c
+    cut = []
+    w_cut = hat_cut = 0.0
+    tau_cut = 1.0
+    for e in graph.edges:
+        cu, cv = assignment[e.u], assignment[e.v]
+        if cu == cv:
+            continue
+        cut.append((e.kind, cu, cv))
+        w_cut += e.w
+        hat_cut += e.w_hat
+        tau_cut *= e.tau
+        for c in (cu, cv):
+            s_w[c] += e.w
+            s_hat[c] += e.w_hat
+            kappa_sq[c] *= e.kappa ** 2
+            tau[c] *= e.tau
+    r = len(clustering.clusters)
+    ln_i = {c: math.log(r) + s_w[c] + (hat_cut - s_hat[c]) for c in clustering.clusters}
+    heavy = min(ln_i, key=lambda c: (-ln_i[c], c)) if ln_i else None
     n_space = n_time = n_tot_space = n_tot_time = 0
-    for idx in summary.cut_edges:
-        e = graph.edges[idx]
-        attached_to_heavy = heavy is not None and heavy in (
-            clustering.assignment[e.u], clustering.assignment[e.v])
-        if e.kind is CutKind.SPACE:
+    for kind, cu, cv in cut:
+        if kind is CutKind.SPACE:
             n_tot_space += 1
-            n_space += attached_to_heavy
-        elif e.kind is CutKind.TIME:
+            n_space += heavy in (cu, cv)
+        elif kind is CutKind.TIME:
             n_tot_time += 1
-            n_time += attached_to_heavy
-    budget = _budget(summary, eps) if eps is not None else None
+            n_time += heavy in (cu, cv)
+    n_c = None
+    if eps is not None:
+        n_c = {c: partition_shots(r, kappa_sq[c], tau[c], tau_cut, eps, c)
+               for c in sorted(clustering.clusters)}
     return OverheadReport(
         ln_i_c=ln_i,
-        lq=summary.max_log_overhead(),
-        ld=summary.heavy_cluster_cut_weight(),
+        lq=0.0 if heavy is None else ln_i[heavy],
+        ld=0.0 if heavy is None else s_w[heavy],
         heavy_cluster=heavy,
         n_space=n_space,
         n_time=n_time,
         n_tot_space=n_tot_space,
         n_tot_time=n_tot_time,
-        l_tot=summary.w_cut,
-        r=max(summary.r, 1),
+        l_tot=w_cut,
+        r=max(r, 1),
         eps=eps,
-        n_c=None if budget is None else budget["n_c"],
-        n_total=None if budget is None else budget["n_total"],
+        n_c=n_c,
+        n_total=None if n_c is None else sum(n_c.values()),
         flagged_clusters=segment_flags(graph, clustering),
     )

@@ -111,6 +111,9 @@ _UNSUPPORTED_STATEMENTS = {"if", "reset", "opaque"}
 _WIDE_GATES = {"ccx": 3, "cswap": 3, "c3x": 4, "c4x": 5, "rccx": 3, "rc3x": 4}
 
 _MAX_INLINE_DEPTH = 16
+# parentheses and unary signs one parameter expression may nest; each level
+# costs the evaluator up to three stack frames, well inside Python's limit
+_MAX_EXPR_DEPTH = 64
 
 _NUMBER = r"[0-9]*\.[0-9]+(?:[eE][-+]?[0-9]+)?|[0-9]+(?:[eE][-+]?[0-9]+)?"
 
@@ -139,26 +142,28 @@ def _evaluate(text: str, env: dict[str, float]) -> float:
     if _PLAIN_NUMBER_RE.fullmatch(text):
         return float(text)
     tokens = _EXPR_TOKEN_RE.findall(text)
-    value, i = _sum(tokens, 0, env)
+    value, i = _sum(tokens, 0, env, 0)
     if i < len(tokens):
         raise QasmSyntaxError(f"unexpected '{tokens[i]}' after parameter expression")
     return value
 
 
-def _sum(tokens: list[str], i: int, env: dict[str, float]) -> tuple[float, int]:
-    value, i = _product(tokens, i, env)
+def _sum(tokens: list[str], i: int, env: dict[str, float],
+         depth: int) -> tuple[float, int]:
+    value, i = _product(tokens, i, env, depth)
     while i < len(tokens) and tokens[i] in ("+", "-"):
         op = tokens[i]
-        rhs, i = _product(tokens, i + 1, env)
+        rhs, i = _product(tokens, i + 1, env, depth)
         value = value + rhs if op == "+" else value - rhs
     return value, i
 
 
-def _product(tokens: list[str], i: int, env: dict[str, float]) -> tuple[float, int]:
-    value, i = _unary(tokens, i, env)
+def _product(tokens: list[str], i: int, env: dict[str, float],
+             depth: int) -> tuple[float, int]:
+    value, i = _unary(tokens, i, env, depth)
     while i < len(tokens) and tokens[i] in ("*", "/"):
         op = tokens[i]
-        rhs, i = _unary(tokens, i + 1, env)
+        rhs, i = _unary(tokens, i + 1, env, depth)
         if op == "*":
             value *= rhs
         elif rhs == 0:
@@ -168,17 +173,21 @@ def _product(tokens: list[str], i: int, env: dict[str, float]) -> tuple[float, i
     return value, i
 
 
-def _unary(tokens: list[str], i: int, env: dict[str, float]) -> tuple[float, int]:
+def _unary(tokens: list[str], i: int, env: dict[str, float],
+           depth: int) -> tuple[float, int]:
     if i == len(tokens):
         raise QasmSyntaxError("parameter expression ends early")
     tok = tokens[i]
+    if tok in ("-", "+", "(") and depth == _MAX_EXPR_DEPTH:
+        raise QasmSyntaxError(f"parameter expression nested deeper than "
+                              f"{_MAX_EXPR_DEPTH} levels")
     if tok == "-":
-        value, i = _unary(tokens, i + 1, env)
+        value, i = _unary(tokens, i + 1, env, depth + 1)
         return -value, i
     if tok == "+":
-        return _unary(tokens, i + 1, env)
+        return _unary(tokens, i + 1, env, depth + 1)
     if tok == "(":
-        value, i = _sum(tokens, i + 1, env)
+        value, i = _sum(tokens, i + 1, env, depth + 1)
         if i == len(tokens) or tokens[i] != ")":
             raise QasmSyntaxError("expected ')' in parameter expression")
         return value, i + 1
@@ -292,10 +301,10 @@ class _Parser:
         if m is None or m[2] is None:
             raise QasmSyntaxError(f"expected '{kind} name[size];', found '{rest.strip()}'")
         name, size = m[1], int(m[2])
+        if name in (self.cregs if kind == "creg" else self.qregs):
+            raise QasmSyntaxError(f"{kind} '{name}' redeclared")
         if kind == "creg":
             self.cregs[name] = (0, size)
-        elif name in self.qregs:
-            raise QasmSyntaxError(f"qreg '{name}' redeclared")
         else:
             self.qregs[name] = (self.num_qubits, size)
             self.num_qubits += size

@@ -18,7 +18,7 @@ from cutplan.cutsim import (ExperimentConfig, cx_decomposition, cz_decomposition
                             variance_experiment, wire_cut_decomposition)
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, Node, build_cut_graph
-from cutplan.overhead import build_report, cubic_bound, prior_bound, shot_budget
+from cutplan.overhead import build_report, cubic_bound, prior_bound
 from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import (OracleCheckedEngine, best_feasible_log_overhead, make_edge,
@@ -42,15 +42,15 @@ def test_criterion_1_worked_bounds():
     graph = CutGraph(nodes, edges)
     clustering = Clustering.from_assignment(graph, {0: 0, 1: 1, 2: 2}, 1)
 
-    shot_budget(clustering, graph, eps=1.0)  # warm-up (imports, caches)
+    build_report(clustering, graph, eps=1.0)  # warm-up (imports, caches)
     start = time.perf_counter()
-    budget = shot_budget(clustering, graph, eps=1.0)
+    report = build_report(clustering, graph, eps=1.0)
     prior = prior_bound([4.0] * 4, eps=1.0, delta=1.0 / 3.0, r=3)
     cubic = cubic_bound(3, 3)
     elapsed = time.perf_counter() - start
 
-    assert budget["n_c"] == {0: 24576, 1: 24576, 2: 3072}
-    assert budget["n_total"] == 52224
+    assert report.n_c == {0: 24576, 1: 24576, 2: 3072}
+    assert report.n_total == 52224
     assert abs(prior - 704548) <= 1
     assert abs(cubic - 2.0e11) / 2.0e11 <= 0.03
     assert elapsed < 1e-3
@@ -217,7 +217,7 @@ def test_criterion_8_bound_dominance():
     # 1/(2 ln 6) ~ 0.279 (every 3-way split of a chain has one). Every other
     # cluster gets at least one tau/kappa^2 discount. The 10x improvement is
     # asserted where no cluster is a star. Classes and the closed form come
-    # from the raw edge factors, independently of cut_summary.
+    # from the raw edge factors, independently of build_report.
     floor = 1.0 / (2.0 * math.log(6.0))
     worst = {"non-star": 0.0, "star": 0.0}
     rows = {"non-star": 0, "star": 0}

@@ -54,6 +54,17 @@ def test_partition_parse_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("param", ["(" * 400 + "1" + ")" * 400, "-" * 2000 + "1"])
+def test_partition_deeply_nested_parameter_fails_cleanly(capsys, tmp_path, param):
+    bad = tmp_path / "nested.qasm"
+    bad.write_text(f"OPENQASM 2.0;\nqreg q[2];\nrz({param}) q[0];\n")
+    code, out, err = run_cli(capsys, "partition", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "line 3: parameter expression nested" in err
+    assert "Traceback" not in err
+
+
 def test_partition_json_optimal_on_chain3(capsys, tmp_path):
     path = tmp_path / "chain3.qasm"
     path.write_text(to_qasm(chain3()))

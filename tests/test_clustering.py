@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from cutplan.clustering import (AuditError, Clustering, InfeasibleCapError,
                                 _run_levels, run_pipeline, step1_modularity)
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, Node, build_cut_graph, contract
-from cutplan.overhead import CutSummary, build_report, cut_summary
+from cutplan.overhead import build_report
 from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import (best_feasible_log_overhead, make_edge, modularity_oracle,
@@ -121,7 +122,7 @@ def test_step2_path_merges_to_bipartition():
     g = CutGraph(nodes, edges)
     cl, _ = _step2_levels(g, 4, audit=True)
     assert cl.num_clusters == 2
-    lq = cut_summary(g, cl).max_log_overhead()
+    lq = build_report(cl, g).lq
     assert lq == pytest.approx(LN2 + LN16)
     assert lq == pytest.approx(best_feasible_log_overhead(g, 4))
 
@@ -133,8 +134,7 @@ def test_step2_never_worse_than_start(rng):
         start = _singletons(g, cap)
         cl, _ = _step2_levels(g, cap, audit=True)
         cl.validate(g)
-        assert (cut_summary(g, cl).max_log_overhead()
-                <= cut_summary(g, start).max_log_overhead() + 1e-9)
+        assert build_report(cl, g).lq <= build_report(start, g).lq + 1e-9
 
 
 def test_lq_trace_opens_with_the_start_objective(rng):
@@ -160,24 +160,33 @@ def test_lq_trace_opens_with_the_start_objective(rng):
             opening = _singletons(g, cap)
         else:
             opening = Clustering.from_assignment(g, dict(enumerate(start)), cap)
-        assert stats.lq_trace[0] == cut_summary(g, opening).max_log_overhead()
-        assert stats.lq_trace[-1] == pytest.approx(cut_summary(g, result).max_log_overhead(),
-                                                   abs=1e-9)
+        assert stats.lq_trace[0] == build_report(opening, g).lq
+        assert stats.lq_trace[-1] == pytest.approx(build_report(result, g).lq, abs=1e-9)
 
 
-def test_plan_and_report_evaluate_the_cut_set_three_times(monkeypatch):
-    """One cut-set evaluation per stage metric and one for the report."""
+def test_plan_builds_one_clustering_and_scores_on_levels(monkeypatch):
+    """A plan scores both stages on its levels and builds one ``Clustering``,
+    the reported one; the planner does not import the report module."""
     calls = []
-    init = CutSummary.__init__
+    build = Clustering.from_assignment.__func__
 
-    def counted(self, *args, **kwargs):
+    def counted(cls, *args, **kwargs):
         calls.append(1)
-        init(self, *args, **kwargs)
+        return build(cls, *args, **kwargs)
 
-    monkeypatch.setattr(CutSummary, "__init__", counted)
+    monkeypatch.setattr(Clustering, "from_assignment", classmethod(counted))
     g = build_cut_graph(ising_chain(40, depth=2, seed=40))
-    build_report(run_pipeline(g, 12).clustering, g, eps=0.03)
-    assert len(calls) == 3
+    run_pipeline(g, 12)
+    assert len(calls) == 1
+    with open(cutplan.clustering.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not any(name.split(".")[-1] == "overhead" for name in imported), imported
 
 
 def test_pipeline_chain3_exact_optimum():

@@ -26,6 +26,10 @@ DELETED = [
     ("cutplan.clustering", "_step2_with_stats"),
     ("cutplan.overhead", "cluster_log_overhead"),
     ("cutplan.overhead", "max_log_overhead"),
+    ("cutplan.overhead", "CutSummary"),
+    ("cutplan.overhead", "cut_summary"),
+    ("cutplan.overhead", "shot_budget"),
+    ("cutplan.overhead", "_budget"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters
@@ -71,7 +75,10 @@ def test_dead_helpers_are_gone():
     assert not hasattr(cutplan.CutGraph, "qubits")
     assert not hasattr(cutplan.Clustering, "singletons")
     assert not hasattr(cutplan.Node, "members")
-    assert not hasattr(cutplan.overhead.CutSummary, "overhead")
+    assert not hasattr(cutplan.Edge, "is_self_loop")
+    assert not hasattr(cutplan.CutGraph, "total_w")
+    assert not hasattr(cutplan.Clustering, "compacted")
+    assert not hasattr(cutplan.cutsim.ProductObservable, "qubits")
     assert "qubit_map" not in inspect.signature(cutplan.cutsim.value_table).parameters
 
 

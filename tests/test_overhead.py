@@ -5,9 +5,8 @@ import pytest
 from cutplan.clustering import Clustering
 from cutplan.fixtures import ising_chain
 from cutplan.graph import CutGraph, CutKind, Node, build_cut_graph
-from cutplan.overhead import (build_report, cut_summary, cubic_bound,
-                              partition_shots, prior_bound, segment_flags,
-                              shot_budget)
+from cutplan.overhead import (build_report, cubic_bound, partition_shots,
+                              prior_bound, segment_flags)
 from cutplan.clustering import run_pipeline
 from cutplan.qasm import CircuitIR, GateApp
 
@@ -29,7 +28,7 @@ def three_partition_four_cut_graph():
 
 def test_worked_three_partition_overheads():
     g, cl = three_partition_four_cut_graph()
-    ln_i_1 = cut_summary(g, cl).log_overhead(0)
+    ln_i_1 = build_report(cl, g).ln_i_c[0]
     assert ln_i_1 == pytest.approx(LN3 + 3 * LN16 + LN2)
     assert math.exp(ln_i_1) == pytest.approx(24576, rel=1e-12)
 
@@ -38,26 +37,27 @@ def test_no_cuts_single_cluster():
     g = CutGraph((Node(0, frozenset({0})), Node(1, frozenset({1}))),
                  (make_edge(0, 1, 3, 1.5),))
     cl = Clustering.from_assignment(g, {0: 0, 1: 0}, 2)
-    assert cut_summary(g, cl).log_overhead(0) == pytest.approx(0.0)
-    budget = shot_budget(cl, g, eps=0.1)
-    assert budget["n_total"] == 100
+    report = build_report(cl, g, eps=0.1)
+    assert report.ln_i_c[0] == pytest.approx(0.0)
+    assert report.n_total == 100
 
 
 def test_log_overhead_matches_bruteforce(rng):
     for _ in range(40):
         g = random_graph(rng, max_nodes=6)
         cl = random_clustering(rng, g)
+        ln_i = build_report(cl, g).ln_i_c
         for c in cl.clusters:
-            got = cut_summary(g, cl).log_overhead(c)
+            got = ln_i[c]
             want = log_overhead_oracle(g, cl.assignment, c)
             assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_shot_budget_worked_example():
     g, cl = three_partition_four_cut_graph()
-    budget = shot_budget(cl, g, eps=1.0)
-    assert budget["n_c"] == {0: 24576, 1: 24576, 2: 3072}
-    assert budget["n_total"] == 52224
+    report = build_report(cl, g, eps=1.0)
+    assert report.n_c == {0: 24576, 1: 24576, 2: 3072}
+    assert report.n_total == 52224
 
 
 def test_shot_budget_fig2_scale():
@@ -68,8 +68,7 @@ def test_shot_budget_fig2_scale():
              make_edge(0, 2, 3, 1.5, CutKind.SPACE))
     g = CutGraph(nodes, edges)
     cl = Clustering.from_assignment(g, {0: 0, 1: 1, 2: 2}, 1)
-    budget = shot_budget(cl, g, eps=0.03)
-    assert budget["n_total"] == pytest.approx(1.2e6, rel=0.02)
+    assert build_report(cl, g, eps=0.03).n_total == pytest.approx(1.2e6, rel=0.02)
 
 
 def test_prior_bound_worked_example():
@@ -81,6 +80,15 @@ def test_prior_bound_direct_formula():
     got = prior_bound([3.0], eps=0.1, delta=0.05, r=2)
     want = math.ceil(2 * 2 * 9 * math.log(2 / 0.05) / 0.01)
     assert abs(got - want) <= 1
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bound", [lambda eps: prior_bound([4.0], eps=eps),
+                                   lambda eps: cubic_bound(3, 3, eps=eps)],
+                         ids=["prior_bound", "cubic_bound"])
+def test_older_bounds_reject_eps(bound, eps):
+    with pytest.raises(ValueError, match="finite and positive"):
+        bound(eps)
 
 
 def test_cubic_bound():
@@ -146,11 +154,12 @@ def test_monotonicity_adding_cut(rng):
                    for n, c in cl.assignment.items()}
         coarse_cl = Clustering.from_assignment(g, coarser, cl.max_qubits)
         # fine clustering cuts a superset of edges and has larger R
+        fine = build_report(cl, g).ln_i_c
+        coarse = build_report(coarse_cl, g).ln_i_c
         for c in coarse_cl.clusters:
             if c == merged_pair[0]:
                 continue
-            assert cut_summary(g, cl).log_overhead(c) >= \
-                cut_summary(g, coarse_cl).log_overhead(c) - 1e-9
+            assert fine[c] >= coarse[c] - 1e-9
 
 
 def test_partition_count_term():
@@ -162,8 +171,8 @@ def test_partition_count_term():
     )
     r3 = Clustering.from_assignment(g, {0: 0, 1: 1, 2: 2, 3: 2}, 4)
     r4 = Clustering.from_assignment(g, {0: 0, 1: 1, 2: 2, 3: 3}, 4)
-    a = cut_summary(g, r3).log_overhead(1)
-    b = cut_summary(g, r4).log_overhead(1)
+    a = build_report(r3, g).ln_i_c[1]
+    b = build_report(r4, g).ln_i_c[1]
     assert a == pytest.approx(math.log(3) + LN16)
     assert b - a == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
 
@@ -176,11 +185,10 @@ def test_exp_consistency(rng):
     for _ in range(20):
         g = random_graph(rng, max_nodes=6, self_loops=False)
         cl = random_clustering(rng, g)
-        summary = cut_summary(g, cl)
-        budget = shot_budget(cl, g, eps=2.0 ** -40)
+        report = build_report(cl, g, eps=2.0 ** -40)
         for c in cl.clusters:
-            assert budget["n_c"][c] * eps_sq == pytest.approx(
-                math.exp(summary.log_overhead(c)), rel=1e-12)
+            assert report.n_c[c] * eps_sq == pytest.approx(
+                math.exp(report.ln_i_c[c]), rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, -math.inf, math.nan])
@@ -207,12 +215,9 @@ def test_budget_of_a_circuit_with_nothing_to_cut():
     cl = run_pipeline(g, 2).clustering
     report = build_report(cl, g, eps=0.1)
     assert (report.n_c, report.n_total) == ({}, 0)
-    assert shot_budget(cl, g, eps=0.1) == {"n_c": {}, "n_total": 0}
     for eps in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             build_report(cl, g, eps=eps)
-        with pytest.raises(ValueError, match="finite and positive"):
-            shot_budget(cl, g, eps=eps)
 
 
 def test_partition_shots_closed_form():

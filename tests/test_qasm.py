@@ -7,7 +7,8 @@ from cutplan.fixtures import ising_chain
 from cutplan.graph import CutKind, build_cut_graph
 from cutplan.qasm import (CircuitIR, DuplicateOperandError, GateApp, QasmError,
                           QasmSyntaxError, UndeclaredRegisterError,
-                          UnsupportedGateError, parse_qasm, to_qasm)
+                          UnsupportedGateError, _MAX_EXPR_DEPTH, parse_qasm,
+                          to_qasm)
 
 
 def test_single_gate():
@@ -86,6 +87,18 @@ def test_parameter_expressions():
         (3 * math.pi / 2,), (-math.pi,), (1.5e-3,), (2 - 3 * math.pi / 4 + 1,),
         (-(0.5 + math.pi) / 2, 0.25, 1e2 / -3),
     ]
+
+
+def test_parameter_nesting_limit():
+    """Parentheses and unary signs nest up to ``_MAX_EXPR_DEPTH`` levels."""
+    depth = _MAX_EXPR_DEPTH
+    for text, value in (("(" * depth + "1" + ")" * depth, 1.0),
+                        ("-" * depth + "1", 1.0),
+                        ("-(" * (depth // 2) + "2" + ")" * (depth // 2), 2.0)):
+        assert parse_qasm(f"qreg q[1]; rz({text}) q[0];").gates[0].params == (value,)
+    for text in ("(" * (depth + 1) + "1" + ")" * (depth + 1), "-" * (depth + 1) + "1"):
+        with pytest.raises(QasmSyntaxError, match=f"deeper than {depth} levels"):
+            parse_qasm(f"qreg q[1]; rz({text}) q[0];")
 
 
 def test_user_gate_inlined_recursively():
@@ -190,6 +203,13 @@ ERROR_TABLE = [
     ("gate g(a) x { rz(2a) x; }\ng(1) q[0];", QasmSyntaxError, 4),
     ("qreg e[0];\nh e;", QasmSyntaxError, 4),
     ("qreg r[3];\ncx q, r;", QasmSyntaxError, 4),
+    ("creg d[1];\ncreg d[4];", QasmSyntaxError, 4),
+    pytest.param("rz(" + "(" * 400 + "1" + ")" * 400 + ") q[0];", QasmSyntaxError, 3,
+                 id="400-nested-parentheses"),
+    pytest.param("rz(" + "-" * 2000 + "1) q[0];", QasmSyntaxError, 3,
+                 id="2000-unary-minus"),
+    pytest.param("gate g(a) x { rz(" + "(" * 100 + "a" + ")" * 100 + ") x; }\ng(1) q[0];",
+                 QasmSyntaxError, 4, id="nested-parentheses-in-gate-body"),
 ]
 
 

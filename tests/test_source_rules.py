@@ -1,0 +1,28 @@
+"""Rules that hold for every module of the package source."""
+
+import ast
+import os
+
+import cutplan
+
+PACKAGE = os.path.dirname(os.path.abspath(cutplan.__file__))
+
+
+def _modules():
+    for root, _, files in os.walk(PACKAGE):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield os.path.join(root, name)
+
+
+def test_no_assert_statements():
+    """``python -O`` strips ``assert``, so checks must raise instead."""
+    found = []
+    modules = list(_modules())
+    for path in modules:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.relpath(path, PACKAGE)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert len(modules) > 10
+    assert found == []

@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 from cutplan.clustering import run_pipeline
+from cutplan.cutsim import (GateCut, WireCut, cut_estimate, pauli_z_observable,
+                            ring_circuit, ring_cuts)
 from cutplan.fixtures import ising_chain
 from cutplan.graph import build_cut_graph
+from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import random_graph
 
@@ -70,3 +73,66 @@ def test_random_order_restarts_digest():
     g = build_cut_graph(ising_chain(100, depth=2, seed=100))
     result = run_pipeline(g, 40, order="random", restarts=3, seed=7)
     assert _digest([_text(result)]) == "6d3204a0042002e3"
+
+
+# -- estimator -------------------------------------------------------------------
+
+def _estimate_text(circuit, cuts, eps, seed) -> str:
+    run = cut_estimate(circuit, cuts, pauli_z_observable(range(circuit.num_qubits)),
+                       eps, seed=seed)
+    parts = [f"{run.estimate:.12g}|{run.r}"]
+    for c in sorted(run.allocation.n_c):
+        counts = ",".join(f"{v}:{n}" for v, n in sorted(run.allocation.variants[c].items()))
+        means = ",".join(f"{v}:{m:.12g}" for v, m in sorted(run.variant_means[c].items()))
+        parts.append(f"{c}|{run.allocation.n_c[c]}|{counts}|{means}")
+    return "\n".join(parts)
+
+
+def _two_wire_cuts_after_one_gate():
+    gates = (GateApp("rx", (0,), (0.9,)), GateApp("ry", (1,), (0.4,)), GateApp("cx", (0, 1)),
+             GateApp("ry", (2,), (0.8,)), GateApp("cx", (1, 2)), GateApp("rx", (0,), (0.5,)))
+    return CircuitIR(3, gates), [WireCut(1, 2), WireCut(0, 2)]
+
+
+def _gate_and_wire_cut_on_one_gate(wire):
+    gates = (GateApp("rx", (0,), (0.9,)), GateApp("ry", (1,), (0.4,)),
+             GateApp("cx", (0, 1)), GateApp("cz", (1, 2)), GateApp("rz", (0,), (0.3,)),
+             GateApp("h", (2,)))
+    return CircuitIR(3, gates), [WireCut(wire, 2), GateCut(2)]
+
+
+def _gate_and_two_wire_cuts_on_one_gate():
+    """Partition {q0 before gate 2, q2, q1 after gate 2} holds a gate-cut
+    side, a measure side and a prepare side of gate 2."""
+    gates = (GateApp("rx", (0,), (0.9,)), GateApp("cz", (0, 2)), GateApp("cx", (0, 1)),
+             GateApp("ry", (1,), (0.4,)), GateApp("rzz", (1, 2), (1.3,)),
+             GateApp("rz", (0,), (0.3,)), GateApp("h", (2,)))
+    return CircuitIR(3, gates), [WireCut(1, 2), GateCut(2), WireCut(0, 2)]
+
+
+def _mixed_cuts():
+    gates = (GateApp("ry", (0,), (1.1,)), GateApp("rzz", (0, 1), (0.7,)),
+             GateApp("cx", (1, 2)), GateApp("rx", (3,), (0.2,)), GateApp("cz", (2, 3)),
+             GateApp("ry", (1,), (0.6,)), GateApp("cx", (0, 3)))
+    return CircuitIR(4, gates), [GateCut(6), WireCut(2, 2), WireCut(1, 2), GateCut(1)]
+
+
+ESTIMATOR_CASES = [_two_wire_cuts_after_one_gate(), _gate_and_wire_cut_on_one_gate(0),
+                   _gate_and_wire_cut_on_one_gate(1), _gate_and_two_wire_cuts_on_one_gate(),
+                   _mixed_cuts()]
+
+
+def test_estimator_digest():
+    """``cut_estimate`` on the four full ``verify`` presets at seeds 1 and
+    2, and on circuits with several cut sites after one gate: estimate, R,
+    per-partition budgets, variant counts and variant means."""
+    texts = []
+    for seed in (1, 2):
+        for partitions, eps in ((3, 0.03), (4, 0.03), (3, 0.01), (4, 0.01)):
+            params = np.random.default_rng([seed, partitions]).uniform(
+                0.0, 2.0 * np.pi, (2, 8, 2))
+            texts.append(_estimate_text(ring_circuit(params), ring_cuts(partitions),
+                                        eps, seed))
+        for circuit, cuts in ESTIMATOR_CASES:
+            texts.append(_estimate_text(circuit, cuts, 0.1, seed))
+    assert _digest(texts) == "76f2baa7b80eb058"

@@ -42,7 +42,7 @@ docstring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,38 +129,29 @@ def _zz_core_terms(theta: float) -> list[tuple[float, TermSide, TermSide]]:
     ]
 
 
-def _append_gates(side: TermSide, extra: tuple) -> TermSide:
-    if side.measure is None:
-        return TermSide(gates=side.gates + extra, measure=None,
-                        post_gates=side.post_gates)
-    return TermSide(gates=side.gates, measure=side.measure,
-                    post_gates=side.post_gates + extra)
-
-
-def _prepend_gates(side: TermSide, extra: tuple) -> TermSide:
-    return TermSide(gates=extra + side.gates, measure=side.measure,
-                    post_gates=side.post_gates)
-
-
 def rzz_decomposition(theta: float) -> DecompositionSpec:
     terms = tuple(Term(a, (s0, s1)) for a, s0, s1 in _zz_core_terms(theta))
     return DecompositionSpec("space", "rzz", (theta,), terms)
 
 
 def cz_decomposition() -> DecompositionSpec:
-    correction = (_g("rz", math.pi / 2),)
-    terms = []
-    for a, s0, s1 in _zz_core_terms(-math.pi / 2.0):
-        terms.append(Term(a, (_append_gates(s0, correction),
-                              _append_gates(s1, correction))))
-    return DecompositionSpec("space", "cz", (), tuple(terms))
+    rz = (_g("rz", math.pi / 2),)
+    # the correction runs last on both sides, after a measurement if there is one
+    terms = tuple(
+        Term(a, tuple(replace(s, gates=s.gates + rz) if s.measure is None
+                      else replace(s, post_gates=s.post_gates + rz) for s in sides))
+        for a, *sides in _zz_core_terms(-math.pi / 2.0))
+    return DecompositionSpec("space", "cz", (), terms)
 
 
 def cx_decomposition() -> DecompositionSpec:
     h = (_g("h"),)
     terms = []
     for t in cz_decomposition().terms:
-        side1 = _append_gates(_prepend_gates(t.sides[1], h), h)
+        # Hadamards around the target side, the second one running last
+        s = t.sides[1]
+        side1 = (replace(s, gates=h + s.gates + h) if s.measure is None
+                 else replace(s, gates=h + s.gates, post_gates=s.post_gates + h))
         terms.append(Term(t.coeff, (t.sides[0], side1)))
     return DecompositionSpec("space", "cx", (), tuple(terms))
 

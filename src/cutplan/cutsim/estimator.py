@@ -90,37 +90,23 @@ class EstimatorRun:
 
 # -- partitioning ------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass
 class PartitionPlan:
-    """Everything the sampler needs about one subcircuit."""
+    """Everything the sampler needs about one subcircuit.
+
+    ``sites`` are its cut sites in time order, each ``(cut index, side,
+    local qubit)``. ``runs[k]`` are the gates before ``sites[k]`` (the last
+    run follows the last site), each ``(GateApp, local qubits)``.
+    """
 
     num_qubits: int = 0
-    #: time-ordered items: ("gate", GateApp, local qubits) or
-    #: ("cut", cut index, side, local qubit)
-    items: list = field(default_factory=list)
+    runs: list[list[tuple[GateApp, tuple[int, ...]]]] = field(default_factory=lambda: [[]])
+    sites: list[tuple[int, int, int]] = field(default_factory=list)
     factors: list[ObsFactor] = field(default_factory=list)
-    attached_cuts: list[int] = field(default_factory=list)
+
+    @property
+    def attached_cuts(self) -> list[int]:
+        return sorted({j for j, _, _ in self.sites})
 
 
 def _check_cuts(circuit: CircuitIR, cuts: list) -> None:
@@ -151,7 +137,8 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
     Wires are tracked as segments: a wire cut ends the current segment and
     starts a fresh one. Partitions are the connected components of segments
     under the remaining (uncut) 2-qubit gates; every cut must end up between
-    two different partitions.
+    two different partitions. A second pass in execution order then hands
+    every gate, and both sides of every cut, to its partition.
     """
     _check_cuts(circuit, cuts)
     gate_cuts = {c.gate_index: j for j, c in enumerate(cuts) if isinstance(c, GateCut)}
@@ -160,69 +147,64 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
         if isinstance(c, WireCut):
             wire_cuts.setdefault(c.after_gate, []).append((c.qubit, j))
 
-    uf = _UnionFind()
-    segment: dict[int, tuple[int, int]] = {}
-    birth_order: list[tuple[int, int]] = []
-    for q in range(circuit.num_qubits):
-        segment[q] = (q, 0)
-        uf.add((q, 0))
-        birth_order.append((q, 0))
+    # segments are (wire, k), listed in ``parent`` in creation order; a
+    # component's root is its least segment
+    segment = {q: (q, 0) for q in range(circuit.num_qubits)}
+    parent = {s: s for s in segment.values()}
 
-    # raw items carry the segments they act on, in creation order
-    raw: list[tuple[tuple, tuple, tuple]] = []
-    cut_sides: dict[int, list] = {j: [None, None] for j in range(len(cuts))}
+    def find(s):
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
 
+    gate_segments = []  # per gate, the segments it acts on
+    cut_sides: list[tuple] = [()] * len(cuts)
     for g, gate in enumerate(circuit.gates):
         segs = tuple(segment[q] for q in gate.qubits)
-        if g in gate_cuts and len(gate.qubits) == 2:
-            j = gate_cuts[g]
-            for side, seg in enumerate(segs):
-                cut_sides[j][side] = seg
-                raw.append(((g, 0, side), (seg,), ("cut", j, side)))
-        else:
-            if len(gate.qubits) == 2:
-                uf.union(segs[0], segs[1])
-            raw.append(((g, 0, 0), segs, ("gate", gate)))
+        gate_segments.append(segs)
+        if g in gate_cuts:
+            cut_sides[gate_cuts[g]] = segs
+        elif len(segs) == 2:
+            a, b = find(segs[0]), find(segs[1])
+            parent[max(a, b)] = min(a, b)
         for q, j in wire_cuts.get(g, ()):
-            old = segment[q]
-            new = (q, old[1] + 1)
-            uf.add(new)
-            birth_order.append(new)
-            segment[q] = new
-            cut_sides[j][0] = old
-            cut_sides[j][1] = new
-            raw.append(((g, 1, j), (old,), ("cut", j, 0)))
-            raw.append(((g, 2, j), (new,), ("cut", j, 1)))
+            old, new = segment[q], (q, segment[q][1] + 1)
+            segment[q] = parent[new] = new
+            cut_sides[j] = (old, new)
 
-    roots = sorted({uf.find(s) for s in uf.parent})
+    roots = sorted({find(s) for s in parent})
     if len(roots) < 2:
         raise NotDisconnectedError(
             f"cuts leave the circuit in {len(roots)} component(s); need >= 2")
-    for j, (a, b) in cut_sides.items():
-        if uf.find(a) == uf.find(b):
+    for j, (a, b) in enumerate(cut_sides):
+        if find(a) == find(b):
             raise NotDisconnectedError(
                 f"cut {j} ({cuts[j]!r}) joins segments of the same partition")
 
     part_of_root = {root: c for c, root in enumerate(roots)}
-    plans = {c: PartitionPlan() for c in part_of_root.values()}
+    plans = {c: PartitionPlan() for c in range(len(roots))}
     local: dict[tuple[int, int], tuple[int, int]] = {}  # segment -> (partition, qubit)
-    for seg in birth_order:
-        c = part_of_root[uf.find(seg)]
+    for seg in parent:
+        c = part_of_root[find(seg)]
         local[seg] = (c, plans[c].num_qubits)
         plans[c].num_qubits += 1
 
-    for _, segs, payload in sorted(raw, key=lambda item: item[0]):
-        c = local[segs[0]][0]
-        if payload[0] == "gate":
-            locals_ = tuple(local[s][1] for s in segs)
-            plans[c].items.append(("gate", payload[1], locals_))
+    def add_site(j, side):
+        c, lq = local[cut_sides[j][side]]
+        plans[c].sites.append((j, side, lq))
+        plans[c].runs.append([])
+
+    for g, gate in enumerate(circuit.gates):
+        if g in gate_cuts:
+            for side in (0, 1):
+                add_site(gate_cuts[g], side)
         else:
-            _, j, side = payload
-            plans[c].items.append(("cut", j, side, local[segs[0]][1]))
-            if j not in plans[c].attached_cuts:
-                plans[c].attached_cuts.append(j)
-    for c in plans:
-        plans[c].attached_cuts.sort()
+            segs = gate_segments[g]
+            plans[local[segs[0]][0]].runs[-1].append((gate, tuple(local[s][1] for s in segs)))
+        # measure sides first, then prepare sides, each in cut-index order
+        for side in (0, 1):
+            for _, j in wire_cuts.get(g, ()):
+                add_site(j, side)
 
     # observable factors follow the final segment of each wire
     final_local = {q: local[segment[q]] for q in range(circuit.num_qubits)}
@@ -320,30 +302,21 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
     """Yield ``(variant, probs, vals)`` for every choice of one term per cut
     site, ``terms[j]`` listing the terms of cut j.
 
-    The walk is depth first over the cut sites of ``plan.items``. A row is
-    one branch of a variant: an unnormalised state, and the sign its signed
-    measurements collected. At a site every term expands the incoming rows
-    (its gates, a signed fork into keep and flip rows, its post gates), and
-    the rows of all terms form one batch. The gates up to the next site run
-    once on that batch; it is split per term only there. So variants share
-    the simulation of their common prefix, and each level of the walk holds
-    one batch.
+    The walk is depth first over ``plan.sites``. A row is one branch of a
+    variant: an unnormalised state, and the sign its signed measurements
+    collected. At a site every term expands the incoming rows (its gates, a
+    signed fork into keep and flip rows, its post gates), and the rows of all
+    terms form one batch. The run of gates up to the next site runs once on
+    that batch; it is split per term only there. So variants share the
+    simulation of their common prefix, and each level of the walk holds one
+    batch.
     """
     n = plan.num_qubits
-    runs: list[list] = [[]]  # gates before the first site, between sites, after the last
-    sites = []               # (local qubit, [(term, gates, signed, post gates)])
-    site_cuts = []
-    for item in plan.items:
-        if item[0] == "gate":
-            _, gate, locals_ = item
-            runs[-1].append((locals_, gate_matrix(gate)))
-        else:
-            _, j, side, lq = item
-            sites.append((lq, [(t, *_side_ops(specs[j].terms[t].sides[side], lq))
-                               for t in terms[j]]))
-            site_cuts.append(j)
-            runs.append([])
+    runs = [[(qubits, gate_matrix(gate)) for gate, qubits in run] for run in plan.runs]
+    sites = [(lq, [(t, *_side_ops(specs[j].terms[t].sides[side], lq)) for t in terms[j]])
+             for j, side, lq in plan.sites]
     # variants are keyed in attached-cut order, the walk goes in site order
+    site_cuts = [j for j, _, _ in plan.sites]
     key_order = [site_cuts.index(j) for j in plan.attached_cuts]
 
     def run(rows, ops):

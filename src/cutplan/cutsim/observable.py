@@ -9,7 +9,7 @@ boundaries keeps the product intact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -33,16 +33,6 @@ class ObsFactor:
             raise ValueError("table size must be 2**len(qubits)")
         if any(abs(v) > 1.0 + 1e-12 for v in self.table):
             raise ValueError("factor values must lie in [-1, 1]")
-
-    @classmethod
-    def from_function(cls, qubits: Iterable[int],
-                      fn: Callable[[tuple[int, ...]], float]) -> "ObsFactor":
-        qubits = tuple(qubits)
-        table = []
-        for idx in range(2 ** len(qubits)):
-            bits = tuple((idx >> (len(qubits) - 1 - k)) & 1 for k in range(len(qubits)))
-            table.append(float(fn(bits)))
-        return cls(qubits, tuple(table))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,19 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and positive, got {eps}")
 
 
+def _finite(what: str, eps: float, compute) -> float:
+    """``compute()``, or an ``OverflowError`` naming ``what`` and ``eps``
+    when the result is not a finite float (an overflow, or an ``eps ** 2``
+    that underflows to zero)."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} at eps={eps} does not fit a float")
+    return value
+
+
 def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
                     tau_cut: float, eps: float, partition: int) -> int:
     """Shots that partition ``partition`` needs for a standard deviation
@@ -48,13 +61,9 @@ def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
     positive, and ``OverflowError`` when the budget does not fit a float.
     """
     _check_eps(eps)
-    eps_sq = eps ** 2
     overhead = r * attached_kappa_sq * (tau_cut / attached_tau)
-    shots = overhead / eps_sq if eps_sq else math.inf
-    if not math.isfinite(shots):
-        raise OverflowError(f"the shot budget of partition {partition} at eps={eps} "
-                            f"does not fit a float")
-    return math.ceil(shots)
+    return math.ceil(_finite(f"the shot budget of partition {partition}", eps,
+                             lambda: overhead / eps ** 2))
 
 
 def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
@@ -72,26 +81,27 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
     Every term is positive and, since tau <= kappa^2, at most 1. A cluster
     attached to every cut (D_c empty) adds exactly 1, so whenever one exists
     the ratio is at least 1/(2 ln(2/delta)), about 0.279 at delta = 1/3,
-    however many partitions there are.
+    however many partitions there are. Raises ``OverflowError`` when the
+    budget does not fit a float.
     """
     _check_eps(eps)
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
-    prod = 1.0
-    for kappa in cut_kappas:
-        prod *= kappa
-    per_partition = 2.0 * prod ** 2 * math.log(2.0 / delta) / eps ** 2
-    return math.ceil(r * per_partition)
+    prod = math.prod(cut_kappas, start=1.0)
+    return math.ceil(_finite("prior_bound", eps, lambda: r * (
+        2.0 * prod ** 2 * math.log(2.0 / delta) / eps ** 2)))
 
 
 def cubic_bound(r: int, d_prime: int, eps: float = 1.0) -> float:
     """Cubic measure-and-prepare bound, with d_prime the largest number of
-    wire cuts on any single partition."""
+    wire cuts on any single partition. Raises ``OverflowError`` when the
+    bound does not fit a float."""
     _check_eps(eps)
     if d_prime < 0:
         raise ValueError("d_prime must be >= 0")
     m = r * 8 ** d_prime
-    return 2.0 * (math.e - 1.0) ** 2 * m ** 3 * math.log(6.0 * m) / eps ** 2
+    return _finite("cubic_bound", eps, lambda: (
+        2.0 * (math.e - 1.0) ** 2 * m ** 3 * math.log(6.0 * m) / eps ** 2))
 
 
 def segment_flags(graph: CutGraph, clustering: "Clustering") -> tuple[int, ...]:

@@ -204,19 +204,19 @@ def best_feasible_log_overhead(graph: CutGraph, max_qubits: int) -> float:
 def _variant_ops(plan, specs, choice: dict[int, int]) -> list:
     """Expand cut sites for one variant into concrete gate/measure ops."""
     ops = []
-    for item in plan.items:
-        if item[0] == "gate":
-            _, gate, locals_ = item
+    for k, run in enumerate(plan.runs):
+        for gate, locals_ in run:
             ops.append(("gate", GateApp(gate.kind, locals_, gate.params)))
-        else:
-            _, j, side, lq = item
-            ts = specs[j].terms[choice[j]].sides[side]
-            for kind, params in ts.gates:
-                ops.append(("gate", GateApp(kind, (lq,), params)))
-            if ts.measure is not None:
-                ops.append(("measure", lq, ts.measure == MEAS_SIGNED))
-            for kind, params in ts.post_gates:
-                ops.append(("gate", GateApp(kind, (lq,), params)))
+        if k == len(plan.sites):
+            break
+        j, side, lq = plan.sites[k]
+        ts = specs[j].terms[choice[j]].sides[side]
+        for kind, params in ts.gates:
+            ops.append(("gate", GateApp(kind, (lq,), params)))
+        if ts.measure is not None:
+            ops.append(("measure", lq, ts.measure == MEAS_SIGNED))
+        for kind, params in ts.post_gates:
+            ops.append(("gate", GateApp(kind, (lq,), params)))
     return ops
 
 

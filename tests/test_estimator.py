@@ -65,8 +65,7 @@ def test_cut_validation():
 
 
 def test_incompatible_observable():
-    parity = ProductObservable(
-        (ObsFactor.from_function((0, 1), lambda b: (-1) ** (b[0] ^ b[1])),))
+    parity = ProductObservable((ObsFactor((0, 1), (1.0, -1.0, -1.0, 1.0)),))
     with pytest.raises(IncompatibleObservableError):
         plan_partitions(bell(), [GateCut(1)], parity)
 

@@ -30,6 +30,7 @@ DELETED = [
     ("cutplan.overhead", "cut_summary"),
     ("cutplan.overhead", "shot_budget"),
     ("cutplan.overhead", "_budget"),
+    ("cutplan.cutsim.estimator", "_UnionFind"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters
@@ -80,6 +81,11 @@ def test_dead_helpers_are_gone():
     assert not hasattr(cutplan.Clustering, "compacted")
     assert not hasattr(cutplan.cutsim.ProductObservable, "qubits")
     assert "qubit_map" not in inspect.signature(cutplan.cutsim.value_table).parameters
+    assert not hasattr(cutplan.cutsim.ObsFactor, "from_function")
+    plans, _ = cutplan.cutsim.plan_partitions(
+        cutplan.CircuitIR(2, (cutplan.GateApp("cx", (0, 1)),)), [cutplan.cutsim.GateCut(0)],
+        cutplan.cutsim.pauli_z_observable(range(2)))
+    assert not any(hasattr(plan, "items") for plan in plans.values())
 
 
 def _benchmark_bindings():

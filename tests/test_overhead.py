@@ -99,6 +99,19 @@ def test_cubic_bound():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("name, bound, eps", [
+    ("prior_bound", lambda: prior_bound([4.0], eps=1e-200), 1e-200),  # eps ** 2 underflows
+    ("cubic_bound", lambda: cubic_bound(3, 3, eps=1e-200), 1e-200),
+    ("prior_bound", lambda: prior_bound([1e200], eps=1.0), 1.0),  # kappa ** 2 overflows
+    ("prior_bound", lambda: prior_bound([1e100] * 4, eps=1.0), 1.0),
+    ("cubic_bound", lambda: cubic_bound(3, 113), 1.0),  # the float result is inf
+    ("cubic_bound", lambda: cubic_bound(3, 400), 1.0),  # m ** 3 does not fit a float
+], ids=["prior-eps", "cubic-eps", "prior-kappa", "prior-product", "cubic-inf", "cubic-int"])
+def test_older_bounds_overflow_names_the_bound(name, bound, eps):
+    with pytest.raises(OverflowError, match=f"^{name} at eps={eps} does not fit a float$"):
+        bound()
+
+
 def test_build_report_hand_counts():
     g, cl = three_partition_four_cut_graph()
     report = build_report(cl, g, eps=1.0)

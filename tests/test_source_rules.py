@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import cutplan
 
@@ -26,3 +28,14 @@ def test_no_assert_statements():
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert len(modules) > 10
     assert found == []
+
+
+def test_planner_import_stays_light():
+    """``import cutplan`` loads the planner only: the simulator and the CLI
+    add import time to every plan that never runs them."""
+    code = ("import cutplan, sys; print(' '.join(m for m in sys.modules "
+            "if m.startswith(('cutplan.cutsim', 'cutplan.cli'))))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

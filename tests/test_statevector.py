@@ -138,7 +138,7 @@ def test_basis_bits_convention():
 
 
 def test_value_table_factors():
-    factor = ObsFactor.from_function((0, 2), lambda bits: (-1) ** (bits[0] ^ bits[1]))
+    factor = ObsFactor((0, 2), (1.0, -1.0, -1.0, 1.0))  # parity of qubits 0 and 2
     table = value_table([factor], 3)
     for idx in range(8):
         b0 = (idx >> 2) & 1

@@ -1,14 +1,18 @@
-"""Golden digests of ``run_pipeline`` output.
+"""Golden digests of ``run_pipeline``, ``build_cut_graph``, ``build_report``
+and ``cut_estimate`` output.
 
-Each digest covers the final assignment and, per stage, ``lq``, ``moves``,
-``passes``, ``gain_evals`` and ``lq_trace``. Floats enter with 12
+Each pipeline digest covers the final assignment and, per stage, ``lq``,
+``moves``, ``passes``, ``gain_evals`` and ``lq_trace``. Floats enter with 12
 significant digits, far tighter than any tolerance the planner uses, so a
 change to a move decision, a visit order, a tie rule or a counter changes
 the digest, while a last-bit difference between platform ``log``
-implementations does not.
+implementations does not. The cut-graph and report digests take floats by
+``repr``: graph building and reporting must stay bit-identical, edge order
+and float summation order included.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from cutplan.cutsim import (GateCut, WireCut, cut_estimate, pauli_z_observable,
                             ring_circuit, ring_cuts)
 from cutplan.fixtures import ising_chain
 from cutplan.graph import build_cut_graph
+from cutplan.overhead import build_report
 from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import random_graph
@@ -136,3 +141,80 @@ def test_estimator_digest():
         for circuit, cuts in ESTIMATOR_CASES:
             texts.append(_estimate_text(circuit, cuts, 0.1, seed))
     assert _digest(texts) == "76f2baa7b80eb058"
+
+
+# -- cut graph and report --------------------------------------------------------
+
+def _random_matching(width, layers, seed):
+    """Per layer, a random perfect matching of cx/cz/rzz gates, with an rx
+    on every wire in between."""
+    rng = np.random.default_rng([seed, width, layers])
+    gates = []
+    for _ in range(layers):
+        for q in range(width):
+            gates.append(GateApp("rx", (q,), (float(rng.uniform(0, 2 * np.pi)),)))
+        order = rng.permutation(width)
+        for a, b in zip(order[0::2].tolist(), order[1::2].tolist()):
+            kind = ("cx", "cz", "rzz")[int(rng.integers(0, 3))]
+            params = (float(rng.uniform(0, 2 * np.pi)),) if kind == "rzz" else ()
+            gates.append(GateApp(kind, (a, b), params))
+    return CircuitIR(width, tuple(gates), f"matching_{width}_{layers}_{seed}")
+
+
+def _mixed_kinds():
+    gates = (GateApp("h", (0,)), GateApp("cx", (0, 1)), GateApp("rz", (1,), (0.4,)),
+             GateApp("cz", (1, 2)), GateApp("rzz", (2, 3), (1.1,)), GateApp("ry", (3,), (0.2,)),
+             GateApp("cx", (3, 0)), GateApp("rzz", (1, 3), (0.6,)), GateApp("x", (2,)),
+             GateApp("cz", (2, 0)), GateApp("cx", (1, 2)))
+    return CircuitIR(4, gates, "mixed_kinds")
+
+
+# (circuit, cap) pairs; the last chain case at cap 3 flags clusters 0 and 2
+GRAPH_CASES = [(ising_chain(w, depth=d, seed=w), cap)
+               for w, cap in ((34, 8), (100, 12), (420, 25)) for d in (1, 2)] + [
+    (_random_matching(12, 10, 1), 5),
+    (_random_matching(20, 6, 2), 8),
+    (_random_matching(9, 12, 3), 4),
+    (_mixed_kinds(), 2),
+    (CircuitIR(2, tuple(GateApp("cx", (0, 1)) for _ in range(5))), 1),
+    (CircuitIR(3, (GateApp("h", (0,)), GateApp("rx", (2,), (0.3,)), GateApp("x", (1,)))), 2),
+    (CircuitIR(3, ()), 2),
+    (ising_chain(6, depth=2, seed=6), 3),
+]
+
+
+def _graph_text(graph) -> str:
+    nodes = [f"{n.id}|{sorted(n.qubits)}|{n.gate_id}|{n.slot}" for n in graph.nodes]
+    edges = [f"{e.u}|{e.v}|{e.kind.value}|{e.w!r}|{e.w_hat!r}|{e.kappa!r}|{e.tau!r}"
+             for e in graph.edges]
+    return "\n".join(nodes + edges)
+
+
+def _report_text(result, graph) -> str:
+    parts = []
+    for eps in (0.03, None):
+        try:
+            parts.append(json.dumps(build_report(result.clustering, graph, eps=eps)
+                                    .to_json_dict(), sort_keys=True))
+        except OverflowError as exc:
+            parts.append(f"OverflowError: {exc}")
+    return "\n".join(parts)
+
+
+def test_cut_graph_digest():
+    """Every node's id, qubits, gate and slot and every edge's endpoints,
+    kind and exact weights, in graph order, of ``build_cut_graph``."""
+    texts = [_graph_text(build_cut_graph(circuit)) for circuit, _ in GRAPH_CASES]
+    assert _digest(texts) == "f1a14bf02b5d9aba"
+
+
+def test_report_digest():
+    """``build_report`` JSON at eps=0.03 and without eps for the pipeline
+    result on every graph of ``test_cut_graph_digest``."""
+    texts = []
+    for circuit, cap in GRAPH_CASES:
+        graph = build_cut_graph(circuit)
+        texts.append(_report_text(run_pipeline(graph, cap), graph))
+    flagged = build_report(run_pipeline(graph, cap).clustering, graph).flagged_clusters
+    assert flagged == (0, 2)
+    assert _digest(texts) == "5571dfb62cd5f987"

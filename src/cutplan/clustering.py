@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import CutGraph, merge_parallel_edges
+from .graph import CutGraph, mask_qubits, merge_parallel_edges, qubit_mask
 
 EPS = 1e-9
 
@@ -58,14 +58,13 @@ class Clustering:
     def from_assignment(cls, graph: CutGraph, assignment: dict[int, int],
                         max_qubits: int) -> "Clustering":
         members: dict[int, set[int]] = {}
+        masks: dict[int, int] = {}
+        mask = graph.mask
         for node, c in assignment.items():
             members.setdefault(c, set()).add(node)
-        clusters = {}
-        for c, nodes in members.items():
-            qubits: set[int] = set()
-            for n in nodes:
-                qubits |= graph.nodes[n].qubits
-            clusters[c] = Cluster(frozenset(nodes), frozenset(qubits))
+            masks[c] = masks.get(c, 0) | mask[node]
+        clusters = {c: Cluster(frozenset(nodes), mask_qubits(masks[c]))
+                    for c, nodes in members.items()}
         return cls(dict(assignment), clusters, max_qubits)
 
     @property
@@ -76,18 +75,18 @@ class Clustering:
         """Raise ``ValueError`` unless the clusters partition the graph's
         nodes, each cluster's qubits are its members' union and no cluster
         holds more qubits than the cap."""
-        if set(self.assignment) != {n.id for n in graph.nodes}:
+        if set(self.assignment) != set(range(graph.num_nodes)):
             raise ValueError("assignment does not cover the graph's nodes")
         for c, cluster in self.clusters.items():
             if not cluster.nodes:
                 raise ValueError(f"empty cluster {c}")
-            union: set[int] = set()
+            union = 0
             for n in cluster.nodes:
                 if self.assignment.get(n) != c:
                     raise ValueError(f"node {n} of cluster {c} is assigned to "
                                      f"{self.assignment.get(n)}")
-                union |= graph.nodes[n].qubits
-            if union != set(cluster.qubits):
+                union |= graph.mask[n]
+            if union != qubit_mask(cluster.qubits):
                 raise ValueError(f"cluster {c} lists qubits other than its members'")
             if len(cluster.qubits) > self.max_qubits:
                 raise ValueError(f"cluster {c} holds {len(cluster.qubits)} qubits, "
@@ -126,10 +125,8 @@ class _Level:
 
     @classmethod
     def from_graph(cls, graph: CutGraph) -> "_Level":
-        edges = graph.edges
-        return cls([e.u for e in edges], [e.v for e in edges], [e.w for e in edges],
-                   [e.w_hat for e in edges],
-                   [sum(1 << q for q in node.qubits) for node in graph.nodes])
+        """The graph's own columns, shared, not copied."""
+        return cls(graph.u, graph.v, graph.w, graph.w_hat, graph.mask)
 
     def contracted(self, cluster_of: list[int],
                    cmask: list[int]) -> tuple["_Level", np.ndarray]:
@@ -517,10 +514,10 @@ def _run_levels(level: _Level, max_qubits: int, engine_cls, order: str,
 
 def _step1(graph: CutGraph, max_qubits: int, order, rng, audit):
     """The cap check, the graph's one ``_Level`` and its stage-1 labels."""
-    for node in graph.nodes:
-        if len(node.qubits) > max_qubits:
+    for i, mask in enumerate(graph.mask):
+        if mask.bit_count() > max_qubits:
             raise InfeasibleCapError(
-                f"node {node.id} spans {len(node.qubits)} qubits; cap is {max_qubits}")
+                f"node {i} spans {mask.bit_count()} qubits; cap is {max_qubits}")
     level = _Level.from_graph(graph)
     if sum(level.w) <= 0:  # no weight to cluster by: singletons
         return level, list(range(len(level.mask))), StageStats()

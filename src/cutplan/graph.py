@@ -20,8 +20,9 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -134,20 +135,58 @@ class Edge:
     tau: float
 
 
-@dataclass(frozen=True)
+def qubit_mask(qubits) -> int:
+    """The bitmask of a set of qubits."""
+    return sum(1 << q for q in qubits)
+
+
+def mask_qubits(mask: int) -> frozenset[int]:
+    """The qubits of a bitmask."""
+    qubits = []
+    while mask:
+        qubits.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return frozenset(qubits)
+
+
 class CutGraph:
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
+    """The graph as columns, one list per field: per node, at the position
+    of its id, the qubit bitmask ``mask``, ``gate_id`` and ``slot``; per
+    edge, in edge order, the fields of ``Edge``. The planner and the report
+    read the columns, and ``nodes`` and ``edges`` build the ``Node``/``Edge``
+    tuples on first access. The columns are lists, never tuples: numpy reads
+    a tuple index as one index per axis.
+    """
+
+    def __init__(self, nodes: Sequence[Node] = (), edges: Sequence[Edge] = ()):
+        """A graph from ``Node``/``Edge`` objects whose ids are their positions."""
+        self.mask = [qubit_mask(n.qubits) for n in nodes]
+        self.gate_id = [n.gate_id for n in nodes]
+        self.slot = [n.slot for n in nodes]
+        self.u, self.v, self.kind, self.w, self.w_hat, self.kappa, self.tau = (
+            [getattr(e, f.name) for e in edges] for f in fields(Edge))
+
+    @classmethod
+    def from_columns(cls, mask, gate_id, slot, u, v, kind, w, w_hat, kappa, tau) -> "CutGraph":
+        """A graph that keeps the given lists as its columns."""
+        graph = cls.__new__(cls)
+        vars(graph).update(mask=mask, gate_id=gate_id, slot=slot, u=u, v=v, kind=kind,
+                           w=w, w_hat=w_hat, kappa=kappa, tau=tau)
+        return graph
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.mask)
 
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(map(Node, range(self.num_nodes), map(mask_qubits, self.mask),
+                         self.gate_id, self.slot))
 
-def _make_edge(u: int, v: int, kind: CutKind, weights: CutWeights) -> Edge:
-    a, b = (u, v) if u <= v else (v, u)
-    return Edge(a, b, kind, w=weights.w, w_hat=weights.w_hat,
-                kappa=weights.kappa, tau=weights.tau)
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(Edge, self.u, self.v, self.kind, self.w, self.w_hat,
+                         self.kappa, self.tau))
 
 
 def build_cut_graph(circuit: CircuitIR, weights: WeightTable = DEFAULT_WEIGHTS) -> CutGraph:
@@ -155,25 +194,34 @@ def build_cut_graph(circuit: CircuitIR, weights: WeightTable = DEFAULT_WEIGHTS) 
 
     1-qubit gates are ignored. Each 2-qubit gate adds one node per operand wire
     and a space-like edge between them; consecutive nodes on a wire are joined
-    by a time-like edge.
+    by a time-like edge. Node ``2k + s`` is slot ``s`` of the k-th 2-qubit
+    gate, and gate k adds, in edge order, the time edges into its slots 0
+    and 1, then its space edge.
     """
-    nodes: list[Node] = []
-    edges: list[Edge] = []
-    last_on_wire: dict[int, int] = {}
-    for gate_id, gate in circuit.two_qubit_gates():
-        entry = weights.space_entry(gate.kind)
-        pair = []
-        for slot, q in enumerate(gate.qubits):
-            node = Node(id=len(nodes), qubits=frozenset((q,)), gate_id=gate_id,
-                        slot=slot)
-            nodes.append(node)
-            pair.append(node.id)
-            if q in last_on_wire:
-                edges.append(_make_edge(last_on_wire[q], node.id, CutKind.TIME,
-                                        weights.time))
-            last_on_wire[q] = node.id
-        edges.append(_make_edge(pair[0], pair[1], CutKind.SPACE, entry))
-    return CutGraph(tuple(nodes), tuple(edges))
+    gates = [(i, g) for i, g in enumerate(circuit.gates) if len(g.qubits) == 2]
+    wires = [q for _, g in gates for q in g.qubits]
+    # one weight lookup per gate kind, in order of first appearance
+    table = [(CutKind.TIME, weights.time)]
+    row = {}
+    for kind in dict.fromkeys(g.kind for _, g in gates):
+        row[kind] = len(table)
+        table.append((CutKind.SPACE, weights.space_entry(kind)))
+
+    wire = np.array(wires, dtype=np.int64)
+    by_wire = np.argsort(wire, kind="stable")  # each wire's nodes in time order
+    same = wire[by_wire[1:]] == wire[by_wire[:-1]]
+    src, dst = by_wire[:-1][same], by_wire[1:][same]  # time edge src -> dst
+    k = np.arange(len(gates))
+    # key 3k + s for the time edge into node 2k + s, 3k + 2 for gate k's space edge
+    order = np.argsort(np.concatenate((dst + dst // 2, 3 * k + 2)))
+    rows = np.concatenate((np.zeros(len(src), dtype=np.intp),
+                           np.array([row[g.kind] for _, g in gates], dtype=np.intp)))
+    columns = np.array([(kind, t.w, t.w_hat, t.kappa, t.tau) for kind, t in table],
+                       dtype=object)[rows[order]].T.tolist()
+    return CutGraph.from_columns(
+        [1 << q for q in wires], [i for i, _ in gates for _ in (0, 1)], [0, 1] * len(gates),
+        np.concatenate((src, 2 * k))[order].tolist(),
+        np.concatenate((dst, 2 * k + 1))[order].tolist(), *columns)
 
 
 def merge_parallel_edges(u, v, w, w_hat):
@@ -209,26 +257,22 @@ def contract(graph: CutGraph, clustering: "Clustering") -> CutGraph:
     """
     cluster_ids = sorted(clustering.clusters)
     new_id = {c: i for i, c in enumerate(cluster_ids)}
-    nodes = tuple(Node(id=new_id[c], qubits=clustering.clusters[c].qubits)
-                  for c in cluster_ids)
-
     assignment = clustering.assignment
+    label = [new_id[assignment[i]] for i in range(graph.num_nodes)]
     u, v, w, w_hat, slot = merge_parallel_edges(
-        [new_id[assignment[e.u]] for e in graph.edges],
-        [new_id[assignment[e.v]] for e in graph.edges],
-        [e.w for e in graph.edges], [e.w_hat for e in graph.edges])
+        [label[a] for a in graph.u], [label[b] for b in graph.v], graph.w, graph.w_hat)
     kappa = [1.0] * len(u)
     tau = [1.0] * len(u)
     kinds: list[set[CutKind]] = [set() for _ in u]
-    for e, j in zip(graph.edges, slot):
-        kappa[j] *= e.kappa
-        tau[j] *= e.tau
-        kinds[j].add(e.kind)
-    edges = tuple(
-        Edge(u[j], v[j], kinds[j].pop() if len(kinds[j]) == 1 else CutKind.MERGED,
-             w=w[j], w_hat=w_hat[j], kappa=kappa[j], tau=tau[j])
-        for j in range(len(u)))
-    return CutGraph(nodes, edges)
+    for kind, k, t, j in zip(graph.kind, graph.kappa, graph.tau, slot):
+        kappa[j] *= k
+        tau[j] *= t
+        kinds[j].add(kind)
+    n = len(cluster_ids)
+    return CutGraph.from_columns(
+        [qubit_mask(clustering.clusters[c].qubits) for c in cluster_ids], [None] * n, [None] * n,
+        u, v, [ks.pop() if len(ks) == 1 else CutKind.MERGED for ks in kinds],
+        w, w_hat, kappa, tau)
 
 
 def to_dot(graph: CutGraph, clustering: "Clustering | None" = None) -> str:

@@ -34,6 +34,11 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and positive, got {eps}")
 
 
+def _check_r(r: int) -> None:
+    if not r >= 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+
+
 def _finite(what: str, eps: float, compute) -> float:
     """``compute()``, or an ``OverflowError`` naming ``what`` and ``eps``
     when the result is not a finite float (an overflow, or an ``eps ** 2``
@@ -57,9 +62,11 @@ def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
     with ``attached_kappa_sq`` the product of kappa^2 over the partition's
     cuts and ``attached_tau``, ``tau_cut`` the products of tau over its cuts
     and over all cuts. The arithmetic is in linear space, so integer-valued
-    budgets come out exact. Raises ``ValueError`` unless eps is finite and
-    positive, and ``OverflowError`` when the budget does not fit a float.
+    budgets come out exact. Raises ``ValueError`` unless r >= 1 and eps is
+    finite and positive, and ``OverflowError`` when the budget does not fit a
+    float.
     """
+    _check_r(r)
     _check_eps(eps)
     overhead = r * attached_kappa_sq * (tau_cut / attached_tau)
     return math.ceil(_finite(f"the shot budget of partition {partition}", eps,
@@ -81,9 +88,10 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
     Every term is positive and, since tau <= kappa^2, at most 1. A cluster
     attached to every cut (D_c empty) adds exactly 1, so whenever one exists
     the ratio is at least 1/(2 ln(2/delta)), about 0.279 at delta = 1/3,
-    however many partitions there are. Raises ``OverflowError`` when the
-    budget does not fit a float.
+    however many partitions there are. Raises ``ValueError`` unless r >= 1,
+    and ``OverflowError`` when the budget does not fit a float.
     """
+    _check_r(r)
     _check_eps(eps)
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
@@ -94,8 +102,9 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
 
 def cubic_bound(r: int, d_prime: int, eps: float = 1.0) -> float:
     """Cubic measure-and-prepare bound, with d_prime the largest number of
-    wire cuts on any single partition. Raises ``OverflowError`` when the
-    bound does not fit a float."""
+    wire cuts on any single partition. Raises ``ValueError`` unless r >= 1,
+    and ``OverflowError`` when the bound does not fit a float."""
+    _check_r(r)
     _check_eps(eps)
     if d_prime < 0:
         raise ValueError("d_prime must be >= 0")
@@ -112,12 +121,11 @@ def segment_flags(graph: CutGraph, clustering: "Clustering") -> tuple[int, ...]:
     more device qubits than the union rule reports. Only meaningful for atomic
     graphs (each node on one wire); returns () otherwise.
     """
-    if any(n.gate_id is None for n in graph.nodes):
+    if None in graph.gate_id:
         return ()
     wires: dict[int, list[int]] = {}
-    for node in graph.nodes:  # node ids are in gate order, which is time order
-        (q,) = node.qubits
-        wires.setdefault(q, []).append(node.id)
+    for node, mask in enumerate(graph.mask):  # node ids are in time order
+        wires.setdefault(mask.bit_length() - 1, []).append(node)
     segments: dict[int, int] = {c: 0 for c in clustering.clusters}
     for q, nodes in wires.items():
         previous = None
@@ -194,19 +202,20 @@ def build_report(clustering: "Clustering", graph: CutGraph,
     cut = []
     w_cut = hat_cut = 0.0
     tau_cut = 1.0
-    for e in graph.edges:
-        cu, cv = assignment[e.u], assignment[e.v]
+    for u, v, kind, w, w_hat, kappa, t in zip(graph.u, graph.v, graph.kind, graph.w,
+                                              graph.w_hat, graph.kappa, graph.tau):
+        cu, cv = assignment[u], assignment[v]
         if cu == cv:
             continue
-        cut.append((e.kind, cu, cv))
-        w_cut += e.w
-        hat_cut += e.w_hat
-        tau_cut *= e.tau
+        cut.append((kind, cu, cv))
+        w_cut += w
+        hat_cut += w_hat
+        tau_cut *= t
         for c in (cu, cv):
-            s_w[c] += e.w
-            s_hat[c] += e.w_hat
-            kappa_sq[c] *= e.kappa ** 2
-            tau[c] *= e.tau
+            s_w[c] += w
+            s_hat[c] += w_hat
+            kappa_sq[c] *= kappa ** 2
+            tau[c] *= t
     r = len(clustering.clusters)
     ln_i = {c: math.log(r) + s_w[c] + (hat_cut - s_hat[c]) for c in clustering.clusters}
     heavy = min(ln_i, key=lambda c: (-ln_i[c], c)) if ln_i else None

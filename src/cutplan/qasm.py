@@ -85,10 +85,6 @@ class CircuitIR:
                         f"{self.num_qubits}"
                     )
 
-    def two_qubit_gates(self) -> list[tuple[int, GateApp]]:
-        """(gate index, gate) pairs for all 2-qubit applications, in order."""
-        return [(i, g) for i, g in enumerate(self.gates) if len(g.qubits) == 2]
-
 
 # name -> (number of qubits, number of parameters) for the qelib1-style set
 STANDARD_GATES: dict[str, tuple[int, int]] = {

@@ -31,6 +31,7 @@ DELETED = [
     ("cutplan.overhead", "shot_budget"),
     ("cutplan.overhead", "_budget"),
     ("cutplan.cutsim.estimator", "_UnionFind"),
+    ("cutplan.graph", "_make_edge"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters
@@ -79,6 +80,7 @@ def test_dead_helpers_are_gone():
     assert not hasattr(cutplan.Edge, "is_self_loop")
     assert not hasattr(cutplan.CutGraph, "total_w")
     assert not hasattr(cutplan.Clustering, "compacted")
+    assert not hasattr(cutplan.CircuitIR, "two_qubit_gates")
     assert not hasattr(cutplan.cutsim.ProductObservable, "qubits")
     assert "qubit_map" not in inspect.signature(cutplan.cutsim.value_table).parameters
     assert not hasattr(cutplan.cutsim.ObsFactor, "from_function")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -62,11 +63,11 @@ def test_node_counts_general():
 
     circuit = ising_chain(9, depth=2, seed=1)
     g = build_cut_graph(circuit)
-    two_q = circuit.two_qubit_gates()
+    two_q = [gate for gate in circuit.gates if len(gate.qubits) == 2]
     assert g.num_nodes == 2 * len(two_q)
     assert sum(e.kind is CutKind.SPACE for e in g.edges) == len(two_q)
     per_wire = {}
-    for _, gate in two_q:
+    for gate in two_q:
         for q in gate.qubits:
             per_wire[q] = per_wire.get(q, 0) + 1
     expected_time = sum(max(0, c - 1) for c in per_wire.values())
@@ -81,10 +82,26 @@ def test_unknown_gate_falls_back_with_warning():
 
 
 def test_unknown_gate_strict():
-    circuit = CircuitIR(2, (GateApp("swap", (0, 1)),))
+    circuit = CircuitIR(3, (GateApp("cx", (0, 1)), GateApp("swap", (1, 2)),
+                            GateApp("cy", (0, 2))))
     table = WeightTable(fallback=False)
-    with pytest.raises(UnknownGateWeightError):
+    with pytest.raises(UnknownGateWeightError, match="'swap'"):
         build_cut_graph(circuit, table)
+
+
+def test_unknown_gates_warn_once_per_kind_at_the_caller():
+    """The weight entry is looked up once per gate kind and call, and the
+    warning points at the code that called ``build_cut_graph``."""
+    circuit = CircuitIR(3, (GateApp("swap", (0, 1)), GateApp("cx", (1, 2)),
+                            GateApp("swap", (1, 2)), GateApp("cy", (0, 2)),
+                            GateApp("swap", (0, 1))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = build_cut_graph(circuit)
+        build_cut_graph(circuit)
+    assert [str(w.message).split("'")[1] for w in caught] == ["swap", "cy"] * 2
+    assert {(w.category, w.filename) for w in caught} == {(UserWarning, __file__)}
+    assert [k for k, kind in zip(g.kappa, g.kind) if kind is CutKind.SPACE] == [3.0] * 5
 
 
 def test_identity_contraction_is_isomorphic():

@@ -210,6 +210,18 @@ def test_partition_shots_rejects_eps(eps):
         partition_shots(2, 9.0, 1.5, 1.5, eps, 0)
 
 
+@pytest.mark.parametrize("r", [0, -3])
+@pytest.mark.parametrize("budget", [lambda r: partition_shots(r, 9.0, 1.5, 1.5, 0.1, 0),
+                                    lambda r: prior_bound([4.0], eps=1.0, r=r),
+                                    lambda r: cubic_bound(r, 1)],
+                         ids=["partition_shots", "prior_bound", "cubic_bound"])
+def test_budgets_reject_r(budget, r):
+    """Before this check, r=0 gave a zero budget, r=-3 a negative one and
+    ``cubic_bound`` a math domain error."""
+    with pytest.raises(ValueError, match=f"r must be >= 1, got {r}$"):
+        budget(r)
+
+
 @pytest.mark.parametrize("args", [
     (2, 9.0, 1.5, 1.5, 1e-160),    # the budget exceeds the largest float
     (2, 9.0, 1.5, 1.5, 1e-200),    # eps ** 2 underflows to zero

@@ -6,6 +6,10 @@ import subprocess
 import sys
 
 import cutplan
+from cutplan.clustering import run_pipeline
+from cutplan.fixtures import ising_chain
+from cutplan.graph import build_cut_graph
+from cutplan.overhead import build_report
 
 PACKAGE = os.path.dirname(os.path.abspath(cutplan.__file__))
 
@@ -39,3 +43,15 @@ def test_planner_import_stays_light():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def test_plan_path_builds_no_graph_objects():
+    """A plan and its report read the graph's columns only: the ``Node`` and
+    ``Edge`` views are built on first access, and nothing on the plan path
+    asks for them."""
+    graph = build_cut_graph(ising_chain(60, depth=2))
+    build_report(run_pipeline(graph, 20).clustering, graph, eps=0.03)
+    assert "nodes" not in graph.__dict__
+    assert "edges" not in graph.__dict__
+    assert len(graph.edges) == len(graph.u)
+    assert "edges" in graph.__dict__

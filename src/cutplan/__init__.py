@@ -9,9 +9,8 @@ budget that overhead implies.
 from .clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
                          PipelineResult, StageMetrics, run_pipeline,
                          step1_modularity)
-from .graph import (CutGraph, CutKind, CutWeights, Edge, Node,
-                    UnknownGateWeightError, WeightTable, build_cut_graph,
-                    contract, to_dot, DEFAULT_WEIGHTS)
+from .graph import (CutGraph, CutKind, CutWeights, Edge, Node, WeightTable,
+                    build_cut_graph, contract, to_dot, DEFAULT_WEIGHTS)
 from .overhead import (OverheadReport, build_report, cubic_bound,
                        partition_shots, prior_bound)
 from .qasm import (CircuitIR, DuplicateOperandError, GateApp, QasmError,
@@ -23,9 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditError", "Cluster", "Clustering", "InfeasibleCapError",
     "PipelineResult", "StageMetrics", "run_pipeline", "step1_modularity",
-    "CutGraph", "CutKind", "CutWeights", "Edge", "Node",
-    "UnknownGateWeightError", "WeightTable", "build_cut_graph", "contract",
-    "to_dot", "DEFAULT_WEIGHTS",
+    "CutGraph", "CutKind", "CutWeights", "Edge", "Node", "WeightTable",
+    "build_cut_graph", "contract", "to_dot", "DEFAULT_WEIGHTS",
     "OverheadReport", "build_report", "cubic_bound", "partition_shots",
     "prior_bound",
     "CircuitIR", "DuplicateOperandError", "GateApp", "QasmError",

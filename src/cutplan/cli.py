@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import itertools
 import json
 import multiprocessing
@@ -24,7 +25,7 @@ import time
 from . import __version__
 from .clustering import InfeasibleCapError, PipelineResult, run_pipeline
 from .fixtures import ising_chain
-from .graph import UnknownGateWeightError, build_cut_graph, to_dot
+from .graph import build_cut_graph, to_dot
 from .overhead import BENCH_CSV_HEADER, build_report
 from .qasm import QasmError, parse_qasm_file, to_qasm
 
@@ -102,8 +103,7 @@ def cmd_partition(args) -> int:
         result, report, graph = _run_file(args.file, args)
     except InfeasibleCapError as exc:
         return _fail(f"infeasible qubit cap: {exc}", EXIT_INFEASIBLE)
-    except (QasmError, UnknownGateWeightError, OSError, ValueError,
-            OverflowError) as exc:
+    except (QasmError, OSError, ValueError, OverflowError) as exc:
         return _fail(str(exc), EXIT_ERROR)
 
     name = os.path.splitext(os.path.basename(args.file))[0]
@@ -185,32 +185,37 @@ _FULL_PRESETS = ((3, 0.03, 100), (4, 0.03, 100), (3, 0.01, 100), (4, 0.01, 100))
 def cmd_verify(args) -> int:
     from .cutsim import ExperimentConfig, variance_experiment
 
-    presets = _FULL_PRESETS if args.full else _CI_PRESETS
-    summaries = []
-    for label, (partitions, eps, reps) in enumerate(presets, start=1):
-        reps = reps if args.repetitions is None else args.repetitions
-        config = ExperimentConfig(partitions=partitions, eps=eps, repetitions=reps,
-                                  seed=args.seed if args.seed is not None else 0)
-        start = time.perf_counter()
-        try:
-            summary = variance_experiment(config)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_ERROR)
-        elapsed = time.perf_counter() - start
-        summaries.append((label, summary))
-        verdict = "pass" if summary.within_bound else "FAIL"
-        print(f"preset ({label}): partitions={partitions} eps={eps} "
-              f"n_total={summary.n_total} std={summary.std:.6f} [{verdict}] "
-              f"wall={elapsed:.2f}s", file=sys.stderr)
-    payload = {"presets": [dict(label=label, **s.to_json_dict())
-                           for label, s in summaries]}
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.errors_csv:
-        with open(args.errors_csv, "w", encoding="utf-8") as fh:
-            fh.write("preset,repetition,error\n")
+    # open the CSV first, so that a bad path fails before any preset runs
+    try:
+        errors_csv = open(args.errors_csv, "w", encoding="utf-8") if args.errors_csv else None
+    except OSError as exc:
+        return _fail(str(exc), EXIT_ERROR)
+    with errors_csv or contextlib.nullcontext():
+        presets = _FULL_PRESETS if args.full else _CI_PRESETS
+        summaries = []
+        for label, (partitions, eps, reps) in enumerate(presets, start=1):
+            reps = reps if args.repetitions is None else args.repetitions
+            config = ExperimentConfig(partitions=partitions, eps=eps, repetitions=reps,
+                                      seed=args.seed if args.seed is not None else 0)
+            start = time.perf_counter()
+            try:
+                summary = variance_experiment(config)
+            except ValueError as exc:
+                return _fail(str(exc), EXIT_ERROR)
+            elapsed = time.perf_counter() - start
+            summaries.append((label, summary))
+            verdict = "pass" if summary.within_bound else "FAIL"
+            print(f"preset ({label}): partitions={partitions} eps={eps} "
+                  f"n_total={summary.n_total} std={summary.std:.6f} [{verdict}] "
+                  f"wall={elapsed:.2f}s", file=sys.stderr)
+        payload = {"presets": [dict(label=label, **s.to_json_dict())
+                               for label, s in summaries]}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        if errors_csv:
+            errors_csv.write("preset,repetition,error\n")
             for label, s in summaries:
                 for rep, err in enumerate(s.errors):
-                    fh.write(f"{label},{rep},{err!r}\n")
+                    errors_csv.write(f"{label},{rep},{err!r}\n")
     if all(s.within_bound for _, s in summaries):
         return EXIT_OK
     return _fail("observed standard deviation exceeded eps", EXIT_ERROR)

@@ -38,7 +38,7 @@ from ..overhead import partition_shots
 from ..qasm import CircuitIR, GateApp
 from .decomp import (DecompositionSpec, MEAS_SIGNED, TermSide,
                      gate_cut_decomposition, wire_cut_decomposition)
-from .observable import ObsFactor, ProductObservable, value_table
+from .observable import ObsFactor, ProductObservable, check_qubits, value_table
 from .statevector import apply_matrix, gate_matrix, project_qubit, zero_state
 
 
@@ -141,6 +141,7 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
     every gate, and both sides of every cut, to its partition.
     """
     _check_cuts(circuit, cuts)
+    check_qubits(obs.factors, circuit.num_qubits)
     gate_cuts = {c.gate_index: j for j, c in enumerate(cuts) if isinstance(c, GateCut)}
     wire_cuts: dict[int, list[tuple[int, int]]] = {}
     for j, c in enumerate(cuts):

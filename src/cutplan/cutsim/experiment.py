@@ -94,8 +94,8 @@ class ExperimentSummary:
 
 def variance_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run the repetition loop and summarise the error distribution."""
-    if config.repetitions < 1:
-        raise ValueError("need at least one repetition")
+    if config.repetitions < 2:
+        raise ValueError("need at least two repetitions to measure a spread")
     cuts = ring_cuts(config.partitions)
     obs = pauli_z_observable(range(RING_QUBITS))
     errors = []
@@ -109,14 +109,13 @@ def variance_experiment(config: ExperimentConfig) -> ExperimentSummary:
         errors.append(run.estimate - exact)
         n_total = run.shots_used
     arr = np.array(errors)
-    std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     return ExperimentSummary(
         partitions=config.partitions,
         eps=config.eps,
         repetitions=config.repetitions,
         n_total=int(n_total),
         errors=tuple(float(e) for e in errors),
-        std=std,
+        std=float(arr.std(ddof=1)),
         mean_error=float(arr.mean()),
         seed=config.seed,
     )

@@ -45,9 +45,20 @@ def pauli_z_observable(qubits: Iterable[int]) -> ProductObservable:
     return ProductObservable(tuple(ObsFactor((q,), (1.0, -1.0)) for q in qubits))
 
 
+def check_qubits(obs_factors: Iterable[ObsFactor], num_qubits: int) -> None:
+    """Raise ``ValueError`` for a factor qubit outside ``range(num_qubits)``."""
+    for factor in obs_factors:
+        for q in factor.qubits:
+            if not 0 <= q < num_qubits:
+                raise ValueError(f"observable qubit {q} is outside the "
+                                 f"{num_qubits}-qubit circuit")
+
+
 def value_table(obs_factors: Iterable[ObsFactor], num_qubits: int) -> np.ndarray:
     """Factor product over every basis state of a ``num_qubits`` register,
     each factor qubit label being a register position."""
+    obs_factors = tuple(obs_factors)
+    check_qubits(obs_factors, num_qubits)
     values = np.ones(2 ** num_qubits)
     for factor in obs_factors:
         idx = np.zeros(2 ** num_qubits, dtype=np.int64)

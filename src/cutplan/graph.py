@@ -20,8 +20,9 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -30,10 +31,6 @@ from .qasm import CircuitIR
 
 if TYPE_CHECKING:  # pragma: no cover
     from .clustering import Clustering
-
-
-class UnknownGateWeightError(Exception):
-    """A 2-qubit gate kind has no weight entry and fallback is disabled."""
 
 
 class CutKind(enum.Enum):
@@ -49,12 +46,6 @@ class CutWeights:
     kappa: float
     tau: float
 
-    def __post_init__(self):
-        if self.kappa < 1.0 or self.tau < 1.0:
-            raise ValueError(f"overhead factors must be >= 1, got {self}")
-        if self.tau > self.kappa ** 2 + 1e-12:
-            raise ValueError(f"tau must not exceed kappa^2, got {self}")
-
     @property
     def w(self) -> float:
         return math.log(self.kappa ** 2)
@@ -64,44 +55,29 @@ class CutWeights:
         return math.log(self.tau)
 
 
-#: measure-and-prepare wire cut: 8 signed terms of coefficient 1/2
-TIME_LIKE_WEIGHTS = CutWeights(kappa=4.0, tau=2.0)
-#: 6-term local decomposition of CX/CZ (and rzz at theta=pi/2)
-CX_LIKE_WEIGHTS = CutWeights(kappa=3.0, tau=1.5)
-
-DEFAULT_SPACE_WEIGHTS: dict[str, CutWeights] = {
-    "cx": CX_LIKE_WEIGHTS,
-    "cz": CX_LIKE_WEIGHTS,
-    "rzz": CX_LIKE_WEIGHTS,
-}
-
-
-@dataclass(frozen=True)
 class WeightTable:
-    """Per-(cut kind, gate kind) overhead factors.
-
-    Unknown 2-qubit gates fall back to the CX entry with a warning unless
-    ``fallback`` is disabled.
+    """The planner's fixed overhead factors per cut kind and gate kind: those
+    of the decompositions ``cutplan.cutsim.decomp`` samples, with ``rzz`` at
+    theta = pi/2. An unknown 2-qubit gate is priced as ``cx``, with a warning.
     """
 
-    time: CutWeights = TIME_LIKE_WEIGHTS
-    space: dict[str, CutWeights] = field(default_factory=lambda: dict(DEFAULT_SPACE_WEIGHTS))
-    fallback: bool = True
+    __slots__ = ()
+
+    #: measure-and-prepare wire cut: 8 signed terms of coefficient 1/2
+    time = CutWeights(kappa=4.0, tau=2.0)
+    #: 6-term local decomposition of CX/CZ (and rzz at theta=pi/2)
+    space = MappingProxyType(dict.fromkeys(("cx", "cz", "rzz"), CutWeights(kappa=3.0, tau=1.5)))
 
     def space_entry(self, gate_kind: str) -> CutWeights:
         entry = self.space.get(gate_kind)
-        if entry is not None:
-            return entry
-        if not self.fallback:
-            raise UnknownGateWeightError(
-                f"no space-like weight entry for 2-qubit gate '{gate_kind}'"
+        if entry is None:
+            warnings.warn(
+                f"no weight entry for 2-qubit gate '{gate_kind}'; using the CX entry "
+                f"(kappa=3, tau=1.5)",
+                stacklevel=3,
             )
-        warnings.warn(
-            f"no weight entry for 2-qubit gate '{gate_kind}'; using the CX entry "
-            f"(kappa=3, tau=1.5)",
-            stacklevel=3,
-        )
-        return CX_LIKE_WEIGHTS
+            entry = self.space["cx"]
+        return entry
 
 
 DEFAULT_WEIGHTS = WeightTable()
@@ -189,7 +165,7 @@ class CutGraph:
                          self.kappa, self.tau))
 
 
-def build_cut_graph(circuit: CircuitIR, weights: WeightTable = DEFAULT_WEIGHTS) -> CutGraph:
+def build_cut_graph(circuit: CircuitIR) -> CutGraph:
     """Convert a circuit into its doubly-weighted cut graph.
 
     1-qubit gates are ignored. Each 2-qubit gate adds one node per operand wire
@@ -201,11 +177,11 @@ def build_cut_graph(circuit: CircuitIR, weights: WeightTable = DEFAULT_WEIGHTS) 
     gates = [(i, g) for i, g in enumerate(circuit.gates) if len(g.qubits) == 2]
     wires = [q for _, g in gates for q in g.qubits]
     # one weight lookup per gate kind, in order of first appearance
-    table = [(CutKind.TIME, weights.time)]
+    table = [(CutKind.TIME, DEFAULT_WEIGHTS.time)]
     row = {}
     for kind in dict.fromkeys(g.kind for _, g in gates):
         row[kind] = len(table)
-        table.append((CutKind.SPACE, weights.space_entry(kind)))
+        table.append((CutKind.SPACE, DEFAULT_WEIGHTS.space_entry(kind)))
 
     wire = np.array(wires, dtype=np.int64)
     by_wire = np.argsort(wire, kind="stable")  # each wire's nodes in time order

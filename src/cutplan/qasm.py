@@ -136,11 +136,14 @@ _EXPR_TOKEN_RE = re.compile(rf"{_NUMBER}|[A-Za-z_][A-Za-z0-9_]*|\S")
 def _evaluate(text: str, env: dict[str, float]) -> float:
     """Value of one parameter expression; ``env`` binds gate parameters."""
     if _PLAIN_NUMBER_RE.fullmatch(text):
-        return float(text)
-    tokens = _EXPR_TOKEN_RE.findall(text)
-    value, i = _sum(tokens, 0, env, 0)
-    if i < len(tokens):
-        raise QasmSyntaxError(f"unexpected '{tokens[i]}' after parameter expression")
+        value = float(text)
+    else:
+        tokens = _EXPR_TOKEN_RE.findall(text)
+        value, i = _sum(tokens, 0, env, 0)
+        if i < len(tokens):
+            raise QasmSyntaxError(f"unexpected '{tokens[i]}' after parameter expression")
+    if not math.isfinite(value):
+        raise QasmSyntaxError(f"parameter '{text.strip()}' is not a finite number")
     return value
 
 

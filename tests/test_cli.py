@@ -210,6 +210,19 @@ def test_verify_errors_csv(capsys, tmp_path):
     assert len(lines) == 1 + 2 * 3
 
 
+def test_verify_unwritable_errors_csv_fails_first(capsys, tmp_path, monkeypatch):
+    import cutplan.cutsim
+
+    def no_preset(config):
+        raise AssertionError("a preset ran")
+
+    monkeypatch.setattr(cutplan.cutsim, "variance_experiment", no_preset)
+    target = tmp_path / "missing" / "errors.csv"
+    code, out, err = run_cli(capsys, "verify", "--errors-csv", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "missing" in err
+
+
 def test_fixtures_roundtrip(capsys, tmp_path):
     out_dir = tmp_path / "fx"
     code, out, _ = run_cli(capsys, "fixtures", "--out", str(out_dir),
@@ -280,8 +293,9 @@ def test_bad_knob_values_fail_cleanly(capsys, tmp_path):
     code, _, err = run_cli(capsys, "partition", str(path), "--order", "random",
                            "--restarts", "0")
     assert code == 1 and "restarts" in err
-    code, _, err = run_cli(capsys, "verify", "--repetitions", "0")
-    assert code == 1 and "repetition" in err
+    for reps in ("0", "1"):
+        code, _, err = run_cli(capsys, "verify", "--repetitions", reps)
+        assert code == 1 and "repetition" in err
     code, _, err = run_cli(capsys, "fixtures", "--out", str(tmp_path / "fx"),
                            "--widths", "1")
     assert code == 1

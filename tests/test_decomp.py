@@ -34,14 +34,20 @@ def test_gate_cuts_reconstruct_target(builder, gate_kind):
 
 
 def test_factors_match_weight_table():
+    """The planner's constant table holds the factors of the decompositions
+    the estimator samples, and cannot be changed."""
     table = DEFAULT_WEIGHTS
-    assert (wire_cut_decomposition().kappa, wire_cut_decomposition().tau) == \
-        (table.time.kappa, table.time.tau)
-    for kind, builder in [("cx", cx_decomposition), ("cz", cz_decomposition)]:
-        spec = builder()
-        entry = table.space[kind]
-        assert spec.kappa == entry.kappa
-        assert spec.tau == entry.tau
+    wire = wire_cut_decomposition()
+    assert (table.time.kappa, table.time.tau) == (wire.kappa, wire.tau)
+    assert sorted(table.space) == ["cx", "cz", "rzz"]
+    for kind, entry in table.space.items():
+        params = (math.pi / 2,) if kind == "rzz" else ()
+        spec = gate_cut_decomposition(GateApp(kind, (0, 1), params))
+        assert (entry.kappa, entry.tau) == (spec.kappa, spec.tau), kind
+    with pytest.warns(UserWarning, match="'swap'"):
+        assert table.space_entry("swap") == table.space["cx"]
+    with pytest.raises(TypeError):
+        table.space["iswap"] = table.space["cx"]
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.37, 1.2, math.pi / 2, 2.9, -1.7])

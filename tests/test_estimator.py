@@ -70,6 +70,17 @@ def test_incompatible_observable():
         plan_partitions(bell(), [GateCut(1)], parity)
 
 
+@pytest.mark.parametrize("qubit", [7, -1])
+def test_observable_qubit_outside_the_circuit(qubit):
+    """The exact value and the cut estimate both reject the qubit by name."""
+    obs = pauli_z_observable([qubit])
+    message = f"qubit {qubit} is outside the 4-qubit circuit"
+    with pytest.raises(ValueError, match=message):
+        expectation_value(mixed_circuit(), obs)
+    with pytest.raises(ValueError, match=message):
+        cut_estimate(mixed_circuit(), [GateCut(3)], obs, eps=0.5, seed=0)
+
+
 def test_partition_plan_shapes():
     obs = pauli_z_observable(range(3))
     plans, r = plan_partitions(chain_with_rotations(), [WireCut(1, 2)], obs)

@@ -32,13 +32,14 @@ DELETED = [
     ("cutplan.overhead", "_budget"),
     ("cutplan.cutsim.estimator", "_UnionFind"),
     ("cutplan.graph", "_make_edge"),
+    ("cutplan.graph", "UnknownGateWeightError"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters
 # (None: not a callable)
 BENCHMARK_API = {
     "parse_qasm": ["text", "name"],
-    "build_cut_graph": ["circuit", "weights"],
+    "build_cut_graph": ["circuit"],
     "run_pipeline": ["graph", "max_qubits", "order", "restarts", "seed", "audit"],
     "build_report": ["clustering", "graph", "eps"],
     "step1_modularity": ["graph", "max_qubits", "order", "rng", "audit"],
@@ -81,6 +82,8 @@ def test_dead_helpers_are_gone():
     assert not hasattr(cutplan.CutGraph, "total_w")
     assert not hasattr(cutplan.Clustering, "compacted")
     assert not hasattr(cutplan.CircuitIR, "two_qubit_gates")
+    with pytest.raises(TypeError):
+        cutplan.WeightTable(fallback=False)
     assert not hasattr(cutplan.cutsim.ProductObservable, "qubits")
     assert "qubit_map" not in inspect.signature(cutplan.cutsim.value_table).parameters
     assert not hasattr(cutplan.cutsim.ObsFactor, "from_function")

@@ -5,8 +5,7 @@ import pytest
 
 from cutplan.clustering import Clustering
 from cutplan.fixtures import chain3, ising_chain
-from cutplan.graph import (CutKind, UnknownGateWeightError, WeightTable,
-                           build_cut_graph, contract, merge_parallel_edges, to_dot)
+from cutplan.graph import CutKind, build_cut_graph, contract, merge_parallel_edges, to_dot
 from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import random_clustering, random_graph
@@ -79,14 +78,6 @@ def test_unknown_gate_falls_back_with_warning():
     with pytest.warns(UserWarning, match="swap"):
         g = build_cut_graph(circuit)
     assert g.edges[0].kappa == 3.0
-
-
-def test_unknown_gate_strict():
-    circuit = CircuitIR(3, (GateApp("cx", (0, 1)), GateApp("swap", (1, 2)),
-                            GateApp("cy", (0, 2))))
-    table = WeightTable(fallback=False)
-    with pytest.raises(UnknownGateWeightError, match="'swap'"):
-        build_cut_graph(circuit, table)
 
 
 def test_unknown_gates_warn_once_per_kind_at_the_caller():

@@ -201,6 +201,9 @@ ERROR_TABLE = [
     ("gate g x, y { cx x,y; }\ng q[0], q[0];", DuplicateOperandError, 4),
     ("gate g(a) x {\n  rz(a/0) x;\n}\ng(1) q[0];", QasmSyntaxError, 6),
     ("gate g(a) x { rz(2a) x; }\ng(1) q[0];", QasmSyntaxError, 4),
+    ("rx(1e400) q[0];", QasmSyntaxError, 3),
+    ("rx(1e400-1e400) q[0];", QasmSyntaxError, 3),
+    ("gate g(a) x { rz(a*1e308*10) x; }\ng(1) q[0];", QasmSyntaxError, 4),
     ("qreg e[0];\nh e;", QasmSyntaxError, 4),
     ("qreg r[3];\ncx q, r;", QasmSyntaxError, 4),
     ("creg d[1];\ncreg d[4];", QasmSyntaxError, 4),

@@ -1,5 +1,5 @@
-"""Golden digests of ``run_pipeline``, ``build_cut_graph``, ``build_report``
-and ``cut_estimate`` output.
+"""Golden digests of ``parse_qasm``, ``run_pipeline``, ``build_cut_graph``,
+``build_report`` and ``cut_estimate`` output.
 
 Each pipeline digest covers the final assignment and, per stage, ``lq``,
 ``moves``, ``passes``, ``gain_evals`` and ``lq_trace``. Floats enter with 12
@@ -8,7 +8,8 @@ change to a move decision, a visit order, a tie rule or a counter changes
 the digest, while a last-bit difference between platform ``log``
 implementations does not. The cut-graph and report digests take floats by
 ``repr``: graph building and reporting must stay bit-identical, edge order
-and float summation order included.
+and float summation order included. The parse digest takes parameters by
+``repr`` too.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from cutplan.cutsim import (GateCut, WireCut, cut_estimate, pauli_z_observable,
 from cutplan.fixtures import ising_chain
 from cutplan.graph import build_cut_graph
 from cutplan.overhead import build_report
-from cutplan.qasm import CircuitIR, GateApp
+from cutplan.qasm import CircuitIR, GateApp, parse_qasm, to_qasm
 
 from conftest import random_graph
 
@@ -218,3 +219,46 @@ def test_report_digest():
     flagged = build_report(run_pipeline(graph, cap).clustering, graph).flagged_clusters
     assert flagged == (0, 2)
     assert _digest(texts) == "5571dfb62cd5f987"
+
+
+# -- parser ----------------------------------------------------------------------
+
+HAND_QASM = """OPENQASM 2.0;
+include "qelib1.inc";  // qelib1 gates are built in
+qreg a[3];
+qreg b[3];
+creg ca[3];
+creg cb[3];
+gate pair(t) x, y { rz(t/2) y; cx x,y; }
+gate ladder(t, u) x, y, z { pair(-t) x, y; id z; pair(t*u + pi) y, z; u0(1) x; }
+h a;  // broadcast over a
+cx a, b;
+cz a[0], b;
+barrier a, b[1];
+ladder(pi/3, 0.25) a[2], b[0], a[1];
+id b[2];
+u0(0.5) a[0];
+rzz(-0.7) b[2], a[0]; barrier b;
+u3(0.1, -2e-3, 3*pi/4) b[1];
+measure a -> ca;
+measure b[0] -> cb[0];
+"""
+
+PARSE_CASES = ([to_qasm(ising_chain(w, depth=d, seed=w)) for w, d in ((2, 1), (9, 3), (40, 2))]
+               + [to_qasm(_random_matching(w, layers, seed))
+                  for w, layers, seed in ((12, 10, 1), (9, 12, 3))]
+               + [HAND_QASM])
+
+
+def test_parse_digest():
+    """``num_qubits``, ``name`` and every gate's kind, qubits and exact
+    parameters of ``parse_qasm`` on chain, random-matching and hand-written
+    QASM: two registers, broadcast, nested gate definitions, barriers,
+    terminal measurements, comments and the dropped ``id``/``u0``."""
+    texts = []
+    for i, text in enumerate(PARSE_CASES):
+        circuit = parse_qasm(text, name=f"case{i}")
+        lines = [f"{circuit.num_qubits}|{circuit.name}"]
+        lines += [f"{g.kind}|{g.qubits}|{g.params!r}" for g in circuit.gates]
+        texts.append("\n".join(lines))
+    assert _digest(texts) == "d060746e4e921253"

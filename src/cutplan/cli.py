@@ -298,6 +298,8 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             return _fail(f"bad config file: {exc}", EXIT_ERROR)
         args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        return _fail(f"--seed must not be negative, got {args.seed}", EXIT_ERROR)
     return args.func(args)
 
 

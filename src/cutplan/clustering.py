@@ -141,6 +141,27 @@ class _Level:
                                                  self.w, self.w_hat)
         return _Level(u, v, w, w_hat, [cmask[c] for c in live]), label
 
+    @cached_property
+    def adjacency(self) -> tuple[list[list[tuple[int, float, float]]], list[float]]:
+        """Per node, its ``(neighbour, w, w_hat)`` in edge order, self-loops
+        left out, and ``k``, its attached weight with self-loops counted
+        twice. Built once per level and shared, read-only, by every engine
+        that runs on it: on the atomic level, stage 1's first and stage 2's
+        last."""
+        n = len(self.mask)
+        adj: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
+        self_w = [0.0] * n
+        attached = [0.0] * n
+        for a, b, w, w_hat in zip(self.u, self.v, self.w, self.w_hat):
+            if a == b:
+                self_w[a] += w
+            else:
+                adj[a].append((b, w, w_hat))
+                adj[b].append((a, w, w_hat))
+                attached[a] += w
+                attached[b] += w
+        return adj, [2.0 * s + x for s, x in zip(self_w, attached)]
+
 
 class _LevelState:
     """Mutable clustering bookkeeping for one graph level.
@@ -155,18 +176,7 @@ class _LevelState:
         self.level = level
         self.max_qubits = max_qubits
         n = len(level.mask)
-        self.adj: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
-        self_w = [0.0] * n
-        attached = [0.0] * n
-        for a, b, w, w_hat in zip(level.u, level.v, level.w, level.w_hat):
-            if a == b:
-                self_w[a] += w
-            else:
-                self.adj[a].append((b, w, w_hat))
-                self.adj[b].append((a, w, w_hat))
-                attached[a] += w
-                attached[b] += w
-        self.k = [2.0 * s + x for s, x in zip(self_w, attached)]
+        self.adj, self.k = level.adjacency
         if cluster_of is None:
             self.cluster_of = list(range(n))
             self.members: list[set[int]] = [{i} for i in range(n)]

@@ -18,19 +18,20 @@ def ising_chain(width: int, depth: int = 1, seed: int = 0,
     """Chain circuit on ``width`` qubits with ``depth`` entangling layers."""
     if width < 2:
         raise ValueError("need at least 2 qubits")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     rng = np.random.default_rng([seed, width, depth])
-    gates: list[GateApp] = []
+    gates = []  # (kind, qubits, params) per gate
     for _ in range(depth):
         for q in range(width):
-            gates.append(GateApp("rx", (q,), (float(rng.uniform(0, 2 * np.pi)),)))
+            gates.append(("rx", (q,), (float(rng.uniform(0, 2 * np.pi)),)))
         for q in range(width - 1):
             angle = float(rng.uniform(0, 2 * np.pi))
-            gates.append(GateApp("cx", (q, q + 1)))
-            gates.append(GateApp("rz", (q + 1,), (angle,)))
-            gates.append(GateApp("cx", (q, q + 1)))
+            gates += [("cx", (q, q + 1), ()), ("rz", (q + 1,), (angle,)), ("cx", (q, q + 1), ())]
     for q in range(width):
-        gates.append(GateApp("rz", (q,), (float(rng.uniform(0, 2 * np.pi)),)))
-    return CircuitIR(width, tuple(gates), name or f"ising_n{width}")
+        gates.append(("rz", (q,), (float(rng.uniform(0, 2 * np.pi)),)))
+    kind, qubits, params = map(list, zip(*gates))
+    return CircuitIR.from_columns(width, kind, qubits, params, name or f"ising_n{width}")
 
 
 def chain3() -> CircuitIR:

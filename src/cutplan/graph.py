@@ -174,12 +174,13 @@ def build_cut_graph(circuit: CircuitIR) -> CutGraph:
     gate, and gate k adds, in edge order, the time edges into its slots 0
     and 1, then its space edge.
     """
-    gates = [(i, g) for i, g in enumerate(circuit.gates) if len(g.qubits) == 2]
-    wires = [q for _, g in gates for q in g.qubits]
+    gate_ids = [i for i, qubits in enumerate(circuit.qubits) if len(qubits) == 2]
+    wires = [q for i in gate_ids for q in circuit.qubits[i]]
+    kinds = [circuit.kind[i] for i in gate_ids]
     # one weight lookup per gate kind, in order of first appearance
     table = [(CutKind.TIME, DEFAULT_WEIGHTS.time)]
     row = {}
-    for kind in dict.fromkeys(g.kind for _, g in gates):
+    for kind in dict.fromkeys(kinds):
         row[kind] = len(table)
         table.append((CutKind.SPACE, DEFAULT_WEIGHTS.space_entry(kind)))
 
@@ -187,15 +188,15 @@ def build_cut_graph(circuit: CircuitIR) -> CutGraph:
     by_wire = np.argsort(wire, kind="stable")  # each wire's nodes in time order
     same = wire[by_wire[1:]] == wire[by_wire[:-1]]
     src, dst = by_wire[:-1][same], by_wire[1:][same]  # time edge src -> dst
-    k = np.arange(len(gates))
+    k = np.arange(len(gate_ids))
     # key 3k + s for the time edge into node 2k + s, 3k + 2 for gate k's space edge
     order = np.argsort(np.concatenate((dst + dst // 2, 3 * k + 2)))
     rows = np.concatenate((np.zeros(len(src), dtype=np.intp),
-                           np.array([row[g.kind] for _, g in gates], dtype=np.intp)))
+                           np.array([row[kind] for kind in kinds], dtype=np.intp)))
     columns = np.array([(kind, t.w, t.w_hat, t.kappa, t.tau) for kind, t in table],
                        dtype=object)[rows[order]].T.tolist()
     return CutGraph.from_columns(
-        [1 << q for q in wires], [i for i, _ in gates for _ in (0, 1)], [0, 1] * len(gates),
+        [1 << q for q in wires], [i for i in gate_ids for _ in (0, 1)], [0, 1] * len(gate_ids),
         np.concatenate((src, 2 * k))[order].tolist(),
         np.concatenate((dst, 2 * k + 1))[order].tolist(), *columns)
 

@@ -2,7 +2,8 @@
 
 Parses the dialect used by transpiled benchmark circuits (single or multiple
 quantum registers, standard-library 1- and 2-qubit gates, user gate
-definitions, barriers, terminal measurements) into a flat gate-level IR.
+definitions, barriers, terminal measurements) into a flat, columnar
+gate-level IR.
 Barriers and terminal measurements are dropped; user gate definitions are
 inlined recursively; classical registers are only checked, never simulated.
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 
 class QasmError(Exception):
@@ -68,22 +71,43 @@ class GateApp:
             )
 
 
-@dataclass(frozen=True)
 class CircuitIR:
-    """Gate-level circuit: ordered gate list over ``num_qubits`` wires."""
+    """Gate-level circuit over ``num_qubits`` wires, stored as columns: per
+    gate, in order, its ``kind``, ``qubits`` and ``params``. The parser, the
+    cut graph and ``to_qasm`` read the columns, and ``gates`` builds the
+    ``GateApp`` tuple on first access.
+    """
 
-    num_qubits: int
-    gates: tuple[GateApp, ...]
-    name: str = "circuit"
-
-    def __post_init__(self):
-        for g in self.gates:
+    def __init__(self, num_qubits: int, gates: Sequence[GateApp], name: str = "circuit"):
+        """A circuit from ``GateApp`` objects, each wire checked against
+        ``num_qubits``."""
+        gates = tuple(gates)
+        self.num_qubits, self.name = num_qubits, name
+        self.kind, self.qubits, self.params = [], [], []
+        for g in gates:
             for q in g.qubits:
-                if not 0 <= q < self.num_qubits:
+                if not 0 <= q < num_qubits:
                     raise QasmSyntaxError(
                         f"gate '{g.kind}' touches wire {q} outside register of size "
-                        f"{self.num_qubits}"
-                    )
+                        f"{num_qubits}")
+            self.kind.append(g.kind)
+            self.qubits.append(g.qubits)
+            self.params.append(g.params)
+        self.gates = gates  # fills the cached property
+
+    @classmethod
+    def from_columns(cls, num_qubits: int, kind: list[str], qubits: list[tuple[int, ...]],
+                     params: list[tuple[float, ...]], name: str = "circuit") -> "CircuitIR":
+        """A circuit that keeps the given lists as its columns. The caller
+        has checked every gate: one or two distinct wires, all in range."""
+        circuit = cls.__new__(cls)
+        vars(circuit).update(num_qubits=num_qubits, name=name, kind=kind, qubits=qubits,
+                             params=params)
+        return circuit
+
+    @cached_property
+    def gates(self) -> tuple[GateApp, ...]:
+        return tuple(map(GateApp, self.kind, self.qubits, self.params))
 
 
 # name -> (number of qubits, number of parameters) for the qelib1-style set
@@ -101,6 +125,14 @@ STANDARD_GATES: dict[str, tuple[int, int]] = {
 
 # constructs we recognise but reject explicitly
 _UNSUPPORTED_STATEMENTS = {"if", "reset", "opaque"}
+
+# head words of statements that are not gate applications when they take no
+# parameters; ``None`` heads empty and malformed statements
+_KEYWORDS = {"qreg", "creg", "include", "measure"}
+_NOT_GATES = _KEYWORDS | _UNSUPPORTED_STATEMENTS | {None}
+
+# the parameter environment of a top-level gate application
+_NO_ENV: dict[str, float] = {}
 
 # qelib1 names with three or more operands: rejected unless a user definition
 # with an inlinable body shadows them
@@ -234,25 +266,39 @@ class _Parser:
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, tuple[int, int]] = {}  # name -> (0, size)
         self.num_qubits = 0
-        self.gates: list[GateApp] = []
+        # the IR's columns
+        self.kind: list[str] = []
+        self.qubits: list[tuple[int, ...]] = []
+        self.params: list[tuple[float, ...]] = []
         self.gate_defs: dict[str, _GateDef] = {}
         self.measured: set[int] = set()
+        # operand text -> its qubit, for operands that resolved to one qubit
+        self.scalars: dict[str, int] = {}
 
     def run(self) -> CircuitIR:
         header = _HEADER_RE.match(self.text)
-        if header:
-            self.pos = header.end()
+        pos = header.end() if header else 0
+        text, match, apply = self.text, _STATEMENT_RE.match, self._apply
         try:
             while True:
-                head, params, rest, end = self._next()
-                if not end and head is None and params is None and not rest:
-                    break
-                self._statement(head, params, rest, end)
+                self.statement = m = match(text, pos)
+                pos = m.end()
+                head, params, rest, end = m.groups()
+                if end == ";" and head not in _NOT_GATES:
+                    apply(head, params, rest)
+                elif end is not None:  # None: a barrier
+                    if not end and head is None and params is None and not rest:
+                        break
+                    # a gate definition reads its body from self.pos on
+                    self.pos = pos
+                    self._statement(head, params, rest, end)
+                    pos = self.pos
         except QasmError as exc:
             m = self.statement
             start = m.end() - len(m[0].lstrip())  # the statement's first token
             raise type(exc)(str(exc), self.text.count("\n", 0, start) + 1) from None
-        return CircuitIR(self.num_qubits, tuple(self.gates), self.name)
+        return CircuitIR.from_columns(self.num_qubits, self.kind, self.qubits, self.params,
+                                      self.name)
 
     def _next(self) -> tuple[str | None, str | None, str, str]:
         """(head, parameter text, rest, terminator) of the next non-barrier."""
@@ -278,13 +324,9 @@ class _Parser:
             if params is None and not rest:
                 return  # empty statement
             raise QasmSyntaxError("statement does not start with a name")
-        if params is not None or head not in ("qreg", "creg", "include", "measure"):
+        if params is not None or head not in _KEYWORDS:
             # a keyword with parameters is read, and rejected, as a gate name
-            values = tuple(_evaluate(t, {}) for t in _param_texts(params))
-            operand_lists = [self._operand(part, self.qregs, "qreg")
-                             for part in rest.split(",")]
-            for qubits in _broadcast(operand_lists):
-                self._emit(head, values, qubits, depth=0)
+            self._apply(head, params, rest)
         elif head == "include":
             # the filename is checked, not read: qelib1 gates are built in
             if not _STRING_RE.fullmatch(rest):
@@ -307,6 +349,7 @@ class _Parser:
         else:
             self.qregs[name] = (self.num_qubits, size)
             self.num_qubits += size
+            self.scalars.clear()  # no operand outlives a change to the registers
 
     def _measure(self, rest: str) -> None:
         parts = rest.split("->")
@@ -361,6 +404,25 @@ class _Parser:
 
     # -- applications -------------------------------------------------------
 
+    def _apply(self, kind: str, params: str | None, rest: str) -> None:
+        """One gate statement: its parameters, operands and broadcast."""
+        values = tuple([_evaluate(t, _NO_ENV) for t in _param_texts(params)]) if params else ()
+        parts = rest.split(",")
+        scalars = self.scalars
+        qubits = []
+        for part in parts:
+            q = scalars.get(part)
+            if q is None:
+                operand = self._operand(part, self.qregs, "qreg")
+                if len(operand) != 1:  # a whole register: broadcast
+                    for wires in _broadcast([self._operand(p, self.qregs, "qreg")
+                                             for p in parts]):
+                        self._emit(kind, values, wires, 0)
+                    return
+                q = scalars[part] = operand[0]
+            qubits.append(q)
+        self._emit(kind, values, tuple(qubits), 0)
+
     def _emit(self, kind: str, params: tuple[float, ...], qubits: tuple[int, ...],
               depth: int) -> None:
         if depth > _MAX_INLINE_DEPTH:
@@ -369,27 +431,33 @@ class _Parser:
         if kind in self.gate_defs:
             self._inline(self.gate_defs[kind], params, qubits, depth)
             return
-        if kind in _WIDE_GATES:
-            raise UnsupportedGateError(
-                f"gate '{kind}' acts on {_WIDE_GATES[kind]} qubits; "
-                "only 1- and 2-qubit gates are supported")
-        if kind not in STANDARD_GATES:
+        spec = STANDARD_GATES.get(kind)
+        if spec is None:
+            if kind in _WIDE_GATES:
+                raise UnsupportedGateError(
+                    f"gate '{kind}' acts on {_WIDE_GATES[kind]} qubits; "
+                    "only 1- and 2-qubit gates are supported")
             raise UnsupportedGateError(f"unknown gate '{kind}'")
-        arity, n_params = STANDARD_GATES[kind]
+        arity, n_params = spec
         if arity != len(qubits):
             raise QasmSyntaxError(
                 f"gate '{kind}' expects {arity} operand(s), got {len(qubits)}")
         if n_params != len(params):
             raise QasmSyntaxError(
                 f"gate '{kind}' expects {n_params} parameter(s), got {len(params)}")
-        for q in qubits:
-            if q in self.measured:
-                raise UnsupportedGateError(
-                    f"gate on wire {q} after measurement "
-                    "(mid-circuit measurement is not supported)")
+        if self.measured:
+            for q in qubits:
+                if q in self.measured:
+                    raise UnsupportedGateError(
+                        f"gate on wire {q} after measurement "
+                        "(mid-circuit measurement is not supported)")
         if kind == "id" or kind == "u0":
             return
-        self.gates.append(GateApp(kind, qubits, params))
+        if arity == 2 and qubits[0] == qubits[1]:
+            raise DuplicateOperandError(f"gate '{kind}' applied twice to wire {qubits[0]}")
+        self.kind.append(kind)
+        self.qubits.append(qubits)
+        self.params.append(params)
 
     def _inline(self, gdef: _GateDef, params: tuple[float, ...],
                 qubits: tuple[int, ...], depth: int) -> None:
@@ -456,8 +524,11 @@ def to_qasm(circuit: CircuitIR) -> str:
         'include "qelib1.inc";',
         f"qreg q[{circuit.num_qubits}];",
     ]
-    for g in circuit.gates:
-        params = f"({','.join(repr(p) for p in g.params)})" if g.params else ""
-        operands = ",".join(f"q[{q}]" for q in g.qubits)
-        lines.append(f"{g.kind}{params} {operands};")
+    wire = [f"q[{q}]" for q in range(circuit.num_qubits)]
+    for kind, qubits, params in zip(circuit.kind, circuit.qubits, circuit.params):
+        operands = ",".join(map(wire.__getitem__, qubits))
+        if params:
+            lines.append(f"{kind}({','.join(map(repr, params))}) {operands};")
+        else:
+            lines.append(f"{kind} {operands};")
     return "\n".join(lines) + "\n"

@@ -299,6 +299,15 @@ def test_bad_knob_values_fail_cleanly(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fixtures", "--out", str(tmp_path / "fx"),
                            "--widths", "1")
     assert code == 1
+    for depth in ("0", "-1"):
+        code, out, err = run_cli(capsys, "fixtures", "--out", str(tmp_path / "fx"),
+                                 "--depth", depth)
+        assert code == 1 and out == ""
+        assert err == f"error: depth must be at least 1, got {depth}\n"
+    for command in (("fixtures", "--out", str(tmp_path / "fx")), ("verify",)):
+        code, out, err = run_cli(capsys, *command, "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --seed must not be negative, got -1\n"
     for jobs in ("0", "-1"):
         code, out, err = run_cli(capsys, "bench", str(tmp_path), "--jobs", jobs)
         assert code == 1 and out == ""

@@ -68,6 +68,12 @@ def test_multiple_registers_flatten_in_declaration_order():
     assert ir.gates[1] == GateApp("h", (3,))
 
 
+def test_operand_resolved_before_a_later_register():
+    ir = parse_qasm("qreg a[2]; x a[1]; qreg b[1]; cx a[1],b[0];")
+    assert ir.num_qubits == 3
+    assert [g.qubits for g in ir.gates] == [(1,), (1, 2)]
+
+
 def test_register_broadcast():
     ir = parse_qasm("qreg q[3]; h q;")
     assert [g.qubits for g in ir.gates] == [(0,), (1,), (2,)]
@@ -207,6 +213,9 @@ ERROR_TABLE = [
     ("qreg e[0];\nh e;", QasmSyntaxError, 4),
     ("qreg r[3];\ncx q, r;", QasmSyntaxError, 4),
     ("creg d[1];\ncreg d[4];", QasmSyntaxError, 4),
+    ("x r[0];\nqreg r[1];", UndeclaredRegisterError, 3),
+    ("h q[1];\ncx q[1],q[1];", DuplicateOperandError, 4),
+    ("qreg(1) q[0];", UnsupportedGateError, 3),
     pytest.param("rz(" + "(" * 400 + "1" + ")" * 400 + ") q[0];", QasmSyntaxError, 3,
                  id="400-nested-parentheses"),
     pytest.param("rz(" + "-" * 2000 + "1) q[0];", QasmSyntaxError, 3,

@@ -10,6 +10,7 @@ from cutplan.clustering import run_pipeline
 from cutplan.fixtures import ising_chain
 from cutplan.graph import build_cut_graph
 from cutplan.overhead import build_report
+from cutplan.qasm import GateApp, parse_qasm, to_qasm
 
 PACKAGE = os.path.dirname(os.path.abspath(cutplan.__file__))
 
@@ -46,12 +47,17 @@ def test_planner_import_stays_light():
 
 
 def test_plan_path_builds_no_graph_objects():
-    """A plan and its report read the graph's columns only: the ``Node`` and
-    ``Edge`` views are built on first access, and nothing on the plan path
-    asks for them."""
-    graph = build_cut_graph(ising_chain(60, depth=2))
+    """Parsing, a plan and its report read the circuit's and the graph's
+    columns only: the ``GateApp``, ``Node`` and ``Edge`` views are built on
+    first access, and nothing on the plan path asks for them."""
+    circuit = parse_qasm(to_qasm(ising_chain(60, depth=2)))
+    graph = build_cut_graph(circuit)
     build_report(run_pipeline(graph, 20).clustering, graph, eps=0.03)
-    assert "nodes" not in graph.__dict__
-    assert "edges" not in graph.__dict__
+    assert "gates" not in vars(circuit)
+    assert "nodes" not in vars(graph)
+    assert "edges" not in vars(graph)
+    assert circuit.gates == tuple(GateApp(kind, qubits, params) for kind, qubits, params
+                                  in zip(circuit.kind, circuit.qubits, circuit.params))
+    assert len(circuit.gates) == len(circuit.kind) > 0
     assert len(graph.edges) == len(graph.u)
-    assert "edges" in graph.__dict__
+    assert "edges" in vars(graph)

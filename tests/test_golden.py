@@ -81,6 +81,17 @@ def test_random_order_restarts_digest():
     assert _digest([_text(result)]) == "6d3204a0042002e3"
 
 
+def test_random_matching_pipeline_digest():
+    """Wide random-matching plans whose stage-2 supernode pass meets ties in
+    ``k``: summing the supernode level's edges in another order than
+    contracting the atomic level once changes these plans."""
+    texts = []
+    for seed in (0, 3):
+        g = build_cut_graph(_random_matching(48, 16, seed))
+        texts += [_text(run_pipeline(g, cap)) for cap in (12, 20)]
+    assert _digest(texts) == "bcb3174ba6bc2538"
+
+
 # -- estimator -------------------------------------------------------------------
 
 def _estimate_text(circuit, cuts, eps, seed) -> str:

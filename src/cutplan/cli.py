@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import csv
 import itertools
 import json
 import multiprocessing
@@ -26,7 +27,7 @@ from . import __version__
 from .clustering import InfeasibleCapError, PipelineResult, run_pipeline
 from .fixtures import ising_chain
 from .graph import build_cut_graph, to_dot
-from .overhead import BENCH_CSV_HEADER, build_report
+from .overhead import build_report
 from .qasm import QasmError, parse_qasm_file, to_qasm
 
 EXIT_OK = 0
@@ -136,17 +137,22 @@ def _print_table(name: str, result: PipelineResult) -> None:
         print(f"{s.stage:<8}{s.lq:>10.2f}{s.ld:>10.2f}{s.r:>6}{s.wall_time_s:>10.4f}")
 
 
-def _bench_row(path: str, args) -> str:
-    """One CSV row of ``cutplan bench``; a failing file gives an error row."""
+_BENCH_COLUMNS = ("name", "lq", "n_space", "n_time", "l_tot", "r", "wall_time_s", "error")
+
+
+def _bench_row(path: str, args) -> dict:
+    """One row of ``cutplan bench`` by column; a failing file fills only
+    ``name`` and ``error``."""
     name = os.path.splitext(os.path.basename(path))[0]
     start = time.perf_counter()
     try:
         _, report, _ = _run_file(path, args)
     except Exception as exc:  # isolate per-file failures
-        reason = str(exc).replace(",", ";").replace("\n", " ")
-        return f"{name},,,,,,,{reason}"
+        return {"name": name, "error": str(exc).replace("\n", " ")}
     elapsed = time.perf_counter() - start
-    return report.csv_row(name, wall_time_s=elapsed)
+    return {"name": name, "lq": f"{report.lq:.6f}", "n_space": report.n_space,
+            "n_time": report.n_time, "l_tot": f"{report.l_tot:.6f}", "r": report.r,
+            "wall_time_s": f"{elapsed:.4f}"}
 
 
 def cmd_bench(args) -> int:
@@ -169,11 +175,10 @@ def cmd_bench(args) -> int:
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         rows = list(pool.map(_bench_row, files, itertools.repeat(args)))
-    print(BENCH_CSV_HEADER)
-    for row in rows:
-        print(row)
-    failures = sum(1 for row in rows if row.split(",")[1] == "")
-    if failures == len(rows):
+    writer = csv.DictWriter(sys.stdout, _BENCH_COLUMNS, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    if not any("lq" in row for row in rows):
         return _fail("no circuit processed successfully", EXIT_ERROR)
     return EXIT_OK
 

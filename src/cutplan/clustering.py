@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -575,17 +575,8 @@ class StageMetrics:
     lq_trace: tuple[float, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "lq": self.lq,
-            "ld": self.ld,
-            "r": self.r,
-            "moves": self.moves,
-            "passes": self.passes,
-            "wall_time_s": round(self.wall_time_s, 4),
-            "gain_evals": self.gain_evals,
-            "lq_trace": list(self.lq_trace),
-        }
+        return dict(asdict(self), wall_time_s=round(self.wall_time_s, 4),
+                    lq_trace=list(self.lq_trace))
 
 
 @dataclass(frozen=True)

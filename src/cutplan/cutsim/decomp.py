@@ -34,6 +34,10 @@ one_norm = 1 + 2|sin theta| and sq_norm = 1 + sin²(theta)/2, i.e. 3 and 1.5 at
 theta = pi/2. CZ is this core at theta = -pi/2 with an Rz(pi/2) correction on
 both wires; CX conjugates the CZ target side by Hadamards.
 
+The coefficients of both decompositions live in ``cutplan.graph``
+(``WIRE_CUT_COEFFICIENTS``, ``zz_core_coefficients``), which the planner
+prices cuts from; this module pairs them with the term sides.
+
 Every spec registered here is checked against its target channel by
 ``reconstruct_channel``: tests trust the process-matrix oracle, not this
 docstring.
@@ -46,6 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..graph import WIRE_CUT_COEFFICIENTS, CutWeights, zz_core_coefficients
 from ..qasm import GateApp
 from .statevector import gate_matrix
 
@@ -83,54 +88,48 @@ class DecompositionSpec:
 
     @property
     def kappa(self) -> float:
-        return sum(abs(t.coeff) for t in self.terms)
+        return CutWeights.of([t.coeff for t in self.terms]).kappa
 
     @property
     def tau(self) -> float:
-        return sum(t.coeff ** 2 for t in self.terms)
+        return CutWeights.of([t.coeff for t in self.terms]).tau
 
 
 def _g(kind: str, *params: float) -> tuple[str, tuple[float, ...]]:
     return (kind, tuple(params))
 
 
+# the sides of each term, in the order of the planner's coefficient lists
+_WIRE_CUT_SIDES = (
+    (TermSide(measure=MEAS_PLAIN), TermSide()),
+    (TermSide(measure=MEAS_PLAIN), TermSide(gates=(_g("x"),))),
+    (TermSide(measure=MEAS_SIGNED), TermSide()),
+    (TermSide(measure=MEAS_SIGNED), TermSide(gates=(_g("x"),))),
+    (TermSide(gates=(_g("h"),), measure=MEAS_SIGNED), TermSide(gates=(_g("h"),))),
+    (TermSide(gates=(_g("h"),), measure=MEAS_SIGNED), TermSide(gates=(_g("x"), _g("h")))),
+    (TermSide(gates=(_g("sdg"), _g("h")), measure=MEAS_SIGNED),
+     TermSide(gates=(_g("h"), _g("s")))),
+    (TermSide(gates=(_g("sdg"), _g("h")), measure=MEAS_SIGNED),
+     TermSide(gates=(_g("x"), _g("h"), _g("s")))),
+)
+_ZZ_CORE_SIDES = (
+    (TermSide(), TermSide()),
+    (TermSide(gates=(_g("z"),)), TermSide(gates=(_g("z"),))),
+    (TermSide(measure=MEAS_SIGNED), TermSide(gates=(_g("rz", math.pi / 2),))),
+    (TermSide(measure=MEAS_SIGNED), TermSide(gates=(_g("rz", -math.pi / 2),))),
+    (TermSide(gates=(_g("rz", math.pi / 2),)), TermSide(measure=MEAS_SIGNED)),
+    (TermSide(gates=(_g("rz", -math.pi / 2),)), TermSide(measure=MEAS_SIGNED)),
+)
+
+
 def wire_cut_decomposition() -> DecompositionSpec:
     """Identity channel as 8 signed measure-and-prepare terms."""
-    half = 0.5
-    terms = (
-        Term(+half, (TermSide(measure=MEAS_PLAIN), TermSide())),
-        Term(+half, (TermSide(measure=MEAS_PLAIN), TermSide(gates=(_g("x"),)))),
-        Term(+half, (TermSide(measure=MEAS_SIGNED), TermSide())),
-        Term(-half, (TermSide(measure=MEAS_SIGNED), TermSide(gates=(_g("x"),)))),
-        Term(+half, (TermSide(gates=(_g("h"),), measure=MEAS_SIGNED),
-                     TermSide(gates=(_g("h"),)))),
-        Term(-half, (TermSide(gates=(_g("h"),), measure=MEAS_SIGNED),
-                     TermSide(gates=(_g("x"), _g("h"))))),
-        Term(+half, (TermSide(gates=(_g("sdg"), _g("h")), measure=MEAS_SIGNED),
-                     TermSide(gates=(_g("h"), _g("s"))))),
-        Term(-half, (TermSide(gates=(_g("sdg"), _g("h")), measure=MEAS_SIGNED),
-                     TermSide(gates=(_g("x"), _g("h"), _g("s"))))),
-    )
-    return DecompositionSpec("time", None, (), terms)
-
-
-def _zz_core_terms(theta: float) -> list[tuple[float, TermSide, TermSide]]:
-    # half-angle forms keep the theta = +-pi/2 coefficients exactly at 1/2
-    c2 = 0.5 * (1.0 + math.cos(theta))
-    s2 = 0.5 * (1.0 - math.cos(theta))
-    cs = 0.5 * math.sin(theta)
-    return [
-        (c2, TermSide(), TermSide()),
-        (s2, TermSide(gates=(_g("z"),)), TermSide(gates=(_g("z"),))),
-        (+cs, TermSide(measure=MEAS_SIGNED), TermSide(gates=(_g("rz", math.pi / 2),))),
-        (-cs, TermSide(measure=MEAS_SIGNED), TermSide(gates=(_g("rz", -math.pi / 2),))),
-        (+cs, TermSide(gates=(_g("rz", math.pi / 2),)), TermSide(measure=MEAS_SIGNED)),
-        (-cs, TermSide(gates=(_g("rz", -math.pi / 2),)), TermSide(measure=MEAS_SIGNED)),
-    ]
+    return DecompositionSpec("time", None, (), tuple(map(Term, WIRE_CUT_COEFFICIENTS,
+                                                         _WIRE_CUT_SIDES)))
 
 
 def rzz_decomposition(theta: float) -> DecompositionSpec:
-    terms = tuple(Term(a, (s0, s1)) for a, s0, s1 in _zz_core_terms(theta))
+    terms = tuple(map(Term, zz_core_coefficients(theta), _ZZ_CORE_SIDES))
     return DecompositionSpec("space", "rzz", (theta,), terms)
 
 
@@ -140,7 +139,7 @@ def cz_decomposition() -> DecompositionSpec:
     terms = tuple(
         Term(a, tuple(replace(s, gates=s.gates + rz) if s.measure is None
                       else replace(s, post_gates=s.post_gates + rz) for s in sides))
-        for a, *sides in _zz_core_terms(-math.pi / 2.0))
+        for a, sides in zip(zz_core_coefficients(-math.pi / 2.0), _ZZ_CORE_SIDES))
     return DecompositionSpec("space", "cz", (), terms)
 
 

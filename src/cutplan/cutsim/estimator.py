@@ -431,15 +431,10 @@ def combine_means(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec
         subscripts.append(letters[j])
         operands.append(np.array([t.coeff for t in spec.terms]))
     for c, plan in sorted(plans.items()):
-        shape = tuple(len(specs[j].terms) for j in plan.attached_cuts)
-        tensor = np.empty(shape if shape else (1,))
-        if shape:
-            for variant, mean in means[c].items():
-                tensor[variant] = mean
-            subscripts.append("".join(letters[j] for j in plan.attached_cuts))
-        else:
-            tensor[0] = means[c][()]
-            subscripts.append("")
-            tensor = tensor.reshape(())
+        # a partition no cut touches is a 0-d tensor with subscript ""
+        tensor = np.empty(tuple(len(specs[j].terms) for j in plan.attached_cuts))
+        for variant, mean in means[c].items():
+            tensor[variant] = mean
+        subscripts.append("".join(letters[j] for j in plan.attached_cuts))
         operands.append(tensor)
     return float(np.einsum(",".join(subscripts) + "->", *operands))

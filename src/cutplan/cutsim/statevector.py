@@ -43,6 +43,7 @@ _SQ = {
     "tdg": np.diag([1, cmath.exp(-1j * math.pi / 4)]),
     "sx": np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2,
     "sxdg": np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]], dtype=complex) / 2,
+    "u0": np.eye(2, dtype=complex),  # an idle period: the identity, whatever its length
 }
 
 
@@ -141,13 +142,9 @@ def project_qubit(states: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray
     return out.reshape(-1, 2 ** num_qubits)
 
 
-def simulate_statevector(circuit: CircuitIR, initial: int = 0) -> np.ndarray:
-    """Exact final state of the circuit from computational basis state ``initial``."""
-    if circuit.num_qubits > MAX_QUBITS:
-        raise TooManyQubitsError(
-            f"{circuit.num_qubits} qubits exceeds the dense-vector cap of {MAX_QUBITS}")
-    state = np.zeros(2 ** circuit.num_qubits, dtype=complex)
-    state[initial] = 1.0
+def simulate_statevector(circuit: CircuitIR) -> np.ndarray:
+    """Exact final state of the circuit from |0...0>."""
+    state = zero_state(circuit.num_qubits)
     for gate in circuit.gates:
         state = apply_gate(state, circuit.num_qubits, gate)
     return state

@@ -13,8 +13,7 @@ import numpy as np
 from .qasm import CircuitIR, GateApp
 
 
-def ising_chain(width: int, depth: int = 1, seed: int = 0,
-                name: str | None = None) -> CircuitIR:
+def ising_chain(width: int, depth: int = 1, seed: int = 0) -> CircuitIR:
     """Chain circuit on ``width`` qubits with ``depth`` entangling layers."""
     if width < 2:
         raise ValueError("need at least 2 qubits")
@@ -31,7 +30,7 @@ def ising_chain(width: int, depth: int = 1, seed: int = 0,
     for q in range(width):
         gates.append(("rz", (q,), (float(rng.uniform(0, 2 * np.pi)),)))
     kind, qubits, params = map(list, zip(*gates))
-    return CircuitIR.from_columns(width, kind, qubits, params, name or f"ising_n{width}")
+    return CircuitIR.from_columns(width, kind, qubits, params, f"ising_n{width}")
 
 
 def chain3() -> CircuitIR:

@@ -39,12 +39,35 @@ class CutKind(enum.Enum):
     MERGED = "merged"
 
 
+#: the measure-and-prepare wire cut's 8 term coefficients, in the term order
+#: of ``cutsim.decomp.wire_cut_decomposition``
+WIRE_CUT_COEFFICIENTS = (0.5, 0.5, 0.5, -0.5, 0.5, -0.5, 0.5, -0.5)
+
+
+def zz_core_coefficients(theta: float) -> tuple[float, ...]:
+    """The 6 term coefficients of the ZZ-rotation core exp(-i theta/2 Z⊗Z),
+    in the term order of ``cutsim.decomp``: c², s², +cs, -cs, +cs, -cs with
+    c = cos(theta/2) and s = sin(theta/2)."""
+    # half-angle forms keep the theta = +-pi/2 coefficients exactly at 1/2
+    c2 = 0.5 * (1.0 + math.cos(theta))
+    s2 = 0.5 * (1.0 - math.cos(theta))
+    cs = 0.5 * math.sin(theta)
+    return (c2, s2, cs, -cs, cs, -cs)
+
+
 @dataclass(frozen=True)
 class CutWeights:
     """Overhead factors of one cut decomposition."""
 
     kappa: float
     tau: float
+
+    @classmethod
+    def of(cls, coefficients: Sequence[float]) -> "CutWeights":
+        """kappa = sum of |a| and tau = sum of a² over a decomposition's term
+        coefficients, summed in term order."""
+        return cls(kappa=sum(abs(a) for a in coefficients),
+                   tau=sum(a ** 2 for a in coefficients))
 
     @property
     def w(self) -> float:
@@ -56,27 +79,30 @@ class CutWeights:
 
 
 class WeightTable:
-    """The planner's fixed overhead factors per cut kind and gate kind: those
-    of the decompositions ``cutplan.cutsim.decomp`` samples, with ``rzz`` at
-    theta = pi/2. An unknown 2-qubit gate is priced as ``cx``, with a warning.
+    """The planner's fixed overhead factors per cut kind and gate kind, from
+    the coefficients of the decompositions ``cutplan.cutsim.decomp`` samples:
+    CX and CZ cut the ZZ-rotation core at theta = -pi/2, and ``rzz`` is
+    priced at theta = pi/2. An unknown 2-qubit gate is priced as ``cx``, with
+    a warning.
     """
 
     __slots__ = ()
 
-    #: measure-and-prepare wire cut: 8 signed terms of coefficient 1/2
-    time = CutWeights(kappa=4.0, tau=2.0)
-    #: 6-term local decomposition of CX/CZ (and rzz at theta=pi/2)
-    space = MappingProxyType(dict.fromkeys(("cx", "cz", "rzz"), CutWeights(kappa=3.0, tau=1.5)))
+    time = CutWeights.of(WIRE_CUT_COEFFICIENTS)
+    space = MappingProxyType({
+        **dict.fromkeys(("cx", "cz"), CutWeights.of(zz_core_coefficients(-math.pi / 2))),
+        "rzz": CutWeights.of(zz_core_coefficients(math.pi / 2)),
+    })
 
     def space_entry(self, gate_kind: str) -> CutWeights:
         entry = self.space.get(gate_kind)
         if entry is None:
+            entry = self.space["cx"]
             warnings.warn(
                 f"no weight entry for 2-qubit gate '{gate_kind}'; using the CX entry "
-                f"(kappa=3, tau=1.5)",
+                f"(kappa={entry.kappa:g}, tau={entry.tau:g})",
                 stacklevel=3,
             )
-            entry = self.space["cx"]
         return entry
 
 

@@ -175,15 +175,6 @@ class OverheadReport:
             "flagged_clusters": list(self.flagged_clusters),
         }
 
-    def csv_row(self, name: str, wall_time_s: float | None = None,
-                error: str = "") -> str:
-        time_field = "" if wall_time_s is None else f"{wall_time_s:.4f}"
-        return (f"{name},{self.lq:.6f},{self.n_space},{self.n_time},"
-                f"{self.l_tot:.6f},{self.r},{time_field},{error}")
-
-
-BENCH_CSV_HEADER = "name,lq,n_space,n_time,l_tot,r,wall_time_s,error"
-
 
 def build_report(clustering: "Clustering", graph: CutGraph,
                  eps: float | None = None) -> OverheadReport:

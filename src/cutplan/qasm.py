@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class QasmError(Exception):
@@ -261,7 +261,6 @@ class _Parser:
     def __init__(self, text: str, name: str):
         self.text = "\n".join(line.split("//", 1)[0] for line in text.splitlines())
         self.name = name
-        self.pos = 0
         self.statement: re.Match | None = None  # the last statement read
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, tuple[int, int]] = {}  # name -> (0, size)
@@ -277,22 +276,16 @@ class _Parser:
 
     def run(self) -> CircuitIR:
         header = _HEADER_RE.match(self.text)
-        pos = header.end() if header else 0
-        text, match, apply = self.text, _STATEMENT_RE.match, self._apply
+        statements = self._statements(header.end() if header else 0)
+        apply = self._apply
         try:
-            while True:
-                self.statement = m = match(text, pos)
-                pos = m.end()
-                head, params, rest, end = m.groups()
+            for head, params, rest, end in statements:
                 if end == ";" and head not in _NOT_GATES:
                     apply(head, params, rest)
-                elif end is not None:  # None: a barrier
-                    if not end and head is None and params is None and not rest:
-                        break
-                    # a gate definition reads its body from self.pos on
-                    self.pos = pos
-                    self._statement(head, params, rest, end)
-                    pos = self.pos
+                elif not end and head is None and params is None and not rest:
+                    break
+                else:
+                    self._statement(head, params, rest, end, statements)
         except QasmError as exc:
             m = self.statement
             start = m.end() - len(m[0].lstrip())  # the statement's first token
@@ -300,22 +293,24 @@ class _Parser:
         return CircuitIR.from_columns(self.num_qubits, self.kind, self.qubits, self.params,
                                       self.name)
 
-    def _next(self) -> tuple[str | None, str | None, str, str]:
-        """(head, parameter text, rest, terminator) of the next non-barrier."""
-        while True:
-            m = _STATEMENT_RE.match(self.text, self.pos)
-            self.statement, self.pos = m, m.end()
-            if m[4] is not None:
-                return m.groups()
+    def _statements(self, pos: int) -> Iterator[tuple[str | None, str | None, str, str]]:
+        """(head, parameter text, rest, terminator) of every statement from
+        ``pos`` on, barriers skipped; each one read becomes ``self.statement``.
+        The pattern matches wherever it starts, so the matches run back to
+        back; the text ends with an empty statement whose terminator is ''."""
+        for m in _STATEMENT_RE.finditer(self.text, pos):
+            if m[4] is not None:  # None: a barrier
+                self.statement = m
+                yield m.groups()
 
     # -- statements ---------------------------------------------------------
 
     def _statement(self, head: str | None, params: str | None, rest: str,
-                   end: str) -> None:
+                   end: str, statements: Iterator) -> None:
         if head in _UNSUPPORTED_STATEMENTS:
             raise UnsupportedGateError(f"'{head}' statements are not supported")
         if head == "gate" and params is None and end == "{":
-            self._gate_def(rest)
+            self._gate_def(rest, statements)
             return
         if end != ";":
             raise QasmSyntaxError(f"unexpected '{end}'" if end else
@@ -324,7 +319,7 @@ class _Parser:
             if params is None and not rest:
                 return  # empty statement
             raise QasmSyntaxError("statement does not start with a name")
-        if params is not None or head not in _KEYWORDS:
+        if params is not None:
             # a keyword with parameters is read, and rejected, as a gate name
             self._apply(head, params, rest)
         elif head == "include":
@@ -382,13 +377,13 @@ class _Parser:
 
     # -- gate definitions ---------------------------------------------------
 
-    def _gate_def(self, signature: str) -> None:
+    def _gate_def(self, signature: str, statements: Iterator) -> None:
+        """A gate definition whose body ``statements`` reads up to its '}'."""
         m = _SIGNATURE_RE.fullmatch(signature)
         if m is None:
             raise QasmSyntaxError(f"malformed gate signature '{signature.strip()}'")
         gdef = _GateDef(m[1], _names(m[2]), _names(m[3]), [])
-        while True:
-            kind, params, rest, end = self._next()
+        for kind, params, rest, end in statements:
             if end == "}" and kind is None and params is None and not rest:
                 break
             if kind is None or end != ";":

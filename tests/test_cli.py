@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -312,3 +314,26 @@ def test_bad_knob_values_fail_cleanly(capsys, tmp_path):
         code, out, err = run_cli(capsys, "bench", str(tmp_path), "--jobs", jobs)
         assert code == 1 and out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_bench_csv_names_and_errors_with_commas(capsys, tmp_path):
+    """Fields holding commas are quoted: every row keeps 8 fields, names
+    round-trip, and a directory of failing files still exits 1."""
+    d = tmp_path / "commas"
+    d.mkdir()
+    (d / "a,b.qasm").write_text(to_qasm(chain3()))
+    (d / "bad,x.qasm").write_text("qreg q[2];\ngate g(t, t) a { }\n")
+    code, out, _ = run_cli(capsys, "bench", str(d), "-D", "2", "--jobs", "1")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "lq", "n_space", "n_time", "l_tot", "r", "wall_time_s", "error"]
+    assert all(len(row) == 8 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["a,b", "bad,x"]
+    assert rows[1][1] != "" and rows[1][7] == ""
+    assert rows[2][1:7] == [""] * 6
+    assert rows[2][7].startswith("line 2: gate definition names must be distinct identifiers "
+                                 "separated by ','")
+    (d / "a,b.qasm").unlink()
+    code, out, err = run_cli(capsys, "bench", str(d), "--jobs", "1")
+    assert code == 1
+    assert err == "error: no circuit processed successfully\n"

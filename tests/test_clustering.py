@@ -18,6 +18,7 @@ from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import (best_feasible_log_overhead, make_edge, modularity_oracle,
                       random_graph, random_start)
+from test_golden import _random_matching
 
 LN2 = math.log(2)
 LN9 = math.log(9)
@@ -135,6 +136,15 @@ def test_step2_never_worse_than_start(rng):
         cl, _ = _step2_levels(g, cap, audit=True)
         cl.validate(g)
         assert build_report(cl, g).lq <= build_report(start, g).lq + 1e-9
+
+
+def test_step2_keeps_the_start_when_the_atomic_pass_ends_worse():
+    """The atomic pass of this plan opens at 14.452 and ends at 14.740: its
+    moves raise the residual cost of clusters they do not touch. The plan
+    keeps the pass's opening value."""
+    step2 = run_pipeline(build_cut_graph(_random_matching(8, 4, 0)), 3).stages[1]
+    assert step2.lq_trace[-1] == pytest.approx(14.739541, abs=1e-6)
+    assert step2.lq == pytest.approx(14.451859, abs=1e-6)
 
 
 def test_lq_trace_opens_with_the_start_objective(rng):
@@ -259,6 +269,11 @@ def test_random_order_restarts_reproducible():
     assert a.clustering.assignment == b.clustering.assignment
     weighted = run_pipeline(g, 6)
     assert a.lq <= weighted.lq + LN16 + 1e-9  # restarts stay in the same ballpark
+
+
+def test_unknown_order_policy_rejected():
+    with pytest.raises(ValueError, match="unknown order policy 'bogus'"):
+        run_pipeline(build_cut_graph(chain3()), 2, order="bogus")
 
 
 def test_stage_metrics_json_keys():

@@ -13,7 +13,7 @@ from cutplan.cutsim import (GateCut, IncompatibleObservableError,
                             plan_partitions, ring_circuit, ring_cuts,
                             value_table, variant_distribution)
 from cutplan.cutsim.observable import ObsFactor, ProductObservable
-from cutplan.qasm import CircuitIR, GateApp
+from cutplan.qasm import CircuitIR, GateApp, parse_qasm
 
 
 def bell():
@@ -48,10 +48,14 @@ def test_not_disconnected():
     obs = pauli_z_observable(range(3))
     circuit = CircuitIR(3, (GateApp("cx", (0, 1)), GateApp("cx", (1, 2)),
                             GateApp("cx", (0, 1))))
-    with pytest.raises(NotDisconnectedError):
+    with pytest.raises(NotDisconnectedError, match="1 component"):
         plan_partitions(circuit, [], obs)
-    with pytest.raises(NotDisconnectedError):
+    with pytest.raises(NotDisconnectedError, match="1 component"):
         plan_partitions(circuit, [GateCut(0)], obs)  # the second cx(0,1) bridges
+    # two components, yet the second cx(0,1) still bridges the cut
+    idle = CircuitIR(3, (GateApp("cx", (0, 1)), GateApp("cx", (0, 1)), GateApp("h", (2,))))
+    with pytest.raises(NotDisconnectedError, match="cut 0 .* joins segments"):
+        plan_partitions(idle, [GateCut(0)], obs)
 
 
 def test_cut_validation():
@@ -102,6 +106,31 @@ def test_allocation_conservation():
         assert all(n >= 1 for n in counts.values())  # all 8 terms carry weight
         assert alloc.n_c[c] >= math.ceil(r * 16.0 * 1.0 / 0.13 ** 2)
     assert alloc.n_total == sum(alloc.n_c.values())
+
+
+def test_allocation_gives_every_weighted_variant_a_shot():
+    """rzz(0.01) at eps 5: the c² term would take all 6 shots, so the other
+    five terms each get one from it."""
+    circuit = CircuitIR(2, (GateApp("rzz", (0, 1), (0.01,)),))
+    cuts = [GateCut(0)]
+    plans, r = plan_partitions(circuit, cuts, pauli_z_observable(range(2)))
+    alloc = allocate_shots(plans, cut_specs(circuit, cuts), r, eps=5.0)
+    for c in plans:
+        counts = alloc.variants[c]
+        assert len(counts) == 6 and min(counts.values()) >= 1
+        assert sum(counts.values()) == alloc.n_c[c]
+
+
+def test_cut_free_partition():
+    """Qubit 3 is touched by no cut: its partition enters the contraction as
+    a scalar."""
+    circuit = parse_qasm("qreg q[4]; h q[0]; rx(0.4) q[3]; cx q[0],q[1]; ry(0.3) q[1];"
+                         "cx q[1],q[2];")
+    obs = pauli_z_observable(range(4))
+    run = cut_estimate(circuit, [GateCut(4)], obs, eps=0.05, seed=0)
+    assert run.r == 3
+    assert any(list(means) == [()] for means in run.variant_means.values())
+    assert abs(run.estimate - expectation_value(circuit, obs)) <= 4 * 0.05
 
 
 def test_allocation_proportional_to_coefficients():

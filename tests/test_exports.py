@@ -10,6 +10,7 @@ import pytest
 
 import cutplan
 import cutplan.cutsim
+import cutplan.fixtures
 
 PERFBENCH_RUN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench", "run.py")
@@ -33,6 +34,8 @@ DELETED = [
     ("cutplan.cutsim.estimator", "_UnionFind"),
     ("cutplan.graph", "_make_edge"),
     ("cutplan.graph", "UnknownGateWeightError"),
+    ("cutplan.overhead", "BENCH_CSV_HEADER"),
+    ("cutplan.cutsim.decomp", "_zz_core_terms"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters
@@ -82,6 +85,10 @@ def test_dead_helpers_are_gone():
     assert not hasattr(cutplan.CutGraph, "total_w")
     assert not hasattr(cutplan.Clustering, "compacted")
     assert not hasattr(cutplan.CircuitIR, "two_qubit_gates")
+    assert not hasattr(cutplan.OverheadReport, "csv_row")
+    assert not hasattr(cutplan.qasm._Parser, "_next")
+    assert "initial" not in inspect.signature(cutplan.cutsim.simulate_statevector).parameters
+    assert "name" not in inspect.signature(cutplan.fixtures.ising_chain).parameters
     with pytest.raises(TypeError):
         cutplan.WeightTable(fallback=False)
     assert not hasattr(cutplan.cutsim.ProductObservable, "qubits")

@@ -86,12 +86,14 @@ def test_two_register_broadcast():
 
 def test_parameter_expressions():
     """Operators apply left to right with Python's precedence, so each value is
-    the bit-exact result of the same Python expression."""
+    the bit-exact result of the same Python expression. Empty statements
+    (``;;``) are skipped."""
     ir = parse_qasm("qreg q[1]; rz(3*pi/2) q[0]; rz(-pi) q[0]; rz(1.5e-3) q[0];"
-                    "rz(2 - 3*pi/4 + 1) q[0]; u3(-(0.5 + pi)/2, +.25, 1e2/-3) q[0];")
+                    "rz(2 - 3*pi/4 + 1) q[0]; u3(-(0.5 + pi)/2, +.25, 1e2/-3) q[0];"
+                    "rz(+pi) q[0];;")
     assert [g.params for g in ir.gates] == [
         (3 * math.pi / 2,), (-math.pi,), (1.5e-3,), (2 - 3 * math.pi / 4 + 1,),
-        (-(0.5 + math.pi) / 2, 0.25, 1e2 / -3),
+        (-(0.5 + math.pi) / 2, 0.25, 1e2 / -3), (math.pi,),
     ]
 
 

@@ -24,9 +24,29 @@ def test_bell_zz():
 
 
 def test_initial_basis_state():
-    # |10>: qubit 0 owns the most significant bit
-    state = simulate_statevector(CircuitIR(2, (GateApp("cx", (0, 1)),)), initial=2)
+    # x prepares |10>: qubit 0 owns the most significant bit
+    state = simulate_statevector(CircuitIR(2, (GateApp("x", (0,)), GateApp("cx", (0, 1)))))
     assert np.argmax(np.abs(state)) == 3
+
+
+def test_every_standard_gate_has_a_unitary_of_its_arity(rng):
+    for kind, (arity, n_params) in STANDARD_GATES.items():
+        params = tuple(float(t) for t in rng.uniform(-7, 7, n_params))
+        u = gate_matrix(GateApp(kind, tuple(range(arity)), params))
+        assert u.shape == (2 ** arity, 2 ** arity), kind
+        assert np.allclose(u.conj().T @ u, np.eye(2 ** arity), atol=1e-12), kind
+    assert np.array_equal(gate_matrix(GateApp("u0", (0,), (0.5,))), np.eye(2))
+
+
+@pytest.mark.parametrize("kind, pauli", [
+    ("rxx", [[0, 1], [1, 0]]), ("ryy", [[0, -1j], [1j, 0]]), ("rzz", [[1, 0], [0, -1]]),
+])
+def test_two_qubit_pauli_rotations(kind, pauli, rng):
+    """rPP(theta) = cos(theta/2)·I - i·sin(theta/2)·P⊗P."""
+    pp = np.kron(pauli, pauli)
+    for theta in rng.uniform(-7, 7, 5):
+        want = math.cos(theta / 2) * np.eye(4) - 1j * math.sin(theta / 2) * pp
+        assert np.allclose(gate_matrix(GateApp(kind, (0, 1), (theta,))), want, atol=1e-12)
 
 
 def test_qubit_cap():

@@ -1,0 +1,176 @@
+"""Compare what two cutplan trees compute on one seed's benchmark corpora.
+
+    python3 tools/equiv.py OLD_TREE NEW_TREE [SEED]
+
+OLD_TREE and NEW_TREE are checkouts, each holding ``src/cutplan``; SEED
+defaults to 1. The seed's three corpora (``plan_chain``, ``plan_random`` and
+``verify_ring``) are built once by ``perfbench.gen`` of the repository this
+tool lives in. The chain and ring generators build their circuits with
+cutplan, so they run on OLD_TREE's. Each tree then runs every operation in a
+subprocess of its own and records, per operation, the exact ``repr`` of
+
+- a plan: the parsed circuit's columns, the cut graph's columns, both stage
+  rows with ``wall_time_s`` zeroed (``lq_trace`` included), the clustering
+  JSON, and the report JSON at eps 0.03 or the exception it raised;
+- an estimate: the parsed circuit's columns and ``cut_estimate``'s
+  estimate, R, per-partition budgets, variant shot counts and variant means,
+  or the exception it raised.
+
+It prints, per workload, the operations whose records differ and the parts
+that differ, and exits 1 if any operation differs, else 0.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("plan_chain", "plan_random", "verify_ring")
+REPORT_EPS = 0.03  # the benchmark's report eps
+
+
+def _import_cutplan(tree: str):
+    """cutplan and cutplan.cutsim from ``tree``'s ``src``, never another copy."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    sys.path.insert(0, src)
+    import cutplan
+    import cutplan.cutsim
+    if not os.path.abspath(cutplan.__file__).startswith(src + os.sep):
+        raise ImportError(f"cutplan was imported from {cutplan.__file__}, not {src}")
+    return cutplan, cutplan.cutsim
+
+
+def build_corpora(tree: str, seed: int, path: str) -> None:
+    _import_cutplan(tree)
+    sys.path.insert(0, ROOT)
+    from perfbench import gen
+    corpora = {w: [dataclasses.astuple(item) for item in gen.CORPORA[w](seed)]
+               for w in WORKLOADS}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(corpora, fh)
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _circuit_text(circuit) -> str:
+    return repr((circuit.num_qubits, circuit.name, circuit.kind, circuit.qubits,
+                 circuit.params))
+
+
+def _plan(cutplan, qasm: str, cap: int) -> dict[str, str]:
+    try:
+        circuit = cutplan.parse_qasm(qasm)
+        graph = cutplan.build_cut_graph(circuit)
+        result = cutplan.run_pipeline(graph, cap)
+    except Exception as exc:  # a failing plan is an outcome to compare
+        return {"plan": _error(exc)}
+    record = {
+        "circuit": _circuit_text(circuit),
+        "graph": repr((graph.mask, graph.gate_id, graph.slot, graph.u, graph.v,
+                       [kind.value for kind in graph.kind], graph.w, graph.w_hat,
+                       graph.kappa, graph.tau)),
+        "stages": repr([dataclasses.replace(s, wall_time_s=0.0) for s in result.stages]),
+        "clustering": json.dumps(result.clustering.to_json_dict(), sort_keys=True),
+    }
+    try:
+        report = cutplan.build_report(result.clustering, graph, eps=REPORT_EPS)
+        record["report"] = json.dumps(report.to_json_dict(), sort_keys=True)
+    except Exception as exc:  # e.g. a shot budget beyond a float
+        record["report"] = _error(exc)
+    return record
+
+
+def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
+              seed: int) -> dict[str, str]:
+    try:
+        circuit = cutplan.parse_qasm(qasm)
+    except Exception as exc:  # a failing parse is an outcome to compare
+        return {"circuit": _error(exc)}
+    record = {"circuit": _circuit_text(circuit)}
+    try:
+        run = cutsim.cut_estimate(circuit, cutsim.ring_cuts(partitions),
+                                  cutsim.pauli_z_observable(range(circuit.num_qubits)),
+                                  eps, seed=seed)
+        record["estimate"] = repr((run.estimate, run.r, sorted(run.allocation.n_c.items()),
+                                   sorted((c, sorted(v.items()))
+                                          for c, v in run.allocation.variants.items()),
+                                   sorted((c, sorted(m.items()))
+                                          for c, m in run.variant_means.items())))
+    except Exception as exc:  # a failing estimate is an outcome to compare
+        record["estimate"] = _error(exc)
+    return record
+
+
+def run_tree(tree: str, corpus_path: str, out_path: str) -> None:
+    """Every operation of the corpora on ``tree``; writes each record's
+    parts as SHA-256 digests."""
+    cutplan, cutsim = _import_cutplan(tree)
+    with open(corpus_path, encoding="utf-8") as fh:
+        corpora = json.load(fh)
+    records = {}
+    for workload, items in corpora.items():
+        if workload == "verify_ring":
+            ops = (_estimate(cutplan, cutsim, *item) for item in items)
+        else:
+            ops = (_plan(cutplan, *item) for item in items)
+        records[workload] = [{part: hashlib.sha256(text.encode()).hexdigest()
+                              for part, text in record.items()} for record in ops]
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(records, fh)
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print the differing operations per workload; returns their count."""
+    total = 0
+    for workload in WORKLOADS:
+        diffs = []
+        for op, (a, b) in enumerate(zip(old[workload], new[workload])):
+            parts = sorted(p for p in a.keys() | b.keys() if a.get(p) != b.get(p))
+            if parts:
+                diffs.append(f"  op {op}: {', '.join(parts)}")
+        if len(old[workload]) != len(new[workload]):
+            diffs.append(f"  operation counts {len(old[workload])} != {len(new[workload])}")
+        print(f"{workload}: {len(old[workload])} operations, {len(diffs)} differ")
+        for line in diffs:
+            print(line)
+        total += len(diffs)
+    return total
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--corpus"]:
+        build_corpora(argv[1], int(argv[2]), argv[3])
+        return 0
+    if argv[:1] == ["--run"]:
+        run_tree(*argv[1:])
+        return 0
+    if len(argv) not in (2, 3):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old_tree, new_tree = argv[:2]
+    seed = int(argv[2]) if len(argv) == 3 else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = os.path.join(tmp, "corpus.json")
+        subprocess.run([sys.executable, __file__, "--corpus", old_tree, str(seed), corpus],
+                       check=True)
+        records = []
+        for tree in (old_tree, new_tree):
+            out = os.path.join(tmp, "records.json")
+            subprocess.run([sys.executable, __file__, "--run", tree, corpus, out], check=True)
+            with open(out, encoding="utf-8") as fh:
+                records.append(json.load(fh))
+    differ = compare(*records)
+    print(f"seed {seed}: {differ} differing operation(s)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -178,6 +178,14 @@ def test_estimate_deterministic_in_seed():
     assert a.variant_means == b.variant_means
 
 
+def test_estimate_pinned_at_a_seed_wider_than_32_bits():
+    """A seed of two 32-bit words keeps the estimate it had when every
+    variant generator was ``default_rng([seed, c, ordinal])``."""
+    run = cut_estimate(bell(), [GateCut(1)], pauli_z_observable(range(2)), eps=0.1,
+                       seed=2 ** 40 + 3)
+    assert run.estimate == 0.9949555555555557
+
+
 def test_rzz_cut_matches_exact_distribution():
     """Diagonal circuit: every sampled distribution is deterministic, so the
     estimate must reproduce the exact value to float precision."""

@@ -16,7 +16,10 @@ estimator:
    the statevector into branches) and the requested number of shots is drawn
    from it in one multinomial, so the sample mean has exactly the per-shot
    sampling law. One depth-first walk per partition simulates all its
-   variants, sharing the gates they have in common,
+   variants, sharing the gates they have in common; terms whose sides at a
+   cut site are equal share one branch there, and the leaves' distributions
+   are read in one pass per batch. Each variant's shots still come from
+   its own generator, ``default_rng([seed, c, ordinal])``,
 5. combines the per-variant sample means with the term coefficients, summing
    the coefficient-weighted product of partition means over all term choices.
 
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import string
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -297,6 +301,9 @@ def _side_ops(side: TermSide, lq: int) -> tuple[list, bool, list]:
 
 _Variant = tuple[tuple[int, ...], np.ndarray, np.ndarray]
 
+# a signed fork's keep and flip factors, in that order
+_KEEP_FLIP = np.array([1.0, -1.0])
+
 
 def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
           terms: dict[int, Sequence[int]], values: np.ndarray) -> Iterator[_Variant]:
@@ -305,17 +312,29 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
 
     The walk is depth first over ``plan.sites``. A row is one branch of a
     variant: an unnormalised state, and the sign its signed measurements
-    collected. At a site every term expands the incoming rows (its gates, a
-    signed fork into keep and flip rows, its post gates), and the rows of all
-    terms form one batch. The run of gates up to the next site runs once on
-    that batch; it is split per term only there. So variants share the
-    simulation of their common prefix, and each level of the walk holds one
-    batch.
+    collected. At a site the terms are grouped by their side there, in order
+    of first appearance: terms with equal sides act alike on this partition.
+    Every group expands the incoming rows once (its gates, a signed fork into
+    keep and flip rows, its post gates), and the rows of all groups form one
+    batch. The run of gates up to the next site runs once on that batch; it
+    is split per group only there. So variants share the simulation of their
+    common prefix, and each level of the walk holds one batch. After the last
+    site, one pass over the batch gives every row's probabilities and signed
+    values, and each group reads its rows as views.
+
+    A leaf serves every variant whose terms lie in its groups: those variants
+    come out together and share one ``probs`` and one ``vals`` array, so a
+    yielded array must not be written to.
     """
     n = plan.num_qubits
     runs = [[(qubits, gate_matrix(gate)) for gate, qubits in run] for run in plan.runs]
-    sites = [(lq, [(t, *_side_ops(specs[j].terms[t].sides[side], lq)) for t in terms[j]])
-             for j, side, lq in plan.sites]
+    sites = []
+    for j, side, lq in plan.sites:
+        by_side: dict[TermSide, list[int]] = {}
+        for t in terms[j]:
+            by_side.setdefault(specs[j].terms[t].sides[side], []).append(t)
+        sites.append((lq, [(tuple(group), *_side_ops(term_side, lq))
+                           for term_side, group in by_side.items()]))
     # variants are keyed in attached-cut order, the walk goes in site order
     site_cuts = [j for j, _, _ in plan.sites]
     key_order = [site_cuts.index(j) for j in plan.attached_cuts]
@@ -326,19 +345,20 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
         return rows
 
     def expand(rows, signs, prefix, site):
+        # ``prefix`` holds one group of terms per site passed
         lq, expansions = site
         parts, groups, start = [], [], 0
-        for t, gates, signed, post_gates in expansions:
+        for group, gates, signed, post_gates in expansions:
             branch, branch_signs = run(rows, gates), signs
             if signed:
                 branch = project_qubit(branch, n, lq)
-                branch_signs = np.stack([signs, -signs], axis=1).reshape(-1)
+                branch_signs = (signs[:, None] * _KEEP_FLIP).reshape(-1)
                 flat = branch.view(np.float64)  # each row's squared norm, below
                 alive = np.einsum("ij,ij->i", flat, flat) > _PRUNE_NORM
                 branch, branch_signs = branch[alive], branch_signs[alive]
             branch = run(branch, post_gates)
             parts.append(branch)
-            groups.append((prefix + (t,), slice(start, start + len(branch)), branch_signs))
+            groups.append((prefix + (group,), slice(start, start + len(branch)), branch_signs))
             start += len(branch)
         return np.concatenate(parts), groups
 
@@ -346,13 +366,18 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
         # rebinding ``batch`` frees each gate's input as soon as it is applied
         for qubits, matrix in runs[k]:
             batch = apply_matrix(batch, n, qubits, matrix)
-        for prefix, span, signs in groups:
-            if k == len(sites):
-                yield (tuple(prefix[i] for i in key_order),
-                       (np.abs(batch[span]) ** 2).reshape(-1),
-                       (signs[:, None] * values).reshape(-1))
-            else:
+        if k < len(sites):
+            for prefix, span, signs in groups:
                 yield from descend(*expand(batch[span], signs, prefix, sites[k]), k + 1)
+            return
+        # the groups' spans tile the batch in order
+        probs = np.abs(batch) ** 2
+        vals = np.concatenate([signs for _, _, signs in groups])[:, None] * values
+        probs.flags.writeable = vals.flags.writeable = False  # views go to many variants
+        for prefix, span, _ in groups:
+            group_probs, group_vals = probs[span].reshape(-1), vals[span].reshape(-1)
+            for choice in itertools.product(*prefix):
+                yield tuple(choice[i] for i in key_order), group_probs, group_vals
 
     yield from descend(zero_state(n)[None], [((), slice(0, 1), np.ones(1))], 0)
 
@@ -365,7 +390,9 @@ def partition_variants(plan: PartitionPlan, specs: list[DecompositionSpec],
     Probabilities and values list the outcomes of every branch, branch by
     branch; a signed measurement forks a branch into its kept and its
     flipped-sign projection, in that order, and branch norms carry the
-    outcome probabilities.
+    outcome probabilities. Variants whose terms have equal sides at every
+    site of this partition come out together and share their arrays, which
+    must not be written to.
     """
     terms = {j: range(len(specs[j].terms)) for j in plan.attached_cuts}
     return _walk(plan, specs, terms, values)
@@ -388,6 +415,29 @@ def _sample_mean(probs: np.ndarray, values: np.ndarray, shots: int,
     return float(counts @ values) / shots
 
 
+def _words(x: int) -> list[int]:
+    """A non-negative int as little-endian 32-bit words, 0 as one word: the
+    way ``SeedSequence`` coerces each int of an entropy list."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError(f"expected non-negative integer, got {x}")
+    words = [x & 0xFFFFFFFF]
+    while x := x >> 32:
+        words.append(x & 0xFFFFFFFF)
+    return words
+
+
+def _variant_generators(seed: int, c: int) -> Callable[[int], np.random.Generator]:
+    """``ordinal -> default_rng([seed, c, ordinal])``, the same stream with
+    ``seed`` and ``c`` coerced to entropy words once per partition."""
+    head = _words(seed) + _words(c)
+
+    def generator(ordinal: int) -> np.random.Generator:
+        entropy = np.array(head + _words(ordinal), dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return generator
+
+
 # -- estimator -----------------------------------------------------------------
 
 def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
@@ -404,11 +454,12 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
         shots = allocation.variants[c]
         means[c] = dict.fromkeys(sorted(shots), 0.0)
         ordinal = {variant: k for k, variant in enumerate(means[c])}
+        generator = _variant_generators(seed, c)
         # each variant is sampled as the walk reaches it, then dropped
         for variant, probs, vals in partition_variants(plan, specs, values):
             if shots[variant]:
-                rng = np.random.default_rng([seed, c, ordinal[variant]])
-                means[c][variant] = _sample_mean(probs, vals, shots[variant], rng)
+                means[c][variant] = _sample_mean(probs, vals, shots[variant],
+                                                 generator(ordinal[variant]))
 
     estimate = combine_means(plans, specs, means)
     return EstimatorRun(estimate=estimate, variant_means=means,

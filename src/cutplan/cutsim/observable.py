@@ -31,7 +31,10 @@ class ObsFactor:
     def __post_init__(self):
         if len(self.table) != 2 ** len(self.qubits):
             raise ValueError("table size must be 2**len(qubits)")
-        if any(abs(v) > 1.0 + 1e-12 for v in self.table):
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError(f"factor qubits {self.qubits} repeat a qubit")
+        # written so that NaN fails it too
+        if any(not -1 - 1e-12 <= v <= 1 + 1e-12 for v in self.table):
             raise ValueError("factor values must lie in [-1, 1]")
 
 

@@ -12,6 +12,7 @@ from cutplan.cutsim import (GateCut, IncompatibleObservableError,
                             partition_variants, pauli_z_observable,
                             plan_partitions, ring_circuit, ring_cuts,
                             value_table, variant_distribution)
+from cutplan.cutsim.estimator import _variant_generators
 from cutplan.cutsim.observable import ObsFactor, ProductObservable
 from cutplan.qasm import CircuitIR, GateApp, parse_qasm
 
@@ -186,6 +187,22 @@ def test_estimate_pinned_at_a_seed_wider_than_32_bits():
     assert run.estimate == 0.9949555555555557
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+def test_variant_generators_keep_the_default_rng_stream(seed):
+    """Each variant's generator is ``default_rng([seed, c, ordinal])``, with
+    seed and c coerced once per partition."""
+    for c in (0, 3):
+        generator = _variant_generators(seed, c)
+        for ordinal in (0, 35, 2 ** 32 + 1):
+            want = np.random.default_rng([seed, c, ordinal]).random(8)
+            assert np.array_equal(generator(ordinal).random(8), want)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        cut_estimate(bell(), [GateCut(1)], pauli_z_observable(range(2)), eps=0.1, seed=-1)
+
+
 def test_rzz_cut_matches_exact_distribution():
     """Diagonal circuit: every sampled distribution is deterministic, so the
     estimate must reproduce the exact value to float precision."""
@@ -265,6 +282,37 @@ def test_partition_variants_match_oracle(circuit, cuts, width):
             seen.append(variant)
         terms = [range(len(specs[j].terms)) for j in plan.attached_cuts]
         assert sorted(seen) == list(itertools.product(*terms))
+
+
+# distinct term sides per cut site: a wire cut's 8 terms measure 4 ways and
+# prepare 6 ways, a gate cut's 6 terms act 5 ways on either side (the two
+# signed-Z-measurement terms agree there)
+_DISTINCT_SIDES = {("time", 0): 4, ("time", 1): 6, ("space", 0): 5, ("space", 1): 5}
+
+
+@pytest.mark.parametrize("circuit, cuts, width", [
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 4),
+    (random_ring(1), ring_cuts(3), 8),
+], ids=["mixed", "ring3"])
+def test_terms_with_equal_sides_share_one_branch(circuit, cuts, width):
+    """A partition simulates each distinct choice of term sides once: the
+    variants that differ only in terms with equal sides get the very same
+    arrays, and there are as many arrays as such choices."""
+    plans, _ = plan_partitions(circuit, cuts, pauli_z_observable(range(width)))
+    specs = cut_specs(circuit, cuts)
+    for plan in plans.values():
+        values = value_table(plan.factors, plan.num_qubits)
+        side_of = {j: side for j, side, _ in plan.sites}
+        shared = {}
+        for variant, probs, vals in partition_variants(plan, specs, values):
+            sides = tuple(specs[j].terms[t].sides[side_of[j]]
+                          for j, t in zip(plan.attached_cuts, variant))
+            first_probs, first_vals = shared.setdefault(sides, (probs, vals))
+            assert first_probs is probs and first_vals is vals
+            assert not probs.flags.writeable and not vals.flags.writeable
+        assert len(shared) == math.prod(_DISTINCT_SIDES[specs[j].cut_kind, side]
+                                        for j, side, _ in plan.sites)
+        assert len({id(probs) for probs, _ in shared.values()}) == len(shared)
 
 
 def _cut_block(width=13):

@@ -169,3 +169,17 @@ def test_value_table_factors():
 def test_factor_range_validated():
     with pytest.raises(ValueError):
         ObsFactor((0,), (2.0, 0.0))
+
+
+@pytest.mark.parametrize("qubits, table, message", [
+    # every comparison with NaN is false, so a bound check must be written
+    # to fail on it
+    ((0,), (math.nan, 1.0), "lie in"),
+    ((0,), (math.inf, 1.0), "lie in"),
+    ((0,), (1.0, -math.inf), "lie in"),
+    # the qubit's bit would be read twice: half the table is unreachable
+    ((0, 0), (1.0, -1.0, -1.0, 1.0), "repeat"),
+], ids=["nan", "inf", "-inf", "repeated-qubit"])
+def test_factor_rejects_nan_inf_and_repeated_qubits(qubits, table, message):
+    with pytest.raises(ValueError, match=message):
+        ObsFactor(qubits, table)

@@ -1,13 +1,15 @@
 """Compare what two cutplan trees compute on one seed's benchmark corpora.
 
-    python3 tools/equiv.py OLD_TREE NEW_TREE [SEED]
+    python3 tools/equiv.py OLD_TREE NEW_TREE [SEED] [--scale S]
 
 OLD_TREE and NEW_TREE are checkouts, each holding ``src/cutplan``; SEED
-defaults to 1. The seed's three corpora (``plan_chain``, ``plan_random`` and
-``verify_ring``) are built once by ``perfbench.gen`` of the repository this
-tool lives in. The chain and ring generators build their circuits with
-cutplan, so they run on OLD_TREE's. Each tree then runs every operation in a
-subprocess of its own and records, per operation, the exact ``repr`` of
+defaults to 1, and S (default 1.0) scales the corpora as the benchmark's
+generators do, so a small S gives a quick check. The seed's three corpora
+(``plan_chain``, ``plan_random`` and ``verify_ring``) are built once by
+``perfbench.gen`` of the repository this tool lives in. The chain and ring
+generators build their circuits with cutplan, so they run on OLD_TREE's.
+Each tree then runs every operation in a subprocess of its own and records,
+per operation, the exact ``repr`` of
 
 - a plan: the parsed circuit's columns, the cut graph's columns, both stage
   rows with ``wall_time_s`` zeroed (``lq_trace`` included), the clustering
@@ -22,6 +24,7 @@ that differ, and exits 1 if any operation differs, else 0.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -46,11 +49,11 @@ def _import_cutplan(tree: str):
     return cutplan, cutplan.cutsim
 
 
-def build_corpora(tree: str, seed: int, path: str) -> None:
+def build_corpora(tree: str, seed: int, scale: float, path: str) -> None:
     _import_cutplan(tree)
     sys.path.insert(0, ROOT)
     from perfbench import gen
-    corpora = {w: [dataclasses.astuple(item) for item in gen.CORPORA[w](seed)]
+    corpora = {w: [dataclasses.astuple(item) for item in gen.CORPORA[w](seed, scale)]
                for w in WORKLOADS}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(corpora, fh)
@@ -147,28 +150,33 @@ def compare(old: dict, new: dict) -> int:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--corpus"]:
-        build_corpora(argv[1], int(argv[2]), argv[3])
+        build_corpora(argv[1], int(argv[2]), float(argv[3]), argv[4])
         return 0
     if argv[:1] == ["--run"]:
         run_tree(*argv[1:])
         return 0
-    if len(argv) not in (2, 3):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    old_tree, new_tree = argv[:2]
-    seed = int(argv[2]) if len(argv) == 3 else 1
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        usage=__doc__.split("\n\n")[1].strip())
+    parser.add_argument("old_tree")
+    parser.add_argument("new_tree")
+    parser.add_argument("seed", nargs="?", type=int, default=1)
+    parser.add_argument("--scale", type=float, default=1.0)
+    args = parser.parse_args(argv)
+    if not args.scale > 0:
+        parser.error(f"--scale must be positive, got {args.scale}")
     with tempfile.TemporaryDirectory() as tmp:
         corpus = os.path.join(tmp, "corpus.json")
-        subprocess.run([sys.executable, __file__, "--corpus", old_tree, str(seed), corpus],
-                       check=True)
+        subprocess.run([sys.executable, __file__, "--corpus", args.old_tree, str(args.seed),
+                        str(args.scale), corpus], check=True)
         records = []
-        for tree in (old_tree, new_tree):
+        for tree in (args.old_tree, args.new_tree):
             out = os.path.join(tmp, "records.json")
             subprocess.run([sys.executable, __file__, "--run", tree, corpus, out], check=True)
             with open(out, encoding="utf-8") as fh:
                 records.append(json.load(fh))
     differ = compare(*records)
-    print(f"seed {seed}: {differ} differing operation(s)")
+    print(f"seed {args.seed}: {differ} differing operation(s)")
     return 1 if differ else 0
 
 

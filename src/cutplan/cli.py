@@ -120,9 +120,10 @@ def cmd_partition(args) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "csv":
-        print("stage,lq,ld,r,wall_time_s")
-        for s in result.stages:
-            print(f"{s.stage},{s.lq:.6f},{s.ld:.6f},{s.r},{s.wall_time_s:.4f}")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("stage", "lq", "ld", "r", "wall_time_s"))
+        writer.writerows((s.stage, f"{s.lq:.6f}", f"{s.ld:.6f}", s.r, f"{s.wall_time_s:.4f}")
+                         for s in result.stages)
     elif args.format == "dot":
         sys.stdout.write(to_dot(graph, result.clustering))
     return EXIT_OK
@@ -217,10 +218,10 @@ def cmd_verify(args) -> int:
                                for label, s in summaries]}
         print(json.dumps(payload, indent=2, sort_keys=True))
         if errors_csv:
-            errors_csv.write("preset,repetition,error\n")
-            for label, s in summaries:
-                for rep, err in enumerate(s.errors):
-                    errors_csv.write(f"{label},{rep},{err!r}\n")
+            writer = csv.writer(errors_csv, lineterminator="\n")
+            writer.writerow(("preset", "repetition", "error"))
+            writer.writerows((label, rep, repr(err)) for label, s in summaries
+                             for rep, err in enumerate(s.errors))
     if all(s.within_bound for _, s in summaries):
         return EXIT_OK
     return _fail("observed standard deviation exceeded eps", EXIT_ERROR)

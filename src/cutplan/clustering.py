@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import CutGraph, mask_qubits, merge_parallel_edges, qubit_mask
+from .overhead import cut_sums, log_overheads
 
 EPS = 1e-9
 
@@ -91,6 +92,11 @@ class Clustering:
             if len(cluster.qubits) > self.max_qubits:
                 raise ValueError(f"cluster {c} holds {len(cluster.qubits)} qubits, "
                                  f"cap {self.max_qubits}")
+        # members sit in the cluster they are assigned to, so listing every
+        # node also means that every assigned cluster is listed
+        listed = sum(len(cluster.nodes) for cluster in self.clusters.values())
+        if listed != graph.num_nodes:
+            raise ValueError(f"the clusters list {listed} of {graph.num_nodes} nodes")
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,34 +371,6 @@ class _ModularityEngine(_LevelState):
         return q
 
 
-def _cut_sums(level: _Level, cluster_of: list[int]):
-    """Per-cluster attached ``w`` and ``w_hat`` of cut edges, and the total
-    cut ``w`` and ``w_hat``, summed in edge order."""
-    n = len(cluster_of)
-    s_w = [0.0] * n
-    s_hat = [0.0] * n
-    w_cut = hat_cut = 0.0
-    for a, b, w, w_hat in zip(level.u, level.v, level.w, level.w_hat):
-        ca, cb = cluster_of[a], cluster_of[b]
-        if ca != cb:
-            s_w[ca] += w
-            s_w[cb] += w
-            s_hat[ca] += w_hat
-            s_hat[cb] += w_hat
-            w_cut += w
-            hat_cut += w_hat
-    return s_w, s_hat, w_cut, hat_cut
-
-
-def _worst_cluster(s_w, s_hat, hat_cut: float, clusters) -> tuple[float, int]:
-    """The worst log overhead ``ln R + s_w[c] + (hat_cut - s_hat[c])`` over
-    the ``R`` live ``clusters`` and the cluster attaining it; ties go to the
-    lowest id."""
-    ln_r = math.log(len(clusters))
-    lq, c = max((ln_r + s_w[c] + (hat_cut - s_hat[c]), -c) for c in clusters)
-    return lq, -c
-
-
 class _LogOverheadEngine(_LevelState):
     """Stage-2 move rule: accept moves that lower (or tie with less cut
     weight) the running worst-cluster log overhead."""
@@ -400,9 +378,10 @@ class _LogOverheadEngine(_LevelState):
     def __init__(self, level, max_qubits, cluster_of=None, audit=False):
         super().__init__(level, max_qubits, cluster_of)
         self.audit = audit
-        self.s_w, self.s_hat, self.w_cut, self.hat_cut = _cut_sums(level, self.cluster_of)
+        self.s_w, self.s_hat, self.w_cut, self.hat_cut, _ = cut_sums(level, self.cluster_of)
+        ln_i, worst = log_overheads(self.s_w, self.s_hat, self.hat_cut, self.live())
         #: the running worst log overhead; its start value opens the level's trace
-        self.lq, _ = _worst_cluster(self.s_w, self.s_hat, self.hat_cut, self.live())
+        self.lq = ln_i[worst]
         self.stats = StageStats(lq_trace=[self.lq])
 
     def sweep(self, visit: list[int]) -> int:
@@ -477,7 +456,7 @@ class _LogOverheadEngine(_LevelState):
 
     def _check_state(self) -> None:
         self._check_clusters()
-        s_w, s_hat, w_cut, hat_cut = _cut_sums(self.level, self.cluster_of)
+        s_w, s_hat, w_cut, hat_cut, _ = cut_sums(self.level, self.cluster_of)
         if not abs(self.w_cut - w_cut) < 1e-6:
             raise AuditError("cut weight drift")
         if not abs(self.hat_cut - hat_cut) < 1e-6:
@@ -653,12 +632,12 @@ def _stage_metrics(name, level: _Level, labels: list[int], stats: StageStats,
     """A stage's row: its worst log overhead ``lq``, the attached cut weight
     ``ld`` of the cluster attaining it and ``R``, from the level's cut sums
     under the node labels ``labels``."""
-    clusters = set(labels)
+    clusters = sorted(set(labels))
     lq = ld = 0.0
     if clusters:
-        s_w, s_hat, _, hat_cut = _cut_sums(level, labels)
-        lq, heavy = _worst_cluster(s_w, s_hat, hat_cut, clusters)
-        ld = s_w[heavy]
+        s_w, s_hat, _, hat_cut, _ = cut_sums(level, labels)
+        ln_i, worst = log_overheads(s_w, s_hat, hat_cut, clusters)
+        lq, ld = ln_i[worst], s_w[clusters[worst]]
     return StageMetrics(
         stage=name,
         lq=lq,

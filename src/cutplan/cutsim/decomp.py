@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -86,13 +87,13 @@ class DecompositionSpec:
     params: tuple[float, ...]
     terms: tuple[Term, ...]
 
-    @property
-    def kappa(self) -> float:
-        return CutWeights.of([t.coeff for t in self.terms]).kappa
+    @cached_property
+    def weights(self) -> CutWeights:
+        """kappa and tau of the term coefficients, summed once per spec."""
+        return CutWeights.of([t.coeff for t in self.terms])
 
-    @property
-    def tau(self) -> float:
-        return CutWeights.of([t.coeff for t in self.terms]).tau
+    kappa = property(lambda self: self.weights.kappa)
+    tau = property(lambda self: self.weights.tau)
 
 
 def _g(kind: str, *params: float) -> tuple[str, tuple[float, ...]]:

@@ -12,15 +12,19 @@ expectation value keeps a standard deviation below eps:
     shots(c) = ceil(overhead(c) / eps^2)
 
 The log of the worst overhead (report key ``lq``) is the partitioner's
-objective; ``ld`` is the attached-cut weight of that worst cluster. Two older
-bounds are provided for comparison: a Hoeffding-style budget paid once per
-partition, and the cubic bound for measure-and-prepare cutting.
+objective; ``ld`` is the attached-cut weight of that worst cluster. Both
+the planner and ``build_report`` score with ``cut_sums`` and ``log_overheads``.
+Two older bounds are provided for comparison: a Hoeffding-style budget paid
+once per partition, and the cubic bound for measure-and-prepare cutting.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING
 
 from .graph import CutGraph, CutKind
@@ -113,6 +117,38 @@ def cubic_bound(r: int, d_prime: int, eps: float = 1.0) -> float:
         2.0 * (math.e - 1.0) ** 2 * m ** 3 * math.log(6.0 * m) / eps ** 2))
 
 
+def cut_sums(graph, labels: Sequence[int]):
+    """Per-cluster attached ``w`` and ``w_hat`` of the cut edges, the total
+    cut ``w`` and ``w_hat``, summed in edge order, and the cut edges' indices;
+    ``graph`` has ``u``, ``v``, ``w``, ``w_hat`` columns (a ``CutGraph`` or a
+    planner level), ``labels[n]`` is node n's cluster, below ``len(labels)``."""
+    s_w = [0.0] * len(labels)
+    s_hat = [0.0] * len(labels)
+    w_cut = hat_cut = 0.0
+    cut = []
+    for e, a, b, w, w_hat in zip(count(), graph.u, graph.v, graph.w, graph.w_hat):
+        ca, cb = labels[a], labels[b]
+        if ca != cb:
+            s_w[ca] += w
+            s_w[cb] += w
+            s_hat[ca] += w_hat
+            s_hat[cb] += w_hat
+            w_cut += w
+            hat_cut += w_hat
+            cut.append(e)
+    return s_w, s_hat, w_cut, hat_cut, cut
+
+
+def log_overheads(s_w, s_hat, hat_cut: float,
+                  clusters: Sequence[int]) -> tuple[list[float], int]:
+    """The log overhead ``ln R + s_w[c] + (hat_cut - s_hat[c])`` of each of
+    the ``R`` nonempty ``clusters``, in order, from ``cut_sums``' sums, and
+    the position of the worst; ties go to the first, so list ids ascending."""
+    ln_r = math.log(len(clusters))
+    ln_i = [ln_r + s_w[c] + (hat_cut - s_hat[c]) for c in clusters]
+    return ln_i, max(range(len(ln_i)), key=ln_i.__getitem__)
+
+
 def segment_flags(graph: CutGraph, clustering: "Clustering") -> tuple[int, ...]:
     """Clusters whose wire-segment count exceeds their qubit-union size.
 
@@ -123,20 +159,16 @@ def segment_flags(graph: CutGraph, clustering: "Clustering") -> tuple[int, ...]:
     """
     if None in graph.gate_id:
         return ()
-    wires: dict[int, list[int]] = {}
+    assignment = clustering.assignment
+    segments = dict.fromkeys(clustering.clusters, 0)
+    owner: dict[int, int] = {}  # cluster of each wire's latest node, by wire bit
     for node, mask in enumerate(graph.mask):  # node ids are in time order
-        wires.setdefault(mask.bit_length() - 1, []).append(node)
-    segments: dict[int, int] = {c: 0 for c in clustering.clusters}
-    for q, nodes in wires.items():
-        previous = None
-        for n in nodes:
-            c = clustering.assignment[n]
-            if c != previous:
-                segments[c] += 1
-                previous = c
-    flagged = [c for c, count in segments.items()
-               if count > len(clustering.clusters[c].qubits)]
-    return tuple(sorted(flagged))
+        c = assignment[node]
+        if owner.get(mask) != c:
+            owner[mask] = c
+            segments[c] += 1
+    return tuple(sorted(c for c, n in segments.items()
+                        if n > len(clustering.clusters[c].qubits)))
 
 
 @dataclass(frozen=True)
@@ -185,52 +217,41 @@ def build_report(clustering: "Clustering", graph: CutGraph,
     """
     if eps is not None:
         _check_eps(eps)  # also when there is no partition to budget
+    # clusters are scored at dense positions in ascending id, so that ties
+    # go to the lowest id whatever ids a hand-built clustering uses
+    ids = sorted(clustering.clusters)
+    position = {c: k for k, c in enumerate(ids)}
     assignment = clustering.assignment
-    s_w = {c: 0.0 for c in clustering.clusters}      # attached cut w
-    s_hat = {c: 0.0 for c in clustering.clusters}    # attached cut w_hat
-    kappa_sq = {c: 1.0 for c in clustering.clusters}  # prod kappa^2 over E_c
-    tau = {c: 1.0 for c in clustering.clusters}      # prod tau over E_c
-    cut = []
-    w_cut = hat_cut = 0.0
-    tau_cut = 1.0
-    for u, v, kind, w, w_hat, kappa, t in zip(graph.u, graph.v, graph.kind, graph.w,
-                                              graph.w_hat, graph.kappa, graph.tau):
-        cu, cv = assignment[u], assignment[v]
-        if cu == cv:
-            continue
-        cut.append((kind, cu, cv))
-        w_cut += w
-        hat_cut += w_hat
-        tau_cut *= t
-        for c in (cu, cv):
-            s_w[c] += w
-            s_hat[c] += w_hat
-            kappa_sq[c] *= kappa ** 2
-            tau[c] *= t
-    r = len(clustering.clusters)
-    ln_i = {c: math.log(r) + s_w[c] + (hat_cut - s_hat[c]) for c in clustering.clusters}
-    heavy = min(ln_i, key=lambda c: (-ln_i[c], c)) if ln_i else None
-    n_space = n_time = n_tot_space = n_tot_time = 0
-    for kind, cu, cv in cut:
-        if kind is CutKind.SPACE:
-            n_tot_space += 1
-            n_space += heavy in (cu, cv)
-        elif kind is CutKind.TIME:
-            n_tot_time += 1
-            n_time += heavy in (cu, cv)
+    labels = [position[assignment[n]] for n in range(graph.num_nodes)]
+    s_w, s_hat, w_cut, hat_cut, cut = cut_sums(graph, labels)
+    r = len(ids)
+    ln_i, heavy = log_overheads(s_w, s_hat, hat_cut, range(r)) if r else ([], None)
+    ends = [(labels[graph.u[e]], labels[graph.v[e]]) for e in cut]
+    kinds = [graph.kind[e] for e in cut]
+    n_tot = Counter(kinds)
+    n_heavy = Counter(kind for kind, pair in zip(kinds, ends) if heavy in pair)
     n_c = None
     if eps is not None:
-        n_c = {c: partition_shots(r, kappa_sq[c], tau[c], tau_cut, eps, c)
-               for c in sorted(clustering.clusters)}
+        kappa_sq = [1.0] * r  # prod kappa^2 over E_c
+        tau = [1.0] * r       # prod tau over E_c
+        tau_cut = 1.0
+        for e, pair in zip(cut, ends):
+            k_sq, t = graph.kappa[e] ** 2, graph.tau[e]
+            tau_cut *= t
+            for k in pair:
+                kappa_sq[k] *= k_sq
+                tau[k] *= t
+        n_c = {c: partition_shots(r, kappa_sq[k], tau[k], tau_cut, eps, c)
+               for k, c in enumerate(ids)}
     return OverheadReport(
-        ln_i_c=ln_i,
+        ln_i_c=dict(zip(ids, ln_i)),
         lq=0.0 if heavy is None else ln_i[heavy],
         ld=0.0 if heavy is None else s_w[heavy],
-        heavy_cluster=heavy,
-        n_space=n_space,
-        n_time=n_time,
-        n_tot_space=n_tot_space,
-        n_tot_time=n_tot_time,
+        heavy_cluster=None if heavy is None else ids[heavy],
+        n_space=n_heavy[CutKind.SPACE],
+        n_time=n_heavy[CutKind.TIME],
+        n_tot_space=n_tot[CutKind.SPACE],
+        n_tot_time=n_tot[CutKind.TIME],
         l_tot=w_cut,
         r=max(r, 1),
         eps=eps,

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import types
 
 import pytest
 
@@ -210,6 +211,30 @@ def test_verify_errors_csv(capsys, tmp_path):
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "preset,repetition,error"
     assert len(lines) == 1 + 2 * 3
+
+
+def test_partition_and_errors_csv_bytes(capsys, tmp_path, monkeypatch, circuits_dir):
+    """Both CSV outputs, byte for byte: ``.6f`` weights, ``repr`` errors and
+    newline line ends; the planner's clock is stopped so the times are 0."""
+    import cutplan.clustering
+
+    monkeypatch.setattr(cutplan.clustering, "time",
+                        types.SimpleNamespace(perf_counter=lambda: 0.0))
+    code, out, _ = run_cli(capsys, "partition", str(circuits_dir / "ising_n12.qasm"),
+                           "--max-qubits", "6", "--format", "csv")
+    assert code == 0
+    assert out == ("stage,lq,ld,r,wall_time_s\n"
+                   "step1,9.416378,5.545177,6,0.0000\n"
+                   "step2,6.643790,5.545177,3,0.0000\n")
+    target = tmp_path / "errors.csv"
+    code, _, _ = run_cli(capsys, "verify", "--repetitions", "2", "--seed", "1",
+                         "--errors-csv", str(target))
+    assert code == 0
+    assert target.read_bytes() == (b"preset,repetition,error\n"
+                                   b"1,0,-0.00532687042047825\n"
+                                   b"1,1,0.012769032160022509\n"
+                                   b"2,0,-0.009765220312381428\n"
+                                   b"2,1,0.00015494531584636043\n")
 
 
 def test_verify_unwritable_errors_csv_fails_first(capsys, tmp_path, monkeypatch):

@@ -8,13 +8,13 @@ import sys
 import pytest
 
 import cutplan
-from cutplan.clustering import (AuditError, Clustering, InfeasibleCapError,
+from cutplan.clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
                                 _Level, _LevelState, _LogOverheadEngine, _ModularityEngine,
                                 _run_levels, run_pipeline, step1_modularity)
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, Node, build_cut_graph, contract
 from cutplan.overhead import build_report
-from cutplan.qasm import CircuitIR, GateApp
+from cutplan.qasm import CircuitIR, GateApp, parse_qasm
 
 from conftest import (best_feasible_log_overhead, make_edge, modularity_oracle,
                       random_graph, random_start)
@@ -176,7 +176,8 @@ def test_lq_trace_opens_with_the_start_objective(rng):
 
 def test_plan_builds_one_clustering_and_scores_on_levels(monkeypatch):
     """A plan scores both stages on its levels and builds one ``Clustering``,
-    the reported one; the planner does not import the report module."""
+    the reported one; from the report module the planner takes only the
+    scorer, not ``build_report``."""
     calls = []
     build = Clustering.from_assignment.__func__
 
@@ -190,13 +191,13 @@ def test_plan_builds_one_clustering_and_scores_on_levels(monkeypatch):
     assert len(calls) == 1
     with open(cutplan.clustering.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
-    imported = set()
+    from_overhead = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update(alias.name for alias in node.names)
-    assert not any(name.split(".")[-1] == "overhead" for name in imported), imported
+        if isinstance(node, ast.Import):
+            assert not any("overhead" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and "overhead" in (node.module or ""):
+            from_overhead.update(alias.name for alias in node.names)
+    assert from_overhead == {"cut_sums", "log_overheads"}
 
 
 def test_pipeline_chain3_exact_optimum():
@@ -344,6 +345,20 @@ def test_validate_raises_value_error_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "ValueError: cluster 0 holds 3 qubits, cap 2"
+
+
+def test_validate_rejects_unlisted_clusters_and_nodes():
+    """Every assigned cluster must be listed, and the listed clusters must
+    hold every node."""
+    g = build_cut_graph(parse_qasm("qreg q[3]; cx q[0],q[1]; cx q[1],q[2];"))
+    cluster0 = Cluster(frozenset({0, 1}), frozenset({0, 1}))
+    unlisted = Clustering({0: 0, 1: 0, 2: 1, 3: 1}, {0: cluster0}, 3)
+    with pytest.raises(ValueError, match="the clusters list 2 of 4 nodes"):
+        unlisted.validate(g)
+    short = Clustering({0: 0, 1: 0, 2: 0, 3: 0}, {0: cluster0}, 3)
+    with pytest.raises(ValueError, match="the clusters list 2 of 4 nodes"):
+        short.validate(g)
+    Clustering.from_assignment(g, unlisted.assignment, 3).validate(g)
 
 
 def _two_blobs():

@@ -36,6 +36,8 @@ DELETED = [
     ("cutplan.graph", "UnknownGateWeightError"),
     ("cutplan.overhead", "BENCH_CSV_HEADER"),
     ("cutplan.cutsim.decomp", "_zz_core_terms"),
+    ("cutplan.clustering", "_cut_sums"),
+    ("cutplan.clustering", "_worst_cluster"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters

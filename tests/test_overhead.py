@@ -10,8 +10,8 @@ from cutplan.overhead import (build_report, cubic_bound, partition_shots,
 from cutplan.clustering import run_pipeline
 from cutplan.qasm import CircuitIR, GateApp
 
-from conftest import (log_overhead_oracle, make_edge, random_clustering,
-                      random_graph)
+from conftest import (log_overhead_oracle, make_edge, max_log_overhead_oracle,
+                      random_clustering, random_graph)
 
 LN2, LN3, LN9, LN16 = math.log(2), math.log(3), math.log(9), math.log(16)
 
@@ -153,6 +153,36 @@ def test_report_matches_bruteforce(rng):
                     if heavy in (cl.assignment[e.u], cl.assignment[e.v])]
         assert report.ld == pytest.approx(sum(e.w for e in attached))
         assert report.n_tot_space + report.n_tot_time == len(cut_edges)
+
+
+def test_report_takes_cluster_ids_above_the_node_count(rng):
+    """Renumbering the clusters in order, far above the node ids, renumbers
+    the report and changes nothing else."""
+    for _ in range(15):
+        g = random_graph(rng, max_nodes=8)
+        cl = random_clustering(rng, g)
+        high = Clustering.from_assignment(
+            g, {n: 100 + 3 * c for n, c in cl.assignment.items()}, cl.max_qubits)
+        a, b = build_report(cl, g, eps=0.1), build_report(high, g, eps=0.1)
+        assert b.ln_i_c == {100 + 3 * c: v for c, v in a.ln_i_c.items()}
+        assert b.n_c == {100 + 3 * c: n for c, n in a.n_c.items()}
+        assert b.heavy_cluster == 100 + 3 * a.heavy_cluster
+        assert (b.lq, b.ld, b.l_tot, b.n_space, b.n_time) == (a.lq, a.ld, a.l_tot,
+                                                              a.n_space, a.n_time)
+
+
+def test_step2_row_equals_report(rng):
+    """The planner's step-2 row and the report score the plan with the same
+    code, so ``lq``, ``ld`` and ``R`` are equal, and both match the oracle."""
+    plans = [(random_graph(rng), int(rng.integers(1, 4))) for _ in range(40)]
+    plans += [(build_cut_graph(ising_chain(width, depth=depth, seed=width)), cap)
+              for width, depth, cap in ((12, 1, 5), (16, 2, 6), (20, 4, 7), (24, 2, 12))]
+    for g, cap in plans:
+        result = run_pipeline(g, cap)
+        step2 = result.stages[-1]
+        report = build_report(result.clustering, g)
+        assert (step2.lq, step2.ld, step2.r) == (report.lq, report.ld, report.r)
+        assert abs(report.lq - max_log_overhead_oracle(g, result.clustering.assignment)) < 1e-9
 
 
 def test_monotonicity_adding_cut(rng):

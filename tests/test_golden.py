@@ -1,5 +1,5 @@
 """Golden digests of ``parse_qasm``, ``run_pipeline``, ``build_cut_graph``,
-``build_report`` and ``cut_estimate`` output.
+``build_report``, ``cut_estimate`` and ``gate_cut_decomposition`` output.
 
 Each pipeline digest covers the final assignment and, per stage, ``lq``,
 ``moves``, ``passes``, ``gain_evals`` and ``lq_trace``. Floats enter with 12
@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from cutplan.clustering import run_pipeline
-from cutplan.cutsim import (GateCut, WireCut, cut_estimate, pauli_z_observable,
-                            ring_circuit, ring_cuts)
+from cutplan.cutsim import (GateCut, WireCut, cut_estimate, gate_cut_decomposition,
+                            pauli_z_observable, ring_circuit, ring_cuts)
 from cutplan.fixtures import ising_chain
-from cutplan.graph import build_cut_graph
+from cutplan.graph import DEFAULT_WEIGHTS, build_cut_graph
 from cutplan.overhead import build_report
 from cutplan.qasm import CircuitIR, GateApp, parse_qasm, to_qasm
 
@@ -153,6 +153,19 @@ def test_estimator_digest():
         for circuit, cuts in ESTIMATOR_CASES:
             texts.append(_estimate_text(circuit, cuts, 0.1, seed))
     assert _digest(texts) == "76f2baa7b80eb058"
+
+
+def test_gate_cut_decomposition_digest():
+    """The ``repr`` of ``gate_cut_decomposition`` for ``cx``, ``cz`` and
+    ``rzz`` at several angles (every term's coefficient and sides), and the
+    planner's ``(kappa, tau)`` of every space-cut kind, by ``repr``."""
+    gates = [GateApp("cx", (0, 1)), GateApp("cz", (0, 1))] + [
+        GateApp("rzz", (0, 1), (theta,))
+        for theta in (0.0, 0.37, 0.8, np.pi / 2, 2.9, -1.7, np.pi)]
+    texts = [repr(gate_cut_decomposition(gate)) for gate in gates]
+    texts += [f"{kind}|{entry.kappa!r}|{entry.tau!r}"
+              for kind, entry in sorted(DEFAULT_WEIGHTS.space.items())]
+    assert _digest(texts) == "e06dea2891dc4f8a"
 
 
 # -- cut graph and report --------------------------------------------------------

@@ -378,7 +378,7 @@ class _LogOverheadEngine(_LevelState):
     def __init__(self, level, max_qubits, cluster_of=None, audit=False):
         super().__init__(level, max_qubits, cluster_of)
         self.audit = audit
-        self.s_w, self.s_hat, self.w_cut, self.hat_cut, _ = cut_sums(level, self.cluster_of)
+        self.s_w, self.s_hat, _, self.hat_cut, _ = cut_sums(level, self.cluster_of)
         ln_i, worst = log_overheads(self.s_w, self.s_hat, self.hat_cut, self.live())
         #: the running worst log overhead; its start value opens the level's trace
         self.lq = ln_i[worst]
@@ -443,7 +443,6 @@ class _LogOverheadEngine(_LevelState):
                 s_hat[c_from] += in_hat - kout_hat
                 s_w[best] += kout_w + in_w - 2.0 * to_w
                 s_hat[best] += kout_hat + in_hat - 2.0 * to_hat
-                self.w_cut += in_w - to_w
                 self.hat_cut += in_hat - to_hat
                 self.relocate(i, c_from, best)
                 moves += 1
@@ -456,9 +455,7 @@ class _LogOverheadEngine(_LevelState):
 
     def _check_state(self) -> None:
         self._check_clusters()
-        s_w, s_hat, w_cut, hat_cut, _ = cut_sums(self.level, self.cluster_of)
-        if not abs(self.w_cut - w_cut) < 1e-6:
-            raise AuditError("cut weight drift")
+        s_w, s_hat, _, hat_cut, _ = cut_sums(self.level, self.cluster_of)
         if not abs(self.hat_cut - hat_cut) < 1e-6:
             raise AuditError("residual cut weight drift")
         for c in self.live():

@@ -1,10 +1,9 @@
 """Monte-Carlo cutting simulator: exact statevector oracle, quasiprobability
 decompositions, the shot-budgeted estimator and the variance experiment."""
 
-from .decomp import (DecompositionSpec, Term, TermSide, cx_decomposition,
-                     cz_decomposition, gate_cut_decomposition,
-                     reconstruct_channel, reconstruction_error,
-                     rzz_decomposition, target_channel, wire_cut_decomposition)
+from .decomp import (DecompositionSpec, Term, TermSide, gate_cut_decomposition,
+                     reconstruct_channel, reconstruction_error, target_channel,
+                     wire_cut_decomposition)
 from .estimator import (EstimatorRun, GateCut, IncompatibleObservableError,
                         NotDisconnectedError, ShotAllocation, WireCut,
                         allocate_shots, combine_means, cut_estimate, cut_specs,
@@ -19,9 +18,8 @@ from .statevector import (MAX_QUBITS, TooManyQubitsError, apply_gate,
                           zero_state)
 
 __all__ = [
-    "DecompositionSpec", "Term", "TermSide", "cx_decomposition",
-    "cz_decomposition", "gate_cut_decomposition", "reconstruct_channel",
-    "reconstruction_error", "rzz_decomposition", "target_channel",
+    "DecompositionSpec", "Term", "TermSide", "gate_cut_decomposition",
+    "reconstruct_channel", "reconstruction_error", "target_channel",
     "wire_cut_decomposition",
     "EstimatorRun", "GateCut", "IncompatibleObservableError",
     "NotDisconnectedError", "ShotAllocation", "WireCut", "allocate_shots",

@@ -31,8 +31,9 @@ and the commutator splits into local pieces via
 
 giving terms (c², I⊗I), (s², Z⊗Z), (±cs, measure⊗rotation) on either side:
 one_norm = 1 + 2|sin theta| and sq_norm = 1 + sin²(theta)/2, i.e. 3 and 1.5 at
-theta = pi/2. CZ is this core at theta = -pi/2 with an Rz(pi/2) correction on
-both wires; CX conjugates the CZ target side by Hadamards.
+theta = pi/2. Each cuttable gate, CZ and CX included, is a row of
+``cutplan.graph.GATE_CUTS``: its core angle and the 1-qubit gates each side
+runs before and after the core.
 
 The coefficients of both decompositions live in ``cutplan.graph``
 (``WIRE_CUT_COEFFICIENTS``, ``zz_core_coefficients``), which the planner
@@ -51,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..graph import WIRE_CUT_COEFFICIENTS, CutWeights, zz_core_coefficients
+from ..graph import GATE_CUTS, WIRE_CUT_COEFFICIENTS, CutWeights, zz_core_coefficients
 from ..qasm import GateApp
 from .statevector import gate_matrix
 
@@ -129,42 +130,29 @@ def wire_cut_decomposition() -> DecompositionSpec:
                                                          _WIRE_CUT_SIDES)))
 
 
-def rzz_decomposition(theta: float) -> DecompositionSpec:
-    terms = tuple(map(Term, zz_core_coefficients(theta), _ZZ_CORE_SIDES))
-    return DecompositionSpec("space", "rzz", (theta,), terms)
+def _with_gates(side: TermSide, before: tuple, after: tuple) -> TermSide:
+    """``side`` with ``before`` run first and ``after`` run last: after its
+    gates, or after its measurement if it has one."""
+    if side.measure is None:
+        return replace(side, gates=before + side.gates + after)
+    return replace(side, gates=before + side.gates, post_gates=side.post_gates + after)
 
 
-def cz_decomposition() -> DecompositionSpec:
-    rz = (_g("rz", math.pi / 2),)
-    # the correction runs last on both sides, after a measurement if there is one
-    terms = tuple(
-        Term(a, tuple(replace(s, gates=s.gates + rz) if s.measure is None
-                      else replace(s, post_gates=s.post_gates + rz) for s in sides))
-        for a, sides in zip(zz_core_coefficients(-math.pi / 2.0), _ZZ_CORE_SIDES))
-    return DecompositionSpec("space", "cz", (), terms)
-
-
-def cx_decomposition() -> DecompositionSpec:
-    h = (_g("h"),)
-    terms = []
-    for t in cz_decomposition().terms:
-        # Hadamards around the target side, the second one running last
-        s = t.sides[1]
-        side1 = (replace(s, gates=h + s.gates + h) if s.measure is None
-                 else replace(s, gates=h + s.gates, post_gates=s.post_gates + h))
-        terms.append(Term(t.coeff, (t.sides[0], side1)))
-    return DecompositionSpec("space", "cx", (), tuple(terms))
+# per kind of ``GATE_CUTS``, the sides of each core term with the kind's gates
+_GATE_CUT_SIDES = {
+    kind: tuple(tuple(_with_gates(side, *gates) for side, gates in zip(sides, around))
+                for sides in _ZZ_CORE_SIDES)
+    for kind, (_, around) in GATE_CUTS.items()}
 
 
 def gate_cut_decomposition(gate: GateApp) -> DecompositionSpec:
     """Decomposition for cutting this 2-qubit gate, side 0 = first operand."""
-    if gate.kind == "cx":
-        return cx_decomposition()
-    if gate.kind == "cz":
-        return cz_decomposition()
-    if gate.kind == "rzz":
-        return rzz_decomposition(gate.params[0])
-    raise ValueError(f"no registered cut decomposition for gate '{gate.kind}'")
+    if gate.kind not in GATE_CUTS:
+        raise ValueError(f"no registered cut decomposition for gate '{gate.kind}'")
+    theta = GATE_CUTS[gate.kind][0]
+    coefficients = zz_core_coefficients(gate.params[0] if theta is None else theta)
+    return DecompositionSpec("space", gate.kind, gate.params,
+                             tuple(map(Term, coefficients, _GATE_CUT_SIDES[gate.kind])))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,20 @@ def zz_core_coefficients(theta: float) -> tuple[float, ...]:
     return (c2, s2, cs, -cs, cs, -cs)
 
 
+_RZ, _H = ("rz", (math.pi / 2,)), ("h", ())
+
+#: the 2-qubit gates a space cut decomposes. Each is a ZZ-rotation core
+#: exp(-i theta/2 Z⊗Z) with 1-qubit gates around it (Mitarai & Fujii, New J.
+#: Phys. 2021). A row maps the kind to (theta, sides): theta is None when the
+#: core angle is the gate's own parameter, and sides holds, for operand side 0
+#: and then side 1, the (before, after) gates as (kind, params) pairs
+GATE_CUTS = MappingProxyType({
+    "cx": (-math.pi / 2, (((), (_RZ,)), ((_H,), (_RZ, _H)))),
+    "cz": (-math.pi / 2, (((), (_RZ,)), ((), (_RZ,)))),
+    "rzz": (None, (((), ()), ((), ()))),
+})
+
+
 @dataclass(frozen=True)
 class CutWeights:
     """Overhead factors of one cut decomposition."""
@@ -81,18 +95,19 @@ class CutWeights:
 class WeightTable:
     """The planner's fixed overhead factors per cut kind and gate kind, from
     the coefficients of the decompositions ``cutplan.cutsim.decomp`` samples:
-    CX and CZ cut the ZZ-rotation core at theta = -pi/2, and ``rzz`` is
-    priced at theta = pi/2. An unknown 2-qubit gate is priced as ``cx``, with
-    a warning.
+    a wire cut's, and for every kind in ``GATE_CUTS`` the coefficients of its
+    ZZ-rotation core. An unknown 2-qubit gate is priced as ``cx``, with a
+    warning.
     """
 
     __slots__ = ()
 
     time = CutWeights.of(WIRE_CUT_COEFFICIENTS)
+    # a kind whose core angle is its own parameter is priced at theta = pi/2,
+    # whatever the parameter, until prices are keyed by the gate's angle
     space = MappingProxyType({
-        **dict.fromkeys(("cx", "cz"), CutWeights.of(zz_core_coefficients(-math.pi / 2))),
-        "rzz": CutWeights.of(zz_core_coefficients(math.pi / 2)),
-    })
+        kind: CutWeights.of(zz_core_coefficients(math.pi / 2 if theta is None else theta))
+        for kind, (theta, _) in GATE_CUTS.items()})
 
     def space_entry(self, gate_kind: str) -> CutWeights:
         entry = self.space.get(gate_kind)

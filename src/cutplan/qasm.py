@@ -1,9 +1,9 @@
 """OpenQASM 2.0 frontend.
 
 Parses the dialect used by transpiled benchmark circuits (single or multiple
-quantum registers, standard-library 1- and 2-qubit gates, user gate
-definitions, barriers, terminal measurements) into a flat, columnar
-gate-level IR.
+quantum registers, standard-library 1- and 2-qubit gates, the built-in ``U``
+and ``CX`` as ``u3`` and ``cx``, user gate definitions, barriers, terminal
+measurements) into a flat, columnar gate-level IR.
 Barriers and terminal measurements are dropped; user gate definitions are
 inlined recursively; classical registers are only checked, never simulated.
 
@@ -133,6 +133,9 @@ _NOT_GATES = _KEYWORDS | _UNSUPPORTED_STATEMENTS | {None}
 
 # the parameter environment of a top-level gate application
 _NO_ENV: dict[str, float] = {}
+
+# OpenQASM's built-in gates, read as the qelib1 gates defined from them
+_BUILTIN_GATES = {"U": "u3", "CX": "cx"}
 
 # qelib1 names with three or more operands: rejected unless a user definition
 # with an inlinable body shadows them
@@ -432,7 +435,10 @@ class _Parser:
                 raise UnsupportedGateError(
                     f"gate '{kind}' acts on {_WIDE_GATES[kind]} qubits; "
                     "only 1- and 2-qubit gates are supported")
-            raise UnsupportedGateError(f"unknown gate '{kind}'")
+            if kind not in _BUILTIN_GATES:
+                raise UnsupportedGateError(f"unknown gate '{kind}'")
+            kind = _BUILTIN_GATES[kind]
+            spec = STANDARD_GATES[kind]
         arity, n_params = spec
         if arity != len(qubits):
             raise QasmSyntaxError(

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from cutplan.clustering import Clustering, run_pipeline
-from cutplan.cutsim import (ExperimentConfig, cx_decomposition, cz_decomposition,
-                            reconstruction_error, rzz_decomposition,
-                            variance_experiment, wire_cut_decomposition)
+from cutplan.cutsim import (ExperimentConfig, gate_cut_decomposition,
+                            reconstruction_error, variance_experiment,
+                            wire_cut_decomposition)
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, Node, build_cut_graph
 from cutplan.overhead import build_report, cubic_bound, prior_bound
@@ -92,9 +92,9 @@ def test_criterion_2_modularity_gain():
 def test_criterion_3_decomposition_exactness():
     cases = [
         ("wire", wire_cut_decomposition(), 4.0, 2.0),
-        ("cx", cx_decomposition(), 3.0, 1.5),
-        ("cz", cz_decomposition(), 3.0, 1.5),
-        ("rzz(pi/2)", rzz_decomposition(math.pi / 2), 3.0, 1.5),
+        ("cx", gate_cut_decomposition(GateApp("cx", (0, 1))), 3.0, 1.5),
+        ("cz", gate_cut_decomposition(GateApp("cz", (0, 1))), 3.0, 1.5),
+        ("rzz(pi/2)", gate_cut_decomposition(GateApp("rzz", (0, 1), (math.pi / 2,))), 3.0, 1.5),
     ]
     worst = 0.0
     for name, spec, kappa, tau in cases:

@@ -172,6 +172,22 @@ def test_bench_empty_dir(capsys, tmp_path):
     assert "no circuits found" in err
 
 
+def test_bench_path_that_is_not_a_directory(capsys, tmp_path):
+    path = tmp_path / "c.qasm"
+    path.write_text(to_qasm(chain3()))
+    code, out, err = run_cli(capsys, "bench", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 20] Not a directory: ")
+    code, out, err = run_cli(capsys, "bench", str(tmp_path / "missing"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+
+
+def test_bench_infeasible_cap(capsys, circuits_dir):
+    code, out, err = run_cli(capsys, "bench", str(circuits_dir), "-D", "0")
+    assert (code, out, err) == (2, "", "error: infeasible qubit cap 0\n")
+
+
 def test_bench_all_bad(capsys, tmp_path):
     d = tmp_path / "bad"
     d.mkdir()

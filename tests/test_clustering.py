@@ -361,6 +361,32 @@ def test_validate_rejects_unlisted_clusters_and_nodes():
     Clustering.from_assignment(g, unlisted.assignment, 3).validate(g)
 
 
+_SPLIT = {0: 0, 1: 0, 2: 1, 3: 1}
+_RIGHT = Cluster(frozenset({2, 3}), frozenset({1, 2}))
+
+
+@pytest.mark.parametrize("assignment, clusters, cap, message", [
+    pytest.param({0: 0, 1: 0, 2: 0}, {0: Cluster(frozenset({0, 1, 2}), frozenset({0, 1}))}, 3,
+                 "assignment does not cover the graph's nodes", id="missing-node"),
+    pytest.param(dict.fromkeys(range(4), 0),
+                 {0: Cluster(frozenset(range(4)), frozenset(range(3))),
+                  1: Cluster(frozenset(), frozenset())}, 3,
+                 "empty cluster 1", id="empty-cluster"),
+    pytest.param(_SPLIT, {0: Cluster(frozenset({0, 1, 2}), frozenset({0, 1})), 1: _RIGHT}, 3,
+                 "node 2 of cluster 0 is assigned to 1", id="member-elsewhere"),
+    pytest.param(_SPLIT, {0: Cluster(frozenset({0, 1}), frozenset({0, 1, 2})), 1: _RIGHT}, 3,
+                 "cluster 0 lists qubits other than its members'", id="wrong-qubits"),
+    pytest.param(_SPLIT, {0: Cluster(frozenset({0, 1}), frozenset({0, 1})), 1: _RIGHT}, 1,
+                 "cluster 0 holds 2 qubits, cap 1", id="over-cap"),
+])
+def test_validate_rejects_each_malformed_clustering(assignment, clusters, cap, message):
+    """Each rule of ``validate`` on the graph of ``cx q[0],q[1]; cx q[1],q[2];``,
+    whose nodes 0-3 sit on qubits 0, 1, 1, 2."""
+    g = build_cut_graph(parse_qasm("qreg q[3]; cx q[0],q[1]; cx q[1],q[2];"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Clustering(assignment, clusters, cap).validate(g)
+
+
 def _two_blobs():
     nodes = tuple(Node(i, frozenset({i})) for i in range(6))
     pairs = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
@@ -402,7 +428,6 @@ def test_step1_audit_requires_rising_modularity():
 
 @pytest.mark.parametrize("corrupt", [
     _corrupt_mask, _corrupt_membership, _corrupt_cap,
-    lambda e: setattr(e, "w_cut", e.w_cut + 1.0),
     lambda e: setattr(e, "hat_cut", e.hat_cut + 1.0),
     lambda e: e.s_w.__setitem__(e.cluster_of[0], e.s_w[e.cluster_of[0]] + 1.0),
     lambda e: e.s_hat.__setitem__(e.cluster_of[5], e.s_hat[e.cluster_of[5]] + 1.0),

@@ -3,13 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from cutplan.cutsim import (cx_decomposition, cz_decomposition,
-                            gate_cut_decomposition, reconstruct_channel,
-                            reconstruction_error, rzz_decomposition,
-                            target_channel, wire_cut_decomposition)
+from cutplan.cutsim import (gate_cut_decomposition, reconstruct_channel,
+                            reconstruction_error, target_channel,
+                            wire_cut_decomposition)
 from cutplan.cutsim.decomp import Term, TermSide, DecompositionSpec, _g
-from cutplan.graph import DEFAULT_WEIGHTS
+from cutplan.graph import DEFAULT_WEIGHTS, GATE_CUTS
 from cutplan.qasm import GateApp
+
+# a row whose core angle is the gate's parameter is cut at each of these
+PARAM_ANGLES = (0.0, 0.37, math.pi / 2, 2.9, -1.7)
+# the angle the planner prices such a row at
+PRICING_ANGLE = math.pi / 2
+
+# (kind, params) of every GATE_CUTS row, at every angle for a parametrised row
+GATE_CUT_CASES = []
+for kind, (theta, _) in GATE_CUTS.items():
+    GATE_CUT_CASES += [(kind, ())] if theta is not None else [(kind, (a,)) for a in PARAM_ANGLES]
+
+
+def _spec(kind, *params):
+    return gate_cut_decomposition(GateApp(kind, (0, 1), params))
 
 
 def test_wire_cut_reconstructs_identity():
@@ -20,39 +33,47 @@ def test_wire_cut_reconstructs_identity():
     assert spec.tau == 2.0
 
 
-@pytest.mark.parametrize("builder,gate_kind", [
-    (cx_decomposition, "cx"),
-    (cz_decomposition, "cz"),
-    (lambda: rzz_decomposition(math.pi / 2), "rzz"),
-])
-def test_gate_cuts_reconstruct_target(builder, gate_kind):
-    spec = builder()
-    assert spec.gate_kind == gate_kind
+@pytest.mark.parametrize("kind, params", GATE_CUT_CASES,
+                         ids=[kind + "".join(f"-{p!r}" for p in params)
+                              for kind, params in GATE_CUT_CASES])
+def test_gate_cuts_reconstruct_target(kind, params):
+    """Every row of the table reconstructs its gate with the ZZ core's
+    factors at its angle, and at the angle the planner prices the row at,
+    the planner's factors are the spec's."""
+    spec = _spec(kind, *params)
+    assert (spec.gate_kind, spec.params) == (kind, params)
     assert reconstruction_error(spec) <= 1e-10
-    assert spec.kappa == 3.0
-    assert spec.tau == 1.5
+    row_theta = GATE_CUTS[kind][0]
+    theta = params[0] if row_theta is None else row_theta
+    assert spec.kappa == pytest.approx(1 + 2 * abs(math.sin(theta)))
+    assert spec.tau == pytest.approx(1 + math.sin(theta) ** 2 / 2)
+    if theta == (PRICING_ANGLE if row_theta is None else row_theta):
+        entry = DEFAULT_WEIGHTS.space[kind]
+        assert (spec.kappa, spec.tau) == (entry.kappa, entry.tau)
 
 
 def test_factors_match_weight_table():
     """The planner's constant table holds the factors of the decompositions
-    the estimator samples, and cannot be changed."""
+    the estimator samples, prices exactly the table's kinds, and cannot be
+    changed."""
     table = DEFAULT_WEIGHTS
     wire = wire_cut_decomposition()
     assert (table.time.kappa, table.time.tau) == (wire.kappa, wire.tau)
-    assert sorted(table.space) == ["cx", "cz", "rzz"]
+    assert list(table.space) == list(GATE_CUTS) == ["cx", "cz", "rzz"]
     for kind, entry in table.space.items():
-        params = (math.pi / 2,) if kind == "rzz" else ()
-        spec = gate_cut_decomposition(GateApp(kind, (0, 1), params))
+        spec = _spec(kind) if GATE_CUTS[kind][0] is not None else _spec(kind, PRICING_ANGLE)
         assert (entry.kappa, entry.tau) == (spec.kappa, spec.tau), kind
     with pytest.warns(UserWarning, match="'swap'"):
         assert table.space_entry("swap") == table.space["cx"]
     with pytest.raises(TypeError):
         table.space["iswap"] = table.space["cx"]
+    with pytest.raises(TypeError):
+        GATE_CUTS["iswap"] = GATE_CUTS["cx"]
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.37, 1.2, math.pi / 2, 2.9, -1.7])
 def test_rzz_general_angle(theta):
-    spec = rzz_decomposition(theta)
+    spec = _spec("rzz", theta)
     assert reconstruction_error(spec) <= 1e-10
     assert spec.kappa == pytest.approx(1 + 2 * abs(math.sin(theta)))
     assert spec.tau == pytest.approx(1 + math.sin(theta) ** 2 / 2)
@@ -71,14 +92,13 @@ def test_single_unitary_term_channel():
 
 
 def test_registry_dispatch():
-    spec = gate_cut_decomposition(GateApp("rzz", (0, 1), (0.8,)))
+    spec = _spec("rzz", 0.8)
     assert spec.params == (0.8,)
-    with pytest.raises(ValueError):
-        gate_cut_decomposition(GateApp("swap", (0, 1)))
+    with pytest.raises(ValueError, match="no registered cut decomposition for gate 'swap'"):
+        _spec("swap")
 
 
 def test_term_coefficient_norms_consistent():
-    for spec in (wire_cut_decomposition(), cx_decomposition(),
-                 rzz_decomposition(1.1)):
+    for spec in (wire_cut_decomposition(), _spec("cx"), _spec("rzz", 1.1)):
         assert spec.kappa == pytest.approx(sum(abs(t.coeff) for t in spec.terms))
         assert spec.tau == pytest.approx(sum(t.coeff ** 2 for t in spec.terms))

@@ -8,10 +8,11 @@ import pytest
 from conftest import variant_distribution_oracle
 from cutplan.cutsim import (GateCut, IncompatibleObservableError,
                             NotDisconnectedError, WireCut, allocate_shots,
-                            cut_estimate, cut_specs, expectation_value,
-                            partition_variants, pauli_z_observable,
-                            plan_partitions, ring_circuit, ring_cuts,
-                            value_table, variant_distribution)
+                            combine_means, cut_estimate, cut_specs,
+                            expectation_value, partition_variants,
+                            pauli_z_observable, plan_partitions, ring_circuit,
+                            ring_cuts, value_table, variant_distribution,
+                            wire_cut_decomposition)
 from cutplan.cutsim.estimator import _variant_generators
 from cutplan.cutsim.observable import ObsFactor, ProductObservable
 from cutplan.qasm import CircuitIR, GateApp, parse_qasm
@@ -67,6 +68,18 @@ def test_cut_validation():
         plan_partitions(bell(), [WireCut(1, 0)], obs)  # gate 0 not on wire 1
     with pytest.raises(ValueError):
         plan_partitions(bell(), [GateCut(1), GateCut(1)], obs)
+    with pytest.raises(ValueError, match="^gate index 2 out of range$"):
+        plan_partitions(bell(), [GateCut(2)], obs)
+    with pytest.raises(ValueError, match="^gate index -1 out of range$"):
+        plan_partitions(bell(), [WireCut(0, -1)], obs)
+    with pytest.raises(TypeError, match="^unknown cut placement 1$"):
+        plan_partitions(bell(), [1], obs)
+
+
+def test_combine_means_rejects_more_cuts_than_letters():
+    specs = [wire_cut_decomposition()] * 53
+    with pytest.raises(ValueError, match="^too many cuts to contract$"):
+        combine_means({}, specs, {})
 
 
 def test_incompatible_observable():
@@ -225,8 +238,6 @@ def test_shots_match_budget_formula():
 def test_combination_matches_explicit_sum():
     """Tensor contraction of means == the explicit sum over all term choices."""
     from itertools import product
-
-    from cutplan.cutsim import combine_means
 
     circuit = mixed_circuit()
     cuts = [WireCut(1, 3), GateCut(4)]

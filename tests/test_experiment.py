@@ -62,3 +62,10 @@ def test_every_repetition_tracks_its_own_exact_value():
         exacts.append(expectation_value(ring_circuit(params), obs))
     assert len({round(e, 12) for e in exacts}) == 4  # genuinely different circuits
     assert all(abs(e) <= 5 * 0.3 for e in summary.errors)
+
+
+def test_ring_presets_reject_bad_input():
+    with pytest.raises(ValueError, match=r"^params must have shape \(2, 8, 2\)$"):
+        ring_circuit(np.zeros((2, 8, 3)))
+    with pytest.raises(ValueError, match="^only 3- and 4-partition presets exist$"):
+        ring_cuts(5)

@@ -38,6 +38,9 @@ DELETED = [
     ("cutplan.cutsim.decomp", "_zz_core_terms"),
     ("cutplan.clustering", "_cut_sums"),
     ("cutplan.clustering", "_worst_cluster"),
+    ("cutplan.cutsim.decomp", "cx_decomposition"),
+    ("cutplan.cutsim.decomp", "cz_decomposition"),
+    ("cutplan.cutsim.decomp", "rzz_decomposition"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters

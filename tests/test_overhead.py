@@ -99,6 +99,17 @@ def test_cubic_bound():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 2.0])
+def test_prior_bound_rejects_delta_outside_the_unit_interval(delta):
+    with pytest.raises(ValueError, match="^need 0 < delta < 1$"):
+        prior_bound([4.0], eps=1.0, delta=delta)
+
+
+def test_cubic_bound_rejects_negative_d_prime():
+    with pytest.raises(ValueError, match="^d_prime must be >= 0$"):
+        cubic_bound(2, -1)
+
+
 @pytest.mark.parametrize("name, bound, eps", [
     ("prior_bound", lambda: prior_bound([4.0], eps=1e-200), 1e-200),  # eps ** 2 underflows
     ("cubic_bound", lambda: cubic_bound(3, 3, eps=1e-200), 1e-200),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,16 @@ def test_single_gate():
 def test_duplicate_operand():
     with pytest.raises(DuplicateOperandError):
         parse_qasm("qreg q[1]; cx q[0],q[0];")
+
+
+def test_ir_constructors_reject_bad_gates():
+    with pytest.raises(QasmSyntaxError,
+                       match="gate 'cx' touches wire 2 outside register of size 2"):
+        CircuitIR(2, (GateApp("h", (0,)), GateApp("cx", (0, 2))))
+    with pytest.raises(UnsupportedGateError, match="gate 'ccx' acts on 3 qubits"):
+        GateApp("ccx", (0, 1, 2))
+    with pytest.raises(DuplicateOperandError, match="gate 'cz' applied twice to wire 1"):
+        GateApp("cz", (1, 1))
 
 
 HAND_FIXTURE = """
@@ -137,6 +148,28 @@ def test_user_wide_gate_inlines():
     """
     ir = parse_qasm(src)
     assert [g.qubits for g in ir.gates] == [(0, 1), (1, 2)]
+
+
+def test_builtin_u_and_cx_read_as_u3_and_cx():
+    """The language's own ``U`` and ``CX``, at top level and in a gate body,
+    are the IR's ``u3`` and ``cx``, so the planner prices ``CX`` as ``cx``."""
+    src = ("qreg q[2]; U(pi/2,0,pi) q[0]; CX q[0],q[1];\n"
+           "gate g(t) a, b { U(t,0,-t) b; CX b,a; }\ng(0.3) q[0], q[1];")
+    ir = parse_qasm(src)
+    assert ir.gates == (
+        GateApp("u3", (0,), (math.pi / 2, 0.0, math.pi)),
+        GateApp("cx", (0, 1)),
+        GateApp("u3", (1,), (0.3, 0.0, -0.3)),
+        GateApp("cx", (1, 0)),
+    )
+    assert parse_qasm(src.replace("U(", "u3(").replace("CX", "cx")).gates == ir.gates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_cut_graph(ir).kappa == [3.0, 4.0, 4.0, 3.0]
+    with pytest.raises(QasmSyntaxError, match="expects 3 parameter"):
+        parse_qasm("qreg q[1]; U(1) q[0];")
+    with pytest.raises(UnsupportedGateError, match="unknown gate 'Cx'"):
+        parse_qasm("qreg q[2]; Cx q[0],q[1];")
 
 
 def test_undeclared_register():

@@ -169,6 +169,8 @@ def test_value_table_factors():
 def test_factor_range_validated():
     with pytest.raises(ValueError):
         ObsFactor((0,), (2.0, 0.0))
+    with pytest.raises(ValueError, match=r"^table size must be 2\*\*len\(qubits\)$"):
+        ObsFactor((0, 1), (1.0, -1.0))
 
 
 @pytest.mark.parametrize("qubits, table, message", [
@@ -183,3 +185,8 @@ def test_factor_range_validated():
 def test_factor_rejects_nan_inf_and_repeated_qubits(qubits, table, message):
     with pytest.raises(ValueError, match=message):
         ObsFactor(qubits, table)
+
+
+def test_gate_matrix_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^no matrix for gate 'iswap'$"):
+        gate_matrix(GateApp("iswap", (0, 1)))

@@ -19,7 +19,11 @@ estimator:
    variants, sharing the gates they have in common; terms whose sides at a
    cut site are equal share one branch there, and the leaves' distributions
    are read in one pass per batch. Each variant's shots still come from
-   its own generator, ``default_rng([seed, c, ordinal])``,
+   its own generator, whose stream is that of
+   ``default_rng([seed, c, ordinal])``. The streams are unchanged, but the
+   seeds of all of a call's variants are computed in one vectorised pass
+   of ``SeedSequence``'s hash, and the variants that share a leaf's
+   distribution normalise it once,
 5. combines the per-variant sample means with the term coefficients, summing
    the coefficient-weighted product of partition means over all term choices.
 
@@ -34,9 +38,10 @@ import math
 import operator
 import string
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ..overhead import partition_shots
 from ..qasm import CircuitIR, GateApp
@@ -408,13 +413,6 @@ def variant_distribution(plan: PartitionPlan, specs: list[DecompositionSpec],
     return probs, vals
 
 
-def _sample_mean(probs: np.ndarray, values: np.ndarray, shots: int,
-                 rng: np.random.Generator) -> float:
-    total = probs.sum()
-    counts = rng.multinomial(shots, probs / total)
-    return float(counts @ values) / shots
-
-
 def _words(x: int) -> list[int]:
     """A non-negative int as little-endian 32-bit words, 0 as one word: the
     way ``SeedSequence`` coerces each int of an entropy list."""
@@ -427,15 +425,82 @@ def _words(x: int) -> list[int]:
     return words
 
 
-def _variant_generators(seed: int, c: int) -> Callable[[int], np.random.Generator]:
-    """``ordinal -> default_rng([seed, c, ordinal])``, the same stream with
-    ``seed`` and ``c`` coerced to entropy words once per partition."""
-    head = _words(seed) + _words(c)
+# ``SeedSequence``'s hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
-    def generator(ordinal: int) -> np.random.Generator:
-        entropy = np.array(head + _words(ordinal), dtype=np.uint32)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    return generator
+
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constant before and after each of ``steps`` hashmix steps,
+    as uint32 columns. The constants do not depend on the data, so one
+    column serves every entropy row."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    value = (value ^ before) * after
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _seed_words(rows: list[list[int]]) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every entropy
+    row (a list of 32-bit words), one output row each, in one pass over
+    all rows of a length.
+
+    This is ``SeedSequence``'s documented hash, ``mix_entropy`` into a
+    4-word pool and then ``generate_state``, run on uint32 arrays with one
+    row per word and one column per entropy row; uint32 arithmetic wraps
+    without warning. The hash steps that ``SeedSequence`` takes one after
+    another on the same word run as one array operation.
+    """
+    states = np.empty((len(rows), 2 * _POOL_SIZE), dtype=np.uint32)
+    lengths = list(map(len, rows))
+    for length in set(lengths):
+        members = [i for i, n in enumerate(lengths) if n == length]
+        # one row per word, zero-padded to the pool size
+        entropy = np.zeros((max(length, _POOL_SIZE), len(members)), dtype=np.uint32)
+        entropy[:length] = np.array([rows[i] for i in members], dtype=np.uint32).T
+        before, after = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+        pool = _hashmix(entropy[:_POOL_SIZE], before[:_POOL_SIZE], after[:_POOL_SIZE])
+        step = _POOL_SIZE
+        # mix all bits together, so late bits can affect earlier ones
+        for src in range(_POOL_SIZE):
+            dst = [d for d in range(_POOL_SIZE) if d != src]
+            span = slice(step, step + len(dst))
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], before[span], after[span]))
+            step += len(dst)
+        # entropy beyond the pool is mixed into every pool word
+        for word in entropy[_POOL_SIZE:]:
+            span = slice(step, step + _POOL_SIZE)
+            pool = _mix(pool, _hashmix(word, before[span], after[span]))
+            step += _POOL_SIZE
+        # generate_state draws 2 uint32 words per uint64, cycling the pool
+        before, after = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+        states[members] = _hashmix(np.concatenate([pool, pool]), before, after).T
+    # each pair of words is one little-endian uint64, as in ``generate_state``
+    return states.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence whose state is already computed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 # -- estimator -----------------------------------------------------------------
@@ -444,22 +509,37 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
                  eps: float, seed: int = 0) -> EstimatorRun:
     """Estimate <obs> of the uncut circuit from independently sampled
     subcircuit variants. Standard deviation is bounded by ``eps``."""
+    seed_words = _words(seed)
     plans, r = plan_partitions(circuit, cuts, obs)
     specs = cut_specs(circuit, cuts)
     allocation = allocate_shots(plans, specs, r, eps)
 
+    # every sampled variant's generator, its entropy row [seed, c, ordinal]
+    # seeded in one pass
     means: dict[int, dict[tuple[int, ...], float]] = {}
+    sampled, rows = [], []
+    for c, shots in sorted(allocation.variants.items()):
+        means[c] = dict.fromkeys(sorted(shots), 0.0)
+        head = seed_words + _words(c)
+        for ordinal, variant in enumerate(means[c]):
+            if shots[variant]:
+                sampled.append((c, variant))
+                rows.append(head + _words(ordinal))
+    generators = dict(zip(sampled, [np.random.Generator(np.random.PCG64(_Words(words)))
+                                    for words in _seed_words(rows)]))
+
     for c, plan in sorted(plans.items()):
         values = value_table(plan.factors, plan.num_qubits)
         shots = allocation.variants[c]
-        means[c] = dict.fromkeys(sorted(shots), 0.0)
-        ordinal = {variant: k for k, variant in enumerate(means[c])}
-        generator = _variant_generators(seed, c)
+        leaf = dist = None
         # each variant is sampled as the walk reaches it, then dropped
         for variant, probs, vals in partition_variants(plan, specs, values):
-            if shots[variant]:
-                means[c][variant] = _sample_mean(probs, vals, shots[variant],
-                                                 generator(ordinal[variant]))
+            if n := shots[variant]:
+                # the variants of one leaf come in a row and share its ``probs``
+                if probs is not leaf:
+                    leaf, dist = probs, probs / probs.sum()
+                counts = generators[c, variant].multinomial(n, dist)
+                means[c][variant] = float(counts @ vals) / n
 
     estimate = combine_means(plans, specs, means)
     return EstimatorRun(estimate=estimate, variant_means=means,

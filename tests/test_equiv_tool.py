@@ -15,9 +15,9 @@ EDITS = [
     # the weighted visit order ascending instead of descending
     ("clustering.py", "key=self.k.__getitem__, reverse=True)", "key=self.k.__getitem__)"),
     # c and the ordinal swapped in every variant's seed
-    ("cutsim/estimator.py", "    head = _words(seed) + _words(c)\n", "    head = _words(seed)\n"),
-    ("cutsim/estimator.py", "np.array(head + _words(ordinal), dtype",
-     "np.array(head + _words(ordinal) + _words(c), dtype"),
+    ("cutsim/estimator.py", "head = seed_words + _words(c)\n", "head = seed_words\n"),
+    ("cutsim/estimator.py", "rows.append(head + _words(ordinal))",
+     "rows.append(head + _words(ordinal) + _words(c))"),
 ]
 
 

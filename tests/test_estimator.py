@@ -13,7 +13,8 @@ from cutplan.cutsim import (GateCut, IncompatibleObservableError,
                             pauli_z_observable, plan_partitions, ring_circuit,
                             ring_cuts, value_table, variant_distribution,
                             wire_cut_decomposition)
-from cutplan.cutsim.estimator import _variant_generators
+from cutplan.cutsim import estimator
+from cutplan.cutsim.estimator import _seed_words, _words, _Words
 from cutplan.cutsim.observable import ObsFactor, ProductObservable
 from cutplan.qasm import CircuitIR, GateApp, parse_qasm
 
@@ -202,18 +203,88 @@ def test_estimate_pinned_at_a_seed_wider_than_32_bits():
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
 def test_variant_generators_keep_the_default_rng_stream(seed):
-    """Each variant's generator is ``default_rng([seed, c, ordinal])``, with
-    seed and c coerced once per partition."""
-    for c in (0, 3):
-        generator = _variant_generators(seed, c)
-        for ordinal in (0, 35, 2 ** 32 + 1):
-            want = np.random.default_rng([seed, c, ordinal]).random(8)
-            assert np.array_equal(generator(ordinal).random(8), want)
+    """One ``_seed_words`` call over entropy rows of different lengths gives
+    each row ``SeedSequence``'s state, and a generator on that state draws
+    the stream of ``default_rng([seed, c, ordinal])``."""
+    entropy = [[seed, c, ordinal] for c in (0, 3) for ordinal in (0, 35, 2 ** 32 + 1)]
+    rows = [[w for x in ints for w in _words(x)] for ints in entropy]
+    assert len({len(row) for row in rows}) == 2
+    for ints, row, words in zip(entropy, rows, _seed_words(rows)):
+        want = np.random.SeedSequence(row).generate_state(4, np.uint64)
+        assert words.dtype == want.dtype and np.array_equal(words, want)
+        generator = np.random.Generator(np.random.PCG64(_Words(words)))
+        assert np.array_equal(generator.random(8), np.random.default_rng(ints).random(8))
+
+
+def _variant_means_oracle(circuit, cuts, obs, eps, seed, allocation=None):
+    """Every variant's sample mean, drawn from its own
+    ``default_rng([seed, c, ordinal])`` on its normalised leaf."""
+    plans, r = plan_partitions(circuit, cuts, obs)
+    specs = cut_specs(circuit, cuts)
+    allocation = allocation or allocate_shots(plans, specs, r, eps)
+    means = {}
+    for c, plan in sorted(plans.items()):
+        shots = allocation.variants[c]
+        means[c] = dict.fromkeys(sorted(shots), 0.0)
+        values = value_table(plan.factors, plan.num_qubits)
+        for variant, probs, vals in partition_variants(plan, specs, values):
+            if shots[variant]:
+                rng = np.random.default_rng([seed, c, sorted(shots).index(variant)])
+                counts = rng.multinomial(shots[variant], probs / probs.sum())
+                means[c][variant] = float(counts @ vals) / shots[variant]
+    return means
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 40 + 3, 2 ** 64 + 5])
+@pytest.mark.parametrize("circuit, cuts, width, eps", [
+    (random_ring(1), ring_cuts(3), 8, 0.03),
+    (random_ring(2), ring_cuts(4), 8, 0.03),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 4, 0.05),
+], ids=["ring3", "ring4", "mixed"])
+def test_variant_means_match_default_rng_oracle(circuit, cuts, width, eps, seed):
+    obs = pauli_z_observable(range(width))
+    run = cut_estimate(circuit, cuts, obs, eps=eps, seed=seed)
+    assert run.variant_means == _variant_means_oracle(circuit, cuts, obs, eps, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 + 5])
+def test_variant_means_when_a_leafs_first_variant_is_unsampled(monkeypatch, seed):
+    """The rzz(0.01) donor allocation gives every variant a shot; moving the
+    shot of the first variant of a shared leaf to the next one leaves a leaf
+    that is first reached by a variant without shots. It must still be
+    normalised for the variants after it."""
+    circuit = CircuitIR(2, (GateApp("ry", (0,), (0.3,)), GateApp("rzz", (0, 1), (0.01,)),
+                            GateApp("rx", (1,), (0.3,))), "rzz")
+    cuts, obs = [GateCut(1)], pauli_z_observable(range(2))
+    moves = {0: ((2,), (3,)), 1: ((4,), (5,))}  # per partition, a leaf's first two variants
+    plans, _ = plan_partitions(circuit, cuts, obs)
+    specs = cut_specs(circuit, cuts)
+    for c, (first, second) in moves.items():
+        leaves = list(partition_variants(plans[c], specs,
+                                         value_table(plans[c].factors, plans[c].num_qubits)))
+        k = [variant for variant, _, _ in leaves].index(first)
+        assert leaves[k + 1][0] == second and leaves[k + 1][1] is leaves[k][1]
+
+    def allocate(*args):
+        allocation = allocate_shots(*args)
+        for c, (first, second) in moves.items():
+            shots = allocation.variants[c]
+            shots[first], shots[second] = 0, shots[first] + shots[second]
+        return allocation
+
+    monkeypatch.setattr(estimator, "allocate_shots", allocate)
+    run = cut_estimate(circuit, cuts, obs, eps=5.0, seed=seed)
+    assert [run.allocation.variants[c][first] for c, (first, _) in moves.items()] == [0, 0]
+    assert run.variant_means == _variant_means_oracle(circuit, cuts, obs, 5.0, seed,
+                                                      run.allocation)
 
 
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         cut_estimate(bell(), [GateCut(1)], pauli_z_observable(range(2)), eps=0.1, seed=-1)
+    # the seed is checked before the cuts are
+    with pytest.raises(ValueError, match="non-negative"):
+        cut_estimate(bell(), [], pauli_z_observable(range(2)), eps=0.1, seed=-1)
 
 
 def test_rzz_cut_matches_exact_distribution():

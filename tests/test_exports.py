@@ -41,6 +41,8 @@ DELETED = [
     ("cutplan.cutsim.decomp", "cx_decomposition"),
     ("cutplan.cutsim.decomp", "cz_decomposition"),
     ("cutplan.cutsim.decomp", "rzz_decomposition"),
+    ("cutplan.cutsim.estimator", "_variant_generators"),
+    ("cutplan.cutsim.estimator", "_sample_mean"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters

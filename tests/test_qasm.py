@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutplan.fixtures import ising_chain
 from cutplan.graph import CutKind, build_cut_graph
-from cutplan.qasm import (CircuitIR, DuplicateOperandError, GateApp, QasmError,
-                          QasmSyntaxError, UndeclaredRegisterError,
+from cutplan.qasm import (STANDARD_GATES, CircuitIR, DuplicateOperandError, GateApp,
+                          QasmError, QasmSyntaxError, UndeclaredRegisterError,
                           UnsupportedGateError, _MAX_EXPR_DEPTH, parse_qasm,
                           to_qasm)
 
@@ -311,3 +313,29 @@ def test_fixture_parses_back():
     ir = ising_chain(12, depth=1, seed=0)
     again = parse_qasm(to_qasm(ir), name=ir.name)
     assert again.gates == ir.gates
+
+
+@st.composite
+def _circuits(draw):
+    """A circuit of up to 30 gates drawn from ``STANDARD_GATES``, on 2-6
+    wires, with any finite float parameters."""
+    n = draw(st.integers(2, 6))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(sorted(STANDARD_GATES)), max_size=30)):
+        arity, n_params = STANDARD_GATES[kind]
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity,
+                               unique=True))
+        params = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n_params, max_size=n_params))
+        gates.append(GateApp(kind, tuple(qubits), tuple(params)))
+    return CircuitIR(n, gates, "rand")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_circuits())
+def test_to_qasm_round_trips(ir):
+    """Parsing ``to_qasm``'s output gives back every gate but the no-ops
+    ``id`` and ``u0``, which the parser drops."""
+    again = parse_qasm(to_qasm(ir), name=ir.name)
+    assert again.num_qubits == ir.num_qubits
+    assert again.gates == tuple(g for g in ir.gates if g.kind not in ("id", "u0"))

@@ -74,6 +74,20 @@ class TermSide:
     measure: str | None = MEAS_NONE
     post_gates: tuple[tuple[str, tuple[float, ...]], ...] = ()
 
+    @cached_property
+    def matrices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The 2x2 matrix of each of ``gates`` and of each of
+        ``post_gates``, in order, built once per side as read-only copies.
+        They are applied one gate at a time: composing them would change
+        the rounding."""
+        def matrix(kind, params):
+            m = gate_matrix(GateApp(kind, (0,), params)).copy()
+            m.flags.writeable = False
+            return m
+
+        return (tuple(matrix(*g) for g in self.gates),
+                tuple(matrix(*g) for g in self.post_gates))
+
 
 @dataclass(frozen=True)
 class Term:

@@ -27,12 +27,22 @@ estimator:
 5. combines the per-variant sample means with the term coefficients, summing
    the coefficient-weighted product of partition means over all term choices.
 
+What depends only on the cut structure, never on the circuit's angles, is
+built once and reused across calls: each term side's 2x2 gate matrices
+(``TermSide.matrices``), each partition's split of its budget over its
+variants (``_split_budget``), each partition's value table
+(``_value_table``) and the seeding hash's constants per row length. The
+side matrices are still applied one gate at a time; no gate matrix is
+composed or fused, because a rounding-level change in a probability can
+move a multinomial count.
+
 With that budget the estimator is unbiased and its standard deviation stays
 below eps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -255,26 +265,40 @@ def allocate_shots(plans: dict[int, PartitionPlan], specs: list[DecompositionSpe
     variant_counts: dict[int, dict[tuple[int, ...], int]] = {}
     tau_cut = math.prod(spec.tau for spec in specs)
     # |a_j(i)| / kappa_j per cut and term
-    shares = [[abs(t.coeff) / spec.kappa for t in spec.terms] for spec in specs]
+    shares = [tuple(abs(t.coeff) / spec.kappa for t in spec.terms) for spec in specs]
     for c, plan in sorted(plans.items()):
         attached = plan.attached_cuts
         budget = partition_shots(r, math.prod(specs[j].kappa ** 2 for j in attached),
                                  math.prod(specs[j].tau for j in attached), tau_cut, eps, c)
-        variants = list(itertools.product(*(range(len(specs[j].terms)) for j in attached)))
-        weights = [math.prod((shares[j][t] for j, t in zip(attached, combo)), start=1.0)
-                   for combo in variants]
-        nonzero = sum(1 for w in weights if w > 0.0)
-        budget = max(budget, nonzero)
-        counts = _largest_remainder(budget, weights)
-        # every weighted variant must contribute a sample mean
-        zero_idx = [k for k, (w, n) in enumerate(zip(weights, counts)) if w > 0 and n == 0]
-        for k in zero_idx:
-            donor = int(np.argmax(counts))
-            counts[donor] -= 1
-            counts[k] += 1
-        n_c[c] = budget
+        n_c[c], variants, counts = _split_budget(tuple(shares[j] for j in attached), budget)
         variant_counts[c] = dict(zip(variants, counts))
     return ShotAllocation(n_c=n_c, variants=variant_counts)
+
+
+@functools.lru_cache(maxsize=256)
+def _split_budget(shares: tuple[tuple[float, ...], ...],
+                  budget: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Split one partition's budget over its variants, ``shares`` holding
+    the term shares of each attached cut. Returns the budget, raised to the
+    number of weighted variants if lower, the variants (one term per
+    attached cut) and their shot counts.
+
+    The split depends only on the cut structure and the budget, so it is
+    memoised; it returns tuples, which callers copy into fresh dicts.
+    """
+    variants = tuple(itertools.product(*(range(len(s)) for s in shares)))
+    weights = [math.prod((s[t] for s, t in zip(shares, combo)), start=1.0)
+               for combo in variants]
+    nonzero = sum(1 for w in weights if w > 0.0)
+    budget = max(budget, nonzero)
+    counts = _largest_remainder(budget, weights)
+    # every weighted variant must contribute a sample mean
+    zero_idx = [k for k, (w, n) in enumerate(zip(weights, counts)) if w > 0 and n == 0]
+    for k in zero_idx:
+        donor = int(np.argmax(counts))
+        counts[donor] -= 1
+        counts[k] += 1
+    return budget, variants, tuple(counts)
 
 
 def _largest_remainder(total: int, weights: list[float]) -> list[int]:
@@ -294,16 +318,6 @@ def _largest_remainder(total: int, weights: list[float]) -> list[int]:
 _PRUNE_NORM = 1e-28
 
 
-def _side_ops(side: TermSide, lq: int) -> tuple[list, bool, list]:
-    """One term side at a cut site: gates, whether it forks on a signed
-    measurement, post-measurement gates. An unsigned measurement ends a wire
-    that nothing reads again, so dephasing it cannot change any outcome and
-    it is left out."""
-    def ops(gates):
-        return [((lq,), gate_matrix(GateApp(kind, (lq,), params))) for kind, params in gates]
-    return ops(side.gates), side.measure == MEAS_SIGNED, ops(side.post_gates)
-
-
 _Variant = tuple[tuple[int, ...], np.ndarray, np.ndarray]
 
 # a signed fork's keep and flip factors, in that order
@@ -319,9 +333,11 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
     variant: an unnormalised state, and the sign its signed measurements
     collected. At a site the terms are grouped by their side there, in order
     of first appearance: terms with equal sides act alike on this partition.
-    Every group expands the incoming rows once (its gates, a signed fork into
-    keep and flip rows, its post gates), and the rows of all groups form one
-    batch. The run of gates up to the next site runs once on that batch; it
+    Every group expands the incoming rows once (its side's gates, a signed
+    fork into keep and flip rows, its post gates), and the rows of all
+    groups form one batch. An unsigned measurement ends a wire that nothing
+    reads again, so dephasing it cannot change any outcome and it is left
+    out. The run of gates up to the next site runs once on that batch; it
     is split per group only there. So variants share the simulation of their
     common prefix, and each level of the walk holds one batch. After the last
     site, one pass over the batch gives every row's probabilities and signed
@@ -338,30 +354,33 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
         by_side: dict[TermSide, list[int]] = {}
         for t in terms[j]:
             by_side.setdefault(specs[j].terms[t].sides[side], []).append(t)
-        sites.append((lq, [(tuple(group), *_side_ops(term_side, lq))
-                           for term_side, group in by_side.items()]))
-    # variants are keyed in attached-cut order, the walk goes in site order
+        sites.append((lq, [(tuple(group), term_side) for term_side, group in by_side.items()]))
+    # variants are keyed in attached-cut order, the walk goes in site order;
+    # when the two agree, the product's own tuple is the key
     site_cuts = [j for j, _, _ in plan.sites]
     key_order = [site_cuts.index(j) for j in plan.attached_cuts]
+    key = None if key_order == sorted(key_order) else operator.itemgetter(*key_order)
 
-    def run(rows, ops):
-        for qubits, matrix in ops:
+    def run(rows, qubits, matrices):
+        for matrix in matrices:
             rows = apply_matrix(rows, n, qubits, matrix)
         return rows
 
     def expand(rows, signs, prefix, site):
         # ``prefix`` holds one group of terms per site passed
         lq, expansions = site
+        qubits = (lq,)
         parts, groups, start = [], [], 0
-        for group, gates, signed, post_gates in expansions:
-            branch, branch_signs = run(rows, gates), signs
-            if signed:
+        for group, term_side in expansions:
+            gates, post_gates = term_side.matrices
+            branch, branch_signs = run(rows, qubits, gates), signs
+            if term_side.measure == MEAS_SIGNED:
                 branch = project_qubit(branch, n, lq)
                 branch_signs = (signs[:, None] * _KEEP_FLIP).reshape(-1)
                 flat = branch.view(np.float64)  # each row's squared norm, below
                 alive = np.einsum("ij,ij->i", flat, flat) > _PRUNE_NORM
                 branch, branch_signs = branch[alive], branch_signs[alive]
-            branch = run(branch, post_gates)
+            branch = run(branch, qubits, post_gates)
             parts.append(branch)
             groups.append((prefix + (group,), slice(start, start + len(branch)), branch_signs))
             start += len(branch)
@@ -381,8 +400,9 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
         probs.flags.writeable = vals.flags.writeable = False  # views go to many variants
         for prefix, span, _ in groups:
             group_probs, group_vals = probs[span].reshape(-1), vals[span].reshape(-1)
-            for choice in itertools.product(*prefix):
-                yield tuple(choice[i] for i in key_order), group_probs, group_vals
+            choices = itertools.product(*prefix)
+            for variant in choices if key is None else map(key, choices):
+                yield variant, group_probs, group_vals
 
     yield from descend(zero_state(n)[None], [((), slice(0, 1), np.ones(1))], 0)
 
@@ -433,14 +453,17 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
 
+@functools.lru_cache(maxsize=16)
 def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The hash constant before and after each of ``steps`` hashmix steps,
-    as uint32 columns. The constants do not depend on the data, so one
-    column serves every entropy row."""
+    as read-only uint32 columns. The constants do not depend on the data,
+    so one column serves every entropy row, and it is built once per
+    ``steps``, i.e. per row length."""
     consts = [init]
     for _ in range(steps):
         consts.append(consts[-1] * mult & _MASK32)
     column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
     return column[:-1], column[1:]
 
 
@@ -529,7 +552,7 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
                                     for words in _seed_words(rows)]))
 
     for c, plan in sorted(plans.items()):
-        values = value_table(plan.factors, plan.num_qubits)
+        values = _value_table(plan.num_qubits, tuple(plan.factors))
         shots = allocation.variants[c]
         leaf = dist = None
         # each variant is sampled as the walk reaches it, then dropped
@@ -544,6 +567,19 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     estimate = combine_means(plans, specs, means)
     return EstimatorRun(estimate=estimate, variant_means=means,
                         allocation=allocation, r=r, seed=seed)
+
+
+@functools.lru_cache(maxsize=16)
+def _value_table(num_qubits: int, factors: tuple[ObsFactor, ...]) -> np.ndarray:
+    """Read-only ``value_table``, built once per partition structure.
+
+    Equal factors share a table. ``ObsFactor`` equality takes -0.0 for 0.0,
+    but a table's signed zero never reaches a sample mean: ``counts @ vals``
+    sums from +0.0.
+    """
+    values = value_table(factors, num_qubits)
+    values.flags.writeable = False
+    return values
 
 
 def combine_means(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec],

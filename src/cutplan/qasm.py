@@ -69,6 +69,10 @@ class GateApp:
             raise DuplicateOperandError(
                 f"gate '{self.kind}' applied twice to wire {self.qubits[0]}"
             )
+        for value in self.params:
+            if not math.isfinite(value):
+                raise QasmSyntaxError(
+                    f"gate '{self.kind}' parameter {value!r} is not a finite number")
 
 
 class CircuitIR:
@@ -146,7 +150,9 @@ _MAX_INLINE_DEPTH = 16
 # costs the evaluator up to three stack frames, well inside Python's limit
 _MAX_EXPR_DEPTH = 64
 
-_NUMBER = r"[0-9]*\.[0-9]+(?:[eE][-+]?[0-9]+)?|[0-9]+(?:[eE][-+]?[0-9]+)?"
+# OpenQASM 2.0's real (``5.``, ``.5``, ``5.5``, with an optional exponent) or
+# integer
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 
 # A barrier is skipped up to the next ';' whatever it contains. Any other
 # statement's parameter text runs to its last ')' and its rest to the first

@@ -1,0 +1,40 @@
+"""Self-test of ``tools/ab.py``: it times a tree against itself and prints
+a finite ratio. No timing is asserted."""
+
+import math
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "ab.py")
+
+
+@pytest.mark.parametrize("workload", ["verify_ring", "plan_chain"])
+def test_ab_times_a_tree_against_itself(workload):
+    out = subprocess.run([sys.executable, TOOL, ROOT, ROOT, workload, "1", "--scale", "0.02"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    (line,) = [ln for ln in out.stdout.splitlines() if ln.startswith("NEW/OLD median ratio ")]
+    ratio, _, won = line.removeprefix("NEW/OLD median ratio ").partition("; NEW faster on ")
+    assert math.isfinite(float(ratio)) and float(ratio) > 0
+    won, _, total = won.removesuffix(" operations").partition(" of ")
+    assert 0 <= int(won) <= int(total) and int(total) > 0
+
+
+def test_ab_refuses_a_module_outside_its_tree(tmp_path):
+    """A copy whose module imports ``cutplan`` by its absolute name would
+    time another tree's code; the tool fails instead."""
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "cutplan" / "cutsim" / "observable.py", "a",
+              encoding="utf-8") as fh:
+        fh.write("\nimport cutplan.qasm\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, TOOL, ROOT, str(tmp_path), "verify_ring", "1",
+                          "--scale", "0.02"], capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert "ImportError: loading the tree imported a package called 'cutplan'" in out.stderr

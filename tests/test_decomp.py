@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cutplan.cutsim import (gate_cut_decomposition, reconstruct_channel,
+from cutplan.cutsim import (gate_cut_decomposition, gate_matrix, reconstruct_channel,
                             reconstruction_error, target_channel,
                             wire_cut_decomposition)
 from cutplan.cutsim.decomp import Term, TermSide, DecompositionSpec, _g
@@ -96,6 +96,24 @@ def test_registry_dispatch():
     assert spec.params == (0.8,)
     with pytest.raises(ValueError, match="no registered cut decomposition for gate 'swap'"):
         _spec("swap")
+
+
+def test_term_side_matrices_are_built_once_per_side():
+    """A side's gate matrices are cached: the same arrays on every read and
+    in every spec that shares the side, one read-only matrix per gate,
+    equal to ``gate_matrix`` of that gate."""
+    for spec, again in ((wire_cut_decomposition(), wire_cut_decomposition()),
+                        (_spec("cx"), _spec("cx")), (_spec("rzz", 0.8), _spec("rzz", 0.3))):
+        for term, term_again in zip(spec.terms, again.terms):
+            for side, side_again in zip(term.sides, term_again.sides):
+                gates, post_gates = side.matrices
+                assert side.matrices is side_again.matrices
+                assert (len(gates), len(post_gates)) == (len(side.gates), len(side.post_gates))
+                for (kind, params), matrix in zip(side.gates + side.post_gates,
+                                                  gates + post_gates):
+                    want = gate_matrix(GateApp(kind, (0,), params))
+                    assert matrix.dtype == want.dtype and np.array_equal(matrix, want)
+                    assert not matrix.flags.writeable
 
 
 def test_term_coefficient_norms_consistent():

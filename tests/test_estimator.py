@@ -136,6 +136,62 @@ def test_allocation_gives_every_weighted_variant_a_shot():
         assert sum(counts.values()) == alloc.n_c[c]
 
 
+def test_allocations_are_fresh_dicts():
+    """The memoised split is copied: two calls give equal but distinct
+    dicts, and changing one allocation leaves the next call's alone."""
+    circuit, cuts = random_ring(0), ring_cuts(3)
+    plans, r = plan_partitions(circuit, cuts, pauli_z_observable(range(8)))
+    specs = cut_specs(circuit, cuts)
+    first, second = (allocate_shots(plans, specs, r, eps=0.03) for _ in range(2))
+    assert first == second
+    assert first.n_c is not second.n_c
+    assert all(first.variants[c] is not second.variants[c] for c in plans)
+    first.n_c[0] += 1
+    first.variants[0][0, 0] += 1
+    assert second == allocate_shots(plans, specs, r, eps=0.03) != first
+
+
+# the memos of what an estimate derives from its cut structure alone
+_MEMOS = (estimator._split_budget, estimator._value_table, estimator._hash_constants)
+
+
+@pytest.mark.parametrize("circuit, cuts, width, eps", [
+    (random_ring(1), ring_cuts(3), 8, 0.03),
+    (random_ring(2), ring_cuts(4), 8, 0.03),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 4, 0.05),
+], ids=["ring3", "ring4", "mixed"])
+def test_estimate_same_with_cold_and_warm_memos(circuit, cuts, width, eps):
+    """An estimate is the same whether its memos, and its term sides'
+    cached matrices, start empty or were filled by the same call."""
+    obs = pauli_z_observable(range(width))
+    for memo in _MEMOS:
+        memo.cache_clear()
+    for spec in cut_specs(circuit, cuts):
+        for side in {side for term in spec.terms for side in term.sides}:
+            vars(side).pop("matrices", None)
+    cold = cut_estimate(circuit, cuts, obs, eps=eps, seed=7)
+    misses = [memo.cache_info().misses for memo in _MEMOS]
+    warm = cut_estimate(circuit, cuts, obs, eps=eps, seed=7)
+    assert warm == cold and repr(warm) == repr(cold)
+    assert [memo.cache_info().misses for memo in _MEMOS] == misses
+    assert all(memo.cache_info().hits for memo in _MEMOS)
+
+
+def test_value_table_memo_is_exact_for_signed_zeros():
+    """``ObsFactor`` equality takes -0.0 for 0.0, so the memo hands a
+    (-0.0, -0.0) factor the table built for (0.0, 0.0); the estimate must
+    not tell."""
+    def estimate(table):
+        obs = ProductObservable((ObsFactor((0,), table),))
+        return repr(cut_estimate(bell(), [GateCut(1)], obs, eps=0.1, seed=3))
+
+    estimator._value_table.cache_clear()
+    cold = estimate((-0.0, -0.0))
+    estimator._value_table.cache_clear()
+    estimate((0.0, 0.0))
+    assert estimate((-0.0, -0.0)) == cold
+
+
 def test_cut_free_partition():
     """Qubit 3 is touched by no cut: its partition enters the contraction as
     a scalar."""

@@ -43,6 +43,7 @@ DELETED = [
     ("cutplan.cutsim.decomp", "rzz_decomposition"),
     ("cutplan.cutsim.estimator", "_variant_generators"),
     ("cutplan.cutsim.estimator", "_sample_mean"),
+    ("cutplan.cutsim.estimator", "_side_ops"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters

@@ -33,6 +33,13 @@ def test_ir_constructors_reject_bad_gates():
         GateApp("ccx", (0, 1, 2))
     with pytest.raises(DuplicateOperandError, match="gate 'cz' applied twice to wire 1"):
         GateApp("cz", (1, 1))
+    for kind, qubits, params, value in (("rx", (0,), (math.nan,), math.nan),
+                                        ("rzz", (0, 1), (math.inf,), math.inf),
+                                        ("u3", (1,), (0.5, -math.inf, 0.5), -math.inf)):
+        with pytest.raises(QasmSyntaxError) as info:
+            GateApp(kind, qubits, params)
+        assert type(info.value) is QasmSyntaxError
+        assert str(info.value) == f"gate '{kind}' parameter {value!r} is not a finite number"
 
 
 HAND_FIXTURE = """
@@ -100,13 +107,17 @@ def test_two_register_broadcast():
 def test_parameter_expressions():
     """Operators apply left to right with Python's precedence, so each value is
     the bit-exact result of the same Python expression. Empty statements
-    (``;;``) are skipped."""
+    (``;;``) are skipped. A real may end in its point, as OpenQASM 2.0's
+    grammar allows."""
     ir = parse_qasm("qreg q[1]; rz(3*pi/2) q[0]; rz(-pi) q[0]; rz(1.5e-3) q[0];"
                     "rz(2 - 3*pi/4 + 1) q[0]; u3(-(0.5 + pi)/2, +.25, 1e2/-3) q[0];"
-                    "rz(+pi) q[0];;")
+                    "rz(+pi) q[0];; rz(5.) q[0]; rz(-2.) q[0]; rz(1.e-3) q[0];"
+                    "u3(2.*pi, 1./2, 1.E+2) q[0];")
     assert [g.params for g in ir.gates] == [
         (3 * math.pi / 2,), (-math.pi,), (1.5e-3,), (2 - 3 * math.pi / 4 + 1,),
         (-(0.5 + math.pi) / 2, 0.25, 1e2 / -3), (math.pi,),
+        (float("5."),), (float("-2."),), (float("1.e-3"),),
+        (2.0 * math.pi, 1.0 / 2, float("1.E+2")),
     ]
 
 
@@ -245,6 +256,8 @@ ERROR_TABLE = [
     ("gate g(a) x {\n  rz(a/0) x;\n}\ng(1) q[0];", QasmSyntaxError, 6),
     ("gate g(a) x { rz(2a) x; }\ng(1) q[0];", QasmSyntaxError, 4),
     ("rx(1e400) q[0];", QasmSyntaxError, 3),
+    ("rx(.) q[0];", QasmSyntaxError, 3),
+    ("rx(1.2.) q[0];", QasmSyntaxError, 3),
     ("rx(1e400-1e400) q[0];", QasmSyntaxError, 3),
     ("gate g(a) x { rz(a*1e308*10) x; }\ng(1) q[0];", QasmSyntaxError, 4),
     ("qreg e[0];\nh e;", QasmSyntaxError, 4),

@@ -160,6 +160,7 @@ def test_basis_bits_convention():
 def test_value_table_factors():
     factor = ObsFactor((0, 2), (1.0, -1.0, -1.0, 1.0))  # parity of qubits 0 and 2
     table = value_table([factor], 3)
+    assert table.flags.writeable  # the estimator's memoised tables are read-only copies
     for idx in range(8):
         b0 = (idx >> 2) & 1
         b2 = idx & 1

@@ -210,9 +210,10 @@ def cmd_verify(args) -> int:
                 return _fail(str(exc), EXIT_ERROR)
             elapsed = time.perf_counter() - start
             summaries.append((label, summary))
-            verdict = "pass" if summary.within_bound else "FAIL"
+            verdict = "pass" if summary.within_bound and summary.exact_within_bound else "FAIL"
             print(f"preset ({label}): partitions={partitions} eps={eps} "
-                  f"n_total={summary.n_total} std={summary.std:.6f} [{verdict}] "
+                  f"n_total={summary.n_total} std={summary.std:.6f} "
+                  f"exact_std_max={summary.exact_std:.6f} [{verdict}] "
                   f"wall={elapsed:.2f}s", file=sys.stderr)
         payload = {"presets": [dict(label=label, **s.to_json_dict())
                                for label, s in summaries]}
@@ -222,9 +223,11 @@ def cmd_verify(args) -> int:
             writer.writerow(("preset", "repetition", "error"))
             writer.writerows((label, rep, repr(err)) for label, s in summaries
                              for rep, err in enumerate(s.errors))
-    if all(s.within_bound for _, s in summaries):
-        return EXIT_OK
-    return _fail("observed standard deviation exceeded eps", EXIT_ERROR)
+    if not all(s.within_bound for _, s in summaries):
+        return _fail("observed standard deviation exceeded eps", EXIT_ERROR)
+    if not all(s.exact_within_bound for _, s in summaries):
+        return _fail("exact standard deviation exceeded eps", EXIT_ERROR)
+    return EXIT_OK
 
 
 def cmd_fixtures(args) -> int:

@@ -4,9 +4,10 @@ decompositions, the shot-budgeted estimator and the variance experiment."""
 from .decomp import (DecompositionSpec, Term, TermSide, gate_cut_decomposition,
                      reconstruct_channel, reconstruction_error, target_channel,
                      wire_cut_decomposition)
-from .estimator import (EstimatorRun, GateCut, IncompatibleObservableError,
-                        NotDisconnectedError, ShotAllocation, WireCut,
-                        allocate_shots, combine_means, cut_estimate, cut_specs,
+from .estimator import (EstimatorRun, ExactMoments, GateCut,
+                        IncompatibleObservableError, NotDisconnectedError,
+                        ShotAllocation, WireCut, allocate_shots, combine_means,
+                        cut_estimate, cut_specs, exact_moments,
                         partition_variants, plan_partitions,
                         variant_distribution)
 from .experiment import (ExperimentConfig, ExperimentSummary, ring_circuit,
@@ -21,9 +22,10 @@ __all__ = [
     "DecompositionSpec", "Term", "TermSide", "gate_cut_decomposition",
     "reconstruct_channel", "reconstruction_error", "target_channel",
     "wire_cut_decomposition",
-    "EstimatorRun", "GateCut", "IncompatibleObservableError",
+    "EstimatorRun", "ExactMoments", "GateCut", "IncompatibleObservableError",
     "NotDisconnectedError", "ShotAllocation", "WireCut", "allocate_shots",
-    "combine_means", "cut_estimate", "cut_specs", "partition_variants",
+    "combine_means", "cut_estimate", "cut_specs", "exact_moments",
+    "partition_variants",
     "plan_partitions", "variant_distribution",
     "ExperimentConfig", "ExperimentSummary", "ring_circuit", "ring_cuts",
     "variance_experiment",

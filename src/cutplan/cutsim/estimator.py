@@ -589,19 +589,85 @@ def combine_means(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec
     estimate = sum over all term choices of prod_j a_j(i_j) *
     prod_c mean_c(choice restricted to the cuts touching c).
     """
-    if len(specs) > len(string.ascii_letters):
-        raise ValueError("too many cuts to contract")
-    letters = string.ascii_letters
-    subscripts = []
-    operands = []
-    for j, spec in enumerate(specs):
-        subscripts.append(letters[j])
-        operands.append(np.array([t.coeff for t in spec.terms]))
+    subscripts = _contraction(plans, len(specs), copies=1)
+    coefficients = [np.array([t.coeff for t in spec.terms]) for spec in specs]
+    tensors = []
     for c, plan in sorted(plans.items()):
         # a partition no cut touches is a 0-d tensor with subscript ""
         tensor = np.empty(tuple(len(specs[j].terms) for j in plan.attached_cuts))
         for variant, mean in means[c].items():
             tensor[variant] = mean
-        subscripts.append("".join(letters[j] for j in plan.attached_cuts))
-        operands.append(tensor)
-    return float(np.einsum(",".join(subscripts) + "->", *operands))
+        tensors.append(tensor)
+    return float(np.einsum(subscripts, *coefficients, *tensors))
+
+
+def _contraction(plans: dict[int, PartitionPlan], num_cuts: int, copies: int) -> str:
+    """``einsum`` subscripts that sum over every term choice of ``copies``
+    independent copies of the cuts, down to a scalar.
+
+    The operands are one tensor per cut, then one per partition in
+    partition order. Cut j's tensor has an index per copy; a partition's
+    has, copy by copy, an index per attached cut. Each index is a letter,
+    so the letters bound the number of cuts.
+    """
+    limit = len(string.ascii_letters) // copies
+    if num_cuts > limit:
+        raise ValueError("too many cuts to contract" if copies == 1 else
+                         f"too many cuts to contract: at most {limit} when doubled")
+
+    def letters(cuts):
+        return "".join(string.ascii_letters[j + k * num_cuts]
+                       for k in range(copies) for j in cuts)
+
+    operands = [letters([j]) for j in range(num_cuts)]
+    operands += [letters(plan.attached_cuts) for _, plan in sorted(plans.items())]
+    return ",".join(operands) + "->"
+
+
+@dataclass(frozen=True)
+class ExactMoments:
+    mean: float
+    variance: float
+    allocation: ShotAllocation
+
+
+def exact_moments(circuit: CircuitIR, cuts: list, obs: ProductObservable,
+                  eps: float) -> ExactMoments:
+    """Exact mean and variance of ``cut_estimate``'s estimate, and the shot
+    allocation it samples with; no shot is drawn.
+
+    A sampled variant's mean is the average of n draws from its exact
+    outcome distribution: its expectation is the distribution's mean mu of
+    the signed values, its variance sigma^2 / n, and the means of different
+    variants are independent. A variant without shots has the fixed mean 0.
+    The estimate is multilinear in the means, so its expectation is
+    ``combine_means`` of the mu, and E[estimate^2] is the same contraction
+    over two copies of every cut index, each cut contributing a (x) a and
+    each partition E[m (x) m] = mu (x) mu + diag(sigma^2 / n).
+    """
+    plans, r = plan_partitions(circuit, cuts, obs)
+    specs = cut_specs(circuit, cuts)
+    allocation = allocate_shots(plans, specs, r, eps)
+    subscripts = _contraction(plans, len(specs), copies=2)
+    means, seconds = {}, []
+    for c, plan in sorted(plans.items()):
+        shots = allocation.variants[c]
+        order = {variant: k for k, variant in enumerate(sorted(shots))}
+        mu, noise = np.zeros(len(order)), np.zeros(len(order))
+        values = _value_table(plan.num_qubits, tuple(plan.factors))
+        for variant, probs, vals in partition_variants(plan, specs, values):
+            if n := shots[variant]:
+                dist = probs / probs.sum()
+                k = order[variant]
+                mu[k] = dist @ vals
+                noise[k] = dist @ (vals - mu[k]) ** 2 / n
+        means[c] = dict(zip(order, mu.tolist()))
+        shape = tuple(len(specs[j].terms) for j in plan.attached_cuts)
+        seconds.append((np.outer(mu, mu) + np.diag(noise)).reshape(shape + shape))
+    mean = combine_means(plans, specs, means)
+    coefficients = [np.array([t.coeff for t in spec.terms]) for spec in specs]
+    second = np.einsum(subscripts, *(np.outer(a, a) for a in coefficients), *seconds,
+                       optimize=True)
+    # rounding can leave a variance that is zero a hair below it
+    return ExactMoments(mean=mean, variance=max(float(second) - mean ** 2, 0.0),
+                        allocation=allocation)

@@ -9,7 +9,9 @@ between each pair of blocks; cutting four splits it into {0,1} | {2,3} |
 angles, estimates <Z...Z> through the cutting estimator with the shot budget
 for the requested eps, and records the error against the exact statevector
 value. The claim under test: the standard deviation of those errors stays
-below eps.
+below eps. Every repetition also takes the estimator's exact standard
+deviation from ``exact_moments``, which checks the same claim per circuit
+with no sampling noise.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..qasm import CircuitIR, GateApp
-from .estimator import GateCut, cut_estimate
+from .estimator import GateCut, cut_estimate, exact_moments
 from .observable import expectation_value, pauli_z_observable
 
 RING_QUBITS = 8
@@ -74,10 +76,15 @@ class ExperimentSummary:
     std: float
     mean_error: float
     seed: int
+    exact_std: float  # the largest exact standard deviation over the repetitions
 
     @property
     def within_bound(self) -> bool:
         return self.std <= self.eps
+
+    @property
+    def exact_within_bound(self) -> bool:
+        return self.exact_std <= self.eps
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,6 +96,8 @@ class ExperimentSummary:
             "mean_error": self.mean_error,
             "within_bound": self.within_bound,
             "errors": list(self.errors),
+            "exact_std_over_eps": self.exact_std / self.eps,
+            "exact_within_bound": self.exact_within_bound,
         }
 
 
@@ -98,7 +107,7 @@ def variance_experiment(config: ExperimentConfig) -> ExperimentSummary:
         raise ValueError("need at least two repetitions to measure a spread")
     cuts = ring_cuts(config.partitions)
     obs = pauli_z_observable(range(RING_QUBITS))
-    errors = []
+    errors, exact_vars = [], []
     n_total = None
     for rep in range(config.repetitions):
         rng = np.random.default_rng([config.seed, rep])
@@ -107,6 +116,7 @@ def variance_experiment(config: ExperimentConfig) -> ExperimentSummary:
         exact = expectation_value(circuit, obs)
         run = cut_estimate(circuit, cuts, obs, config.eps, seed=int(rng.integers(2 ** 31)))
         errors.append(run.estimate - exact)
+        exact_vars.append(exact_moments(circuit, cuts, obs, config.eps).variance)
         n_total = run.shots_used
     arr = np.array(errors)
     return ExperimentSummary(
@@ -118,4 +128,5 @@ def variance_experiment(config: ExperimentConfig) -> ExperimentSummary:
         std=float(arr.std(ddof=1)),
         mean_error=float(arr.mean()),
         seed=config.seed,
+        exact_std=float(np.sqrt(max(exact_vars))),
     )

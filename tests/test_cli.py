@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -251,6 +252,26 @@ def test_partition_and_errors_csv_bytes(capsys, tmp_path, monkeypatch, circuits_
                                    b"1,1,0.012769032160022509\n"
                                    b"2,0,-0.009765220312381428\n"
                                    b"2,1,0.00015494531584636043\n")
+
+
+def test_verify_fails_when_the_exact_std_exceeds_eps(capsys, monkeypatch):
+    """Each preset reports its largest exact std / eps, and an exact std
+    above eps fails ``verify`` even when the observed one is within it."""
+    import cutplan.cutsim.experiment as experiment
+
+    code, out, _ = run_cli(capsys, "verify", "--repetitions", "2", "--seed", "1")
+    assert code == 0
+    for preset in json.loads(out)["presets"]:
+        assert 0.0 < preset["exact_std_over_eps"] <= 1.0 and preset["exact_within_bound"]
+    exact_moments = experiment.exact_moments
+    monkeypatch.setattr(experiment, "exact_moments", lambda *args: dataclasses.replace(
+        exact_moments(*args), variance=1.0))
+    code, out, err = run_cli(capsys, "verify", "--repetitions", "2", "--seed", "1")
+    assert code == 1
+    for preset in json.loads(out)["presets"]:
+        assert preset["within_bound"] and not preset["exact_within_bound"]
+        assert preset["exact_std_over_eps"] == 1.0 / preset["eps"]
+    assert "FAIL" in err and err.endswith("error: exact standard deviation exceeded eps\n")
 
 
 def test_verify_unwritable_errors_csv_fails_first(capsys, tmp_path, monkeypatch):

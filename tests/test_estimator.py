@@ -9,7 +9,7 @@ from conftest import variant_distribution_oracle
 from cutplan.cutsim import (GateCut, IncompatibleObservableError,
                             NotDisconnectedError, WireCut, allocate_shots,
                             combine_means, cut_estimate, cut_specs,
-                            expectation_value, partition_variants,
+                            exact_moments, expectation_value, partition_variants,
                             pauli_z_observable, plan_partitions, ring_circuit,
                             ring_cuts, value_table, variant_distribution,
                             wire_cut_decomposition)
@@ -451,6 +451,98 @@ def test_terms_with_equal_sides_share_one_branch(circuit, cuts, width):
         assert len(shared) == math.prod(_DISTINCT_SIDES[specs[j].cut_kind, side]
                                         for j, side, _ in plan.sites)
         assert len({id(probs) for probs, _ in shared.values()}) == len(shared)
+
+
+def random_cut_circuit(seed):
+    """3–5 qubits in two or three blocks, 12 random gates: rotations and
+    ``cx``/``cz``/``rzz`` gates, of which every gate between two blocks is
+    cut (at most three; at least one)."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(3, 6))
+    block = rng.permutation([q % int(rng.integers(2, 4)) for q in range(width)])
+    gates, cuts = [], []
+    for _ in range(12):
+        if rng.random() < 0.5:
+            kind = str(rng.choice(["rx", "ry", "rz"]))
+            gates.append(GateApp(kind, (int(rng.integers(width)),), (rng.uniform(-3, 3),)))
+            continue
+        a, b = (int(q) for q in rng.choice(width, 2, replace=False))
+        if block[a] != block[b]:
+            if len(cuts) == 3:
+                continue
+            cuts.append(GateCut(len(gates)))
+        kind = str(rng.choice(["cx", "cz", "rzz"]))
+        gates.append(GateApp(kind, (a, b), (rng.uniform(-3, 3),) if kind == "rzz" else ()))
+    if not cuts:
+        a, b = int(np.argmin(block)), int(np.argmax(block))
+        cuts.append(GateCut(len(gates)))
+        gates.append(GateApp("cz", (a, b)))
+    return CircuitIR(width, tuple(gates), f"random{seed}"), cuts
+
+
+@pytest.mark.parametrize("partitions, eps", [(3, 0.03), (4, 0.03), (3, 0.01), (4, 0.01)])
+def test_exact_moments_of_the_ring_presets(partitions, eps):
+    """The estimator's exact mean is the exact value and its exact variance
+    is within eps^2, on the ``verify`` presets: the paper's bound, with no
+    sampling noise. The allocation is the one ``cut_estimate`` samples."""
+    cuts, obs = ring_cuts(partitions), pauli_z_observable(range(8))
+    for seed in range(5):
+        circuit = random_ring(seed)
+        moments = exact_moments(circuit, cuts, obs, eps)
+        assert moments.mean == pytest.approx(expectation_value(circuit, obs), abs=1e-9)
+        assert 0.0 < moments.variance <= eps ** 2
+    plans, r = plan_partitions(circuit, cuts, obs)
+    assert moments.allocation == allocate_shots(plans, cut_specs(circuit, cuts), r, eps)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_moments_of_random_cut_circuits(seed):
+    circuit, cuts = random_cut_circuit(seed)
+    obs = pauli_z_observable(range(circuit.num_qubits))
+    for eps in (0.05, 0.3):
+        moments = exact_moments(circuit, cuts, obs, eps)
+        assert moments.mean == pytest.approx(expectation_value(circuit, obs), abs=1e-9)
+        assert moments.variance <= eps ** 2
+
+
+def test_exact_moments_with_wire_cuts():
+    circuit, cuts = mixed_circuit(), [WireCut(1, 3), GateCut(4)]
+    obs = pauli_z_observable(range(4))
+    moments = exact_moments(circuit, cuts, obs, 0.05)
+    assert moments.mean == pytest.approx(expectation_value(circuit, obs), abs=1e-9)
+    assert 0.0 < moments.variance <= 0.05 ** 2
+
+
+def test_exact_moments_name_their_cut_limit():
+    """Doubled indices halve ``combine_means``' letter limit to 26 cuts."""
+    specs = [wire_cut_decomposition()] * 27
+    with pytest.raises(ValueError, match="^too many cuts to contract: at most 26 when doubled$"):
+        estimator._contraction({}, len(specs), copies=2)
+    assert estimator._contraction({}, 26, copies=2).count(",") == 25
+
+
+# seeds per z-score check, and a bound that a standard normal z-score
+# exceeds with probability 1e-3 / _Z_SEEDS (Chernoff: 2 exp(-b^2 / 2))
+_Z_SEEDS = 100
+_Z_BOUND = math.sqrt(2.0 * math.log(2.0 * _Z_SEEDS / 1e-3))
+
+
+@pytest.mark.parametrize("circuit, cuts, eps", [
+    (random_ring(4), ring_cuts(3), 0.1),
+    (random_ring(5), ring_cuts(4), 0.1),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 0.2),
+], ids=["ring3", "ring4", "mixed"])
+def test_estimate_z_scores_follow_the_exact_moments(circuit, cuts, eps):
+    """(estimate - mean) / sqrt(variance) over many seeds looks standard
+    normal: every |z| is within the union bound for the seed count, and the
+    mean and mean square of z are within four standard errors of 0 and 1."""
+    obs = pauli_z_observable(range(circuit.num_qubits))
+    moments = exact_moments(circuit, cuts, obs, eps)
+    z = np.array([cut_estimate(circuit, cuts, obs, eps, seed=seed).estimate - moments.mean
+                  for seed in range(_Z_SEEDS)]) / math.sqrt(moments.variance)
+    assert np.max(np.abs(z)) <= _Z_BOUND
+    assert abs(z.mean()) <= 4.0 / math.sqrt(_Z_SEEDS)
+    assert abs(np.mean(z ** 2) - 1.0) <= 4.0 * math.sqrt(2.0 / _Z_SEEDS)
 
 
 def _cut_block(width=13):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cutplan.cutsim import (ExperimentConfig, cut_estimate, expectation_value,
-                            pauli_z_observable, plan_partitions, ring_circuit,
-                            ring_cuts, variance_experiment)
+from cutplan.cutsim import (ExperimentConfig, cut_estimate, exact_moments,
+                            expectation_value, pauli_z_observable,
+                            plan_partitions, ring_circuit, ring_cuts,
+                            variance_experiment)
 
 
 def test_ring_partitions():
@@ -62,6 +63,20 @@ def test_every_repetition_tracks_its_own_exact_value():
         exacts.append(expectation_value(ring_circuit(params), obs))
     assert len({round(e, 12) for e in exacts}) == 4  # genuinely different circuits
     assert all(abs(e) <= 5 * 0.3 for e in summary.errors)
+
+
+def test_summary_reports_the_largest_exact_std():
+    config = ExperimentConfig(partitions=4, eps=0.3, repetitions=3, seed=2)
+    summary = variance_experiment(config)
+    obs = pauli_z_observable(range(8))
+    stds = []
+    for rep in range(3):
+        params = np.random.default_rng([2, rep]).uniform(0.0, 2.0 * np.pi, size=(2, 8, 2))
+        stds.append(np.sqrt(exact_moments(ring_circuit(params), ring_cuts(4), obs, 0.3).variance))
+    assert summary.exact_std == max(stds) > 0.0
+    payload = summary.to_json_dict()
+    assert payload["exact_std_over_eps"] == max(stds) / 0.3
+    assert payload["exact_within_bound"] is True
 
 
 def test_ring_presets_reject_bad_input():

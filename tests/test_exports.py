@@ -133,3 +133,10 @@ def test_benchmark_api_resolves_with_its_signatures():
             assert not callable(obj), name
         else:
             assert list(inspect.signature(obj).parameters) == params, name
+
+
+def test_exact_moments_is_exported_beside_cut_estimate():
+    """``exact_moments`` takes ``cut_estimate``'s inputs but the seed."""
+    assert {"exact_moments", "ExactMoments"} <= set(cutplan.cutsim.__all__)
+    params = list(inspect.signature(cutplan.cutsim.exact_moments).parameters)
+    assert params == list(inspect.signature(cutplan.cutsim.cut_estimate).parameters)[:-1]

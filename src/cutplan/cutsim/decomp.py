@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -77,9 +77,7 @@ class TermSide:
     @cached_property
     def matrices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """The 2x2 matrix of each of ``gates`` and of each of
-        ``post_gates``, in order, built once per side as read-only copies.
-        They are applied one gate at a time: composing them would change
-        the rounding."""
+        ``post_gates``, in order, built once per side as read-only copies."""
         def matrix(kind, params):
             m = gate_matrix(GateApp(kind, (0,), params)).copy()
             m.flags.writeable = False
@@ -87,6 +85,20 @@ class TermSide:
 
         return (tuple(matrix(*g) for g in self.gates),
                 tuple(matrix(*g) for g in self.post_gates))
+
+    @cached_property
+    def unitaries(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``gates`` and ``post_gates`` each multiplied into one read-only
+        2x2 matrix, built once per side; None where there are no gates."""
+        def product(matrices):
+            if not matrices:
+                return None
+            u = reduce(lambda acc, m: m @ acc, matrices)
+            u.flags.writeable = False
+            return u
+
+        before, after = self.matrices
+        return product(before), product(after)
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,19 @@ class DecompositionSpec:
 
     kappa = property(lambda self: self.weights.kappa)
     tau = property(lambda self: self.weights.tau)
+
+    @cached_property
+    def side_groups(self) -> tuple[tuple[tuple[tuple[int, ...], TermSide], ...], ...]:
+        """Per side (0, 1), the terms grouped by what they do on that side:
+        ``(term indices, side)`` in order of first appearance. Terms with
+        equal sides act alike on that side's partition."""
+        groups = []
+        for side in (0, 1):
+            by_side: dict[TermSide, list[int]] = {}
+            for t, term in enumerate(self.terms):
+                by_side.setdefault(term.sides[side], []).append(t)
+            groups.append(tuple((tuple(ts), term_side) for term_side, ts in by_side.items()))
+        return tuple(groups)
 
 
 def _g(kind: str, *params: float) -> tuple[str, tuple[float, ...]]:

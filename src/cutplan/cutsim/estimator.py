@@ -18,26 +18,25 @@ estimator:
    sampling law. One depth-first walk per partition simulates all its
    variants, sharing the gates they have in common; terms whose sides at a
    cut site are equal share one branch there, and the leaves' distributions
-   are read in one pass per batch. Each variant's shots still come from
-   its own generator, whose stream is that of
-   ``default_rng([seed, c, ordinal])``. The streams are unchanged, but the
-   seeds of all of a call's variants are computed in one vectorised pass
-   of ``SeedSequence``'s hash, and the variants that share a leaf's
-   distribution normalise it once,
+   are read in one pass per batch. Each wire's consecutive 1-qubit gates
+   between cut sites run as one 2x2 matrix, as do a term side's gates
+   before and after its measurement. Partition c draws from one generator,
+   ``default_rng([seed, c])``, its variants' multinomials in walk order,
+   and the variants that share a leaf's distribution normalise it once,
 5. combines the per-variant sample means with the term coefficients, summing
    the coefficient-weighted product of partition means over all term choices.
 
 What depends only on the cut structure, never on the circuit's angles, is
-built once and reused across calls: each term side's 2x2 gate matrices
-(``TermSide.matrices``), each partition's split of its budget over its
-variants (``_split_budget``), each partition's value table
-(``_value_table``) and the seeding hash's constants per row length. The
-side matrices are still applied one gate at a time; no gate matrix is
-composed or fused, because a rounding-level change in a probability can
-move a multinomial count.
+built once and reused across calls: each term side's matrices
+(``TermSide.matrices`` and ``TermSide.unitaries``), each partition's split
+of its budget over its variants (``_split_budget``) and each partition's
+value table (``_value_table``); each spec groups its terms by side once
+(``DecompositionSpec.side_groups``).
 
 With that budget the estimator is unbiased and its standard deviation stays
-below eps.
+below eps. ``exact_moments`` computes that mean and variance exactly, with
+no sampling: it is the estimator's contract, which the tests check on
+every cut kind, so the random stream is free to change.
 """
 
 from __future__ import annotations
@@ -48,14 +47,13 @@ import math
 import operator
 import string
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from ..overhead import partition_shots
 from ..qasm import CircuitIR, GateApp
-from .decomp import (DecompositionSpec, MEAS_SIGNED, TermSide,
+from .decomp import (DecompositionSpec, MEAS_SIGNED,
                      gate_cut_decomposition, wire_cut_decomposition)
 from .observable import ObsFactor, ProductObservable, check_qubits, value_table
 from .statevector import apply_matrix, gate_matrix, project_qubit, zero_state
@@ -264,11 +262,13 @@ def allocate_shots(plans: dict[int, PartitionPlan], specs: list[DecompositionSpe
     n_c: dict[int, int] = {}
     variant_counts: dict[int, dict[tuple[int, ...], int]] = {}
     tau_cut = math.prod(spec.tau for spec in specs)
+    kappas = [spec.kappa for spec in specs]
     # |a_j(i)| / kappa_j per cut and term
-    shares = [tuple(abs(t.coeff) / spec.kappa for t in spec.terms) for spec in specs]
+    shares = [tuple(abs(t.coeff) / kappa for t in spec.terms)
+              for spec, kappa in zip(specs, kappas)]
     for c, plan in sorted(plans.items()):
         attached = plan.attached_cuts
-        budget = partition_shots(r, math.prod(specs[j].kappa ** 2 for j in attached),
+        budget = partition_shots(r, math.prod(kappas[j] ** 2 for j in attached),
                                  math.prod(specs[j].tau for j in attached), tau_cut, eps, c)
         n_c[c], variants, counts = _split_budget(tuple(shares[j] for j in attached), budget)
         variant_counts[c] = dict(zip(variants, counts))
@@ -324,10 +324,29 @@ _Variant = tuple[tuple[int, ...], np.ndarray, np.ndarray]
 _KEEP_FLIP = np.array([1.0, -1.0])
 
 
+def _fused(run: list[tuple[GateApp, tuple[int, ...]]]
+           ) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """``(qubits, matrix)`` of a run of gates, each wire's consecutive
+    1-qubit gates multiplied into one 2x2 matrix. A 2-qubit gate first
+    flushes the products pending on its wires; what is pending at the end
+    of the run follows, in the order its wires were first touched."""
+    ops, pending = [], {}
+    for gate, qubits in run:
+        matrix = gate_matrix(gate)
+        if len(qubits) == 1:
+            q = qubits[0]
+            pending[q] = matrix @ pending[q] if q in pending else matrix
+            continue
+        ops += [((q,), pending.pop(q)) for q in qubits if q in pending]
+        ops.append((qubits, matrix))
+    ops += [((q,), matrix) for q, matrix in pending.items()]
+    return ops
+
+
 def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
-          terms: dict[int, Sequence[int]], values: np.ndarray) -> Iterator[_Variant]:
+          choice: dict[int, int] | None, values: np.ndarray) -> Iterator[_Variant]:
     """Yield ``(variant, probs, vals)`` for every choice of one term per cut
-    site, ``terms[j]`` listing the terms of cut j.
+    site, or only for ``choice`` (a term per attached cut) when given.
 
     The walk is depth first over ``plan.sites``. A row is one branch of a
     variant: an unnormalised state, and the sign its signed measurements
@@ -348,23 +367,15 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
     yielded array must not be written to.
     """
     n = plan.num_qubits
-    runs = [[(qubits, gate_matrix(gate)) for gate, qubits in run] for run in plan.runs]
-    sites = []
-    for j, side, lq in plan.sites:
-        by_side: dict[TermSide, list[int]] = {}
-        for t in terms[j]:
-            by_side.setdefault(specs[j].terms[t].sides[side], []).append(t)
-        sites.append((lq, [(tuple(group), term_side) for term_side, group in by_side.items()]))
+    runs = [_fused(run) for run in plan.runs]
+    sites = [(lq, specs[j].side_groups[side] if choice is None else
+              (((choice[j],), specs[j].terms[choice[j]].sides[side]),))
+             for j, side, lq in plan.sites]
     # variants are keyed in attached-cut order, the walk goes in site order;
     # when the two agree, the product's own tuple is the key
     site_cuts = [j for j, _, _ in plan.sites]
     key_order = [site_cuts.index(j) for j in plan.attached_cuts]
     key = None if key_order == sorted(key_order) else operator.itemgetter(*key_order)
-
-    def run(rows, qubits, matrices):
-        for matrix in matrices:
-            rows = apply_matrix(rows, n, qubits, matrix)
-        return rows
 
     def expand(rows, signs, prefix, site):
         # ``prefix`` holds one group of terms per site passed
@@ -372,15 +383,18 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
         qubits = (lq,)
         parts, groups, start = [], [], 0
         for group, term_side in expansions:
-            gates, post_gates = term_side.matrices
-            branch, branch_signs = run(rows, qubits, gates), signs
+            before, after = term_side.unitaries
+            branch, branch_signs = rows, signs
+            if before is not None:
+                branch = apply_matrix(branch, n, qubits, before)
             if term_side.measure == MEAS_SIGNED:
                 branch = project_qubit(branch, n, lq)
                 branch_signs = (signs[:, None] * _KEEP_FLIP).reshape(-1)
                 flat = branch.view(np.float64)  # each row's squared norm, below
                 alive = np.einsum("ij,ij->i", flat, flat) > _PRUNE_NORM
                 branch, branch_signs = branch[alive], branch_signs[alive]
-            branch = run(branch, qubits, post_gates)
+            if after is not None:
+                branch = apply_matrix(branch, n, qubits, after)
             parts.append(branch)
             groups.append((prefix + (group,), slice(start, start + len(branch)), branch_signs))
             start += len(branch)
@@ -419,8 +433,7 @@ def partition_variants(plan: PartitionPlan, specs: list[DecompositionSpec],
     site of this partition come out together and share their arrays, which
     must not be written to.
     """
-    terms = {j: range(len(specs[j].terms)) for j in plan.attached_cuts}
-    return _walk(plan, specs, terms, values)
+    return _walk(plan, specs, None, values)
 
 
 def variant_distribution(plan: PartitionPlan, specs: list[DecompositionSpec],
@@ -428,102 +441,8 @@ def variant_distribution(plan: PartitionPlan, specs: list[DecompositionSpec],
                          values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact (probabilities, signed postprocessing values) of one variant,
     ``choice`` mapping each attached cut to its term."""
-    ((_, probs, vals),) = _walk(plan, specs, {j: (choice[j],) for j in plan.attached_cuts},
-                                values)
+    ((_, probs, vals),) = _walk(plan, specs, choice, values)
     return probs, vals
-
-
-def _words(x: int) -> list[int]:
-    """A non-negative int as little-endian 32-bit words, 0 as one word: the
-    way ``SeedSequence`` coerces each int of an entropy list."""
-    x = operator.index(x)
-    if x < 0:
-        raise ValueError(f"expected non-negative integer, got {x}")
-    words = [x & 0xFFFFFFFF]
-    while x := x >> 32:
-        words.append(x & 0xFFFFFFFF)
-    return words
-
-
-# ``SeedSequence``'s hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
-
-@functools.lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hash constant before and after each of ``steps`` hashmix steps,
-    as read-only uint32 columns. The constants do not depend on the data,
-    so one column serves every entropy row, and it is built once per
-    ``steps``, i.e. per row length."""
-    consts = [init]
-    for _ in range(steps):
-        consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.flags.writeable = False
-    return column[:-1], column[1:]
-
-
-def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    value = (value ^ before) * after
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> 16)
-
-
-def _seed_words(rows: list[list[int]]) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` of every entropy
-    row (a list of 32-bit words), one output row each, in one pass over
-    all rows of a length.
-
-    This is ``SeedSequence``'s documented hash, ``mix_entropy`` into a
-    4-word pool and then ``generate_state``, run on uint32 arrays with one
-    row per word and one column per entropy row; uint32 arithmetic wraps
-    without warning. The hash steps that ``SeedSequence`` takes one after
-    another on the same word run as one array operation.
-    """
-    states = np.empty((len(rows), 2 * _POOL_SIZE), dtype=np.uint32)
-    lengths = list(map(len, rows))
-    for length in set(lengths):
-        members = [i for i, n in enumerate(lengths) if n == length]
-        # one row per word, zero-padded to the pool size
-        entropy = np.zeros((max(length, _POOL_SIZE), len(members)), dtype=np.uint32)
-        entropy[:length] = np.array([rows[i] for i in members], dtype=np.uint32).T
-        before, after = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
-        pool = _hashmix(entropy[:_POOL_SIZE], before[:_POOL_SIZE], after[:_POOL_SIZE])
-        step = _POOL_SIZE
-        # mix all bits together, so late bits can affect earlier ones
-        for src in range(_POOL_SIZE):
-            dst = [d for d in range(_POOL_SIZE) if d != src]
-            span = slice(step, step + len(dst))
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], before[span], after[span]))
-            step += len(dst)
-        # entropy beyond the pool is mixed into every pool word
-        for word in entropy[_POOL_SIZE:]:
-            span = slice(step, step + _POOL_SIZE)
-            pool = _mix(pool, _hashmix(word, before[span], after[span]))
-            step += _POOL_SIZE
-        # generate_state draws 2 uint32 words per uint64, cycling the pool
-        before, after = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-        states[members] = _hashmix(np.concatenate([pool, pool]), before, after).T
-    # each pair of words is one little-endian uint64, as in ``generate_state``
-    return states.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _Words(ISeedSequence):
-    """A seed sequence whose state is already computed."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
 
 
 # -- estimator -----------------------------------------------------------------
@@ -531,29 +450,23 @@ class _Words(ISeedSequence):
 def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
                  eps: float, seed: int = 0) -> EstimatorRun:
     """Estimate <obs> of the uncut circuit from independently sampled
-    subcircuit variants. Standard deviation is bounded by ``eps``."""
-    seed_words = _words(seed)
+    subcircuit variants. Standard deviation is bounded by ``eps``.
+
+    Partition c samples from ``np.random.default_rng([seed, c])``, one
+    multinomial per variant with shots, in the order the walk yields them.
+    """
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     plans, r = plan_partitions(circuit, cuts, obs)
     specs = cut_specs(circuit, cuts)
     allocation = allocate_shots(plans, specs, r, eps)
 
-    # every sampled variant's generator, its entropy row [seed, c, ordinal]
-    # seeded in one pass
     means: dict[int, dict[tuple[int, ...], float]] = {}
-    sampled, rows = [], []
-    for c, shots in sorted(allocation.variants.items()):
-        means[c] = dict.fromkeys(sorted(shots), 0.0)
-        head = seed_words + _words(c)
-        for ordinal, variant in enumerate(means[c]):
-            if shots[variant]:
-                sampled.append((c, variant))
-                rows.append(head + _words(ordinal))
-    generators = dict(zip(sampled, [np.random.Generator(np.random.PCG64(_Words(words)))
-                                    for words in _seed_words(rows)]))
-
     for c, plan in sorted(plans.items()):
+        rng = np.random.default_rng([seed, c])
         values = _value_table(plan.num_qubits, tuple(plan.factors))
         shots = allocation.variants[c]
+        means[c] = dict.fromkeys(sorted(shots), 0.0)
         leaf = dist = None
         # each variant is sampled as the walk reaches it, then dropped
         for variant, probs, vals in partition_variants(plan, specs, values):
@@ -561,8 +474,7 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
                 # the variants of one leaf come in a row and share its ``probs``
                 if probs is not leaf:
                     leaf, dist = probs, probs / probs.sum()
-                counts = generators[c, variant].multinomial(n, dist)
-                means[c][variant] = float(counts @ vals) / n
+                means[c][variant] = float(rng.multinomial(n, dist) @ vals) / n
 
     estimate = combine_means(plans, specs, means)
     return EstimatorRun(estimate=estimate, variant_means=means,
@@ -626,6 +538,8 @@ def _contraction(plans: dict[int, PartitionPlan], num_cuts: int, copies: int) ->
 
 @dataclass(frozen=True)
 class ExactMoments:
+    """What ``exact_moments`` returns."""
+
     mean: float
     variance: float
     allocation: ShotAllocation

@@ -67,9 +67,9 @@ def gate_matrix(gate: GateApp) -> np.ndarray:
     if kind == "ry":
         return _u3(p[0], 0.0, 0.0)
     if kind == "rz":
-        return np.diag([cmath.exp(-0.5j * p[0]), cmath.exp(0.5j * p[0])])
+        return np.array([[cmath.exp(-0.5j * p[0]), 0], [0, cmath.exp(0.5j * p[0])]])
     if kind in ("p", "u1"):
-        return np.diag([1.0, cmath.exp(1j * p[0])])
+        return np.array([[1.0, 0], [0, cmath.exp(1j * p[0])]])
     if kind == "u2":
         return _u3(math.pi / 2, p[0], p[1])
     if kind in ("u3", "u"):

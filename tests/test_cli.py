@@ -248,10 +248,10 @@ def test_partition_and_errors_csv_bytes(capsys, tmp_path, monkeypatch, circuits_
                          "--errors-csv", str(target))
     assert code == 0
     assert target.read_bytes() == (b"preset,repetition,error\n"
-                                   b"1,0,-0.00532687042047825\n"
-                                   b"1,1,0.012769032160022509\n"
-                                   b"2,0,-0.009765220312381428\n"
-                                   b"2,1,0.00015494531584636043\n")
+                                   b"1,0,-0.0021741117408510605\n"
+                                   b"1,1,-0.027364550020454237\n"
+                                   b"2,0,-0.0015958596753935378\n"
+                                   b"2,1,-0.0026856441240664395\n")
 
 
 def test_verify_fails_when_the_exact_std_exceeds_eps(capsys, monkeypatch):

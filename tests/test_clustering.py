@@ -236,7 +236,9 @@ def test_pipeline_lq_trace_non_increasing():
 
 
 def test_pipeline_matches_oracle_on_small_instances():
-    """Never more than one wire cut above the exhaustive optimum."""
+    """The worst-cluster log overhead is never below the exhaustive optimum
+    and at most ln 16 above it: the log overhead of one wire cut
+    (kappa = 4), not a count of cuts."""
     fixtures = [
         (chain3(), 2),
         (chain3(), 3),

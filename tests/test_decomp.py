@@ -120,3 +120,28 @@ def test_term_coefficient_norms_consistent():
     for spec in (wire_cut_decomposition(), _spec("cx"), _spec("rzz", 1.1)):
         assert spec.kappa == pytest.approx(sum(abs(t.coeff) for t in spec.terms))
         assert spec.tau == pytest.approx(sum(t.coeff ** 2 for t in spec.terms))
+
+
+def test_term_side_unitaries_and_spec_side_groups():
+    """A side's ``unitaries`` are its gates and its post gates each
+    multiplied into one read-only 2x2 (None for none), cached per side; a
+    spec groups its terms by equal sides, per side, once."""
+    for spec in (wire_cut_decomposition(), _spec("cx"), _spec("rzz", 0.8)):
+        for term in spec.terms:
+            for side in term.sides:
+                assert side.unitaries is side.unitaries
+                for matrices, unitary in zip(side.matrices, side.unitaries):
+                    if not matrices:
+                        assert unitary is None
+                        continue
+                    want = np.eye(2)
+                    for matrix in matrices:
+                        want = matrix @ want
+                    assert np.max(np.abs(unitary - want)) <= 1e-15
+                    assert not unitary.flags.writeable
+        assert spec.side_groups is spec.side_groups
+        for side, groups in enumerate(spec.side_groups):
+            assert sorted(t for ts, _ in groups for t in ts) == list(range(len(spec.terms)))
+            for ts, term_side in groups:
+                assert all(spec.terms[t].sides[side] == term_side for t in ts)
+            assert len({term_side for _, term_side in groups}) == len(groups)

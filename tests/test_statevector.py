@@ -191,3 +191,19 @@ def test_factor_rejects_nan_inf_and_repeated_qubits(qubits, table, message):
 def test_gate_matrix_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="^no matrix for gate 'iswap'$"):
         gate_matrix(GateApp("iswap", (0, 1)))
+
+
+@pytest.mark.parametrize("kind", ["rz", "p", "u1"])
+def test_diagonal_gates_match_their_np_diag_form(kind):
+    """The diagonal 1-qubit rotations are built without ``np.diag``, bit for
+    bit as before: same dtype, same values and signed zeros."""
+    import cmath
+
+    for theta in (0.0, -0.0, 0.37, -1.7, math.pi, 5.5):
+        got = gate_matrix(GateApp(kind, (0,), (theta,)))
+        if kind == "rz":
+            old = np.diag([cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
+        else:
+            old = np.diag([1.0, cmath.exp(1j * theta)])
+        assert got.dtype == old.dtype and got.shape == old.shape
+        assert np.array_equal(got, old) and got.tobytes() == old.tobytes()

@@ -560,9 +560,9 @@ def exact_moments(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     each partition E[m (x) m] = mu (x) mu + diag(sigma^2 / n).
     """
     plans, r = plan_partitions(circuit, cuts, obs)
+    subscripts = _contraction(plans, len(cuts), copies=2)
     specs = cut_specs(circuit, cuts)
     allocation = allocate_shots(plans, specs, r, eps)
-    subscripts = _contraction(plans, len(specs), copies=2)
     means, seconds = {}, []
     for c, plan in sorted(plans.items()):
         shots = allocation.variants[c]

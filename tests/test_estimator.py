@@ -518,11 +518,12 @@ def test_exact_moments_with_wire_cuts():
 
 
 def test_exact_moments_name_their_cut_limit():
-    """Doubled indices halve ``combine_means``' letter limit to 26 cuts."""
-    specs = [wire_cut_decomposition()] * 27
+    """Doubled indices halve ``combine_means``' letter limit to 26 cuts;
+    27 cuts raise before any variant is simulated."""
+    circuit = CircuitIR(28, tuple(GateApp("cz", (q, q + 1)) for q in range(27)))
+    cuts, obs = [GateCut(g) for g in range(27)], pauli_z_observable(range(28))
     with pytest.raises(ValueError, match="^too many cuts to contract: at most 26 when doubled$"):
-        estimator._contraction({}, len(specs), copies=2)
-    assert estimator._contraction({}, 26, copies=2).count(",") == 25
+        exact_moments(circuit, cuts, obs, 0.1)
 
 
 # seeds per z-score check, and a bound that a standard normal z-score

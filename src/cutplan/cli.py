@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target standard deviation; adds shot budgets")
         p.add_argument("--order", choices=("weighted", "random"), default="weighted")
         p.add_argument("--restarts", type=int, default=1,
-                       help="random-order restarts, best result kept")
+                       help="random-order runs, best kept; --order weighted ignores it")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="JSON file with flag defaults")
 

@@ -47,7 +47,8 @@ docstring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -119,21 +120,32 @@ class DecompositionSpec:
         """kappa and tau of the term coefficients, summed once per spec."""
         return CutWeights.of([t.coeff for t in self.terms])
 
+    # per side (0, 1), the terms grouped by what they do on that side:
+    # ``(term indices, side)`` in order of first appearance; terms with equal
+    # sides act alike on that side's partition
+    side_groups: tuple = field(init=False, repr=False, compare=False)
+
     kappa = property(lambda self: self.weights.kappa)
     tau = property(lambda self: self.weights.tau)
 
-    @cached_property
-    def side_groups(self) -> tuple[tuple[tuple[tuple[int, ...], TermSide], ...], ...]:
-        """Per side (0, 1), the terms grouped by what they do on that side:
-        ``(term indices, side)`` in order of first appearance. Terms with
-        equal sides act alike on that side's partition."""
-        groups = []
-        for side in (0, 1):
-            by_side: dict[TermSide, list[int]] = {}
-            for t, term in enumerate(self.terms):
-                by_side.setdefault(term.sides[side], []).append(t)
-            groups.append(tuple((tuple(ts), term_side) for term_side, ts in by_side.items()))
-        return tuple(groups)
+    def __post_init__(self):
+        # a spec built from a side table takes the groups built with the
+        # table at import; any other spec groups its own sides
+        sides = [term.sides for term in self.terms]
+        table, groups = _GROUPED.get(self.gate_kind, ((), None))
+        if len(table) != len(sides) or not all(map(operator.is_, table, sides)):
+            groups = _group_sides(sides)
+        object.__setattr__(self, "side_groups", groups)
+
+
+def _group_sides(sides: list[tuple[TermSide, TermSide]]) -> tuple:
+    """``DecompositionSpec.side_groups`` of terms with these sides."""
+    groups: tuple[dict[TermSide, list[int]], ...] = ({}, {})
+    for t, term_sides in enumerate(sides):
+        for by_side, term_side in zip(groups, term_sides):
+            by_side.setdefault(term_side, []).append(t)
+    return tuple(tuple((tuple(ts), term_side) for term_side, ts in by_side.items())
+                 for by_side in groups)
 
 
 def _g(kind: str, *params: float) -> tuple[str, tuple[float, ...]]:
@@ -182,6 +194,11 @@ _GATE_CUT_SIDES = {
     kind: tuple(tuple(_with_gates(side, *gates) for side, gates in zip(sides, around))
                 for sides in _ZZ_CORE_SIDES)
     for kind, (_, around) in GATE_CUTS.items()}
+
+
+# per gate kind (None for a wire cut), its side table and that table's groups
+_GROUPED = {kind: (sides, _group_sides(sides)) for kind, sides
+            in ((None, _WIRE_CUT_SIDES), *_GATE_CUT_SIDES.items())}
 
 
 def gate_cut_decomposition(gate: GateApp) -> DecompositionSpec:

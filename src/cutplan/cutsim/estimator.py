@@ -26,12 +26,14 @@ estimator:
 5. combines the per-variant sample means with the term coefficients, summing
    the coefficient-weighted product of partition means over all term choices.
 
-What depends only on the cut structure, never on the circuit's angles, is
-built once and reused across calls: each term side's matrices
-(``TermSide.matrices`` and ``TermSide.unitaries``), each partition's split
-of its budget over its variants (``_split_budget``) and each partition's
-value table (``_value_table``); each spec groups its terms by side once
-(``DecompositionSpec.side_groups``).
+``cut_estimate`` and ``exact_moments`` share one compile step, and nothing
+it builds outlives the call. It rejects a partition wider than
+``MAX_QUBITS`` before building anything for it. Within a call, partitions
+with equal term shares and budget share one budget split, and partitions
+with equal width and factors share one value table. Only immutable
+constants carry work across calls: each term side's matrices
+(``TermSide.matrices``, ``TermSide.unitaries``) and each side table's
+grouping of its terms, built at import (``DecompositionSpec.side_groups``).
 
 With that budget the estimator is unbiased and its standard deviation stays
 below eps. ``exact_moments`` computes that mean and variance exactly, with
@@ -41,7 +43,6 @@ every cut kind, so the random stream is free to change.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -56,7 +57,8 @@ from ..qasm import CircuitIR, GateApp
 from .decomp import (DecompositionSpec, MEAS_SIGNED,
                      gate_cut_decomposition, wire_cut_decomposition)
 from .observable import ObsFactor, ProductObservable, check_qubits, value_table
-from .statevector import apply_matrix, gate_matrix, project_qubit, zero_state
+from .statevector import (MAX_QUBITS, TooManyQubitsError, apply_matrix, gate_matrix,
+                          project_qubit, zero_state)
 
 
 class NotDisconnectedError(Exception):
@@ -178,7 +180,7 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
     gate_segments = []  # per gate, the segments it acts on
     cut_sides: list[tuple] = [()] * len(cuts)
     for g, gate in enumerate(circuit.gates):
-        segs = tuple(segment[q] for q in gate.qubits)
+        segs = tuple(map(segment.__getitem__, gate.qubits))
         gate_segments.append(segs)
         if g in gate_cuts:
             cut_sides[gate_cuts[g]] = segs
@@ -218,7 +220,7 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
                 add_site(gate_cuts[g], side)
         else:
             segs = gate_segments[g]
-            plans[local[segs[0]][0]].runs[-1].append((gate, tuple(local[s][1] for s in segs)))
+            plans[local[segs[0]][0]].runs[-1].append((gate, tuple([local[s][1] for s in segs])))
         # measure sides first, then prepare sides, each in cut-index order
         for side in (0, 1):
             for _, j in wire_cuts.get(g, ()):
@@ -238,13 +240,8 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
 
 
 def cut_specs(circuit: CircuitIR, cuts: list) -> list[DecompositionSpec]:
-    specs = []
-    for cut in cuts:
-        if isinstance(cut, GateCut):
-            specs.append(gate_cut_decomposition(circuit.gates[cut.gate_index]))
-        else:
-            specs.append(wire_cut_decomposition())
-    return specs
+    return [gate_cut_decomposition(circuit.gates[cut.gate_index]) if isinstance(cut, GateCut)
+            else wire_cut_decomposition() for cut in cuts]
 
 
 # -- shot allocation ----------------------------------------------------------
@@ -266,50 +263,45 @@ def allocate_shots(plans: dict[int, PartitionPlan], specs: list[DecompositionSpe
     # |a_j(i)| / kappa_j per cut and term
     shares = [tuple(abs(t.coeff) / kappa for t in spec.terms)
               for spec, kappa in zip(specs, kappas)]
+    splits = {}  # partitions with equal shares and budget split alike
     for c, plan in sorted(plans.items()):
         attached = plan.attached_cuts
         budget = partition_shots(r, math.prod(kappas[j] ** 2 for j in attached),
                                  math.prod(specs[j].tau for j in attached), tau_cut, eps, c)
-        n_c[c], variants, counts = _split_budget(tuple(shares[j] for j in attached), budget)
+        key = (tuple(shares[j] for j in attached), budget)
+        if key not in splits:
+            splits[key] = _split_budget(*key)
+        n_c[c], variants, counts = splits[key]
         variant_counts[c] = dict(zip(variants, counts))
     return ShotAllocation(n_c=n_c, variants=variant_counts)
 
 
-@functools.lru_cache(maxsize=256)
 def _split_budget(shares: tuple[tuple[float, ...], ...],
-                  budget: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Split one partition's budget over its variants, ``shares`` holding
-    the term shares of each attached cut. Returns the budget, raised to the
-    number of weighted variants if lower, the variants (one term per
-    attached cut) and their shot counts.
-
-    The split depends only on the cut structure and the budget, so it is
-    memoised; it returns tuples, which callers copy into fresh dicts.
-    """
-    variants = tuple(itertools.product(*(range(len(s)) for s in shares)))
-    weights = [math.prod((s[t] for s, t in zip(shares, combo)), start=1.0)
-               for combo in variants]
-    nonzero = sum(1 for w in weights if w > 0.0)
-    budget = max(budget, nonzero)
-    counts = _largest_remainder(budget, weights)
-    # every weighted variant must contribute a sample mean
-    zero_idx = [k for k, (w, n) in enumerate(zip(weights, counts)) if w > 0 and n == 0]
-    for k in zero_idx:
-        donor = int(np.argmax(counts))
-        counts[donor] -= 1
-        counts[k] += 1
-    return budget, variants, tuple(counts)
-
-
-def _largest_remainder(total: int, weights: list[float]) -> list[int]:
+                  budget: int) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """Split one partition's budget over its variants by largest remainder,
+    ``shares`` holding the term shares of each attached cut. Returns the
+    budget, raised to the number of weighted variants if lower, the variants
+    (one term per attached cut) and their shot counts."""
+    variants = list(itertools.product(*(range(len(s)) for s in shares)))
+    # each weight is the product of its terms' shares from 1.0, in cut
+    # order, listed in the variants' order
+    weights = [1.0]
+    for s in shares:
+        weights = [w * x for w in weights for x in s]
+    budget = max(budget, sum(1 for w in weights if w > 0.0))
     scale = sum(weights)
-    shares = [total * w / scale for w in weights]
-    counts = [int(math.floor(s)) for s in shares]
-    leftover = total - sum(counts)
-    order = sorted(range(len(weights)), key=lambda k: (counts[k] - shares[k], k))
-    for k in order[:leftover]:
+    exact = [budget * w / scale for w in weights]
+    counts = list(map(math.floor, exact))
+    # a stable sort: equal remainders keep their index order
+    order = sorted(range(len(weights)), key=[n - x for n, x in zip(counts, exact)].__getitem__)
+    for k in order[:budget - sum(counts)]:
         counts[k] += 1
-    return counts
+    # every weighted variant must contribute a sample mean; the first
+    # largest count gives up a shot for it
+    for k in [k for k, (w, n) in enumerate(zip(weights, counts)) if w > 0 and n == 0]:
+        counts[counts.index(max(counts))] -= 1
+        counts[k] += 1
+    return budget, variants, counts
 
 
 # -- variant simulation ---------------------------------------------------------
@@ -344,9 +336,12 @@ def _fused(run: list[tuple[GateApp, tuple[int, ...]]]
 
 
 def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
-          choice: dict[int, int] | None, values: np.ndarray) -> Iterator[_Variant]:
-    """Yield ``(variant, probs, vals)`` for every choice of one term per cut
-    site, or only for ``choice`` (a term per attached cut) when given.
+          choice: dict[int, int] | None, values: np.ndarray
+          ) -> Iterator[tuple[Iterator[tuple[int, ...]], np.ndarray, np.ndarray]]:
+    """Yield ``(variants, probs, vals)`` per leaf, over every choice of one
+    term per cut site, or only ``choice`` (a term per attached cut) when
+    given. A leaf's variants, those whose terms lie in its groups, share its
+    arrays, which must not be written to.
 
     The walk is depth first over ``plan.sites``. A row is one branch of a
     variant: an unnormalised state, and the sign its signed measurements
@@ -361,10 +356,6 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
     common prefix, and each level of the walk holds one batch. After the last
     site, one pass over the batch gives every row's probabilities and signed
     values, and each group reads its rows as views.
-
-    A leaf serves every variant whose terms lie in its groups: those variants
-    come out together and share one ``probs`` and one ``vals`` array, so a
-    yielded array must not be written to.
     """
     n = plan.num_qubits
     runs = [_fused(run) for run in plan.runs]
@@ -413,10 +404,9 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
         vals = np.concatenate([signs for _, _, signs in groups])[:, None] * values
         probs.flags.writeable = vals.flags.writeable = False  # views go to many variants
         for prefix, span, _ in groups:
-            group_probs, group_vals = probs[span].reshape(-1), vals[span].reshape(-1)
             choices = itertools.product(*prefix)
-            for variant in choices if key is None else map(key, choices):
-                yield variant, group_probs, group_vals
+            yield (choices if key is None else map(key, choices),
+                   probs[span].reshape(-1), vals[span].reshape(-1))
 
     yield from descend(zero_state(n)[None], [((), slice(0, 1), np.ones(1))], 0)
 
@@ -433,7 +423,8 @@ def partition_variants(plan: PartitionPlan, specs: list[DecompositionSpec],
     site of this partition come out together and share their arrays, which
     must not be written to.
     """
-    return _walk(plan, specs, None, values)
+    return ((variant, probs, vals) for variants, probs, vals in _walk(plan, specs, None, values)
+            for variant in variants)
 
 
 def variant_distribution(plan: PartitionPlan, specs: list[DecompositionSpec],
@@ -447,6 +438,40 @@ def variant_distribution(plan: PartitionPlan, specs: list[DecompositionSpec],
 
 # -- estimator -----------------------------------------------------------------
 
+def _compile(circuit: CircuitIR, cuts: list, obs: ProductObservable, eps: float) -> tuple:
+    """``(plans, R, specs, allocation, value table per partition)``; a
+    partition wider than ``MAX_QUBITS`` raises before any table is built.
+    Partitions with equal factors and width share one table: ``ObsFactor``
+    equality takes -0.0 for 0.0, but a table's signed zero never reaches a
+    sample mean, since ``counts @ vals`` sums from +0.0."""
+    plans, r = plan_partitions(circuit, cuts, obs)
+    for c, plan in plans.items():
+        if plan.num_qubits > MAX_QUBITS:
+            raise TooManyQubitsError(f"partition {c} has {plan.num_qubits} qubits, over "
+                                     f"the dense-vector cap of {MAX_QUBITS}")
+    specs = cut_specs(circuit, cuts)
+    allocation = allocate_shots(plans, specs, r, eps)
+    keys = {c: (tuple(plan.factors), plan.num_qubits) for c, plan in plans.items()}
+    tables = {key: value_table(*key) for key in dict.fromkeys(keys.values())}
+    return plans, r, specs, allocation, {c: tables[key] for c, key in keys.items()}
+
+
+def _leaves(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec],
+            allocation: ShotAllocation, values: dict[int, np.ndarray]) -> Iterator[tuple]:
+    """``(partition, variant, shots, distribution, signed values)`` of every
+    variant with shots, partition by partition in walk order. The variants
+    of one leaf come in a row and share its distribution, normalised once."""
+    for c, plan in sorted(plans.items()):
+        shots = allocation.variants[c]
+        for variants, probs, vals in _walk(plan, specs, None, values[c]):
+            dist = None
+            for variant in variants:
+                if n := shots[variant]:
+                    if dist is None:
+                        dist = probs / probs.sum()
+                    yield c, variant, n, dist, vals
+
+
 def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
                  eps: float, seed: int = 0) -> EstimatorRun:
     """Estimate <obs> of the uncut circuit from independently sampled
@@ -457,41 +482,14 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     """
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    plans, r = plan_partitions(circuit, cuts, obs)
-    specs = cut_specs(circuit, cuts)
-    allocation = allocate_shots(plans, specs, r, eps)
-
-    means: dict[int, dict[tuple[int, ...], float]] = {}
-    for c, plan in sorted(plans.items()):
-        rng = np.random.default_rng([seed, c])
-        values = _value_table(plan.num_qubits, tuple(plan.factors))
-        shots = allocation.variants[c]
-        means[c] = dict.fromkeys(sorted(shots), 0.0)
-        leaf = dist = None
-        # each variant is sampled as the walk reaches it, then dropped
-        for variant, probs, vals in partition_variants(plan, specs, values):
-            if n := shots[variant]:
-                # the variants of one leaf come in a row and share its ``probs``
-                if probs is not leaf:
-                    leaf, dist = probs, probs / probs.sum()
-                means[c][variant] = float(rng.multinomial(n, dist) @ vals) / n
-
-    estimate = combine_means(plans, specs, means)
-    return EstimatorRun(estimate=estimate, variant_means=means,
+    plans, r, specs, allocation, values = _compile(circuit, cuts, obs, eps)
+    rngs = {c: np.random.default_rng([seed, c]) for c in plans}
+    means = {c: dict.fromkeys(sorted(shots), 0.0) for c, shots in allocation.variants.items()}
+    # each variant is sampled as the walk reaches it, then dropped
+    for c, variant, n, dist, vals in _leaves(plans, specs, allocation, values):
+        means[c][variant] = float(rngs[c].multinomial(n, dist) @ vals) / n
+    return EstimatorRun(estimate=combine_means(plans, specs, means), variant_means=means,
                         allocation=allocation, r=r, seed=seed)
-
-
-@functools.lru_cache(maxsize=16)
-def _value_table(num_qubits: int, factors: tuple[ObsFactor, ...]) -> np.ndarray:
-    """Read-only ``value_table``, built once per partition structure.
-
-    Equal factors share a table. ``ObsFactor`` equality takes -0.0 for 0.0,
-    but a table's signed zero never reaches a sample mean: ``counts @ vals``
-    sums from +0.0.
-    """
-    values = value_table(factors, num_qubits)
-    values.flags.writeable = False
-    return values
 
 
 def combine_means(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec],
@@ -559,25 +557,18 @@ def exact_moments(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     over two copies of every cut index, each cut contributing a (x) a and
     each partition E[m (x) m] = mu (x) mu + diag(sigma^2 / n).
     """
-    plans, r = plan_partitions(circuit, cuts, obs)
+    plans, _, specs, allocation, values = _compile(circuit, cuts, obs, eps)
     subscripts = _contraction(plans, len(cuts), copies=2)
-    specs = cut_specs(circuit, cuts)
-    allocation = allocate_shots(plans, specs, r, eps)
-    means, seconds = {}, []
+    means = {c: dict.fromkeys(sorted(shots), 0.0) for c, shots in allocation.variants.items()}
+    noise = {c: dict.fromkeys(variants, 0.0) for c, variants in means.items()}
+    for c, variant, n, dist, vals in _leaves(plans, specs, allocation, values):
+        means[c][variant] = mu = float(dist @ vals)
+        noise[c][variant] = float(dist @ (vals - mu) ** 2 / n)
+    seconds = []
     for c, plan in sorted(plans.items()):
-        shots = allocation.variants[c]
-        order = {variant: k for k, variant in enumerate(sorted(shots))}
-        mu, noise = np.zeros(len(order)), np.zeros(len(order))
-        values = _value_table(plan.num_qubits, tuple(plan.factors))
-        for variant, probs, vals in partition_variants(plan, specs, values):
-            if n := shots[variant]:
-                dist = probs / probs.sum()
-                k = order[variant]
-                mu[k] = dist @ vals
-                noise[k] = dist @ (vals - mu[k]) ** 2 / n
-        means[c] = dict(zip(order, mu.tolist()))
+        mu, var = (np.array(list(moment[c].values())) for moment in (means, noise))
         shape = tuple(len(specs[j].terms) for j in plan.attached_cuts)
-        seconds.append((np.outer(mu, mu) + np.diag(noise)).reshape(shape + shape))
+        seconds.append((np.outer(mu, mu) + np.diag(var)).reshape(shape + shape))
     mean = combine_means(plans, specs, means)
     coefficients = [np.array([t.coeff for t in spec.terms]) for spec in specs]
     second = np.einsum(subscripts, *(np.outer(a, a) for a in coefficients), *seconds,

@@ -64,10 +64,9 @@ def value_table(obs_factors: Iterable[ObsFactor], num_qubits: int) -> np.ndarray
     check_qubits(obs_factors, num_qubits)
     values = np.ones(2 ** num_qubits)
     for factor in obs_factors:
-        idx = np.zeros(2 ** num_qubits, dtype=np.int64)
-        width = len(factor.qubits)
-        for k, q in enumerate(factor.qubits):
-            idx |= basis_bits(num_qubits, q).astype(np.int64) << (width - 1 - k)
+        idx = 0  # the factor's bits, read in order as a big-endian integer
+        for q in factor.qubits:
+            idx = idx << 1 | basis_bits(num_qubits, q)
         values = values * np.asarray(factor.table)[idx]
     return values
 

@@ -1,13 +1,21 @@
 """Self-test of ``tools/ab.py``: it times a tree against itself and prints
-a finite ratio. No timing is asserted."""
+a finite ratio, and it times what the benchmark times. No timing is
+asserted."""
 
+import importlib.util
 import math
 import os
 import shutil
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
+
+import cutplan
+from cutplan import cutsim
+from cutplan.qasm import to_qasm
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "ab.py")
@@ -38,3 +46,18 @@ def test_ab_refuses_a_module_outside_its_tree(tmp_path):
                           "--scale", "0.02"], capture_output=True, text=True, env=env)
     assert out.returncode == 1
     assert "ImportError: loading the tree imported a package called 'cutplan'" in out.stderr
+
+
+def test_ab_times_an_estimate_on_built_gates():
+    """The benchmark's untimed exact value builds ``circuit.gates`` before it
+    times ``cut_estimate``, so the tool's timed estimate finds them built."""
+    spec = importlib.util.spec_from_file_location("_ab_under_test", TOOL)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    built = []
+    fake = types.SimpleNamespace(
+        ring_cuts=cutsim.ring_cuts, pauli_z_observable=cutsim.pauli_z_observable,
+        cut_estimate=lambda circuit, *args, **kwargs: built.append("gates" in vars(circuit)))
+    circuit = cutsim.ring_circuit(np.random.default_rng(0).uniform(0.0, 6.0, (2, 8, 2)))
+    ab._estimate(cutplan, fake, (3, 0.03, to_qasm(circuit), 1))()
+    assert built == [True]

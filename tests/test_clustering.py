@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutplan
 from cutplan.clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
@@ -255,6 +258,40 @@ def test_pipeline_matches_oracle_on_small_instances():
         optimum = best_feasible_log_overhead(g, cap)
         assert result.lq >= optimum - 1e-9
         assert result.lq <= optimum + LN16 + 1e-9
+
+
+@st.composite
+def _two_qubit_circuits(draw):
+    """A circuit of up to 24 ``cx``/``cz``/``rzz`` gates on random pairs of
+    2-12 wires, a cap from 1 to the width, an order and a seed."""
+    n = draw(st.integers(2, 12))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(["cx", "cz", "rzz"]), max_size=24)):
+        qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                     unique=True)))
+        params = (draw(st.floats(-math.pi, math.pi)),) if kind == "rzz" else ()
+        gates.append(GateApp(kind, qubits, params))
+    return (CircuitIR(n, tuple(gates)), draw(st.integers(1, n)),
+            draw(st.sampled_from(["weighted", "random"])), draw(st.integers(0, 2 ** 32)))
+
+
+def _rows(result):
+    return [dataclasses.replace(row, wall_time_s=0.0) for row in result.stages]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_qubit_circuits())
+def test_audited_pipeline_agrees_with_the_plain_one(case):
+    """On random 2-qubit-gate circuits, an audited run raises nothing, its
+    clustering validates against the graph, and its labels and stage rows
+    (but for wall time) are those of the run without the audit."""
+    circuit, cap, order, seed = case
+    graph = build_cut_graph(circuit)
+    audited = run_pipeline(graph, cap, order=order, seed=seed, audit=True)
+    audited.clustering.validate(graph)
+    plain = run_pipeline(graph, cap, order=order, seed=seed)
+    assert audited.clustering.assignment == plain.clustering.assignment
+    assert _rows(audited) == _rows(plain)
 
 
 def test_pipeline_deterministic():

@@ -145,3 +145,19 @@ def test_term_side_unitaries_and_spec_side_groups():
             for ts, term_side in groups:
                 assert all(spec.terms[t].sides[side] == term_side for t in ts)
             assert len({term_side for _, term_side in groups}) == len(groups)
+
+
+def test_side_groups_follow_each_specs_own_sides():
+    """Specs built from one side table share the groups built with the table
+    at import; a hand-built spec, even one naming a registered kind, groups
+    its own sides, and no spec's ``repr`` shows the groups."""
+    assert _spec("rzz", 0.8).side_groups is _spec("rzz", 0.3).side_groups
+    assert wire_cut_decomposition().side_groups is wire_cut_decomposition().side_groups
+    z = TermSide(gates=(_g("z"),))
+    single = DecompositionSpec("space", "cz", (), (Term(1.0, (z, z)),))
+    assert single.side_groups == ((((0,), z),), (((0,), z),))
+    cz = _spec("cz")
+    swapped = DecompositionSpec("space", "cz", (),
+                                tuple(Term(t.coeff, t.sides[::-1]) for t in cz.terms))
+    assert swapped.side_groups == cz.side_groups[::-1] != cz.side_groups
+    assert "side_groups" not in repr(cz) and "side_groups" not in repr(single)

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import variant_distribution_oracle
 from cutplan.cutsim import (GateCut, IncompatibleObservableError,
-                            NotDisconnectedError, WireCut, allocate_shots,
-                            combine_means, cut_estimate, cut_specs,
+                            NotDisconnectedError, TooManyQubitsError, WireCut,
+                            allocate_shots, combine_means, cut_estimate, cut_specs,
                             exact_moments, expectation_value, partition_variants,
                             pauli_z_observable, plan_partitions, ring_circuit,
                             ring_cuts, value_table, variant_distribution,
@@ -136,8 +136,9 @@ def test_allocation_gives_every_weighted_variant_a_shot():
 
 
 def test_allocations_are_fresh_dicts():
-    """The memoised split is copied: two calls give equal but distinct
-    dicts, and changing one allocation leaves the next call's alone."""
+    """Two calls give equal but distinct dicts, partitions that split their
+    budget alike get distinct dicts, and changing one allocation leaves the
+    next call's alone."""
     circuit, cuts = random_ring(0), ring_cuts(3)
     plans, r = plan_partitions(circuit, cuts, pauli_z_observable(range(8)))
     specs = cut_specs(circuit, cuts)
@@ -145,13 +146,10 @@ def test_allocations_are_fresh_dicts():
     assert first == second
     assert first.n_c is not second.n_c
     assert all(first.variants[c] is not second.variants[c] for c in plans)
+    assert first.variants[0] == first.variants[1] and first.variants[0] is not first.variants[1]
     first.n_c[0] += 1
     first.variants[0][0, 0] += 1
     assert second == allocate_shots(plans, specs, r, eps=0.03) != first
-
-
-# the memos of what an estimate derives from its cut structure alone
-_MEMOS = (estimator._split_budget, estimator._value_table)
 
 
 @pytest.mark.parametrize("circuit, cuts, width, eps", [
@@ -160,36 +158,38 @@ _MEMOS = (estimator._split_budget, estimator._value_table)
     (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 4, 0.05),
 ], ids=["ring3", "ring4", "mixed"])
 def test_estimate_same_with_cold_and_warm_memos(circuit, cuts, width, eps):
-    """An estimate is the same whether its memos, and its term sides'
-    cached matrices, start empty or were filled by the same call."""
+    """An estimate is the same whether its term sides' cached matrices
+    start empty or were filled by the same call."""
     obs = pauli_z_observable(range(width))
-    for memo in _MEMOS:
-        memo.cache_clear()
-    for spec in cut_specs(circuit, cuts):
-        for side in {side for term in spec.terms for side in term.sides}:
-            vars(side).pop("matrices", None)
-            vars(side).pop("unitaries", None)
+    sides = {side for spec in cut_specs(circuit, cuts) for term in spec.terms
+             for side in term.sides}
+    for side in sides:
+        vars(side).pop("matrices", None)
+        vars(side).pop("unitaries", None)
     cold = cut_estimate(circuit, cuts, obs, eps=eps, seed=7)
-    misses = [memo.cache_info().misses for memo in _MEMOS]
+    assert all("unitaries" in vars(side) for side in sides)
     warm = cut_estimate(circuit, cuts, obs, eps=eps, seed=7)
     assert warm == cold and repr(warm) == repr(cold)
-    assert [memo.cache_info().misses for memo in _MEMOS] == misses
-    assert all(memo.cache_info().hits for memo in _MEMOS)
 
 
-def test_value_table_memo_is_exact_for_signed_zeros():
-    """``ObsFactor`` equality takes -0.0 for 0.0, so the memo hands a
-    (-0.0, -0.0) factor the table built for (0.0, 0.0); the estimate must
-    not tell."""
-    def estimate(table):
-        obs = ProductObservable((ObsFactor((0,), table),))
-        return repr(cut_estimate(bell(), [GateCut(1)], obs, eps=0.1, seed=3))
+def test_shared_value_table_is_exact_for_signed_zeros():
+    """``ObsFactor`` equality takes -0.0 for 0.0, so two partitions whose
+    factors differ only in signed zeros share one value table, the first
+    partition's; the estimate must not tell."""
+    circuit = CircuitIR(4, (GateApp("h", (0,)), GateApp("cx", (0, 1)), GateApp("h", (2,)),
+                            GateApp("cx", (2, 3)), GateApp("cx", (1, 2))))
 
-    estimator._value_table.cache_clear()
-    cold = estimate((-0.0, -0.0))
-    estimator._value_table.cache_clear()
-    estimate((0.0, 0.0))
-    assert estimate((-0.0, -0.0)) == cold
+    def obs(first, second):
+        return ProductObservable((ObsFactor((0,), (first, first)),
+                                  ObsFactor((2,), (second, second))))
+
+    plans, _, _, _, values = estimator._compile(circuit, [GateCut(4)], obs(-0.0, 0.0), 0.1)
+    assert [plan.num_qubits for plan in plans.values()] == [2, 2]
+    assert values[0] is values[1] and all(np.signbit(values[1]))
+    plus = repr(cut_estimate(circuit, [GateCut(4)], obs(0.0, 0.0), eps=0.1, seed=3))
+    for first, second in ((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+        assert repr(cut_estimate(circuit, [GateCut(4)], obs(first, second),
+                                 eps=0.1, seed=3)) == plus
 
 
 def test_cut_free_partition():
@@ -592,6 +592,24 @@ def test_streamed_walk_memory_stays_near_one_variant():
     finally:
         tracemalloc.stop()
     assert walk_peak <= 4 * oracle_peak, (walk_peak, oracle_peak)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda *args: cut_estimate(*args, seed=0), exact_moments], ids=["estimate", "moments"])
+def test_too_wide_partition_raises_before_any_table(entry):
+    """A 22-qubit partition would need a 32 MiB value table; the width is
+    rejected before any table or state is built."""
+    circuit = CircuitIR(24, tuple(GateApp("cx", (q, q + 1)) for q in range(23)))
+    obs = pauli_z_observable(range(24))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyQubitsError,
+                           match="^partition 0 has 22 qubits, over the dense-vector cap of 20$"):
+            entry(circuit, [GateCut(21)], obs, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20, peak
 
 
 @pytest.mark.parametrize("partitions, eps, n_c", [

@@ -50,6 +50,7 @@ DELETED = [
     ("cutplan.cutsim.estimator", "_mix"),
     ("cutplan.cutsim.estimator", "_seed_words"),
     ("cutplan.cutsim.estimator", "_Words"),
+    ("cutplan.cutsim.estimator", "_value_table"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters

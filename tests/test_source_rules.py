@@ -1,7 +1,9 @@
 """Rules that hold for every module of the package source."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -32,6 +34,21 @@ def test_no_assert_statements():
         found += [f"{os.path.relpath(path, PACKAGE)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert len(modules) > 10
+    assert found == []
+
+
+def test_no_module_level_caches():
+    """No module keeps a process-wide memo such as ``functools.lru_cache``:
+    what one call builds dies with it, and a call cannot depend on what an
+    earlier call left behind. Methods of module classes count too."""
+    found = []
+    names = ["cutplan", *(m.name for m in pkgutil.walk_packages(cutplan.__path__, "cutplan."))]
+    for module_name in names:
+        for name, value in vars(importlib.import_module(module_name)).items():
+            objs = [value, *vars(value).values()] if isinstance(value, type) else [value]
+            if any(hasattr(obj, "cache_clear") for obj in objs):
+                found.append(f"{module_name}.{name}")
+    assert len(names) > 10
     assert found == []
 
 

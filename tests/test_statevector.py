@@ -160,11 +160,31 @@ def test_basis_bits_convention():
 def test_value_table_factors():
     factor = ObsFactor((0, 2), (1.0, -1.0, -1.0, 1.0))  # parity of qubits 0 and 2
     table = value_table([factor], 3)
-    assert table.flags.writeable  # the estimator's memoised tables are read-only copies
+    assert table.flags.writeable  # a fresh array that the caller owns
     for idx in range(8):
         b0 = (idx >> 2) & 1
         b2 = idx & 1
         assert table[idx] == (-1) ** (b0 ^ b2)
+
+
+def test_value_table_matches_a_per_state_loop():
+    """Factors on unsorted qubits, with signed zeros, multiply in factor
+    order into exactly the product a loop over basis states takes."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5):
+        factors = []
+        for _ in range(4):
+            qubits = tuple(int(q) for q in rng.permutation(n)[:rng.integers(1, min(n, 3) + 1)])
+            factors.append(ObsFactor(qubits, tuple(rng.choice([-1.0, -0.3, -0.0, 0.0, 0.7, 1.0],
+                                                              2 ** len(qubits)))))
+        want = []
+        for idx in range(2 ** n):
+            value = 1.0
+            for factor in factors:
+                bits = [(idx >> (n - 1 - q)) & 1 for q in factor.qubits]
+                value *= factor.table[int("".join(map(str, bits)), 2)]
+            want.append(value)
+        assert value_table(factors, n).tobytes() == np.array(want).tobytes()
 
 
 def test_factor_range_validated():

@@ -15,12 +15,14 @@ estimator:
    outcome distribution is enumerated (signed mid-circuit measurements fork
    the statevector into branches) and the requested number of shots is drawn
    from it in one multinomial, so the sample mean has exactly the per-shot
-   sampling law. One depth-first walk per partition simulates all its
-   variants, sharing the gates they have in common; terms whose sides at a
-   cut site are equal share one branch there, and the leaves' distributions
-   are read in one pass per batch. Each wire's consecutive 1-qubit gates
-   between cut sites run as one 2x2 matrix, as do a term side's gates
-   before and after its measurement. Partition c draws from one generator,
+   sampling law. One walk per partition simulates all its variants, one
+   cut site at a time, sharing the gates they have in common: terms whose
+   sides at a site are equal share one branch there, each such group
+   expands the site's whole batch once (one parent at a time above 2^16
+   amplitudes, with the same results), and the leaves' distributions are
+   read in one pass. Each wire's consecutive 1-qubit gates between cut
+   sites run as one 2x2 matrix, as do a term side's gates before and after
+   its measurement. Partition c draws from one generator,
    ``default_rng([seed, c])``, its variants' multinomials in walk order,
    and the variants that share a leaf's distribution normalise it once,
 5. combines the per-variant sample means with the term coefficients, summing
@@ -234,8 +236,7 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
             raise IncompatibleObservableError(
                 f"factor on qubits {factor.qubits} spans partitions {sorted(parts)}")
         c = parts.pop()
-        plans[c].factors.append(
-            ObsFactor(tuple(final_local[q][1] for q in factor.qubits), factor.table))
+        plans[c].factors.append(factor._moved(tuple([final_local[q][1] for q in factor.qubits])))
     return plans, len(roots)
 
 
@@ -309,6 +310,10 @@ def _split_budget(shares: tuple[tuple[float, ...], ...],
 # a branch whose squared norm is at most this is dropped as unreachable
 _PRUNE_NORM = 1e-28
 
+# a level whose expansion could hold more amplitudes than this (1 MiB) is
+# expanded one parent at a time
+_LEVEL_AMPLITUDES = 2 ** 16
+
 
 _Variant = tuple[tuple[int, ...], np.ndarray, np.ndarray]
 
@@ -343,19 +348,27 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
     given. A leaf's variants, those whose terms lie in its groups, share its
     arrays, which must not be written to.
 
-    The walk is depth first over ``plan.sites``. A row is one branch of a
-    variant: an unnormalised state, and the sign its signed measurements
-    collected. At a site the terms are grouped by their side there, in order
-    of first appearance: terms with equal sides act alike on this partition.
-    Every group expands the incoming rows once (its side's gates, a signed
-    fork into keep and flip rows, its post gates), and the rows of all
-    groups form one batch. An unsigned measurement ends a wire that nothing
-    reads again, so dephasing it cannot change any outcome and it is left
-    out. The run of gates up to the next site runs once on that batch; it
-    is split per group only there. So variants share the simulation of their
-    common prefix, and each level of the walk holds one batch. After the last
-    site, one pass over the batch gives every row's probabilities and signed
-    values, and each group reads its rows as views.
+    A row is one branch of a variant: an unnormalised state, and the sign
+    its signed measurements collected. The walk goes one cut site (level)
+    at a time. A level is one batch of rows, listed parent by parent: a
+    parent holds one group of terms per site passed, and its rows are one
+    slice of the batch. At a site the terms are grouped by their side there,
+    in order of first appearance: terms with equal sides act alike on this
+    partition. Each group expands the whole batch once (its side's gates, a
+    signed fork into keep and flip rows, its post gates), and the children
+    are listed parent by parent, each taking its slice of its group's rows.
+    An unsigned measurement ends a wire that nothing reads again, so
+    dephasing it cannot change any outcome and it is left out. The run of
+    gates up to the next site runs once on the next level, and after the
+    last site one pass over the batch gives every row's probabilities and
+    signed values, each leaf reading its rows as views. So variants share
+    the simulation of their common prefix.
+
+    A level whose expansion could hold more than ``_LEVEL_AMPLITUDES``
+    amplitudes (two rows per group and row) is expanded one parent at a
+    time instead, and each parent's children are walked to their leaves
+    before the next parent's, so memory stays near one parent's subtree.
+    Either way the leaves, their order and every float are the same.
     """
     n = plan.num_qubits
     runs = [_fused(run) for run in plan.runs]
@@ -368,14 +381,14 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
     key_order = [site_cuts.index(j) for j in plan.attached_cuts]
     key = None if key_order == sorted(key_order) else operator.itemgetter(*key_order)
 
-    def expand(rows, signs, prefix, site):
-        # ``prefix`` holds one group of terms per site passed
+    def expand(batch, signs, prefixes, bounds, site):
+        # parent p's rows are ``bounds[p]:bounds[p + 1]``
         lq, expansions = site
         qubits = (lq,)
-        parts, groups, start = [], [], 0
+        parts = []
         for group, term_side in expansions:
             before, after = term_side.unitaries
-            branch, branch_signs = rows, signs
+            branch, branch_signs, starts = batch, signs, bounds
             if before is not None:
                 branch = apply_matrix(branch, n, qubits, before)
             if term_side.measure == MEAS_SIGNED:
@@ -384,31 +397,57 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
                 flat = branch.view(np.float64)  # each row's squared norm, below
                 alive = np.einsum("ij,ij->i", flat, flat) > _PRUNE_NORM
                 branch, branch_signs = branch[alive], branch_signs[alive]
+                # parent p's forked rows start at 2 * bounds[p]
+                kept = [0, *itertools.accumulate(alive.tolist())]
+                starts = [kept[2 * b] for b in bounds]
             if after is not None:
                 branch = apply_matrix(branch, n, qubits, after)
-            parts.append(branch)
-            groups.append((prefix + (group,), slice(start, start + len(branch)), branch_signs))
-            start += len(branch)
-        return np.concatenate(parts), groups
+            parts.append((group, branch, branch_signs, starts))
+        # the children, parent by parent, each a slice of its group's rows
+        children, pieces, piece_signs, bounds = [], [], [], [0]
+        for p, prefix in enumerate(prefixes):
+            for group, rows, row_signs, starts in parts:
+                a, b = starts[p], starts[p + 1]
+                children.append(prefix + (group,))
+                pieces.append(rows[a:b])
+                piece_signs.append(row_signs[a:b])
+                bounds.append(bounds[-1] + b - a)
+        return np.concatenate(pieces), np.concatenate(piece_signs), children, bounds
 
-    def descend(batch, groups, k):
-        # rebinding ``batch`` frees each gate's input as soon as it is applied
-        for qubits, matrix in runs[k]:
-            batch = apply_matrix(batch, n, qubits, matrix)
-        if k < len(sites):
-            for prefix, span, signs in groups:
-                yield from descend(*expand(batch[span], signs, prefix, sites[k]), k + 1)
-            return
-        # the groups' spans tile the batch in order
-        probs = np.abs(batch) ** 2
-        vals = np.concatenate([signs for _, _, signs in groups])[:, None] * values
+    def descend(batch, signs, prefixes, bounds, k):
+        while True:
+            # a BLAS product can round a column differently with the number
+            # of columns in the call, so a 2-qubit gate runs on each parent's
+            # children apart, as a walk one parent at a time runs it
+            width = len(sites[k - 1][1]) if k else 1
+            chunks = list(zip(bounds[:-1:width], bounds[width::width]))
+            # rebinding ``batch`` frees each gate's input as soon as it is applied
+            for qubits, matrix in runs[k]:
+                if len(qubits) == 1 or len(chunks) == 1:
+                    batch = apply_matrix(batch, n, qubits, matrix)
+                else:
+                    batch = np.concatenate([apply_matrix(batch[a:b], n, qubits, matrix)
+                                            for a, b in chunks])
+            if k == len(sites):
+                break
+            # each group expands a row into at most two
+            if 2 * len(sites[k][1]) * batch.size > _LEVEL_AMPLITUDES:
+                for prefix, a, b in zip(prefixes, bounds, bounds[1:]):
+                    yield from descend(*expand(batch[a:b], signs[a:b], [prefix], [0, b - a],
+                                               sites[k]), k + 1)
+                return
+            batch, signs, prefixes, bounds = expand(batch, signs, prefixes, bounds, sites[k])
+            k += 1
+        # flat, so that a leaf's rows are one slice of each
+        probs = (np.abs(batch) ** 2).reshape(-1)
+        vals = (signs[:, None] * values).reshape(-1)
         probs.flags.writeable = vals.flags.writeable = False  # views go to many variants
-        for prefix, span, _ in groups:
+        for prefix, a, b in zip(prefixes, bounds, bounds[1:]):
+            rows = slice(a * values.size, b * values.size)
             choices = itertools.product(*prefix)
-            yield (choices if key is None else map(key, choices),
-                   probs[span].reshape(-1), vals[span].reshape(-1))
+            yield choices if key is None else map(key, choices), probs[rows], vals[rows]
 
-    yield from descend(zero_state(n)[None], [((), slice(0, 1), np.ones(1))], 0)
+    yield from descend(zero_state(n)[None], np.ones(1), [()], [0, 1], 0)
 
 
 def partition_variants(plan: PartitionPlan, specs: list[DecompositionSpec],

@@ -37,6 +37,14 @@ class ObsFactor:
         if any(not -1 - 1e-12 <= v <= 1 + 1e-12 for v in self.table):
             raise ValueError("factor values must lie in [-1, 1]")
 
+    def _moved(self, qubits: tuple[int, ...]) -> ObsFactor:
+        """This factor's table on ``qubits``, as many as its own and
+        distinct, without checking the table again."""
+        factor = object.__new__(ObsFactor)
+        object.__setattr__(factor, "qubits", qubits)
+        object.__setattr__(factor, "table", self.table)
+        return factor
+
 
 @dataclass(frozen=True)
 class ProductObservable:

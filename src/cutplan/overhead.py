@@ -56,6 +56,12 @@ def _finite(what: str, eps: float, compute) -> float:
     return value
 
 
+def _square_overflows(eps: float) -> bool:
+    """Whether ``eps ** 2`` is above every float; a finite numerator over
+    it is then below 1."""
+    return math.isinf(eps * eps)
+
+
 def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
                     tau_cut: float, eps: float, partition: int) -> int:
     """Shots that partition ``partition`` needs for a standard deviation
@@ -66,13 +72,16 @@ def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
     with ``attached_kappa_sq`` the product of kappa^2 over the partition's
     cuts and ``attached_tau``, ``tau_cut`` the products of tau over its cuts
     and over all cuts. The arithmetic is in linear space, so integer-valued
-    budgets come out exact. Raises ``ValueError`` unless r >= 1 and eps is
-    finite and positive, and ``OverflowError`` when the budget does not fit a
-    float.
+    budgets come out exact. An eps whose square overflows leaves a finite
+    overhead below one shot, so the budget is 1. Raises ``ValueError`` unless
+    r >= 1 and eps is finite and positive, and ``OverflowError`` when the
+    budget does not fit a float.
     """
     _check_r(r)
     _check_eps(eps)
     overhead = r * attached_kappa_sq * (tau_cut / attached_tau)
+    if _square_overflows(eps) and math.isfinite(overhead):
+        return 1
     return math.ceil(_finite(f"the shot budget of partition {partition}", eps,
                              lambda: overhead / eps ** 2))
 
@@ -92,29 +101,37 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
     Every term is positive and, since tau <= kappa^2, at most 1. A cluster
     attached to every cut (D_c empty) adds exactly 1, so whenever one exists
     the ratio is at least 1/(2 ln(2/delta)), about 0.279 at delta = 1/3,
-    however many partitions there are. Raises ``ValueError`` unless r >= 1,
-    and ``OverflowError`` when the budget does not fit a float.
+    however many partitions there are. An eps whose square overflows leaves
+    a finite numerator below one shot, so the budget is 1. Raises
+    ``ValueError`` unless r >= 1, and ``OverflowError`` when the budget does
+    not fit a float.
     """
     _check_r(r)
     _check_eps(eps)
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
     prod = math.prod(cut_kappas, start=1.0)
+    if _square_overflows(eps) and math.isfinite(r * 2.0 * prod * prod * math.log(2.0 / delta)):
+        return 1
     return math.ceil(_finite("prior_bound", eps, lambda: r * (
         2.0 * prod ** 2 * math.log(2.0 / delta) / eps ** 2)))
 
 
 def cubic_bound(r: int, d_prime: int, eps: float = 1.0) -> float:
     """Cubic measure-and-prepare bound, with d_prime the largest number of
-    wire cuts on any single partition. Raises ``ValueError`` unless r >= 1,
-    and ``OverflowError`` when the bound does not fit a float."""
+    wire cuts on any single partition; an eps whose square overflows divides
+    the bound by eps twice. Raises ``ValueError`` unless r >= 1, and
+    ``OverflowError`` when the bound does not fit a float."""
     _check_r(r)
     _check_eps(eps)
     if d_prime < 0:
         raise ValueError("d_prime must be >= 0")
     m = r * 8 ** d_prime
-    return _finite("cubic_bound", eps, lambda: (
-        2.0 * (math.e - 1.0) ** 2 * m ** 3 * math.log(6.0 * m) / eps ** 2))
+
+    def bound():
+        numerator = 2.0 * (math.e - 1.0) ** 2 * m ** 3 * math.log(6.0 * m)
+        return numerator / eps / eps if _square_overflows(eps) else numerator / eps ** 2
+    return _finite("cubic_bound", eps, bound)
 
 
 def cut_sums(graph, labels: Sequence[int]):

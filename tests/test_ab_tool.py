@@ -21,16 +21,34 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "ab.py")
 
 
+def _run(workload, *args):
+    out = subprocess.run([sys.executable, TOOL, ROOT, ROOT, workload, "1", "--scale", "0.02",
+                          *args], capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    return out.stdout.splitlines()
+
+
 @pytest.mark.parametrize("workload", ["verify_ring", "plan_chain"])
 def test_ab_times_a_tree_against_itself(workload):
-    out = subprocess.run([sys.executable, TOOL, ROOT, ROOT, workload, "1", "--scale", "0.02"],
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stdout + out.stderr
-    (line,) = [ln for ln in out.stdout.splitlines() if ln.startswith("NEW/OLD median ratio ")]
+    lines = _run(workload)
+    (line,) = [ln for ln in lines if ln.startswith("NEW/OLD median ratio ")]
     ratio, _, won = line.removeprefix("NEW/OLD median ratio ").partition("; NEW faster on ")
     assert math.isfinite(float(ratio)) and float(ratio) > 0
     won, _, total = won.removesuffix(" operations").partition(" of ")
     assert 0 <= int(won) <= int(total) and int(total) > 0
+
+
+def test_ab_prints_each_repetitions_ratio_and_their_range():
+    """With several repetitions the overall lines stay, and one more line
+    gives each repetition's median ratio and their range."""
+    lines = _run("verify_ring", "--reps", "3")
+    prefix = "NEW/OLD median ratio per repetition "
+    assert len([ln for ln in lines if ln.startswith("NEW/OLD median ratio ")]) == 2
+    (line,) = [ln for ln in lines if ln.startswith(prefix)]
+    ratios, _, spread = line.removeprefix(prefix).partition("; range ")
+    ratios = [float(x) for x in ratios.split()]
+    assert len(ratios) == 3 and all(math.isfinite(x) and x > 0 for x in ratios)
+    assert spread == f"{min(ratios):.4f} to {max(ratios):.4f}"
 
 
 def test_ab_refuses_a_module_outside_its_tree(tmp_path):

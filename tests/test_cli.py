@@ -105,6 +105,19 @@ def test_partition_extreme_eps_fails_cleanly(capsys, tmp_path, eps, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_partition_eps_whose_square_overflows(capsys, tmp_path):
+    """At eps = 1e200, ``eps ** 2`` overflows and every partition's budget
+    is below one shot: the plan succeeds with one shot per partition."""
+    path = tmp_path / "ising_n6.qasm"
+    path.write_text(to_qasm(ising_chain(6, seed=6)))
+    code, out, err = run_cli(capsys, "partition", str(path), "--max-qubits", "3",
+                             "--format", "json", "--eps", "1e200")
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert report["eps"] == 1e200 and report["r"] >= 2
+    assert report["n_c"] == [1] * report["r"] and report["n_total"] == report["r"]
+
+
 def test_partition_overflowing_budget_fails_cleanly(capsys, tmp_path):
     """About 600 partitions: the overhead factor alone overflows a float."""
     path = tmp_path / "wide.qasm"

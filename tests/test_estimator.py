@@ -108,6 +108,21 @@ def test_partition_plan_shapes():
         assert plan.attached_cuts == [0]
 
 
+def test_partition_factors_move_to_local_qubits_unchecked(monkeypatch):
+    """Each factor goes to its partition's local qubits with its table,
+    without checking the table a second time."""
+    obs = pauli_z_observable(range(8))
+    checked = []
+    monkeypatch.setattr(ObsFactor, "__post_init__", checked.append)
+    plans, _ = plan_partitions(random_ring(1), ring_cuts(3), obs)
+    monkeypatch.undo()
+    assert checked == []
+    for plan in plans.values():
+        assert sorted(q for factor in plan.factors for q in factor.qubits) == \
+            list(range(plan.num_qubits))
+        assert plan.factors == [ObsFactor(f.qubits, (1.0, -1.0)) for f in plan.factors]
+
+
 def test_allocation_conservation():
     circuit = chain_with_rotations()
     obs = pauli_z_observable(range(3))
@@ -548,6 +563,45 @@ def test_estimate_z_scores_follow_the_exact_moments(circuit, cuts, eps):
     assert np.max(np.abs(z)) <= _Z_BOUND
     assert abs(z.mean()) <= 4.0 / math.sqrt(_Z_SEEDS)
     assert abs(np.mean(z ** 2) - 1.0) <= 4.0 * math.sqrt(2.0 / _Z_SEEDS)
+
+
+def _walk_output(circuit, cuts, eps):
+    """Every variant of every partition with its arrays' bytes, and the
+    exact moments."""
+    obs = pauli_z_observable(range(circuit.num_qubits))
+    plans, _ = plan_partitions(circuit, cuts, obs)
+    specs = cut_specs(circuit, cuts)
+    variants = [(c, variant, probs.tobytes(), vals.tobytes())
+                for c, plan in sorted(plans.items())
+                for variant, probs, vals in partition_variants(
+                    plan, specs, value_table(plan.factors, plan.num_qubits))]
+    return variants, exact_moments(circuit, cuts, obs, eps)
+
+
+@pytest.mark.parametrize("circuit, cuts, eps", [
+    *((random_ring(seed), ring_cuts(partitions), eps)
+      for seed, (partitions, eps) in enumerate([(3, 0.03), (4, 0.03), (3, 0.01), (4, 0.01)])),
+    *((*random_cut_circuit(seed), 0.05) for seed in range(8)),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 0.05),
+], ids=[*(f"ring{p}-{e}" for p, e in [(3, 0.03), (4, 0.03), (3, 0.01), (4, 0.01)]),
+        *(f"random{seed}" for seed in range(8)), "mixed"])
+def test_level_walk_matches_the_walk_one_parent_at_a_time(monkeypatch, circuit, cuts, eps):
+    """Expanding each level in one pass, each parent apart (a level budget
+    of 0 amplitudes), or the first levels in one pass and the deeper ones
+    each parent apart (budgets in between), yields the same variants in the
+    same order with byte-equal arrays, and equal exact moments. Past a first
+    site with several groups, the level walk applies fewer matrices."""
+    apply_matrix, calls = estimator.apply_matrix, []
+    monkeypatch.setattr(estimator, "apply_matrix",
+                        lambda *args: calls.append(args) or apply_matrix(*args))
+    level, level_calls = _walk_output(circuit, cuts, eps), len(calls)
+    for budget in (2 ** 9, 2 ** 8, 2 ** 7, 0):
+        monkeypatch.setattr(estimator, "_LEVEL_AMPLITUDES", budget)
+        calls.clear()
+        assert _walk_output(circuit, cuts, eps) == level, budget
+    plans, _ = plan_partitions(circuit, cuts, pauli_z_observable(range(circuit.num_qubits)))
+    if any(len(plan.sites) > 1 for plan in plans.values()):
+        assert level_calls < len(calls)
 
 
 def _cut_block(width=13):

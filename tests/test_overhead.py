@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -117,10 +118,36 @@ def test_cubic_bound_rejects_negative_d_prime():
     ("prior_bound", lambda: prior_bound([1e100] * 4, eps=1.0), 1.0),
     ("cubic_bound", lambda: cubic_bound(3, 113), 1.0),  # the float result is inf
     ("cubic_bound", lambda: cubic_bound(3, 400), 1.0),  # m ** 3 does not fit a float
-], ids=["prior-eps", "cubic-eps", "prior-kappa", "prior-product", "cubic-inf", "cubic-int"])
+    # eps ** 2 overflows too, but the numerator alone does not fit a float
+    ("prior_bound", lambda: prior_bound([1e200], eps=1e200), 1e200),
+    ("cubic_bound", lambda: cubic_bound(3, 400, eps=1e200), 1e200),
+], ids=["prior-eps", "cubic-eps", "prior-kappa", "prior-product", "cubic-inf", "cubic-int",
+        "prior-kappa-huge-eps", "cubic-int-huge-eps"])
 def test_older_bounds_overflow_names_the_bound(name, bound, eps):
-    with pytest.raises(OverflowError, match=f"^{name} at eps={eps} does not fit a float$"):
+    with pytest.raises(OverflowError,
+                       match=f"^{name} at eps={re.escape(str(eps))} does not fit a float$"):
         bound()
+
+
+@pytest.mark.parametrize("eps", [1.35e154, 1e200, 1.7e308])
+def test_an_eps_whose_square_overflows_needs_one_shot(eps):
+    """Above about 1.34e154 ``eps ** 2`` is above every float, so a finite
+    numerator over it is below one shot: both budgets are 1, and the cubic
+    bound divides by eps twice."""
+    assert math.isinf(eps * eps)
+    assert partition_shots(1, 9.0, 1.5, 1.5, eps, 0) == 1
+    assert partition_shots(3, 4096.0, 8.0, 16.0, eps, 0) == 1
+    assert prior_bound([3.0, 3.0], eps=eps) == 1
+    assert cubic_bound(3, 3, eps=eps) == cubic_bound(3, 3) / eps / eps
+
+
+def test_an_eps_whose_square_fits_keeps_the_formula():
+    """Just below the threshold the budgets are the plain quotients."""
+    eps = 1.3e154
+    assert math.isfinite(eps * eps)
+    assert partition_shots(1, 9.0, 1.5, 1.5, eps, 0) == math.ceil(9.0 / eps ** 2) == 1
+    assert prior_bound([3.0, 3.0], eps=1e100) == 1
+    assert cubic_bound(3, 3, eps=eps) == cubic_bound(3, 3) / eps ** 2
 
 
 def test_build_report_hand_counts():
@@ -268,6 +295,7 @@ def test_budgets_reject_r(budget, r):
     (2, 9.0, 1.5, 1.5, 1e-200),    # eps ** 2 underflows to zero
     (2, math.inf, 1.0, 1.0, 0.03),  # the overhead factor itself overflowed
     (2, math.inf, math.inf, math.inf, 0.03),
+    (2, math.inf, 1.0, 1.0, 1e200),  # eps ** 2 overflows too
 ])
 def test_partition_shots_overflow_names_the_partition(args):
     with pytest.raises(OverflowError, match="partition 7 "):

@@ -16,7 +16,9 @@ operation that raises is timed up to the exception on both trees.
 
 It prints each tree's median time per operation, the median NEW/OLD ratio
 over the operations (each operation's time being its median over the
-repetitions) and on how many operations NEW was faster.
+repetitions) and on how many operations NEW was faster. With N > 1 it also
+prints each repetition's own median NEW/OLD ratio and their range, the
+tool's run-to-run spread against which a ratio can be read.
 """
 
 from __future__ import annotations
@@ -133,6 +135,12 @@ def main(argv: list[str]) -> int:
     print(f"OLD median {statistics.median(old):.6f} s per operation")
     print(f"NEW median {statistics.median(new):.6f} s per operation")
     print(f"NEW/OLD median ratio {ratio:.4f}; NEW faster on {won} of {len(ops)} operations")
+    if args.reps > 1:
+        per_rep = [statistics.median(timed[1][k] / timed[0][k] for timed in times)
+                   for k in range(args.reps)]
+        print("NEW/OLD median ratio per repetition "
+              + " ".join(f"{x:.4f}" for x in per_rep)
+              + f"; range {min(per_rep):.4f} to {max(per_rep):.4f}")
     return 0
 
 

@@ -14,17 +14,22 @@ estimator:
 4. samples every (partition, variant) independently: the variant's exact
    outcome distribution is enumerated (signed mid-circuit measurements fork
    the statevector into branches) and the requested number of shots is drawn
-   from it in one multinomial, so the sample mean has exactly the per-shot
-   sampling law. One walk per partition simulates all its variants, one
-   cut site at a time, sharing the gates they have in common: terms whose
-   sides at a site are equal share one branch there, each such group
-   expands the site's whole batch once (one parent at a time above 2^16
-   amplitudes, with the same results), and the leaves' distributions are
-   read in one pass. Each wire's consecutive 1-qubit gates between cut
-   sites run as one 2x2 matrix, as do a term side's gates before and after
-   its measurement. Partition c draws from one generator,
-   ``default_rng([seed, c])``, its variants' multinomials in walk order,
-   and the variants that share a leaf's distribution normalise it once,
+   from it, so the sample mean has exactly the per-shot sampling law. One
+   walk per partition simulates all its variants, one cut site at a time,
+   sharing the gates they have in common: terms whose sides at a site are
+   equal share one branch there, each such group expands the site's whole
+   batch once (one parent at a time above 2^16 amplitudes, with the same
+   results). Each wire's consecutive 1-qubit gates between cut sites run as
+   one 2x2 matrix, as do a term side's gates before and after its
+   measurement. A sample mean depends only on how many shots land on each
+   *signed value*, the sorted distinct values of the value table and its
+   negation (two, +-1, for a product of Pauli Z). So one pass per batch of
+   leaves collapses every leaf's outcomes onto them (each row's mass per
+   signed value, then each leaf's, normalised), with sums that read each
+   row and each leaf on its own. Partition c then draws from one
+   generator, ``default_rng([seed, c])``, for all its variants with shots
+   in walk order: conditional binomials, one signed value at a time, each
+   for every variant before the next (one ``binomial`` call for Pauli Z),
 5. combines the per-variant sample means with the term coefficients, summing
    the coefficient-weighted product of partition means over all term choices.
 
@@ -340,13 +345,13 @@ def _fused(run: list[tuple[GateApp, tuple[int, ...]]]
     return ops
 
 
-def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
-          choice: dict[int, int] | None, values: np.ndarray
-          ) -> Iterator[tuple[Iterator[tuple[int, ...]], np.ndarray, np.ndarray]]:
-    """Yield ``(variants, probs, vals)`` per leaf, over every choice of one
-    term per cut site, or only ``choice`` (a term per attached cut) when
-    given. A leaf's variants, those whose terms lie in its groups, share its
-    arrays, which must not be written to.
+def _walk(plan: PartitionPlan, specs: list[DecompositionSpec], choice: dict[int, int] | None
+          ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int], list[Iterator[tuple[int, ...]]]]]:
+    """Yield ``(batch, signs, bounds, variants)`` per batch of leaves, over
+    every choice of one term per cut site, or only ``choice`` (a term per
+    attached cut) when given. Leaf i is rows ``bounds[i]:bounds[i + 1]`` of
+    the batch and its signs; ``variants[i]`` are its variants, those whose
+    terms lie in its groups.
 
     A row is one branch of a variant: an unnormalised state, and the sign
     its signed measurements collected. The walk goes one cut site (level)
@@ -360,9 +365,8 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
     An unsigned measurement ends a wire that nothing reads again, so
     dephasing it cannot change any outcome and it is left out. The run of
     gates up to the next site runs once on the next level, and after the
-    last site one pass over the batch gives every row's probabilities and
-    signed values, each leaf reading its rows as views. So variants share
-    the simulation of their common prefix.
+    last site the level is one batch of leaves. So variants share the
+    simulation of their common prefix.
 
     A level whose expansion could hold more than ``_LEVEL_AMPLITUDES``
     amplitudes (two rows per group and row) is expanded one parent at a
@@ -438,16 +442,26 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec],
                 return
             batch, signs, prefixes, bounds = expand(batch, signs, prefixes, bounds, sites[k])
             k += 1
+        choices = [itertools.product(*prefix) for prefix in prefixes]
+        yield batch, signs, bounds, choices if key is None else [map(key, c) for c in choices]
+
+    yield from descend(zero_state(n)[None], np.ones(1), [()], [0, 1], 0)
+
+
+def _leaf_arrays(plan: PartitionPlan, specs: list[DecompositionSpec],
+                 choice: dict[int, int] | None, values: np.ndarray
+                 ) -> Iterator[tuple[Iterator[tuple[int, ...]], np.ndarray, np.ndarray]]:
+    """``(variants, probs, vals)`` per leaf of ``_walk``: the probabilities
+    and signed values of its rows, flat. One pass per batch gives them, and
+    each leaf's arrays are views, shared by its variants and read-only."""
+    for batch, signs, bounds, variants in _walk(plan, specs, choice):
         # flat, so that a leaf's rows are one slice of each
         probs = (np.abs(batch) ** 2).reshape(-1)
         vals = (signs[:, None] * values).reshape(-1)
-        probs.flags.writeable = vals.flags.writeable = False  # views go to many variants
-        for prefix, a, b in zip(prefixes, bounds, bounds[1:]):
+        probs.flags.writeable = vals.flags.writeable = False
+        for leaf, a, b in zip(variants, bounds, bounds[1:]):
             rows = slice(a * values.size, b * values.size)
-            choices = itertools.product(*prefix)
-            yield choices if key is None else map(key, choices), probs[rows], vals[rows]
-
-    yield from descend(zero_state(n)[None], np.ones(1), [()], [0, 1], 0)
+            yield leaf, probs[rows], vals[rows]
 
 
 def partition_variants(plan: PartitionPlan, specs: list[DecompositionSpec],
@@ -462,7 +476,8 @@ def partition_variants(plan: PartitionPlan, specs: list[DecompositionSpec],
     site of this partition come out together and share their arrays, which
     must not be written to.
     """
-    return ((variant, probs, vals) for variants, probs, vals in _walk(plan, specs, None, values)
+    return ((variant, probs, vals)
+            for variants, probs, vals in _leaf_arrays(plan, specs, None, values)
             for variant in variants)
 
 
@@ -471,7 +486,7 @@ def variant_distribution(plan: PartitionPlan, specs: list[DecompositionSpec],
                          values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact (probabilities, signed postprocessing values) of one variant,
     ``choice`` mapping each attached cut to its term."""
-    ((_, probs, vals),) = _walk(plan, specs, choice, values)
+    ((_, probs, vals),) = _leaf_arrays(plan, specs, choice, values)
     return probs, vals
 
 
@@ -495,20 +510,100 @@ def _compile(circuit: CircuitIR, cuts: list, obs: ProductObservable, eps: float)
     return plans, r, specs, allocation, {c: tables[key] for c, key in keys.items()}
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts."""
+    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+
+
+def _categories(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(signed, order, starts, columns)`` of a value table: its signed
+    values, the sorted distinct values of ``values`` and ``-values``, and
+    how a row of sign +1 collapses onto them. ``order`` lists the basis
+    states by value, each distinct value starts at ``starts`` of that order,
+    and ``columns`` are their indices in ``signed``. The signed values are
+    symmetric about 0, so a row of sign -1 collapses onto the same masses
+    in reverse. (Sorted by hand: ``np.unique`` imports ``numpy.ma``, about
+    1 MB, on its first call.)"""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = _run_starts(ordered)
+    distinct = ordered[starts]
+    signed = np.sort(np.concatenate([distinct, -distinct]))
+    signed = signed[_run_starts(signed)]
+    return signed, order, starts, np.searchsorted(signed, distinct)
+
+
+def _collapse(batch: np.ndarray, signs: np.ndarray, bounds: list[int],
+              categories: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each leaf's outcome distribution over the signed values of
+    ``categories`` (see ``_categories``): each row's probability mass per
+    signed value, then each leaf's, then normalised. Both sums are
+    ``np.add.reduceat``, which sums every segment on its own, so a leaf's
+    vector does not depend on the rows beside it in the batch (a BLAS
+    product may round a row by how many rows share it)."""
+    signed, order, starts, columns = categories
+    probs = np.abs(batch[:, order])
+    probs *= probs
+    present = np.add.reduceat(probs, starts, axis=1)
+    if columns.size == signed.size:
+        rows = present
+    else:  # a signed value that no basis state has (-1 when all are +1) holds 0
+        rows = np.zeros((len(batch), signed.size))
+        rows[:, columns] = present
+    rows = np.where(signs[:, None] < 0, rows[:, ::-1], rows)
+    leaves = np.add.reduceat(rows, bounds[:-1], axis=0)
+    leaves /= leaves.sum(axis=1, keepdims=True)
+    return leaves
+
+
 def _leaves(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec],
             allocation: ShotAllocation, values: dict[int, np.ndarray]) -> Iterator[tuple]:
-    """``(partition, variant, shots, distribution, signed values)`` of every
-    variant with shots, partition by partition in walk order. The variants
-    of one leaf come in a row and share its distribution, normalised once."""
+    """``(partition, variants, shots, distributions, signed values)`` per
+    partition: its variants with shots, in walk order, their shot counts (a
+    list of ints) and their leaves' distributions over the partition's
+    signed values (one row per variant). Each batch of leaves is collapsed
+    in one pass, and partitions sharing a value table share its signed
+    values."""
+    categories = {}  # by value table, which ``_compile`` shares
     for c, plan in sorted(plans.items()):
+        if id(values[c]) not in categories:
+            categories[id(values[c])] = _categories(values[c])
+        cats = categories[id(values[c])]
         shots = allocation.variants[c]
-        for variants, probs, vals in _walk(plan, specs, None, values[c]):
-            dist = None
-            for variant in variants:
-                if n := shots[variant]:
-                    if dist is None:
-                        dist = probs / probs.sum()
-                    yield c, variant, n, dist, vals
+        variants, counts, rows, dists = [], [], [], []  # rows: each variant's leaf
+        for batch, signs, bounds, leaves in _walk(plan, specs, None):
+            for row, leaf in enumerate(leaves, sum(map(len, dists))):
+                for variant in leaf:
+                    if n := shots[variant]:
+                        variants.append(variant)
+                        counts.append(n)
+                        rows.append(row)
+            dists.append(_collapse(batch, signs, bounds, cats))
+        yield c, variants, counts, np.concatenate(dists)[rows], cats[0]
+
+
+def _sample_means(rng: np.random.Generator, shots: np.ndarray, dists: np.ndarray,
+                  signed: np.ndarray) -> np.ndarray:
+    """Each variant's mean of ``shots`` draws from its row of ``dists`` over
+    the ``signed`` values, drawn as conditional binomials: signed value k
+    takes a binomial share of the shots left, with the probability of k
+    given k or a later value, for every variant before value k + 1 is
+    drawn. A product of Pauli Z has two signed values, so that is one
+    ``binomial`` call."""
+    # each value's mass with the later ones', summed from the last value on
+    rest = np.cumsum(dists[:, ::-1], axis=1)[:, ::-1]
+    left, total = shots, 0.0
+    for k in range(signed.size - 1):
+        # no mass left means no shots left either: draw none
+        p = np.divide(dists[:, k], rest[:, k], out=np.zeros(len(shots)), where=rest[:, k] > 0)
+        drawn = rng.binomial(left, np.minimum(p, 1.0))
+        total = total + drawn * signed[k]
+        left = left - drawn
+    return (total + left * signed[-1]) / shots
+
+
+# ``binomial`` takes shot counts as 64-bit integers
+_MAX_SHOTS = np.iinfo(np.int64).max
 
 
 def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
@@ -516,17 +611,25 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     """Estimate <obs> of the uncut circuit from independently sampled
     subcircuit variants. Standard deviation is bounded by ``eps``.
 
-    Partition c samples from ``np.random.default_rng([seed, c])``, one
-    multinomial per variant with shots, in the order the walk yields them.
+    A variant's sample mean depends only on how many shots land on each
+    signed value, so each leaf's distribution is collapsed onto its
+    partition's signed values. Partition c then samples all its variants
+    with shots from ``np.random.default_rng([seed, c])``, one signed value
+    at a time (``_sample_means``), the variants in walk order. A partition
+    budget beyond a 64-bit count raises ``OverflowError`` before any walk.
     """
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     plans, r, specs, allocation, values = _compile(circuit, cuts, obs, eps)
-    rngs = {c: np.random.default_rng([seed, c]) for c in plans}
+    for c, n in allocation.n_c.items():
+        if n > _MAX_SHOTS:
+            raise OverflowError(f"partition {c} needs {n} shots, more than a 64-bit "
+                                f"shot count holds ({_MAX_SHOTS})")
     means = {c: dict.fromkeys(sorted(shots), 0.0) for c, shots in allocation.variants.items()}
-    # each variant is sampled as the walk reaches it, then dropped
-    for c, variant, n, dist, vals in _leaves(plans, specs, allocation, values):
-        means[c][variant] = float(rngs[c].multinomial(n, dist) @ vals) / n
+    for c, variants, shots, dists, signed in _leaves(plans, specs, allocation, values):
+        sampled = _sample_means(np.random.default_rng([seed, c]),
+                                np.array(shots, dtype=np.int64), dists, signed)
+        means[c].update(zip(variants, sampled.tolist()))
     return EstimatorRun(estimate=combine_means(plans, specs, means), variant_means=means,
                         allocation=allocation, r=r, seed=seed)
 
@@ -588,9 +691,11 @@ def exact_moments(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     allocation it samples with; no shot is drawn.
 
     A sampled variant's mean is the average of n draws from its exact
-    outcome distribution: its expectation is the distribution's mean mu of
-    the signed values, its variance sigma^2 / n, and the means of different
-    variants are independent. A variant without shots has the fixed mean 0.
+    outcome distribution over the signed values, read from the collapsed
+    leaves that ``cut_estimate`` samples: its expectation is the
+    distribution's mean mu, its variance sigma^2 / n, and the means of
+    different variants are independent. A variant without shots has the
+    fixed mean 0.
     The estimate is multilinear in the means, so its expectation is
     ``combine_means`` of the mu, and E[estimate^2] is the same contraction
     over two copies of every cut index, each cut contributing a (x) a and
@@ -600,9 +705,11 @@ def exact_moments(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     subscripts = _contraction(plans, len(cuts), copies=2)
     means = {c: dict.fromkeys(sorted(shots), 0.0) for c, shots in allocation.variants.items()}
     noise = {c: dict.fromkeys(variants, 0.0) for c, variants in means.items()}
-    for c, variant, n, dist, vals in _leaves(plans, specs, allocation, values):
-        means[c][variant] = mu = float(dist @ vals)
-        noise[c][variant] = float(dist @ (vals - mu) ** 2 / n)
+    for c, variants, shots, dists, signed in _leaves(plans, specs, allocation, values):
+        mu = dists @ signed
+        var = ((signed - mu[:, None]) ** 2 * dists).sum(axis=1) / np.array(shots, dtype=float)
+        means[c].update(zip(variants, mu.tolist()))
+        noise[c].update(zip(variants, var.tolist()))
     seconds = []
     for c, plan in sorted(plans.items()):
         mu, var = (np.array(list(moment[c].values())) for moment in (means, noise))

@@ -261,10 +261,10 @@ def test_partition_and_errors_csv_bytes(capsys, tmp_path, monkeypatch, circuits_
                          "--errors-csv", str(target))
     assert code == 0
     assert target.read_bytes() == (b"preset,repetition,error\n"
-                                   b"1,0,-0.0021741117408510605\n"
-                                   b"1,1,-0.027364550020454237\n"
-                                   b"2,0,-0.0015958596753935378\n"
-                                   b"2,1,-0.0026856441240664395\n")
+                                   b"1,0,0.004475583971177345\n"
+                                   b"1,1,-0.00854808217312519\n"
+                                   b"2,0,-0.0022260216902643334\n"
+                                   b"2,1,-0.0004587064806755945\n")
 
 
 def test_verify_fails_when_the_exact_std_exceeds_eps(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """Self-test of ``tools/equiv.py``: it finds no difference between a tree
-and itself, and finds the differences that a known mutation makes in a
-copy."""
+and itself, finds the differences that a known mutation makes in a copy,
+and records an estimate's allocation apart from what it sampled."""
 
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -52,6 +53,19 @@ def _differ(stdout):
     return counts
 
 
+def _differing_parts(stdout):
+    """The parts that the tool's per-operation lines name, per workload."""
+    parts, workload = {}, None
+    for line in stdout.splitlines():
+        head, _, rest = line.partition(": ")
+        if head in WORKLOADS:
+            workload = head
+            parts[workload] = set()
+        elif head.startswith("  op "):
+            parts[workload].update(rest.split(", "))
+    return parts
+
+
 def test_equiv_finds_no_difference_between_a_tree_and_itself():
     out = _equiv(ROOT, ROOT)
     assert out.returncode == 0, out.stdout + out.stderr
@@ -69,3 +83,22 @@ def test_equiv_finds_the_differences_of_an_edited_copy(tmp_path):
     differ = _differ(out.stdout)
     assert sorted(differ) == sorted(WORKLOADS)
     assert all(differ[w] > 0 for w in WORKLOADS), out.stdout
+    # the next seed draws other shots from the same allocation
+    assert _differing_parts(out.stdout)["verify_ring"] == {"estimate"}, out.stdout
+
+
+def test_equiv_records_the_allocation_apart_from_the_sampled_estimate():
+    """A change of seed moves the ``estimate`` part only."""
+    import cutplan
+    import cutplan.cutsim
+    from cutplan.qasm import to_qasm
+
+    spec = importlib.util.spec_from_file_location("equiv", TOOL)
+    equiv = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(equiv)
+    qasm = to_qasm(cutplan.cutsim.ring_circuit([[[0.3, 1.1]] * 8] * 2))
+    first, second = (equiv._estimate(cutplan, cutplan.cutsim, 3, 0.1, qasm, seed)
+                     for seed in (1, 2))
+    assert list(first) == list(second) == ["circuit", "allocation", "estimate"]
+    assert first["allocation"] == second["allocation"]
+    assert first["estimate"] != second["estimate"]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,14 @@ def mixed_circuit():
 
 def random_ring(seed):
     return ring_circuit(np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (2, 8, 2)))
+
+
+def graded_observable(width):
+    """A product observable that is no Pauli product: each qubit's factor
+    is one of three tables, so a partition's values include 0, fractions
+    and products of them."""
+    tables = [(1.0, -0.5), (0.0, 1.0), (-0.25, 0.75)]
+    return ProductObservable(tuple(ObsFactor((q,), tables[q % 3]) for q in range(width)))
 
 
 def test_bell_gate_cut_close_to_exact():
@@ -269,12 +278,24 @@ def test_estimate_pinned_at_a_seed_wider_than_32_bits():
     generator per partition, ``default_rng([seed, c])``."""
     run = cut_estimate(bell(), [GateCut(1)], pauli_z_observable(range(2)), eps=0.1,
                        seed=2 ** 40 + 3)
-    assert run.estimate == 0.9971111111111112
+    assert run.estimate == 1.0023555555555557
+
+
+def _signed_distribution(probs, vals, values):
+    """The sorted distinct values of ``values`` and ``-values``, and the
+    distribution over them of a variant whose arrays are ``probs`` and
+    ``vals``: each value's probability mass, normalised."""
+    signed = sorted({*values.tolist(), *(-values).tolist()})
+    mass = [float(probs[vals == s].sum()) for s in signed]
+    return signed, [m / sum(mass) for m in mass]
 
 
 def _variant_means_oracle(circuit, cuts, obs, eps, seed, allocation=None):
-    """Every variant's sample mean, drawn on its normalised leaf from its
-    partition's ``default_rng([seed, c])`` in walk order."""
+    """Every variant's sample mean, drawn from its partition's
+    ``default_rng([seed, c])`` one scalar binomial at a time: for each
+    signed value k in turn, and for each variant with shots in walk order,
+    the shots left that land on k, with the probability of k given k or a
+    later value. The last value takes the shots still left."""
     plans, r = plan_partitions(circuit, cuts, obs)
     specs = cut_specs(circuit, cuts)
     allocation = allocation or allocate_shots(plans, specs, r, eps)
@@ -283,11 +304,24 @@ def _variant_means_oracle(circuit, cuts, obs, eps, seed, allocation=None):
         shots = allocation.variants[c]
         means[c] = dict.fromkeys(sorted(shots), 0.0)
         values = value_table(plan.factors, plan.num_qubits)
+        walk = [variant for variant, _, _ in partition_variants(plan, specs, values)
+                if shots[variant]]
+        dists = {variant: _signed_distribution(*variant_distribution_oracle(
+            plan, specs, dict(zip(plan.attached_cuts, variant)), values), values)
+            for variant in walk}
+        signed = dists[walk[0]][0]
+        left, total = dict(shots), dict.fromkeys(walk, 0.0)
         rng = np.random.default_rng([seed, c])
-        for variant, probs, vals in partition_variants(plan, specs, values):
-            if shots[variant]:
-                counts = rng.multinomial(shots[variant], probs / probs.sum())
-                means[c][variant] = float(counts @ vals) / shots[variant]
+        for k in range(len(signed) - 1):
+            for variant in walk:
+                dist = dists[variant][1]
+                rest = sum(reversed(dist[k:]))
+                p = min(dist[k] / rest, 1.0) if rest > 0 else 0.0
+                drawn = int(rng.binomial(left[variant], p))
+                total[variant] += drawn * signed[k]
+                left[variant] -= drawn
+        for variant in walk:
+            means[c][variant] = (total[variant] + left[variant] * signed[-1]) / shots[variant]
     return means
 
 
@@ -299,6 +333,20 @@ def _variant_means_oracle(circuit, cuts, obs, eps, seed, allocation=None):
 ], ids=["ring3", "ring4", "mixed"])
 def test_variant_means_match_default_rng_oracle(circuit, cuts, width, eps, seed):
     obs = pauli_z_observable(range(width))
+    run = cut_estimate(circuit, cuts, obs, eps=eps, seed=seed)
+    assert run.variant_means == _variant_means_oracle(circuit, cuts, obs, eps, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 + 5])
+@pytest.mark.parametrize("circuit, cuts, width, eps", [
+    (random_ring(1), ring_cuts(3), 8, 0.03),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 4, 0.05),
+], ids=["ring3", "mixed"])
+def test_graded_variant_means_match_default_rng_oracle(circuit, cuts, width, eps, seed):
+    """With more than two signed values per partition the means come from
+    a chain of binomials, each signed value drawn for every variant before
+    the next."""
+    obs = graded_observable(width)
     run = cut_estimate(circuit, cuts, obs, eps=eps, seed=seed)
     assert run.variant_means == _variant_means_oracle(circuit, cuts, obs, eps, seed)
 
@@ -532,6 +580,21 @@ def test_exact_moments_with_wire_cuts():
     assert 0.0 < moments.variance <= 0.05 ** 2
 
 
+@pytest.mark.parametrize("circuit, cuts", [
+    (random_ring(0), ring_cuts(3)), (random_ring(1), ring_cuts(4)),
+    *(random_cut_circuit(seed) for seed in range(4)),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)]),
+], ids=["ring3", "ring4", *(f"random{seed}" for seed in range(4)), "mixed"])
+def test_exact_moments_of_a_graded_observable(circuit, cuts):
+    """Values other than +-1, 0 among them: the exact mean is still the
+    exact value, and the variance within eps^2."""
+    obs = graded_observable(circuit.num_qubits)
+    for eps in (0.05, 0.3):
+        moments = exact_moments(circuit, cuts, obs, eps)
+        assert moments.mean == pytest.approx(expectation_value(circuit, obs), abs=1e-9)
+        assert moments.variance <= eps ** 2
+
+
 def test_exact_moments_name_their_cut_limit():
     """Doubled indices halve ``combine_means``' letter limit to 26 cuts;
     27 cuts raise before any variant is simulated."""
@@ -547,16 +610,19 @@ _Z_SEEDS = 100
 _Z_BOUND = math.sqrt(2.0 * math.log(2.0 * _Z_SEEDS / 1e-3))
 
 
-@pytest.mark.parametrize("circuit, cuts, eps", [
-    (random_ring(4), ring_cuts(3), 0.1),
-    (random_ring(5), ring_cuts(4), 0.1),
-    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 0.2),
-], ids=["ring3", "ring4", "mixed"])
-def test_estimate_z_scores_follow_the_exact_moments(circuit, cuts, eps):
+@pytest.mark.parametrize("circuit, cuts, obs, eps", [
+    (random_ring(4), ring_cuts(3), pauli_z_observable(range(8)), 0.1),
+    (random_ring(5), ring_cuts(4), pauli_z_observable(range(8)), 0.1),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], pauli_z_observable(range(4)), 0.2),
+    (random_ring(6), ring_cuts(3), graded_observable(8), 0.1),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], graded_observable(4), 0.2),
+], ids=["ring3", "ring4", "mixed", "ring3-graded", "mixed-graded"])
+def test_estimate_z_scores_follow_the_exact_moments(circuit, cuts, obs, eps):
     """(estimate - mean) / sqrt(variance) over many seeds looks standard
     normal: every |z| is within the union bound for the seed count, and the
-    mean and mean square of z are within four standard errors of 0 and 1."""
-    obs = pauli_z_observable(range(circuit.num_qubits))
+    mean and mean square of z are within four standard errors of 0 and 1.
+    A graded observable has more than two signed values per partition, so
+    its means come from a chain of binomials."""
     moments = exact_moments(circuit, cuts, obs, eps)
     z = np.array([cut_estimate(circuit, cuts, obs, eps, seed=seed).estimate - moments.mean
                   for seed in range(_Z_SEEDS)]) / math.sqrt(moments.variance)
@@ -602,6 +668,68 @@ def test_level_walk_matches_the_walk_one_parent_at_a_time(monkeypatch, circuit, 
     plans, _ = plan_partitions(circuit, cuts, pauli_z_observable(range(circuit.num_qubits)))
     if any(len(plan.sites) > 1 for plan in plans.values()):
         assert level_calls < len(calls)
+
+
+_COLLAPSE_CASES = [
+    *((random_ring(seed), ring_cuts(partitions), pauli_z_observable(range(8)))
+      for seed, partitions in enumerate([3, 4, 3, 4])),
+    *((circuit, cuts, pauli_z_observable(range(circuit.num_qubits)))
+      for circuit, cuts in map(random_cut_circuit, range(8))),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], pauli_z_observable(range(4))),
+    (mixed_circuit(), [WireCut(1, 3), GateCut(4)], graded_observable(4)),
+    (random_ring(4), ring_cuts(3), graded_observable(8)),
+    *((circuit, cuts, graded_observable(circuit.num_qubits))
+      for circuit, cuts in map(random_cut_circuit, [2, 5])),
+]
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["level", "per-parent"])
+@pytest.mark.parametrize("circuit, cuts, obs", _COLLAPSE_CASES, ids=[
+    *(f"ring{p}-seed{seed}" for seed, p in enumerate([3, 4, 3, 4])),
+    *(f"random{seed}" for seed in range(8)), "mixed", "mixed-graded", "ring3-graded",
+    "random2-graded", "random5-graded"])
+def test_collapse_onto_signed_values_is_exact(monkeypatch, circuit, cuts, obs, budget):
+    """Every leaf's distribution over its partition's signed values, as
+    the estimator collapses it for sampling, is its variants'
+    ``partition_variants`` arrays summed per signed value, with every level
+    expanded in one pass or each parent apart (a level budget of 0). Pauli
+    Z products have two signed values, the graded observable more."""
+    if budget is not None:
+        monkeypatch.setattr(estimator, "_LEVEL_AMPLITUDES", budget)
+    plans, _ = plan_partitions(circuit, cuts, obs)
+    specs = cut_specs(circuit, cuts)
+    values = {c: value_table(plan.factors, plan.num_qubits) for c, plan in plans.items()}
+    # one shot for every variant, so that every leaf is collapsed
+    every = estimator.ShotAllocation(n_c={}, variants={c: dict.fromkeys(itertools.product(
+        *(range(len(specs[j].terms)) for j in plan.attached_cuts)), 1)
+        for c, plan in plans.items()})
+    for c, variants, shots, dists, signed in estimator._leaves(plans, specs, every, values):
+        want = {variant: _signed_distribution(probs, vals, values[c])
+                for variant, probs, vals in partition_variants(plans[c], specs, values[c])}
+        assert variants == list(want) and shots == [1] * len(want)
+        for variant, dist in zip(variants, dists):
+            want_signed, want_dist = want[variant]
+            assert signed.tolist() == want_signed
+            assert np.max(np.abs(dist - want_dist)) <= 1e-12
+        assert (signed.size == 2) == all(f.table == (1.0, -1.0) for f in plans[c].factors)
+
+
+def test_a_partition_without_mass_beyond_one_value_has_finite_means():
+    """Qubit 2 ends in |1> and no cut touches it; its factor (0, -1) makes
+    -1 certain, so the signed values after it, 0 and 1, hold no mass. The
+    binomial chain draws all shots at -1 and none after it, with no 0/0."""
+    circuit = CircuitIR(3, (GateApp("h", (0,)), GateApp("cx", (0, 1)), GateApp("x", (2,))))
+    obs = ProductObservable((ObsFactor((0,), (1.0, -1.0)), ObsFactor((1,), (1.0, -1.0)),
+                             ObsFactor((2,), (0.0, -1.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = cut_estimate(circuit, [GateCut(1)], obs, eps=0.1, seed=0)
+        moments = exact_moments(circuit, [GateCut(1)], obs, eps=0.1)
+    assert run.variant_means[2] == {(): -1.0}
+    assert all(math.isfinite(mean) for means in run.variant_means.values()
+               for mean in means.values())
+    assert math.isfinite(run.estimate)
+    assert moments.mean == pytest.approx(expectation_value(circuit, obs), abs=1e-9) == -1.0
 
 
 def _cut_block(width=13):
@@ -664,6 +792,26 @@ def test_too_wide_partition_raises_before_any_table(entry):
     finally:
         tracemalloc.stop()
     assert peak <= 2 ** 20, peak
+
+
+def test_shot_counts_beyond_64_bits(monkeypatch):
+    """At eps 1e-9 every ring partition needs 3.645e20 shots, more than a
+    64-bit count holds: ``cut_estimate`` names the first such partition and
+    its count before any walk, while ``exact_moments`` draws no shot and
+    returns."""
+    circuit, cuts, obs = ring_circuit(np.zeros((2, 8, 2))), ring_cuts(3), pauli_z_observable(
+        range(8))
+    walk, walked = estimator._walk, []
+    monkeypatch.setattr(estimator, "_walk", lambda *args: walked.append(args) or walk(*args))
+    with pytest.raises(OverflowError, match=r"^partition 0 needs 364500000000000000000 shots, "
+                       r"more than a 64-bit shot count holds \(9223372036854775807\)$"):
+        cut_estimate(circuit, cuts, obs, 1e-9, seed=0)
+    assert walked == []
+    moments = exact_moments(circuit, cuts, obs, 1e-9)
+    assert moments.allocation.n_c == dict.fromkeys(range(3), 364500000000000000000)
+    assert moments.mean == pytest.approx(expectation_value(circuit, obs), abs=1e-9)
+    assert 0.0 <= moments.variance <= 1e-18
+    assert len(walked) == 3
 
 
 @pytest.mark.parametrize("partitions, eps, n_c", [

@@ -152,7 +152,7 @@ def test_estimator_digest():
                                         eps, seed))
         for circuit, cuts in ESTIMATOR_CASES:
             texts.append(_estimate_text(circuit, cuts, 0.1, seed))
-    assert _digest(texts) == "0ab53f4182d63971"
+    assert _digest(texts) == "ed124431b30cb71c"
 
 
 def test_gate_cut_decomposition_digest():

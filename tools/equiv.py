@@ -14,9 +14,11 @@ per operation, the exact ``repr`` of
 - a plan: the parsed circuit's columns, the cut graph's columns, both stage
   rows with ``wall_time_s`` zeroed (``lq_trace`` included), the clustering
   JSON, and the report JSON at eps 0.03 or the exception it raised;
-- an estimate: the parsed circuit's columns and ``cut_estimate``'s
-  estimate, R, per-partition budgets, variant shot counts and variant means,
-  or the exception it raised.
+- an estimate: the parsed circuit's columns, then ``cut_estimate``'s
+  ``allocation`` (R, per-partition budgets and variant shot counts) and its
+  ``estimate`` (the estimate and the variant means) as two parts, or the
+  exception it raised as ``estimate``. The allocation does not depend on
+  the seed, so a change of the random stream shows in ``estimate`` alone.
 
 It prints, per workload, the operations whose records differ and the parts
 that differ, and exits 1 if any operation differs, else 0.
@@ -102,11 +104,11 @@ def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
         run = cutsim.cut_estimate(circuit, cutsim.ring_cuts(partitions),
                                   cutsim.pauli_z_observable(range(circuit.num_qubits)),
                                   eps, seed=seed)
-        record["estimate"] = repr((run.estimate, run.r, sorted(run.allocation.n_c.items()),
-                                   sorted((c, sorted(v.items()))
-                                          for c, v in run.allocation.variants.items()),
-                                   sorted((c, sorted(m.items()))
-                                          for c, m in run.variant_means.items())))
+        record["allocation"] = repr((run.r, sorted(run.allocation.n_c.items()),
+                                     sorted((c, sorted(v.items()))
+                                            for c, v in run.allocation.variants.items())))
+        record["estimate"] = repr((run.estimate, sorted((c, sorted(m.items()))
+                                                        for c, m in run.variant_means.items())))
     except Exception as exc:  # a failing estimate is an outcome to compare
         record["estimate"] = _error(exc)
     return record

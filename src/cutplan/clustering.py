@@ -221,8 +221,6 @@ class _LevelState:
 
     def visit_order(self, order: str, rng: np.random.Generator | None) -> list[int]:
         if order == "random":
-            if rng is None:
-                rng = np.random.default_rng(0)
             return [int(i) for i in rng.permutation(len(self.k))]
         return self._weighted_order
 
@@ -514,7 +512,10 @@ def _step1(graph: CutGraph, max_qubits: int, order, rng, audit):
 def step1_modularity(graph: CutGraph, max_qubits: int, order: str = "weighted",
                      rng: np.random.Generator | None = None,
                      audit: bool = False) -> Clustering:
-    """Qubit-capped modularity clustering (stage 1)."""
+    """Qubit-capped modularity clustering (stage 1). ``order="random"``
+    without ``rng`` draws every sweep's order from one ``default_rng(0)``."""
+    if order == "random" and rng is None:
+        rng = np.random.default_rng(0)
     _, labels, _ = _step1(graph, max_qubits, order, rng, audit)
     return Clustering.from_assignment(graph, dict(enumerate(labels)), max_qubits)
 

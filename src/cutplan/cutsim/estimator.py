@@ -18,18 +18,20 @@ estimator:
    walk per partition simulates all its variants, one cut site at a time,
    sharing the gates they have in common: terms whose sides at a site are
    equal share one branch there, each such group expands the site's whole
-   batch once (one parent at a time above 2^16 amplitudes, with the same
-   results). Each wire's consecutive 1-qubit gates between cut sites run as
-   one 2x2 matrix, as do a term side's gates before and after its
+   batch once (one parent at a time above 2^16 amplitudes: every kernel
+   treats each row on its own, so the leaves and their floats are the same
+   either way). Each wire's consecutive 1-qubit gates between cut sites run
+   as one 2x2 matrix, as do a term side's gates before and after its
    measurement. A sample mean depends only on how many shots land on each
    *signed value*, the sorted distinct values of the value table and its
    negation (two, +-1, for a product of Pauli Z). So one pass per batch of
    leaves collapses every leaf's outcomes onto them (each row's mass per
-   signed value, then each leaf's, normalised), with sums that read each
-   row and each leaf on its own. Partition c then draws from one
-   generator, ``default_rng([seed, c])``, for all its variants with shots
-   in walk order: conditional binomials, one signed value at a time, each
-   for every variant before the next (one ``binomial`` call for Pauli Z),
+   signed value, then each leaf's, normalised), with sums that read each row
+   and each leaf on its own. Partition c then draws from one generator,
+   ``default_rng([seed, c])``, for all its variants with shots in allocation
+   order (``ShotAllocation.variants``), whatever order the walk found them
+   in: conditional binomials, one signed value at a time, each for every
+   variant before the next (one ``binomial`` call for Pauli Z),
 5. combines the per-variant sample means with the term coefficients, summing
    the coefficient-weighted product of partition means over all term choices.
 
@@ -138,6 +140,12 @@ class PartitionPlan:
 def _check_cuts(circuit: CircuitIR, cuts: list) -> None:
     seen = set()
     for cut in cuts:
+        if not isinstance(cut, (GateCut, WireCut)):
+            raise TypeError(f"unknown cut placement {cut!r}")
+        # ``bool`` is an ``int``, but ``True`` is no index
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer))
+               for i in vars(cut).values()):
+            raise TypeError(f"cut {cut!r} has a non-integer index")
         if isinstance(cut, GateCut):
             if not 0 <= cut.gate_index < len(circuit.gates):
                 raise ValueError(f"gate index {cut.gate_index} out of range")
@@ -149,8 +157,6 @@ def _check_cuts(circuit: CircuitIR, cuts: list) -> None:
             if cut.qubit not in circuit.gates[cut.after_gate].qubits:
                 raise ValueError(
                     f"gate {cut.after_gate} does not touch wire {cut.qubit}")
-        else:
-            raise TypeError(f"unknown cut placement {cut!r}")
         if cut in seen:
             raise ValueError(f"duplicate cut {cut!r}")
         seen.add(cut)
@@ -355,13 +361,14 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec], choice: dict[int,
 
     A row is one branch of a variant: an unnormalised state, and the sign
     its signed measurements collected. The walk goes one cut site (level)
-    at a time. A level is one batch of rows, listed parent by parent: a
-    parent holds one group of terms per site passed, and its rows are one
-    slice of the batch. At a site the terms are grouped by their side there,
-    in order of first appearance: terms with equal sides act alike on this
-    partition. Each group expands the whole batch once (its side's gates, a
-    signed fork into keep and flip rows, its post gates), and the children
-    are listed parent by parent, each taking its slice of its group's rows.
+    at a time. A level is one batch of rows: a parent holds one group of
+    terms per site passed, and its rows are one slice of the batch. At a
+    site the terms are grouped by their side there, in order of first
+    appearance: terms with equal sides act alike on this partition. Each
+    group expands the whole batch once (its side's gates, a signed fork
+    into keep and flip rows, its post gates), and the children are listed
+    group by group, each group's parent by parent, so that they keep their
+    rows in the order the group made them.
     An unsigned measurement ends a wire that nothing reads again, so
     dephasing it cannot change any outcome and it is left out. The run of
     gates up to the next site runs once on the next level, and after the
@@ -372,7 +379,8 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec], choice: dict[int,
     amplitudes (two rows per group and row) is expanded one parent at a
     time instead, and each parent's children are walked to their leaves
     before the next parent's, so memory stays near one parent's subtree.
-    Either way the leaves, their order and every float are the same.
+    Either way the leaves and every float are the same, since each kernel
+    treats each row on its own; only the order of the leaves differs.
     """
     n = plan.num_qubits
     runs = [_fused(run) for run in plan.runs]
@@ -389,7 +397,7 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec], choice: dict[int,
         # parent p's rows are ``bounds[p]:bounds[p + 1]``
         lq, expansions = site
         qubits = (lq,)
-        parts = []
+        pieces, piece_signs, children, child_bounds = [], [], [], [0]
         for group, term_side in expansions:
             before, after = term_side.unitaries
             branch, branch_signs, starts = batch, signs, bounds
@@ -406,32 +414,18 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec], choice: dict[int,
                 starts = [kept[2 * b] for b in bounds]
             if after is not None:
                 branch = apply_matrix(branch, n, qubits, after)
-            parts.append((group, branch, branch_signs, starts))
-        # the children, parent by parent, each a slice of its group's rows
-        children, pieces, piece_signs, bounds = [], [], [], [0]
-        for p, prefix in enumerate(prefixes):
-            for group, rows, row_signs, starts in parts:
-                a, b = starts[p], starts[p + 1]
-                children.append(prefix + (group,))
-                pieces.append(rows[a:b])
-                piece_signs.append(row_signs[a:b])
-                bounds.append(bounds[-1] + b - a)
-        return np.concatenate(pieces), np.concatenate(piece_signs), children, bounds
+            # the group's children, parent by parent, are its rows in order
+            pieces.append(branch)
+            piece_signs.append(branch_signs)
+            children += [prefix + (group,) for prefix in prefixes]
+            child_bounds += [child_bounds[-1] + b for b in starts[1:]]
+        return np.concatenate(pieces), np.concatenate(piece_signs), children, child_bounds
 
     def descend(batch, signs, prefixes, bounds, k):
         while True:
-            # a BLAS product can round a column differently with the number
-            # of columns in the call, so a 2-qubit gate runs on each parent's
-            # children apart, as a walk one parent at a time runs it
-            width = len(sites[k - 1][1]) if k else 1
-            chunks = list(zip(bounds[:-1:width], bounds[width::width]))
             # rebinding ``batch`` frees each gate's input as soon as it is applied
             for qubits, matrix in runs[k]:
-                if len(qubits) == 1 or len(chunks) == 1:
-                    batch = apply_matrix(batch, n, qubits, matrix)
-                else:
-                    batch = np.concatenate([apply_matrix(batch[a:b], n, qubits, matrix)
-                                            for a, b in chunks])
+                batch = apply_matrix(batch, n, qubits, matrix)
             if k == len(sites):
                 break
             # each group expands a row into at most two
@@ -559,27 +553,24 @@ def _collapse(batch: np.ndarray, signs: np.ndarray, bounds: list[int],
 def _leaves(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec],
             allocation: ShotAllocation, values: dict[int, np.ndarray]) -> Iterator[tuple]:
     """``(partition, variants, shots, distributions, signed values)`` per
-    partition: its variants with shots, in walk order, their shot counts (a
-    list of ints) and their leaves' distributions over the partition's
-    signed values (one row per variant). Each batch of leaves is collapsed
-    in one pass, and partitions sharing a value table share its signed
-    values."""
+    partition: its variants with shots, in allocation order, their shot
+    counts (a list of ints) and their leaves' distributions over the
+    partition's signed values (one row per variant). Each batch of leaves is
+    collapsed in one pass, and partitions sharing a value table share its
+    signed values."""
     categories = {}  # by value table, which ``_compile`` shares
     for c, plan in sorted(plans.items()):
         if id(values[c]) not in categories:
             categories[id(values[c])] = _categories(values[c])
         cats = categories[id(values[c])]
-        shots = allocation.variants[c]
-        variants, counts, rows, dists = [], [], [], []  # rows: each variant's leaf
+        row_of, dists = {}, []  # each variant's leaf, a row of the collapsed leaves
         for batch, signs, bounds, leaves in _walk(plan, specs, None):
             for row, leaf in enumerate(leaves, sum(map(len, dists))):
-                for variant in leaf:
-                    if n := shots[variant]:
-                        variants.append(variant)
-                        counts.append(n)
-                        rows.append(row)
+                row_of.update(dict.fromkeys(leaf, row))
             dists.append(_collapse(batch, signs, bounds, cats))
-        yield c, variants, counts, np.concatenate(dists)[rows], cats[0]
+        shots = {variant: n for variant, n in allocation.variants[c].items() if n}
+        rows = [row_of[variant] for variant in shots]
+        yield c, list(shots), list(shots.values()), np.concatenate(dists)[rows], cats[0]
 
 
 def _sample_means(rng: np.random.Generator, shots: np.ndarray, dists: np.ndarray,
@@ -615,8 +606,10 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     signed value, so each leaf's distribution is collapsed onto its
     partition's signed values. Partition c then samples all its variants
     with shots from ``np.random.default_rng([seed, c])``, one signed value
-    at a time (``_sample_means``), the variants in walk order. A partition
-    budget beyond a 64-bit count raises ``OverflowError`` before any walk.
+    at a time (``_sample_means``), the variants in allocation order
+    (``ShotAllocation.variants``), whatever order the walk finds them in. A
+    partition budget beyond a 64-bit count raises ``OverflowError`` before
+    any walk.
     """
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

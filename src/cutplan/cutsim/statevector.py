@@ -45,16 +45,13 @@ _SQ = {
     "sxdg": np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]], dtype=complex) / 2,
     "u0": np.eye(2, dtype=complex),  # an idle period: the identity, whatever its length
 }
+# ``gate_matrix`` hands these out shared, so no caller may write to them
+for _matrix in _SQ.values():
+    _matrix.flags.writeable = False
 
 
 # controlled gates: the name of the target's gate prefixed with 'c'
 _CONTROLLED = {"cx", "cy", "cz", "ch", "crx", "cry", "crz", "cp", "cu1"}
-
-
-def _controlled(u: np.ndarray) -> np.ndarray:
-    out = np.eye(4, dtype=complex)
-    out[2:, 2:] = u
-    return out
 
 
 def gate_matrix(gate: GateApp) -> np.ndarray:
@@ -75,7 +72,9 @@ def gate_matrix(gate: GateApp) -> np.ndarray:
     if kind in ("u3", "u"):
         return _u3(p[0], p[1], p[2])
     if kind in _CONTROLLED:
-        return _controlled(gate_matrix(GateApp(kind[1:], (0,), p)))
+        out = np.eye(4, dtype=complex)
+        out[2:, 2:] = gate_matrix(GateApp(kind[1:], (0,), p))
+        return out
     if kind == "swap":
         return np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                         dtype=complex)
@@ -105,22 +104,22 @@ def zero_state(num_qubits: int) -> np.ndarray:
 def apply_matrix(states: np.ndarray, num_qubits: int, qubits: tuple[int, ...],
                  matrix: np.ndarray) -> np.ndarray:
     """Apply a 2x2 or 4x4 ``matrix`` on ``qubits`` to one state or to every
-    row of a batch; returns a new array of the same shape.
+    row of a batch; returns a new array of the same shape. Each row gets
+    matrix products of its own, so no row's floats depend on the batch.
 
     The first listed qubit is the most significant index of ``matrix``, as
-    in :func:`gate_matrix`.
-    """
+    in :func:`gate_matrix`."""
     if len(qubits) == 1:
         # the qubit's axis splits each row into halves: one broadcast matrix
         # product mixes them without a transposed copy
         halves = states.reshape(-1, 2, 2 ** (num_qubits - 1 - qubits[0]))
         return np.matmul(matrix, halves).reshape(states.shape)
-    # move the gate axes to the front so that one matrix product covers all rows
-    perm = [q + 1 for q in qubits] + [0] + [q + 1 for q in range(num_qubits)
+    # move the gate axes right behind the row axis: one product per row
+    perm = [0] + [q + 1 for q in qubits] + [q + 1 for q in range(num_qubits)
                                             if q not in qubits]
     inverse = sorted(range(len(perm)), key=perm.__getitem__)
     tensor = states.reshape((-1,) + (2,) * num_qubits).transpose(perm)
-    out = (matrix @ tensor.reshape(matrix.shape[1], -1)).reshape(tensor.shape)
+    out = np.matmul(matrix, tensor.reshape(len(tensor), 4, -1)).reshape(tensor.shape)
     return out.transpose(inverse).reshape(states.shape)
 
 

@@ -261,10 +261,10 @@ def test_partition_and_errors_csv_bytes(capsys, tmp_path, monkeypatch, circuits_
                          "--errors-csv", str(target))
     assert code == 0
     assert target.read_bytes() == (b"preset,repetition,error\n"
-                                   b"1,0,0.004475583971177345\n"
-                                   b"1,1,-0.00854808217312519\n"
-                                   b"2,0,-0.0022260216902643334\n"
-                                   b"2,1,-0.0004587064806755945\n")
+                                   b"1,0,0.009052690340628538\n"
+                                   b"1,1,-0.019305977245511922\n"
+                                   b"2,0,0.013283631362363945\n"
+                                   b"2,1,0.00668265436313141\n")
 
 
 def test_verify_fails_when_the_exact_std_exceeds_eps(capsys, monkeypatch):

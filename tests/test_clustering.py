@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,17 @@ def test_step1_respects_cap_and_improves(rng):
         cl.validate(g)
         singles = {n.id: n.id for n in g.nodes}
         assert modularity_oracle(g, cl.assignment) >= modularity_oracle(g, singles) - 1e-12
+
+
+def test_step1_random_order_without_rng_draws_from_one_generator():
+    """Without ``rng``, ``order="random"`` draws every sweep's order from one
+    ``default_rng(0)``, as if that generator were passed in; a generator
+    rebuilt per sweep would visit the nodes in the same order every time."""
+    g = build_cut_graph(ising_chain(60, depth=2))
+    default = step1_modularity(g, 12, order="random")
+    passed = step1_modularity(g, 12, order="random", rng=np.random.default_rng(0))
+    assert default.assignment == passed.assignment
+    assert default.num_clusters == 16
 
 
 def test_step1_infeasible_cap():

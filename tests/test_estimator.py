@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -83,6 +84,24 @@ def test_cut_validation():
         plan_partitions(bell(), [WireCut(0, -1)], obs)
     with pytest.raises(TypeError, match="^unknown cut placement 1$"):
         plan_partitions(bell(), [1], obs)
+
+
+@pytest.mark.parametrize("cut", [GateCut(1.0), GateCut(True), GateCut(np.float64(1.0)),
+                                 GateCut(np.True_), WireCut(1.0, 0), WireCut(True, 0),
+                                 WireCut(0, 1.0), WireCut(0, np.True_)], ids=repr)
+def test_cut_indices_must_be_integers(cut):
+    """A float or a bool is no gate or wire index, even where it equals one."""
+    with pytest.raises(TypeError, match=f"^cut {re.escape(repr(cut))} has a non-integer index$"):
+        plan_partitions(bell(), [cut], pauli_z_observable(range(2)))
+
+
+@pytest.mark.parametrize("cut, plain", [(GateCut(np.int64(1)), GateCut(1)),
+                                        (WireCut(np.int32(1), np.int64(1)), WireCut(1, 1))],
+                         ids=["gate", "wire"])
+def test_numpy_integer_cut_indices_are_valid(cut, plain):
+    obs = pauli_z_observable(range(2))
+    assert (repr(cut_estimate(bell(), [cut], obs, eps=0.1, seed=3))
+            == repr(cut_estimate(bell(), [plain], obs, eps=0.1, seed=3)))
 
 
 def test_combine_means_rejects_more_cuts_than_letters():
@@ -293,9 +312,9 @@ def _signed_distribution(probs, vals, values):
 def _variant_means_oracle(circuit, cuts, obs, eps, seed, allocation=None):
     """Every variant's sample mean, drawn from its partition's
     ``default_rng([seed, c])`` one scalar binomial at a time: for each
-    signed value k in turn, and for each variant with shots in walk order,
-    the shots left that land on k, with the probability of k given k or a
-    later value. The last value takes the shots still left."""
+    signed value k in turn, and for each variant with shots in allocation
+    order, the shots left that land on k, with the probability of k given k
+    or a later value. The last value takes the shots still left."""
     plans, r = plan_partitions(circuit, cuts, obs)
     specs = cut_specs(circuit, cuts)
     allocation = allocation or allocate_shots(plans, specs, r, eps)
@@ -304,23 +323,22 @@ def _variant_means_oracle(circuit, cuts, obs, eps, seed, allocation=None):
         shots = allocation.variants[c]
         means[c] = dict.fromkeys(sorted(shots), 0.0)
         values = value_table(plan.factors, plan.num_qubits)
-        walk = [variant for variant, _, _ in partition_variants(plan, specs, values)
-                if shots[variant]]
+        drawn_order = [variant for variant, n in shots.items() if n]
         dists = {variant: _signed_distribution(*variant_distribution_oracle(
             plan, specs, dict(zip(plan.attached_cuts, variant)), values), values)
-            for variant in walk}
-        signed = dists[walk[0]][0]
-        left, total = dict(shots), dict.fromkeys(walk, 0.0)
+            for variant in drawn_order}
+        signed = dists[drawn_order[0]][0]
+        left, total = dict(shots), dict.fromkeys(drawn_order, 0.0)
         rng = np.random.default_rng([seed, c])
         for k in range(len(signed) - 1):
-            for variant in walk:
+            for variant in drawn_order:
                 dist = dists[variant][1]
                 rest = sum(reversed(dist[k:]))
                 p = min(dist[k] / rest, 1.0) if rest > 0 else 0.0
                 drawn = int(rng.binomial(left[variant], p))
                 total[variant] += drawn * signed[k]
                 left[variant] -= drawn
-        for variant in walk:
+        for variant in drawn_order:
             means[c][variant] = (total[variant] + left[variant] * signed[-1]) / shots[variant]
     return means
 
@@ -632,16 +650,17 @@ def test_estimate_z_scores_follow_the_exact_moments(circuit, cuts, obs, eps):
 
 
 def _walk_output(circuit, cuts, eps):
-    """Every variant of every partition with its arrays' bytes, and the
-    exact moments."""
+    """Every variant's arrays' bytes, keyed by partition and variant, the
+    exact moments and the repr of an estimate at a fixed seed."""
     obs = pauli_z_observable(range(circuit.num_qubits))
     plans, _ = plan_partitions(circuit, cuts, obs)
     specs = cut_specs(circuit, cuts)
-    variants = [(c, variant, probs.tobytes(), vals.tobytes())
+    variants = {(c, variant): (probs.tobytes(), vals.tobytes())
                 for c, plan in sorted(plans.items())
                 for variant, probs, vals in partition_variants(
-                    plan, specs, value_table(plan.factors, plan.num_qubits))]
-    return variants, exact_moments(circuit, cuts, obs, eps)
+                    plan, specs, value_table(plan.factors, plan.num_qubits))}
+    return (variants, exact_moments(circuit, cuts, obs, eps),
+            repr(cut_estimate(circuit, cuts, obs, eps, seed=7)))
 
 
 @pytest.mark.parametrize("circuit, cuts, eps", [
@@ -654,9 +673,11 @@ def _walk_output(circuit, cuts, eps):
 def test_level_walk_matches_the_walk_one_parent_at_a_time(monkeypatch, circuit, cuts, eps):
     """Expanding each level in one pass, each parent apart (a level budget
     of 0 amplitudes), or the first levels in one pass and the deeper ones
-    each parent apart (budgets in between), yields the same variants in the
-    same order with byte-equal arrays, and equal exact moments. Past a first
-    site with several groups, the level walk applies fewer matrices."""
+    each parent apart (budgets in between), yields the same variants with
+    byte-equal arrays, in whatever order, equal exact moments and the same
+    estimate: no row's floats depend on the batch it is simulated in, and
+    shots are drawn in allocation order. Past a first site with several
+    groups, the level walk applies fewer matrices."""
     apply_matrix, calls = estimator.apply_matrix, []
     monkeypatch.setattr(estimator, "apply_matrix",
                         lambda *args: calls.append(args) or apply_matrix(*args))
@@ -706,7 +727,7 @@ def test_collapse_onto_signed_values_is_exact(monkeypatch, circuit, cuts, obs, b
     for c, variants, shots, dists, signed in estimator._leaves(plans, specs, every, values):
         want = {variant: _signed_distribution(probs, vals, values[c])
                 for variant, probs, vals in partition_variants(plans[c], specs, values[c])}
-        assert variants == list(want) and shots == [1] * len(want)
+        assert variants == list(every.variants[c]) and shots == [1] * len(want)
         for variant, dist in zip(variants, dists):
             want_signed, want_dist = want[variant]
             assert signed.tolist() == want_signed

@@ -152,7 +152,7 @@ def test_estimator_digest():
                                         eps, seed))
         for circuit, cuts in ESTIMATOR_CASES:
             texts.append(_estimate_text(circuit, cuts, 0.1, seed))
-    assert _digest(texts) == "ed124431b30cb71c"
+    assert _digest(texts) == "1a6d569b99847354"
 
 
 def test_gate_cut_decomposition_digest():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -132,6 +133,38 @@ def test_batched_kernels_against_full_matrices(rng):
         forked = project_qubit(rows, n, q)
         assert np.array_equal(forked[0::2], rows * (bits == 0))
         assert np.array_equal(forked[1::2], rows * (bits == 1))
+
+
+@pytest.mark.parametrize("gate", [
+    GateApp("cx", (0, 1)), GateApp("rzz", (0, 1), (0.7,)), GateApp("rxx", (0, 1), (1.1,)),
+    GateApp("crz", (0, 1), (-0.4,)), GateApp("swap", (0, 1)), GateApp("h", (0,)),
+    GateApp("u3", (0,), (0.3, 1.2, -0.8)),
+], ids=lambda gate: gate.kind)
+def test_apply_matrix_is_row_independent(gate, rng):
+    """Each row of a batch gets the very floats it gets applied alone,
+    whatever the batch size, on every placement of the gate's qubits."""
+    matrix = gate_matrix(gate)
+    for n in range(2, 7):
+        rows = rng.normal(size=(9, 2 ** n)) + 1j * rng.normal(size=(9, 2 ** n))
+        for qubits in itertools.permutations(range(n), len(gate.qubits)):
+            alone = [apply_matrix(row, n, qubits, matrix).tobytes() for row in rows]
+            for size in range(1, 10):
+                batch = apply_matrix(rows[:size], n, qubits, matrix)
+                assert [row.tobytes() for row in batch] == alone[:size], (n, qubits, size)
+
+
+def test_shared_gate_matrices_are_read_only():
+    """A fixed gate's matrix is one array that ``gate_matrix`` hands to every
+    caller, so writing to it raises instead of changing every later gate."""
+    h = gate_matrix(GateApp("h", (0,)))
+    with pytest.raises(ValueError, match="read-only"):
+        h[:] = gate_matrix(GateApp("x", (0,)))
+    circuit = CircuitIR(1, (GateApp("h", (0,)),))
+    assert expectation_value(circuit, pauli_z_observable([0])) == pytest.approx(0.0, abs=1e-15)
+    for kind, (arity, n_params) in STANDARD_GATES.items():
+        gate = GateApp(kind, tuple(range(arity)), (0.5,) * n_params)
+        matrix = gate_matrix(gate)
+        assert matrix is not gate_matrix(gate) or not matrix.flags.writeable, kind
 
 
 @pytest.mark.parametrize("kind, target", [

@@ -14,6 +14,18 @@ clusters whenever doing so lowers the worst per-cluster log overhead
 subject to the same qubit cap. The number of clusters R is an output of the
 process, not an input.
 
+Both move engines skip visits whose outcome is already known, and count
+them as if they had been made. A stage-1 visit reads only the clusters of its
+node and of its neighbours, with their ``sigma`` and qubit masks, so a node
+stays clean until a move from cluster A to cluster B marks the mover, every
+member of A and B and every neighbour of those members; a clean node's visit
+adds its last evaluation's count of cap-feasible candidates to
+``gain_evals``. A stage-2 visit reads the global running ``lq``, R and
+residual cut weight, so a sweep that repeats the previous sweep's visit list
+ends once it has passed, without a move, the previous sweep's last mover,
+and adds the evaluations the previous sweep counted after that move. Plans,
+stage rows and ``gain_evals`` are those of sweeps that evaluate every node.
+
 All move acceptance uses an absolute tolerance of 1e-9 for comparing gains and
 log-overhead values.
 """
@@ -21,6 +33,7 @@ log-overhead values.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -34,7 +47,8 @@ EPS = 1e-9
 
 
 class InfeasibleCapError(Exception):
-    """A single node already carries more qubits than the cap allows."""
+    """The qubit cap is below 1, or a single node already carries more
+    qubits than the cap allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +294,10 @@ class _ModularityEngine(_LevelState):
         for i, c in enumerate(self.cluster_of):
             self.sigma[c] += self.k[i]
         self.stats = StageStats()
+        #: a clean node's visit would repeat its last evaluation, whose count
+        #: of cap-feasible candidates is ``feasible[i]``
+        self.dirty = [True] * len(self.k)
+        self.feasible = [0] * len(self.k)
         if audit:
             self._audit_q = self._checked_modularity()
 
@@ -292,9 +310,15 @@ class _ModularityEngine(_LevelState):
         cmask = self.cmask
         sigma = self.sigma
         cluster_of = self.cluster_of
+        members = self.members
+        dirty, feasible = self.dirty, self.feasible
         adj, k = self.adj, self.k
         evals = 0
         for i in visit:
+            if not dirty[i]:
+                evals += feasible[i]
+                continue
+            dirty[i] = False
             nb_w: dict[int, float] = {}
             for j, w, _ in adj[i]:
                 c = cluster_of[j]
@@ -302,25 +326,36 @@ class _ModularityEngine(_LevelState):
             c_from = cluster_of[i]
             k_i_cfrom = nb_w.pop(c_from, 0.0)
             if not nb_w:
+                feasible[i] = 0
                 continue  # no neighbour in another cluster: no candidate
             k_i = k[i]
             mask_i = mask[i]
             remove = -k_i_cfrom / m + k_i * (sigma[c_from] - k_i) / two_m2
             best_dq = 0.0
             best = c_from
-            for c_to in sorted(nb_w):
+            n_feasible = 0
+            for c_to in (sorted(nb_w) if len(nb_w) > 1 else nb_w):
                 if (cmask[c_to] | mask_i).bit_count() > cap:
                     continue
-                evals += 1
+                n_feasible += 1
                 gain = remove + nb_w[c_to] / m - k_i * sigma[c_to] / two_m2
                 if gain > best_dq + EPS:
                     best_dq = gain
                     best = c_to
+            evals += n_feasible
+            feasible[i] = n_feasible
             if best != c_from:
                 sigma[c_from] -= k_i
                 sigma[best] += k_i
                 self.relocate(i, c_from, best)
                 moves += 1
+                # a visit reads the clusters of its node and of its
+                # neighbours; mark every node that reads either cluster
+                for c in (c_from, best):
+                    for j in members[c]:
+                        dirty[j] = True
+                        for jj, _, _ in adj[j]:
+                            dirty[jj] = True
                 if self.audit:
                     self._check_state(best_dq)
         self.stats.moves += moves
@@ -381,6 +416,9 @@ class _LogOverheadEngine(_LevelState):
         #: the running worst log overhead; its start value opens the level's trace
         self.lq = ln_i[worst]
         self.stats = StageStats(lq_trace=[self.lq])
+        #: the last sweep's visit list, the position after its last move and
+        #: the evaluations it counted from there on
+        self._last = (None, 0, 0)
 
     def sweep(self, visit: list[int]) -> int:
         moves = 0
@@ -392,7 +430,17 @@ class _LogOverheadEngine(_LevelState):
         s_w, s_hat = self.s_w, self.s_hat
         adj = self.adj
         evals = 0
-        for i in visit:
+        # every node after the last sweep's last move saw the state this sweep
+        # starts in; once a repeat of that list has reached that point without
+        # moving, all nodes have seen the state, and the rest would repeat
+        last_visit, stop, tail_evals = self._last
+        if visit is not last_visit:
+            stop = -1
+        last_pos, evals_at_last = -1, 0
+        for pos, i in enumerate(visit):
+            if pos == stop and not moves:
+                evals += tail_evals
+                break
             c_from = cluster_of[i]
             nb_w: dict[int, float] = {}
             nb_hat: dict[int, float] = {}
@@ -413,7 +461,7 @@ class _LogOverheadEngine(_LevelState):
             ln_r = math.log(self.r)
             ln_r_after = math.log(self.r - 1) if singleton else ln_r
             hat_cut = self.hat_cut
-            for c_to in sorted(nb_w):
+            for c_to in (sorted(nb_w) if len(nb_w) > 1 else nb_w):
                 if (cmask[c_to] | mask_i).bit_count() > cap:
                     continue
                 evals += 1
@@ -444,8 +492,10 @@ class _LogOverheadEngine(_LevelState):
                 self.hat_cut += in_hat - to_hat
                 self.relocate(i, c_from, best)
                 moves += 1
+                last_pos, evals_at_last = pos, evals
                 if self.audit:
                     self._check_state()
+        self._last = (visit, last_pos + 1, evals - evals_at_last)
         self.lq = lq
         self.stats.moves += moves
         self.stats.gain_evals += evals
@@ -496,6 +546,16 @@ def _run_levels(level: _Level, max_qubits: int, engine_cls, order: str,
     return [engine.cluster_of[cur] for cur in node_map.tolist()], stats
 
 
+def _check_plan_args(max_qubits, order: str) -> None:
+    """The checks that every planner entry point makes on its arguments."""
+    if isinstance(max_qubits, bool) or not isinstance(max_qubits, numbers.Integral):
+        raise TypeError(f"the qubit cap must be an integer, got {max_qubits!r}")
+    if max_qubits < 1:
+        raise InfeasibleCapError(f"the qubit cap {max_qubits} is below 1")
+    if order not in ("weighted", "random"):
+        raise ValueError(f"unknown order policy '{order}'")
+
+
 def _step1(graph: CutGraph, max_qubits: int, order, rng, audit):
     """The cap check, the graph's one ``_Level`` and its stage-1 labels."""
     for i, mask in enumerate(graph.mask):
@@ -514,6 +574,7 @@ def step1_modularity(graph: CutGraph, max_qubits: int, order: str = "weighted",
                      audit: bool = False) -> Clustering:
     """Qubit-capped modularity clustering (stage 1). ``order="random"``
     without ``rng`` draws every sweep's order from one ``default_rng(0)``."""
+    _check_plan_args(max_qubits, order)
     if order == "random" and rng is None:
         rng = np.random.default_rng(0)
     _, labels, _ = _step1(graph, max_qubits, order, rng, audit)
@@ -581,8 +642,7 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
     ``order="random"`` the best of ``restarts`` runs (by final worst overhead)
     is returned; the weighted order is deterministic and runs once.
     """
-    if order not in ("weighted", "random"):
-        raise ValueError(f"unknown order policy '{order}'")
+    _check_plan_args(max_qubits, order)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     runs = restarts if order == "random" else 1

@@ -306,6 +306,47 @@ def test_audited_pipeline_agrees_with_the_plain_one(case):
     assert _rows(audited) == _rows(plain)
 
 
+def _sweep_evaluating_every_node(engine, visit) -> int:
+    """One sweep that skips no visit: stage 1's flags all set dirty, stage 2
+    given a fresh copy of the visit list, which no sweep has seen."""
+    if isinstance(engine, _ModularityEngine):
+        engine.dirty[:] = [True] * len(engine.dirty)
+    return engine.sweep(list(visit))
+
+
+def _engine_state(engine):
+    sums = ((engine.sigma,) if isinstance(engine, _ModularityEngine)
+            else (engine.s_w, engine.s_hat, engine.hat_cut, engine.lq))
+    return (engine.cluster_of, engine.r, engine.stats.moves, engine.stats.gain_evals, *sums)
+
+
+@pytest.mark.parametrize("engine_cls", [_ModularityEngine, _LogOverheadEngine])
+@pytest.mark.parametrize("order", ["weighted", "random"])
+def test_skipped_visits_match_sweeps_that_evaluate_every_node(engine_cls, order):
+    """The shipped sweeps skip visits whose outcome is known: stage 1 those
+    of clean nodes, stage 2 the rest of a repeated visit list once every
+    node has seen the current state. Sweep by sweep, including sweeps after
+    the level went quiet, they agree with sweeps that evaluate every node
+    on the clusters, the running sums, ``lq``, the moves and ``gain_evals``."""
+    rng = np.random.default_rng(2026)
+    for _ in range(150):
+        g = random_graph(rng, max_nodes=16)
+        cap = int(rng.integers(1, g.num_nodes + 1))
+        start = random_start(rng, g) if rng.random() < 0.7 else None
+        level = _Level.from_graph(g)
+        shipped, reference = (engine_cls(level, cap, None if start is None else list(start))
+                              for _ in range(2))
+        seed = int(rng.integers(2 ** 32))
+        rng_shipped, rng_reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        quiet = 0
+        while quiet < 3:
+            moved = shipped.sweep(shipped.visit_order(order, rng_shipped))
+            assert moved == _sweep_evaluating_every_node(
+                reference, reference.visit_order(order, rng_reference))
+            assert _engine_state(shipped) == _engine_state(reference)
+            quiet += moved == 0
+
+
 def test_pipeline_deterministic():
     g = build_cut_graph(ising_chain(18, seed=5))
     a = run_pipeline(g, 8)
@@ -323,9 +364,40 @@ def test_random_order_restarts_reproducible():
     assert a.lq <= weighted.lq + LN16 + 1e-9  # restarts stay in the same ballpark
 
 
+PLANNERS = [run_pipeline, step1_modularity]
+
+
 def test_unknown_order_policy_rejected():
-    with pytest.raises(ValueError, match="unknown order policy 'bogus'"):
-        run_pipeline(build_cut_graph(chain3()), 2, order="bogus")
+    for plan in PLANNERS:
+        with pytest.raises(ValueError, match="unknown order policy 'bogus'"):
+            plan(build_cut_graph(chain3()), 2, order="bogus")
+
+
+@pytest.mark.parametrize("plan", PLANNERS)
+@pytest.mark.parametrize("cap", [True, False, 4.5, 4.0, "4", None, np.float64(4.0)],
+                         ids=["True", "False", "4.5", "4.0", "str", "None", "np.float64"])
+def test_non_integer_cap_rejected(plan, cap):
+    """A bool cap would plan at 1 or 0 and 4.5 at 4; neither is taken."""
+    with pytest.raises(TypeError, match="the qubit cap must be an integer"):
+        plan(build_cut_graph(chain3()), cap)
+
+
+@pytest.mark.parametrize("plan", PLANNERS)
+@pytest.mark.parametrize("circuit", [chain3(), CircuitIR(4, (GateApp("h", (0,)),))],
+                         ids=["chain3", "no_2q_gates"])
+@pytest.mark.parametrize("cap", [0, -3, np.int64(0)])
+def test_cap_below_one_is_infeasible_on_every_graph(plan, circuit, cap):
+    """A graph without nodes (no 2-qubit gate) passes every per-node cap
+    check, yet gets no plan whose ``max_qubits`` is below 1."""
+    with pytest.raises(InfeasibleCapError, match=f"the qubit cap {cap} is below 1"):
+        plan(build_cut_graph(circuit), cap)
+
+
+@pytest.mark.parametrize("plan", PLANNERS)
+def test_numpy_integer_cap_is_valid(plan):
+    g = build_cut_graph(ising_chain(10, seed=8))
+    a, b = plan(g, np.int64(5)), plan(g, 5)
+    assert getattr(a, "clustering", a).assignment == getattr(b, "clustering", b).assignment
 
 
 def test_stage_metrics_json_keys():

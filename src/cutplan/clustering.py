@@ -643,6 +643,8 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
     is returned; the weighted order is deterministic and runs once.
     """
     _check_plan_args(max_qubits, order)
+    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral):
+        raise TypeError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     runs = restarts if order == "random" else 1

@@ -8,8 +8,7 @@ from .estimator import (EstimatorRun, ExactMoments, GateCut,
                         IncompatibleObservableError, NotDisconnectedError,
                         ShotAllocation, WireCut, allocate_shots, combine_means,
                         cut_estimate, cut_specs, exact_moments,
-                        partition_variants, plan_partitions,
-                        variant_distribution)
+                        plan_partitions, variant_distribution)
 from .experiment import (ExperimentConfig, ExperimentSummary, ring_circuit,
                          ring_cuts, variance_experiment)
 from .observable import (ObsFactor, ProductObservable, expectation_value,
@@ -25,7 +24,6 @@ __all__ = [
     "EstimatorRun", "ExactMoments", "GateCut", "IncompatibleObservableError",
     "NotDisconnectedError", "ShotAllocation", "WireCut", "allocate_shots",
     "combine_means", "cut_estimate", "cut_specs", "exact_moments",
-    "partition_variants",
     "plan_partitions", "variant_distribution",
     "ExperimentConfig", "ExperimentSummary", "ring_circuit", "ring_cuts",
     "variance_experiment",

@@ -76,30 +76,19 @@ class TermSide:
     post_gates: tuple[tuple[str, tuple[float, ...]], ...] = ()
 
     @cached_property
-    def matrices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """The 2x2 matrix of each of ``gates`` and of each of
-        ``post_gates``, in order, built once per side as read-only copies."""
-        def matrix(kind, params):
-            m = gate_matrix(GateApp(kind, (0,), params)).copy()
-            m.flags.writeable = False
-            return m
-
-        return (tuple(matrix(*g) for g in self.gates),
-                tuple(matrix(*g) for g in self.post_gates))
-
-    @cached_property
     def unitaries(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """``gates`` and ``post_gates`` each multiplied into one read-only
         2x2 matrix, built once per side; None where there are no gates."""
-        def product(matrices):
-            if not matrices:
+        def product(gates):
+            if not gates:
                 return None
-            u = reduce(lambda acc, m: m @ acc, matrices)
+            # a copy: ``gate_matrix`` hands out shared arrays
+            u = np.array(reduce(lambda acc, m: m @ acc, [
+                gate_matrix(GateApp(kind, (0,), params)) for kind, params in gates]))
             u.flags.writeable = False
             return u
 
-        before, after = self.matrices
-        return product(before), product(after)
+        return product(self.gates), product(self.post_gates)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ it builds outlives the call. It rejects a partition wider than
 ``MAX_QUBITS`` before building anything for it. Within a call, partitions
 with equal term shares and budget share one budget split, and partitions
 with equal width and factors share one value table. Only immutable
-constants carry work across calls: each term side's matrices
-(``TermSide.matrices``, ``TermSide.unitaries``) and each side table's
+constants carry work across calls: each term side's two matrices, before
+and after its measurement (``TermSide.unitaries``), and each side table's
 grouping of its terms, built at import (``DecompositionSpec.side_groups``).
 
 With that budget the estimator is unbiased and its standard deviation stays
@@ -56,7 +56,7 @@ import itertools
 import math
 import operator
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -326,8 +326,6 @@ _PRUNE_NORM = 1e-28
 _LEVEL_AMPLITUDES = 2 ** 16
 
 
-_Variant = tuple[tuple[int, ...], np.ndarray, np.ndarray]
-
 # a signed fork's keep and flip factors, in that order
 _KEEP_FLIP = np.array([1.0, -1.0])
 
@@ -351,13 +349,12 @@ def _fused(run: list[tuple[GateApp, tuple[int, ...]]]
     return ops
 
 
-def _walk(plan: PartitionPlan, specs: list[DecompositionSpec], choice: dict[int, int] | None
+def _walk(plan: PartitionPlan, specs: list[DecompositionSpec]
           ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int], list[Iterator[tuple[int, ...]]]]]:
     """Yield ``(batch, signs, bounds, variants)`` per batch of leaves, over
-    every choice of one term per cut site, or only ``choice`` (a term per
-    attached cut) when given. Leaf i is rows ``bounds[i]:bounds[i + 1]`` of
-    the batch and its signs; ``variants[i]`` are its variants, those whose
-    terms lie in its groups.
+    every choice of one term per cut site. Leaf i is rows
+    ``bounds[i]:bounds[i + 1]`` of the batch and its signs; ``variants[i]``
+    are its variants, those whose terms lie in its groups.
 
     A row is one branch of a variant: an unnormalised state, and the sign
     its signed measurements collected. The walk goes one cut site (level)
@@ -384,9 +381,7 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec], choice: dict[int,
     """
     n = plan.num_qubits
     runs = [_fused(run) for run in plan.runs]
-    sites = [(lq, specs[j].side_groups[side] if choice is None else
-              (((choice[j],), specs[j].terms[choice[j]].sides[side]),))
-             for j, side, lq in plan.sites]
+    sites = [(lq, specs[j].side_groups[side]) for j, side, lq in plan.sites]
     # variants are keyed in attached-cut order, the walk goes in site order;
     # when the two agree, the product's own tuple is the key
     site_cuts = [j for j, _, _ in plan.sites]
@@ -442,46 +437,18 @@ def _walk(plan: PartitionPlan, specs: list[DecompositionSpec], choice: dict[int,
     yield from descend(zero_state(n)[None], np.ones(1), [()], [0, 1], 0)
 
 
-def _leaf_arrays(plan: PartitionPlan, specs: list[DecompositionSpec],
-                 choice: dict[int, int] | None, values: np.ndarray
-                 ) -> Iterator[tuple[Iterator[tuple[int, ...]], np.ndarray, np.ndarray]]:
-    """``(variants, probs, vals)`` per leaf of ``_walk``: the probabilities
-    and signed values of its rows, flat. One pass per batch gives them, and
-    each leaf's arrays are views, shared by its variants and read-only."""
-    for batch, signs, bounds, variants in _walk(plan, specs, choice):
-        # flat, so that a leaf's rows are one slice of each
-        probs = (np.abs(batch) ** 2).reshape(-1)
-        vals = (signs[:, None] * values).reshape(-1)
-        probs.flags.writeable = vals.flags.writeable = False
-        for leaf, a, b in zip(variants, bounds, bounds[1:]):
-            rows = slice(a * values.size, b * values.size)
-            yield leaf, probs[rows], vals[rows]
-
-
-def partition_variants(plan: PartitionPlan, specs: list[DecompositionSpec],
-                       values: np.ndarray) -> Iterator[_Variant]:
-    """Exact ``(variant, probabilities, signed postprocessing values)`` of
-    every variant of one partition, streamed one variant at a time.
-
-    Probabilities and values list the outcomes of every branch, branch by
-    branch; a signed measurement forks a branch into its kept and its
-    flipped-sign projection, in that order, and branch norms carry the
-    outcome probabilities. Variants whose terms have equal sides at every
-    site of this partition come out together and share their arrays, which
-    must not be written to.
-    """
-    return ((variant, probs, vals)
-            for variants, probs, vals in _leaf_arrays(plan, specs, None, values)
-            for variant in variants)
-
-
 def variant_distribution(plan: PartitionPlan, specs: list[DecompositionSpec],
                          choice: dict[int, int],
                          values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact (probabilities, signed postprocessing values) of one variant,
-    ``choice`` mapping each attached cut to its term."""
-    ((_, probs, vals),) = _leaf_arrays(plan, specs, choice, values)
-    return probs, vals
+    ``choice`` mapping each attached cut to its term, branch by branch: the
+    one leaf of a walk over the specs narrowed to the chosen terms. It stays
+    only for the benchmark's traced replay (ROADMAP item 6(b))."""
+    narrowed = list(specs)
+    for j, t in choice.items():
+        narrowed[j] = replace(specs[j], terms=(specs[j].terms[t],))
+    ((batch, signs, _, _),) = _walk(plan, narrowed)
+    return (np.abs(batch) ** 2).reshape(-1), (signs[:, None] * values).reshape(-1)
 
 
 # -- estimator -----------------------------------------------------------------
@@ -564,7 +531,7 @@ def _leaves(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec],
             categories[id(values[c])] = _categories(values[c])
         cats = categories[id(values[c])]
         row_of, dists = {}, []  # each variant's leaf, a row of the collapsed leaves
-        for batch, signs, bounds, leaves in _walk(plan, specs, None):
+        for batch, signs, bounds, leaves in _walk(plan, specs):
             for row, leaf in enumerate(leaves, sum(map(len, dists))):
                 row_of.update(dict.fromkeys(leaf, row))
             dists.append(_collapse(batch, signs, bounds, cats))
@@ -611,6 +578,9 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     partition budget beyond a 64-bit count raises ``OverflowError`` before
     any walk.
     """
+    # ``bool`` is an ``int``, but ``True`` is no seed
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     plans, r, specs, allocation, values = _compile(circuit, cuts, obs, eps)

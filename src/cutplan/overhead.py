@@ -21,6 +21,7 @@ once per partition, and the cubic bound for measure-and-prepare cutting.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,8 +39,15 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and positive, got {eps}")
 
 
+def _check_integer(name: str, value) -> None:
+    # ``bool`` is an ``int``, but ``True`` is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_r(r: int) -> None:
-    if not r >= 1:
+    _check_integer("r", r)
+    if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
 
 
@@ -73,9 +81,9 @@ def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
     cuts and ``attached_tau``, ``tau_cut`` the products of tau over its cuts
     and over all cuts. The arithmetic is in linear space, so integer-valued
     budgets come out exact. An eps whose square overflows leaves a finite
-    overhead below one shot, so the budget is 1. Raises ``ValueError`` unless
-    r >= 1 and eps is finite and positive, and ``OverflowError`` when the
-    budget does not fit a float.
+    overhead below one shot, so the budget is 1. Raises ``TypeError`` unless r
+    is an integer, ``ValueError`` unless r >= 1 and eps is finite and
+    positive, and ``OverflowError`` when the budget does not fit a float.
     """
     _check_r(r)
     _check_eps(eps)
@@ -103,8 +111,8 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
     the ratio is at least 1/(2 ln(2/delta)), about 0.279 at delta = 1/3,
     however many partitions there are. An eps whose square overflows leaves
     a finite numerator below one shot, so the budget is 1. Raises
-    ``ValueError`` unless r >= 1, and ``OverflowError`` when the budget does
-    not fit a float.
+    ``TypeError`` unless r is an integer, ``ValueError`` unless r >= 1, and
+    ``OverflowError`` when the budget does not fit a float.
     """
     _check_r(r)
     _check_eps(eps)
@@ -120,10 +128,12 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
 def cubic_bound(r: int, d_prime: int, eps: float = 1.0) -> float:
     """Cubic measure-and-prepare bound, with d_prime the largest number of
     wire cuts on any single partition; an eps whose square overflows divides
-    the bound by eps twice. Raises ``ValueError`` unless r >= 1, and
+    the bound by eps twice. Raises ``TypeError`` unless r and d_prime are
+    integers, ``ValueError`` unless r >= 1 and d_prime >= 0, and
     ``OverflowError`` when the bound does not fit a float."""
     _check_r(r)
     _check_eps(eps)
+    _check_integer("d_prime", d_prime)
     if d_prime < 0:
         raise ValueError("d_prime must be >= 0")
     m = r * 8 ** d_prime
@@ -230,7 +240,8 @@ def build_report(clustering: "Clustering", graph: CutGraph,
     """Assemble the full overhead report for a clustering.
 
     Space/time edge counts rely on atomic edge kinds; merged edges (from
-    contracted graphs) contribute to the weights but to neither count.
+    contracted graphs) contribute to the weights but to neither count. A
+    node in no listed cluster raises ``ValueError``.
     """
     if eps is not None:
         _check_eps(eps)  # also when there is no partition to budget
@@ -239,7 +250,11 @@ def build_report(clustering: "Clustering", graph: CutGraph,
     ids = sorted(clustering.clusters)
     position = {c: k for k, c in enumerate(ids)}
     assignment = clustering.assignment
-    labels = [position[assignment[n]] for n in range(graph.num_nodes)]
+    try:
+        labels = [position[assignment[n]] for n in range(graph.num_nodes)]
+    except KeyError:
+        n = next(n for n in range(graph.num_nodes) if assignment.get(n) not in position)
+        raise ValueError(f"node {n} is in no listed cluster") from None
     s_w, s_hat, w_cut, hat_cut, cut = cut_sums(graph, labels)
     r = len(ids)
     ln_i, heavy = log_overheads(s_w, s_hat, hat_cut, range(r)) if r else ([], None)

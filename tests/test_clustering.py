@@ -364,6 +364,25 @@ def test_random_order_restarts_reproducible():
     assert a.lq <= weighted.lq + LN16 + 1e-9  # restarts stay in the same ballpark
 
 
+@pytest.mark.parametrize("order", ["weighted", "random"])
+@pytest.mark.parametrize("restarts", [2.5, True, np.float64(2.0), "2"],
+                         ids=["2.5", "True", "np.float64", "str"])
+def test_non_integer_restarts_rejected(order, restarts):
+    """2.5 planned once under the weighted order and died in numpy under
+    the random one; True ran as 1. Neither is taken, under either order."""
+    with pytest.raises(TypeError, match="^restarts must be an integer, got "):
+        run_pipeline(build_cut_graph(chain3()), 2, order=order, restarts=restarts)
+
+
+def test_numpy_integer_restarts_are_valid():
+    g = build_cut_graph(ising_chain(10, seed=8))
+    a = run_pipeline(g, 5, order="random", restarts=np.int64(2), seed=3)
+    b = run_pipeline(g, 5, order="random", restarts=2, seed=3)
+    assert a.clustering.assignment == b.clustering.assignment
+    with pytest.raises(ValueError, match="^restarts must be >= 1$"):
+        run_pipeline(g, 5, restarts=np.int64(0))
+
+
 PLANNERS = [run_pipeline, step1_modularity]
 
 

@@ -99,21 +99,14 @@ def test_registry_dispatch():
 
 
 def test_term_side_matrices_are_built_once_per_side():
-    """A side's gate matrices are cached: the same arrays on every read and
-    in every spec that shares the side, one read-only matrix per gate,
-    equal to ``gate_matrix`` of that gate."""
+    """A side's two matrices are cached: the same arrays on every read and
+    in every spec that shares the side, each read-only."""
     for spec, again in ((wire_cut_decomposition(), wire_cut_decomposition()),
                         (_spec("cx"), _spec("cx")), (_spec("rzz", 0.8), _spec("rzz", 0.3))):
         for term, term_again in zip(spec.terms, again.terms):
             for side, side_again in zip(term.sides, term_again.sides):
-                gates, post_gates = side.matrices
-                assert side.matrices is side_again.matrices
-                assert (len(gates), len(post_gates)) == (len(side.gates), len(side.post_gates))
-                for (kind, params), matrix in zip(side.gates + side.post_gates,
-                                                  gates + post_gates):
-                    want = gate_matrix(GateApp(kind, (0,), params))
-                    assert matrix.dtype == want.dtype and np.array_equal(matrix, want)
-                    assert not matrix.flags.writeable
+                assert side.unitaries is side.unitaries is side_again.unitaries
+                assert not any(u is not None and u.flags.writeable for u in side.unitaries)
 
 
 def test_term_coefficient_norms_consistent():
@@ -124,21 +117,21 @@ def test_term_coefficient_norms_consistent():
 
 def test_term_side_unitaries_and_spec_side_groups():
     """A side's ``unitaries`` are its gates and its post gates each
-    multiplied into one read-only 2x2 (None for none), cached per side; a
-    spec groups its terms by equal sides, per side, once."""
+    multiplied into one 2x2 (None for none), exactly the product of their
+    ``gate_matrix`` in order; a spec groups its terms by equal sides, per
+    side, once."""
     for spec in (wire_cut_decomposition(), _spec("cx"), _spec("rzz", 0.8)):
         for term in spec.terms:
             for side in term.sides:
-                assert side.unitaries is side.unitaries
-                for matrices, unitary in zip(side.matrices, side.unitaries):
-                    if not matrices:
+                for gates, unitary in zip((side.gates, side.post_gates), side.unitaries):
+                    if not gates:
                         assert unitary is None
                         continue
-                    want = np.eye(2)
-                    for matrix in matrices:
+                    matrices = [gate_matrix(GateApp(kind, (0,), params)) for kind, params in gates]
+                    want = matrices[0]
+                    for matrix in matrices[1:]:
                         want = matrix @ want
-                    assert np.max(np.abs(unitary - want)) <= 1e-15
-                    assert not unitary.flags.writeable
+                    assert unitary.dtype == want.dtype and np.array_equal(unitary, want)
         assert spec.side_groups is spec.side_groups
         for side, groups in enumerate(spec.side_groups):
             assert sorted(t for ts, _ in groups for t in ts) == list(range(len(spec.terms)))

@@ -11,8 +11,8 @@ from conftest import variant_distribution_oracle
 from cutplan.cutsim import (GateCut, IncompatibleObservableError,
                             NotDisconnectedError, TooManyQubitsError, WireCut,
                             allocate_shots, combine_means, cut_estimate, cut_specs,
-                            exact_moments, expectation_value, partition_variants,
-                            pauli_z_observable, plan_partitions, ring_circuit,
+                            exact_moments, expectation_value, pauli_z_observable,
+                            plan_partitions, ring_circuit,
                             ring_cuts, value_table, variant_distribution,
                             wire_cut_decomposition)
 from cutplan.cutsim import estimator
@@ -201,13 +201,12 @@ def test_allocations_are_fresh_dicts():
     (mixed_circuit(), [WireCut(1, 3), GateCut(4)], 4, 0.05),
 ], ids=["ring3", "ring4", "mixed"])
 def test_estimate_same_with_cold_and_warm_memos(circuit, cuts, width, eps):
-    """An estimate is the same whether its term sides' cached matrices
+    """An estimate is the same whether its term sides' cached unitaries
     start empty or were filled by the same call."""
     obs = pauli_z_observable(range(width))
     sides = {side for spec in cut_specs(circuit, cuts) for term in spec.terms
              for side in term.sides}
     for side in sides:
-        vars(side).pop("matrices", None)
         vars(side).pop("unitaries", None)
     cold = cut_estimate(circuit, cuts, obs, eps=eps, seed=7)
     assert all("unitaries" in vars(side) for side in sides)
@@ -300,6 +299,18 @@ def test_estimate_pinned_at_a_seed_wider_than_32_bits():
     assert run.estimate == 1.0023555555555557
 
 
+def _walk_leaves(plan, specs, values):
+    """``(variants, probs, vals)`` per leaf of the estimator's walk: the
+    leaf's variants and the probabilities and signed values of its rows,
+    flat, branch by branch."""
+    for batch, signs, bounds, variants in estimator._walk(plan, specs):
+        probs = (np.abs(batch) ** 2).reshape(-1)
+        vals = (signs[:, None] * values).reshape(-1)
+        for leaf, a, b in zip(variants, bounds, bounds[1:]):
+            rows = slice(a * values.size, b * values.size)
+            yield list(leaf), probs[rows], vals[rows]
+
+
 def _signed_distribution(probs, vals, values):
     """The sorted distinct values of ``values`` and ``-values``, and the
     distribution over them of a variant whose arrays are ``probs`` and
@@ -382,10 +393,9 @@ def test_variant_means_when_a_leafs_first_variant_is_unsampled(monkeypatch, seed
     plans, _ = plan_partitions(circuit, cuts, obs)
     specs = cut_specs(circuit, cuts)
     for c, (first, second) in moves.items():
-        leaves = list(partition_variants(plans[c], specs,
-                                         value_table(plans[c].factors, plans[c].num_qubits)))
-        k = [variant for variant, _, _ in leaves].index(first)
-        assert leaves[k + 1][0] == second and leaves[k + 1][1] is leaves[k][1]
+        values = value_table(plans[c].factors, plans[c].num_qubits)
+        assert [first, second] in [variants[:2] for variants, _, _ in
+                                   _walk_leaves(plans[c], specs, values)]
 
     def allocate(*args):
         allocation = allocate_shots(*args)
@@ -407,6 +417,12 @@ def test_negative_seed_rejected():
     # the seed is checked before the cuts are
     with pytest.raises(ValueError, match="non-negative"):
         cut_estimate(bell(), [], pauli_z_observable(range(2)), eps=0.1, seed=-1)
+
+
+def test_bool_seed_rejected():
+    """``True`` ran as seed 1; like a bool cut index, it is no integer."""
+    with pytest.raises(TypeError, match="^seed must be an integer, got True$"):
+        cut_estimate(bell(), [GateCut(1)], pauli_z_observable(range(2)), eps=0.1, seed=True)
 
 
 def test_rzz_cut_matches_exact_distribution():
@@ -467,23 +483,25 @@ def test_combination_matches_explicit_sum():
     (chain_with_rotations(), [GateCut(2)], 3),
 ], ids=["ring3", "ring4", "ring3-reversed", "mixed", "cx"])
 def test_partition_variants_match_oracle(circuit, cuts, width):
-    """Every variant of the streamed walk, and the one-variant walk, against
-    the one-variant-at-a-time oracle: same branch count, same numbers."""
+    """Every variant of every leaf of the walk, and the one-variant walk,
+    against the one-variant-at-a-time oracle: same branch count, same
+    numbers per basis state."""
     obs = pauli_z_observable(range(width))
     plans, _ = plan_partitions(circuit, cuts, obs)
     specs = cut_specs(circuit, cuts)
     for plan in plans.values():
         values = value_table(plan.factors, plan.num_qubits)
         seen = []
-        for variant, probs, vals in partition_variants(plan, specs, values):
-            choice = dict(zip(plan.attached_cuts, variant))
-            want_probs, want_vals = variant_distribution_oracle(plan, specs, choice, values)
-            for got_probs, got_vals in ((probs, vals),
-                                        variant_distribution(plan, specs, choice, values)):
-                assert got_probs.shape == want_probs.shape == got_vals.shape
-                assert np.max(np.abs(got_probs - want_probs)) <= 1e-12
-                assert np.max(np.abs(got_vals - want_vals)) <= 1e-12
-            seen.append(variant)
+        for variants, probs, vals in _walk_leaves(plan, specs, values):
+            for variant in variants:
+                choice = dict(zip(plan.attached_cuts, variant))
+                want_probs, want_vals = variant_distribution_oracle(plan, specs, choice, values)
+                for got_probs, got_vals in ((probs, vals),
+                                            variant_distribution(plan, specs, choice, values)):
+                    assert got_probs.shape == want_probs.shape == got_vals.shape
+                    assert np.max(np.abs(got_probs - want_probs)) <= 1e-12
+                    assert np.max(np.abs(got_vals - want_vals)) <= 1e-12
+            seen += variants
         terms = [range(len(specs[j].terms)) for j in plan.attached_cuts]
         assert sorted(seen) == list(itertools.product(*terms))
 
@@ -519,23 +537,19 @@ _DISTINCT_SIDES = {("time", 0): 4, ("time", 1): 6, ("space", 0): 5, ("space", 1)
 ], ids=["mixed", "ring3"])
 def test_terms_with_equal_sides_share_one_branch(circuit, cuts, width):
     """A partition simulates each distinct choice of term sides once: the
-    variants that differ only in terms with equal sides get the very same
-    arrays, and there are as many arrays as such choices."""
+    variants of one leaf have equal sides at every site, no two leaves do,
+    and there are as many leaves as such choices."""
     plans, _ = plan_partitions(circuit, cuts, pauli_z_observable(range(width)))
     specs = cut_specs(circuit, cuts)
     for plan in plans.values():
         values = value_table(plan.factors, plan.num_qubits)
         side_of = {j: side for j, side, _ in plan.sites}
-        shared = {}
-        for variant, probs, vals in partition_variants(plan, specs, values):
-            sides = tuple(specs[j].terms[t].sides[side_of[j]]
-                          for j, t in zip(plan.attached_cuts, variant))
-            first_probs, first_vals = shared.setdefault(sides, (probs, vals))
-            assert first_probs is probs and first_vals is vals
-            assert not probs.flags.writeable and not vals.flags.writeable
-        assert len(shared) == math.prod(_DISTINCT_SIDES[specs[j].cut_kind, side]
-                                        for j, side, _ in plan.sites)
-        assert len({id(probs) for probs, _ in shared.values()}) == len(shared)
+        leaves = [{tuple(specs[j].terms[t].sides[side_of[j]]
+                         for j, t in zip(plan.attached_cuts, variant)) for variant in variants}
+                  for variants, _, _ in _walk_leaves(plan, specs, values)]
+        assert all(len(sides) == 1 for sides in leaves)
+        assert len(set.union(*leaves)) == len(leaves) == math.prod(
+            _DISTINCT_SIDES[specs[j].cut_kind, side] for j, side, _ in plan.sites)
 
 
 def random_cut_circuit(seed):
@@ -650,15 +664,16 @@ def test_estimate_z_scores_follow_the_exact_moments(circuit, cuts, obs, eps):
 
 
 def _walk_output(circuit, cuts, eps):
-    """Every variant's arrays' bytes, keyed by partition and variant, the
-    exact moments and the repr of an estimate at a fixed seed."""
+    """Every variant's leaf arrays' bytes, keyed by partition and variant,
+    the exact moments and the repr of an estimate at a fixed seed."""
     obs = pauli_z_observable(range(circuit.num_qubits))
     plans, _ = plan_partitions(circuit, cuts, obs)
     specs = cut_specs(circuit, cuts)
     variants = {(c, variant): (probs.tobytes(), vals.tobytes())
                 for c, plan in sorted(plans.items())
-                for variant, probs, vals in partition_variants(
-                    plan, specs, value_table(plan.factors, plan.num_qubits))}
+                for leaf, probs, vals in _walk_leaves(
+                    plan, specs, value_table(plan.factors, plan.num_qubits))
+                for variant in leaf}
     return (variants, exact_moments(circuit, cuts, obs, eps),
             repr(cut_estimate(circuit, cuts, obs, eps, seed=7)))
 
@@ -711,8 +726,8 @@ _COLLAPSE_CASES = [
     "random2-graded", "random5-graded"])
 def test_collapse_onto_signed_values_is_exact(monkeypatch, circuit, cuts, obs, budget):
     """Every leaf's distribution over its partition's signed values, as
-    the estimator collapses it for sampling, is its variants'
-    ``partition_variants`` arrays summed per signed value, with every level
+    the estimator collapses it for sampling, is its walked rows'
+    probabilities summed per signed value, with every level
     expanded in one pass or each parent apart (a level budget of 0). Pauli
     Z products have two signed values, the graded observable more."""
     if budget is not None:
@@ -726,7 +741,8 @@ def test_collapse_onto_signed_values_is_exact(monkeypatch, circuit, cuts, obs, b
         for c, plan in plans.items()})
     for c, variants, shots, dists, signed in estimator._leaves(plans, specs, every, values):
         want = {variant: _signed_distribution(probs, vals, values[c])
-                for variant, probs, vals in partition_variants(plans[c], specs, values[c])}
+                for leaf, probs, vals in _walk_leaves(plans[c], specs, values[c])
+                for variant in leaf}
         assert variants == list(every.variants[c]) and shots == [1] * len(want)
         for variant, dist in zip(variants, dists):
             want_signed, want_dist = want[variant]

@@ -51,6 +51,8 @@ DELETED = [
     ("cutplan.cutsim.estimator", "_seed_words"),
     ("cutplan.cutsim.estimator", "_Words"),
     ("cutplan.cutsim.estimator", "_value_table"),
+    ("cutplan.cutsim.estimator", "partition_variants"),
+    ("cutplan.cutsim.estimator", "_leaf_arrays"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters
@@ -109,6 +111,7 @@ def test_dead_helpers_are_gone():
     assert not hasattr(cutplan.cutsim.ProductObservable, "qubits")
     assert "qubit_map" not in inspect.signature(cutplan.cutsim.value_table).parameters
     assert not hasattr(cutplan.cutsim.ObsFactor, "from_function")
+    assert not hasattr(cutplan.cutsim.TermSide, "matrices")
     plans, _ = cutplan.cutsim.plan_partitions(
         cutplan.CircuitIR(2, (cutplan.GateApp("cx", (0, 1)),)), [cutplan.cutsim.GateCut(0)],
         cutplan.cutsim.pauli_z_observable(range(2)))

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cutplan.clustering import Clustering
+from cutplan.clustering import Cluster, Clustering
 from cutplan.fixtures import ising_chain
 from cutplan.graph import CutGraph, CutKind, Node, build_cut_graph
 from cutplan.overhead import (build_report, cubic_bound, partition_shots,
@@ -109,6 +109,10 @@ def test_prior_bound_rejects_delta_outside_the_unit_interval(delta):
 def test_cubic_bound_rejects_negative_d_prime():
     with pytest.raises(ValueError, match="^d_prime must be >= 0$"):
         cubic_bound(2, -1)
+    # 2.5 gave 2.15e9 and True 1.1e5
+    for d_prime in (2.5, True):
+        with pytest.raises(TypeError, match=f"^d_prime must be an integer, got {d_prime}$"):
+            cubic_bound(2, d_prime)
 
 
 @pytest.mark.parametrize("name, bound, eps", [
@@ -159,6 +163,16 @@ def test_build_report_hand_counts():
     assert report.n_tot_time == 4
     assert report.l_tot == pytest.approx(4 * LN16)
     assert report.n_total == 52224
+
+
+@pytest.mark.parametrize("assignment, node", [({0: 0}, 1), ({0: 0, 1: 0, 2: 5}, 2)],
+                         ids=["unassigned", "unlisted"])
+def test_build_report_names_a_node_in_no_cluster(assignment, node):
+    """A clustering that leaves a node out, or assigns one to a cluster it
+    does not list, raised a bare ``KeyError``."""
+    clusters = {0: Cluster(frozenset({0}), frozenset({0}))}
+    with pytest.raises(ValueError, match=f"^node {node} is in no listed cluster$"):
+        build_report(Clustering(assignment, clusters, 3), build_cut_graph(ising_chain(6)))
 
 
 def test_report_ld_formula():
@@ -278,14 +292,18 @@ def test_partition_shots_rejects_eps(eps):
         partition_shots(2, 9.0, 1.5, 1.5, eps, 0)
 
 
-@pytest.mark.parametrize("r", [0, -3])
+@pytest.mark.parametrize("r", [0, -3, 2.5, True])
 @pytest.mark.parametrize("budget", [lambda r: partition_shots(r, 9.0, 1.5, 1.5, 0.1, 0),
                                     lambda r: prior_bound([4.0], eps=1.0, r=r),
                                     lambda r: cubic_bound(r, 1)],
                          ids=["partition_shots", "prior_bound", "cubic_bound"])
 def test_budgets_reject_r(budget, r):
     """Before this check, r=0 gave a zero budget, r=-3 a negative one and
-    ``cubic_bound`` a math domain error."""
+    ``cubic_bound`` a math domain error; r=2.5 and r=True gave budgets."""
+    if type(r) is not int:
+        with pytest.raises(TypeError, match=f"^r must be an integer, got {r}$"):
+            budget(r)
+        return
     with pytest.raises(ValueError, match=f"r must be >= 1, got {r}$"):
         budget(r)
 

@@ -148,8 +148,7 @@ class _Level:
         """The graph's own columns, shared, not copied."""
         return cls(graph.u, graph.v, graph.w, graph.w_hat, graph.mask)
 
-    def contracted(self, cluster_of: list[int],
-                   cmask: list[int]) -> tuple["_Level", np.ndarray]:
+    def contracted(self, cluster_of: list[int]) -> tuple["_Level", np.ndarray]:
         """Collapse each cluster into one node, numbered densely in ascending
         cluster id, with the same edge order and sums as ``graph.contract``.
         Returns the new level and the new node id of every node of this one."""
@@ -159,6 +158,9 @@ class _Level:
         label = new_id[cluster_of]
         u, v, w, w_hat, _ = merge_parallel_edges(label[self.u], label[self.v],
                                                  self.w, self.w_hat)
+        cmask = [0] * len(cluster_of)
+        for c, mask in zip(cluster_of, self.mask):
+            cmask[c] |= mask
         return _Level(u, v, w, w_hat, [cmask[c] for c in live]), label
 
     @cached_property
@@ -182,6 +184,13 @@ class _Level:
                 attached[b] += w
         return adj, [2.0 * s + x for s, x in zip(self_w, attached)]
 
+    @cached_property
+    def weighted_order(self) -> list[int]:
+        # descending k; the stable sort keeps equal k in ascending node id.
+        # One list per level, shared by the engines that run on it
+        k = self.adjacency[1]
+        return sorted(range(len(k)), key=k.__getitem__, reverse=True)
+
 
 class _LevelState:
     """Mutable clustering bookkeeping for one graph level.
@@ -197,19 +206,13 @@ class _LevelState:
         self.max_qubits = max_qubits
         n = len(level.mask)
         self.adj, self.k = level.adjacency
-        if cluster_of is None:
-            self.cluster_of = list(range(n))
-            self.members: list[set[int]] = [{i} for i in range(n)]
-            self.cmask = list(level.mask)
-            self.r = n
-        else:
-            self.cluster_of = cluster_of
-            self.members = [set() for _ in range(n)]
-            self.cmask = [0] * n
-            for i, c in enumerate(cluster_of):
-                self.members[c].add(i)
-                self.cmask[c] |= level.mask[i]
-            self.r = len(self.live())
+        self.cluster_of = list(range(n)) if cluster_of is None else cluster_of
+        self.members: list[set[int]] = [set() for _ in range(n)]
+        self.cmask = [0] * n
+        for i, c in enumerate(self.cluster_of):
+            self.members[c].add(i)
+            self.cmask[c] |= level.mask[i]
+        self.r = len(self.live())
 
     def live(self) -> list[int]:
         return [c for c, nodes in enumerate(self.members) if nodes]
@@ -228,15 +231,10 @@ class _LevelState:
         if not source:
             self.r -= 1
 
-    @cached_property
-    def _weighted_order(self) -> list[int]:
-        # descending k; the stable sort keeps equal k in ascending node id
-        return sorted(range(len(self.k)), key=self.k.__getitem__, reverse=True)
-
     def visit_order(self, order: str, rng: np.random.Generator | None) -> list[int]:
         if order == "random":
             return [int(i) for i in rng.permutation(len(self.k))]
-        return self._weighted_order
+        return self.level.weighted_order
 
     def _check_clusters(self) -> None:
         """Membership, qubit masks and the cap, recomputed from the nodes."""
@@ -540,7 +538,7 @@ def _run_levels(level: _Level, max_qubits: int, engine_cls, order: str,
         stats.merge(engine.stats)
         if level_moves == 0:
             break
-        level, label = level.contracted(engine.cluster_of, engine.cmask)
+        level, label = level.contracted(engine.cluster_of)
         node_map = label[node_map]
         cluster_of = None
     return [engine.cluster_of[cur] for cur in node_map.tolist()], stats
@@ -647,11 +645,10 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
         raise TypeError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    runs = restarts if order == "random" else 1
-    seeds = np.random.SeedSequence(seed).spawn(runs)
+    rngs = ([np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(restarts)]
+            if order == "random" else [None])
     best: PipelineResult | None = None
-    for seq in seeds:
-        rng = np.random.default_rng(seq) if order == "random" else None
+    for rng in rngs:
         result = _pipeline_once(graph, max_qubits, order, rng, audit)
         if best is None or result.lq < best.lq - EPS:
             best = result
@@ -665,10 +662,7 @@ def _pipeline_once(graph, max_qubits, order, rng, audit) -> PipelineResult:
 
     labels2, st2 = labels1, StageStats()
     if labels1:
-        cmask = [0] * len(labels1)
-        for i, c in enumerate(labels1):
-            cmask[c] |= atomic.mask[i]
-        supernodes, _ = atomic.contracted(labels1, cmask)
+        supernodes, _ = atomic.contracted(labels1)
         super_labels, st2 = _step2(supernodes, max_qubits, order, rng, audit,
                                    list(range(len(supernodes.mask))))
         labels2, st2b = _step2(atomic, max_qubits, order, rng, audit,

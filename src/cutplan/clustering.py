@@ -23,8 +23,10 @@ adds its last evaluation's count of cap-feasible candidates to
 ``gain_evals``. A stage-2 visit reads the global running ``lq``, R and
 residual cut weight, so a sweep that repeats the previous sweep's visit list
 ends once it has passed, without a move, the previous sweep's last mover,
-and adds the evaluations the previous sweep counted after that move. Plans,
-stage rows and ``gain_evals`` are those of sweeps that evaluate every node.
+and adds the evaluations the previous sweep counted after that move; it also
+skips a node none of whose neighbours lies in another cluster, which has no
+candidate. Plans, stage rows and ``gain_evals`` are those of sweeps that
+evaluate every node.
 
 All move acceptance uses an absolute tolerance of 1e-9 for comparing gains and
 log-overhead values.
@@ -370,19 +372,14 @@ class _ModularityEngine(_LevelState):
         self._audit_q = q
 
     def _checked_modularity(self) -> float:
-        """Modularity recomputed from the edges, after checking the clusters,
-        sigma and the boundary weight against the same recount."""
+        """Modularity recomputed from the edges, after checking the clusters
+        and each cluster's sigma against both its members' ``k`` and the
+        edges' recount of twice its intra weight plus its boundary weight."""
         self._check_clusters()
         level, cluster_of = self.level, self.cluster_of
-        k = [0.0] * len(cluster_of)
         intra = [0.0] * len(cluster_of)
         boundary = [0.0] * len(cluster_of)
         for a, b, w in zip(level.u, level.v, level.w):
-            if a == b:
-                k[a] += 2.0 * w
-            else:
-                k[a] += w
-                k[b] += w
             ca, cb = cluster_of[a], cluster_of[b]
             if ca == cb:
                 intra[ca] += w
@@ -392,11 +389,11 @@ class _ModularityEngine(_LevelState):
         m = sum(level.w)
         q = 0.0
         for c in self.live():
-            sig = sum(k[i] for i in self.members[c])
-            if not abs(self.sigma[c] - sig) < 1e-6:
+            if not abs(self.sigma[c] - sum(self.k[i] for i in self.members[c])) < 1e-6:
                 raise AuditError(f"sigma drift on cluster {c}")
             # attached weight decomposes into twice-intra plus boundary
-            if not abs(self.sigma[c] - 2.0 * intra[c] - boundary[c]) < 1e-6:
+            sig = 2.0 * intra[c] + boundary[c]
+            if not abs(self.sigma[c] - sig) < 1e-6:
                 raise AuditError(f"boundary drift on cluster {c}")
             q += intra[c] / m - (sig / (2.0 * m)) ** 2
         return q
@@ -414,6 +411,8 @@ class _LogOverheadEngine(_LevelState):
         #: the running worst log overhead; its start value opens the level's trace
         self.lq = ln_i[worst]
         self.stats = StageStats(lq_trace=[self.lq])
+        #: per node, its adjacency entries whose endpoint lies in another cluster
+        self.outside = self._outside_counts()
         #: the last sweep's visit list, the position after its last move and
         #: the evaluations it counted from there on
         self._last = (None, 0, 0)
@@ -426,7 +425,7 @@ class _LogOverheadEngine(_LevelState):
         cmask = self.cmask
         cluster_of = self.cluster_of
         s_w, s_hat = self.s_w, self.s_hat
-        adj = self.adj
+        adj, outside = self.adj, self.outside
         evals = 0
         # every node after the last sweep's last move saw the state this sweep
         # starts in; once a repeat of that list has reached that point without
@@ -439,6 +438,8 @@ class _LogOverheadEngine(_LevelState):
             if pos == stop and not moves:
                 evals += tail_evals
                 break
+            if not outside[i]:
+                continue  # every neighbour in its own cluster: no candidate
             c_from = cluster_of[i]
             nb_w: dict[int, float] = {}
             nb_hat: dict[int, float] = {}
@@ -448,8 +449,6 @@ class _LogOverheadEngine(_LevelState):
                 nb_hat[c] = nb_hat.get(c, 0.0) + w_hat
             in_w = nb_w.pop(c_from, 0.0)
             in_hat = nb_hat.pop(c_from, 0.0)
-            if not nb_w:
-                continue  # no neighbour in another cluster: no candidate
             kout_w = sum(nb_w.values())
             kout_hat = sum(nb_hat.values())
             mask_i = mask[i]
@@ -488,6 +487,14 @@ class _LogOverheadEngine(_LevelState):
                 s_w[best] += kout_w + in_w - 2.0 * to_w
                 s_hat[best] += kout_hat + in_hat - 2.0 * to_hat
                 self.hat_cut += in_hat - to_hat
+                for j, _, _ in adj[i]:
+                    c = cluster_of[j]
+                    if c == c_from:
+                        outside[i] += 1
+                        outside[j] += 1
+                    elif c == best:
+                        outside[i] -= 1
+                        outside[j] -= 1
                 self.relocate(i, c_from, best)
                 moves += 1
                 last_pos, evals_at_last = pos, evals
@@ -499,8 +506,19 @@ class _LogOverheadEngine(_LevelState):
         self.stats.gain_evals += evals
         return moves
 
+    def _outside_counts(self) -> list[int]:
+        cluster_of = self.cluster_of
+        outside = [0] * len(cluster_of)
+        for a, b in zip(self.level.u, self.level.v):
+            if cluster_of[a] != cluster_of[b]:
+                outside[a] += 1
+                outside[b] += 1
+        return outside
+
     def _check_state(self) -> None:
         self._check_clusters()
+        if self.outside != self._outside_counts():
+            raise AuditError("outside-neighbour counts differ from a recount")
         s_w, s_hat, _, hat_cut, _ = cut_sums(self.level, self.cluster_of)
         if not abs(self.hat_cut - hat_cut) < 1e-6:
             raise AuditError("residual cut weight drift")
@@ -645,6 +663,11 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
         raise TypeError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if seed is not None:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise TypeError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
     rngs = ([np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(restarts)]
             if order == "random" else [None])
     best: PipelineResult | None = None

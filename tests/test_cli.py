@@ -1,13 +1,14 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import types
 
 import pytest
 
-from cutplan.cli import main
+from cutplan.cli import _CI_PRESETS, _FULL_PRESETS, main
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.qasm import to_qasm
 
@@ -287,6 +288,26 @@ def test_verify_fails_when_the_exact_std_exceeds_eps(capsys, monkeypatch):
     assert "FAIL" in err and err.endswith("error: exact standard deviation exceeded eps\n")
 
 
+def test_verify_fails_when_the_observed_std_exceeds_eps(capsys, monkeypatch):
+    """Sampled errors spread wider than eps fail ``verify`` even when every
+    exact std is within it."""
+    import cutplan.cutsim.experiment as experiment
+
+    cut_estimate, offsets = experiment.cut_estimate, itertools.cycle((1.0, -1.0))
+
+    def spread_estimate(*args, **kwargs):
+        run = cut_estimate(*args, **kwargs)
+        return dataclasses.replace(run, estimate=run.estimate + next(offsets))
+
+    monkeypatch.setattr(experiment, "cut_estimate", spread_estimate)
+    code, out, err = run_cli(capsys, "verify", "--repetitions", "2", "--seed", "1")
+    assert code == 1
+    for preset in json.loads(out)["presets"]:
+        assert preset["std"] > preset["eps"] and not preset["within_bound"]
+        assert preset["exact_within_bound"]
+    assert "FAIL" in err and err.endswith("error: observed standard deviation exceeded eps\n")
+
+
 def test_verify_unwritable_errors_csv_fails_first(capsys, tmp_path, monkeypatch):
     import cutplan.cutsim
 
@@ -346,6 +367,22 @@ def test_bad_config_file_fails_cleanly(capsys, tmp_path, circuits_dir, content, 
     code, out, err = run_cli(capsys, command, *target, "--config", str(config))
     assert code == 1
     assert out == "" and err.startswith("error: bad config file: ")
+
+
+def test_config_store_true_flag_takes_only_a_json_bool(capsys, tmp_path):
+    """A JSON bool picks the presets as ``--full`` would; any other value is
+    refused, with the flag and the value named."""
+    config = tmp_path / "cfg.json"
+    for full, presets in ((False, _CI_PRESETS), (True, _FULL_PRESETS)):
+        config.write_text(json.dumps({"full": full}))
+        code, out, err = run_cli(capsys, "verify", "--repetitions", "2", "--config", str(config))
+        assert code == 0, err
+        assert len(json.loads(out)["presets"]) == len(presets)
+    for value in (1, "true"):
+        config.write_text(json.dumps({"full": value}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(config))
+        assert code == 1 and out == ""
+        assert err == f"error: bad config file: --full does not take {json.dumps(value)}\n"
 
 
 def test_config_values_in_every_form_the_flag_takes(capsys, tmp_path, circuits_dir):

@@ -383,6 +383,33 @@ def test_numpy_integer_restarts_are_valid():
         run_pipeline(g, 5, restarts=np.int64(0))
 
 
+@pytest.mark.parametrize("order", ["weighted", "random"])
+@pytest.mark.parametrize("seed", [True, 2.5, np.float64(1.0), "1"],
+                         ids=["True", "2.5", "np.float64", "str"])
+def test_non_integer_seed_rejected(order, seed):
+    """True planned as seed 1 and 2.5 died inside numpy. Neither is taken,
+    under either order."""
+    with pytest.raises(TypeError, match="^seed must be an integer, got "):
+        run_pipeline(build_cut_graph(ising_chain(10, seed=8)), 5, order=order,
+                     restarts=2, seed=seed)
+
+
+def test_numpy_integer_seed_is_valid():
+    g = build_cut_graph(ising_chain(10, seed=8))
+    a = run_pipeline(g, 5, order="random", restarts=2, seed=np.int64(3))
+    b = run_pipeline(g, 5, order="random", restarts=2, seed=3)
+    assert a.clustering.assignment == b.clustering.assignment
+    assert _rows(a) == _rows(b)
+
+
+@pytest.mark.parametrize("order", ["weighted", "random"])
+def test_negative_seed_rejected(order):
+    """Refused with the planner's own message, also under the weighted
+    order, which draws nothing."""
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        run_pipeline(build_cut_graph(ising_chain(10, seed=8)), 5, order=order, seed=-1)
+
+
 PLANNERS = [run_pipeline, step1_modularity]
 
 
@@ -580,3 +607,39 @@ def test_step2_audit_catches_corrupted_bookkeeping(corrupt):
     corrupt(engine)
     with pytest.raises(AuditError):
         engine._check_state()
+
+
+def _corrupt_cluster_count(engine):
+    engine.r += 1
+
+
+def _corrupt_k(engine):
+    """Node 0's ``k`` and its cluster's sigma raised alike: sigma still
+    sums its members' ``k``, but no longer the edges' weight."""
+    engine.k[0] += 1.0
+    engine.sigma[engine.cluster_of[0]] += 1.0
+
+
+def _corrupt_outside(engine):
+    engine.outside[0] += 1
+
+
+@pytest.mark.parametrize("engine_cls, corrupt, message", [
+    pytest.param(_ModularityEngine, _corrupt_cluster_count,
+                 "clusters do not partition the level's nodes", id="step1-cluster-count"),
+    pytest.param(_ModularityEngine, _corrupt_k, "boundary drift on cluster 0", id="step1-k"),
+    pytest.param(_LogOverheadEngine, _corrupt_cluster_count,
+                 "clusters do not partition the level's nodes", id="step2-cluster-count"),
+    pytest.param(_LogOverheadEngine, _corrupt_outside,
+                 "outside-neighbour counts differ from a recount", id="step2-outside"),
+])
+def test_audit_names_each_corrupted_count(engine_cls, corrupt, message):
+    """The audit raises that the corruptions above cannot reach, each on a
+    clean engine over a fresh level, so ``k`` is not shared with another
+    test."""
+    engine = engine_cls(_Level.from_graph(_two_blobs()), 3, [0, 0, 0, 3, 3, 3], audit=True)
+    check = engine._checked_modularity if engine_cls is _ModularityEngine else engine._check_state
+    check()
+    corrupt(engine)
+    with pytest.raises(AuditError, match=f"^{message}$"):
+        check()

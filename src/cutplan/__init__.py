@@ -12,7 +12,7 @@ from .clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
 from .graph import (CutGraph, CutKind, CutWeights, Edge, Node, WeightTable,
                     build_cut_graph, contract, to_dot, DEFAULT_WEIGHTS)
 from .overhead import (OverheadReport, build_report, cubic_bound,
-                       partition_shots, prior_bound)
+                       partition_budgets, partition_shots, prior_bound)
 from .qasm import (CircuitIR, DuplicateOperandError, GateApp, QasmError,
                    QasmSyntaxError, UndeclaredRegisterError,
                    UnsupportedGateError, parse_qasm, parse_qasm_file, to_qasm)
@@ -24,8 +24,8 @@ __all__ = [
     "PipelineResult", "StageMetrics", "run_pipeline", "step1_modularity",
     "CutGraph", "CutKind", "CutWeights", "Edge", "Node", "WeightTable",
     "build_cut_graph", "contract", "to_dot", "DEFAULT_WEIGHTS",
-    "OverheadReport", "build_report", "cubic_bound", "partition_shots",
-    "prior_bound",
+    "OverheadReport", "build_report", "cubic_bound", "partition_budgets",
+    "partition_shots", "prior_bound",
     "CircuitIR", "DuplicateOperandError", "GateApp", "QasmError",
     "QasmSyntaxError", "UndeclaredRegisterError", "UnsupportedGateError",
     "parse_qasm", "parse_qasm_file", "to_qasm",

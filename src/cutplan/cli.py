@@ -233,9 +233,15 @@ def cmd_verify(args) -> int:
 def cmd_fixtures(args) -> int:
     try:
         widths = [int(w) for w in args.widths.split(",")]
+    except ValueError:
+        return _fail(f"--widths must be comma-separated integers, got {args.widths!r}",
+                     EXIT_ERROR)
+    try:
+        # every circuit is built before the first file is written
+        circuits = [ising_chain(width, depth=args.depth, seed=args.seed or 0)
+                    for width in widths]
         os.makedirs(args.out, exist_ok=True)
-        for width in widths:
-            circuit = ising_chain(width, depth=args.depth, seed=args.seed or 0)
+        for circuit in circuits:
             path = os.path.join(args.out, f"{circuit.name}.qasm")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(to_qasm(circuit))

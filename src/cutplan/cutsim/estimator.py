@@ -6,7 +6,7 @@ term per cut selects a *variant* of every subcircuit it touches. The
 estimator:
 
 1. partitions the circuit and rejects cut sets that fail to disconnect it,
-2. budgets shots per partition with the planner's ``partition_shots``:
+2. budgets shots per partition with the planner's ``partition_budgets``:
    N_c = ceil(R * (prod_{E_c} kappa)^2 * prod_{D_c} tau / eps^2), where E_c
    are the cuts touching partition c and D_c the rest,
 3. splits N_c across partition variants proportionally to the product of
@@ -61,7 +61,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..overhead import partition_shots
+from ..overhead import partition_budgets
 from ..qasm import CircuitIR, GateApp
 from .decomp import (DecompositionSpec, MEAS_SIGNED,
                      gate_cut_decomposition, wire_cut_decomposition)
@@ -260,7 +260,8 @@ def cut_specs(circuit: CircuitIR, cuts: list) -> list[DecompositionSpec]:
 
 def allocate_shots(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec],
                    r: int, eps: float) -> ShotAllocation:
-    """Partition budgets and their proportional split across variants.
+    """Partition budgets (``partition_budgets``, cuts in index order) and
+    their proportional split across variants.
 
     Variant weights are prod |a_j(i_j)| / kappa_j over the attached cuts;
     counts are floored and the remainder goes to the largest fractional
@@ -270,17 +271,14 @@ def allocate_shots(plans: dict[int, PartitionPlan], specs: list[DecompositionSpe
     """
     n_c: dict[int, int] = {}
     variant_counts: dict[int, dict[tuple[int, ...], int]] = {}
-    tau_cut = math.prod(spec.tau for spec in specs)
-    kappas = [spec.kappa for spec in specs]
+    attached = {c: plans[c].attached_cuts for c in sorted(plans)}
+    budgets = partition_budgets(r, [(spec.kappa, spec.tau) for spec in specs],
+                                attached.values(), eps, attached.keys())
     # |a_j(i)| / kappa_j per cut and term
-    shares = [tuple(abs(t.coeff) / kappa for t in spec.terms)
-              for spec, kappa in zip(specs, kappas)]
+    shares = [tuple(abs(t.coeff) / spec.kappa for t in spec.terms) for spec in specs]
     splits = {}  # partitions with equal shares and budget split alike
-    for c, plan in sorted(plans.items()):
-        attached = plan.attached_cuts
-        budget = partition_shots(r, math.prod(kappas[j] ** 2 for j in attached),
-                                 math.prod(specs[j].tau for j in attached), tau_cut, eps, c)
-        key = (tuple(shares[j] for j in attached), budget)
+    for c, cuts in attached.items():
+        key = (tuple(shares[j] for j in cuts), budgets[c])
         if key not in splits:
             splits[key] = _split_budget(*key)
         n_c[c], variants, counts = splits[key]

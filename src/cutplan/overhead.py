@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING
@@ -35,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _check_eps(eps: float) -> None:
+    # ``bool`` is a ``numbers.Real``, but ``True`` is no standard deviation;
+    # ``float`` is listed first since the ABC's check is slow
+    if isinstance(eps, bool) or not isinstance(eps, (float, numbers.Real)):
+        raise TypeError(f"eps must be a real number, got {eps!r}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
 
@@ -51,23 +55,22 @@ def _check_r(r: int) -> None:
         raise ValueError(f"r must be >= 1, got {r}")
 
 
-def _finite(what: str, eps: float, compute) -> float:
-    """``compute()``, or an ``OverflowError`` naming ``what`` and ``eps``
-    when the result is not a finite float (an overflow, or an ``eps ** 2``
-    that underflows to zero)."""
+def _over_eps_sq(what: str, eps: float, numerator, factor: int = 1) -> float:
+    """``factor * (numerator() / eps^2)``, divided by eps twice when eps^2
+    overflows; an ``OverflowError`` names ``what`` and ``eps`` when the
+    numerator or the result is no finite float (or eps^2 underflows)."""
     try:
-        value = compute()
+        top = numerator()
+        try:
+            quotient = top / eps ** 2
+        except OverflowError:  # eps ** 2 is above every float
+            quotient = top / eps / eps
+        value = factor * quotient
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
         raise OverflowError(f"{what} at eps={eps} does not fit a float")
     return value
-
-
-def _square_overflows(eps: float) -> bool:
-    """Whether ``eps ** 2`` is above every float; a finite numerator over
-    it is then below 1."""
-    return math.isinf(eps * eps)
 
 
 def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
@@ -80,18 +83,28 @@ def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
     with ``attached_kappa_sq`` the product of kappa^2 over the partition's
     cuts and ``attached_tau``, ``tau_cut`` the products of tau over its cuts
     and over all cuts. The arithmetic is in linear space, so integer-valued
-    budgets come out exact. An eps whose square overflows leaves a finite
-    overhead below one shot, so the budget is 1. Raises ``TypeError`` unless r
-    is an integer, ``ValueError`` unless r >= 1 and eps is finite and
-    positive, and ``OverflowError`` when the budget does not fit a float.
+    budgets come out exact; a budget is at least one shot. Raises
+    ``TypeError`` unless r is an integer and eps a real number,
+    ``ValueError`` unless r >= 1 and eps is finite and positive, and
+    ``OverflowError`` when the budget does not fit a float.
     """
     _check_r(r)
     _check_eps(eps)
-    overhead = r * attached_kappa_sq * (tau_cut / attached_tau)
-    if _square_overflows(eps) and math.isfinite(overhead):
-        return 1
-    return math.ceil(_finite(f"the shot budget of partition {partition}", eps,
-                             lambda: overhead / eps ** 2))
+    return max(1, math.ceil(_over_eps_sq(
+        f"the shot budget of partition {partition}", eps,
+        lambda: r * attached_kappa_sq * (tau_cut / attached_tau))))
+
+
+def partition_budgets(r: int, cuts: Sequence[tuple[float, float]],
+                      attached: Iterable[Sequence[int]], eps: float,
+                      partitions: Iterable[int]) -> dict[int, int]:
+    """Each partition's ``partition_shots``, keyed by ``partitions``:
+    ``cuts[j]`` is cut j's ``(kappa, tau)``, ``attached`` holds each
+    partition's cut positions, and every product runs in the order given."""
+    tau_cut = math.prod(tau for _, tau in cuts)
+    return {c: partition_shots(r, math.prod(cuts[j][0] ** 2 for j in js),
+                               math.prod(cuts[j][1] for j in js), tau_cut, eps, c)
+            for c, js in zip(partitions, attached)}
 
 
 def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
@@ -109,39 +122,33 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
     Every term is positive and, since tau <= kappa^2, at most 1. A cluster
     attached to every cut (D_c empty) adds exactly 1, so whenever one exists
     the ratio is at least 1/(2 ln(2/delta)), about 0.279 at delta = 1/3,
-    however many partitions there are. An eps whose square overflows leaves
-    a finite numerator below one shot, so the budget is 1. Raises
-    ``TypeError`` unless r is an integer, ``ValueError`` unless r >= 1, and
-    ``OverflowError`` when the budget does not fit a float.
+    however many partitions there are. A budget is at least one shot.
+    Raises ``TypeError`` unless r is an integer and eps a real number,
+    ``ValueError`` unless r >= 1, and ``OverflowError`` when the budget
+    does not fit a float.
     """
     _check_r(r)
     _check_eps(eps)
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
     prod = math.prod(cut_kappas, start=1.0)
-    if _square_overflows(eps) and math.isfinite(r * 2.0 * prod * prod * math.log(2.0 / delta)):
-        return 1
-    return math.ceil(_finite("prior_bound", eps, lambda: r * (
-        2.0 * prod ** 2 * math.log(2.0 / delta) / eps ** 2)))
+    return max(1, math.ceil(_over_eps_sq(
+        "prior_bound", eps, lambda: 2.0 * prod ** 2 * math.log(2.0 / delta), factor=r)))
 
 
 def cubic_bound(r: int, d_prime: int, eps: float = 1.0) -> float:
     """Cubic measure-and-prepare bound, with d_prime the largest number of
-    wire cuts on any single partition; an eps whose square overflows divides
-    the bound by eps twice. Raises ``TypeError`` unless r and d_prime are
-    integers, ``ValueError`` unless r >= 1 and d_prime >= 0, and
-    ``OverflowError`` when the bound does not fit a float."""
+    wire cuts on any single partition. Raises ``TypeError`` unless r and
+    d_prime are integers and eps is real, ``ValueError`` unless r >= 1 and
+    d_prime >= 0, and ``OverflowError`` when the bound does not fit a float."""
     _check_r(r)
     _check_eps(eps)
     _check_integer("d_prime", d_prime)
     if d_prime < 0:
         raise ValueError("d_prime must be >= 0")
     m = r * 8 ** d_prime
-
-    def bound():
-        numerator = 2.0 * (math.e - 1.0) ** 2 * m ** 3 * math.log(6.0 * m)
-        return numerator / eps / eps if _square_overflows(eps) else numerator / eps ** 2
-    return _finite("cubic_bound", eps, bound)
+    return _over_eps_sq("cubic_bound", eps,
+                        lambda: 2.0 * (math.e - 1.0) ** 2 * m ** 3 * math.log(6.0 * m))
 
 
 def cut_sums(graph, labels: Sequence[int]):
@@ -264,17 +271,12 @@ def build_report(clustering: "Clustering", graph: CutGraph,
     n_heavy = Counter(kind for kind, pair in zip(kinds, ends) if heavy in pair)
     n_c = None
     if eps is not None:
-        kappa_sq = [1.0] * r  # prod kappa^2 over E_c
-        tau = [1.0] * r       # prod tau over E_c
-        tau_cut = 1.0
-        for e, pair in zip(cut, ends):
-            k_sq, t = graph.kappa[e] ** 2, graph.tau[e]
-            tau_cut *= t
+        attached = [[] for _ in ids]  # E_c, as positions in ``cut``
+        for p, pair in enumerate(ends):
             for k in pair:
-                kappa_sq[k] *= k_sq
-                tau[k] *= t
-        n_c = {c: partition_shots(r, kappa_sq[k], tau[k], tau_cut, eps, c)
-               for k, c in enumerate(ids)}
+                attached[k].append(p)
+        n_c = partition_budgets(r, [(graph.kappa[e], graph.tau[e]) for e in cut],
+                                attached, eps, ids)
     return OverheadReport(
         ln_i_c=dict(zip(ids, ln_i)),
         lq=0.0 if heavy is None else ln_i[heavy],

@@ -330,6 +330,19 @@ def test_fixtures_roundtrip(capsys, tmp_path):
     assert written == ["ising_n10.qasm", "ising_n8.qasm"]
 
 
+@pytest.mark.parametrize("widths, message", [
+    ("4,1", "need at least 2 qubits"),
+    ("4,x", "--widths must be comma-separated integers, got '4,x'"),
+])
+def test_fixtures_checks_every_width_before_writing(capsys, tmp_path, widths, message):
+    """``4,1`` wrote ``ising_n4.qasm`` before failing on width 1, and ``4,x``
+    failed with int()'s message, which names no flag."""
+    out_dir = tmp_path / "fx"
+    code, out, err = run_cli(capsys, "fixtures", "--out", str(out_dir), "--widths", widths)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_config_file_defaults(capsys, tmp_path, circuits_dir):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"max_qubits": 6, "format": "csv"}))

@@ -15,8 +15,12 @@ from cutplan.cutsim import (GateCut, IncompatibleObservableError,
                             plan_partitions, ring_circuit,
                             ring_cuts, value_table, variant_distribution,
                             wire_cut_decomposition)
+from cutplan.clustering import run_pipeline
 from cutplan.cutsim import estimator
 from cutplan.cutsim.observable import ObsFactor, ProductObservable
+from cutplan.fixtures import ising_chain
+from cutplan.graph import CutKind, build_cut_graph
+from cutplan.overhead import build_report
 from cutplan.qasm import CircuitIR, GateApp, parse_qasm
 
 
@@ -864,3 +868,56 @@ def test_ring_preset_allocations(partitions, eps, n_c):
     for counts in alloc.variants.values():
         assert list(counts) == list(itertools.product(range(6), repeat=2))
         assert set(counts.values()) == {n_c // 36}
+
+
+def _planned_cuts(graph, clustering):
+    """The plan's cut edges as estimator cuts, in edge order: a space edge
+    cuts its gate, a time edge its wire after the earlier node's gate."""
+    label = clustering.assignment
+    return [GateCut(graph.gate_id[u]) if kind is CutKind.SPACE
+            else WireCut(graph.mask[u].bit_length() - 1, graph.gate_id[u])
+            for u, v, kind in zip(graph.u, graph.v, graph.kind) if label[u] != label[v]]
+
+
+def _random_planner_circuit(seed):
+    """4–8 qubits, 6–15 gates: ``rx`` rotations and ``cx``/``cz``/
+    ``rzz(pi/2)`` gates, which the planner and the estimator price alike."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(4, 9))
+    gates = []
+    for _ in range(int(rng.integers(6, 16))):
+        if rng.random() < 0.3:
+            gates.append(GateApp("rx", (int(rng.integers(width)),), (rng.uniform(0, 6),)))
+            continue
+        a, b = (int(q) for q in rng.choice(width, 2, replace=False))
+        kind = str(rng.choice(["cx", "cz", "rzz"]))
+        gates.append(GateApp(kind, (a, b), (math.pi / 2,) if kind == "rzz" else ()))
+    return CircuitIR(width, tuple(gates), f"random{seed}")
+
+
+def test_planned_cuts_get_the_reports_budgets():
+    """On the planner's own cuts, ``allocate_shots`` gives the report's
+    budgets. Plans whose partitions the estimator counts differently (idle
+    wires) are skipped, as are plans of more than 6 cuts, since a partition's
+    budget split enumerates up to 8^k variants."""
+    cases = [(ising_chain(width, depth=depth, seed=width), cap)
+             for width in range(6, 28) for depth in (1, 2) for cap in range(2, 7)]
+    cases += [(_random_planner_circuit(seed), 2 + seed % 3) for seed in range(100)]
+    checked = 0
+    for circuit, cap in cases:
+        graph = build_cut_graph(circuit)
+        clustering = run_pipeline(graph, cap).clustering
+        report = build_report(clustering, graph, eps=0.1)
+        cuts = _planned_cuts(graph, clustering)
+        if len(cuts) > 6:
+            continue
+        try:
+            plans, r = plan_partitions(circuit, cuts, ProductObservable(()))
+        except NotDisconnectedError:
+            continue
+        if r != report.r:
+            continue
+        allocation = allocate_shots(plans, cut_specs(circuit, cuts), r, 0.1)
+        assert sorted(allocation.n_c.values()) == sorted(report.n_c.values()), circuit.name
+        checked += 1
+    assert checked >= 50

@@ -231,3 +231,22 @@ def test_connectivity_mirrors_gate_interaction():
     disjoint = build_cut_graph(CircuitIR(4, (GateApp("cx", (0, 1)),
                                              GateApp("cx", (2, 3)))))
     assert components(disjoint) == 2
+
+
+def test_dot_names_supernodes_and_labels_each_edge_kind():
+    """A contracted graph's nodes have no gate, so DOT names them ``n<id>``;
+    every edge label ends with the edge's kind, ``merged`` for the pair whose
+    constituents differ."""
+    circuit = CircuitIR(3, (GateApp("cx", (0, 1)), GateApp("cx", (1, 2)),
+                            GateApp("cx", (0, 1))))
+    g = build_cut_graph(circuit)
+    cl = Clustering.from_assignment(g, {0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 0}, 3)
+    h = contract(g, cl)
+    lines = to_dot(h).splitlines()
+    names = [line.split()[0] for line in lines if line.startswith("  ") and "--" not in line]
+    assert names == [f"n{i}" for i in range(h.num_nodes)] == ["n0", "n1"]
+    edges = [line.split(" [label=")[0].split(" -- ") + [line.rsplit(", ", 1)[1]]
+             for line in lines if "--" in line]
+    assert edges == [[f"  n{u}", f"n{v}", f'{kind.value}"];']
+                     for u, v, kind in zip(h.u, h.v, h.kind)]
+    assert [kind.value for kind in h.kind] == ["space", "merged", "space"]

@@ -1,13 +1,15 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from cutplan.clustering import Cluster, Clustering
-from cutplan.fixtures import ising_chain
+from cutplan.cutsim import GateCut, cut_estimate, exact_moments, pauli_z_observable
+from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, CutKind, Node, build_cut_graph
-from cutplan.overhead import (build_report, cubic_bound, partition_shots,
-                              prior_bound, segment_flags)
+from cutplan.overhead import (build_report, cubic_bound, partition_budgets,
+                              partition_shots, prior_bound, segment_flags)
 from cutplan.clustering import run_pipeline
 from cutplan.qasm import CircuitIR, GateApp
 
@@ -364,3 +366,52 @@ def test_ld_bounded_by_lq_minus_lnr():
     result = run_pipeline(g, 7)
     report = build_report(result.clustering, g)
     assert report.ld <= report.lq - math.log(report.r) + 1e-9
+
+
+_CHAIN3_Z = pauli_z_observable(range(3))
+
+# every entry point that makes a budget, as a function of eps
+_EPS_ENTRY_POINTS = {
+    "partition_shots": lambda eps: partition_shots(2, 9.0, 1.5, 2.25, eps, 0),
+    "prior_bound": lambda eps: prior_bound([3.0], eps=eps),
+    "cubic_bound": lambda eps: cubic_bound(2, 1, eps=eps),
+    "build_report": lambda eps: build_report(*reversed(three_partition_four_cut_graph()),
+                                             eps=eps).n_c,
+    "cut_estimate": lambda eps: cut_estimate(chain3(), [GateCut(0)], _CHAIN3_Z, eps).allocation,
+    "exact_moments": lambda eps: exact_moments(chain3(), [GateCut(0)], _CHAIN3_Z, eps).allocation,
+}
+
+
+@pytest.mark.parametrize("eps", [True, False, np.True_, "0.1", 0.1j, None], ids=repr)
+@pytest.mark.parametrize("entry", _EPS_ENTRY_POINTS.values(), ids=_EPS_ENTRY_POINTS)
+def test_budgets_reject_an_eps_that_is_no_real_number(entry, eps):
+    """``True`` ran as eps = 1: ``partition_shots`` gave 27, ``prior_bound``
+    33, and the estimator allocated {0: 18, 1: 18} on a cut chain."""
+    if eps is None and entry is _EPS_ENTRY_POINTS["build_report"]:
+        assert entry(eps) is None  # no eps: a report without budgets
+        return
+    with pytest.raises(TypeError, match=f"^eps must be a real number, got {re.escape(repr(eps))}$"):
+        entry(eps)
+
+
+@pytest.mark.parametrize("entry", _EPS_ENTRY_POINTS.values(), ids=_EPS_ENTRY_POINTS)
+def test_numpy_float_eps_is_valid(entry):
+    assert entry(np.float64(0.1)) == entry(0.1)
+
+
+def test_partition_budgets_take_products_in_the_order_given():
+    """Each budget is ``partition_shots`` of the products from 1 over the
+    partition's cuts in the order given, and over all cuts for tau."""
+    cuts = [(1.1, 1.3), (3.0, 5.0), (2.0, 4.0 / 3.0), (0.7, 1.9)]
+    attached = [[3, 0, 2], [], [1, 2]]
+    got = partition_budgets(3, cuts, attached, 1e-3, [5, 2, 9])
+    tau_cut = ((1.3 * 5.0) * (4.0 / 3.0)) * 1.9
+    assert list(got) == [5, 2, 9]
+    assert got == {
+        5: partition_shots(3, ((0.7 ** 2) * 1.1 ** 2) * 2.0 ** 2, (1.9 * 1.3) * (4.0 / 3.0),
+                           tau_cut, 1e-3, 5),
+        2: partition_shots(3, 1.0, 1.0, tau_cut, 1e-3, 2),
+        9: partition_shots(3, 3.0 ** 2 * 2.0 ** 2, 5.0 * (4.0 / 3.0), tau_cut, 1e-3, 9),
+    }
+    with pytest.raises(OverflowError, match="^the shot budget of partition 5 at eps=1e-160 "):
+        partition_budgets(3, cuts, attached, 1e-160, [5, 2, 9])

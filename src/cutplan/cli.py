@@ -98,8 +98,6 @@ def _run_file(path: str, args) -> tuple[PipelineResult, object, object]:
 
 
 def cmd_partition(args) -> int:
-    if args.max_qubits < 1:
-        return _fail(f"infeasible qubit cap {args.max_qubits}", EXIT_INFEASIBLE)
     try:
         result, report, graph = _run_file(args.file, args)
     except InfeasibleCapError as exc:
@@ -157,8 +155,6 @@ def _bench_row(path: str, args) -> dict:
 
 
 def cmd_bench(args) -> int:
-    if args.max_qubits < 1:
-        return _fail(f"infeasible qubit cap {args.max_qubits}", EXIT_INFEASIBLE)
     if args.jobs is not None and args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}", EXIT_ERROR)
     try:
@@ -315,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         return _fail(f"--seed must not be negative, got {args.seed}", EXIT_ERROR)
+    if getattr(args, "max_qubits", 1) < 1:
+        return _fail(f"infeasible qubit cap {args.max_qubits}", EXIT_INFEASIBLE)
     return args.func(args)
 
 

@@ -13,9 +13,8 @@ from .experiment import (ExperimentConfig, ExperimentSummary, ring_circuit,
                          ring_cuts, variance_experiment)
 from .observable import (ObsFactor, ProductObservable, expectation_value,
                          pauli_z_observable, value_table)
-from .statevector import (MAX_QUBITS, TooManyQubitsError, apply_gate,
-                          basis_bits, gate_matrix, simulate_statevector,
-                          zero_state)
+from .statevector import (MAX_QUBITS, TooManyQubitsError, basis_bits,
+                          gate_matrix, simulate_statevector, zero_state)
 
 __all__ = [
     "DecompositionSpec", "Term", "TermSide", "gate_cut_decomposition",
@@ -29,6 +28,6 @@ __all__ = [
     "variance_experiment",
     "ObsFactor", "ProductObservable", "expectation_value",
     "pauli_z_observable", "value_table",
-    "MAX_QUBITS", "TooManyQubitsError", "apply_gate", "basis_bits",
+    "MAX_QUBITS", "TooManyQubitsError", "basis_bits",
     "gate_matrix", "simulate_statevector", "zero_state",
 ]

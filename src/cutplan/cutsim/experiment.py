@@ -16,10 +16,11 @@ with no sampling noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..overhead import _check_integer, _check_seed
 from ..qasm import CircuitIR, GateApp
 from .estimator import GateCut, cut_estimate, exact_moments
 from .observable import expectation_value, pauli_z_observable
@@ -87,24 +88,20 @@ class ExperimentSummary:
         return self.exact_std <= self.eps
 
     def to_json_dict(self) -> dict:
-        return {
-            "partitions": self.partitions,
-            "eps": self.eps,
-            "repetitions": self.repetitions,
-            "n_total": self.n_total,
-            "std": self.std,
-            "mean_error": self.mean_error,
-            "within_bound": self.within_bound,
-            "errors": list(self.errors),
-            "exact_std_over_eps": self.exact_std / self.eps,
-            "exact_within_bound": self.exact_within_bound,
-        }
+        payload = dict(asdict(self), within_bound=self.within_bound,
+                       exact_std_over_eps=self.exact_std / self.eps,
+                       exact_within_bound=self.exact_within_bound)
+        del payload["seed"], payload["exact_std"]
+        return payload
 
 
 def variance_experiment(config: ExperimentConfig) -> ExperimentSummary:
-    """Run the repetition loop and summarise the error distribution."""
+    """Run the repetition loop and summarise the error distribution. A non-integer
+    repetitions or seed raises ``TypeError``, repetitions < 2 or seed < 0 ``ValueError``."""
+    _check_integer("repetitions", config.repetitions)
     if config.repetitions < 2:
         raise ValueError("need at least two repetitions to measure a spread")
+    _check_seed(config.seed)
     cuts = ring_cuts(config.partitions)
     obs = pauli_z_observable(range(RING_QUBITS))
     errors, exact_vars = [], []

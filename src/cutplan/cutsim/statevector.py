@@ -123,11 +123,6 @@ def apply_matrix(states: np.ndarray, num_qubits: int, qubits: tuple[int, ...],
     return out.transpose(inverse).reshape(states.shape)
 
 
-def apply_gate(state: np.ndarray, num_qubits: int, gate: GateApp) -> np.ndarray:
-    """Apply one gate to one state (returns the new array)."""
-    return apply_matrix(state, num_qubits, gate.qubits, gate_matrix(gate))
-
-
 def project_qubit(states: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
     """Split every row into its ``qubit`` = 0 and ``qubit`` = 1 projections.
 
@@ -145,7 +140,7 @@ def simulate_statevector(circuit: CircuitIR) -> np.ndarray:
     """Exact final state of the circuit from |0...0>."""
     state = zero_state(circuit.num_qubits)
     for gate in circuit.gates:
-        state = apply_gate(state, circuit.num_qubits, gate)
+        state = apply_matrix(state, circuit.num_qubits, gate.qubits, gate_matrix(gate))
     return state
 
 

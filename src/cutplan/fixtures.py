@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .overhead import _check_integer, _check_seed
 from .qasm import CircuitIR, GateApp
 
 
 def ising_chain(width: int, depth: int = 1, seed: int = 0) -> CircuitIR:
-    """Chain circuit on ``width`` qubits with ``depth`` entangling layers."""
+    """Chain circuit on ``width`` >= 2 qubits with ``depth`` >= 1 entangling layers
+    from ``seed`` >= 0; a non-integer raises ``TypeError``, a value out of range ``ValueError``."""
+    _check_integer("width", width)
     if width < 2:
         raise ValueError("need at least 2 qubits")
+    _check_integer("depth", depth)
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
+    _check_seed(seed)
     rng = np.random.default_rng([seed, width, depth])
     gates = []  # (kind, qubits, params) per gate
     for _ in range(depth):

@@ -24,7 +24,7 @@ import math
 import numbers
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import count
 from typing import TYPE_CHECKING
 
@@ -49,6 +49,12 @@ def _check_integer(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_seed(seed) -> None:
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def _check_r(r: int) -> None:
     _check_integer("r", r)
     if r < 1:
@@ -59,12 +65,13 @@ def _over_eps_sq(what: str, eps: float, numerator, factor: int = 1) -> float:
     """``factor * (numerator() / eps^2)``, divided by eps twice when eps^2
     overflows; an ``OverflowError`` names ``what`` and ``eps`` when the
     numerator or the result is no finite float (or eps^2 underflows)."""
+    e = float(eps)  # where a float raises, a numpy scalar would only warn
     try:
         top = numerator()
         try:
-            quotient = top / eps ** 2
-        except OverflowError:  # eps ** 2 is above every float
-            quotient = top / eps / eps
+            quotient = top / e ** 2
+        except OverflowError:  # e ** 2 is above every float
+            quotient = top / e / e
         value = factor * quotient
     except (OverflowError, ZeroDivisionError):
         value = math.inf
@@ -223,23 +230,13 @@ class OverheadReport:
     flagged_clusters: tuple[int, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "lq": self.lq,
-            "ld": self.ld,
-            "r": self.r,
-            "n_space": self.n_space,
-            "n_time": self.n_time,
-            "l_tot": self.l_tot,
-            "n_c": None if self.n_c is None else [self.n_c[c] for c in sorted(self.n_c)],
-            "n_total": self.n_total,
-            "eps": self.eps,
-            "ln_i_c": {str(c): v for c, v in sorted(self.ln_i_c.items())},
-            "lq_log10": self.lq / math.log(10.0),
-            "ld_log10": self.ld / math.log(10.0),
-            "n_tot_space": self.n_tot_space,
-            "n_tot_time": self.n_tot_time,
-            "flagged_clusters": list(self.flagged_clusters),
-        }
+        payload = dict(asdict(self),
+                       n_c=None if self.n_c is None else [self.n_c[c] for c in sorted(self.n_c)],
+                       ln_i_c={str(c): v for c, v in sorted(self.ln_i_c.items())},
+                       lq_log10=self.lq / math.log(10.0), ld_log10=self.ld / math.log(10.0),
+                       flagged_clusters=list(self.flagged_clusters))
+        del payload["heavy_cluster"]
+        return payload
 
 
 def build_report(clustering: "Clustering", graph: CutGraph,

@@ -432,10 +432,8 @@ class _Parser:
         if depth > _MAX_INLINE_DEPTH:
             raise UnsupportedGateError(
                 f"gate '{kind}' exceeds inline depth (recursive definition?)")
-        if kind in self.gate_defs:
-            self._inline(self.gate_defs[kind], params, qubits, depth)
-            return
-        spec = STANDARD_GATES.get(kind)
+        gdef = self.gate_defs.get(kind)
+        spec = (len(gdef.qargs), len(gdef.params)) if gdef else STANDARD_GATES.get(kind)
         if spec is None:
             if kind in _WIDE_GATES:
                 raise UnsupportedGateError(
@@ -452,6 +450,9 @@ class _Parser:
         if n_params != len(params):
             raise QasmSyntaxError(
                 f"gate '{kind}' expects {n_params} parameter(s), got {len(params)}")
+        if gdef:
+            self._inline(gdef, params, qubits, depth)
+            return
         if self.measured:
             for q in qubits:
                 if q in self.measured:
@@ -468,14 +469,6 @@ class _Parser:
 
     def _inline(self, gdef: _GateDef, params: tuple[float, ...],
                 qubits: tuple[int, ...], depth: int) -> None:
-        if len(params) != len(gdef.params):
-            raise QasmSyntaxError(
-                f"gate '{gdef.name}' expects {len(gdef.params)} parameter(s), "
-                f"got {len(params)}")
-        if len(qubits) != len(gdef.qargs):
-            raise QasmSyntaxError(
-                f"gate '{gdef.name}' expects {len(gdef.qargs)} operand(s), "
-                f"got {len(qubits)}")
         if len(set(qubits)) != len(qubits):
             raise DuplicateOperandError(
                 f"gate '{gdef.name}' applied with repeated wire")

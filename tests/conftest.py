@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from cutplan.clustering import Clustering, _Level, _ModularityEngine
-from cutplan.cutsim import apply_gate, basis_bits, zero_state
+from cutplan.cutsim import basis_bits, gate_matrix, zero_state
 from cutplan.cutsim.decomp import MEAS_SIGNED
+from cutplan.cutsim.statevector import apply_matrix
 from cutplan.graph import CutGraph, CutKind, Edge, Node
 from cutplan.qasm import GateApp
 
@@ -230,7 +231,8 @@ def variant_distribution_oracle(plan, specs, choice: dict[int, int],
     branches = [(zero_state(n), 1.0)]
     for op in _variant_ops(plan, specs, choice):
         if op[0] == "gate":
-            branches = [(apply_gate(state, n, op[1]), sign) for state, sign in branches]
+            branches = [(apply_matrix(state, n, op[1].qubits, gate_matrix(op[1])), sign)
+                        for state, sign in branches]
         else:
             _, lq, signed = op
             if not signed:

@@ -225,6 +225,17 @@ def test_verify_ci_scale(capsys):
     assert len(walls) == 2 and all(w.endswith("s") and float(w[:-1]) >= 0 for w in walls)
 
 
+def test_verify_json_has_exactly_the_preset_keys(capsys):
+    """Each preset is its label plus the summary's JSON, no more and no fewer."""
+    code, out, _ = run_cli(capsys, "verify", "--repetitions", "2", "--seed", "1")
+    assert code == 0
+    presets = json.loads(out)["presets"]
+    assert [preset["label"] for preset in presets] == [1, 2]
+    assert all(set(preset) == {"label", "partitions", "eps", "repetitions", "n_total", "std",
+                               "mean_error", "within_bound", "errors", "exact_std_over_eps",
+                               "exact_within_bound"} for preset in presets)
+
+
 def test_verify_deterministic(capsys):
     outs = []
     for _ in range(2):

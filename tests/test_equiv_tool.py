@@ -1,9 +1,11 @@
 """Self-test of ``tools/equiv.py``: it finds no difference between a tree
 and itself, finds the differences that a known mutation makes in a copy,
-and records an estimate's allocation apart from what it sampled."""
+records an estimate's allocation apart from what it sampled, and counts
+every plan in its quality ledger."""
 
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -66,6 +68,16 @@ def _differing_parts(stdout):
     return parts
 
 
+def _ledgers(stdout):
+    """(better, worse, equal) per plan workload, from the ledger lines."""
+    counts = {}
+    for line in stdout.splitlines():
+        m = re.match(r"(\w+) ledger: .*; (\d+) better, (\d+) worse, (\d+) equal; ", line)
+        if m:
+            counts[m[1]] = tuple(map(int, m.groups()[1:]))
+    return counts
+
+
 def test_equiv_finds_no_difference_between_a_tree_and_itself():
     out = _equiv(ROOT, ROOT)
     assert out.returncode == 0, out.stdout + out.stderr
@@ -102,3 +114,28 @@ def test_equiv_records_the_allocation_apart_from_the_sampled_estimate():
     assert list(first) == list(second) == ["circuit", "allocation", "estimate"]
     assert first["allocation"] == second["allocation"]
     assert first["estimate"] != second["estimate"]
+
+
+def test_ledger_of_a_tree_against_itself_holds_every_plan():
+    out = _equiv(ROOT, ROOT)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert _ledgers(out.stdout) == {"plan_chain": (0, 0, 3), "plan_random": (0, 0, 1)}
+    assert re.search(r"^plan_chain ledger: lq_sum (\S+) -> \1; .*; largest rise none$",
+                     out.stdout, re.M), out.stdout
+
+
+def test_ledger_counts_every_plan_of_an_edited_copy(tmp_path):
+    """The random visit order moves some plans: every plan lands in exactly
+    one count, and a rise is named with its operation."""
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "cutplan" / "__init__.py", "a", encoding="utf-8") as fh:
+        fh.write(MUTATION)
+    out = _equiv(ROOT, str(tmp_path))
+    assert out.returncode == 1, out.stdout + out.stderr
+    ledgers = _ledgers(out.stdout)
+    assert {w: sum(counts) for w, counts in ledgers.items()} == {"plan_chain": 3, "plan_random": 1}
+    assert sum(better + worse for better, worse, _ in ledgers.values()) > 0, out.stdout
+    for line in out.stdout.splitlines():
+        if " ledger: " in line and not line.endswith("largest rise none"):
+            assert re.search(r"largest rise \+\S+ at op \d+$", line), line

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,30 @@ def test_summary_reports_the_largest_exact_std():
     payload = summary.to_json_dict()
     assert payload["exact_std_over_eps"] == max(stds) / 0.3
     assert payload["exact_within_bound"] is True
+
+
+SUMMARY_KEYS = {"partitions", "eps", "repetitions", "n_total", "std", "mean_error",
+                "within_bound", "errors", "exact_std_over_eps", "exact_within_bound"}
+
+
+def test_summary_json_has_exactly_the_summary_keys():
+    """The seed and the raw exact std stay out of the JSON; the exact std
+    enters as a share of eps."""
+    payload = variance_experiment(ExperimentConfig(eps=0.3, repetitions=2, seed=4)).to_json_dict()
+    assert set(payload) == SUMMARY_KEYS
+
+
+@pytest.mark.parametrize("config, error, message", [
+    (ExperimentConfig(repetitions=2.5), TypeError, "repetitions must be an integer, got 2.5"),
+    (ExperimentConfig(repetitions=True), TypeError, "repetitions must be an integer, got True"),
+    (ExperimentConfig(repetitions=2, seed=1.0), TypeError, "seed must be an integer, got 1.0"),
+    (ExperimentConfig(repetitions=2, seed=-1), ValueError, "seed must be >= 0"),
+], ids=["repetitions=2.5", "repetitions=True", "seed=1.0", "seed=-1"])
+def test_variance_experiment_names_a_bad_argument(config, error, message):
+    """numpy's messages (``expected non-negative integer``, ``'float' object
+    cannot be interpreted as an integer``) named no argument."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        variance_experiment(config)
 
 
 def test_ring_presets_reject_bad_input():

@@ -53,6 +53,7 @@ DELETED = [
     ("cutplan.cutsim.estimator", "_value_table"),
     ("cutplan.cutsim.estimator", "partition_variants"),
     ("cutplan.cutsim.estimator", "_leaf_arrays"),
+    ("cutplan.cutsim.statevector", "apply_gate"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters

@@ -1,6 +1,8 @@
 import math
+import re
 import warnings
 
+import numpy as np
 import pytest
 
 from cutplan.clustering import Clustering
@@ -55,6 +57,27 @@ def test_repeated_gate_counts(m):
     assert g.num_nodes == 2 * m
     assert sum(e.kind is CutKind.SPACE for e in g.edges) == m
     assert sum(e.kind is CutKind.TIME for e in g.edges) == 2 * (m - 1)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((2.5,), TypeError, "width must be an integer, got 2.5"),
+    ((True,), TypeError, "width must be an integer, got True"),
+    ((4, 1.5), TypeError, "depth must be an integer, got 1.5"),
+    ((4, True), TypeError, "depth must be an integer, got True"),
+    ((4, 1, 2.0), TypeError, "seed must be an integer, got 2.0"),
+    ((4, 1, -1), ValueError, "seed must be >= 0"),
+], ids=["width=2.5", "width=True", "depth=1.5", "depth=True", "seed=2.0", "seed=-1"])
+def test_ising_chain_names_a_bad_argument(args, error, message):
+    """numpy's messages (``seed must be integer``, ``expected non-negative
+    integer``) named the wrong argument or none; ``depth=True`` built one
+    layer."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        ising_chain(*args)
+
+
+def test_ising_chain_takes_numpy_integers():
+    a, b = ising_chain(6, 2, 3), ising_chain(np.int64(6), np.int32(2), np.uint8(3))
+    assert (a.name, a.kind, a.qubits, a.params) == (b.name, b.kind, b.qubits, b.params)
 
 
 def test_node_counts_general():

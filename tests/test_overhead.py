@@ -361,6 +361,21 @@ def test_report_json_schema_keys():
     assert isinstance(payload["n_c"], list)
 
 
+REPORT_KEYS = {"lq", "ld", "r", "n_space", "n_time", "l_tot", "n_c", "n_total", "eps",
+               "ln_i_c", "lq_log10", "ld_log10", "n_tot_space", "n_tot_time",
+               "flagged_clusters"}
+
+
+@pytest.mark.parametrize("eps", [0.5, None])
+def test_report_json_has_exactly_the_report_keys(eps):
+    """No more and no fewer keys, with or without budgets; no key names the
+    heavy cluster."""
+    g, cl = three_partition_four_cut_graph()
+    payload = build_report(cl, g, eps=eps).to_json_dict()
+    assert set(payload) == REPORT_KEYS
+    assert (payload["n_c"] is None) == (payload["n_total"] is None) == (eps is None)
+
+
 def test_ld_bounded_by_lq_minus_lnr():
     g = build_cut_graph(ising_chain(20, seed=3))
     result = run_pipeline(g, 7)
@@ -397,6 +412,28 @@ def test_budgets_reject_an_eps_that_is_no_real_number(entry, eps):
 @pytest.mark.parametrize("entry", _EPS_ENTRY_POINTS.values(), ids=_EPS_ENTRY_POINTS)
 def test_numpy_float_eps_is_valid(entry):
     assert entry(np.float64(0.1)) == entry(0.1)
+
+
+@pytest.mark.parametrize("eps", [1e200, 1e-200])
+@pytest.mark.parametrize("name", ["partition_shots", "prior_bound", "cubic_bound"])
+def test_numpy_eps_whose_square_leaves_the_floats_acts_as_a_float(name, eps):
+    """A numpy scalar eps whose square over- or underflows gives the float's
+    budget or its named ``OverflowError``. Squaring the scalar itself gave
+    ``inf`` or a zero divisor with a ``RuntimeWarning``, which this suite
+    turns into an error."""
+    entry = _EPS_ENTRY_POINTS[name]
+    try:
+        expected = entry(eps)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(exc))}$"):
+            entry(np.float64(eps))
+    else:
+        assert entry(np.float64(eps)) == expected
+
+
+def test_an_overflow_names_eps_as_given():
+    with pytest.raises(OverflowError, match="^prior_bound at eps=1 does not fit a float$"):
+        prior_bound([1e200, 1e200], 1)
 
 
 def test_partition_budgets_take_products_in_the_order_given():

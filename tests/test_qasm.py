@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -183,6 +184,18 @@ def test_builtin_u_and_cx_read_as_u3_and_cx():
         parse_qasm("qreg q[1]; U(1) q[0];")
     with pytest.raises(UnsupportedGateError, match="unknown gate 'Cx'"):
         parse_qasm("qreg q[2]; Cx q[0],q[1];")
+
+
+@pytest.mark.parametrize("source, message", [
+    ("rz q[0], q[1];", "gate 'rz' expects 1 operand(s), got 2"),
+    ("gate g(a) x { rz(a) x; }\ng q[0], q[1];", "gate 'g' expects 1 operand(s), got 2"),
+    ("gate g(a) x { rz(a) x; }\ng(1, 2) q[0];", "gate 'g' expects 1 parameter(s), got 2"),
+])
+def test_standard_and_user_gates_check_their_shape_alike(source, message):
+    """Operands before parameters, in one message form; a user gate wrong in
+    both counts used to report its parameters first."""
+    with pytest.raises(QasmSyntaxError, match=f"{re.escape(message)}$"):
+        parse_qasm("qreg q[2];\n" + source)
 
 
 def test_undeclared_register():

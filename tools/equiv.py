@@ -21,7 +21,11 @@ per operation, the exact ``repr`` of
   the seed, so a change of the random stream shows in ``estimate`` alone.
 
 It prints, per workload, the operations whose records differ and the parts
-that differ, and exits 1 if any operation differs, else 0.
+that differ, and exits 1 if any operation differs, else 0. For each plan
+workload it then prints a quality ledger from the step-2 row's ``lq``, which
+exists even when the report overflows: each tree's ``lq_sum``, the plans
+whose ``lq`` fell, rose or held within 1e-9, and the largest rise with its
+operation index. A plan that failed counts as ``lq`` = inf.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +43,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("plan_chain", "plan_random", "verify_ring")
 REPORT_EPS = 0.03  # the benchmark's report eps
+LEDGER_TOL = 1e-9  # the planner's own tolerance on log overheads
 
 
 def _import_cutplan(tree: str):
@@ -70,13 +76,14 @@ def _circuit_text(circuit) -> str:
                  circuit.params))
 
 
-def _plan(cutplan, qasm: str, cap: int) -> dict[str, str]:
+def _plan(cutplan, qasm: str, cap: int) -> tuple[dict[str, str], float | None]:
+    """The plan's record and its step-2 ``lq``, None if it failed."""
     try:
         circuit = cutplan.parse_qasm(qasm)
         graph = cutplan.build_cut_graph(circuit)
         result = cutplan.run_pipeline(graph, cap)
     except Exception as exc:  # a failing plan is an outcome to compare
-        return {"plan": _error(exc)}
+        return {"plan": _error(exc)}, None
     record = {
         "circuit": _circuit_text(circuit),
         "graph": repr((graph.mask, graph.gate_id, graph.slot, graph.u, graph.v,
@@ -90,7 +97,7 @@ def _plan(cutplan, qasm: str, cap: int) -> dict[str, str]:
         record["report"] = json.dumps(report.to_json_dict(), sort_keys=True)
     except Exception as exc:  # e.g. a shot budget beyond a float
         record["report"] = _error(exc)
-    return record
+    return record, result.stages[-1].lq
 
 
 def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
@@ -116,20 +123,22 @@ def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
 
 def run_tree(tree: str, corpus_path: str, out_path: str) -> None:
     """Every operation of the corpora on ``tree``; writes each record's
-    parts as SHA-256 digests."""
+    parts as SHA-256 digests, and each plan's step-2 ``lq``."""
     cutplan, cutsim = _import_cutplan(tree)
     with open(corpus_path, encoding="utf-8") as fh:
         corpora = json.load(fh)
-    records = {}
+    records, lq = {}, {}
     for workload, items in corpora.items():
         if workload == "verify_ring":
-            ops = (_estimate(cutplan, cutsim, *item) for item in items)
+            ops = [_estimate(cutplan, cutsim, *item) for item in items]
         else:
-            ops = (_plan(cutplan, *item) for item in items)
+            plans = [_plan(cutplan, *item) for item in items]
+            ops = [record for record, _ in plans]
+            lq[workload] = [value for _, value in plans]
         records[workload] = [{part: hashlib.sha256(text.encode()).hexdigest()
                               for part, text in record.items()} for record in ops]
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh)
+        json.dump({"records": records, "lq": lq}, fh)
 
 
 def compare(old: dict, new: dict) -> int:
@@ -148,6 +157,20 @@ def compare(old: dict, new: dict) -> int:
             print(line)
         total += len(diffs)
     return total
+
+
+def ledger(workload: str, old_lq: list, new_lq: list) -> str:
+    """One plan workload's quality ledger line, from each tree's per-plan
+    ``lq`` (None for a failed plan)."""
+    old, new = ([math.inf if v is None else v for v in lq] for lq in (old_lq, new_lq))
+    pairs = list(zip(old, new))
+    better = sum(b < a - LEDGER_TOL for a, b in pairs)
+    rises = [(b - a, op) for op, (a, b) in enumerate(pairs) if b > a + LEDGER_TOL]
+    sums = (sum(v for v in lq if v is not None) for lq in (old_lq, new_lq))
+    largest = "+{:.6g} at op {}".format(*max(rises)) if rises else "none"
+    return (f"{workload} ledger: lq_sum {' -> '.join(f'{s:.6f}' for s in sums)}; "
+            f"{better} better, {len(rises)} worse, {len(pairs) - better - len(rises)} equal; "
+            f"largest rise {largest}")
 
 
 def main(argv: list[str]) -> int:
@@ -177,7 +200,10 @@ def main(argv: list[str]) -> int:
             subprocess.run([sys.executable, __file__, "--run", tree, corpus, out], check=True)
             with open(out, encoding="utf-8") as fh:
                 records.append(json.load(fh))
-    differ = compare(*records)
+    old, new = records
+    differ = compare(old["records"], new["records"])
+    for workload in old["lq"]:
+        print(ledger(workload, old["lq"][workload], new["lq"][workload]))
     print(f"seed {args.seed}: {differ} differing operation(s)")
     return 1 if differ else 0
 

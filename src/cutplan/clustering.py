@@ -35,13 +35,13 @@ log-overhead values.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from ._checks import _integer
 from .graph import CutGraph, mask_qubits, merge_parallel_edges, qubit_mask
 from .overhead import cut_sums, log_overheads
 
@@ -562,14 +562,15 @@ def _run_levels(level: _Level, max_qubits: int, engine_cls, order: str,
     return [engine.cluster_of[cur] for cur in node_map.tolist()], stats
 
 
-def _check_plan_args(max_qubits, order: str) -> None:
-    """The checks that every planner entry point makes on its arguments."""
-    if isinstance(max_qubits, bool) or not isinstance(max_qubits, numbers.Integral):
-        raise TypeError(f"the qubit cap must be an integer, got {max_qubits!r}")
+def _check_plan_args(max_qubits, order: str) -> int:
+    """The checks that every planner entry point makes on its arguments;
+    returns the cap as an ``int``."""
+    max_qubits = _integer("the qubit cap", max_qubits)
     if max_qubits < 1:
         raise InfeasibleCapError(f"the qubit cap {max_qubits} is below 1")
     if order not in ("weighted", "random"):
         raise ValueError(f"unknown order policy '{order}'")
+    return max_qubits
 
 
 def _step1(graph: CutGraph, max_qubits: int, order, rng, audit):
@@ -590,7 +591,7 @@ def step1_modularity(graph: CutGraph, max_qubits: int, order: str = "weighted",
                      audit: bool = False) -> Clustering:
     """Qubit-capped modularity clustering (stage 1). ``order="random"``
     without ``rng`` draws every sweep's order from one ``default_rng(0)``."""
-    _check_plan_args(max_qubits, order)
+    max_qubits = _check_plan_args(max_qubits, order)
     if order == "random" and rng is None:
         rng = np.random.default_rng(0)
     _, labels, _ = _step1(graph, max_qubits, order, rng, audit)
@@ -658,16 +659,10 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
     ``order="random"`` the best of ``restarts`` runs (by final worst overhead)
     is returned; the weighted order is deterministic and runs once.
     """
-    _check_plan_args(max_qubits, order)
-    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral):
-        raise TypeError(f"restarts must be an integer, got {restarts!r}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    max_qubits = _check_plan_args(max_qubits, order)
+    restarts = _integer("restarts", restarts, 1)
     if seed is not None:
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise TypeError(f"seed must be an integer, got {seed!r}")
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
+        seed = _integer("seed", seed, 0)
     rngs = ([np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(restarts)]
             if order == "random" else [None])
     best: PipelineResult | None = None

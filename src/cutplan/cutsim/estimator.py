@@ -61,6 +61,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .._checks import _integer
 from ..overhead import partition_budgets
 from ..qasm import CircuitIR, GateApp
 from .decomp import (DecompositionSpec, MEAS_SIGNED,
@@ -142,10 +143,8 @@ def _check_cuts(circuit: CircuitIR, cuts: list) -> None:
     for cut in cuts:
         if not isinstance(cut, (GateCut, WireCut)):
             raise TypeError(f"unknown cut placement {cut!r}")
-        # ``bool`` is an ``int``, but ``True`` is no index
-        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer))
-               for i in vars(cut).values()):
-            raise TypeError(f"cut {cut!r} has a non-integer index")
+        for field, i in vars(cut).items():
+            _integer(f"{field} of cut {cut!r}", i)
         if isinstance(cut, GateCut):
             if not 0 <= cut.gate_index < len(circuit.gates):
                 raise ValueError(f"gate index {cut.gate_index} out of range")
@@ -576,11 +575,7 @@ def cut_estimate(circuit: CircuitIR, cuts: list, obs: ProductObservable,
     partition budget beyond a 64-bit count raises ``OverflowError`` before
     any walk.
     """
-    # ``bool`` is an ``int``, but ``True`` is no seed
-    if isinstance(seed, bool):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    if operator.index(seed) < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = _integer("seed", seed, 0)
     plans, r, specs, allocation, values = _compile(circuit, cuts, obs, eps)
     for c, n in allocation.n_c.items():
         if n > _MAX_SHOTS:

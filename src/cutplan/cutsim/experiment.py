@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..overhead import _check_integer, _check_seed
+from .._checks import _integer
 from ..qasm import CircuitIR, GateApp
 from .estimator import GateCut, cut_estimate, exact_moments
 from .observable import expectation_value, pauli_z_observable
@@ -53,6 +53,7 @@ def ring_circuit(params: np.ndarray, name: str = "ring8") -> CircuitIR:
 
 def ring_cuts(partitions: int) -> list[GateCut]:
     """Gate cuts that split :func:`ring_circuit` into 3 or 4 partitions."""
+    partitions = _integer("partitions", partitions)
     if partitions not in _CUT_PAIRS:
         raise ValueError("only 3- and 4-partition presets exist")
     offset = 2 * RING_QUBITS  # entanglers follow the first rotation layer
@@ -97,17 +98,16 @@ class ExperimentSummary:
 
 def variance_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run the repetition loop and summarise the error distribution. A non-integer
-    repetitions or seed raises ``TypeError``, repetitions < 2 or seed < 0 ``ValueError``."""
-    _check_integer("repetitions", config.repetitions)
-    if config.repetitions < 2:
-        raise ValueError("need at least two repetitions to measure a spread")
-    _check_seed(config.seed)
-    cuts = ring_cuts(config.partitions)
+    count or seed raises ``TypeError``, repetitions < 2 or seed < 0 ``ValueError``."""
+    repetitions = _integer("repetitions", config.repetitions, 2)
+    seed = _integer("seed", config.seed, 0)
+    partitions = _integer("partitions", config.partitions)
+    cuts = ring_cuts(partitions)
     obs = pauli_z_observable(range(RING_QUBITS))
     errors, exact_vars = [], []
     n_total = None
-    for rep in range(config.repetitions):
-        rng = np.random.default_rng([config.seed, rep])
+    for rep in range(repetitions):
+        rng = np.random.default_rng([seed, rep])
         params = rng.uniform(0.0, 2.0 * np.pi, size=(2, RING_QUBITS, 2))
         circuit = ring_circuit(params)
         exact = expectation_value(circuit, obs)
@@ -117,13 +117,13 @@ def variance_experiment(config: ExperimentConfig) -> ExperimentSummary:
         n_total = run.shots_used
     arr = np.array(errors)
     return ExperimentSummary(
-        partitions=config.partitions,
-        eps=config.eps,
-        repetitions=config.repetitions,
+        partitions=partitions,
+        eps=float(config.eps),  # checked by every cut_estimate above
+        repetitions=repetitions,
         n_total=int(n_total),
         errors=tuple(float(e) for e in errors),
         std=float(arr.std(ddof=1)),
         mean_error=float(arr.mean()),
-        seed=config.seed,
+        seed=seed,
         exact_std=float(np.sqrt(max(exact_vars))),
     )

@@ -10,20 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .overhead import _check_integer, _check_seed
+from ._checks import _integer
 from .qasm import CircuitIR, GateApp
 
 
 def ising_chain(width: int, depth: int = 1, seed: int = 0) -> CircuitIR:
     """Chain circuit on ``width`` >= 2 qubits with ``depth`` >= 1 entangling layers
     from ``seed`` >= 0; a non-integer raises ``TypeError``, a value out of range ``ValueError``."""
-    _check_integer("width", width)
-    if width < 2:
-        raise ValueError("need at least 2 qubits")
-    _check_integer("depth", depth)
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    _check_seed(seed)
+    width = _integer("width", width, 2)
+    depth = _integer("depth", depth, 1)
+    seed = _integer("seed", seed, 0)
     rng = np.random.default_rng([seed, width, depth])
     gates = []  # (kind, qubits, params) per gate
     for _ in range(depth):

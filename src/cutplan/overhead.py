@@ -21,44 +21,17 @@ once per partition, and the cubic bound for measure-and-prepare cutting.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from itertools import count
 from typing import TYPE_CHECKING
 
+from ._checks import _check_eps, _integer
 from .graph import CutGraph, CutKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from .clustering import Clustering
-
-
-def _check_eps(eps: float) -> None:
-    # ``bool`` is a ``numbers.Real``, but ``True`` is no standard deviation;
-    # ``float`` is listed first since the ABC's check is slow
-    if isinstance(eps, bool) or not isinstance(eps, (float, numbers.Real)):
-        raise TypeError(f"eps must be a real number, got {eps!r}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-
-
-def _check_integer(name: str, value) -> None:
-    # ``bool`` is an ``int``, but ``True`` is no count
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_seed(seed) -> None:
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-
-
-def _check_r(r: int) -> None:
-    _check_integer("r", r)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
 
 
 def _over_eps_sq(what: str, eps: float, numerator, factor: int = 1) -> float:
@@ -95,7 +68,7 @@ def partition_shots(r: int, attached_kappa_sq: float, attached_tau: float,
     ``ValueError`` unless r >= 1 and eps is finite and positive, and
     ``OverflowError`` when the budget does not fit a float.
     """
-    _check_r(r)
+    r = _integer("r", r, 1)
     _check_eps(eps)
     return max(1, math.ceil(_over_eps_sq(
         f"the shot budget of partition {partition}", eps,
@@ -134,7 +107,7 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
     ``ValueError`` unless r >= 1, and ``OverflowError`` when the budget
     does not fit a float.
     """
-    _check_r(r)
+    r = _integer("r", r, 1)
     _check_eps(eps)
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
@@ -148,11 +121,9 @@ def cubic_bound(r: int, d_prime: int, eps: float = 1.0) -> float:
     wire cuts on any single partition. Raises ``TypeError`` unless r and
     d_prime are integers and eps is real, ``ValueError`` unless r >= 1 and
     d_prime >= 0, and ``OverflowError`` when the bound does not fit a float."""
-    _check_r(r)
+    r = _integer("r", r, 1)
     _check_eps(eps)
-    _check_integer("d_prime", d_prime)
-    if d_prime < 0:
-        raise ValueError("d_prime must be >= 0")
+    d_prime = _integer("d_prime", d_prime, 0)
     m = r * 8 ** d_prime
     return _over_eps_sq("cubic_bound", eps,
                         lambda: 2.0 * (math.e - 1.0) ** 2 * m ** 3 * math.log(6.0 * m))

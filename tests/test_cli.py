@@ -342,7 +342,7 @@ def test_fixtures_roundtrip(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("widths, message", [
-    ("4,1", "need at least 2 qubits"),
+    ("4,1", "width must be >= 2, got 1"),
     ("4,x", "--widths must be comma-separated integers, got '4,x'"),
 ])
 def test_fixtures_checks_every_width_before_writing(capsys, tmp_path, widths, message):
@@ -441,7 +441,7 @@ def test_bad_knob_values_fail_cleanly(capsys, tmp_path):
         code, out, err = run_cli(capsys, "fixtures", "--out", str(tmp_path / "fx"),
                                  "--depth", depth)
         assert code == 1 and out == ""
-        assert err == f"error: depth must be at least 1, got {depth}\n"
+        assert err == f"error: depth must be >= 1, got {depth}\n"
     for command in (("fixtures", "--out", str(tmp_path / "fx")), ("verify",)):
         code, out, err = run_cli(capsys, *command, "--seed", "-1")
         assert code == 1 and out == ""

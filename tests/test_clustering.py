@@ -379,7 +379,7 @@ def test_numpy_integer_restarts_are_valid():
     a = run_pipeline(g, 5, order="random", restarts=np.int64(2), seed=3)
     b = run_pipeline(g, 5, order="random", restarts=2, seed=3)
     assert a.clustering.assignment == b.clustering.assignment
-    with pytest.raises(ValueError, match="^restarts must be >= 1$"):
+    with pytest.raises(ValueError, match="^restarts must be >= 1, got 0$"):
         run_pipeline(g, 5, restarts=np.int64(0))
 
 
@@ -406,7 +406,7 @@ def test_numpy_integer_seed_is_valid():
 def test_negative_seed_rejected(order):
     """Refused with the planner's own message, also under the weighted
     order, which draws nothing."""
-    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         run_pipeline(build_cut_graph(ising_chain(10, seed=8)), 5, order=order, seed=-1)
 
 
@@ -444,6 +444,17 @@ def test_numpy_integer_cap_is_valid(plan):
     g = build_cut_graph(ising_chain(10, seed=8))
     a, b = plan(g, np.int64(5)), plan(g, 5)
     assert getattr(a, "clustering", a).assignment == getattr(b, "clustering", b).assignment
+
+
+@pytest.mark.parametrize("plan", PLANNERS)
+def test_numpy_integer_cap_gives_the_plain_json(plan):
+    """A numpy cap reached ``Clustering.max_qubits`` unconverted, and
+    ``json.dumps`` refused the clustering's JSON."""
+    g = build_cut_graph(ising_chain(10, seed=8))
+    a, b = plan(g, np.int64(5)), plan(g, 5)
+    assert type(getattr(a, "clustering", a).max_qubits) is int
+    assert (json.dumps(getattr(a, "clustering", a).to_json_dict())
+            == json.dumps(getattr(b, "clustering", b).to_json_dict()))
 
 
 def test_stage_metrics_json_keys():

@@ -95,7 +95,9 @@ def test_cut_validation():
                                  WireCut(0, 1.0), WireCut(0, np.True_)], ids=repr)
 def test_cut_indices_must_be_integers(cut):
     """A float or a bool is no gate or wire index, even where it equals one."""
-    with pytest.raises(TypeError, match=f"^cut {re.escape(repr(cut))} has a non-integer index$"):
+    field, value = next((k, v) for k, v in vars(cut).items() if type(v) is not int)
+    with pytest.raises(TypeError, match=f"^{field} of cut {re.escape(repr(cut))} must be "
+                                        f"an integer, got {re.escape(repr(value))}$"):
         plan_partitions(bell(), [cut], pauli_z_observable(range(2)))
 
 
@@ -416,10 +418,10 @@ def test_variant_means_when_a_leafs_first_variant_is_unsampled(monkeypatch, seed
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         cut_estimate(bell(), [GateCut(1)], pauli_z_observable(range(2)), eps=0.1, seed=-1)
     # the seed is checked before the cuts are
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         cut_estimate(bell(), [], pauli_z_observable(range(2)), eps=0.1, seed=-1)
 
 
@@ -427,6 +429,20 @@ def test_bool_seed_rejected():
     """``True`` ran as seed 1; like a bool cut index, it is no integer."""
     with pytest.raises(TypeError, match="^seed must be an integer, got True$"):
         cut_estimate(bell(), [GateCut(1)], pauli_z_observable(range(2)), eps=0.1, seed=True)
+
+
+@pytest.mark.parametrize("seed", [2.5, np.float64(1.0)], ids=repr)
+def test_non_integer_seed_rejected(seed):
+    """The message was int()'s, which names no argument."""
+    with pytest.raises(TypeError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        cut_estimate(bell(), [GateCut(1)], pauli_z_observable(range(2)), eps=0.1, seed=seed)
+
+
+def test_numpy_integer_seed_is_kept_as_an_int():
+    obs = pauli_z_observable(range(2))
+    run = cut_estimate(bell(), [GateCut(1)], obs, eps=0.1, seed=np.int64(3))
+    assert type(run.seed) is int
+    assert repr(run) == repr(cut_estimate(bell(), [GateCut(1)], obs, eps=0.1, seed=3))
 
 
 def test_rzz_cut_matches_exact_distribution():

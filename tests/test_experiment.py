@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -96,13 +97,30 @@ def test_summary_json_has_exactly_the_summary_keys():
     (ExperimentConfig(repetitions=2.5), TypeError, "repetitions must be an integer, got 2.5"),
     (ExperimentConfig(repetitions=True), TypeError, "repetitions must be an integer, got True"),
     (ExperimentConfig(repetitions=2, seed=1.0), TypeError, "seed must be an integer, got 1.0"),
-    (ExperimentConfig(repetitions=2, seed=-1), ValueError, "seed must be >= 0"),
-], ids=["repetitions=2.5", "repetitions=True", "seed=1.0", "seed=-1"])
+    (ExperimentConfig(repetitions=2, seed=-1), ValueError, "seed must be >= 0, got -1"),
+    (ExperimentConfig(partitions=3.0), TypeError, "partitions must be an integer, got 3.0"),
+], ids=["repetitions=2.5", "repetitions=True", "seed=1.0", "seed=-1", "partitions=3.0"])
 def test_variance_experiment_names_a_bad_argument(config, error, message):
     """numpy's messages (``expected non-negative integer``, ``'float' object
     cannot be interpreted as an integer``) named no argument."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         variance_experiment(config)
+
+
+def test_numpy_typed_config_gives_the_plain_json():
+    """numpy integers reached the summary unconverted, and a numpy eps made
+    ``within_bound`` a numpy bool: ``json.dumps`` refused either."""
+    plain = ExperimentConfig(partitions=3, eps=0.3, repetitions=2, seed=4)
+    typed = ExperimentConfig(partitions=np.int64(3), eps=np.float64(0.3),
+                             repetitions=np.int64(2), seed=np.int64(4))
+    assert (json.dumps(variance_experiment(typed).to_json_dict())
+            == json.dumps(variance_experiment(plain).to_json_dict()))
+
+
+def test_ring_cuts_reject_a_float_partition_count():
+    """3.0 gave the 3-partition cuts."""
+    with pytest.raises(TypeError, match="^partitions must be an integer, got 3.0$"):
+        ring_cuts(3.0)
 
 
 def test_ring_presets_reject_bad_input():

@@ -54,6 +54,9 @@ DELETED = [
     ("cutplan.cutsim.estimator", "partition_variants"),
     ("cutplan.cutsim.estimator", "_leaf_arrays"),
     ("cutplan.cutsim.statevector", "apply_gate"),
+    ("cutplan.overhead", "_check_integer"),
+    ("cutplan.overhead", "_check_seed"),
+    ("cutplan.overhead", "_check_r"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters

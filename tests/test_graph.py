@@ -65,7 +65,7 @@ def test_repeated_gate_counts(m):
     ((4, 1.5), TypeError, "depth must be an integer, got 1.5"),
     ((4, True), TypeError, "depth must be an integer, got True"),
     ((4, 1, 2.0), TypeError, "seed must be an integer, got 2.0"),
-    ((4, 1, -1), ValueError, "seed must be >= 0"),
+    ((4, 1, -1), ValueError, "seed must be >= 0, got -1"),
 ], ids=["width=2.5", "width=True", "depth=1.5", "depth=True", "seed=2.0", "seed=-1"])
 def test_ising_chain_names_a_bad_argument(args, error, message):
     """numpy's messages (``seed must be integer``, ``expected non-negative
@@ -78,6 +78,10 @@ def test_ising_chain_names_a_bad_argument(args, error, message):
 def test_ising_chain_takes_numpy_integers():
     a, b = ising_chain(6, 2, 3), ising_chain(np.int64(6), np.int32(2), np.uint8(3))
     assert (a.name, a.kind, a.qubits, a.params) == (b.name, b.kind, b.qubits, b.params)
+
+
+def test_ising_chain_width_is_a_plain_int():
+    assert type(ising_chain(np.int64(12)).num_qubits) is int
 
 
 def test_node_counts_general():

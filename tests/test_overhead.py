@@ -108,8 +108,13 @@ def test_prior_bound_rejects_delta_outside_the_unit_interval(delta):
         prior_bound([4.0], eps=1.0, delta=delta)
 
 
+def test_cubic_bound_takes_numpy_integers_as_ints():
+    """``m ** 3`` wrapped in int64: (2, 10) gave 0.0 with no warning."""
+    assert cubic_bound(np.int64(2), np.int64(10), 0.1) == cubic_bound(2, 10, 0.1)
+
+
 def test_cubic_bound_rejects_negative_d_prime():
-    with pytest.raises(ValueError, match="^d_prime must be >= 0$"):
+    with pytest.raises(ValueError, match="^d_prime must be >= 0, got -1$"):
         cubic_bound(2, -1)
     # 2.5 gave 2.15e9 and True 1.1e5
     for d_prime in (2.5, True):

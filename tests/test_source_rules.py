@@ -37,6 +37,29 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_integer_checks_live_in_one_module():
+    """``_checks._integer`` is the one integer check: no other module tests
+    for ``numbers.Integral``, ``np.integer`` or ``operator.index``."""
+    banned = {("numbers", "Integral"), ("np", "integer"), ("numpy", "integer"),
+              ("operator", "index")}
+    found = []
+    for path in _modules():
+        if os.path.relpath(path, PACKAGE) == "_checks.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {(node.value.id, node.attr)}
+            elif isinstance(node, ast.ImportFrom):
+                names = {(node.module, alias.name) for alias in node.names}
+            else:
+                continue
+            if names & banned:
+                found.append(f"{os.path.relpath(path, PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
 def test_no_module_level_caches():
     """No module keeps a process-wide memo such as ``functools.lru_cache``:
     what one call builds dies with it, and a call cannot depend on what an

@@ -24,7 +24,8 @@ import sys
 import time
 
 from . import __version__
-from .clustering import InfeasibleCapError, PipelineResult, run_pipeline
+from ._checks import _check_eps
+from .clustering import PipelineResult, run_pipeline
 from .fixtures import ising_chain
 from .graph import build_cut_graph, to_dot
 from .overhead import build_report
@@ -93,15 +94,15 @@ def _run_file(path: str, args) -> tuple[PipelineResult, object, object]:
     graph = build_cut_graph(circuit)
     result = run_pipeline(graph, args.max_qubits, order=args.order,
                           restarts=args.restarts, seed=args.seed)
-    report = build_report(result.clustering, graph, eps=args.eps)
+    # only the JSON output shows budgets
+    eps = args.eps if getattr(args, "format", None) == "json" else None
+    report = build_report(result.clustering, graph, eps=eps)
     return result, report, graph
 
 
 def cmd_partition(args) -> int:
     try:
         result, report, graph = _run_file(args.file, args)
-    except InfeasibleCapError as exc:
-        return _fail(f"infeasible qubit cap: {exc}", EXIT_INFEASIBLE)
     except (QasmError, OSError, ValueError, OverflowError) as exc:
         return _fail(str(exc), EXIT_ERROR)
 
@@ -313,6 +314,11 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"--seed must not be negative, got {args.seed}", EXIT_ERROR)
     if getattr(args, "max_qubits", 1) < 1:
         return _fail(f"infeasible qubit cap {args.max_qubits}", EXIT_INFEASIBLE)
+    if getattr(args, "eps", None) is not None:
+        try:
+            _check_eps(args.eps)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_ERROR)
     return args.func(args)
 
 

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from ._checks import _integer
-from .graph import CutGraph, mask_qubits, merge_parallel_edges, qubit_mask
+from .graph import CutGraph, collapse, mask_qubits, qubit_mask
 from .overhead import cut_sums, log_overheads
 
 EPS = 1e-9
@@ -151,19 +151,11 @@ class _Level:
         return cls(graph.u, graph.v, graph.w, graph.w_hat, graph.mask)
 
     def contracted(self, cluster_of: list[int]) -> tuple["_Level", np.ndarray]:
-        """Collapse each cluster into one node, numbered densely in ascending
-        cluster id, with the same edge order and sums as ``graph.contract``.
-        Returns the new level and the new node id of every node of this one."""
-        live = sorted(set(cluster_of))
-        new_id = np.zeros(len(cluster_of), dtype=np.int64)
-        new_id[live] = np.arange(len(live))
-        label = new_id[cluster_of]
-        u, v, w, w_hat, _ = merge_parallel_edges(label[self.u], label[self.v],
-                                                 self.w, self.w_hat)
-        cmask = [0] * len(cluster_of)
-        for c, mask in zip(cluster_of, self.mask):
-            cmask[c] |= mask
-        return _Level(u, v, w, w_hat, [cmask[c] for c in live]), label
+        """``graph.collapse`` of this level: the new level and the new node
+        id of every node of this one."""
+        (u, v, w, w_hat, _), mask, label = collapse(self.u, self.v, self.w, self.w_hat,
+                                                    self.mask, cluster_of)
+        return _Level(u, v, w, w_hat, mask), label
 
     @cached_property
     def adjacency(self) -> tuple[list[list[tuple[int, float, float]]], list[float]]:

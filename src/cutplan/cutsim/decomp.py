@@ -256,15 +256,8 @@ def _time_term_superop(term: Term) -> np.ndarray:
 
 def reconstruct_channel(spec: DecompositionSpec) -> np.ndarray:
     """Sum of coefficient-weighted term channels, as a superoperator matrix."""
-    if spec.cut_kind == "time":
-        total = np.zeros((4, 4), dtype=complex)
-        for term in spec.terms:
-            total += term.coeff * _time_term_superop(term)
-        return total
-    total = np.zeros((16, 16), dtype=complex)
-    for term in spec.terms:
-        total += term.coeff * _space_term_superop(term)
-    return total
+    superop = _time_term_superop if spec.cut_kind == "time" else _space_term_superop
+    return sum(term.coeff * superop(term) for term in spec.terms)
 
 
 def target_channel(spec: DecompositionSpec) -> np.ndarray:

@@ -13,6 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .._checks import _integer
 from ..qasm import CircuitIR
 from .statevector import basis_bits, simulate_statevector
 
@@ -29,6 +30,8 @@ class ObsFactor:
     table: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "qubits", tuple(
+            _integer("observable qubit", q) for q in self.qubits))
         if len(self.table) != 2 ** len(self.qubits):
             raise ValueError("table size must be 2**len(qubits)")
         if len(set(self.qubits)) != len(self.qubits):

@@ -264,6 +264,20 @@ def merge_parallel_edges(u, v, w, w_hat):
     return (keys // n).tolist(), (keys % n).tolist(), w_sum, hat_sum, slot.tolist()
 
 
+def collapse(u, v, w, w_hat, mask, cluster_of):
+    """Collapse each cluster (ids in ``cluster_of``, below the node count) into one node,
+    numbered densely in ascending cluster id. Returns ``merge_parallel_edges`` of the
+    relabelled edges, each new node's mask (its members' OR) and each old node's new id."""
+    live = sorted(set(cluster_of))
+    new_id = np.zeros(len(cluster_of), dtype=np.int64)
+    new_id[live] = np.arange(len(live))
+    label = new_id[cluster_of]
+    cmask = [0] * len(cluster_of)
+    for c, m in zip(cluster_of, mask):
+        cmask[c] |= m
+    return merge_parallel_edges(label[u], label[v], w, w_hat), [cmask[c] for c in live], label
+
+
 def contract(graph: CutGraph, clustering: "Clustering") -> CutGraph:
     """Collapse each cluster into a supernode, summing both edge weights.
 
@@ -273,12 +287,10 @@ def contract(graph: CutGraph, clustering: "Clustering") -> CutGraph:
     Supernode ids are dense, in ascending order of the cluster ids they came
     from.
     """
-    cluster_ids = sorted(clustering.clusters)
-    new_id = {c: i for i, c in enumerate(cluster_ids)}
-    assignment = clustering.assignment
-    label = [new_id[assignment[i]] for i in range(graph.num_nodes)]
-    u, v, w, w_hat, slot = merge_parallel_edges(
-        [label[a] for a in graph.u], [label[b] for b in graph.v], graph.w, graph.w_hat)
+    position = {c: i for i, c in enumerate(sorted(clustering.clusters))}
+    cluster_of = [position[clustering.assignment[i]] for i in range(graph.num_nodes)]
+    (u, v, w, w_hat, slot), mask, _ = collapse(graph.u, graph.v, graph.w, graph.w_hat,
+                                               graph.mask, cluster_of)
     kappa = [1.0] * len(u)
     tau = [1.0] * len(u)
     kinds: list[set[CutKind]] = [set() for _ in u]
@@ -286,11 +298,10 @@ def contract(graph: CutGraph, clustering: "Clustering") -> CutGraph:
         kappa[j] *= k
         tau[j] *= t
         kinds[j].add(kind)
-    n = len(cluster_ids)
+    n = len(mask)
     return CutGraph.from_columns(
-        [qubit_mask(clustering.clusters[c].qubits) for c in cluster_ids], [None] * n, [None] * n,
-        u, v, [ks.pop() if len(ks) == 1 else CutKind.MERGED for ks in kinds],
-        w, w_hat, kappa, tau)
+        mask, [None] * n, [None] * n, u, v,
+        [ks.pop() if len(ks) == 1 else CutKind.MERGED for ks in kinds], w, w_hat, kappa, tau)
 
 
 def to_dot(graph: CutGraph, clustering: "Clustering | None" = None) -> str:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from ._checks import _integer
+
 
 class QasmError(Exception):
     """Base class for all parse-time errors; ``line`` is 1-based, or None."""
@@ -44,7 +46,7 @@ class UnsupportedGateError(QasmError):
 
 
 class DuplicateOperandError(QasmError):
-    """A 2-qubit gate applied to the same wire twice."""
+    """A gate applied to the same wire twice."""
 
 
 class UndeclaredRegisterError(QasmError):
@@ -86,11 +88,13 @@ class CircuitIR:
         """A circuit from ``GateApp`` objects, each wire checked against
         ``num_qubits``."""
         gates = tuple(gates)
-        self.num_qubits, self.name = num_qubits, name
+        self.num_qubits = num_qubits = _integer("num_qubits", num_qubits, 0)
+        self.name = name
         self.kind, self.qubits, self.params = [], [], []
         for g in gates:
             for q in g.qubits:
-                if not 0 <= q < num_qubits:
+                # a plain int skips the check's call, which costs more than this loop
+                if not 0 <= (q if type(q) is int else _integer(f"{g.kind} wire", q)) < num_qubits:
                     raise QasmSyntaxError(
                         f"gate '{g.kind}' touches wire {q} outside register of size "
                         f"{num_qubits}")
@@ -450,6 +454,9 @@ class _Parser:
         if n_params != len(params):
             raise QasmSyntaxError(
                 f"gate '{kind}' expects {n_params} parameter(s), got {len(params)}")
+        if arity == 2 and qubits[0] == qubits[1] or arity > 2 and len(set(qubits)) < arity:
+            q = next(q for q in qubits if qubits.count(q) > 1)
+            raise DuplicateOperandError(f"gate '{kind}' applied twice to wire {q}")
         if gdef:
             self._inline(gdef, params, qubits, depth)
             return
@@ -461,17 +468,12 @@ class _Parser:
                         "(mid-circuit measurement is not supported)")
         if kind == "id" or kind == "u0":
             return
-        if arity == 2 and qubits[0] == qubits[1]:
-            raise DuplicateOperandError(f"gate '{kind}' applied twice to wire {qubits[0]}")
         self.kind.append(kind)
         self.qubits.append(qubits)
         self.params.append(params)
 
     def _inline(self, gdef: _GateDef, params: tuple[float, ...],
                 qubits: tuple[int, ...], depth: int) -> None:
-        if len(set(qubits)) != len(qubits):
-            raise DuplicateOperandError(
-                f"gate '{gdef.name}' applied with repeated wire")
         env = dict(zip(gdef.params, params))
         binding = dict(zip(gdef.qargs, qubits))
         for kind, texts, operands in gdef.body:

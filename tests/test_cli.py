@@ -106,6 +106,35 @@ def test_partition_extreme_eps_fails_cleanly(capsys, tmp_path, eps, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "dot"])
+def test_partition_formats_without_budgets_take_an_overflowing_eps(capsys, tmp_path, fmt):
+    """Only the JSON output shows shot budgets, so no other format builds
+    them, and a budget that overflows a float cannot fail it."""
+    path = tmp_path / "chain3.qasm"
+    path.write_text(to_qasm(chain3()))
+    plain = run_cli(capsys, "partition", str(path), "-D", "2", "--format", fmt)
+    code, out, err = run_cli(capsys, "partition", str(path), "-D", "2",
+                             "--format", fmt, "--eps", "1e-200")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == len(plain[1].splitlines()) > 1
+    assert out.splitlines()[0] == plain[1].splitlines()[0]
+    if fmt == "dot":
+        assert out == plain[1]
+
+
+def test_bench_takes_an_overflowing_eps(capsys, circuits_dir):
+    code, out, err = run_cli(capsys, "bench", str(circuits_dir), "-D", "2",
+                             "--eps", "1e-200", "--jobs", "1")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 3 and all(row["error"] == "" and row["lq"] for row in rows)
+
+
+def test_bench_rejects_a_bad_eps_before_any_file_runs(capsys, circuits_dir):
+    code, out, err = run_cli(capsys, "bench", str(circuits_dir), "--eps", "nan")
+    assert (code, out, err) == (1, "", "error: eps must be finite and positive, got nan\n")
+
+
 def test_partition_eps_whose_square_overflows(capsys, tmp_path):
     """At eps = 1e200, ``eps ** 2`` overflows and every partition's budget
     is below one shot: the plan succeeds with one shot per partition."""

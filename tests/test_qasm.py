@@ -198,6 +198,40 @@ def test_standard_and_user_gates_check_their_shape_alike(source, message):
         parse_qasm("qreg q[2];\n" + source)
 
 
+@pytest.mark.parametrize("source, message", [
+    ("gate g x, y { cx x,y; }\ng q[1], q[1];", "gate 'g' applied twice to wire 1"),
+    ("qreg r[3];\ngate g a, b, c { cx a,b; cx b,c; }\ng r[0], r[2], r[2];",
+     "gate 'g' applied twice to wire 4"),
+    ("cx q[1],q[1];", "gate 'cx' applied twice to wire 1"),
+])
+def test_standard_and_user_gates_name_a_repeated_wire_alike(source, message):
+    with pytest.raises(DuplicateOperandError, match=f"{re.escape(message)}$"):
+        parse_qasm("qreg q[2];\n" + source)
+
+
+def test_repeated_wire_is_reported_before_an_earlier_measurement():
+    """The operands are checked before anything is done with them."""
+    with pytest.raises(DuplicateOperandError, match="gate 'cx' applied twice to wire 0$"):
+        parse_qasm("qreg q[2]; creg c[2]; measure q[0] -> c[0]; cx q[0],q[0];")
+
+
+@pytest.mark.parametrize("num_qubits, gates, error, message", [
+    (2, (GateApp("cx", (True, 0)),), TypeError,
+     "cx wire must be an integer, got True"),
+    (2, (GateApp("h", (0.0,)),), TypeError, "h wire must be an integer, got 0.0"),
+    (2.0, (), TypeError, "num_qubits must be an integer, got 2.0"),
+    (-1, (), ValueError, "num_qubits must be >= 0, got -1"),
+], ids=["bool-wire", "float-wire", "float-width", "negative-width"])
+def test_circuit_ir_names_a_non_integer_wire_or_width(num_qubits, gates, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        CircuitIR(num_qubits, gates)
+
+
+def test_circuit_ir_width_is_a_plain_int():
+    ir = CircuitIR(np.int64(2), (GateApp("cx", (np.int64(0), 1)),))
+    assert type(ir.num_qubits) is int and ir.num_qubits == 2
+
+
 def test_undeclared_register():
     with pytest.raises(UndeclaredRegisterError):
         parse_qasm("qreg q[2]; cx q[0],p[1];")

@@ -60,6 +60,24 @@ def test_integer_checks_live_in_one_module():
     assert found == []
 
 
+def test_one_contraction():
+    """``graph.collapse`` is the one contraction: no other function of the
+    package calls ``merge_parallel_edges``."""
+    found = []
+    for path in _modules():
+        module = os.path.relpath(path, PACKAGE)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for func in ast.walk(tree):
+            if (isinstance(func, ast.FunctionDef)
+                    and (module, func.name) != ("graph.py", "collapse")
+                    and any(isinstance(node, ast.Call) and "merge_parallel_edges" in
+                            (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                            for node in ast.walk(func))):
+                found.append(f"{module}:{func.name}")
+    assert found == []
+
+
 def test_no_module_level_caches():
     """No module keeps a process-wide memo such as ``functools.lru_cache``:
     what one call builds dies with it, and a call cannot depend on what an

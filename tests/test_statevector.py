@@ -241,6 +241,17 @@ def test_factor_rejects_nan_inf_and_repeated_qubits(qubits, table, message):
         ObsFactor(qubits, table)
 
 
+def test_observable_qubits_are_integers():
+    """A float qubit used to pass ``cut_estimate`` and fail only in the
+    simulator's bit shifts; a numpy integer is kept as an ``int``."""
+    with pytest.raises(TypeError, match=r"^observable qubit must be an integer, got 0\.0$"):
+        pauli_z_observable([0.0])
+    with pytest.raises(TypeError, match="^observable qubit must be an integer, got True$"):
+        ObsFactor((True,), (1.0, -1.0))
+    (factor,) = pauli_z_observable([np.int64(1)]).factors
+    assert factor.qubits == (1,) and type(factor.qubits[0]) is int
+
+
 def test_gate_matrix_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="^no matrix for gate 'iswap'$"):
         gate_matrix(GateApp("iswap", (0, 1)))

@@ -14,6 +14,14 @@ clusters whenever doing so lowers the worst per-cluster log overhead
 subject to the same qubit cap. The number of clusters R is an output of the
 process, not an input.
 
+The wire partition is then scored as one more candidate: nodes with equal
+qubit masks share a cluster (on an atomic graph, one cluster per wire, every
+gate cut), which fits the cap because every node does. It is returned only
+when its worst log overhead is lower than the two-stage plan's by more than
+the tolerance, and on a tie the two-stage plan stays, so no plan is worse
+than the two-stage one. The step-2 row names the candidate returned and the
+wire partition's worst log overhead.
+
 Both move engines skip visits whose outcome is already known, and count
 them as if they had been made. A stage-1 visit reads only the clusters of its
 node and of its neighbours, with their ``sigma`` and qubit masks, so a node
@@ -36,7 +44,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -78,8 +86,13 @@ class Clustering:
         masks: dict[int, int] = {}
         mask = graph.mask
         for node, c in assignment.items():
-            members.setdefault(c, set()).add(node)
-            masks[c] = masks.get(c, 0) | mask[node]
+            group = members.get(c)
+            if group is None:  # no empty set built per node
+                members[c] = {node}
+                masks[c] = mask[node]
+            else:
+                group.add(node)
+                masks[c] |= mask[node]
         clusters = {c: Cluster(frozenset(nodes), mask_qubits(masks[c]))
                     for c, nodes in members.items()}
         return cls(dict(assignment), clusters, max_qubits)
@@ -620,10 +633,15 @@ class StageMetrics:
     wall_time_s: float
     gain_evals: int
     lq_trace: tuple[float, ...] = ()
+    #: the step-2 row only: the candidate returned, ``"stages"`` or
+    #: ``"wires"``, and the wire partition's worst log overhead
+    returned: str | None = None
+    wire_lq: float | None = None
 
     def to_json_dict(self) -> dict:
-        return dict(asdict(self), wall_time_s=round(self.wall_time_s, 4),
-                    lq_trace=list(self.lq_trace))
+        payload = dict(asdict(self), wall_time_s=round(self.wall_time_s, 4),
+                       lq_trace=list(self.lq_trace))
+        return {key: value for key, value in payload.items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -643,13 +661,17 @@ class PipelineResult:
 def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
                  restarts: int = 1, seed: int | None = None,
                  audit: bool = False) -> PipelineResult:
-    """Full partitioner: stage 1, contraction, stage 2, atomic refinement.
+    """Full partitioner: stage 1, contraction, stage 2, atomic refinement,
+    then the wire partition as one more candidate.
 
     Both stages run on the graph's ``_Level``, built once per run. The
     supernode merging of stage 2 cannot split stage-1 clusters, so a final
     stage-2 refinement on the atomic level polishes the boundary. With
     ``order="random"`` the best of ``restarts`` runs (by final worst overhead)
-    is returned; the weighted order is deterministic and runs once.
+    is kept; the weighted order is deterministic and runs once. The wire
+    partition, nodes with equal qubit masks in one cluster, is returned
+    instead when its worst log overhead is lower by more than ``EPS``, so no
+    plan is worse than the two-stage one; the step-2 row then scores it.
     """
     max_qubits = _check_plan_args(max_qubits, order)
     restarts = _integer("restarts", restarts, 1)
@@ -657,15 +679,28 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
         seed = _integer("seed", seed, 0)
     rngs = ([np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(restarts)]
             if order == "random" else [None])
-    best: PipelineResult | None = None
+    best = None
     for rng in rngs:
-        result = _pipeline_once(graph, max_qubits, order, rng, audit)
-        if best is None or result.lq < best.lq - EPS:
-            best = result
-    return best
+        labels, stages = _pipeline_once(graph, max_qubits, order, rng, audit)
+        if best is None or stages[-1].lq < best[1][-1].lq - EPS:
+            best = labels, stages
+    labels, (step1, step2) = best
+    # one cluster per wire fits the cap, since every node does (stage 1
+    # checked); the numbering is by first appearance, as for the stages
+    first: dict[int, int] = {}
+    wires = [first.setdefault(mask, len(first)) for mask in graph.mask]
+    wire_lq, wire_ld, wire_r = _score(graph, wires)
+    if wire_lq < step2.lq - EPS:
+        labels, step2 = wires, replace(step2, lq=wire_lq, ld=wire_ld, r=wire_r,
+                                       returned="wires", wire_lq=wire_lq)
+    else:
+        step2 = replace(step2, returned="stages", wire_lq=wire_lq)
+    clustering = Clustering.from_assignment(graph, dict(enumerate(labels)), max_qubits)
+    return PipelineResult(clustering=clustering, stages=(step1, step2))
 
 
-def _pipeline_once(graph, max_qubits, order, rng, audit) -> PipelineResult:
+def _pipeline_once(graph, max_qubits, order, rng, audit):
+    """One two-stage run: the final node labels and the two stage rows."""
     t0 = time.perf_counter()
     atomic, labels1, st1 = _step1(graph, max_qubits, order, rng, audit)
     t1 = time.perf_counter()
@@ -683,30 +718,31 @@ def _pipeline_once(graph, max_qubits, order, rng, audit) -> PipelineResult:
     # number the clusters by first appearance, i.e. by smallest member node id
     first: dict[int, int] = {}
     labels2 = [first.setdefault(c, len(first)) for c in labels2]
-    stages = (
-        _stage_metrics("step1", atomic, labels1, st1, t1 - t0),
-        _stage_metrics("step2", atomic, labels2, st2, t2 - t1),
-    )
-    clustering = Clustering.from_assignment(graph, dict(enumerate(labels2)), max_qubits)
-    return PipelineResult(clustering=clustering, stages=stages)
+    return labels2, (_stage_metrics("step1", atomic, labels1, st1, t1 - t0),
+                     _stage_metrics("step2", atomic, labels2, st2, t2 - t1))
+
+
+def _score(level, labels: list[int]) -> tuple[float, float, int]:
+    """``lq``, the worst log overhead, ``ld``, the attached cut weight of the
+    cluster attaining it, and ``R`` of the dense node labels ``labels``,
+    from the level's cut sums."""
+    clusters = sorted(set(labels))
+    if not clusters:
+        return 0.0, 0.0, 1  # a circuit with nothing to cut is one partition
+    s_w, s_hat, _, hat_cut, _ = cut_sums(level, labels)
+    ln_i, worst = log_overheads(s_w, s_hat, hat_cut, clusters)
+    return ln_i[worst], s_w[clusters[worst]], len(clusters)
 
 
 def _stage_metrics(name, level: _Level, labels: list[int], stats: StageStats,
                    elapsed) -> StageMetrics:
-    """A stage's row: its worst log overhead ``lq``, the attached cut weight
-    ``ld`` of the cluster attaining it and ``R``, from the level's cut sums
-    under the node labels ``labels``."""
-    clusters = sorted(set(labels))
-    lq = ld = 0.0
-    if clusters:
-        s_w, s_hat, _, hat_cut, _ = cut_sums(level, labels)
-        ln_i, worst = log_overheads(s_w, s_hat, hat_cut, clusters)
-        lq, ld = ln_i[worst], s_w[clusters[worst]]
+    """A stage's row, scored by ``_score`` under the node labels ``labels``."""
+    lq, ld, r = _score(level, labels)
     return StageMetrics(
         stage=name,
         lq=lq,
         ld=ld,
-        r=max(len(clusters), 1),  # a circuit with nothing to cut is one partition
+        r=r,
         moves=stats.moves,
         passes=stats.passes,
         wall_time_s=elapsed,

@@ -77,6 +77,15 @@ class GateApp:
                     f"gate '{self.kind}' parameter {value!r} is not a finite number")
 
 
+def _wire(kind: str, q, num_qubits: int) -> int:
+    """Wire ``q`` of a ``kind`` gate as an ``int`` below ``num_qubits``."""
+    q = _integer(f"{kind} wire", q)
+    if not 0 <= q < num_qubits:
+        raise QasmSyntaxError(
+            f"gate '{kind}' touches wire {q} outside register of size {num_qubits}")
+    return q
+
+
 class CircuitIR:
     """Gate-level circuit over ``num_qubits`` wires, stored as columns: per
     gate, in order, its ``kind``, ``qubits`` and ``params``. The parser, the
@@ -91,17 +100,22 @@ class CircuitIR:
         self.num_qubits = num_qubits = _integer("num_qubits", num_qubits, 0)
         self.name = name
         self.kind, self.qubits, self.params = [], [], []
+        rebuilt = False
         for g in gates:
-            for q in g.qubits:
-                # a plain int skips the check's call, which costs more than this loop
-                if not 0 <= (q if type(q) is int else _integer(f"{g.kind} wire", q)) < num_qubits:
-                    raise QasmSyntaxError(
-                        f"gate '{g.kind}' touches wire {q} outside register of size "
-                        f"{num_qubits}")
+            qubits = g.qubits
+            for q in qubits:
+                # a plain int in range skips the check's call, which costs
+                # more than this loop; a gate with another integer wire (a
+                # numpy one, say) is stored with plain ints
+                if type(q) is not int or not 0 <= q < num_qubits:
+                    qubits = tuple(_wire(g.kind, wire, num_qubits) for wire in qubits)
+                    rebuilt = True
+                    break
             self.kind.append(g.kind)
-            self.qubits.append(g.qubits)
+            self.qubits.append(qubits)
             self.params.append(g.params)
-        self.gates = gates  # fills the cached property
+        if not rebuilt:
+            self.gates = gates  # fills the cached property
 
     @classmethod
     def from_columns(cls, num_qubits: int, kind: list[str], qubits: list[tuple[int, ...]],

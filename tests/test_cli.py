@@ -10,9 +10,9 @@ import pytest
 
 from cutplan.cli import _CI_PRESETS, _FULL_PRESETS, main
 from cutplan.fixtures import chain3, ising_chain
-from cutplan.qasm import to_qasm
+from cutplan.qasm import CircuitIR, GateApp, to_qasm
 
-from conftest import best_feasible_log_overhead
+from conftest import best_feasible_log_overhead, max_log_overhead_oracle
 from cutplan.clustering import run_pipeline
 from cutplan.graph import build_cut_graph
 
@@ -90,6 +90,29 @@ def test_partition_json_optimal_on_chain3(capsys, tmp_path):
     assert step2["lq_trace"][-1] == pytest.approx(step2["lq"])
 
 
+@pytest.mark.parametrize("circuit, cap, returned", [
+    (chain3(), 2, "stages"),
+    # cap 1 keeps the two wires apart: the two-stage plan cuts the five
+    # gates and two wires (R 4, lq 12.25), the wire partition only the five
+    # gates (ln 2 + 5 ln 9 = 11.68)
+    (CircuitIR(2, tuple(GateApp("cx", (0, 1)) for _ in range(5))), 1, "wires"),
+])
+def test_partition_json_names_the_returned_candidate(capsys, tmp_path, circuit, cap, returned):
+    path = tmp_path / "c.qasm"
+    path.write_text(to_qasm(circuit))
+    code, out, _ = run_cli(capsys, "partition", str(path), "-D", str(cap), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    step1, step2 = payload["stages"]
+    assert "returned" not in step1 and "wire_lq" not in step1
+    assert step2["returned"] == returned
+    graph = build_cut_graph(circuit)
+    wires = dict(enumerate(graph.mask))
+    assert step2["wire_lq"] == pytest.approx(max_log_overhead_oracle(graph, wires), abs=1e-9)
+    assert (step2["lq"] == step2["wire_lq"]) == (returned == "wires")
+    assert payload["report"]["lq"] == step2["lq"]
+
+
 @pytest.mark.parametrize("eps, message", [
     ("1e-160", "shot budget of partition 0"),   # the budget exceeds the largest float
     ("1e-200", "shot budget of partition 0"),   # eps ** 2 underflows to zero
@@ -149,9 +172,10 @@ def test_partition_eps_whose_square_overflows(capsys, tmp_path):
 
 
 def test_partition_overflowing_budget_fails_cleanly(capsys, tmp_path):
-    """About 600 partitions: the overhead factor alone overflows a float."""
+    """48 partitions, one per wire, with a worst log overhead of 728 nats:
+    the overhead factor alone, e^728, overflows a float."""
     path = tmp_path / "wide.qasm"
-    path.write_text(to_qasm(ising_chain(40, depth=16, seed=1)))
+    path.write_text(to_qasm(ising_chain(48, depth=16, seed=1)))
     code, out, err = run_cli(capsys, "partition", str(path), "-D", "2",
                              "--format", "json", "--eps", "0.03")
     assert code == 1

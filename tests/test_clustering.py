@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 import cutplan
 from cutplan.clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
                                 _Level, _LevelState, _LogOverheadEngine, _ModularityEngine,
-                                _run_levels, run_pipeline, step1_modularity)
+                                _pipeline_once, _run_levels, run_pipeline,
+                                step1_modularity)
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, Node, build_cut_graph, contract
 from cutplan.overhead import build_report
 from cutplan.qasm import CircuitIR, GateApp, parse_qasm
 
-from conftest import (best_feasible_log_overhead, make_edge, modularity_oracle,
-                      random_graph, random_start)
+from conftest import (best_feasible_log_overhead, make_edge, max_log_overhead_oracle,
+                      modularity_oracle, random_graph, random_start)
 from test_golden import _random_matching
 
 LN2 = math.log(2)
@@ -306,6 +307,31 @@ def test_audited_pipeline_agrees_with_the_plain_one(case):
     assert _rows(audited) == _rows(plain)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_two_qubit_circuits())
+def test_pipeline_returns_the_better_of_the_stages_and_the_wires(case):
+    """The returned plan scores as its step-2 row says, and is never worse
+    than the wire partition or the two-stage plan; the wires are returned
+    only when they beat the two-stage plan by more than the tolerance."""
+    circuit, cap, order, seed = case
+    graph = build_cut_graph(circuit)
+    result = run_pipeline(graph, cap, order=order, seed=seed)
+    step2 = result.stages[1]
+    rng = (np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+           if order == "random" else None)
+    _, (_, stages_row) = _pipeline_once(graph, cap, order, rng, False)
+    assert result.lq <= stages_row.lq + 1e-9
+    assert result.lq <= step2.wire_lq + 1e-9
+    assert (step2.returned == "wires") == (step2.wire_lq < stages_row.lq - 1e-9)
+    if step2.returned == "stages":
+        assert (step2.lq, step2.ld, step2.r) == (stages_row.lq, stages_row.ld, stages_row.r)
+    if graph.num_nodes:
+        wires = dict(enumerate(graph.mask))
+        assert step2.wire_lq == pytest.approx(max_log_overhead_oracle(graph, wires), abs=1e-9)
+        assert result.lq == pytest.approx(
+            max_log_overhead_oracle(graph, result.clustering.assignment), abs=1e-9)
+
+
 def _sweep_evaluating_every_node(engine, visit) -> int:
     """One sweep that skips no visit: stage 1's flags all set dirty, stage 2
     given a fresh copy of the visit list, which no sweep has seen."""
@@ -460,10 +486,11 @@ def test_numpy_integer_cap_gives_the_plain_json(plan):
 def test_stage_metrics_json_keys():
     g = build_cut_graph(ising_chain(10, seed=8))
     result = run_pipeline(g, 5)
-    for stage in result.stages:
+    stable = {"stage", "lq", "ld", "r", "moves", "passes", "wall_time_s", "gain_evals",
+              "lq_trace"}
+    for stage, keys in zip(result.stages, (stable, stable | {"returned", "wire_lq"})):
         payload = stage.to_json_dict()
-        assert set(payload) == {"stage", "lq", "ld", "r", "moves", "passes", "wall_time_s",
-                                "gain_evals", "lq_trace"}
+        assert set(payload) == keys
         assert payload["gain_evals"] == stage.gain_evals
         assert payload["lq_trace"] == list(stage.lq_trace)
     assert json.loads(json.dumps(result.stages[1].to_json_dict()))["lq_trace"]

@@ -1,7 +1,8 @@
 """Self-test of ``tools/equiv.py``: it finds no difference between a tree
 and itself, finds the differences that a known mutation makes in a copy,
-records an estimate's allocation apart from what it sampled, and counts
-every plan in its quality ledger."""
+records an estimate's allocation apart from what it sampled, names a
+stage-row key that only one tree has without counting it, and counts every
+plan and each tree's failures per kind in its quality ledger."""
 
 import importlib.util
 import os
@@ -68,6 +69,13 @@ def _differing_parts(stdout):
     return parts
 
 
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("equiv", TOOL)
+    equiv = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(equiv)
+    return equiv
+
+
 def _ledgers(stdout):
     """(better, worse, equal) per plan workload, from the ledger lines."""
     counts = {}
@@ -105,9 +113,7 @@ def test_equiv_records_the_allocation_apart_from_the_sampled_estimate():
     import cutplan.cutsim
     from cutplan.qasm import to_qasm
 
-    spec = importlib.util.spec_from_file_location("equiv", TOOL)
-    equiv = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(equiv)
+    equiv = _load_tool()
     qasm = to_qasm(cutplan.cutsim.ring_circuit([[[0.3, 1.1]] * 8] * 2))
     first, second = (equiv._estimate(cutplan, cutplan.cutsim, 3, 0.1, qasm, seed)
                      for seed in (1, 2))
@@ -120,8 +126,11 @@ def test_ledger_of_a_tree_against_itself_holds_every_plan():
     out = _equiv(ROOT, ROOT)
     assert out.returncode == 0, out.stdout + out.stderr
     assert _ledgers(out.stdout) == {"plan_chain": (0, 0, 3), "plan_random": (0, 0, 1)}
-    assert re.search(r"^plan_chain ledger: lq_sum (\S+) -> \1; .*; largest rise none$",
-                     out.stdout, re.M), out.stdout
+    assert re.search(r"^plan_chain ledger: lq_sum (\S+) -> \1; .*; largest rise none; "
+                     r"failures none$", out.stdout, re.M), out.stdout
+    failures = re.search(r"^plan_random ledger: .*; failures (.+)$", out.stdout, re.M)[1]
+    assert failures == "none" or all(re.fullmatch(r"(plan|report):\w+ (\d+) -> \2", kind)
+                                     for kind in failures.split(", ")), out.stdout
 
 
 def test_ledger_counts_every_plan_of_an_edited_copy(tmp_path):
@@ -137,5 +146,35 @@ def test_ledger_counts_every_plan_of_an_edited_copy(tmp_path):
     assert {w: sum(counts) for w, counts in ledgers.items()} == {"plan_chain": 3, "plan_random": 1}
     assert sum(better + worse for better, worse, _ in ledgers.values()) > 0, out.stdout
     for line in out.stdout.splitlines():
-        if " ledger: " in line and not line.endswith("largest rise none"):
-            assert re.search(r"largest rise \+\S+ at op \d+$", line), line
+        if " ledger: " in line and "largest rise none; " not in line:
+            assert re.search(r"largest rise \+\S+ at op \d+; failures ", line), line
+
+
+def test_ledger_counts_each_trees_failures_per_kind():
+    equiv = _load_tool()
+    line = equiv.ledger("plan_random", [1.0, 2.0, None], [1.0, 2.0, 3.0],
+                        [None, "report:OverflowError", "plan:ValueError"],
+                        [None, "report:OverflowError", None])
+    assert line.endswith("; largest rise none; failures plan:ValueError 1 -> 0, "
+                         "report:OverflowError 1 -> 1"), line
+    assert equiv.ledger("plan_chain", [1.0], [1.0], [None], [None]).endswith("; failures none")
+
+
+def test_a_stage_key_one_tree_lacks_is_named_not_counted(capsys):
+    """A stage-row key that only one tree's rows have is listed per workload;
+    a changed value, or a plan that failed in one tree, still differs."""
+    equiv = _load_tool()
+    row = {"circuit": "c", "stages.step1.lq": "1", "stages.step2.lq": "2"}
+    wire_lq = {"stages.step2.wire_lq": "3"}
+    old = {"plan_chain": [row, row, {"plan": "ValueError: x"}], "plan_random": [],
+           "verify_ring": []}
+    new = {"plan_chain": [dict(row, **wire_lq),
+                          dict(row, **{"stages.step2.lq": "4"}, **wire_lq),
+                          dict(row, **wire_lq)],
+           "plan_random": [], "verify_ring": []}
+    assert equiv.compare(old, new) == 2
+    out = capsys.readouterr().out
+    assert "  op 1: stages.step2.lq\n" in out
+    assert "  op 2: circuit, plan, stages.step1.lq, " in out
+    assert "  stage keys only in NEW: stages.step2.wire_lq\n" in out
+    assert "only in OLD" not in out

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutplan.clustering import run_pipeline
 from cutplan.fixtures import ising_chain
 from cutplan.graph import CutKind, build_cut_graph
 from cutplan.qasm import (STANDARD_GATES, CircuitIR, DuplicateOperandError, GateApp,
@@ -230,6 +231,21 @@ def test_circuit_ir_names_a_non_integer_wire_or_width(num_qubits, gates, error, 
 def test_circuit_ir_width_is_a_plain_int():
     ir = CircuitIR(np.int64(2), (GateApp("cx", (np.int64(0), 1)),))
     assert type(ir.num_qubits) is int and ir.num_qubits == 2
+
+
+def test_circuit_ir_stores_numpy_integer_wires_as_plain_ints():
+    """A numpy wire passed the check but was stored as given, so the cut
+    graph's masks became numpy integers and planning the circuit failed."""
+    probe = CircuitIR(3, [GateApp("cx", (np.int64(0), np.int64(1))),
+                          GateApp("cx", (np.int64(1), 2))])
+    plain = CircuitIR(3, [GateApp("cx", (0, 1)), GateApp("cx", (1, 2))])
+    assert probe.qubits == plain.qubits and probe.gates == plain.gates
+    assert all(type(q) is int for qubits in probe.qubits for q in qubits)
+    assert all(type(q) is int for gate in probe.gates for q in gate.qubits)
+    graphs = [build_cut_graph(ir) for ir in (probe, plain)]
+    assert all(type(m) is int for m in graphs[0].mask)
+    plans = [run_pipeline(graph, 2) for graph in graphs]
+    assert plans[0].clustering.assignment == plans[1].clustering.assignment
 
 
 def test_undeclared_register():

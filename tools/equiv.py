@@ -11,9 +11,10 @@ generators build their circuits with cutplan, so they run on OLD_TREE's.
 Each tree then runs every operation in a subprocess of its own and records,
 per operation, the exact ``repr`` of
 
-- a plan: the parsed circuit's columns, the cut graph's columns, both stage
-  rows with ``wall_time_s`` zeroed (``lq_trace`` included), the clustering
-  JSON, and the report JSON at eps 0.03 or the exception it raised;
+- a plan: the parsed circuit's columns, the cut graph's columns, every key
+  of both stage rows' JSON but ``wall_time_s`` (``lq_trace`` included), as
+  one part per key, the clustering JSON, and the report JSON at eps 0.03 or
+  the exception it raised;
 - an estimate: the parsed circuit's columns, then ``cut_estimate``'s
   ``allocation`` (R, per-partition budgets and variant shot counts) and its
   ``estimate`` (the estimate and the variant means) as two parts, or the
@@ -21,11 +22,15 @@ per operation, the exact ``repr`` of
   the seed, so a change of the random stream shows in ``estimate`` alone.
 
 It prints, per workload, the operations whose records differ and the parts
-that differ, and exits 1 if any operation differs, else 0. For each plan
+that differ, and exits 1 if any operation differs, else 0. A stage-row key
+that only one tree's rows have is a new or dropped key, not a changed value:
+it is named once per workload and counts as no difference. For each plan
 workload it then prints a quality ledger from the step-2 row's ``lq``, which
 exists even when the report overflows: each tree's ``lq_sum``, the plans
-whose ``lq`` fell, rose or held within 1e-9, and the largest rise with its
-operation index. A plan that failed counts as ``lq`` = inf.
+whose ``lq`` fell, rose or held within 1e-9, the largest rise with its
+operation index, and each tree's failures per kind (``plan:`` or
+``report:`` and the exception's type, as the benchmark counts them). A plan
+that failed counts as ``lq`` = inf.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("plan_chain", "plan_random", "verify_ring")
@@ -76,28 +82,35 @@ def _circuit_text(circuit) -> str:
                  circuit.params))
 
 
-def _plan(cutplan, qasm: str, cap: int) -> tuple[dict[str, str], float | None]:
-    """The plan's record and its step-2 ``lq``, None if it failed."""
+def _plan(cutplan, qasm: str, cap: int) -> tuple[dict[str, str], float | None, str | None]:
+    """The plan's record, its step-2 ``lq`` (None if it failed) and its
+    failure kind (None if it has none)."""
     try:
         circuit = cutplan.parse_qasm(qasm)
         graph = cutplan.build_cut_graph(circuit)
         result = cutplan.run_pipeline(graph, cap)
     except Exception as exc:  # a failing plan is an outcome to compare
-        return {"plan": _error(exc)}, None
+        return {"plan": _error(exc)}, None, f"plan:{type(exc).__name__}"
     record = {
         "circuit": _circuit_text(circuit),
         "graph": repr((graph.mask, graph.gate_id, graph.slot, graph.u, graph.v,
                        [kind.value for kind in graph.kind], graph.w, graph.w_hat,
                        graph.kappa, graph.tau)),
-        "stages": repr([dataclasses.replace(s, wall_time_s=0.0) for s in result.stages]),
         "clustering": json.dumps(result.clustering.to_json_dict(), sort_keys=True),
     }
+    for stage in result.stages:
+        row = stage.to_json_dict()
+        del row["wall_time_s"]
+        record.update((f"stages.{stage.stage}.{key}", repr(value))
+                      for key, value in row.items())
+    failure = None
     try:
         report = cutplan.build_report(result.clustering, graph, eps=REPORT_EPS)
         record["report"] = json.dumps(report.to_json_dict(), sort_keys=True)
     except Exception as exc:  # e.g. a shot budget beyond a float
         record["report"] = _error(exc)
-    return record, result.stages[-1].lq
+        failure = f"report:{type(exc).__name__}"
+    return record, result.stages[-1].lq, failure
 
 
 def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
@@ -123,54 +136,73 @@ def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
 
 def run_tree(tree: str, corpus_path: str, out_path: str) -> None:
     """Every operation of the corpora on ``tree``; writes each record's
-    parts as SHA-256 digests, and each plan's step-2 ``lq``."""
+    parts as SHA-256 digests, and each plan's step-2 ``lq`` and failure."""
     cutplan, cutsim = _import_cutplan(tree)
     with open(corpus_path, encoding="utf-8") as fh:
         corpora = json.load(fh)
-    records, lq = {}, {}
+    records, lq, failures = {}, {}, {}
     for workload, items in corpora.items():
         if workload == "verify_ring":
             ops = [_estimate(cutplan, cutsim, *item) for item in items]
         else:
             plans = [_plan(cutplan, *item) for item in items]
-            ops = [record for record, _ in plans]
-            lq[workload] = [value for _, value in plans]
+            ops = [record for record, _, _ in plans]
+            lq[workload] = [value for _, value, _ in plans]
+            failures[workload] = [kind for _, _, kind in plans]
         records[workload] = [{part: hashlib.sha256(text.encode()).hexdigest()
                               for part, text in record.items()} for record in ops]
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({"records": records, "lq": lq}, fh)
+        json.dump({"records": records, "lq": lq, "failures": failures}, fh)
+
+
+def _is_stage_key(part: str) -> bool:
+    return part.startswith("stages.")
 
 
 def compare(old: dict, new: dict) -> int:
-    """Print the differing operations per workload; returns their count."""
+    """Print the differing operations per workload; returns their count.
+    Stage-row keys that one of two plans' rows lack are listed apart."""
     total = 0
     for workload in WORKLOADS:
         diffs = []
+        only = {"OLD": set(), "NEW": set()}
         for op, (a, b) in enumerate(zip(old[workload], new[workload])):
-            parts = sorted(p for p in a.keys() | b.keys() if a.get(p) != b.get(p))
+            parts = {p for p in a.keys() | b.keys() if a.get(p) != b.get(p)}
+            if any(map(_is_stage_key, a)) and any(map(_is_stage_key, b)):
+                one_sided = {p for p in a.keys() ^ b.keys() if _is_stage_key(p)}
+                only["OLD"] |= one_sided & a.keys()
+                only["NEW"] |= one_sided & b.keys()
+                parts -= one_sided
             if parts:
-                diffs.append(f"  op {op}: {', '.join(parts)}")
+                diffs.append(f"  op {op}: {', '.join(sorted(parts))}")
         if len(old[workload]) != len(new[workload]):
             diffs.append(f"  operation counts {len(old[workload])} != {len(new[workload])}")
         print(f"{workload}: {len(old[workload])} operations, {len(diffs)} differ")
         for line in diffs:
             print(line)
+        for tree, keys in only.items():
+            if keys:
+                print(f"  stage keys only in {tree}: {', '.join(sorted(keys))}")
         total += len(diffs)
     return total
 
 
-def ledger(workload: str, old_lq: list, new_lq: list) -> str:
+def ledger(workload: str, old_lq: list, new_lq: list, old_failures: list,
+           new_failures: list) -> str:
     """One plan workload's quality ledger line, from each tree's per-plan
-    ``lq`` (None for a failed plan)."""
+    ``lq`` (None for a failed plan) and failure kind (None for none)."""
     old, new = ([math.inf if v is None else v for v in lq] for lq in (old_lq, new_lq))
     pairs = list(zip(old, new))
     better = sum(b < a - LEDGER_TOL for a, b in pairs)
     rises = [(b - a, op) for op, (a, b) in enumerate(pairs) if b > a + LEDGER_TOL]
     sums = (sum(v for v in lq if v is not None) for lq in (old_lq, new_lq))
     largest = "+{:.6g} at op {}".format(*max(rises)) if rises else "none"
+    counts = [Counter(kind for kind in kinds if kind) for kinds in (old_failures, new_failures)]
+    failures = ", ".join(f"{kind} {counts[0][kind]} -> {counts[1][kind]}"
+                         for kind in sorted(counts[0] | counts[1])) or "none"
     return (f"{workload} ledger: lq_sum {' -> '.join(f'{s:.6f}' for s in sums)}; "
             f"{better} better, {len(rises)} worse, {len(pairs) - better - len(rises)} equal; "
-            f"largest rise {largest}")
+            f"largest rise {largest}; failures {failures}")
 
 
 def main(argv: list[str]) -> int:
@@ -203,7 +235,8 @@ def main(argv: list[str]) -> int:
     old, new = records
     differ = compare(old["records"], new["records"])
     for workload in old["lq"]:
-        print(ledger(workload, old["lq"][workload], new["lq"][workload]))
+        print(ledger(workload, old["lq"][workload], new["lq"][workload],
+                     old["failures"][workload], new["failures"][workload]))
     print(f"seed {args.seed}: {differ} differing operation(s)")
     return 1 if differ else 0
 

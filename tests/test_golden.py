@@ -1,5 +1,6 @@
-"""Golden digests of ``parse_qasm``, ``run_pipeline``, ``build_cut_graph``,
-``build_report``, ``cut_estimate`` and ``gate_cut_decomposition`` output.
+"""Golden digests of ``parse_qasm``, ``to_qasm``, ``run_pipeline``,
+``build_cut_graph``, ``build_report``, ``cut_estimate`` and
+``gate_cut_decomposition`` output.
 
 Each pipeline digest covers the final assignment and, per stage, ``lq``,
 ``moves``, ``passes``, ``gain_evals`` and ``lq_trace``. Floats enter with 12
@@ -286,3 +287,29 @@ def test_parse_digest():
         lines += [f"{g.kind}|{g.qubits}|{g.params!r}" for g in circuit.gates]
         texts.append("\n".join(lines))
     assert _digest(texts) == "d060746e4e921253"
+
+
+# -- generated text --------------------------------------------------------------
+
+# every gate shape ``to_qasm`` writes: 0, 1 and 3 parameters on 1 and 2 qubits,
+# with a signed zero and values near both ends of the float range
+HAND_IR = CircuitIR(3, (
+    GateApp("h", (0,)), GateApp("cx", (2, 0)), GateApp("rx", (1,), (-0.0,)),
+    GateApp("rz", (2,), (1e-300,)), GateApp("rzz", (0, 1), (5e+300,)),
+    GateApp("crz", (1, 2), (-3.141592653589793,)), GateApp("u3", (0,), (0.1, -2e-3, 2.0)),
+    GateApp("cu3", (2, 1), (0.0, 1e-300, -5e+300)), GateApp("swap", (1, 0)),
+), "hand")
+
+
+def test_fixture_text_digest():
+    """The exact ``to_qasm`` text of ``ising_chain`` at the benchmark's chain
+    sizes (two seeds per width and depth, one at the top of the corpus's
+    seed range), of a hand IR holding every gate shape and of a ring
+    circuit. Plans ignore angles, so only this digest sees a change to the
+    angle stream or to how a parameter is written."""
+    texts = [to_qasm(ising_chain(w, depth=d, seed=s))
+             for w in (100, 211, 300) for d in (1, 2, 4) for s in (0, 2 ** 31 - 1)]
+    texts.append(to_qasm(HAND_IR))
+    params = np.random.default_rng(5).uniform(-2.0 * np.pi, 2.0 * np.pi, (2, 8, 2))
+    texts.append(to_qasm(ring_circuit(params)))
+    assert _digest(texts) == "ab364d7991afdc2f"

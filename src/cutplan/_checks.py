@@ -1,5 +1,6 @@
 """Argument checks of the public entry points; every integer argument goes
-through ``_integer``, so no numpy integer reaches a result."""
+through ``_integer`` and every gate parameter through ``_real``, so no numpy
+scalar reaches a result."""
 
 from __future__ import annotations
 
@@ -19,10 +20,17 @@ def _integer(name: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a ``float``. Raises ``TypeError`` unless it is a real
+    number (a bool is none)."""
+    # ``bool`` is a ``numbers.Real``, but ``True`` is no angle or standard
+    # deviation; ``float`` is listed first since the ABC's check is slow
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_eps(eps: float) -> None:
-    # ``bool`` is a ``numbers.Real``, but ``True`` is no standard deviation;
-    # ``float`` is listed first since the ABC's check is slow
-    if isinstance(eps, bool) or not isinstance(eps, (float, numbers.Real)):
-        raise TypeError(f"eps must be a real number, got {eps!r}")
+    _real("eps", eps)
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")

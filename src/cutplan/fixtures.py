@@ -21,16 +21,29 @@ def ising_chain(width: int, depth: int = 1, seed: int = 0) -> CircuitIR:
     depth = _integer("depth", depth, 1)
     seed = _integer("seed", seed, 0)
     rng = np.random.default_rng([seed, width, depth])
-    gates = []  # (kind, qubits, params) per gate
-    for _ in range(depth):
-        for q in range(width):
-            gates.append(("rx", (q,), (float(rng.uniform(0, 2 * np.pi)),)))
-        for q in range(width - 1):
-            angle = float(rng.uniform(0, 2 * np.pi))
-            gates += [("cx", (q, q + 1), ()), ("rz", (q + 1,), (angle,)), ("cx", (q, q + 1), ())]
-    for q in range(width):
-        gates.append(("rz", (q,), (float(rng.uniform(0, 2 * np.pi)),)))
-    kind, qubits, params = map(list, zip(*gates))
+    # every angle in gate order from one draw, which gives the same doubles
+    # as one scalar draw per rotation
+    angles = rng.uniform(0, 2 * np.pi, depth * (2 * width - 1) + width).tolist()
+    wires = list(zip(range(width)))  # (q,) per wire
+    gadget_kind = ["cx", "rz", "cx"] * (width - 1)
+    gadget_qubits = []
+    for q in range(width - 1):
+        gadget_qubits += [(q, q + 1), (q + 1,), (q, q + 1)]
+    kind, qubits, params = [], [], []  # the IR's columns
+    for layer in range(depth):
+        rx_at = layer * (2 * width - 1)
+        rz_at = rx_at + width
+        gadget_params = [()] * len(gadget_kind)
+        gadget_params[1::3] = zip(angles[rz_at:rz_at + width - 1])
+        kind += ["rx"] * width
+        kind += gadget_kind
+        qubits += wires
+        qubits += gadget_qubits
+        params += zip(angles[rx_at:rz_at])
+        params += gadget_params
+    kind += ["rz"] * width
+    qubits += wires
+    params += zip(angles[-width:])
     return CircuitIR.from_columns(width, kind, qubits, params, f"ising_n{width}")
 
 

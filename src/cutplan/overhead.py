@@ -21,7 +21,6 @@ once per partition, and the cubic bound for measure-and-prepare cutting.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from itertools import count
@@ -235,8 +234,9 @@ def build_report(clustering: "Clustering", graph: CutGraph,
     ln_i, heavy = log_overheads(s_w, s_hat, hat_cut, range(r)) if r else ([], None)
     ends = [(labels[graph.u[e]], labels[graph.v[e]]) for e in cut]
     kinds = [graph.kind[e] for e in cut]
-    n_tot = Counter(kinds)
-    n_heavy = Counter(kind for kind, pair in zip(kinds, ends) if heavy in pair)
+    # counted with ``list.count``, which compares members by identity in C;
+    # hashing them calls the Python-level ``Enum.__hash__`` per cut
+    heavy_kinds = [kind for kind, pair in zip(kinds, ends) if heavy in pair]
     n_c = None
     if eps is not None:
         attached = [[] for _ in ids]  # E_c, as positions in ``cut``
@@ -250,10 +250,10 @@ def build_report(clustering: "Clustering", graph: CutGraph,
         lq=0.0 if heavy is None else ln_i[heavy],
         ld=0.0 if heavy is None else s_w[heavy],
         heavy_cluster=None if heavy is None else ids[heavy],
-        n_space=n_heavy[CutKind.SPACE],
-        n_time=n_heavy[CutKind.TIME],
-        n_tot_space=n_tot[CutKind.SPACE],
-        n_tot_time=n_tot[CutKind.TIME],
+        n_space=heavy_kinds.count(CutKind.SPACE),
+        n_time=heavy_kinds.count(CutKind.TIME),
+        n_tot_space=kinds.count(CutKind.SPACE),
+        n_tot_time=kinds.count(CutKind.TIME),
         l_tot=w_cut,
         r=max(r, 1),
         eps=eps,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from ._checks import _integer
+from ._checks import _integer, _real
 
 
 class QasmError(Exception):
@@ -95,7 +95,8 @@ class CircuitIR:
 
     def __init__(self, num_qubits: int, gates: Sequence[GateApp], name: str = "circuit"):
         """A circuit from ``GateApp`` objects, each wire checked against
-        ``num_qubits``."""
+        ``num_qubits`` and stored as an ``int``, each parameter stored as a
+        ``float``; a bool parameter raises ``TypeError``."""
         gates = tuple(gates)
         self.num_qubits = num_qubits = _integer("num_qubits", num_qubits, 0)
         self.name = name
@@ -111,9 +112,18 @@ class CircuitIR:
                     qubits = tuple(_wire(g.kind, wire, num_qubits) for wire in qubits)
                     rebuilt = True
                     break
+            params = g.params
+            for value in params:
+                # likewise a gate with a parameter of another real type (a
+                # numpy float, which ``to_qasm`` would write as a call) is
+                # stored with plain floats
+                if type(value) is not float:
+                    params = tuple(_real(f"{g.kind} parameter", v) for v in params)
+                    rebuilt = True
+                    break
             self.kind.append(g.kind)
             self.qubits.append(qubits)
-            self.params.append(g.params)
+            self.params.append(params)
         if not rebuilt:
             self.gates = gates  # fills the cached property
 
@@ -541,10 +551,19 @@ def to_qasm(circuit: CircuitIR) -> str:
         f"qreg q[{circuit.num_qubits}];",
     ]
     wire = [f"q[{q}]" for q in range(circuit.num_qubits)]
+    append = lines.append
+    # one line per gate, written by its shape; only a gate with several
+    # parameters joins them
     for kind, qubits, params in zip(circuit.kind, circuit.qubits, circuit.params):
-        operands = ",".join(map(wire.__getitem__, qubits))
-        if params:
-            lines.append(f"{kind}({','.join(map(repr, params))}) {operands};")
+        if len(qubits) == 1:
+            operands = wire[qubits[0]]
         else:
-            lines.append(f"{kind} {operands};")
+            a, b = qubits  # a gate acts on one or two wires
+            operands = f"{wire[a]},{wire[b]}"
+        if not params:
+            append(f"{kind} {operands};")
+        elif len(params) == 1:
+            append(f"{kind}({params[0]!r}) {operands};")
+        else:
+            append(f"{kind}({','.join(map(repr, params))}) {operands};")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ import pytest
 
 from cutplan.cli import _CI_PRESETS, _FULL_PRESETS, main
 from cutplan.fixtures import chain3, ising_chain
-from cutplan.qasm import CircuitIR, GateApp, to_qasm
+from cutplan.qasm import CircuitIR, GateApp, parse_qasm_file, to_qasm
 
 from conftest import best_feasible_log_overhead, max_log_overhead_oracle
 from cutplan.clustering import run_pipeline
@@ -386,12 +386,24 @@ def test_verify_unwritable_errors_csv_fails_first(capsys, tmp_path, monkeypatch)
 
 
 def test_fixtures_roundtrip(capsys, tmp_path):
-    out_dir = tmp_path / "fx"
-    code, out, _ = run_cli(capsys, "fixtures", "--out", str(out_dir),
-                           "--widths", "8,10")
-    assert code == 0
-    written = sorted(os.listdir(out_dir))
-    assert written == ["ising_n10.qasm", "ising_n8.qasm"]
+    """Each file holds exactly ``to_qasm`` of its chain, at the default and
+    at a given depth and seed, and parses back to the same columns."""
+    for flags, depth, seed in (((), 1, 0), (("--depth", "2", "--seed", "5"), 2, 5)):
+        out_dir = tmp_path / f"fx{depth}"
+        code, out, _ = run_cli(capsys, "fixtures", "--out", str(out_dir),
+                               "--widths", "8,10", *flags)
+        assert code == 0
+        written = sorted(os.listdir(out_dir))
+        assert written == ["ising_n10.qasm", "ising_n8.qasm"]
+        assert out.split() == [str(out_dir / "ising_n8.qasm"), str(out_dir / "ising_n10.qasm")]
+        for width in (8, 10):
+            path = out_dir / f"ising_n{width}.qasm"
+            circuit = ising_chain(width, depth=depth, seed=seed)
+            assert path.read_bytes() == to_qasm(circuit).encode()
+            back = parse_qasm_file(str(path))
+            assert back.name == circuit.name
+            assert (back.num_qubits, back.kind, back.qubits, back.params) == (
+                circuit.num_qubits, circuit.kind, circuit.qubits, circuit.params)
 
 
 @pytest.mark.parametrize("widths, message", [

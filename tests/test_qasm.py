@@ -222,7 +222,9 @@ def test_repeated_wire_is_reported_before_an_earlier_measurement():
     (2, (GateApp("h", (0.0,)),), TypeError, "h wire must be an integer, got 0.0"),
     (2.0, (), TypeError, "num_qubits must be an integer, got 2.0"),
     (-1, (), ValueError, "num_qubits must be >= 0, got -1"),
-], ids=["bool-wire", "float-wire", "float-width", "negative-width"])
+    (2, (GateApp("rzz", (0, 1), (False,)),), TypeError,
+     "rzz parameter must be a real number, got False"),
+], ids=["bool-wire", "float-wire", "float-width", "negative-width", "bool-parameter"])
 def test_circuit_ir_names_a_non_integer_wire_or_width(num_qubits, gates, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         CircuitIR(num_qubits, gates)
@@ -246,6 +248,22 @@ def test_circuit_ir_stores_numpy_integer_wires_as_plain_ints():
     assert all(type(m) is int for m in graphs[0].mask)
     plans = [run_pipeline(graph, 2) for graph in graphs]
     assert plans[0].clustering.assignment == plans[1].clustering.assignment
+
+
+def test_numpy_parameters_round_trip_as_plain_floats():
+    """A numpy parameter was stored as given, so ``to_qasm`` wrote
+    ``rx(np.float64(0.5))``, which ``parse_qasm`` rejects. A float32 widens
+    exactly."""
+    probe = CircuitIR(2, [GateApp("rx", (0,), (np.float64(0.5),)),
+                          GateApp("rzz", (0, 1), (np.float32(0.25),)),
+                          GateApp("u3", (1,), (1.5, np.float32(0.1), 2))])
+    assert probe.params == [(0.5,), (0.25,), (1.5, 0.10000000149011612, 2.0)]
+    assert all(type(v) is float for params in probe.params for v in params)
+    assert all(type(v) is float for gate in probe.gates for v in gate.params)
+    back = parse_qasm(to_qasm(probe))
+    assert (back.kind, back.qubits) == (probe.kind, probe.qubits)
+    assert [tuple(map(float.hex, p)) for p in back.params] == [
+        tuple(map(float.hex, p)) for p in probe.params]
 
 
 def test_undeclared_register():

@@ -21,7 +21,7 @@ import pytest
 
 from cutplan.clustering import run_pipeline
 from cutplan.cutsim import (GateCut, WireCut, cut_estimate, gate_cut_decomposition,
-                            pauli_z_observable, ring_circuit, ring_cuts)
+                            gate_matrix, pauli_z_observable, ring_circuit, ring_cuts)
 from cutplan.fixtures import ising_chain
 from cutplan.graph import DEFAULT_WEIGHTS, build_cut_graph
 from cutplan.overhead import build_report
@@ -169,6 +169,35 @@ def test_gate_cut_decomposition_digest():
     assert _digest(texts) == "e06dea2891dc4f8a"
 
 
+# every gate kind with its operand and parameter counts, written out here so
+# the digest does not read the table it checks
+GATE_SHAPES = (
+    ("id", 1, 0), ("x", 1, 0), ("y", 1, 0), ("z", 1, 0), ("h", 1, 0), ("s", 1, 0),
+    ("sdg", 1, 0), ("t", 1, 0), ("tdg", 1, 0), ("sx", 1, 0), ("sxdg", 1, 0),
+    ("rx", 1, 1), ("ry", 1, 1), ("rz", 1, 1), ("p", 1, 1), ("u0", 1, 1), ("u1", 1, 1),
+    ("u2", 1, 2), ("u3", 1, 3), ("u", 1, 3),
+    ("cx", 2, 0), ("cy", 2, 0), ("cz", 2, 0), ("ch", 2, 0), ("swap", 2, 0),
+    ("crx", 2, 1), ("cry", 2, 1), ("crz", 2, 1), ("cp", 2, 1), ("cu1", 2, 1),
+    ("rzz", 2, 1), ("rxx", 2, 1), ("ryy", 2, 1),
+)
+
+
+def test_gate_matrix_digest():
+    """The exact bytes, dtype and shape of ``gate_matrix`` for every gate
+    kind, at four seeded parameter draws each (plus 0 and pi for the
+    parametrised kinds)."""
+    rng = np.random.default_rng(36)
+    texts = []
+    for kind, arity, n_params in GATE_SHAPES:
+        draws = [tuple(float(t) for t in rng.uniform(-7.0, 7.0, n_params)) for _ in range(4)]
+        if n_params:
+            draws += [(0.0,) * n_params, (np.pi,) * n_params]
+        for params in draws:
+            u = gate_matrix(GateApp(kind, tuple(range(arity)), params))
+            texts.append(f"{kind}|{params!r}|{u.dtype}|{u.shape}|{u.tobytes().hex()}")
+    assert _digest(texts) == "3af6385dead2464e"
+
+
 # -- cut graph and report --------------------------------------------------------
 
 def _random_matching(width, layers, seed):
@@ -291,13 +320,14 @@ def test_parse_digest():
 
 # -- generated text --------------------------------------------------------------
 
-# every gate shape ``to_qasm`` writes: 0, 1 and 3 parameters on 1 and 2 qubits,
-# with a signed zero and values near both ends of the float range
+# every gate shape ``to_qasm`` writes: 0 and 1 parameters on 1 and 2 qubits and
+# 3 parameters on 1, with a signed zero and values near both ends of the float
+# range
 HAND_IR = CircuitIR(3, (
     GateApp("h", (0,)), GateApp("cx", (2, 0)), GateApp("rx", (1,), (-0.0,)),
     GateApp("rz", (2,), (1e-300,)), GateApp("rzz", (0, 1), (5e+300,)),
     GateApp("crz", (1, 2), (-3.141592653589793,)), GateApp("u3", (0,), (0.1, -2e-3, 2.0)),
-    GateApp("cu3", (2, 1), (0.0, 1e-300, -5e+300)), GateApp("swap", (1, 0)),
+    GateApp("u", (2,), (0.0, 1e-300, -5e+300)), GateApp("swap", (1, 0)),
 ), "hand")
 
 
@@ -312,4 +342,4 @@ def test_fixture_text_digest():
     texts.append(to_qasm(HAND_IR))
     params = np.random.default_rng(5).uniform(-2.0 * np.pi, 2.0 * np.pi, (2, 8, 2))
     texts.append(to_qasm(ring_circuit(params)))
-    assert _digest(texts) == "ab364d7991afdc2f"
+    assert _digest(texts) == "660f9d23e98f504b"

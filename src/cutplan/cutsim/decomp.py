@@ -31,9 +31,9 @@ and the commutator splits into local pieces via
 
 giving terms (c², I⊗I), (s², Z⊗Z), (±cs, measure⊗rotation) on either side:
 one_norm = 1 + 2|sin theta| and sq_norm = 1 + sin²(theta)/2, i.e. 3 and 1.5 at
-theta = pi/2. Each cuttable gate, CZ and CX included, is a row of
-``cutplan.graph.GATE_CUTS``: its core angle and the 1-qubit gates each side
-runs before and after the core.
+theta = pi/2. Each cuttable gate, CZ and CX included, has a cut row in
+``cutplan.gates.GATES``: its core angle and the 1-qubit gates each side runs
+before and after the core.
 
 The coefficients of both decompositions live in ``cutplan.graph``
 (``WIRE_CUT_COEFFICIENTS``, ``zz_core_coefficients``), which the planner
@@ -53,7 +53,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ..graph import GATE_CUTS, WIRE_CUT_COEFFICIENTS, CutWeights, zz_core_coefficients
+from ..gates import GATES
+from ..graph import WIRE_CUT_COEFFICIENTS, CutWeights, zz_core_coefficients
 from ..qasm import GateApp
 from .statevector import gate_matrix
 
@@ -178,11 +179,12 @@ def _with_gates(side: TermSide, before: tuple, after: tuple) -> TermSide:
     return replace(side, gates=before + side.gates, post_gates=side.post_gates + after)
 
 
-# per kind of ``GATE_CUTS``, the sides of each core term with the kind's gates
+# per kind with a cut row in ``GATES``, the sides of each core term with the
+# kind's gates
 _GATE_CUT_SIDES = {
-    kind: tuple(tuple(_with_gates(side, *gates) for side, gates in zip(sides, around))
+    kind: tuple(tuple(_with_gates(side, *gates) for side, gates in zip(sides, row.cut[1]))
                 for sides in _ZZ_CORE_SIDES)
-    for kind, (_, around) in GATE_CUTS.items()}
+    for kind, row in GATES.items() if row.cut is not None}
 
 
 # per gate kind (None for a wire cut), its side table and that table's groups
@@ -192,12 +194,12 @@ _GROUPED = {kind: (sides, _group_sides(sides)) for kind, sides
 
 def gate_cut_decomposition(gate: GateApp) -> DecompositionSpec:
     """Decomposition for cutting this 2-qubit gate, side 0 = first operand."""
-    if gate.kind not in GATE_CUTS:
+    sides = _GATE_CUT_SIDES.get(gate.kind)
+    if sides is None:
         raise ValueError(f"no registered cut decomposition for gate '{gate.kind}'")
-    theta = GATE_CUTS[gate.kind][0]
+    theta = GATES[gate.kind].cut[0]
     coefficients = zz_core_coefficients(gate.params[0] if theta is None else theta)
-    return DecompositionSpec("space", gate.kind, gate.params,
-                             tuple(map(Term, coefficients, _GATE_CUT_SIDES[gate.kind])))
+    return DecompositionSpec("space", gate.kind, gate.params, tuple(map(Term, coefficients, sides)))
 
 
 # ---------------------------------------------------------------------------

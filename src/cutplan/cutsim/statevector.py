@@ -9,11 +9,9 @@ bit. This module is the one place that convention lives: ``apply_matrix``,
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
+from ..gates import GATES
 from ..qasm import CircuitIR, GateApp
 
 MAX_QUBITS = 20
@@ -23,73 +21,12 @@ class TooManyQubitsError(Exception):
     pass
 
 
-def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([
-        [c, -cmath.exp(1j * lam) * s],
-        [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-    ])
-
-
-_SQ = {
-    "id": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "s": np.diag([1, 1j]).astype(complex),
-    "sdg": np.diag([1, -1j]).astype(complex),
-    "t": np.diag([1, cmath.exp(1j * math.pi / 4)]),
-    "tdg": np.diag([1, cmath.exp(-1j * math.pi / 4)]),
-    "sx": np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2,
-    "sxdg": np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]], dtype=complex) / 2,
-    "u0": np.eye(2, dtype=complex),  # an idle period: the identity, whatever its length
-}
-# ``gate_matrix`` hands these out shared, so no caller may write to them
-for _matrix in _SQ.values():
-    _matrix.flags.writeable = False
-
-
-# controlled gates: the name of the target's gate prefixed with 'c'
-_CONTROLLED = {"cx", "cy", "cz", "ch", "crx", "cry", "crz", "cp", "cu1"}
-
-
 def gate_matrix(gate: GateApp) -> np.ndarray:
-    """Unitary of a gate application (2x2 or 4x4, control-first for 2q)."""
-    kind, p = gate.kind, gate.params
-    if kind in _SQ:
-        return _SQ[kind]
-    if kind == "rx":
-        return _u3(p[0], -math.pi / 2, math.pi / 2)
-    if kind == "ry":
-        return _u3(p[0], 0.0, 0.0)
-    if kind == "rz":
-        return np.array([[cmath.exp(-0.5j * p[0]), 0], [0, cmath.exp(0.5j * p[0])]])
-    if kind in ("p", "u1"):
-        return np.array([[1.0, 0], [0, cmath.exp(1j * p[0])]])
-    if kind == "u2":
-        return _u3(math.pi / 2, p[0], p[1])
-    if kind in ("u3", "u"):
-        return _u3(p[0], p[1], p[2])
-    if kind in _CONTROLLED:
-        out = np.eye(4, dtype=complex)
-        out[2:, 2:] = gate_matrix(GateApp(kind[1:], (0,), p))
-        return out
-    if kind == "swap":
-        return np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                        dtype=complex)
-    if kind == "rzz":
-        a = cmath.exp(-0.5j * p[0])
-        b = cmath.exp(0.5j * p[0])
-        return np.diag([a, b, b, a])
-    if kind in ("rxx", "ryy"):
-        c, s = math.cos(p[0] / 2.0), math.sin(p[0] / 2.0)
-        m = np.eye(4, dtype=complex) * c
-        m[1, 2] = m[2, 1] = -1j * s
-        corner = -1j * s if kind == "rxx" else 1j * s
-        m[0, 3] = m[3, 0] = corner
-        return m
-    raise ValueError(f"no matrix for gate '{kind}'")
+    """Unitary of a gate application (2x2 or 4x4, control-first), from ``GATES``."""
+    row = GATES.get(gate.kind)
+    if row is None:
+        raise ValueError(f"no matrix for gate '{gate.kind}'")
+    return row.matrix(*gate.params)
 
 
 def zero_state(num_qubits: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from ._checks import _integer, _real
+from .gates import GATES, IDLE
 
 
 class QasmError(Exception):
@@ -86,6 +87,19 @@ def _wire(kind: str, q, num_qubits: int) -> int:
     return q
 
 
+def _gate_error(kind: str, row, qubits: tuple, params: tuple) -> QasmError:
+    """The parser's error for a ``kind`` gate on ``qubits`` with ``params``: its
+    ``row`` (of ``GATES``, or a gate definition) is None, or the shape differs."""
+    if row is None and kind in _WIDE_GATES:
+        return UnsupportedGateError(f"gate '{kind}' acts on {_WIDE_GATES[kind]} qubits; "
+                                    "only 1- and 2-qubit gates are supported")
+    if row is None:
+        return UnsupportedGateError(f"unknown gate '{kind}'")
+    if row.arity != len(qubits):
+        return QasmSyntaxError(f"gate '{kind}' expects {row.arity} operand(s), got {len(qubits)}")
+    return QasmSyntaxError(f"gate '{kind}' expects {row.n_params} parameter(s), got {len(params)}")
+
+
 class CircuitIR:
     """Gate-level circuit over ``num_qubits`` wires, stored as columns: per
     gate, in order, its ``kind``, ``qubits`` and ``params``. The parser, the
@@ -94,16 +108,20 @@ class CircuitIR:
     """
 
     def __init__(self, num_qubits: int, gates: Sequence[GateApp], name: str = "circuit"):
-        """A circuit from ``GateApp`` objects, each wire checked against
-        ``num_qubits`` and stored as an ``int``, each parameter stored as a
-        ``float``; a bool parameter raises ``TypeError``."""
+        """A circuit from ``GateApp`` objects, each kind and shape checked as the
+        parser does, each wire checked against ``num_qubits`` and stored as an
+        ``int``, each parameter stored as a ``float`` (a bool raises ``TypeError``)."""
         gates = tuple(gates)
         self.num_qubits = num_qubits = _integer("num_qubits", num_qubits, 0)
         self.name = name
         self.kind, self.qubits, self.params = [], [], []
         rebuilt = False
         for g in gates:
-            qubits = g.qubits
+            qubits, params = g.qubits, g.params
+            # a subscript after ``in`` costs less than the proxy's ``get``
+            row = GATES[g.kind] if g.kind in GATES else None
+            if row is None or row.arity != len(qubits) or row.n_params != len(params):
+                raise _gate_error(g.kind, row, qubits, params)
             for q in qubits:
                 # a plain int in range skips the check's call, which costs
                 # more than this loop; a gate with another integer wire (a
@@ -112,7 +130,6 @@ class CircuitIR:
                     qubits = tuple(_wire(g.kind, wire, num_qubits) for wire in qubits)
                     rebuilt = True
                     break
-            params = g.params
             for value in params:
                 # likewise a gate with a parameter of another real type (a
                 # numpy float, which ``to_qasm`` would write as a call) is
@@ -130,8 +147,8 @@ class CircuitIR:
     @classmethod
     def from_columns(cls, num_qubits: int, kind: list[str], qubits: list[tuple[int, ...]],
                      params: list[tuple[float, ...]], name: str = "circuit") -> "CircuitIR":
-        """A circuit that keeps the given lists as its columns. The caller
-        has checked every gate: one or two distinct wires, all in range."""
+        """A circuit that keeps the given lists as its columns, unchecked: the
+        caller has checked each gate's kind, shape and wires."""
         circuit = cls.__new__(cls)
         vars(circuit).update(num_qubits=num_qubits, name=name, kind=kind, qubits=qubits,
                              params=params)
@@ -141,19 +158,6 @@ class CircuitIR:
     def gates(self) -> tuple[GateApp, ...]:
         return tuple(map(GateApp, self.kind, self.qubits, self.params))
 
-
-# name -> (number of qubits, number of parameters) for the qelib1-style set
-STANDARD_GATES: dict[str, tuple[int, int]] = {
-    "id": (1, 0), "x": (1, 0), "y": (1, 0), "z": (1, 0), "h": (1, 0),
-    "s": (1, 0), "sdg": (1, 0), "t": (1, 0), "tdg": (1, 0),
-    "sx": (1, 0), "sxdg": (1, 0),
-    "rx": (1, 1), "ry": (1, 1), "rz": (1, 1),
-    "p": (1, 1), "u0": (1, 1), "u1": (1, 1), "u2": (1, 2), "u3": (1, 3),
-    "u": (1, 3),
-    "cx": (2, 0), "cy": (2, 0), "cz": (2, 0), "ch": (2, 0), "swap": (2, 0),
-    "crx": (2, 1), "cry": (2, 1), "crz": (2, 1), "cp": (2, 1), "cu1": (2, 1),
-    "rzz": (2, 1), "rxx": (2, 1), "ryy": (2, 1),
-}
 
 # constructs we recognise but reject explicitly
 _UNSUPPORTED_STATEMENTS = {"if", "reset", "opaque"}
@@ -292,6 +296,9 @@ class _GateDef:
     qargs: list[str]
     # body statements as (name, parameter texts, operand names)
     body: list[tuple[str, list[str], list[str]]]
+    # the shape, read as a ``GATES`` row's
+    arity = property(lambda self: len(self.qargs))
+    n_params = property(lambda self: len(self.params))
 
 
 class _Parser:
@@ -461,23 +468,16 @@ class _Parser:
             raise UnsupportedGateError(
                 f"gate '{kind}' exceeds inline depth (recursive definition?)")
         gdef = self.gate_defs.get(kind)
-        spec = (len(gdef.qargs), len(gdef.params)) if gdef else STANDARD_GATES.get(kind)
-        if spec is None:
-            if kind in _WIDE_GATES:
-                raise UnsupportedGateError(
-                    f"gate '{kind}' acts on {_WIDE_GATES[kind]} qubits; "
-                    "only 1- and 2-qubit gates are supported")
-            if kind not in _BUILTIN_GATES:
-                raise UnsupportedGateError(f"unknown gate '{kind}'")
-            kind = _BUILTIN_GATES[kind]
-            spec = STANDARD_GATES[kind]
-        arity, n_params = spec
-        if arity != len(qubits):
-            raise QasmSyntaxError(
-                f"gate '{kind}' expects {arity} operand(s), got {len(qubits)}")
-        if n_params != len(params):
-            raise QasmSyntaxError(
-                f"gate '{kind}' expects {n_params} parameter(s), got {len(params)}")
+        row = gdef or GATES.get(kind)
+        if row is None:
+            kind = _BUILTIN_GATES.get(kind, kind)
+            row = GATES.get(kind)
+            if row is None:
+                raise _gate_error(kind, None, qubits, params)
+        # the shape is tested inline; the helper only words the error
+        arity = row.arity
+        if arity != len(qubits) or row.n_params != len(params):
+            raise _gate_error(kind, row, qubits, params)
         if arity == 2 and qubits[0] == qubits[1] or arity > 2 and len(set(qubits)) < arity:
             q = next(q for q in qubits if qubits.count(q) > 1)
             raise DuplicateOperandError(f"gate '{kind}' applied twice to wire {q}")
@@ -490,7 +490,7 @@ class _Parser:
                     raise UnsupportedGateError(
                         f"gate on wire {q} after measurement "
                         "(mid-circuit measurement is not supported)")
-        if kind == "id" or kind == "u0":
+        if kind in IDLE:
             return
         self.kind.append(kind)
         self.qubits.append(qubits)

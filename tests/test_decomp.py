@@ -7,7 +7,8 @@ from cutplan.cutsim import (gate_cut_decomposition, gate_matrix, reconstruct_cha
                             reconstruction_error, target_channel,
                             wire_cut_decomposition)
 from cutplan.cutsim.decomp import Term, TermSide, DecompositionSpec, _g
-from cutplan.graph import DEFAULT_WEIGHTS, GATE_CUTS
+from cutplan.gates import GATES
+from cutplan.graph import DEFAULT_WEIGHTS
 from cutplan.qasm import GateApp
 
 # a row whose core angle is the gate's parameter is cut at each of these
@@ -15,10 +16,13 @@ PARAM_ANGLES = (0.0, 0.37, math.pi / 2, 2.9, -1.7)
 # the angle the planner prices such a row at
 PRICING_ANGLE = math.pi / 2
 
-# (kind, params) of every GATE_CUTS row, at every angle for a parametrised row
+# the kinds of GATES with a cut row, and each one's (kind, params), at every
+# angle for a parametrised row
+CUT_KINDS = [kind for kind, row in GATES.items() if row.cut is not None]
 GATE_CUT_CASES = []
-for kind, (theta, _) in GATE_CUTS.items():
-    GATE_CUT_CASES += [(kind, ())] if theta is not None else [(kind, (a,)) for a in PARAM_ANGLES]
+for kind in CUT_KINDS:
+    GATE_CUT_CASES += ([(kind, ())] if GATES[kind].cut[0] is not None
+                       else [(kind, (a,)) for a in PARAM_ANGLES])
 
 
 def _spec(kind, *params):
@@ -43,7 +47,7 @@ def test_gate_cuts_reconstruct_target(kind, params):
     spec = _spec(kind, *params)
     assert (spec.gate_kind, spec.params) == (kind, params)
     assert reconstruction_error(spec) <= 1e-10
-    row_theta = GATE_CUTS[kind][0]
+    row_theta = GATES[kind].cut[0]
     theta = params[0] if row_theta is None else row_theta
     assert spec.kappa == pytest.approx(1 + 2 * abs(math.sin(theta)))
     assert spec.tau == pytest.approx(1 + math.sin(theta) ** 2 / 2)
@@ -59,16 +63,16 @@ def test_factors_match_weight_table():
     table = DEFAULT_WEIGHTS
     wire = wire_cut_decomposition()
     assert (table.time.kappa, table.time.tau) == (wire.kappa, wire.tau)
-    assert list(table.space) == list(GATE_CUTS) == ["cx", "cz", "rzz"]
+    assert list(table.space) == CUT_KINDS == ["cx", "cz", "rzz"]
     for kind, entry in table.space.items():
-        spec = _spec(kind) if GATE_CUTS[kind][0] is not None else _spec(kind, PRICING_ANGLE)
+        spec = _spec(kind) if GATES[kind].cut[0] is not None else _spec(kind, PRICING_ANGLE)
         assert (entry.kappa, entry.tau) == (spec.kappa, spec.tau), kind
     with pytest.warns(UserWarning, match="'swap'"):
         assert table.space_entry("swap") == table.space["cx"]
     with pytest.raises(TypeError):
         table.space["iswap"] = table.space["cx"]
     with pytest.raises(TypeError):
-        GATE_CUTS["iswap"] = GATE_CUTS["cx"]
+        GATES["iswap"] = GATES["cx"]
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.37, 1.2, math.pi / 2, 2.9, -1.7])

@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cutplan.clustering import run_pipeline
 from cutplan.fixtures import ising_chain
+from cutplan.gates import GATES, IDLE
 from cutplan.graph import CutKind, build_cut_graph
-from cutplan.qasm import (STANDARD_GATES, CircuitIR, DuplicateOperandError, GateApp,
+from cutplan.qasm import (CircuitIR, DuplicateOperandError, GateApp,
                           QasmError, QasmSyntaxError, UndeclaredRegisterError,
                           UnsupportedGateError, _MAX_EXPR_DEPTH, parse_qasm,
                           to_qasm)
@@ -411,12 +412,12 @@ def test_fixture_parses_back():
 
 @st.composite
 def _circuits(draw):
-    """A circuit of up to 30 gates drawn from ``STANDARD_GATES``, on 2-6
-    wires, with any finite float parameters."""
+    """A circuit of up to 30 gates drawn from ``GATES``, on 2-6 wires, with
+    any finite float parameters."""
     n = draw(st.integers(2, 6))
     gates = []
-    for kind in draw(st.lists(st.sampled_from(sorted(STANDARD_GATES)), max_size=30)):
-        arity, n_params = STANDARD_GATES[kind]
+    for kind in draw(st.lists(st.sampled_from(sorted(GATES)), max_size=30)):
+        arity, n_params = GATES[kind].arity, GATES[kind].n_params
         qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity,
                                unique=True))
         params = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
@@ -425,11 +426,59 @@ def _circuits(draw):
     return CircuitIR(n, gates, "rand")
 
 
+def _columns(ir):
+    """The IR's columns, each parameter by ``float.hex`` so that a signed
+    zero or a last bit counts."""
+    return ir.kind, ir.qubits, [tuple(map(float.hex, params)) for params in ir.params]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_circuits())
+@example(CircuitIR(2, (
+    GateApp("u3", (1,), (-0.0, 5e-324, 1.7976931348623157e308)),
+    GateApp("rzz", (1, 0), (-1.7976931348623157e308,)), GateApp("u0", (0,), (-0.0,)))))
 def test_to_qasm_round_trips(ir):
-    """Parsing ``to_qasm``'s output gives back every gate but the no-ops
-    ``id`` and ``u0``, which the parser drops."""
+    """Parsing ``to_qasm``'s output gives back every gate, parameters to the
+    bit, but the no-ops ``id`` and ``u0``, which the parser drops."""
     again = parse_qasm(to_qasm(ir), name=ir.name)
     assert again.num_qubits == ir.num_qubits
-    assert again.gates == tuple(g for g in ir.gates if g.kind not in ("id", "u0"))
+    kept = CircuitIR(ir.num_qubits, [g for g in ir.gates if g.kind not in IDLE])
+    assert _columns(again) == _columns(kept)
+
+
+@pytest.mark.parametrize("gate, error, message, text", [
+    (GateApp("cu3", (0, 1), (0.1, 0.2, 0.3)), UnsupportedGateError,
+     "unknown gate 'cu3'", "cu3(0.1,0.2,0.3) q[0],q[1];"),
+    (GateApp("rx", (0,)), QasmSyntaxError, "gate 'rx' expects 1 parameter(s), got 0",
+     "rx q[0];"),
+    (GateApp("cx", (0,)), QasmSyntaxError, "gate 'cx' expects 2 operand(s), got 1",
+     "cx q[0];"),
+    (GateApp("h", (0,), (0.5,)), QasmSyntaxError, "gate 'h' expects 0 parameter(s), got 1",
+     "h(0.5) q[0];"),
+], ids=["unknown-kind", "missing-parameter", "missing-operand", "extra-parameter"])
+def test_circuit_ir_rejects_what_the_parser_rejects(gate, error, message, text):
+    """An IR that ``to_qasm`` would write as text ``parse_qasm`` rejects
+    fails when it is built, with the parser's class and message."""
+    with pytest.raises(QasmError) as built:
+        CircuitIR(2, [GateApp("h", (1,)), gate])
+    with pytest.raises(QasmError) as parsed:
+        parse_qasm("qreg q[2];\n" + text)
+    assert type(built.value) is type(parsed.value) is error
+    assert str(built.value) == message and built.value.line is None
+    assert str(parsed.value) == f"line 2: {message}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(GATES)), st.integers(1, 2), st.integers(0, 3))
+def test_circuit_ir_rejects_a_wrong_operand_or_parameter_count(kind, arity, n_params):
+    """A gate whose operand or parameter count is not its kind's raises when
+    the IR is built, operands checked first, as the parser words it."""
+    row = GATES[kind]
+    assume((arity, n_params) != (row.arity, row.n_params))
+    gate = GateApp(kind, tuple(range(arity)), (0.5,) * n_params)
+    if arity != row.arity:
+        message = f"gate '{kind}' expects {row.arity} operand(s), got {arity}"
+    else:
+        message = f"gate '{kind}' expects {row.n_params} parameter(s), got {n_params}"
+    with pytest.raises(QasmSyntaxError, match=f"^{re.escape(message)}$"):
+        CircuitIR(2, [gate])

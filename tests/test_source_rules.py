@@ -10,6 +10,7 @@ import sys
 import cutplan
 from cutplan.clustering import run_pipeline
 from cutplan.fixtures import ising_chain
+from cutplan.gates import GATES
 from cutplan.graph import build_cut_graph
 from cutplan.overhead import build_report
 from cutplan.qasm import GateApp, parse_qasm, to_qasm
@@ -57,6 +58,46 @@ def test_integer_checks_live_in_one_module():
                 continue
             if names & banned:
                 found.append(f"{os.path.relpath(path, PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
+def _kind_tables(source: str) -> list[int]:
+    """Lines of ``source`` holding a dict or set display keyed by a kind of
+    ``GATES``, or an ``==``/``!=``/``in``/``not in`` comparison with such a
+    literal (alone, or in a tuple, list or set display)."""
+    def kinds(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and n.value in GATES for n in items)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            hit = any(key is not None and kinds(key) for key in node.keys)
+        elif isinstance(node, ast.Set):
+            hit = kinds(node)
+        elif isinstance(node, ast.Compare):
+            hit = (any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+                   and any(map(kinds, [node.left, *node.comparators])))
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_gate_kinds_live_in_one_module():
+    """``gates.GATES`` is the one table of gate kinds: outside ``gates.py``
+    no module keys a dict or set display by a kind or compares with a kind's
+    name. Building gates from kind names is allowed."""
+    assert _kind_tables('t = {"cx": 1}\ns = {"rz"}\nif kind in ("p", "u1"): pass\n'
+                        'k == "id"\nd = {"U": "u3"}\ng = GateApp("cx", (0, 1))\n') == [1, 2, 3, 4]
+    found = []
+    for path in _modules():
+        module = os.path.relpath(path, PACKAGE)
+        if module != "gates.py":
+            with open(path, encoding="utf-8") as fh:
+                found += [f"{module}:{line}" for line in _kind_tables(fh.read())]
     assert found == []
 
 

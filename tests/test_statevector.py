@@ -9,7 +9,8 @@ from cutplan.cutsim import (TooManyQubitsError, basis_bits, expectation_value,
                             simulate_statevector)
 from cutplan.cutsim.statevector import apply_matrix, project_qubit
 from cutplan.cutsim.observable import ObsFactor, value_table
-from cutplan.qasm import STANDARD_GATES, CircuitIR, GateApp
+from cutplan.gates import GATES
+from cutplan.qasm import CircuitIR, GateApp
 
 
 def test_hadamard():
@@ -31,7 +32,7 @@ def test_initial_basis_state():
 
 
 def test_every_standard_gate_has_a_unitary_of_its_arity(rng):
-    for kind, (arity, n_params) in STANDARD_GATES.items():
+    for kind, (arity, n_params, _, _) in GATES.items():
         params = tuple(float(t) for t in rng.uniform(-7, 7, n_params))
         u = gate_matrix(GateApp(kind, tuple(range(arity)), params))
         assert u.shape == (2 ** arity, 2 ** arity), kind
@@ -161,7 +162,7 @@ def test_shared_gate_matrices_are_read_only():
         h[:] = gate_matrix(GateApp("x", (0,)))
     circuit = CircuitIR(1, (GateApp("h", (0,)),))
     assert expectation_value(circuit, pauli_z_observable([0])) == pytest.approx(0.0, abs=1e-15)
-    for kind, (arity, n_params) in STANDARD_GATES.items():
+    for kind, (arity, n_params, _, _) in GATES.items():
         gate = GateApp(kind, tuple(range(arity)), (0.5,) * n_params)
         matrix = gate_matrix(gate)
         assert matrix is not gate_matrix(gate) or not matrix.flags.writeable, kind
@@ -175,7 +176,7 @@ def test_controlled_gates_are_control_first_blocks(kind, target, rng):
     """A controlled gate is |0><0| (x) I + |1><1| (x) U, with U its target's
     matrix and the control on the most significant bit."""
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    n_params = STANDARD_GATES[kind][1]
+    n_params = GATES[kind].n_params
     for theta in rng.uniform(-7, 7, size=(5, n_params)):
         params = tuple(float(t) for t in theta)
         u = gate_matrix(GateApp(target, (0,), params))

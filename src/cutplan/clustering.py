@@ -16,11 +16,13 @@ process, not an input.
 
 The wire partition is then scored as one more candidate: nodes with equal
 qubit masks share a cluster (on an atomic graph, one cluster per wire, every
-gate cut), which fits the cap because every node does. It is returned only
+gate cut), which fits the cap because every node does. It is taken only
 when its worst log overhead is lower than the two-stage plan's by more than
 the tolerance, and on a tie the two-stage plan stays, so no plan is worse
-than the two-stage one. The step-2 row names the candidate returned and the
-wire partition's worst log overhead.
+than the two-stage one. A third pass then dissolves whole clusters of the
+plan taken into adjacent ones (``dissolution._Dissolver``) and keeps its
+result only when the worst log overhead is lower. The step-2 row names the candidate
+taken, the wire partition's worst log overhead and the clusters dissolved.
 
 Both move engines skip visits whose outcome is already known, and count
 them as if they had been made. A stage-1 visit reads only the clusters of its
@@ -199,7 +201,36 @@ class _Level:
         return sorted(range(len(k)), key=k.__getitem__, reverse=True)
 
 
-class _LevelState:
+class _Clusters:
+    """Clusters of one graph level: ``level``, ``max_qubits``, each node's
+    ``cluster_of``, per cluster id its ``members`` and qubit mask ``cmask``,
+    and ``r``, the number of nonempty clusters."""
+
+    def live(self) -> list[int]:
+        return [c for c, nodes in enumerate(self.members) if nodes]
+
+    def _check_clusters(self) -> None:
+        """Membership, qubit masks and the cap, recomputed from the nodes."""
+        mask = self.level.mask
+        seen = 0
+        for c in self.live():
+            union = 0
+            for i in self.members[c]:
+                if self.cluster_of[i] != c:
+                    raise AuditError(f"node {i} listed in cluster {c}, assigned "
+                                     f"to {self.cluster_of[i]}")
+                union |= mask[i]
+            seen += len(self.members[c])
+            if union != self.cmask[c]:
+                raise AuditError(f"qubit mask of cluster {c} differs from its members'")
+            if union.bit_count() > self.max_qubits:
+                raise AuditError(f"cluster {c} holds {union.bit_count()} qubits, "
+                                 f"cap {self.max_qubits}")
+        if seen != len(self.cluster_of) or self.r != len(self.live()):
+            raise AuditError("clusters do not partition the level's nodes")
+
+
+class _LevelState(_Clusters):
     """Mutable clustering bookkeeping for one graph level.
 
     Cluster ids are below the level's node count, so per-cluster state lives
@@ -221,9 +252,6 @@ class _LevelState:
             self.cmask[c] |= level.mask[i]
         self.r = len(self.live())
 
-    def live(self) -> list[int]:
-        return [c for c, nodes in enumerate(self.members) if nodes]
-
     def relocate(self, i: int, c_from: int, c_to: int) -> None:
         mask = self.level.mask
         source = self.members[c_from]
@@ -242,26 +270,6 @@ class _LevelState:
         if order == "random":
             return [int(i) for i in rng.permutation(len(self.k))]
         return self.level.weighted_order
-
-    def _check_clusters(self) -> None:
-        """Membership, qubit masks and the cap, recomputed from the nodes."""
-        mask = self.level.mask
-        seen = 0
-        for c in self.live():
-            union = 0
-            for i in self.members[c]:
-                if self.cluster_of[i] != c:
-                    raise AuditError(f"node {i} listed in cluster {c}, assigned "
-                                     f"to {self.cluster_of[i]}")
-                union |= mask[i]
-            seen += len(self.members[c])
-            if union != self.cmask[c]:
-                raise AuditError(f"qubit mask of cluster {c} differs from its members'")
-            if union.bit_count() > self.max_qubits:
-                raise AuditError(f"cluster {c} holds {union.bit_count()} qubits, "
-                                 f"cap {self.max_qubits}")
-        if seen != len(self.cluster_of) or self.r != len(self.live()):
-            raise AuditError("clusters do not partition the level's nodes")
 
 
 @dataclass
@@ -618,6 +626,31 @@ def _step2(level: _Level, max_qubits: int, order, rng, audit, start: list[int]):
     return labels, stats
 
 
+def _dissolve(level: _Level, labels: list[int], max_qubits: int, score, segments: bool,
+              audit: bool):
+    """The third pass: ``_Dissolver`` on the dense labels ``labels``, whose
+    ``_score`` is ``score``; ``segments`` says the level is atomic, so that
+    ``overhead.segment_counts`` applies. Returns the labels, numbered by
+    first appearance, the number of clusters dissolved and the labels'
+    ``_score``. The result is re-scored once from the edges; unless that
+    score is lower than ``score`` by more than ``EPS``, the start, 0 and
+    ``score`` are returned, so float drift never makes a plan worse."""
+    # imported here: only a plan needs the pass, and importing cutplan for
+    # anything else then compiles none of it
+    from .dissolution import _Dissolver
+
+    state = _Dissolver(level, labels, max_qubits, score, segments)
+    dissolved = state.run(audit)
+    if not dissolved:
+        return labels, 0, score
+    first: dict[int, int] = {}
+    result = [first.setdefault(c, len(first)) for c in state.cluster_of]
+    new_score = _score(level, result)
+    if not new_score[0] < score[0] - EPS:
+        return labels, 0, score
+    return result, dissolved, new_score
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -633,10 +666,12 @@ class StageMetrics:
     wall_time_s: float
     gain_evals: int
     lq_trace: tuple[float, ...] = ()
-    #: the step-2 row only: the candidate returned, ``"stages"`` or
-    #: ``"wires"``, and the wire partition's worst log overhead
+    #: the step-2 row only: the candidate taken, ``"stages"`` or
+    #: ``"wires"``, the wire partition's worst log overhead and the number
+    #: of clusters that ``_dissolve`` then dissolved
     returned: str | None = None
     wire_lq: float | None = None
+    dissolved: int | None = None
 
     def to_json_dict(self) -> dict:
         payload = dict(asdict(self), wall_time_s=round(self.wall_time_s, 4),
@@ -662,16 +697,18 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
                  restarts: int = 1, seed: int | None = None,
                  audit: bool = False) -> PipelineResult:
     """Full partitioner: stage 1, contraction, stage 2, atomic refinement,
-    then the wire partition as one more candidate.
+    then the wire partition as one more candidate, then dissolution.
 
     Both stages run on the graph's ``_Level``, built once per run. The
     supernode merging of stage 2 cannot split stage-1 clusters, so a final
     stage-2 refinement on the atomic level polishes the boundary. With
     ``order="random"`` the best of ``restarts`` runs (by final worst overhead)
     is kept; the weighted order is deterministic and runs once. The wire
-    partition, nodes with equal qubit masks in one cluster, is returned
+    partition, nodes with equal qubit masks in one cluster, is taken
     instead when its worst log overhead is lower by more than ``EPS``, so no
-    plan is worse than the two-stage one; the step-2 row then scores it.
+    plan is worse than the two-stage one. ``_dissolve`` then hands whole
+    clusters of the plan taken to their neighbours where that lowers its
+    worst log overhead. The step-2 row scores the plan returned.
     """
     max_qubits = _check_plan_args(max_qubits, order)
     restarts = _integer("restarts", restarts, 1)
@@ -681,26 +718,36 @@ def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
             if order == "random" else [None])
     best = None
     for rng in rngs:
-        labels, stages = _pipeline_once(graph, max_qubits, order, rng, audit)
-        if best is None or stages[-1].lq < best[1][-1].lq - EPS:
-            best = labels, stages
-    labels, (step1, step2) = best
+        run = _pipeline_once(graph, max_qubits, order, rng, audit)
+        if best is None or run[2][-1].lq < best[2][-1].lq - EPS:
+            best = run
+    atomic, labels, (step1, step2), score = best
     # one cluster per wire fits the cap, since every node does (stage 1
     # checked); the numbering is by first appearance, as for the stages
     first: dict[int, int] = {}
     wires = [first.setdefault(mask, len(first)) for mask in graph.mask]
-    wire_lq, wire_ld, wire_r = _score(graph, wires)
+    wire_score = _score(graph, wires)
+    wire_lq = wire_score[0]
     if wire_lq < step2.lq - EPS:
-        labels, step2 = wires, replace(step2, lq=wire_lq, ld=wire_ld, r=wire_r,
-                                       returned="wires", wire_lq=wire_lq)
+        labels, score, returned = wires, wire_score, "wires"
     else:
-        step2 = replace(step2, returned="stages", wire_lq=wire_lq)
+        returned = "stages"
+    t0 = time.perf_counter()
+    dissolved = 0
+    if labels:
+        labels, dissolved, score = _dissolve(atomic, labels, max_qubits, score,
+                                             None not in graph.gate_id, audit)
+    lq, ld, r, _ = score
+    step2 = replace(step2, lq=lq, ld=ld, r=r, returned=returned, wire_lq=wire_lq,
+                    dissolved=dissolved,
+                    wall_time_s=step2.wall_time_s + time.perf_counter() - t0)
     clustering = Clustering.from_assignment(graph, dict(enumerate(labels)), max_qubits)
     return PipelineResult(clustering=clustering, stages=(step1, step2))
 
 
 def _pipeline_once(graph, max_qubits, order, rng, audit):
-    """One two-stage run: the final node labels and the two stage rows."""
+    """One two-stage run: the atomic level, the final node labels, the two
+    stage rows and the final labels' ``_score``."""
     t0 = time.perf_counter()
     atomic, labels1, st1 = _step1(graph, max_qubits, order, rng, audit)
     t1 = time.perf_counter()
@@ -718,26 +765,26 @@ def _pipeline_once(graph, max_qubits, order, rng, audit):
     # number the clusters by first appearance, i.e. by smallest member node id
     first: dict[int, int] = {}
     labels2 = [first.setdefault(c, len(first)) for c in labels2]
-    return labels2, (_stage_metrics("step1", atomic, labels1, st1, t1 - t0),
-                     _stage_metrics("step2", atomic, labels2, st2, t2 - t1))
+    score2 = _score(atomic, labels2)
+    return atomic, labels2, (_stage_metrics("step1", _score(atomic, labels1), st1, t1 - t0),
+                             _stage_metrics("step2", score2, st2, t2 - t1)), score2
 
 
-def _score(level, labels: list[int]) -> tuple[float, float, int]:
+def _score(level, labels: list[int]):
     """``lq``, the worst log overhead, ``ld``, the attached cut weight of the
-    cluster attaining it, and ``R`` of the dense node labels ``labels``,
-    from the level's cut sums."""
+    cluster attaining it, ``R`` and the cut sums ``(s_w, s_hat, hat_cut)``
+    of the dense node labels ``labels``, from the level's ``cut_sums``."""
     clusters = sorted(set(labels))
     if not clusters:
-        return 0.0, 0.0, 1  # a circuit with nothing to cut is one partition
-    s_w, s_hat, _, hat_cut, _ = cut_sums(level, labels)
+        return 0.0, 0.0, 1, ([], [], 0.0, [])  # a circuit with nothing to cut is one partition
+    s_w, s_hat, _, hat_cut, cut = cut_sums(level, labels)
     ln_i, worst = log_overheads(s_w, s_hat, hat_cut, clusters)
-    return ln_i[worst], s_w[clusters[worst]], len(clusters)
+    return ln_i[worst], s_w[clusters[worst]], len(clusters), (s_w, s_hat, hat_cut, cut)
 
 
-def _stage_metrics(name, level: _Level, labels: list[int], stats: StageStats,
-                   elapsed) -> StageMetrics:
-    """A stage's row, scored by ``_score`` under the node labels ``labels``."""
-    lq, ld, r = _score(level, labels)
+def _stage_metrics(name, score, stats: StageStats, elapsed) -> StageMetrics:
+    """A stage's row, with the ``lq``, ``ld`` and ``R`` of its ``_score``."""
+    lq, ld, r, _ = score
     return StageMetrics(
         stage=name,
         lq=lq,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gates import GATES
-from ..qasm import CircuitIR, GateApp
+from ..qasm import CircuitIR, GateApp, _gate_error
 
 MAX_QUBITS = 20
 
@@ -22,11 +22,17 @@ class TooManyQubitsError(Exception):
 
 
 def gate_matrix(gate: GateApp) -> np.ndarray:
-    """Unitary of a gate application (2x2 or 4x4, control-first), from ``GATES``."""
-    row = GATES.get(gate.kind)
+    """Unitary of a gate application (2x2 or 4x4, control-first), from ``GATES``.
+    An unknown kind raises ``ValueError``; a gate whose operand or parameter
+    count differs from its kind's raises the parser's ``QasmSyntaxError``."""
+    kind, params = gate.kind, gate.params
+    # a subscript after ``in`` costs less than the proxy's ``get``
+    row = GATES[kind] if kind in GATES else None
     if row is None:
-        raise ValueError(f"no matrix for gate '{gate.kind}'")
-    return row.matrix(*gate.params)
+        raise ValueError(f"no matrix for gate '{kind}'")
+    if row.arity != len(gate.qubits) or row.n_params != len(params):
+        raise _gate_error(kind, row, gate.qubits, params)
+    return row.matrix(*params)
 
 
 def zero_state(num_qubits: int) -> np.ndarray:

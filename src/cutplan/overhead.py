@@ -160,6 +160,20 @@ def log_overheads(s_w, s_hat, hat_cut: float,
     return ln_i, max(range(len(ln_i)), key=ln_i.__getitem__)
 
 
+def segment_counts(mask: Iterable[int], labels: Iterable[int]) -> dict[int, int]:
+    """Per cluster, the wire segments it owns along a run of atomic nodes in
+    time order: ``mask`` gives each node's wire bit and ``labels`` its
+    cluster. A segment is a maximal run of one wire's nodes that one
+    cluster owns."""
+    segments: dict[int, int] = {}
+    owner: dict[int, int] = {}  # cluster of each wire's latest node, by wire bit
+    for m, c in zip(mask, labels):
+        if owner.get(m) != c:
+            owner[m] = c
+            segments[c] = segments.get(c, 0) + 1
+    return segments
+
+
 def segment_flags(graph: CutGraph, clustering: "Clustering") -> tuple[int, ...]:
     """Clusters whose wire-segment count exceeds their qubit-union size.
 
@@ -170,15 +184,8 @@ def segment_flags(graph: CutGraph, clustering: "Clustering") -> tuple[int, ...]:
     """
     if None in graph.gate_id:
         return ()
-    assignment = clustering.assignment
-    segments = dict.fromkeys(clustering.clusters, 0)
-    owner: dict[int, int] = {}  # cluster of each wire's latest node, by wire bit
-    for node, mask in enumerate(graph.mask):  # node ids are in time order
-        c = assignment[node]
-        if owner.get(mask) != c:
-            owner[mask] = c
-            segments[c] += 1
-    return tuple(sorted(c for c, n in segments.items()
+    labels = map(clustering.assignment.__getitem__, range(graph.num_nodes))
+    return tuple(sorted(c for c, n in segment_counts(graph.mask, labels).items()
                         if n > len(clustering.clusters[c].qubits)))
 
 

@@ -468,10 +468,11 @@ class _Parser:
             raise UnsupportedGateError(
                 f"gate '{kind}' exceeds inline depth (recursive definition?)")
         gdef = self.gate_defs.get(kind)
-        row = gdef or GATES.get(kind)
+        # a subscript after ``in`` costs less than the proxy's ``get``
+        row = gdef or (GATES[kind] if kind in GATES else None)
         if row is None:
             kind = _BUILTIN_GATES.get(kind, kind)
-            row = GATES.get(kind)
+            row = GATES[kind] if kind in GATES else None
             if row is None:
                 raise _gate_error(kind, None, qubits, params)
         # the shape is tested inline; the helper only words the error

@@ -171,13 +171,17 @@ def test_partition_eps_whose_square_overflows(capsys, tmp_path):
     assert report["n_c"] == [1] * report["r"] and report["n_total"] == report["r"]
 
 
-def test_partition_overflowing_budget_fails_cleanly(capsys, tmp_path):
-    """48 partitions, one per wire, with a worst log overhead of 728 nats:
-    the overhead factor alone, e^728, overflows a float."""
+def test_partition_overflowing_budget_fails_cleanly(capsys, tmp_path, monkeypatch):
+    """The benchmark's seed-1 random-matching plan 7 (92 wires, 39 layers)
+    at cap 16: 92 partitions with a worst log overhead of 802 nats, so the
+    worst shot budget at eps 0.01, about 1e348, overflows a float."""
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.gen import random_matching_qasm
+
     path = tmp_path / "wide.qasm"
-    path.write_text(to_qasm(ising_chain(48, depth=16, seed=1)))
-    code, out, err = run_cli(capsys, "partition", str(path), "-D", "2",
-                             "--format", "json", "--eps", "0.03")
+    path.write_text(random_matching_qasm(92, 39, 1344573433))
+    code, out, err = run_cli(capsys, "partition", str(path), "-D", "16",
+                             "--format", "json", "--eps", "0.01")
     assert code == 1
     assert out == ""
     assert err.startswith("error: the shot budget of partition ")
@@ -320,7 +324,7 @@ def test_partition_and_errors_csv_bytes(capsys, tmp_path, monkeypatch, circuits_
     assert code == 0
     assert out == ("stage,lq,ld,r,wall_time_s\n"
                    "step1,9.416378,5.545177,6,0.0000\n"
-                   "step2,6.643790,5.545177,3,0.0000\n")
+                   "step2,5.087596,4.394449,2,0.0000\n")
     target = tmp_path / "errors.csv"
     code, _, _ = run_cli(capsys, "verify", "--repetitions", "2", "--seed", "1",
                          "--errors-csv", str(target))

@@ -8,17 +8,18 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cutplan
+import cutplan.dissolution
 from cutplan.clustering import (AuditError, Cluster, Clustering, InfeasibleCapError,
-                                _Level, _LevelState, _LogOverheadEngine, _ModularityEngine,
-                                _pipeline_once, _run_levels, run_pipeline,
-                                step1_modularity)
+                                _dissolve, _Level, _LevelState, _LogOverheadEngine,
+                                _ModularityEngine, _pipeline_once, _run_levels, _score,
+                                run_pipeline, step1_modularity)
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, Node, build_cut_graph, contract
-from cutplan.overhead import build_report
+from cutplan.overhead import build_report, segment_flags
 from cutplan.qasm import CircuitIR, GateApp, parse_qasm
 
 from conftest import (best_feasible_log_overhead, make_edge, max_log_overhead_oracle,
@@ -193,7 +194,7 @@ def test_lq_trace_opens_with_the_start_objective(rng):
 def test_plan_builds_one_clustering_and_scores_on_levels(monkeypatch):
     """A plan scores both stages on its levels and builds one ``Clustering``,
     the reported one; from the report module the planner takes only the
-    scorer, not ``build_report``."""
+    scorer, and the third pass the segment count, not ``build_report``."""
     calls = []
     build = Clustering.from_assignment.__func__
 
@@ -205,15 +206,18 @@ def test_plan_builds_one_clustering_and_scores_on_levels(monkeypatch):
     g = build_cut_graph(ising_chain(40, depth=2, seed=40))
     run_pipeline(g, 12)
     assert len(calls) == 1
-    with open(cutplan.clustering.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    from_overhead = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            assert not any("overhead" in alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and "overhead" in (node.module or ""):
-            from_overhead.update(alias.name for alias in node.names)
-    assert from_overhead == {"cut_sums", "log_overheads"}
+    for module, names in ((cutplan.clustering, {"cut_sums", "log_overheads"}),
+                          (cutplan.dissolution, {"cut_sums", "log_overheads",
+                                                 "segment_counts"})):
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        from_overhead = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any("overhead" in alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and "overhead" in (node.module or ""):
+                from_overhead.update(alias.name for alias in node.names)
+        assert from_overhead == names
 
 
 def test_pipeline_chain3_exact_optimum():
@@ -311,25 +315,91 @@ def test_audited_pipeline_agrees_with_the_plain_one(case):
 @given(_two_qubit_circuits())
 def test_pipeline_returns_the_better_of_the_stages_and_the_wires(case):
     """The returned plan scores as its step-2 row says, and is never worse
-    than the wire partition or the two-stage plan; the wires are returned
-    only when they beat the two-stage plan by more than the tolerance."""
+    than the wire partition or the two-stage plan; the wires are taken
+    only when they beat the two-stage plan by more than the tolerance, and
+    a plan with clusters dissolved is better than the one taken by more
+    than the tolerance."""
     circuit, cap, order, seed = case
     graph = build_cut_graph(circuit)
     result = run_pipeline(graph, cap, order=order, seed=seed)
     step2 = result.stages[1]
     rng = (np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
            if order == "random" else None)
-    _, (_, stages_row) = _pipeline_once(graph, cap, order, rng, False)
+    _, _, (_, stages_row), _ = _pipeline_once(graph, cap, order, rng, False)
     assert result.lq <= stages_row.lq + 1e-9
     assert result.lq <= step2.wire_lq + 1e-9
     assert (step2.returned == "wires") == (step2.wire_lq < stages_row.lq - 1e-9)
-    if step2.returned == "stages":
+    taken = step2.wire_lq if step2.returned == "wires" else stages_row.lq
+    if step2.dissolved:
+        assert result.lq < taken - 1e-9
+    elif step2.returned == "stages":
         assert (step2.lq, step2.ld, step2.r) == (stages_row.lq, stages_row.ld, stages_row.r)
+    else:
+        assert step2.lq == step2.wire_lq
     if graph.num_nodes:
         wires = dict(enumerate(graph.mask))
         assert step2.wire_lq == pytest.approx(max_log_overhead_oracle(graph, wires), abs=1e-9)
         assert result.lq == pytest.approx(
             max_log_overhead_oracle(graph, result.clustering.assignment), abs=1e-9)
+        assert result.r == len(result.clustering.clusters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_qubit_circuits(), st.booleans())
+def test_dissolving_clusters_never_makes_a_plan_worse(case, from_wires):
+    """From the two-stage plan or from the wire partition, under audit, the
+    third pass returns labels that cover every node and keep every cluster
+    within the cap, and it raises neither the worst log overhead nor the
+    count of segment-flagged clusters; a plan with clusters dissolved is
+    lower by more than the tolerance and scores as the oracle does."""
+    circuit, cap, order, seed = case
+    graph = build_cut_graph(circuit)
+    assume(graph.num_nodes)
+    rng = (np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+           if order == "random" else None)
+    level, labels, _, score = _pipeline_once(graph, cap, order, rng, False)
+    if from_wires:
+        first = {}
+        labels = [first.setdefault(mask, len(first)) for mask in graph.mask]
+        score = _score(level, labels)
+    result, dissolved, new_score = _dissolve(level, labels, cap, score, True, True)
+    before, after = (Clustering.from_assignment(graph, dict(enumerate(x)), cap)
+                     for x in (labels, result))
+    after.validate(graph)
+    lq_before = max_log_overhead_oracle(graph, before.assignment)
+    lq_after = max_log_overhead_oracle(graph, after.assignment)
+    assert lq_after <= lq_before + 1e-9
+    assert len(segment_flags(graph, after)) <= len(segment_flags(graph, before))
+    assert new_score[0] == pytest.approx(lq_after, abs=1e-9)
+    if dissolved:
+        assert lq_after < lq_before - 1e-9
+        assert after.num_clusters == before.num_clusters - dissolved
+    else:
+        assert (result, new_score) == (labels, score)
+
+
+def test_dissolving_clusters_keeps_the_segment_guard():
+    """On this 6-qubit circuit at cap 6, a dissolution that lowers ``lq``
+    would leave a cluster with more wire segments than qubits: the pass
+    takes another, and without the guard it would flag cluster 2."""
+    pairs = [("cz", 2, 1), ("cz", 1, 4), ("rzz", 3, 1), ("rzz", 0, 3), ("cz", 0, 5),
+             ("cx", 4, 3), ("cx", 2, 1), ("cx", 5, 4), ("rzz", 1, 2), ("cz", 3, 4),
+             ("rzz", 2, 1), ("cz", 1, 0), ("cx", 1, 2), ("cx", 5, 0), ("rzz", 1, 3),
+             ("cx", 4, 2), ("cx", 0, 1), ("cx", 3, 0), ("rzz", 5, 0), ("cz", 3, 4),
+             ("rzz", 3, 4), ("cz", 0, 4)]
+    graph = build_cut_graph(CircuitIR(6, tuple(
+        GateApp(kind, (a, b), (0.3,) if kind == "rzz" else ()) for kind, a, b in pairs)))
+    level, labels, _, score = _pipeline_once(graph, 6, "weighted", None, False)
+    plans = {}
+    for guard in (True, False):
+        result, dissolved, (lq, *_) = _dissolve(level, labels, 6, score, guard, True)
+        assert dissolved == 1 and lq < score[0] - 1e-9
+        plans[guard] = lq, segment_flags(
+            graph, Clustering.from_assignment(graph, dict(enumerate(result)), 6))
+    assert segment_flags(graph, Clustering.from_assignment(
+        graph, dict(enumerate(labels)), 6)) == ()
+    assert plans[True][1] == () and plans[False][1] == (2,)
+    assert plans[False][0] < plans[True][0] - 1e-9
 
 
 def _sweep_evaluating_every_node(engine, visit) -> int:
@@ -488,7 +558,8 @@ def test_stage_metrics_json_keys():
     result = run_pipeline(g, 5)
     stable = {"stage", "lq", "ld", "r", "moves", "passes", "wall_time_s", "gain_evals",
               "lq_trace"}
-    for stage, keys in zip(result.stages, (stable, stable | {"returned", "wire_lq"})):
+    for stage, keys in zip(result.stages,
+                           (stable, stable | {"returned", "wire_lq", "dissolved"})):
         payload = stage.to_json_dict()
         assert set(payload) == keys
         assert payload["gain_evals"] == stage.gain_evals

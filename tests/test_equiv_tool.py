@@ -1,8 +1,9 @@
 """Self-test of ``tools/equiv.py``: it finds no difference between a tree
 and itself, finds the differences that a known mutation makes in a copy,
 records an estimate's allocation apart from what it sampled, names a
-stage-row key that only one tree has without counting it, and counts every
-plan and each tree's failures per kind in its quality ledger."""
+stage-row key that only one tree has without counting it, counts every
+plan and each tree's failures per kind in its quality ledger, and names the
+largest rise and fall of ``lq`` with each tree's R."""
 
 import importlib.util
 import os
@@ -128,6 +129,8 @@ def test_ledger_of_a_tree_against_itself_holds_every_plan():
     assert _ledgers(out.stdout) == {"plan_chain": (0, 0, 3), "plan_random": (0, 0, 1)}
     assert re.search(r"^plan_chain ledger: lq_sum (\S+) -> \1; .*; largest rise none; "
                      r"failures none$", out.stdout, re.M), out.stdout
+    for workload in ("plan_chain", "plan_random"):
+        assert f"\n{workload} extremes: largest rise none; largest fall none\n" in out.stdout
     failures = re.search(r"^plan_random ledger: .*; failures (.+)$", out.stdout, re.M)[1]
     assert failures == "none" or all(re.fullmatch(r"(plan|report):\w+ (\d+) -> \2", kind)
                                      for kind in failures.split(", ")), out.stdout
@@ -158,6 +161,16 @@ def test_ledger_counts_each_trees_failures_per_kind():
     assert line.endswith("; largest rise none; failures plan:ValueError 1 -> 0, "
                          "report:OverflowError 1 -> 1"), line
     assert equiv.ledger("plan_chain", [1.0], [1.0], [None], [None]).endswith("; failures none")
+
+
+def test_extremes_name_the_largest_rise_and_fall_with_each_trees_r():
+    equiv = _load_tool()
+    line = equiv.extremes("plan_chain", [1.0, 5.0, 3.0, None, 2.0], [1.5, 2.0, 3.0, 4.0, 2.2],
+                          [2, 6, 3, None, 4], [3, 5, 3, 4, 4])
+    assert line == ("plan_chain extremes: largest rise +0.5 at op 0, R 2 -> 3; "
+                    "largest fall -inf at op 3, R none -> 4")
+    line = equiv.extremes("plan_random", [1.0, 5.0], [1.0, 2.0], [2, 6], [2, 5])
+    assert line == "plan_random extremes: largest rise none; largest fall -3 at op 1, R 6 -> 5"
 
 
 def test_a_stage_key_one_tree_lacks_is_named_not_counted(capsys):

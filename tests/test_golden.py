@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from cutplan.clustering import run_pipeline
+from cutplan.clustering import Clustering, run_pipeline
 from cutplan.cutsim import (GateCut, WireCut, cut_estimate, gate_cut_decomposition,
                             gate_matrix, pauli_z_observable, ring_circuit, ring_cuts)
 from cutplan.fixtures import ising_chain
@@ -43,18 +43,18 @@ def _digest(texts) -> str:
 
 
 CHAIN_DIGESTS = {
-    (34, 1, 8): "ffd5ac2e860f0b69",
+    (34, 1, 8): "05f999c0188d929f",
     (34, 1, 30): "bec2fa0ce19968b3",
-    (34, 2, 8): "81800e6276b40031",
+    (34, 2, 8): "c7510e34f542f681",
     (34, 2, 30): "c331209c068b371a",
     (100, 1, 12): "3bfaf8e5ebedfb80",
     (100, 1, 40): "8b13848d16af312e",
-    (100, 2, 12): "e41a427f1037b9d4",
+    (100, 2, 12): "c976ab3d20ffeebd",
     (100, 2, 40): "1befcd840211b0c4",
-    (420, 1, 25): "2f5d74138adbbc19",
-    (420, 1, 50): "a23f34fe725ed67c",
+    (420, 1, 25): "9037f3e2f8fd6122",
+    (420, 1, 50): "9e37e0a4cb459c5c",
     (420, 2, 25): "ae8deef8f526afd5",
-    (420, 2, 50): "a8b9a504f8b4f51e",
+    (420, 2, 50): "17382d768afffbf2",
 }
 
 
@@ -73,7 +73,7 @@ def test_random_graph_pipeline_digest():
         g = random_graph(rng)
         cap = int(rng.integers(1, 5))
         texts.append(_text(run_pipeline(g, cap, audit=True)))
-    assert _digest(texts) == "fc3915417aaffde6"
+    assert _digest(texts) == "1d44da84c57634e9"
 
 
 def test_random_order_restarts_digest():
@@ -224,7 +224,7 @@ def _mixed_kinds():
     return CircuitIR(4, gates, "mixed_kinds")
 
 
-# (circuit, cap) pairs; the last chain case at cap 3 flags clusters 0 and 2
+# (circuit, cap) pairs
 GRAPH_CASES = [(ising_chain(w, depth=d, seed=w), cap)
                for w, cap in ((34, 8), (100, 12), (420, 25)) for d in (1, 2)] + [
     (_random_matching(12, 10, 1), 5),
@@ -270,9 +270,21 @@ def test_report_digest():
     for circuit, cap in GRAPH_CASES:
         graph = build_cut_graph(circuit)
         texts.append(_report_text(run_pipeline(graph, cap), graph))
-    flagged = build_report(run_pipeline(graph, cap).clustering, graph).flagged_clusters
-    assert flagged == (0, 2)
-    assert _digest(texts) == "578072236d26336a"
+    assert _digest(texts) == "7cb5220cb9a81141"
+
+
+def test_report_flags_clusters_holding_two_segments_of_a_wire():
+    """One cluster per wire, but a middle node of wires 0 and 2 joins the
+    next wire's cluster: clusters 0 and 2 then hold two segments of one
+    qubit each, and only they are flagged."""
+    graph = build_cut_graph(ising_chain(6, depth=2, seed=6))
+    wire = [mask.bit_length() - 1 for mask in graph.mask]
+    assignment = dict(enumerate(wire))
+    for q in (0, 2):
+        nodes = [n for n, w in enumerate(wire) if w == q]
+        assignment[nodes[len(nodes) // 2]] = q + 1
+    clustering = Clustering.from_assignment(graph, assignment, 2)
+    assert build_report(clustering, graph).flagged_clusters == (0, 2)
 
 
 # -- parser ----------------------------------------------------------------------

@@ -136,9 +136,10 @@ def test_no_module_level_caches():
 
 def test_planner_import_stays_light():
     """``import cutplan`` loads the planner only: the simulator and the CLI
-    add import time to every plan that never runs them."""
+    add import time to every plan that never runs them, and the third
+    planner pass, loaded by the first plan, to every run that never plans."""
     code = ("import cutplan, sys; print(' '.join(m for m in sys.modules "
-            "if m.startswith(('cutplan.cutsim', 'cutplan.cli'))))")
+            "if m.startswith(('cutplan.cutsim', 'cutplan.cli', 'cutplan.dissolution'))))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

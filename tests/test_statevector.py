@@ -10,7 +10,7 @@ from cutplan.cutsim import (TooManyQubitsError, basis_bits, expectation_value,
 from cutplan.cutsim.statevector import apply_matrix, project_qubit
 from cutplan.cutsim.observable import ObsFactor, value_table
 from cutplan.gates import GATES
-from cutplan.qasm import CircuitIR, GateApp
+from cutplan.qasm import CircuitIR, GateApp, QasmSyntaxError
 
 
 def test_hadamard():
@@ -256,6 +256,21 @@ def test_observable_qubits_are_integers():
 def test_gate_matrix_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="^no matrix for gate 'iswap'$"):
         gate_matrix(GateApp("iswap", (0, 1)))
+
+
+def test_gate_matrix_rejects_a_parameter_a_fixed_gate_lacks():
+    with pytest.raises(QasmSyntaxError, match=r"^gate 'h' expects 0 parameter\(s\), got 1$"):
+        gate_matrix(GateApp("h", (0,), (0.5,)))
+
+
+def test_gate_matrix_rejects_a_two_qubit_gate_on_one_wire():
+    with pytest.raises(QasmSyntaxError, match=r"^gate 'cx' expects 2 operand\(s\), got 1$"):
+        gate_matrix(GateApp("cx", (0,)))
+
+
+def test_gate_matrix_rejects_a_rotation_without_its_angle():
+    with pytest.raises(QasmSyntaxError, match=r"^gate 'rx' expects 1 parameter\(s\), got 0$"):
+        gate_matrix(GateApp("rx", (0,)))
 
 
 @pytest.mark.parametrize("kind", ["rz", "p", "u1"])

@@ -30,7 +30,9 @@ exists even when the report overflows: each tree's ``lq_sum``, the plans
 whose ``lq`` fell, rose or held within 1e-9, the largest rise with its
 operation index, and each tree's failures per kind (``plan:`` or
 ``report:`` and the exception's type, as the benchmark counts them). A plan
-that failed counts as ``lq`` = inf.
+that failed counts as ``lq`` = inf. A second line names the largest rise
+and the largest fall, each with its operation index and each tree's R for
+that plan (``none`` for a plan that failed).
 """
 
 from __future__ import annotations
@@ -82,15 +84,15 @@ def _circuit_text(circuit) -> str:
                  circuit.params))
 
 
-def _plan(cutplan, qasm: str, cap: int) -> tuple[dict[str, str], float | None, str | None]:
-    """The plan's record, its step-2 ``lq`` (None if it failed) and its
-    failure kind (None if it has none)."""
+def _plan(cutplan, qasm: str, cap: int):
+    """The plan's record, its step-2 ``lq`` and R (None if it failed) and
+    its failure kind (None if it has none)."""
     try:
         circuit = cutplan.parse_qasm(qasm)
         graph = cutplan.build_cut_graph(circuit)
         result = cutplan.run_pipeline(graph, cap)
     except Exception as exc:  # a failing plan is an outcome to compare
-        return {"plan": _error(exc)}, None, f"plan:{type(exc).__name__}"
+        return {"plan": _error(exc)}, None, None, f"plan:{type(exc).__name__}"
     record = {
         "circuit": _circuit_text(circuit),
         "graph": repr((graph.mask, graph.gate_id, graph.slot, graph.u, graph.v,
@@ -110,7 +112,7 @@ def _plan(cutplan, qasm: str, cap: int) -> tuple[dict[str, str], float | None, s
     except Exception as exc:  # e.g. a shot budget beyond a float
         record["report"] = _error(exc)
         failure = f"report:{type(exc).__name__}"
-    return record, result.stages[-1].lq, failure
+    return record, result.stages[-1].lq, result.stages[-1].r, failure
 
 
 def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
@@ -136,23 +138,24 @@ def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
 
 def run_tree(tree: str, corpus_path: str, out_path: str) -> None:
     """Every operation of the corpora on ``tree``; writes each record's
-    parts as SHA-256 digests, and each plan's step-2 ``lq`` and failure."""
+    parts as SHA-256 digests, and each plan's step-2 ``lq``, R and failure."""
     cutplan, cutsim = _import_cutplan(tree)
     with open(corpus_path, encoding="utf-8") as fh:
         corpora = json.load(fh)
-    records, lq, failures = {}, {}, {}
+    records, lq, r, failures = {}, {}, {}, {}
     for workload, items in corpora.items():
         if workload == "verify_ring":
             ops = [_estimate(cutplan, cutsim, *item) for item in items]
         else:
             plans = [_plan(cutplan, *item) for item in items]
-            ops = [record for record, _, _ in plans]
-            lq[workload] = [value for _, value, _ in plans]
-            failures[workload] = [kind for _, _, kind in plans]
+            ops = [record for record, _, _, _ in plans]
+            lq[workload] = [value for _, value, _, _ in plans]
+            r[workload] = [value for _, _, value, _ in plans]
+            failures[workload] = [kind for _, _, _, kind in plans]
         records[workload] = [{part: hashlib.sha256(text.encode()).hexdigest()
                               for part, text in record.items()} for record in ops]
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({"records": records, "lq": lq, "failures": failures}, fh)
+        json.dump({"records": records, "lq": lq, "r": r, "failures": failures}, fh)
 
 
 def _is_stage_key(part: str) -> bool:
@@ -205,6 +208,23 @@ def ledger(workload: str, old_lq: list, new_lq: list, old_failures: list,
             f"largest rise {largest}; failures {failures}")
 
 
+def extremes(workload: str, old_lq: list, new_lq: list, old_r: list, new_r: list) -> str:
+    """One plan workload's largest rise and largest fall of ``lq``, each
+    with its operation index and each tree's R (None for a failed plan)."""
+    old, new = ([math.inf if v is None else v for v in lq] for lq in (old_lq, new_lq))
+    moves = [(b - a, op) for op, (a, b) in enumerate(zip(old, new)) if abs(b - a) > LEDGER_TOL]
+
+    def name(kind, pick, changes):
+        if not changes:
+            return f"largest {kind} none"
+        delta, op = pick(changes)
+        r = ["none" if v is None else v for v in (old_r[op], new_r[op])]
+        return f"largest {kind} {delta:+.6g} at op {op}, R {r[0]} -> {r[1]}"
+
+    return (f"{workload} extremes: {name('rise', max, [m for m in moves if m[0] > 0])}; "
+            f"{name('fall', min, [m for m in moves if m[0] < 0])}")
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--corpus"]:
         build_corpora(argv[1], int(argv[2]), float(argv[3]), argv[4])
@@ -237,6 +257,8 @@ def main(argv: list[str]) -> int:
     for workload in old["lq"]:
         print(ledger(workload, old["lq"][workload], new["lq"][workload],
                      old["failures"][workload], new["failures"][workload]))
+        print(extremes(workload, old["lq"][workload], new["lq"][workload],
+                       old["r"][workload], new["r"][workload]))
     print(f"seed {args.seed}: {differ} differing operation(s)")
     return 1 if differ else 0
 

@@ -92,8 +92,7 @@ def _config_defaults(subparser: argparse.ArgumentParser, config: dict) -> dict:
 def _run_file(path: str, args) -> tuple[PipelineResult, object, object]:
     circuit = parse_qasm_file(path)
     graph = build_cut_graph(circuit)
-    result = run_pipeline(graph, args.max_qubits, order=args.order,
-                          restarts=args.restarts, seed=args.seed)
+    result = run_pipeline(graph, args.max_qubits, restarts=args.restarts, seed=args.seed)
     # only the JSON output shows budgets
     eps = args.eps if getattr(args, "format", None) == "json" else None
     report = build_report(result.clustering, graph, eps=eps)
@@ -259,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="qubit cap per partition (default 30)")
         p.add_argument("--eps", type=float, default=None,
                        help="target standard deviation; adds shot budgets")
-        p.add_argument("--order", choices=("weighted", "random"), default="weighted")
         p.add_argument("--restarts", type=int, default=1,
-                       help="random-order runs, best kept; --order weighted ignores it")
+                       help="stage-2 runs, best kept: the weighted order, then random ones")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="JSON file with flag defaults")
 

@@ -266,10 +266,11 @@ class _LevelState(_Clusters):
         if not source:
             self.r -= 1
 
-    def visit_order(self, order: str, rng: np.random.Generator | None) -> list[int]:
-        if order == "random":
-            return [int(i) for i in rng.permutation(len(self.k))]
-        return self.level.weighted_order
+    def visit_order(self, rng: np.random.Generator | None) -> list[int]:
+        """The level's weighted order, or a random one drawn from ``rng``."""
+        if rng is None:
+            return self.level.weighted_order
+        return [int(i) for i in rng.permutation(len(self.k))]
 
 
 @dataclass
@@ -544,15 +545,15 @@ class _LogOverheadEngine(_LevelState):
 # multi-level drivers
 # ---------------------------------------------------------------------------
 
-def _run_levels(level: _Level, max_qubits: int, engine_cls, order: str,
+def _run_levels(level: _Level, max_qubits: int, engine_cls,
                 rng: np.random.Generator | None, audit: bool,
                 start: list[int] | None = None):
     """Repeat (local moves until stable, then contract) until a level is quiet.
 
     Starts from singletons, or from the dense cluster labels ``start`` (left
-    unchanged). Returns the cluster label of every node of ``level`` and the
-    stage statistics; labels are the quiet level's cluster ids, which are
-    dense.
+    unchanged); sweeps visit in ``visit_order(rng)``. Returns the cluster
+    label of every node of ``level`` and the stage statistics; labels are
+    the quiet level's cluster ids, which are dense.
     """
     node_map = np.arange(len(level.mask))  # current-level node of every node
     cluster_of = None if start is None else list(start)
@@ -562,7 +563,7 @@ def _run_levels(level: _Level, max_qubits: int, engine_cls, order: str,
         stats.passes += 1
         level_moves = 0
         while True:
-            moved = engine.sweep(engine.visit_order(order, rng))
+            moved = engine.sweep(engine.visit_order(rng))
             level_moves += moved
             if moved == 0:
                 break
@@ -575,18 +576,15 @@ def _run_levels(level: _Level, max_qubits: int, engine_cls, order: str,
     return [engine.cluster_of[cur] for cur in node_map.tolist()], stats
 
 
-def _check_plan_args(max_qubits, order: str) -> int:
-    """The checks that every planner entry point makes on its arguments;
-    returns the cap as an ``int``."""
+def _check_cap(max_qubits) -> int:
+    """Every planner entry point's check of the cap; returns it as an ``int``."""
     max_qubits = _integer("the qubit cap", max_qubits)
     if max_qubits < 1:
         raise InfeasibleCapError(f"the qubit cap {max_qubits} is below 1")
-    if order not in ("weighted", "random"):
-        raise ValueError(f"unknown order policy '{order}'")
     return max_qubits
 
 
-def _step1(graph: CutGraph, max_qubits: int, order, rng, audit):
+def _step1(graph: CutGraph, max_qubits: int, audit: bool):
     """The cap check, the graph's one ``_Level`` and its stage-1 labels."""
     for i, mask in enumerate(graph.mask):
         if mask.bit_count() > max_qubits:
@@ -595,27 +593,21 @@ def _step1(graph: CutGraph, max_qubits: int, order, rng, audit):
     level = _Level.from_graph(graph)
     if sum(level.w) <= 0:  # no weight to cluster by: singletons
         return level, list(range(len(level.mask))), StageStats()
-    labels, stats = _run_levels(level, max_qubits, _ModularityEngine, order, rng, audit)
+    labels, stats = _run_levels(level, max_qubits, _ModularityEngine, None, audit)
     return level, labels, stats
 
 
-def step1_modularity(graph: CutGraph, max_qubits: int, order: str = "weighted",
-                     rng: np.random.Generator | None = None,
-                     audit: bool = False) -> Clustering:
-    """Qubit-capped modularity clustering (stage 1). ``order="random"``
-    without ``rng`` draws every sweep's order from one ``default_rng(0)``."""
-    max_qubits = _check_plan_args(max_qubits, order)
-    if order == "random" and rng is None:
-        rng = np.random.default_rng(0)
-    _, labels, _ = _step1(graph, max_qubits, order, rng, audit)
+def step1_modularity(graph: CutGraph, max_qubits: int, audit: bool = False) -> Clustering:
+    """Qubit-capped modularity clustering (stage 1)."""
+    max_qubits = _check_cap(max_qubits)
+    _, labels, _ = _step1(graph, max_qubits, audit)
     return Clustering.from_assignment(graph, dict(enumerate(labels)), max_qubits)
 
 
-def _step2(level: _Level, max_qubits: int, order, rng, audit, start: list[int]):
+def _refine(level: _Level, max_qubits: int, rng, audit, start: list[int]):
     """Stage-2 labels of the nodes of ``level`` from the dense labels
     ``start``, never with a higher worst log overhead than the start's."""
-    labels, stats = _run_levels(level, max_qubits, _LogOverheadEngine, order, rng,
-                                audit, start)
+    labels, stats = _run_levels(level, max_qubits, _LogOverheadEngine, rng, audit, start)
     # moves are only accepted against the running bound, yet a move can shift
     # the residual w_hat cost of untouched clusters; keep the start when that
     # drift makes things worse. The trace opens with the start's worst log
@@ -624,6 +616,22 @@ def _step2(level: _Level, max_qubits: int, order, rng, audit, start: list[int]):
     if stats.lq_trace[-1] > stats.lq_trace[0] + EPS:
         return start, stats
     return labels, stats
+
+
+def _step2(atomic: _Level, labels1: list[int], max_qubits: int, rng, audit):
+    """Stage 2 from the stage-1 labels ``labels1``, on the supernodes and then
+    on the atomic level: the labels, numbered by first appearance, i.e. by
+    smallest member node id, and the stage statistics."""
+    labels, stats = labels1, StageStats()
+    if labels1:
+        supernodes, _ = atomic.contracted(labels1)
+        super_labels, stats = _refine(supernodes, max_qubits, rng, audit,
+                                      list(range(len(supernodes.mask))))
+        labels, atomic_stats = _refine(atomic, max_qubits, rng, audit,
+                                       [super_labels[c] for c in labels1])
+        stats.merge(atomic_stats)
+    first: dict[int, int] = {}
+    return [first.setdefault(c, len(first)) for c in labels], stats
 
 
 def _dissolve(level: _Level, labels: list[int], max_qubits: int, score, segments: bool,
@@ -693,81 +701,57 @@ class PipelineResult:
         return self.stages[-1].r
 
 
-def run_pipeline(graph: CutGraph, max_qubits: int, order: str = "weighted",
-                 restarts: int = 1, seed: int | None = None,
-                 audit: bool = False) -> PipelineResult:
+def run_pipeline(graph: CutGraph, max_qubits: int, restarts: int = 1,
+                 seed: int | None = None, audit: bool = False) -> PipelineResult:
     """Full partitioner: stage 1, contraction, stage 2, atomic refinement,
     then the wire partition as one more candidate, then dissolution.
 
-    Both stages run on the graph's ``_Level``, built once per run. The
+    Stage 1 runs once, in the weighted order, on the graph's ``_Level``. The
     supernode merging of stage 2 cannot split stage-1 clusters, so a final
-    stage-2 refinement on the atomic level polishes the boundary. With
-    ``order="random"`` the best of ``restarts`` runs (by final worst overhead)
-    is kept; the weighted order is deterministic and runs once. The wire
-    partition, nodes with equal qubit masks in one cluster, is taken
-    instead when its worst log overhead is lower by more than ``EPS``, so no
-    plan is worse than the two-stage one. ``_dissolve`` then hands whole
-    clusters of the plan taken to their neighbours where that lowers its
-    worst log overhead. The step-2 row scores the plan returned.
+    stage-2 refinement on the atomic level polishes the boundary. The wire
+    partition, nodes with equal qubit masks in one cluster, is taken instead
+    when its worst log overhead is lower by more than ``EPS``, so no plan is
+    worse than the two-stage one. ``_dissolve`` then hands whole clusters of
+    the plan taken to their neighbours where that lowers its worst log
+    overhead. Of ``restarts`` such runs from the stage-1 labels, the first
+    sweeps stage 2 in the weighted order and each later one in random
+    orders, from a generator spawned from ``SeedSequence(seed)`` when it
+    starts; the run whose returned plan has the lowest worst log overhead is
+    kept, the first on a tie. The step-2 row scores the plan returned.
     """
-    max_qubits = _check_plan_args(max_qubits, order)
+    max_qubits = _check_cap(max_qubits)
     restarts = _integer("restarts", restarts, 1)
     if seed is not None:
         seed = _integer("seed", seed, 0)
-    rngs = ([np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(restarts)]
-            if order == "random" else [None])
-    best = None
-    for rng in rngs:
-        run = _pipeline_once(graph, max_qubits, order, rng, audit)
-        if best is None or run[2][-1].lq < best[2][-1].lq - EPS:
-            best = run
-    atomic, labels, (step1, step2), score = best
+    t0 = time.perf_counter()
+    atomic, labels1, st1 = _step1(graph, max_qubits, audit)
+    step1 = _stage_metrics("step1", _score(atomic, labels1), st1, time.perf_counter() - t0)
     # one cluster per wire fits the cap, since every node does (stage 1
     # checked); the numbering is by first appearance, as for the stages
     first: dict[int, int] = {}
     wires = [first.setdefault(mask, len(first)) for mask in graph.mask]
     wire_score = _score(graph, wires)
-    wire_lq = wire_score[0]
-    if wire_lq < step2.lq - EPS:
-        labels, score, returned = wires, wire_score, "wires"
-    else:
+    seeds = np.random.SeedSequence(seed)
+    best = None
+    for run in range(restarts):
+        t0 = time.perf_counter()
+        rng = np.random.default_rng(seeds.spawn(1)[0]) if run else None
+        labels, stats = _step2(atomic, labels1, max_qubits, rng, audit)
+        score = _score(atomic, labels)
         returned = "stages"
-    t0 = time.perf_counter()
-    dissolved = 0
-    if labels:
-        labels, dissolved, score = _dissolve(atomic, labels, max_qubits, score,
-                                             None not in graph.gate_id, audit)
-    lq, ld, r, _ = score
-    step2 = replace(step2, lq=lq, ld=ld, r=r, returned=returned, wire_lq=wire_lq,
-                    dissolved=dissolved,
-                    wall_time_s=step2.wall_time_s + time.perf_counter() - t0)
+        if wire_score[0] < score[0] - EPS:
+            labels, score, returned = wires, wire_score, "wires"
+        dissolved = 0
+        if labels:
+            labels, dissolved, score = _dissolve(atomic, labels, max_qubits, score,
+                                                 None not in graph.gate_id, audit)
+        row = replace(_stage_metrics("step2", score, stats, time.perf_counter() - t0),
+                      returned=returned, wire_lq=wire_score[0], dissolved=dissolved)
+        if best is None or row.lq < best[0].lq - EPS:
+            best = row, labels
+    step2, labels = best
     clustering = Clustering.from_assignment(graph, dict(enumerate(labels)), max_qubits)
     return PipelineResult(clustering=clustering, stages=(step1, step2))
-
-
-def _pipeline_once(graph, max_qubits, order, rng, audit):
-    """One two-stage run: the atomic level, the final node labels, the two
-    stage rows and the final labels' ``_score``."""
-    t0 = time.perf_counter()
-    atomic, labels1, st1 = _step1(graph, max_qubits, order, rng, audit)
-    t1 = time.perf_counter()
-
-    labels2, st2 = labels1, StageStats()
-    if labels1:
-        supernodes, _ = atomic.contracted(labels1)
-        super_labels, st2 = _step2(supernodes, max_qubits, order, rng, audit,
-                                   list(range(len(supernodes.mask))))
-        labels2, st2b = _step2(atomic, max_qubits, order, rng, audit,
-                               [super_labels[c] for c in labels1])
-        st2.merge(st2b)
-    t2 = time.perf_counter()
-
-    # number the clusters by first appearance, i.e. by smallest member node id
-    first: dict[int, int] = {}
-    labels2 = [first.setdefault(c, len(first)) for c in labels2]
-    score2 = _score(atomic, labels2)
-    return atomic, labels2, (_stage_metrics("step1", _score(atomic, labels1), st1, t1 - t0),
-                             _stage_metrics("step2", score2, st2, t2 - t1)), score2
 
 
 def _score(level, labels: list[int]):

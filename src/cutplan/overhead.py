@@ -14,8 +14,8 @@ expectation value keeps a standard deviation below eps:
 The log of the worst overhead (report key ``lq``) is the partitioner's
 objective; ``ld`` is the attached-cut weight of that worst cluster. Both
 the planner and ``build_report`` score with ``cut_sums`` and ``log_overheads``.
-Two older bounds are provided for comparison: a Hoeffding-style budget paid
-once per partition, and the cubic bound for measure-and-prepare cutting.
+An older bound is provided for comparison: a Hoeffding-style budget paid
+once per partition.
 """
 
 from __future__ import annotations
@@ -113,19 +113,6 @@ def prior_bound(cut_kappas: list[float], eps: float, delta: float = 1.0 / 3.0,
     prod = math.prod(cut_kappas, start=1.0)
     return max(1, math.ceil(_over_eps_sq(
         "prior_bound", eps, lambda: 2.0 * prod ** 2 * math.log(2.0 / delta), factor=r)))
-
-
-def cubic_bound(r: int, d_prime: int, eps: float = 1.0) -> float:
-    """Cubic measure-and-prepare bound, with d_prime the largest number of
-    wire cuts on any single partition. Raises ``TypeError`` unless r and
-    d_prime are integers and eps is real, ``ValueError`` unless r >= 1 and
-    d_prime >= 0, and ``OverflowError`` when the bound does not fit a float."""
-    r = _integer("r", r, 1)
-    _check_eps(eps)
-    d_prime = _integer("d_prime", d_prime, 0)
-    m = r * 8 ** d_prime
-    return _over_eps_sq("cubic_bound", eps,
-                        lambda: 2.0 * (math.e - 1.0) ** 2 * m ** 3 * math.log(6.0 * m))
 
 
 def cut_sums(graph, labels: Sequence[int]):

@@ -132,9 +132,10 @@ class OracleCheckedEngine(_ModularityEngine):
         self.q = q
         self.gains.append(gain)
 
-    def settle(self, order: str = "weighted", rng: np.random.Generator | None = None):
-        """Sweep until a sweep moves nothing."""
-        while self.sweep(self.visit_order(order, rng)):
+    def settle(self, rng: np.random.Generator | None = None):
+        """Sweep, in the weighted order or in random ones drawn from ``rng``,
+        until a sweep moves nothing."""
+        while self.sweep(self.visit_order(rng)):
             pass
 
 

@@ -18,7 +18,7 @@ from cutplan.cutsim import (ExperimentConfig, gate_cut_decomposition,
                             wire_cut_decomposition)
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, Node, build_cut_graph
-from cutplan.overhead import build_report, cubic_bound, prior_bound
+from cutplan.overhead import build_report, prior_bound
 from cutplan.qasm import CircuitIR, GateApp
 
 from conftest import (OracleCheckedEngine, best_feasible_log_overhead, make_edge,
@@ -46,15 +46,13 @@ def test_criterion_1_worked_bounds():
     start = time.perf_counter()
     report = build_report(clustering, graph, eps=1.0)
     prior = prior_bound([4.0] * 4, eps=1.0, delta=1.0 / 3.0, r=3)
-    cubic = cubic_bound(3, 3)
     elapsed = time.perf_counter() - start
 
     assert report.n_c == {0: 24576, 1: 24576, 2: 3072}
     assert report.n_total == 52224
     assert abs(prior - 704548) <= 1
-    assert abs(cubic - 2.0e11) / 2.0e11 <= 0.03
     assert elapsed < 1e-3
-    _ok(1, f"52224 shots, prior {prior}, cubic bound {cubic:.2e}, {elapsed*1e6:.0f}us")
+    _ok(1, f"52224 shots, prior {prior}, {elapsed*1e6:.0f}us")
 
 
 # -- 2 -------------------------------------------------------------------------

@@ -90,6 +90,34 @@ def test_partition_json_optimal_on_chain3(capsys, tmp_path):
     assert step2["lq_trace"][-1] == pytest.approx(step2["lq"])
 
 
+def test_partition_restarts_never_raise_lq(capsys, tmp_path):
+    """On this chain a random-order stage-2 run finds a lower plan than the
+    weighted one; the best of three is kept."""
+    path = tmp_path / "c.qasm"
+    path.write_text(to_qasm(ising_chain(20, seed=20)))
+    lq = {}
+    for flags in ((), ("--restarts", "3", "--seed", "1")):
+        code, out, err = run_cli(capsys, "partition", str(path), "-D", "6", "--format", "json",
+                                 *flags)
+        assert code == 0, err
+        lq[flags] = json.loads(out)["stages"][1]["lq"]
+    assert lq["--restarts", "3", "--seed", "1"] <= lq[()]
+
+
+def test_order_is_no_longer_a_flag_or_a_config_key(capsys, tmp_path):
+    path = tmp_path / "c.qasm"
+    path.write_text(to_qasm(chain3()))
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", str(path), "--order", "random"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order random" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text('{"order": "random"}')
+    code, out, err = run_cli(capsys, "partition", str(path), "--config", str(config))
+    assert code == 1 and out == ""
+    assert err == "error: bad config file: unknown key(s) order\n"
+
+
 @pytest.mark.parametrize("circuit, cap, returned", [
     (chain3(), 2, "stages"),
     # cap 1 keeps the two wires apart: the two-stage plan cuts the five
@@ -450,7 +478,7 @@ def test_config_file_defaults(capsys, tmp_path, circuits_dir):
     # a value must be one the flag itself takes
     ('{"max_qubits": 4.5}', "partition"), ('{"max_qubits": true}', "partition"),
     ('{"max_qubits": "x"}', "partition"), ('{"max_qubits": null}', "partition"),
-    ('{"restarts": 2.5, "order": "random"}', "partition"), ('{"format": "xml"}', "partition"),
+    ('{"restarts": 2.5, "seed": 1}', "partition"), ('{"format": "xml"}', "partition"),
     ('{"eps": "small"}', "partition"), ('{"full": "no"}', "verify"), ('{"full": 1}', "verify"),
 ]])
 def test_bad_config_file_fails_cleanly(capsys, tmp_path, circuits_dir, content, command):
@@ -485,7 +513,7 @@ def test_config_values_in_every_form_the_flag_takes(capsys, tmp_path, circuits_d
     path = str(circuits_dir / "ising_n8.qasm")
     for content in ('{"max_qubits": "4", "eps": "0.5", "format": "json"}',
                     '{"max_qubits": 4, "eps": 0.5, "format": "json"}',
-                    '{"max_qubits": 4, "eps": 1, "format": "json", "order": "random"}'):
+                    '{"max_qubits": 4, "eps": 1, "format": "json", "restarts": 2}'):
         config.write_text(content)
         code, out, err = run_cli(capsys, "partition", path, "--config", str(config))
         assert code == 0, err
@@ -497,8 +525,7 @@ def test_config_values_in_every_form_the_flag_takes(capsys, tmp_path, circuits_d
 def test_bad_knob_values_fail_cleanly(capsys, tmp_path):
     path = tmp_path / "c.qasm"
     path.write_text(to_qasm(ising_chain(8, seed=1)))
-    code, _, err = run_cli(capsys, "partition", str(path), "--order", "random",
-                           "--restarts", "0")
+    code, _, err = run_cli(capsys, "partition", str(path), "--seed", "1", "--restarts", "0")
     assert code == 1 and "restarts" in err
     for reps in ("0", "1"):
         code, _, err = run_cli(capsys, "verify", "--repetitions", reps)

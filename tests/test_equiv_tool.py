@@ -25,14 +25,14 @@ def _mutate():
 
     plan, estimate = run_pipeline, cutplan.cutsim.cut_estimate
 
-    def run_pipeline_in_random_order(graph, max_qubits, **kwargs):
-        # a seeded random visit order in place of the weighted one
-        return plan(graph, max_qubits, **{**kwargs, "order": "random", "seed": 0})
+    def run_pipeline_at_half_the_cap(graph, max_qubits, **kwargs):
+        # half the cap asked for, but never below 1
+        return plan(graph, max(1, max_qubits // 2), **kwargs)
 
     def cut_estimate_at_the_next_seed(circuit, cuts, obs, eps, seed=0):
         return estimate(circuit, cuts, obs, eps, seed=seed + 1)
 
-    globals()["run_pipeline"] = run_pipeline_in_random_order
+    globals()["run_pipeline"] = run_pipeline_at_half_the_cap
     cutplan.cutsim.cut_estimate = cut_estimate_at_the_next_seed
 
 
@@ -137,8 +137,8 @@ def test_ledger_of_a_tree_against_itself_holds_every_plan():
 
 
 def test_ledger_counts_every_plan_of_an_edited_copy(tmp_path):
-    """The random visit order moves some plans: every plan lands in exactly
-    one count, and a rise is named with its operation."""
+    """Half the cap moves some plans: every plan lands in exactly one count,
+    and a rise is named with its operation."""
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "src" / "cutplan" / "__init__.py", "a", encoding="utf-8") as fh:

@@ -57,6 +57,7 @@ DELETED = [
     ("cutplan.overhead", "_check_integer"),
     ("cutplan.overhead", "_check_seed"),
     ("cutplan.overhead", "_check_r"),
+    ("cutplan.overhead", "cubic_bound"),
 ]
 
 # every name perfbench/run.py's import_cutplan binds, with its parameters
@@ -64,9 +65,9 @@ DELETED = [
 BENCHMARK_API = {
     "parse_qasm": ["text", "name"],
     "build_cut_graph": ["circuit"],
-    "run_pipeline": ["graph", "max_qubits", "order", "restarts", "seed", "audit"],
+    "run_pipeline": ["graph", "max_qubits", "restarts", "seed", "audit"],
     "build_report": ["clustering", "graph", "eps"],
-    "step1_modularity": ["graph", "max_qubits", "order", "rng", "audit"],
+    "step1_modularity": ["graph", "max_qubits", "audit"],
     "contract": ["graph", "clustering"],
     "segment_flags": ["graph", "clustering"],
     "DEFAULT_WEIGHTS": None,

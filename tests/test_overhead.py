@@ -8,8 +8,8 @@ from cutplan.clustering import Cluster, Clustering
 from cutplan.cutsim import GateCut, cut_estimate, exact_moments, pauli_z_observable
 from cutplan.fixtures import chain3, ising_chain
 from cutplan.graph import CutGraph, CutKind, Node, build_cut_graph
-from cutplan.overhead import (build_report, cubic_bound, partition_budgets,
-                              partition_shots, prior_bound, segment_flags)
+from cutplan.overhead import (build_report, partition_budgets, partition_shots,
+                              prior_bound, segment_flags)
 from cutplan.clustering import run_pipeline
 from cutplan.qasm import CircuitIR, GateApp
 
@@ -86,20 +86,11 @@ def test_prior_bound_direct_formula():
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("bound", [lambda eps: prior_bound([4.0], eps=eps),
-                                   lambda eps: cubic_bound(3, 3, eps=eps)],
-                         ids=["prior_bound", "cubic_bound"])
+@pytest.mark.parametrize("bound", [lambda eps: prior_bound([4.0], eps=eps)],
+                         ids=["prior_bound"])
 def test_older_bounds_reject_eps(bound, eps):
     with pytest.raises(ValueError, match="finite and positive"):
         bound(eps)
-
-
-def test_cubic_bound():
-    assert cubic_bound(3, 3) == pytest.approx(2.0e11, rel=0.03)
-    assert cubic_bound(1, 0) == pytest.approx(2 * (math.e - 1) ** 2 * math.log(6))
-    got = cubic_bound(2, 1, eps=0.5)
-    want = 2 * (math.e - 1) ** 2 * 16 ** 3 * math.log(6 * 16) / 0.25
-    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 2.0])
@@ -108,32 +99,13 @@ def test_prior_bound_rejects_delta_outside_the_unit_interval(delta):
         prior_bound([4.0], eps=1.0, delta=delta)
 
 
-def test_cubic_bound_takes_numpy_integers_as_ints():
-    """``m ** 3`` wrapped in int64: (2, 10) gave 0.0 with no warning."""
-    assert cubic_bound(np.int64(2), np.int64(10), 0.1) == cubic_bound(2, 10, 0.1)
-
-
-def test_cubic_bound_rejects_negative_d_prime():
-    with pytest.raises(ValueError, match="^d_prime must be >= 0, got -1$"):
-        cubic_bound(2, -1)
-    # 2.5 gave 2.15e9 and True 1.1e5
-    for d_prime in (2.5, True):
-        with pytest.raises(TypeError, match=f"^d_prime must be an integer, got {d_prime}$"):
-            cubic_bound(2, d_prime)
-
-
 @pytest.mark.parametrize("name, bound, eps", [
     ("prior_bound", lambda: prior_bound([4.0], eps=1e-200), 1e-200),  # eps ** 2 underflows
-    ("cubic_bound", lambda: cubic_bound(3, 3, eps=1e-200), 1e-200),
     ("prior_bound", lambda: prior_bound([1e200], eps=1.0), 1.0),  # kappa ** 2 overflows
     ("prior_bound", lambda: prior_bound([1e100] * 4, eps=1.0), 1.0),
-    ("cubic_bound", lambda: cubic_bound(3, 113), 1.0),  # the float result is inf
-    ("cubic_bound", lambda: cubic_bound(3, 400), 1.0),  # m ** 3 does not fit a float
     # eps ** 2 overflows too, but the numerator alone does not fit a float
     ("prior_bound", lambda: prior_bound([1e200], eps=1e200), 1e200),
-    ("cubic_bound", lambda: cubic_bound(3, 400, eps=1e200), 1e200),
-], ids=["prior-eps", "cubic-eps", "prior-kappa", "prior-product", "cubic-inf", "cubic-int",
-        "prior-kappa-huge-eps", "cubic-int-huge-eps"])
+], ids=["prior-eps", "prior-kappa", "prior-product", "prior-kappa-huge-eps"])
 def test_older_bounds_overflow_names_the_bound(name, bound, eps):
     with pytest.raises(OverflowError,
                        match=f"^{name} at eps={re.escape(str(eps))} does not fit a float$"):
@@ -143,13 +115,11 @@ def test_older_bounds_overflow_names_the_bound(name, bound, eps):
 @pytest.mark.parametrize("eps", [1.35e154, 1e200, 1.7e308])
 def test_an_eps_whose_square_overflows_needs_one_shot(eps):
     """Above about 1.34e154 ``eps ** 2`` is above every float, so a finite
-    numerator over it is below one shot: both budgets are 1, and the cubic
-    bound divides by eps twice."""
+    numerator over it is below one shot: both budgets are 1."""
     assert math.isinf(eps * eps)
     assert partition_shots(1, 9.0, 1.5, 1.5, eps, 0) == 1
     assert partition_shots(3, 4096.0, 8.0, 16.0, eps, 0) == 1
     assert prior_bound([3.0, 3.0], eps=eps) == 1
-    assert cubic_bound(3, 3, eps=eps) == cubic_bound(3, 3) / eps / eps
 
 
 def test_an_eps_whose_square_fits_keeps_the_formula():
@@ -158,7 +128,6 @@ def test_an_eps_whose_square_fits_keeps_the_formula():
     assert math.isfinite(eps * eps)
     assert partition_shots(1, 9.0, 1.5, 1.5, eps, 0) == math.ceil(9.0 / eps ** 2) == 1
     assert prior_bound([3.0, 3.0], eps=1e100) == 1
-    assert cubic_bound(3, 3, eps=eps) == cubic_bound(3, 3) / eps ** 2
 
 
 def test_build_report_hand_counts():
@@ -301,12 +270,11 @@ def test_partition_shots_rejects_eps(eps):
 
 @pytest.mark.parametrize("r", [0, -3, 2.5, True])
 @pytest.mark.parametrize("budget", [lambda r: partition_shots(r, 9.0, 1.5, 1.5, 0.1, 0),
-                                    lambda r: prior_bound([4.0], eps=1.0, r=r),
-                                    lambda r: cubic_bound(r, 1)],
-                         ids=["partition_shots", "prior_bound", "cubic_bound"])
+                                    lambda r: prior_bound([4.0], eps=1.0, r=r)],
+                         ids=["partition_shots", "prior_bound"])
 def test_budgets_reject_r(budget, r):
-    """Before this check, r=0 gave a zero budget, r=-3 a negative one and
-    ``cubic_bound`` a math domain error; r=2.5 and r=True gave budgets."""
+    """Before this check, r=0 gave a zero budget and r=-3 a negative one;
+    r=2.5 and r=True gave budgets."""
     if type(r) is not int:
         with pytest.raises(TypeError, match=f"^r must be an integer, got {r}$"):
             budget(r)
@@ -394,7 +362,6 @@ _CHAIN3_Z = pauli_z_observable(range(3))
 _EPS_ENTRY_POINTS = {
     "partition_shots": lambda eps: partition_shots(2, 9.0, 1.5, 2.25, eps, 0),
     "prior_bound": lambda eps: prior_bound([3.0], eps=eps),
-    "cubic_bound": lambda eps: cubic_bound(2, 1, eps=eps),
     "build_report": lambda eps: build_report(*reversed(three_partition_four_cut_graph()),
                                              eps=eps).n_c,
     "cut_estimate": lambda eps: cut_estimate(chain3(), [GateCut(0)], _CHAIN3_Z, eps).allocation,
@@ -420,7 +387,7 @@ def test_numpy_float_eps_is_valid(entry):
 
 
 @pytest.mark.parametrize("eps", [1e200, 1e-200])
-@pytest.mark.parametrize("name", ["partition_shots", "prior_bound", "cubic_bound"])
+@pytest.mark.parametrize("name", ["partition_shots", "prior_bound"])
 def test_numpy_eps_whose_square_leaves_the_floats_acts_as_a_float(name, eps):
     """A numpy scalar eps whose square over- or underflows gives the float's
     budget or its named ``OverflowError``. Squaring the scalar itself gave

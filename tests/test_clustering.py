@@ -491,13 +491,15 @@ def test_restarts_reproducible():
     assert a.lq <= run_pipeline(g, 6).lq + 1e-9
 
 
+# no seed, or a seed that the random orders of later runs would draw from
+@pytest.mark.parametrize("seed", [None, 7], ids=["weighted", "random"])
 @pytest.mark.parametrize("restarts", [2.5, True, np.float64(2.0), "2"],
                          ids=["2.5", "True", "np.float64", "str"])
-def test_non_integer_restarts_rejected(restarts):
+def test_non_integer_restarts_rejected(seed, restarts):
     """2.5 planned once and died in numpy when random orders were drawn;
-    True ran as 1. Neither is taken."""
+    True ran as 1. Neither is taken, with or without a seed."""
     with pytest.raises(TypeError, match="^restarts must be an integer, got "):
-        run_pipeline(build_cut_graph(chain3()), 2, restarts=restarts)
+        run_pipeline(build_cut_graph(chain3()), 2, restarts=restarts, seed=seed)
 
 
 def test_numpy_integer_restarts_are_valid():

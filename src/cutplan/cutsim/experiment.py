@@ -32,23 +32,26 @@ _CUT_PAIRS = {
     3: ((2, 3), (5, 6), (7, 0)),
     4: ((1, 2), (3, 4), (5, 6), (7, 0)),
 }
+# every ring circuit's kind and wire columns, in gate order: a rotation layer
+# (ry then rz per qubit), the entanglers and a second rotation layer
+_RING_KIND = ("ry", "rz") * RING_QUBITS + ("rzz",) * RING_QUBITS + ("ry", "rz") * RING_QUBITS
+_LAYER_WIRES = tuple((q,) for q in range(RING_QUBITS) for _ in "yz")
+_RING_WIRES = _LAYER_WIRES + _RING_PAIRS + _LAYER_WIRES
+_ENTANGLER_PARAMS = ((np.pi / 2.0,),) * RING_QUBITS
 
 
 def ring_circuit(params: np.ndarray, name: str = "ring8") -> CircuitIR:
-    """The 8-qubit test circuit; ``params`` has shape (2, 8, 2) in radians."""
+    """The 8-qubit test circuit; ``params`` has shape (2, 8, 2), finite, in radians."""
     params = np.asarray(params, dtype=float)
     if params.shape != (2, RING_QUBITS, 2):
         raise ValueError(f"params must have shape (2, {RING_QUBITS}, 2)")
-    gates = []
-    for q in range(RING_QUBITS):
-        gates.append(GateApp("ry", (q,), (float(params[0, q, 0]),)))
-        gates.append(GateApp("rz", (q,), (float(params[0, q, 1]),)))
-    for a, b in _RING_PAIRS:
-        gates.append(GateApp("rzz", (a, b), (np.pi / 2.0,)))
-    for q in range(RING_QUBITS):
-        gates.append(GateApp("ry", (q,), (float(params[1, q, 0]),)))
-        gates.append(GateApp("rz", (q,), (float(params[1, q, 1]),)))
-    return CircuitIR(RING_QUBITS, tuple(gates), name)
+    if not np.isfinite(params).all():
+        at = np.flatnonzero(~np.isfinite(params))[0]  # the flat order is the gate order
+        # the first non-finite rotation, whose check raises the parser's error
+        GateApp(_RING_KIND[at % 2], (at // 2 % RING_QUBITS,), (float(params.flat[at]),))
+    first, second = params.reshape(2, -1).tolist()
+    return CircuitIR.from_columns(RING_QUBITS, list(_RING_KIND), list(_RING_WIRES),
+                                  [*zip(first), *_ENTANGLER_PARAMS, *zip(second)], name)
 
 
 def ring_cuts(partitions: int) -> list[GateCut]:

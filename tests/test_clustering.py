@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -489,6 +490,61 @@ def test_restarts_reproducible():
     assert a.clustering.assignment == b.clustering.assignment
     assert _rows(a) == _rows(b)
     assert a.lq <= run_pipeline(g, 6).lq + 1e-9
+
+
+def test_restarts_dissolve_the_wire_plan_once(monkeypatch):
+    """Every one of four runs on this random-matching circuit takes the wire
+    partition, so each would return the same dissolved plan, and the first
+    run wins every tie: the wires are dissolved in that run only, and the
+    plan and rows are those of recomputing it."""
+    graph, cap = build_cut_graph(_random_matching(8, 6, 0)), 2
+    first = {}
+    wires = [first.setdefault(mask, len(first)) for mask in graph.mask]
+    plans = _two_stage_plans(graph, cap, 4, 5)
+    level = plans[0][0]
+    wire_score = _score(level, wires)
+    assert all(wire_score[0] < score[0] - 1e-9 for _, _, score in plans)
+    assert len({tuple(labels) for _, labels, _ in plans}) > 1  # the runs differ
+    labels, dissolved, score = _dissolve(level, wires, cap, wire_score, True, False)
+    assert dissolved
+    _, stats = _step2(level, _step1(graph, cap, False)[1], cap, None, False)
+    seen = []
+
+    class Spy(cutplan.dissolution._Dissolver):
+        def __init__(self, level, labels, *args):
+            seen.append(list(labels))
+            super().__init__(level, labels, *args)
+
+    monkeypatch.setattr(cutplan.dissolution, "_Dissolver", Spy)
+    result = run_pipeline(graph, cap, restarts=4, seed=5)
+    assert seen == [wires]
+    assert result.clustering.assignment == Clustering.from_assignment(
+        graph, dict(enumerate(labels)), cap).assignment
+    step1, step2 = _rows(result)
+    assert step1 == _rows(run_pipeline(graph, cap))[0]
+    assert (step2.lq, step2.ld, step2.r) == score[:3]
+    assert (step2.moves, step2.passes, step2.gain_evals, step2.lq_trace) == (
+        stats.moves, stats.passes, stats.gain_evals, tuple(stats.lq_trace))
+    assert (step2.returned, step2.wire_lq, step2.dissolved) == ("wires", wire_score[0], dissolved)
+
+
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_step2_row_times_every_run(monkeypatch, restarts):
+    """The step-2 row's wall time spans all the runs, not the kept one only:
+    on a clock that only stage 2 advances, by 1 s per run, it reads 1 s per
+    run and the step-1 row 0."""
+    clock = [0.0]
+    step2 = cutplan.clustering._step2
+
+    def ticking_step2(*args):
+        clock[0] += 1.0
+        return step2(*args)
+
+    monkeypatch.setattr(cutplan.clustering, "_step2", ticking_step2)
+    monkeypatch.setattr(cutplan.clustering, "time",
+                        types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    result = run_pipeline(build_cut_graph(ising_chain(14, seed=6)), 6, restarts=restarts, seed=11)
+    assert [row.wall_time_s for row in result.stages] == [0.0, float(restarts)]
 
 
 # no seed, or a seed that the random orders of later runs would draw from

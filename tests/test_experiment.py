@@ -8,6 +8,7 @@ from cutplan.cutsim import (ExperimentConfig, cut_estimate, exact_moments,
                             expectation_value, pauli_z_observable,
                             plan_partitions, ring_circuit, ring_cuts,
                             variance_experiment)
+from cutplan.qasm import QasmSyntaxError
 
 
 def test_ring_partitions():
@@ -121,6 +122,28 @@ def test_ring_cuts_reject_a_float_partition_count():
     """3.0 gave the 3-partition cuts."""
     with pytest.raises(TypeError, match="^partitions must be an integer, got 3.0$"):
         ring_cuts(3.0)
+
+
+@pytest.mark.parametrize("bad, text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+@pytest.mark.parametrize("layer, qubit", [(0, 2), (1, 6)])
+@pytest.mark.parametrize("axis, kind", [(0, "ry"), (1, "rz")])
+def test_ring_circuit_rejects_a_non_finite_parameter(bad, text, layer, qubit, axis, kind):
+    """A NaN or an infinity raises the error of the gate's own check, for the
+    first non-finite rotation in gate order: the NaN on the last gate, an rz
+    of the second layer, comes later."""
+    params = np.full((2, 8, 2), 0.3)
+    params[1, 7, 1] = np.nan
+    params[layer, qubit, axis] = bad
+    with pytest.raises(QasmSyntaxError,
+                       match=f"^gate '{kind}' parameter {text} is not a finite number$"):
+        ring_circuit(params)
+
+
+def test_ring_circuit_builds_no_gate_objects():
+    """The circuit keeps its columns; the ``GateApp`` tuple waits for a reader."""
+    circuit = ring_circuit(np.full((2, 8, 2), 0.3))
+    assert "gates" not in vars(circuit)
+    assert [g.kind for g in circuit.gates] == circuit.kind
 
 
 def test_ring_presets_reject_bad_input():

@@ -1,10 +1,12 @@
 """Self-test of ``tools/pairs.py``: one short pair of a tree against itself
-gives a summary line per end-to-end metric and the failure counts, and two
-trees whose benchmarks differ are refused. No timing is asserted."""
+gives a summary line per end-to-end metric, the medians of the wall set-up
+and reference times and the failure counts, and two trees whose benchmarks
+differ are refused. No timing is asserted."""
 
 import importlib.util
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -37,6 +39,11 @@ def test_pairs_runs_a_tree_against_itself():
     assert list(summary) == names
     # one pair has no quartile spread, and an equal lq_sum is a tie
     assert summary["lq_sum"].endswith("NEW/OLD 1.0000; NEW better on 0 of 1; gain rule fails")
+    wall = lines[2 + len(names):4 + len(names)]
+    for line, name in zip(wall, ("setup_s", "ref_s")):
+        match = re.fullmatch(rf"wall {name}: OLD median (\S+), NEW median (\S+), "
+                             r"NEW/OLD \d+\.\d{4}", line)
+        assert match and all(float(x) > 0 for x in match.groups()), line
     assert lines[-3].startswith("OLD failures per seed: 3: ")
     assert lines[-2].startswith("NEW failures per seed: 3: ")
     assert lines[-1] == "failure counts identical per seed: yes"

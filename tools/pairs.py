@@ -15,9 +15,12 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints OLD's median and
 quartiles, NEW's median and their ratio, on how many pairs NEW was better
 (ties count for neither side), and whether a gain can be claimed: NEW better
 on at least nine tenths of the pairs, and the two medians further apart, in
-NEW's favour, than OLD's quartiles are from each other. It then prints each
-side's failure counts per seed, by kind, and exits 1 if any run reported
-incorrect results.
+NEW's favour, than OLD's quartiles are from each other. Next come each
+side's median wall set-up time and reference-kernel time (``setup_s`` and
+``ref_s`` of the run's detail line, in plain seconds): a set-up gain shows in
+both the scaled and the wall ``setup_s``, while a drift of the kernel moves
+the scaled one alone. It then prints each side's failure counts per seed, by
+kind, and exits 1 if any run reported incorrect results.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def benchmark_files(tree: str) -> dict[str, bytes]:
 
 def run_once(tree: str, workload: str, seed: int, seconds: float | None) -> dict:
     """One untraced benchmark run in ``tree``: its result line, with the
-    failure counts by kind from its detail line under ``"failures"``."""
+    failure counts by kind and the wall times from its detail line under
+    ``"failures"`` and ``"wall"``."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
@@ -65,7 +69,8 @@ def run_once(tree: str, workload: str, seed: int, seconds: float | None) -> dict
     lines = out.stdout.splitlines()
     result = json.loads(lines[-1])
     (detail,) = [ln for ln in lines if ln.startswith("# detail ")]
-    result["failures"] = json.loads(detail.removeprefix("# detail "))["failures"]
+    detail = json.loads(detail.removeprefix("# detail "))
+    result["failures"], result["wall"] = detail["failures"], detail["wall"]
     return result
 
 
@@ -142,6 +147,12 @@ def main(argv: list[str]) -> int:
         print(f"{name}: OLD median {med:.6g} (quartiles {q1:.6g} to {q3:.6g}), "
               f"NEW median {s['new']:.6g}, NEW/OLD {ratio}; NEW better on "
               f"{s['won']} of {args.pairs}; gain rule {'holds' if s['gain'] else 'fails'}")
+    for name in ("setup_s", "ref_s"):
+        med_old, med_new = (statistics.median(r[side]["wall"][name] for r in results)
+                            for side in (0, 1))
+        ratio = f"{med_new / med_old:.4f}" if med_old else "n/a"
+        print(f"wall {name}: OLD median {med_old:.6g}, NEW median {med_new:.6g}, "
+              f"NEW/OLD {ratio}")
     for side, label in enumerate(("OLD", "NEW")):
         print(f"{label} failures per seed: " + "; ".join(
             f"{args.first_seed + k}: {_failures(r[side])}" for k, r in enumerate(results)))

@@ -596,6 +596,9 @@ def combine_means(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec
 
     estimate = sum over all term choices of prod_j a_j(i_j) *
     prod_c mean_c(choice restricted to the cuts touching c).
+
+    Raises ``ValueError`` unless ``means[c]`` holds one mean per variant of
+    each partition c.
     """
     subscripts = _contraction(plans, len(specs), copies=1)
     coefficients = [np.array([t.coeff for t in spec.terms]) for spec in specs]
@@ -603,8 +606,16 @@ def combine_means(plans: dict[int, PartitionPlan], specs: list[DecompositionSpec
     for c, plan in sorted(plans.items()):
         # a partition no cut touches is a 0-d tensor with subscript ""
         tensor = np.empty(tuple(len(specs[j].terms) for j in plan.attached_cuts))
-        for variant, mean in means[c].items():
-            tensor[variant] = mean
+        mean = means.get(c, {})
+        try:
+            # as many means as variants, each variant among them: no entry
+            # of the tensor is left as ``np.empty`` made it
+            if len(mean) != tensor.size:
+                raise KeyError(c)
+            for variant in itertools.product(*map(range, tensor.shape)):
+                tensor[variant] = mean[variant]
+        except KeyError:
+            raise ValueError(f"means of partition {c} must hold one value per variant") from None
         tensors.append(tensor)
     return float(np.einsum(subscripts, *coefficients, *tensors))
 

@@ -56,35 +56,35 @@ class UndeclaredRegisterError(QasmError):
 
 @dataclass(frozen=True)
 class GateApp:
-    """A single gate application on flattened qubit indices."""
+    """A single gate application on flattened qubit indices, checked when it
+    is made: its operand count, its kind and counts against ``GATES`` (as the
+    parser words them), its wires, stored as distinct ``int``s, and its
+    parameters, stored as finite ``float``s (a bool raises ``TypeError``)."""
 
     kind: str
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if len(self.qubits) not in (1, 2):
+        kind, qubits, params = self.kind, self.qubits, self.params
+        if len(qubits) not in (1, 2):
             raise UnsupportedGateError(
-                f"gate '{self.kind}' acts on {len(self.qubits)} qubits; only 1- and "
+                f"gate '{kind}' acts on {len(qubits)} qubits; only 1- and "
                 "2-qubit gates are supported"
             )
-        if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
-            raise DuplicateOperandError(
-                f"gate '{self.kind}' applied twice to wire {self.qubits[0]}"
-            )
-        for value in self.params:
+        row = GATES.get(kind)
+        if row is None or row.arity != len(qubits) or row.n_params != len(params):
+            raise _gate_error(kind, row, qubits, params)
+        qubits = tuple(_integer(f"{kind} wire", q) for q in qubits)
+        if len(qubits) == 2 and qubits[0] == qubits[1]:
+            raise DuplicateOperandError(f"gate '{kind}' applied twice to wire {qubits[0]}")
+        params = tuple(_real(f"{kind} parameter", v) for v in params)
+        for value in params:
             if not math.isfinite(value):
                 raise QasmSyntaxError(
-                    f"gate '{self.kind}' parameter {value!r} is not a finite number")
-
-
-def _wire(kind: str, q, num_qubits: int) -> int:
-    """Wire ``q`` of a ``kind`` gate as an ``int`` below ``num_qubits``."""
-    q = _integer(f"{kind} wire", q)
-    if not 0 <= q < num_qubits:
-        raise QasmSyntaxError(
-            f"gate '{kind}' touches wire {q} outside register of size {num_qubits}")
-    return q
+                    f"gate '{kind}' parameter {value!r} is not a finite number")
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "params", params)
 
 
 def _gate_error(kind: str, row, qubits: tuple, params: tuple) -> QasmError:
@@ -108,41 +108,19 @@ class CircuitIR:
     """
 
     def __init__(self, num_qubits: int, gates: Sequence[GateApp], name: str = "circuit"):
-        """A circuit from ``GateApp`` objects, each kind and shape checked as the
-        parser does, each wire checked against ``num_qubits`` and stored as an
-        ``int``, each parameter stored as a ``float`` (a bool raises ``TypeError``)."""
-        gates = tuple(gates)
+        """A circuit from ``GateApp`` objects, which checked themselves when
+        they were made; here each wire is checked against ``num_qubits``."""
+        self.gates = gates = tuple(gates)  # fills the cached property
         self.num_qubits = num_qubits = _integer("num_qubits", num_qubits, 0)
         self.name = name
-        self.kind, self.qubits, self.params = [], [], []
-        rebuilt = False
         for g in gates:
-            qubits, params = g.qubits, g.params
-            # a subscript after ``in`` costs less than the proxy's ``get``
-            row = GATES[g.kind] if g.kind in GATES else None
-            if row is None or row.arity != len(qubits) or row.n_params != len(params):
-                raise _gate_error(g.kind, row, qubits, params)
-            for q in qubits:
-                # a plain int in range skips the check's call, which costs
-                # more than this loop; a gate with another integer wire (a
-                # numpy one, say) is stored with plain ints
-                if type(q) is not int or not 0 <= q < num_qubits:
-                    qubits = tuple(_wire(g.kind, wire, num_qubits) for wire in qubits)
-                    rebuilt = True
-                    break
-            for value in params:
-                # likewise a gate with a parameter of another real type (a
-                # numpy float, which ``to_qasm`` would write as a call) is
-                # stored with plain floats
-                if type(value) is not float:
-                    params = tuple(_real(f"{g.kind} parameter", v) for v in params)
-                    rebuilt = True
-                    break
-            self.kind.append(g.kind)
-            self.qubits.append(qubits)
-            self.params.append(params)
-        if not rebuilt:
-            self.gates = gates  # fills the cached property
+            for q in g.qubits:
+                if not 0 <= q < num_qubits:
+                    raise QasmSyntaxError(f"gate '{g.kind}' touches wire {q} outside "
+                                          f"register of size {num_qubits}")
+        self.kind = [g.kind for g in gates]
+        self.qubits = [g.qubits for g in gates]
+        self.params = [g.params for g in gates]
 
     @classmethod
     def from_columns(cls, num_qubits: int, kind: list[str], qubits: list[tuple[int, ...]],

@@ -433,6 +433,91 @@ def test_dissolving_clusters_keeps_the_segment_guard():
     assert plans[False][0] < plans[True][0] - 1e-9
 
 
+class _Rows(list):
+    """An adjacency list that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _Rows.reads += 1
+        return list.__getitem__(self, i)
+
+
+class _ScreenSwitch(cutplan.dissolution._Dissolver):
+    """The third pass with its early-bound screen left on or forced off;
+    each instance's value of ``screen`` is kept in ``seen``."""
+
+    screened = True
+    seen: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.screen = self.screen and self.screened
+        self.adj = _Rows(self.adj)
+        self.seen.append(self.screen)
+
+
+def test_the_dissolution_screen_never_changes_a_plan(monkeypatch):
+    """The screen stops a trial early when it can no longer be accepted. On
+    random ``cx``/``cz``/``rzz`` circuits and random graphs, forcing it off
+    gives the same plan and stage rows (but for wall time), and the same
+    dissolution of the wire partition; the screened runs read fewer
+    adjacency rows, so the screen did stop trials."""
+    monkeypatch.setattr(_ScreenSwitch, "seen", [])
+    monkeypatch.setattr(cutplan.dissolution, "_Dissolver", _ScreenSwitch)
+    rng = np.random.default_rng(2026)
+    reads = {True: 0, False: 0}
+    for case in range(150):
+        if case % 2:
+            graph = random_graph(rng, max_nodes=14)
+        else:
+            n = int(rng.integers(2, 13))
+            gates = []
+            for _ in range(int(rng.integers(0, 25))):
+                kind = ("cx", "cz", "rzz")[int(rng.integers(3))]
+                a, b = map(int, rng.choice(n, 2, replace=False))
+                params = (float(rng.uniform(-3, 3)),) if kind == "rzz" else ()
+                gates.append(GateApp(kind, (a, b), params))
+            graph = build_cut_graph(CircuitIR(n, gates))
+        cap = int(rng.integers(1, max(graph.num_nodes, 1) + 1))
+        restarts, seed = int(rng.integers(1, 4)), int(rng.integers(2 ** 32))
+        level = _Level.from_graph(graph)
+        first = {}
+        wires = [first.setdefault(mask, len(first)) for mask in graph.mask]
+        plans = {}
+        for screened in (True, False):
+            monkeypatch.setattr(_ScreenSwitch, "screened", screened)
+            _Rows.reads = 0
+            result = run_pipeline(graph, cap, restarts=restarts, seed=seed)
+            # the wire partition offers the pass many more trials it accepts
+            dissolved = wires and _dissolve(level, wires, cap, _score(level, wires),
+                                            None not in graph.gate_id, False)
+            reads[screened] += _Rows.reads
+            plans[screened] = result.clustering.assignment, _rows(result), dissolved
+        assert plans[True] == plans[False], case
+    assert reads[True] < reads[False]
+
+
+def test_dissolution_runs_unscreened_on_a_negative_w_hat(monkeypatch):
+    """The screen holds only when no weight is negative, and no circuit
+    gives a negative one (every kappa and tau is at least 1). On this
+    hand-built chain, where two edges have tau 0.5, the pass runs without
+    it under audit and dissolves one cluster of the two-stage plan."""
+    monkeypatch.setattr(_ScreenSwitch, "seen", [])
+    monkeypatch.setattr(cutplan.dissolution, "_Dissolver", _ScreenSwitch)
+    graph = CutGraph(tuple(Node(i, frozenset({i})) for i in range(4)),
+                     (make_edge(0, 1, 2.0, 0.5), make_edge(0, 2, 3.0, 2.0),
+                      make_edge(2, 3, 2.0, 0.5)))
+    assert min(graph.w_hat) < 0
+    result = run_pipeline(graph, 2, audit=True)
+    assert _ScreenSwitch.seen == [False]
+    step2 = result.stages[1]
+    assert (step2.returned, step2.dissolved) == ("stages", 1)
+    assert result.clustering.assignment == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert result.lq == pytest.approx(
+        max_log_overhead_oracle(graph, result.clustering.assignment), abs=1e-9)
+
+
 def _sweep_evaluating_every_node(engine, visit) -> int:
     """One sweep that skips no visit: stage 1's flags all set dirty, stage 2
     given a fresh copy of the visit list, which no sweep has seen."""

@@ -494,6 +494,28 @@ def test_combination_matches_explicit_sum():
     assert got == pytest.approx(total, rel=1e-12)
 
 
+def test_combine_means_needs_one_mean_per_variant():
+    """A partition's tensor is filled from ``np.empty``: a variant missing
+    from its means left an uninitialised entry in the estimate, and a key
+    that is no variant raised numpy's ``IndexError``. Both now raise a
+    ``ValueError`` naming the partition; complete means give the run's
+    estimate."""
+    circuit = ring_circuit(np.random.default_rng(1).uniform(0, 6, (2, 8, 2)))
+    cuts, obs = ring_cuts(3), pauli_z_observable(range(8))
+    run = cut_estimate(circuit, cuts, obs, 0.2, seed=1)
+    plans, _ = plan_partitions(circuit, cuts, obs)
+    specs = cut_specs(circuit, cuts)
+    assert combine_means(plans, specs, run.variant_means) == run.estimate
+    first = min(run.variant_means[0])
+    short = {**run.variant_means, 0: {v: m for v, m in run.variant_means[0].items()
+                                      if v != first}}
+    extra = {**run.variant_means, 1: {**run.variant_means[1], (9, 9): 0.5}}
+    for means in (short, extra, {c: m for c, m in run.variant_means.items() if c}):
+        with pytest.raises(ValueError, match="^means of partition [01] must hold one "
+                                             "value per variant$"):
+            combine_means(plans, specs, means)
+
+
 @pytest.mark.parametrize("circuit, cuts, width", [
     (random_ring(1), ring_cuts(3), 8),
     (random_ring(2), ring_cuts(4), 8),

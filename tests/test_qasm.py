@@ -218,17 +218,35 @@ def test_repeated_wire_is_reported_before_an_earlier_measurement():
 
 
 @pytest.mark.parametrize("num_qubits, gates, error, message", [
-    (2, (GateApp("cx", (True, 0)),), TypeError,
-     "cx wire must be an integer, got True"),
-    (2, (GateApp("h", (0.0,)),), TypeError, "h wire must be an integer, got 0.0"),
-    (2.0, (), TypeError, "num_qubits must be an integer, got 2.0"),
-    (-1, (), ValueError, "num_qubits must be >= 0, got -1"),
-    (2, (GateApp("rzz", (0, 1), (False,)),), TypeError,
+    (2, [("cx", (True, 0))], TypeError, "cx wire must be an integer, got True"),
+    (2, [("h", (0.0,))], TypeError, "h wire must be an integer, got 0.0"),
+    (2.0, [], TypeError, "num_qubits must be an integer, got 2.0"),
+    (-1, [], ValueError, "num_qubits must be >= 0, got -1"),
+    (2, [("rzz", (0, 1), (False,))], TypeError,
      "rzz parameter must be a real number, got False"),
 ], ids=["bool-wire", "float-wire", "float-width", "negative-width", "bool-parameter"])
 def test_circuit_ir_names_a_non_integer_wire_or_width(num_qubits, gates, error, message):
+    """Each gate is a ``(kind, qubits[, params])`` tuple, made into a
+    ``GateApp`` inside the check: a wire or parameter fails when its gate
+    is made, the width when the circuit is."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        CircuitIR(num_qubits, gates)
+        CircuitIR(num_qubits, [GateApp(*gate) for gate in gates])
+
+
+def test_gate_app_stores_plain_hashable_tuples():
+    """Wires and parameters given as lists or numpy values are stored as
+    tuples of ``int`` and ``float``, so the gate hashes and equals the one
+    made from plain values; ``CircuitIR`` keeps the tuple of gates it is
+    given as ``gates``."""
+    made = [GateApp("rzz", [np.int64(1), 0], np.array([0.25])),
+            GateApp("u3", np.array([2]), [1, np.float32(0.5), 2.0])]
+    plain = [GateApp("rzz", (1, 0), (0.25,)), GateApp("u3", (2,), (1.0, 0.5, 2.0))]
+    assert made == plain and {*made} == {*plain}
+    for gate in made:
+        assert type(gate.qubits) is tuple and all(type(q) is int for q in gate.qubits)
+        assert type(gate.params) is tuple and all(type(v) is float for v in gate.params)
+    gates = tuple(made)
+    assert CircuitIR(3, gates).gates is gates
 
 
 def test_circuit_ir_width_is_a_plain_int():
@@ -447,20 +465,24 @@ def test_to_qasm_round_trips(ir):
 
 
 @pytest.mark.parametrize("gate, error, message, text", [
-    (GateApp("cu3", (0, 1), (0.1, 0.2, 0.3)), UnsupportedGateError,
+    (("cu3", (0, 1), (0.1, 0.2, 0.3)), UnsupportedGateError,
      "unknown gate 'cu3'", "cu3(0.1,0.2,0.3) q[0],q[1];"),
-    (GateApp("rx", (0,)), QasmSyntaxError, "gate 'rx' expects 1 parameter(s), got 0",
+    (("rx", (0,)), QasmSyntaxError, "gate 'rx' expects 1 parameter(s), got 0",
      "rx q[0];"),
-    (GateApp("cx", (0,)), QasmSyntaxError, "gate 'cx' expects 2 operand(s), got 1",
+    (("cx", (0,)), QasmSyntaxError, "gate 'cx' expects 2 operand(s), got 1",
      "cx q[0];"),
-    (GateApp("h", (0,), (0.5,)), QasmSyntaxError, "gate 'h' expects 0 parameter(s), got 1",
+    (("h", (0,), (0.5,)), QasmSyntaxError, "gate 'h' expects 0 parameter(s), got 1",
      "h(0.5) q[0];"),
-], ids=["unknown-kind", "missing-parameter", "missing-operand", "extra-parameter"])
+    (("iswap", (0, 1)), UnsupportedGateError, "unknown gate 'iswap'", "iswap q[0],q[1];"),
+], ids=["unknown-kind", "missing-parameter", "missing-operand", "extra-parameter",
+        "unknown-two-qubit-kind"])
 def test_circuit_ir_rejects_what_the_parser_rejects(gate, error, message, text):
     """An IR that ``to_qasm`` would write as text ``parse_qasm`` rejects
-    fails when it is built, with the parser's class and message."""
+    fails when its gate is made, with the parser's class and message; so
+    ``gate_matrix``, which reads the gate's ``GATES`` row unchecked, never
+    sees such a gate."""
     with pytest.raises(QasmError) as built:
-        CircuitIR(2, [GateApp("h", (1,)), gate])
+        CircuitIR(2, [GateApp("h", (1,)), GateApp(*gate)])
     with pytest.raises(QasmError) as parsed:
         parse_qasm("qreg q[2];\n" + text)
     assert type(built.value) is type(parsed.value) is error
@@ -472,13 +494,12 @@ def test_circuit_ir_rejects_what_the_parser_rejects(gate, error, message, text):
 @given(st.sampled_from(sorted(GATES)), st.integers(1, 2), st.integers(0, 3))
 def test_circuit_ir_rejects_a_wrong_operand_or_parameter_count(kind, arity, n_params):
     """A gate whose operand or parameter count is not its kind's raises when
-    the IR is built, operands checked first, as the parser words it."""
+    it is made, operands checked first, as the parser words it."""
     row = GATES[kind]
     assume((arity, n_params) != (row.arity, row.n_params))
-    gate = GateApp(kind, tuple(range(arity)), (0.5,) * n_params)
     if arity != row.arity:
         message = f"gate '{kind}' expects {row.arity} operand(s), got {arity}"
     else:
         message = f"gate '{kind}' expects {row.n_params} parameter(s), got {n_params}"
     with pytest.raises(QasmSyntaxError, match=f"^{re.escape(message)}$"):
-        CircuitIR(2, [gate])
+        CircuitIR(2, [GateApp(kind, tuple(range(arity)), (0.5,) * n_params)])

@@ -61,6 +61,26 @@ def test_integer_checks_live_in_one_module():
     assert found == []
 
 
+def test_gate_shape_checks_live_in_one_module():
+    """A gate's kind and shape are checked where it enters, in ``qasm.py``
+    (the parser, ``GateApp``): no other module names ``_gate_error`` or
+    reads a ``GATES`` row's ``arity`` or ``n_params``."""
+    found = []
+    for path in _modules():
+        module = os.path.relpath(path, PACKAGE)
+        if module == "qasm.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("arity", "n_params")
+                    or isinstance(node, ast.Name) and node.id == "_gate_error"
+                    or isinstance(node, ast.ImportFrom)
+                    and any(alias.name == "_gate_error" for alias in node.names)):
+                found.append(f"{module}:{node.lineno}")
+    assert found == []
+
+
 def _kind_tables(source: str) -> list[int]:
     """Lines of ``source`` holding a dict or set display keyed by a kind of
     ``GATES``, or an ``==``/``!=``/``in``/``not in`` comparison with such a

@@ -50,13 +50,15 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..gates import GATES
 from ..graph import WIRE_CUT_COEFFICIENTS, CutWeights, zz_core_coefficients
-from ..qasm import GateApp
-from .statevector import gate_matrix
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..qasm import GateApp
 
 MEAS_NONE = None
 MEAS_SIGNED = "signed"
@@ -83,9 +85,9 @@ class TermSide:
         def product(gates):
             if not gates:
                 return None
-            # a copy: ``gate_matrix`` hands out shared arrays
+            # a copy: a fixed gate's row hands out one shared array
             u = np.array(reduce(lambda acc, m: m @ acc, [
-                gate_matrix(GateApp(kind, (0,), params)) for kind, params in gates]))
+                GATES[kind].matrix(*params) for kind, params in gates]))
             u.flags.writeable = False
             return u
 
@@ -194,12 +196,17 @@ _GROUPED = {kind: (sides, _group_sides(sides)) for kind, sides
 
 def gate_cut_decomposition(gate: GateApp) -> DecompositionSpec:
     """Decomposition for cutting this 2-qubit gate, side 0 = first operand."""
-    sides = _GATE_CUT_SIDES.get(gate.kind)
+    return _gate_cut_spec(gate.kind, gate.params)
+
+
+def _gate_cut_spec(kind: str, params: tuple[float, ...]) -> DecompositionSpec:
+    """``gate_cut_decomposition`` of a checked gate's kind and parameters."""
+    sides = _GATE_CUT_SIDES.get(kind)
     if sides is None:
-        raise ValueError(f"no registered cut decomposition for gate '{gate.kind}'")
-    theta = GATES[gate.kind].cut[0]
-    coefficients = zz_core_coefficients(gate.params[0] if theta is None else theta)
-    return DecompositionSpec("space", gate.kind, gate.params, tuple(map(Term, coefficients, sides)))
+        raise ValueError(f"no registered cut decomposition for gate '{kind}'")
+    theta = GATES[kind].cut[0]
+    coefficients = zz_core_coefficients(params[0] if theta is None else theta)
+    return DecompositionSpec("space", kind, params, tuple(map(Term, coefficients, sides)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +229,8 @@ def _embed(u: np.ndarray, side: int) -> np.ndarray:
 
 
 def _side_unitary(gates: tuple) -> np.ndarray:
-    u = np.eye(2, dtype=complex)
-    for kind, params in gates:
-        u = gate_matrix(GateApp(kind, (0,), params)) @ u
-    return u
+    return reduce(lambda acc, m: m @ acc, [GATES[kind].matrix(*params) for kind, params in gates],
+                  np.eye(2, dtype=complex))
 
 
 def _space_term_superop(term: Term) -> np.ndarray:
@@ -266,8 +271,7 @@ def target_channel(spec: DecompositionSpec) -> np.ndarray:
     """The channel the decomposition must reproduce."""
     if spec.cut_kind == "time":
         return np.eye(4, dtype=complex)
-    gate = GateApp(spec.gate_kind, (0, 1), spec.params)
-    return _conj_superop(gate_matrix(gate))
+    return _conj_superop(GATES[spec.gate_kind].matrix(*spec.params))
 
 
 def reconstruction_error(spec: DecompositionSpec) -> float:

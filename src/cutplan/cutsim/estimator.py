@@ -62,13 +62,12 @@ from typing import Iterator
 import numpy as np
 
 from .._checks import _integer
+from ..gates import GATES
 from ..overhead import partition_budgets
-from ..qasm import CircuitIR, GateApp
-from .decomp import (DecompositionSpec, MEAS_SIGNED,
-                     gate_cut_decomposition, wire_cut_decomposition)
+from ..qasm import CircuitIR
+from .decomp import DecompositionSpec, MEAS_SIGNED, _gate_cut_spec, wire_cut_decomposition
 from .observable import ObsFactor, ProductObservable, check_qubits, value_table
-from .statevector import (MAX_QUBITS, TooManyQubitsError, apply_matrix, gate_matrix,
-                          project_qubit, zero_state)
+from .statevector import MAX_QUBITS, TooManyQubitsError, apply_matrix, project_qubit, zero_state
 
 
 class NotDisconnectedError(Exception):
@@ -125,11 +124,11 @@ class PartitionPlan:
 
     ``sites`` are its cut sites in time order, each ``(cut index, side,
     local qubit)``. ``runs[k]`` are the gates before ``sites[k]`` (the last
-    run follows the last site), each ``(GateApp, local qubits)``.
+    run follows the last site), each ``(kind, params, local qubits)``.
     """
 
     num_qubits: int = 0
-    runs: list[list[tuple[GateApp, tuple[int, ...]]]] = field(default_factory=lambda: [[]])
+    runs: list[list[tuple[str, tuple, tuple[int, ...]]]] = field(default_factory=lambda: [[]])
     sites: list[tuple[int, int, int]] = field(default_factory=list)
     factors: list[ObsFactor] = field(default_factory=list)
 
@@ -139,23 +138,19 @@ class PartitionPlan:
 
 
 def _check_cuts(circuit: CircuitIR, cuts: list) -> None:
-    seen = set()
+    wires, seen = circuit.qubits, set()
     for cut in cuts:
         if not isinstance(cut, (GateCut, WireCut)):
             raise TypeError(f"unknown cut placement {cut!r}")
         for field, i in vars(cut).items():
             _integer(f"{field} of cut {cut!r}", i)
-        if isinstance(cut, GateCut):
-            if not 0 <= cut.gate_index < len(circuit.gates):
-                raise ValueError(f"gate index {cut.gate_index} out of range")
-            if len(circuit.gates[cut.gate_index].qubits) != 2:
-                raise ValueError(f"gate {cut.gate_index} is not a 2-qubit gate")
-        elif isinstance(cut, WireCut):
-            if not 0 <= cut.after_gate < len(circuit.gates):
-                raise ValueError(f"gate index {cut.after_gate} out of range")
-            if cut.qubit not in circuit.gates[cut.after_gate].qubits:
-                raise ValueError(
-                    f"gate {cut.after_gate} does not touch wire {cut.qubit}")
+        g = cut.gate_index if isinstance(cut, GateCut) else cut.after_gate
+        if not 0 <= g < len(wires):
+            raise ValueError(f"gate index {g} out of range")
+        if isinstance(cut, GateCut) and len(wires[g]) != 2:
+            raise ValueError(f"gate {g} is not a 2-qubit gate")
+        if isinstance(cut, WireCut) and cut.qubit not in wires[g]:
+            raise ValueError(f"gate {g} does not touch wire {cut.qubit}")
         if cut in seen:
             raise ValueError(f"duplicate cut {cut!r}")
         seen.add(cut)
@@ -191,8 +186,8 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
 
     gate_segments = []  # per gate, the segments it acts on
     cut_sides: list[tuple] = [()] * len(cuts)
-    for g, gate in enumerate(circuit.gates):
-        segs = tuple(map(segment.__getitem__, gate.qubits))
+    for g, wires in enumerate(circuit.qubits):
+        segs = tuple(map(segment.__getitem__, wires))
         gate_segments.append(segs)
         if g in gate_cuts:
             cut_sides[gate_cuts[g]] = segs
@@ -226,13 +221,13 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
         plans[c].sites.append((j, side, lq))
         plans[c].runs.append([])
 
-    for g, gate in enumerate(circuit.gates):
+    for g, gate in enumerate(zip(circuit.kind, circuit.params)):
         if g in gate_cuts:
             for side in (0, 1):
                 add_site(gate_cuts[g], side)
         else:
             segs = gate_segments[g]
-            plans[local[segs[0]][0]].runs[-1].append((gate, tuple([local[s][1] for s in segs])))
+            plans[local[segs[0]][0]].runs[-1].append((*gate, tuple([local[s][1] for s in segs])))
         # measure sides first, then prepare sides, each in cut-index order
         for side in (0, 1):
             for _, j in wire_cuts.get(g, ()):
@@ -251,8 +246,8 @@ def plan_partitions(circuit: CircuitIR, cuts: list,
 
 
 def cut_specs(circuit: CircuitIR, cuts: list) -> list[DecompositionSpec]:
-    return [gate_cut_decomposition(circuit.gates[cut.gate_index]) if isinstance(cut, GateCut)
-            else wire_cut_decomposition() for cut in cuts]
+    return [_gate_cut_spec(circuit.kind[cut.gate_index], circuit.params[cut.gate_index])
+            if isinstance(cut, GateCut) else wire_cut_decomposition() for cut in cuts]
 
 
 # -- shot allocation ----------------------------------------------------------
@@ -327,15 +322,15 @@ _LEVEL_AMPLITUDES = 2 ** 16
 _KEEP_FLIP = np.array([1.0, -1.0])
 
 
-def _fused(run: list[tuple[GateApp, tuple[int, ...]]]
+def _fused(run: list[tuple[str, tuple, tuple[int, ...]]]
            ) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """``(qubits, matrix)`` of a run of gates, each wire's consecutive
     1-qubit gates multiplied into one 2x2 matrix. A 2-qubit gate first
     flushes the products pending on its wires; what is pending at the end
     of the run follows, in the order its wires were first touched."""
     ops, pending = [], {}
-    for gate, qubits in run:
-        matrix = gate_matrix(gate)
+    for kind, params, qubits in run:
+        matrix = GATES[kind].matrix(*params)
         if len(qubits) == 1:
             q = qubits[0]
             pending[q] = matrix @ pending[q] if q in pending else matrix

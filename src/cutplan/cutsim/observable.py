@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .._checks import _integer
+from .._checks import _integer, _real
 from ..qasm import CircuitIR
 from .statevector import basis_bits, simulate_statevector
 
@@ -23,7 +23,7 @@ class ObsFactor:
     """One factor: a [-1, 1] table over the bits of ``qubits``.
 
     ``table[i]`` is the value when the bits of the listed qubits, read in
-    order as a big-endian integer, equal ``i``.
+    order as a big-endian integer, equal ``i``; it is kept as ``float``s.
     """
 
     qubits: tuple[int, ...]
@@ -32,6 +32,8 @@ class ObsFactor:
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(
             _integer("observable qubit", q) for q in self.qubits))
+        object.__setattr__(self, "table", tuple(
+            _real("observable value", v) for v in self.table))
         if len(self.table) != 2 ** len(self.qubits):
             raise ValueError("table size must be 2**len(qubits)")
         if len(set(self.qubits)) != len(self.qubits):

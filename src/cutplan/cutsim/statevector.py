@@ -74,8 +74,8 @@ def project_qubit(states: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray
 def simulate_statevector(circuit: CircuitIR) -> np.ndarray:
     """Exact final state of the circuit from |0...0>."""
     state = zero_state(circuit.num_qubits)
-    for gate in circuit.gates:
-        state = apply_matrix(state, circuit.num_qubits, gate.qubits, gate_matrix(gate))
+    for kind, qubits, params in zip(circuit.kind, circuit.qubits, circuit.params):
+        state = apply_matrix(state, circuit.num_qubits, qubits, GATES[kind].matrix(*params))
     return state
 
 

@@ -250,7 +250,7 @@ def build_report(clustering: "Clustering", graph: CutGraph,
         n_tot_time=kinds.count(CutKind.TIME),
         l_tot=w_cut,
         r=max(r, 1),
-        eps=eps,
+        eps=None if eps is None else float(eps),  # a numpy scalar is no JSON number
         n_c=n_c,
         n_total=None if n_c is None else sum(n_c.values()),
         flagged_clusters=segment_flags(graph, clustering),

@@ -207,8 +207,8 @@ def _variant_ops(plan, specs, choice: dict[int, int]) -> list:
     """Expand cut sites for one variant into concrete gate/measure ops."""
     ops = []
     for k, run in enumerate(plan.runs):
-        for gate, locals_ in run:
-            ops.append(("gate", GateApp(gate.kind, locals_, gate.params)))
+        for kind, params, locals_ in run:
+            ops.append(("gate", GateApp(kind, locals_, params)))
         if k == len(plan.sites):
             break
         j, side, lq = plan.sites[k]

@@ -6,6 +6,7 @@ plan and each tree's failures per kind in its quality ledger, and names the
 largest rise and fall of ``lq`` with each tree's R."""
 
 import importlib.util
+import json
 import os
 import re
 import shutil
@@ -15,6 +16,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "equiv.py")
 WORKLOADS = ("plan_chain", "plan_random", "verify_ring")
+# the parts of an estimate's record, in the order the tool records them
+ESTIMATE_PARTS = ["circuit", "allocation", "estimate", "exact", "moments"]
 
 # appended to the copy's ``cutplan/__init__.py``: wraps two public functions
 # and edits no line of the source, so no refactor can break it
@@ -87,11 +90,21 @@ def _ledgers(stdout):
     return counts
 
 
-def test_equiv_finds_no_difference_between_a_tree_and_itself():
+def test_equiv_finds_no_difference_between_a_tree_and_itself(tmp_path, monkeypatch):
     out = _equiv(ROOT, ROOT)
     assert out.returncode == 0, out.stdout + out.stderr
     assert _differ(out.stdout) == dict.fromkeys(WORKLOADS, 0)
     assert "seed 1: 0 differing operation(s)" in out.stdout
+    # the records compared there: every ring estimate holds its exact value
+    # and exact moments as parts of their own
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool's imports extend it
+    equiv = _load_tool()
+    corpus, records = tmp_path / "corpus.json", tmp_path / "records.json"
+    equiv.build_corpora(ROOT, 1, 0.02, corpus)
+    equiv.run_tree(ROOT, corpus, records)
+    with open(records, encoding="utf-8") as fh:
+        ring = json.load(fh)["records"]["verify_ring"]
+    assert [list(record) for record in ring] == [ESTIMATE_PARTS] * 8
 
 
 def test_equiv_finds_the_differences_of_an_edited_copy(tmp_path):
@@ -109,7 +122,8 @@ def test_equiv_finds_the_differences_of_an_edited_copy(tmp_path):
 
 
 def test_equiv_records_the_allocation_apart_from_the_sampled_estimate():
-    """A change of seed moves the ``estimate`` part only."""
+    """A change of seed moves the ``estimate`` part only; the allocation
+    and the exact values stay."""
     import cutplan
     import cutplan.cutsim
     from cutplan.qasm import to_qasm
@@ -118,9 +132,10 @@ def test_equiv_records_the_allocation_apart_from_the_sampled_estimate():
     qasm = to_qasm(cutplan.cutsim.ring_circuit([[[0.3, 1.1]] * 8] * 2))
     first, second = (equiv._estimate(cutplan, cutplan.cutsim, 3, 0.1, qasm, seed)
                      for seed in (1, 2))
-    assert list(first) == list(second) == ["circuit", "allocation", "estimate"]
+    assert list(first) == list(second) == ESTIMATE_PARTS
     assert first["allocation"] == second["allocation"]
     assert first["estimate"] != second["estimate"]
+    assert (first["exact"], first["moments"]) == (second["exact"], second["moments"])
 
 
 def test_ledger_of_a_tree_against_itself_holds_every_plan():

@@ -11,8 +11,8 @@ from conftest import variant_distribution_oracle
 from cutplan.cutsim import (GateCut, IncompatibleObservableError,
                             NotDisconnectedError, TooManyQubitsError, WireCut,
                             allocate_shots, combine_means, cut_estimate, cut_specs,
-                            exact_moments, expectation_value, pauli_z_observable,
-                            plan_partitions, ring_circuit,
+                            exact_moments, expectation_value, gate_matrix,
+                            pauli_z_observable, plan_partitions, ring_circuit,
                             ring_cuts, value_table, variant_distribution,
                             wire_cut_decomposition)
 from cutplan.clustering import run_pipeline
@@ -552,16 +552,15 @@ def test_runs_fuse_each_wires_one_qubit_gates():
     """A run's consecutive 1-qubit gates on one wire become one matrix; a
     2-qubit gate first flushes its wires. The fused run acts as the gates
     do one by one."""
-    run = [(GateApp("rx", (0,), (0.3,)), (0,)), (GateApp("ry", (0,), (0.5,)), (0,)),
-           (GateApp("h", (2,)), (2,)), (GateApp("cx", (0, 1)), (0, 1)),
-           (GateApp("rz", (1,), (0.7,)), (1,)), (GateApp("rz", (0,), (0.2,)), (0,)),
-           (GateApp("x", (1,)), (1,))]
-    ops = estimator._fused(run)
+    gates = [GateApp("rx", (0,), (0.3,)), GateApp("ry", (0,), (0.5,)), GateApp("h", (2,)),
+             GateApp("cx", (0, 1)), GateApp("rz", (1,), (0.7,)), GateApp("rz", (0,), (0.2,)),
+             GateApp("x", (1,))]
+    ops = estimator._fused([(gate.kind, gate.params, gate.qubits) for gate in gates])
     assert [qubits for qubits, _ in ops] == [(0,), (0, 1), (2,), (1,), (0,)]
     state = np.random.default_rng(0).normal(size=(2, 8)) * (1 + 1j)
     want = state
-    for gate, qubits in run:
-        want = estimator.apply_matrix(want, 3, qubits, estimator.gate_matrix(gate))
+    for gate in gates:
+        want = estimator.apply_matrix(want, 3, gate.qubits, gate_matrix(gate))
     for qubits, matrix in ops:
         state = estimator.apply_matrix(state, 3, qubits, matrix)
     assert np.max(np.abs(state - want)) <= 1e-12
@@ -667,6 +666,27 @@ def test_exact_moments_of_a_graded_observable(circuit, cuts):
         moments = exact_moments(circuit, cuts, obs, eps)
         assert moments.mean == pytest.approx(expectation_value(circuit, obs), abs=1e-9)
         assert moments.variance <= eps ** 2
+
+
+@pytest.mark.parametrize("table, stored", [
+    ([0.5, -0.25], (0.5, -0.25)), (np.array([0.5, -0.25]), (0.5, -0.25)),
+    ((1, -1), (1.0, -1.0)), (np.array([1, 0]), (1.0, 0.0)),
+], ids=["list", "ndarray", "int", "int-ndarray"])
+def test_factor_tables_are_stored_as_float_tuples(table, stored):
+    """A list or numpy table passed every check and ``expectation_value``,
+    then failed ``cut_estimate`` and ``exact_moments`` with ``TypeError:
+    unhashable type``. Each table is a tuple of floats, and the estimates
+    are those of that tuple."""
+    circuit, cuts = mixed_circuit(), [WireCut(1, 3), GateCut(4)]
+    z = pauli_z_observable(range(1, 4)).factors
+    obs, want = (ProductObservable((ObsFactor((0,), t), *z)) for t in (table, stored))
+    assert obs == want and all(type(v) is float for v in obs.factors[0].table)
+    assert cut_estimate(circuit, cuts, obs, 0.2, seed=3) == cut_estimate(circuit, cuts, want,
+                                                                         0.2, seed=3)
+    assert exact_moments(circuit, cuts, obs, 0.2) == exact_moments(circuit, cuts, want, 0.2)
+    assert expectation_value(circuit, obs) == expectation_value(circuit, want)
+    with pytest.raises(TypeError, match="^observable value must be a real number, got True$"):
+        ObsFactor((0,), (True, False))
 
 
 def test_exact_moments_name_their_cut_limit():

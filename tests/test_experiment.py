@@ -7,8 +7,8 @@ import pytest
 from cutplan.cutsim import (ExperimentConfig, cut_estimate, exact_moments,
                             expectation_value, pauli_z_observable,
                             plan_partitions, ring_circuit, ring_cuts,
-                            variance_experiment)
-from cutplan.qasm import QasmSyntaxError
+                            simulate_statevector, variance_experiment)
+from cutplan.qasm import QasmSyntaxError, parse_qasm, to_qasm
 
 
 def test_ring_partitions():
@@ -144,6 +144,18 @@ def test_ring_circuit_builds_no_gate_objects():
     circuit = ring_circuit(np.full((2, 8, 2), 0.3))
     assert "gates" not in vars(circuit)
     assert [g.kind for g in circuit.gates] == circuit.kind
+
+
+def test_the_verifier_reads_the_columns_of_a_parsed_circuit():
+    """The estimator, its exact moments, the exact value and the simulator
+    read the circuit's columns: none of them builds the ``GateApp`` tuple."""
+    circuit = parse_qasm(to_qasm(ring_circuit(np.full((2, 8, 2), 0.3))))
+    cuts, obs = ring_cuts(3), pauli_z_observable(range(8))
+    cut_estimate(circuit, cuts, obs, 0.1)
+    exact_moments(circuit, cuts, obs, 0.1)
+    expectation_value(circuit, obs)
+    simulate_statevector(circuit)
+    assert "gates" not in vars(circuit)
 
 
 def test_ring_presets_reject_bad_input():

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -406,6 +407,16 @@ def test_numpy_eps_whose_square_leaves_the_floats_acts_as_a_float(name, eps):
 def test_an_overflow_names_eps_as_given():
     with pytest.raises(OverflowError, match="^prior_bound at eps=1 does not fit a float$"):
         prior_bound([1e200, 1e200], 1)
+
+
+def test_report_stores_a_numpy_eps_as_a_float():
+    """A ``float32`` eps was kept as given, and ``json.dumps`` of the
+    report's JSON dict raised ``TypeError``."""
+    g, cl = three_partition_four_cut_graph()
+    report = build_report(cl, g, eps=np.float32(0.1))
+    assert type(report.eps) is float and report.eps == float(np.float32(0.1))
+    assert report.n_c == build_report(cl, g, eps=float(np.float32(0.1))).n_c
+    assert json.loads(json.dumps(report.to_json_dict()))["eps"] == report.eps
 
 
 def test_partition_budgets_take_products_in_the_order_given():

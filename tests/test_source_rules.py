@@ -81,6 +81,39 @@ def test_gate_shape_checks_live_in_one_module():
     assert found == []
 
 
+# the functions of ``cutsim/decomp.py`` that read a ``TermSide``'s own ``gates``
+_TERM_SIDE_READERS = {"unitaries", "_with_gates", "_space_term_superop", "_time_term_superop"}
+
+
+def test_the_circuit_is_read_by_its_columns():
+    """Library code reads a circuit's ``kind``, ``qubits`` and ``params``
+    columns: outside ``qasm.py`` no module reads ``.gates``, the ``GateApp``
+    view, but for a ``TermSide``'s own gate list in the ``decomp`` functions
+    that simulate a term side. ``GateApp`` is an input type, made only where
+    a gate enters: the parser module, the fixtures and the ring circuit's
+    error path."""
+    makers = {"qasm.py", "fixtures.py", os.path.join("cutsim", "experiment.py")}
+    reads, calls = [], []
+    for path in _modules():
+        module = os.path.relpath(path, PACKAGE)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        allowed = set()
+        if module == os.path.join("cutsim", "decomp.py"):
+            allowed = {id(node) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                       and func.name in _TERM_SIDE_READERS for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (module != "qasm.py" and isinstance(node, ast.Attribute)
+                    and node.attr == "gates" and id(node) not in allowed):
+                reads.append(f"{module}:{node.lineno}")
+            if (module not in makers and isinstance(node, ast.Call)
+                    and "GateApp" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))):
+                calls.append(f"{module}:{node.lineno}")
+    assert reads == []
+    assert calls == []
+
+
 def _kind_tables(source: str) -> list[int]:
     """Lines of ``source`` holding a dict or set display keyed by a kind of
     ``GATES``, or an ``==``/``!=``/``in``/``not in`` comparison with such a

@@ -76,7 +76,7 @@ def _plan(cutplan, cutsim, item):
 def _estimate(cutplan, cutsim, item):
     partitions, eps, qasm, seed = item
     circuit = cutplan.parse_qasm(qasm)
-    circuit.gates  # the benchmark's untimed exact value builds them first
+    circuit.gates  # the benchmark's untimed ring oracle builds them first
     cuts = cutsim.ring_cuts(partitions)
     obs = cutsim.pauli_z_observable(range(circuit.num_qubits))
     return lambda: cutsim.cut_estimate(circuit, cuts, obs, eps, seed=seed)

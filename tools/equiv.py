@@ -18,8 +18,10 @@ per operation, the exact ``repr`` of
 - an estimate: the parsed circuit's columns, then ``cut_estimate``'s
   ``allocation`` (R, per-partition budgets and variant shot counts) and its
   ``estimate`` (the estimate and the variant means) as two parts, or the
-  exception it raised as ``estimate``. The allocation does not depend on
-  the seed, so a change of the random stream shows in ``estimate`` alone.
+  exception it raised as ``estimate``; then the exact values, each or the
+  exception it raised: ``expectation_value`` as ``exact`` and
+  ``exact_moments``' (mean, variance) as ``moments``. Only ``estimate``
+  depends on the seed, so a change of the random stream shows there alone.
 
 It prints, per workload, the operations whose records differ and the parts
 that differ, and exits 1 if any operation differs, else 0. A stage-row key
@@ -42,6 +44,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -122,10 +125,9 @@ def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
     except Exception as exc:  # a failing parse is an outcome to compare
         return {"circuit": _error(exc)}
     record = {"circuit": _circuit_text(circuit)}
+    obs = cutsim.pauli_z_observable(range(circuit.num_qubits))
     try:
-        run = cutsim.cut_estimate(circuit, cutsim.ring_cuts(partitions),
-                                  cutsim.pauli_z_observable(range(circuit.num_qubits)),
-                                  eps, seed=seed)
+        run = cutsim.cut_estimate(circuit, cutsim.ring_cuts(partitions), obs, eps, seed=seed)
         record["allocation"] = repr((run.r, sorted(run.allocation.n_c.items()),
                                      sorted((c, sorted(v.items()))
                                             for c, v in run.allocation.variants.items())))
@@ -133,6 +135,15 @@ def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
                                                         for c, m in run.variant_means.items())))
     except Exception as exc:  # a failing estimate is an outcome to compare
         record["estimate"] = _error(exc)
+    moments = operator.attrgetter("mean", "variance")
+    for part, exact in (
+            ("exact", lambda: cutsim.expectation_value(circuit, obs)),
+            ("moments", lambda: moments(cutsim.exact_moments(
+                circuit, cutsim.ring_cuts(partitions), obs, eps)))):
+        try:
+            record[part] = repr(exact())
+        except Exception as exc:  # so is a failing exact value
+            record[part] = _error(exc)
     return record
 
 

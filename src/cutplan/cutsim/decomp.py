@@ -50,15 +50,13 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .._checks import _real
 from ..gates import GATES
 from ..graph import WIRE_CUT_COEFFICIENTS, CutWeights, zz_core_coefficients
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..qasm import GateApp
+from ..qasm import GateApp, check_gate
 
 MEAS_NONE = None
 MEAS_SIGNED = "signed"
@@ -72,22 +70,34 @@ class TermSide:
     ``gates`` run first, then the optional Z measurement (sign recorded when
     ``signed``), then ``post_gates``. For wire cuts the measure side ends the
     wire segment and the prepare side's gates initialise the fresh segment.
+    A side is checked when it is made: each gate, a ``(kind, params)`` pair
+    of a 1-qubit gate, with the parser's errors, and ``measure``.
     """
 
     gates: tuple[tuple[str, tuple[float, ...]], ...] = ()
     measure: str | None = MEAS_NONE
     post_gates: tuple[tuple[str, tuple[float, ...]], ...] = ()
 
+    def __post_init__(self):
+        if self.measure not in (MEAS_NONE, MEAS_PLAIN, MEAS_SIGNED):
+            raise ValueError(f"a term side's measure is None, {MEAS_PLAIN!r} or "
+                             f"{MEAS_SIGNED!r}, not {self.measure!r}")
+        self.unitaries  # checks each gate as it builds the side's matrices
+
     @cached_property
     def unitaries(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """``gates`` and ``post_gates`` each multiplied into one read-only
-        2x2 matrix, built once per side; None where there are no gates."""
+        2x2 matrix, built when the side is made; None where there are no
+        gates."""
         def product(gates):
             if not gates:
                 return None
+            matrices = []
+            for kind, params in gates:
+                params = check_gate(kind, 1, params)  # before the row lookup
+                matrices.append(GATES[kind].matrix(*params))
             # a copy: a fixed gate's row hands out one shared array
-            u = np.array(reduce(lambda acc, m: m @ acc, [
-                GATES[kind].matrix(*params) for kind, params in gates]))
+            u = np.array(reduce(lambda acc, m: m @ acc, matrices))
             u.flags.writeable = False
             return u
 
@@ -121,6 +131,9 @@ class DecompositionSpec:
     tau = property(lambda self: self.weights.tau)
 
     def __post_init__(self):
+        for term in self.terms:
+            if not math.isfinite(_real("a term coefficient", term.coeff)):
+                raise ValueError(f"a term coefficient must be finite, got {term.coeff!r}")
         # a spec built from a side table takes the groups built with the
         # table at import; any other spec groups its own sides
         sides = [term.sides for term in self.terms]

@@ -66,38 +66,45 @@ class GateApp:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        kind, qubits, params = self.kind, self.qubits, self.params
-        if len(qubits) not in (1, 2):
-            raise UnsupportedGateError(
-                f"gate '{kind}' acts on {len(qubits)} qubits; only 1- and "
-                "2-qubit gates are supported"
-            )
-        row = GATES.get(kind)
-        if row is None or row.arity != len(qubits) or row.n_params != len(params):
-            raise _gate_error(kind, row, qubits, params)
+        kind, qubits = self.kind, self.qubits
+        params = check_gate(kind, len(qubits), self.params)
         qubits = tuple(_integer(f"{kind} wire", q) for q in qubits)
         if len(qubits) == 2 and qubits[0] == qubits[1]:
             raise DuplicateOperandError(f"gate '{kind}' applied twice to wire {qubits[0]}")
-        params = tuple(_real(f"{kind} parameter", v) for v in params)
-        for value in params:
-            if not math.isfinite(value):
-                raise QasmSyntaxError(
-                    f"gate '{kind}' parameter {value!r} is not a finite number")
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "params", params)
 
 
-def _gate_error(kind: str, row, qubits: tuple, params: tuple) -> QasmError:
-    """The parser's error for a ``kind`` gate on ``qubits`` with ``params``: its
-    ``row`` (of ``GATES``, or a gate definition) is None, or the shape differs."""
+def check_gate(kind: str, arity: int, params: tuple) -> tuple[float, ...]:
+    """A ``kind`` gate on ``arity`` wires with ``params``, checked against
+    ``GATES`` with the parser's errors; returns its parameters as finite
+    ``float``s (a bool raises ``TypeError``). ``GateApp`` and a gate-cut
+    term side check their gates here."""
+    if arity not in (1, 2):
+        raise UnsupportedGateError(
+            f"gate '{kind}' acts on {arity} qubits; only 1- and 2-qubit gates are supported")
+    row = GATES.get(kind)
+    if row is None or row.arity != arity or row.n_params != len(params):
+        raise _gate_error(kind, row, arity, len(params))
+    params = tuple(_real(f"{kind} parameter", v) for v in params)
+    for value in params:
+        if not math.isfinite(value):
+            raise QasmSyntaxError(f"gate '{kind}' parameter {value!r} is not a finite number")
+    return params
+
+
+def _gate_error(kind: str, row, arity: int, n_params: int) -> QasmError:
+    """The parser's error for a ``kind`` gate on ``arity`` wires with
+    ``n_params`` parameters: its ``row`` (of ``GATES``, or a gate definition)
+    is None, or the shape differs."""
     if row is None and kind in _WIDE_GATES:
         return UnsupportedGateError(f"gate '{kind}' acts on {_WIDE_GATES[kind]} qubits; "
                                     "only 1- and 2-qubit gates are supported")
     if row is None:
         return UnsupportedGateError(f"unknown gate '{kind}'")
-    if row.arity != len(qubits):
-        return QasmSyntaxError(f"gate '{kind}' expects {row.arity} operand(s), got {len(qubits)}")
-    return QasmSyntaxError(f"gate '{kind}' expects {row.n_params} parameter(s), got {len(params)}")
+    if row.arity != arity:
+        return QasmSyntaxError(f"gate '{kind}' expects {row.arity} operand(s), got {arity}")
+    return QasmSyntaxError(f"gate '{kind}' expects {row.n_params} parameter(s), got {n_params}")
 
 
 class CircuitIR:
@@ -452,11 +459,11 @@ class _Parser:
             kind = _BUILTIN_GATES.get(kind, kind)
             row = GATES[kind] if kind in GATES else None
             if row is None:
-                raise _gate_error(kind, None, qubits, params)
+                raise _gate_error(kind, None, len(qubits), len(params))
         # the shape is tested inline; the helper only words the error
         arity = row.arity
         if arity != len(qubits) or row.n_params != len(params):
-            raise _gate_error(kind, row, qubits, params)
+            raise _gate_error(kind, row, len(qubits), len(params))
         if arity == 2 and qubits[0] == qubits[1] or arity > 2 and len(set(qubits)) < arity:
             q = next(q for q in qubits if qubits.count(q) > 1)
             raise DuplicateOperandError(f"gate '{kind}' applied twice to wire {q}")

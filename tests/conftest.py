@@ -2,11 +2,15 @@
 fast paths: the graph oracles classify raw edge lists directly, and the
 variant oracle simulates one cut variant at a time, state by state.
 ``OracleCheckedEngine`` runs the stage-1 move engine against the modularity
-oracle."""
+oracle. ``load_tool`` and ``own_imports`` serve the self-tests of the
+measurement tools under ``tools/``."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -257,3 +261,27 @@ def variant_distribution_oracle(plan, specs, choice: dict[int, int],
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240814)
+
+
+def load_tool(name: str):
+    """``tools/<name>.py`` as a module of its own, left out of ``sys.modules``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"_{name}_under_test", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.fixture
+def own_imports(monkeypatch):
+    """Lets a test run a tool in this process: building a corpus drops every
+    ``cutplan`` module it imported, and ``tools/ab.py`` refuses to load a
+    tree beside one, so the suite's are set aside, and put back afterwards
+    in place of what the test loaded; so is ``sys.path``."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for name in [m for m in sys.modules if m.startswith("cutplan")]:
+        monkeypatch.delitem(sys.modules, name)
+    yield
+    for name in [m for m in sys.modules if m.startswith(("cutplan", "_ab_tree"))]:
+        del sys.modules[name]

@@ -2,7 +2,6 @@
 a finite ratio, and it times what the benchmark times. No timing is
 asserted."""
 
-import importlib.util
 import math
 import os
 import shutil
@@ -13,6 +12,7 @@ import types
 import numpy as np
 import pytest
 
+from conftest import load_tool
 import cutplan
 from cutplan import cutsim
 from cutplan.qasm import to_qasm
@@ -21,16 +21,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "ab.py")
 
 
-def _run(workload, *args):
-    out = subprocess.run([sys.executable, TOOL, ROOT, ROOT, workload, "1", "--scale", "0.02",
-                          *args], capture_output=True, text=True)
-    assert out.returncode == 0, out.stdout + out.stderr
-    return out.stdout.splitlines()
+@pytest.fixture
+def run_ab(own_imports, capsys):
+    """The tool run in this process on the tree against itself at scale 0.02."""
+    def run(workload, *args):
+        assert load_tool("ab").main([ROOT, ROOT, workload, "1", "--scale", "0.02", *args]) == 0
+        return capsys.readouterr().out.splitlines()
+    return run
 
 
 @pytest.mark.parametrize("workload", ["verify_ring", "plan_chain"])
-def test_ab_times_a_tree_against_itself(workload):
-    lines = _run(workload)
+def test_ab_times_a_tree_against_itself(run_ab, workload):
+    lines = run_ab(workload)
     (line,) = [ln for ln in lines if ln.startswith("NEW/OLD median ratio ")]
     ratio, _, won = line.removeprefix("NEW/OLD median ratio ").partition("; NEW faster on ")
     assert math.isfinite(float(ratio)) and float(ratio) > 0
@@ -38,10 +40,10 @@ def test_ab_times_a_tree_against_itself(workload):
     assert 0 <= int(won) <= int(total) and int(total) > 0
 
 
-def test_ab_prints_each_repetitions_ratio_and_their_range():
+def test_ab_prints_each_repetitions_ratio_and_their_range(run_ab):
     """With several repetitions the overall lines stay, and one more line
     gives each repetition's median ratio and their range."""
-    lines = _run("verify_ring", "--reps", "3")
+    lines = run_ab("verify_ring", "--reps", "3")
     prefix = "NEW/OLD median ratio per repetition "
     assert len([ln for ln in lines if ln.startswith("NEW/OLD median ratio ")]) == 2
     (line,) = [ln for ln in lines if ln.startswith(prefix)]
@@ -69,9 +71,7 @@ def test_ab_refuses_a_module_outside_its_tree(tmp_path):
 def test_ab_times_an_estimate_on_built_gates():
     """The benchmark's untimed exact value builds ``circuit.gates`` before it
     times ``cut_estimate``, so the tool's timed estimate finds them built."""
-    spec = importlib.util.spec_from_file_location("_ab_under_test", TOOL)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    ab = load_tool("ab")
     built = []
     fake = types.SimpleNamespace(
         ring_cuts=cutsim.ring_cuts, pauli_z_observable=cutsim.pauli_z_observable,

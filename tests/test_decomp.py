@@ -6,10 +6,10 @@ import pytest
 from cutplan.cutsim import (gate_cut_decomposition, gate_matrix, reconstruct_channel,
                             reconstruction_error, target_channel,
                             wire_cut_decomposition)
-from cutplan.cutsim.decomp import Term, TermSide, DecompositionSpec, _g
+from cutplan.cutsim.decomp import MEAS_SIGNED, Term, TermSide, DecompositionSpec, _g
 from cutplan.gates import GATES
 from cutplan.graph import DEFAULT_WEIGHTS
-from cutplan.qasm import GateApp
+from cutplan.qasm import GateApp, QasmSyntaxError, UnsupportedGateError
 
 # a row whose core angle is the gate's parameter is cut at each of these
 PARAM_ANGLES = (0.0, 0.37, math.pi / 2, 2.9, -1.7)
@@ -158,3 +158,36 @@ def test_side_groups_follow_each_specs_own_sides():
                                 tuple(Term(t.coeff, t.sides[::-1]) for t in cz.terms))
     assert swapped.side_groups == cz.side_groups[::-1] != cz.side_groups
     assert "side_groups" not in repr(cz) and "side_groups" not in repr(single)
+
+
+# a hand-built side checks its gates when it is made, with the parser's errors
+def test_a_term_side_gate_given_a_parameter_it_takes_none_of_is_refused():
+    with pytest.raises(QasmSyntaxError, match=r"gate 'h' expects 0 parameter\(s\), got 1"):
+        TermSide(gates=(("h", (0.5,)),))
+
+
+def test_a_term_side_gate_missing_its_parameter_is_refused():
+    with pytest.raises(QasmSyntaxError, match=r"gate 'rx' expects 1 parameter\(s\), got 0"):
+        TermSide(measure=MEAS_SIGNED, post_gates=(("rx", ()),))
+
+
+def test_a_term_side_gate_of_an_unknown_kind_is_refused():
+    with pytest.raises(UnsupportedGateError, match="unknown gate 'iswap'"):
+        TermSide(gates=(("iswap", ()),))
+
+
+def test_a_term_side_measurement_of_no_known_kind_is_refused():
+    with pytest.raises(ValueError, match="measure is None, 'plain' or 'signed', not 'sgined'"):
+        TermSide(measure="sgined")
+
+
+def test_a_spec_refuses_a_coefficient_that_is_no_finite_real():
+    """A ``nan`` coefficient made ``kappa`` nan, and ``allocate_shots`` then
+    failed as if the shot budget overflowed a float."""
+    side = TermSide()
+    for coeff in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="a term coefficient must be finite"):
+            DecompositionSpec("time", None, (), (Term(0.5, (side, side)), Term(coeff, (side, side))))
+    for coeff in (1j, True):
+        with pytest.raises(TypeError, match="a term coefficient must be a real number"):
+            DecompositionSpec("time", None, (), (Term(coeff, (side, side)),))

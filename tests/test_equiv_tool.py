@@ -1,17 +1,22 @@
 """Self-test of ``tools/equiv.py``: it finds no difference between a tree
-and itself, finds the differences that a known mutation makes in a copy,
+and itself, finds the differences that a known mutation makes in a copy
+(one run of the tool each, shared by the tests that read it), builds its
+corpora, as ``tools/ab.py`` builds its own, in its own process,
 records an estimate's allocation apart from what it sampled, names a
 stage-row key that only one tree has without counting it, counts every
 plan and each tree's failures per kind in its quality ledger, and names the
 largest rise and fall of ``lq`` with each tree's R."""
 
-import importlib.util
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+
+import pytest
+
+from conftest import load_tool
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "equiv.py")
@@ -50,14 +55,27 @@ def _equiv(old_tree, new_tree):
                           capture_output=True, text=True)
 
 
+@pytest.fixture(scope="module")
+def itself():
+    """One run of the tool on the tree against itself."""
+    return _equiv(ROOT, ROOT)
+
+
+@pytest.fixture(scope="module")
+def edited(tmp_path_factory):
+    """One run of the tool on the tree against a copy with ``MUTATION``."""
+    copy = tmp_path_factory.mktemp("edited")
+    shutil.copytree(os.path.join(ROOT, "src"), copy / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "src" / "cutplan" / "__init__.py", "a", encoding="utf-8") as fh:
+        fh.write(MUTATION)
+    return _equiv(ROOT, str(copy))
+
+
 def _differ(stdout):
     """Differing operations per workload, from the tool's summary lines."""
-    counts = {}
-    for line in stdout.splitlines():
-        workload, _, rest = line.partition(": ")
-        if workload in WORKLOADS:
-            counts[workload] = int(rest.split(", ")[1].split()[0])
-    return counts
+    return {m[1]: int(m[2]) for m in re.finditer(r"^(\w+): \d+ operations, (\d+) differ$",
+                                                 stdout, re.M)}
 
 
 def _differing_parts(stdout):
@@ -73,13 +91,6 @@ def _differing_parts(stdout):
     return parts
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("equiv", TOOL)
-    equiv = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(equiv)
-    return equiv
-
-
 def _ledgers(stdout):
     """(better, worse, equal) per plan workload, from the ledger lines."""
     counts = {}
@@ -90,35 +101,46 @@ def _ledgers(stdout):
     return counts
 
 
-def test_equiv_finds_no_difference_between_a_tree_and_itself(tmp_path, monkeypatch):
-    out = _equiv(ROOT, ROOT)
+def test_equiv_finds_no_difference_between_a_tree_and_itself(itself, own_imports):
+    out = itself
     assert out.returncode == 0, out.stdout + out.stderr
     assert _differ(out.stdout) == dict.fromkeys(WORKLOADS, 0)
     assert "seed 1: 0 differing operation(s)" in out.stdout
     # the records compared there: every ring estimate holds its exact value
     # and exact moments as parts of their own
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool's imports extend it
-    equiv = _load_tool()
-    corpus, records = tmp_path / "corpus.json", tmp_path / "records.json"
-    equiv.build_corpora(ROOT, 1, 0.02, corpus)
-    equiv.run_tree(ROOT, corpus, records)
-    with open(records, encoding="utf-8") as fh:
-        ring = json.load(fh)["records"]["verify_ring"]
+    equiv = load_tool("equiv")
+    corpus = equiv.build_corpora(ROOT, 1, 0.02)["verify_ring"]
+    ring = equiv.run_tree(ROOT, {"verify_ring": corpus})["records"]["verify_ring"]
     assert [list(record) for record in ring] == [ESTIMATE_PARTS] * 8
 
 
-def test_equiv_finds_the_differences_of_an_edited_copy(tmp_path):
-    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "cutplan" / "__init__.py", "a", encoding="utf-8") as fh:
-        fh.write(MUTATION)
-    out = _equiv(ROOT, str(tmp_path))
+def test_equiv_finds_the_differences_of_an_edited_copy(edited):
+    out = edited
     assert out.returncode == 1, out.stdout + out.stderr
     differ = _differ(out.stdout)
     assert sorted(differ) == sorted(WORKLOADS)
     assert all(differ[w] > 0 for w in WORKLOADS), out.stdout
     # the next seed draws other shots from the same allocation
     assert _differing_parts(out.stdout)["verify_ring"] == {"estimate"}, out.stdout
+
+
+def test_the_tools_build_their_corpus_in_process(own_imports, monkeypatch, capsys):
+    """Neither tool starts an interpreter to build its corpus: ``ab`` starts
+    none, and ``equiv`` only its run per tree, which is handed the corpora."""
+    handed = []
+
+    def run(cmd, input, **kwargs):
+        assert cmd[1:] == [TOOL, "--run", ROOT], f"a subprocess other than a tree's run: {cmd}"
+        handed.append({w: len(items) for w, items in json.loads(input).items()})
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(
+            {"records": dict.fromkeys(WORKLOADS, []), "lq": {}}))
+
+    monkeypatch.setattr(subprocess, "run", run)
+    assert load_tool("equiv").main([ROOT, ROOT, "1", "--scale", "0.02"]) == 0
+    assert handed == [{"plan_chain": 3, "plan_random": 1, "verify_ring": 8}] * 2
+    capsys.readouterr()
+    assert load_tool("ab").main([ROOT, ROOT, "verify_ring", "1", "--scale", "0.02"]) == 0
+    assert capsys.readouterr().out.startswith("verify_ring: 8 operations x 1 repetition(s)")
 
 
 def test_equiv_records_the_allocation_apart_from_the_sampled_estimate():
@@ -128,7 +150,7 @@ def test_equiv_records_the_allocation_apart_from_the_sampled_estimate():
     import cutplan.cutsim
     from cutplan.qasm import to_qasm
 
-    equiv = _load_tool()
+    equiv = load_tool("equiv")
     qasm = to_qasm(cutplan.cutsim.ring_circuit([[[0.3, 1.1]] * 8] * 2))
     first, second = (equiv._estimate(cutplan, cutplan.cutsim, 3, 0.1, qasm, seed)
                      for seed in (1, 2))
@@ -138,8 +160,8 @@ def test_equiv_records_the_allocation_apart_from_the_sampled_estimate():
     assert (first["exact"], first["moments"]) == (second["exact"], second["moments"])
 
 
-def test_ledger_of_a_tree_against_itself_holds_every_plan():
-    out = _equiv(ROOT, ROOT)
+def test_ledger_of_a_tree_against_itself_holds_every_plan(itself):
+    out = itself
     assert out.returncode == 0, out.stdout + out.stderr
     assert _ledgers(out.stdout) == {"plan_chain": (0, 0, 3), "plan_random": (0, 0, 1)}
     assert re.search(r"^plan_chain ledger: lq_sum (\S+) -> \1; .*; largest rise none; "
@@ -151,14 +173,10 @@ def test_ledger_of_a_tree_against_itself_holds_every_plan():
                                      for kind in failures.split(", ")), out.stdout
 
 
-def test_ledger_counts_every_plan_of_an_edited_copy(tmp_path):
+def test_ledger_counts_every_plan_of_an_edited_copy(edited):
     """Half the cap moves some plans: every plan lands in exactly one count,
     and a rise is named with its operation."""
-    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "cutplan" / "__init__.py", "a", encoding="utf-8") as fh:
-        fh.write(MUTATION)
-    out = _equiv(ROOT, str(tmp_path))
+    out = edited
     assert out.returncode == 1, out.stdout + out.stderr
     ledgers = _ledgers(out.stdout)
     assert {w: sum(counts) for w, counts in ledgers.items()} == {"plan_chain": 3, "plan_random": 1}
@@ -169,7 +187,7 @@ def test_ledger_counts_every_plan_of_an_edited_copy(tmp_path):
 
 
 def test_ledger_counts_each_trees_failures_per_kind():
-    equiv = _load_tool()
+    equiv = load_tool("equiv")
     line = equiv.ledger("plan_random", [1.0, 2.0, None], [1.0, 2.0, 3.0],
                         [None, "report:OverflowError", "plan:ValueError"],
                         [None, "report:OverflowError", None])
@@ -179,7 +197,7 @@ def test_ledger_counts_each_trees_failures_per_kind():
 
 
 def test_extremes_name_the_largest_rise_and_fall_with_each_trees_r():
-    equiv = _load_tool()
+    equiv = load_tool("equiv")
     line = equiv.extremes("plan_chain", [1.0, 5.0, 3.0, None, 2.0], [1.5, 2.0, 3.0, 4.0, 2.2],
                           [2, 6, 3, None, 4], [3, 5, 3, 4, 4])
     assert line == ("plan_chain extremes: largest rise +0.5 at op 0, R 2 -> 3; "
@@ -191,7 +209,7 @@ def test_extremes_name_the_largest_rise_and_fall_with_each_trees_r():
 def test_a_stage_key_one_tree_lacks_is_named_not_counted(capsys):
     """A stage-row key that only one tree's rows have is listed per workload;
     a changed value, or a plan that failed in one tree, still differs."""
-    equiv = _load_tool()
+    equiv = load_tool("equiv")
     row = {"circuit": "c", "stages.step1.lq": "1", "stages.step2.lq": "2"}
     wire_lq = {"stages.step2.wire_lq": "3"}
     old = {"plan_chain": [row, row, {"plan": "ValueError: x"}], "plan_random": [],

@@ -3,7 +3,6 @@ gives a summary line per end-to-end metric, the medians of the wall set-up
 and reference times and the failure counts, and two trees whose benchmarks
 differ are refused. No timing is asserted."""
 
-import importlib.util
 import json
 import os
 import re
@@ -14,15 +13,10 @@ import sys
 
 import pytest
 
+from conftest import load_tool
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "pairs.py")
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("_pairs_under_test", TOOL)
-    pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pairs)
-    return pairs
 
 
 def test_pairs_runs_a_tree_against_itself():
@@ -77,6 +71,6 @@ def test_pairs_refuses_trees_whose_benchmarks_differ(tmp_path):
     ([1.0, 1.0], [1.0, 1.0], "lower", 0, False),
 ])
 def test_pairs_gain_rule(old, new, better, won, gain):
-    s = _load_tool().compare(old, new, better)
+    s = load_tool("pairs").compare(old, new, better)
     assert (s["won"], s["gain"]) == (won, gain)
     assert s["old"][1] == statistics.median(old)

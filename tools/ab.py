@@ -4,15 +4,17 @@
 
 OLD_TREE and NEW_TREE are checkouts, each holding ``src/cutplan``; WORKLOAD
 is ``plan_chain``, ``plan_random`` or ``verify_ring``; SEED defaults to 1
-and S (default 1.0) scales the corpus as ``tools/equiv.py`` does, which also
-builds it. Both trees are loaded into this one process, each under a
-package name of its own, so the machine's drift between separate runs does
-not enter the comparison. Each repetition (N, default 1) times every
-operation once on each tree, the two in a random order per operation. An
-operation is timed as the benchmark times it: a plan is ``parse_qasm`` ->
-``build_cut_graph`` -> ``run_pipeline`` -> ``build_report``, an estimate is
-one ``cut_estimate`` on the parsed circuit, its ``gates`` already built. An
-operation that raises is timed up to the exception on both trees.
+and S (default 1.0) scales the corpus as ``tools/equiv.py`` does, whose
+``build_corpora`` builds it in this process with OLD_TREE's cutplan before
+either tree is loaded. Both trees are loaded into this one process, each
+under a package name of its own, so the machine's drift between separate
+runs does not enter the comparison. Each repetition (N, default 1) times
+every operation once on each tree, the two in a random order per
+operation. An operation is timed as the benchmark times it: a plan is
+``parse_qasm`` -> ``build_cut_graph`` -> ``run_pipeline`` ->
+``build_report``, an estimate is one ``cut_estimate`` on the parsed
+circuit, its ``gates`` already built. An operation that raises is timed up
+to the exception on both trees.
 
 It prints each tree's median time per operation, the median NEW/OLD ratio
 over the operations (each operation's time being its median over the
@@ -26,13 +28,11 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
-import json
 import os
 import random
+import runpy
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 
 EQUIV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "equiv.py")
@@ -107,12 +107,8 @@ def main(argv: list[str]) -> int:
     if args.reps < 1:
         parser.error(f"--reps must be at least 1, got {args.reps}")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "corpus.json")
-        subprocess.run([sys.executable, EQUIV, "--corpus", args.old_tree, str(args.seed),
-                        str(args.scale), path], check=True)
-        with open(path, encoding="utf-8") as fh:
-            corpus = json.load(fh)[args.workload]
+    build_corpora = runpy.run_path(EQUIV)["build_corpora"]
+    corpus = build_corpora(args.old_tree, args.seed, args.scale)[args.workload]
 
     make = _estimate if args.workload == "verify_ring" else _plan
     trees = [load_tree(tree, f"_ab_tree{k}") for k, tree in enumerate((args.old_tree,

@@ -5,11 +5,11 @@
 OLD_TREE and NEW_TREE are checkouts, each holding ``src/cutplan``; SEED
 defaults to 1, and S (default 1.0) scales the corpora as the benchmark's
 generators do, so a small S gives a quick check. The seed's three corpora
-(``plan_chain``, ``plan_random`` and ``verify_ring``) are built once by
-``perfbench.gen`` of the repository this tool lives in. The chain and ring
-generators build their circuits with cutplan, so they run on OLD_TREE's.
-Each tree then runs every operation in a subprocess of its own and records,
-per operation, the exact ``repr`` of
+(``plan_chain``, ``plan_random`` and ``verify_ring``) are built once, in this
+process, by ``perfbench.gen`` of the repository this tool lives in; the chain
+and ring generators build their circuits with OLD_TREE's cutplan. Each tree
+then runs every operation in a subprocess (and hash seed) of its own and
+records, per operation, the exact ``repr`` of
 
 - a plan: the parsed circuit's columns, the cut graph's columns, every key
   of both stage rows' JSON but ``wall_time_s`` (``lq_trace`` included), as
@@ -48,7 +48,6 @@ import operator
 import os
 import subprocess
 import sys
-import tempfile
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -68,14 +67,21 @@ def _import_cutplan(tree: str):
     return cutplan, cutplan.cutsim
 
 
-def build_corpora(tree: str, seed: int, scale: float, path: str) -> None:
-    _import_cutplan(tree)
-    sys.path.insert(0, ROOT)
-    from perfbench import gen
-    corpora = {w: [dataclasses.astuple(item) for item in gen.CORPORA[w](seed, scale)]
-               for w in WORKLOADS}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(corpora, fh)
+def build_corpora(tree: str, seed: int, scale: float) -> dict[str, list[tuple]]:
+    """The seed's corpora, each item a tuple of its fields, built with
+    ``tree``'s cutplan. Every ``cutplan`` module and the path entries added
+    for the build are dropped again before it returns."""
+    path = list(sys.path)
+    try:
+        _import_cutplan(tree)
+        sys.path.insert(0, ROOT)
+        from perfbench import gen
+        return {w: [dataclasses.astuple(item) for item in gen.CORPORA[w](seed, scale)]
+                for w in WORKLOADS}
+    finally:
+        sys.path[:] = path
+        for name in [m for m in sys.modules if m.split(".")[0] == "cutplan"]:
+            del sys.modules[name]
 
 
 def _error(exc: Exception) -> str:
@@ -147,12 +153,10 @@ def _estimate(cutplan, cutsim, partitions: int, eps: float, qasm: str,
     return record
 
 
-def run_tree(tree: str, corpus_path: str, out_path: str) -> None:
-    """Every operation of the corpora on ``tree``; writes each record's
-    parts as SHA-256 digests, and each plan's step-2 ``lq``, R and failure."""
+def run_tree(tree: str, corpora: dict) -> dict:
+    """Every operation of the corpora on ``tree``: each record's parts as
+    SHA-256 digests, and each plan's step-2 ``lq``, R and failure."""
     cutplan, cutsim = _import_cutplan(tree)
-    with open(corpus_path, encoding="utf-8") as fh:
-        corpora = json.load(fh)
     records, lq, r, failures = {}, {}, {}, {}
     for workload, items in corpora.items():
         if workload == "verify_ring":
@@ -165,8 +169,7 @@ def run_tree(tree: str, corpus_path: str, out_path: str) -> None:
             failures[workload] = [kind for _, _, _, kind in plans]
         records[workload] = [{part: hashlib.sha256(text.encode()).hexdigest()
                               for part, text in record.items()} for record in ops]
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({"records": records, "lq": lq, "r": r, "failures": failures}, fh)
+    return {"records": records, "lq": lq, "r": r, "failures": failures}
 
 
 def _is_stage_key(part: str) -> bool:
@@ -237,11 +240,8 @@ def extremes(workload: str, old_lq: list, new_lq: list, old_r: list, new_r: list
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--corpus"]:
-        build_corpora(argv[1], int(argv[2]), float(argv[3]), argv[4])
-        return 0
-    if argv[:1] == ["--run"]:
-        run_tree(*argv[1:])
+    if argv[:1] == ["--run"]:  # one tree's run: the corpora on stdin, its records on stdout
+        json.dump(run_tree(argv[1], json.load(sys.stdin)), sys.stdout)
         return 0
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
@@ -253,17 +253,11 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if not args.scale > 0:
         parser.error(f"--scale must be positive, got {args.scale}")
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus = os.path.join(tmp, "corpus.json")
-        subprocess.run([sys.executable, __file__, "--corpus", args.old_tree, str(args.seed),
-                        str(args.scale), corpus], check=True)
-        records = []
-        for tree in (args.old_tree, args.new_tree):
-            out = os.path.join(tmp, "records.json")
-            subprocess.run([sys.executable, __file__, "--run", tree, corpus, out], check=True)
-            with open(out, encoding="utf-8") as fh:
-                records.append(json.load(fh))
-    old, new = records
+    corpora = json.dumps(build_corpora(args.old_tree, args.seed, args.scale))
+    old, new = (json.loads(subprocess.run([sys.executable, __file__, "--run", tree],
+                                          input=corpora, stdout=subprocess.PIPE,
+                                          text=True, check=True).stdout)
+                for tree in (args.old_tree, args.new_tree))
     differ = compare(old["records"], new["records"])
     for workload in old["lq"]:
         print(ledger(workload, old["lq"][workload], new["lq"][workload],
